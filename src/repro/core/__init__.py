@@ -37,7 +37,7 @@ from repro.core.requests import (
     MDS_OP_KINDS,
     POSIX_SURFACE,
 )
-from repro.core.rpc import DelayedEnforceFabric, InMemoryFabric, RpcFabric, RpcMessage
+from repro.core.rpc import RpcMessage
 from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity, StageStats
 from repro.core.token_bucket import TokenBucket
 from repro.core.transport import InProcTransport, Transport
@@ -51,9 +51,7 @@ __all__ = [
     "ControlPlaneConfig",
     "DataPlaneStage",
     "Decision",
-    "DelayedEnforceFabric",
     "DominantResourceFairness",
-    "InMemoryFabric",
     "InProcTransport",
     "JobDemand",
     "JobInfo",
@@ -67,7 +65,6 @@ __all__ = [
     "ProportionalSharing",
     "RateSchedule",
     "Request",
-    "RpcFabric",
     "RpcMessage",
     "RuleScope",
     "StageConfig",

@@ -153,18 +153,18 @@ class Channel:
         ``limit`` optionally bounds the grant below the bucket allowance
         (e.g. downstream file-system capacity).  ``sink`` receives each
         granted request record (batches may be split so that exactly the
-        granted count flows downstream).  With ``telemetry`` the grant
-        loop runs an instrumented copy (identical arithmetic, emits on
-        the side); the default path below is untouched.
+        granted count flows downstream).  With ``telemetry`` every grant
+        is also observed (queue-wait histogram, ``queue.wait`` span) on
+        its way to ``sink``; the grant loop itself is the same one.
         """
-        if telemetry is not None:
-            return self._drain_traced(now, limit, sink, telemetry)
         if limit < 0:
             raise ConfigError(f"drain limit must be >= 0, got {limit}")
         queue = self._queue
         if not queue or limit == 0:
             self.bucket.refill(now)
             return 0.0
+        if telemetry is not None:
+            sink = self._observed(sink, now, telemetry)
         # Same values as max(0.0, min(backlog, limit)) without the calls.
         want = self._backlog
         if limit < want:
@@ -191,25 +191,21 @@ class Channel:
             if count <= remaining:
                 popleft()
                 remaining -= count
-                granted += count
-                wait_sum += wait * count
-                if wait > wait_max:
-                    wait_max = wait
-                if sink is not None:
-                    sink(head)
             elif self.integral:
                 # Whole-request mode: the head does not fit, stop here.
                 break
             else:
-                taken, rest = head.split(remaining)
+                # The granted part stands in for the head from here on.
+                head, rest = head.split(remaining)
                 queue[0] = rest
-                granted += taken.count
+                count = head.count
                 remaining = 0.0
-                wait_sum += wait * taken.count
-                if wait > wait_max:
-                    wait_max = wait
-                if sink is not None:
-                    sink(taken)
+            granted += count
+            wait_sum += wait * count
+            if wait > wait_max:
+                wait_max = wait
+            if sink is not None:
+                sink(head)
         stats.wait_sum = wait_sum
         stats.wait_max = wait_max
         # Return unused allowance (from batch-boundary rounding) to the
@@ -221,96 +217,37 @@ class Channel:
             self._backlog = 0.0  # clamp accumulated float error
         stats.granted_ops += granted
         stats.window_granted += granted
+        if telemetry is not None and self._m_granted is not None:
+            self._m_granted.inc(granted)
         return granted
 
-    def _drain_traced(
-        self,
-        now: float,
-        limit: float,
-        sink: Optional[Callable[[Request], None]],
-        telemetry,
-    ) -> float:
-        """Instrumented :meth:`drain`: same floats in the same order.
+    def _observed(
+        self, sink: Optional[Callable[[Request], None]], now: float, telemetry
+    ) -> Callable[[Request], None]:
+        """``sink`` preceded by this channel's per-grant telemetry.
 
-        The grant/split/refund arithmetic is a verbatim copy of the fast
-        path -- the golden-digest suite runs both and asserts identical
-        bytes -- with queue-wait histogram observes and per-request
-        ``queue.wait`` spans emitted alongside.
+        A granted record keeps its ``submitted_at`` and trace context
+        through a split, so everything the histogram and the span need
+        is on the record the sink receives -- the grant loop pays
+        nothing for telemetry it does not have.
         """
-        if limit < 0:
-            raise ConfigError(f"drain limit must be >= 0, got {limit}")
-        queue = self._queue
-        if not queue or limit == 0:
-            self.bucket.refill(now)
-            return 0.0
-        want = self._backlog
-        if limit < want:
-            want = limit
-        if want < 0.0:
-            want = 0.0
-        allowance = self.bucket.consume_available(want, now)
-        granted = 0.0
-        remaining = allowance
-        popleft = queue.popleft
-        stats = self.stats
-        wait_sum = stats.wait_sum
-        wait_max = stats.wait_max
         tracer = telemetry.tracer
         h_wait = self._h_wait
         channel_id = self.channel_id
-        while remaining > 0 and queue:
-            head = queue[0]
-            wait = now - head.submitted_at
-            if wait < 0.0:
-                wait = 0.0
-            count = head.count
-            if count <= remaining:
-                popleft()
-                remaining -= count
-                granted += count
-                wait_sum += wait * count
-                if wait > wait_max:
-                    wait_max = wait
-                if h_wait is not None:
-                    h_wait.observe(wait, count)
-                if tracer is not None and head.trace is not None:
-                    tracer.emit_span(
-                        head.trace, "queue.wait", head.submitted_at, now,
-                        channel=channel_id, count=count,
-                    )
-                if sink is not None:
-                    sink(head)
-            elif self.integral:
-                break
-            else:
-                taken, rest = head.split(remaining)
-                queue[0] = rest
-                granted += taken.count
-                remaining = 0.0
-                wait_sum += wait * taken.count
-                if wait > wait_max:
-                    wait_max = wait
-                if h_wait is not None:
-                    h_wait.observe(wait, taken.count)
-                if tracer is not None and taken.trace is not None:
-                    tracer.emit_span(
-                        taken.trace, "queue.wait", taken.submitted_at, now,
-                        channel=channel_id, count=taken.count,
-                    )
-                if sink is not None:
-                    sink(taken)
-        stats.wait_sum = wait_sum
-        stats.wait_max = wait_max
-        if remaining > 0:
-            self.bucket.refund(remaining)
-        self._backlog -= granted
-        if not queue:
-            self._backlog = 0.0  # clamp accumulated float error
-        stats.granted_ops += granted
-        stats.window_granted += granted
-        if self._m_granted is not None:
-            self._m_granted.inc(granted)
-        return granted
+
+        def observe(granted: Request) -> None:
+            if h_wait is not None:
+                wait = now - granted.submitted_at
+                h_wait.observe(wait if wait >= 0.0 else 0.0, granted.count)
+            if tracer is not None and granted.trace is not None:
+                tracer.emit_span(
+                    granted.trace, "queue.wait", granted.submitted_at, now,
+                    channel=channel_id, count=granted.count,
+                )
+            if sink is not None:
+                sink(granted)
+
+        return observe
 
     def collect(self) -> tuple[float, float, float]:
         """Return and reset the rate window: (granted, enqueued, backlog)."""

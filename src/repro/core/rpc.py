@@ -18,21 +18,15 @@ layered:
 * :mod:`repro.core.fabric` -- :class:`~repro.core.fabric.FaultyFabric`,
   a fault-injection decorator over any transport with per-link seeded
   latency/jitter/loss and scripted partitions.
-
-The three historical fabrics -- :class:`InMemoryFabric`,
-:class:`SimFabric`, :class:`DelayedEnforceFabric` -- remain here as thin
-shims over :class:`~repro.core.fabric.FaultyFabric` so every existing
-call site and test keeps its exact semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import RPCError
 from repro.core.differentiation import ClassifierRule
-from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 
 __all__ = [
@@ -44,10 +38,6 @@ __all__ = [
     "InstallRule",
     "RemoveRule",
     "RemoveChannel",
-    "RpcFabric",
-    "InMemoryFabric",
-    "SimFabric",
-    "DelayedEnforceFabric",
     "StageEndpoint",
 ]
 
@@ -144,88 +134,3 @@ class StageEndpoint:
             self.stage.remove_channel(message.channel_id)
             return True
         raise RPCError(f"unhandled message type {type(message).__name__}")
-
-
-class RpcFabric:
-    """Address -> handler registry with a synchronous ``call`` verb."""
-
-    def bind(self, address: str, handler: Callable[[RpcMessage], Any]) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def unbind(self, address: str) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def call(self, address: str, message: RpcMessage) -> Any:
-        raise NotImplementedError  # pragma: no cover - interface
-
-
-class InMemoryFabric(FaultyFabric):
-    """Synchronous in-process fabric with fault injection.
-
-    ``drop_fn(address, message) -> bool`` simulates message loss: a dropped
-    call raises :class:`RPCError`, which the control plane must tolerate
-    (it skips the stage for that loop iteration).
-
-    Shim over an engine-less :class:`~repro.core.fabric.FaultyFabric`.
-    """
-
-    def __init__(
-        self, drop_fn: Optional[Callable[[str, RpcMessage], bool]] = None
-    ) -> None:
-        super().__init__(env=None, drop_fn=drop_fn)
-
-
-class SimFabric(FaultyFabric):
-    """Event-driven fabric with simulated network latency.
-
-    ``call`` here is *fire-and-forget with deferred effect*: the message is
-    applied to the endpoint ``latency`` simulated seconds later, and the
-    call returns None immediately.  Stat collection under latency uses
-    :meth:`call_async`, which returns an Event carrying the response.
-
-    Shim: a :class:`~repro.core.fabric.FaultyFabric` with a lossless
-    fixed-latency link, single-leg async replies (the reply does not
-    traverse the link again), and no arrival-time rewrite.
-    """
-
-    def __init__(self, env, latency: float = 0.0) -> None:
-        super().__init__(
-            env=env,
-            link=LinkProfile(latency=float(latency)),
-            rewrite_now=False,
-            async_reply=False,
-        )
-        self.latency = float(latency)
-
-    def call(self, address: str, message: RpcMessage) -> Any:
-        self.call_async(address, message)
-        return None
-
-
-class DelayedEnforceFabric(FaultyFabric):
-    """In-process fabric that delays *enforcement* by a network latency.
-
-    Statistics collection stays synchronous (the loop needs an answer to
-    compute with), but :class:`EnforceRate` / :class:`CreateChannel` /
-    :class:`InstallRule` messages take effect ``latency`` simulated seconds
-    later -- the control-plane-lag model the section-VI scalability
-    discussion asks about.  Used by the control-lag ablation benchmark.
-
-    Shim: a :class:`~repro.core.fabric.FaultyFabric` with a lossless
-    fixed-latency link where :class:`CollectStats` / :class:`Ping`
-    dispatch synchronously; deferred enforcement messages have their
-    ``now`` rewritten to arrival time (a token bucket cannot refill into
-    the past) and a stage that deregisters mid-flight swallows them, as
-    a real network would.
-    """
-
-    def __init__(self, env, latency: float) -> None:
-        if latency < 0:
-            raise RPCError(f"latency must be >= 0, got {latency}")
-        super().__init__(
-            env=env,
-            link=LinkProfile(latency=float(latency)),
-            sync_messages=(CollectStats, Ping),
-            rewrite_now=True,
-        )
-        self.latency = float(latency)

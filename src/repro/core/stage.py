@@ -387,20 +387,7 @@ class DataPlaneStage:
         a round-robin refinement is unnecessary because per-channel buckets
         already bound each channel's share.
         """
-        if self._orphan_policy is not None:
-            self._orphan_check(now)
-        total = 0.0
-        remaining = limit
-        telemetry = self._telemetry
-        for channel in self._channel_list:
-            if remaining <= 0:
-                # Still refill the bucket so allowance accrues correctly.
-                channel.bucket.refill(now)
-                continue
-            granted = channel.drain(now, remaining, self._sink, telemetry)
-            total += granted
-            remaining -= granted
-        return total
+        return self._drain_channels(now, limit, self._sink)
 
     def drain_collect(
         self, now: float, grants: List[Request], limit: float = math.inf
@@ -414,17 +401,22 @@ class DataPlaneStage:
         ``list.append`` per grant instead of a Python sink call chain.  The
         experiment harness uses this to fuse the drain tick's delivery loop.
         """
+        return self._drain_channels(now, limit, grants.append)
+
+    def _drain_channels(
+        self, now: float, limit: float, sink: Callable[[Request], None]
+    ) -> float:
         if self._orphan_policy is not None:
             self._orphan_check(now)
         total = 0.0
         remaining = limit
-        append = grants.append
         telemetry = self._telemetry
         for channel in self._channel_list:
             if remaining <= 0:
+                # Still refill the bucket so allowance accrues correctly.
                 channel.bucket.refill(now)
                 continue
-            granted = channel.drain(now, remaining, append, telemetry)
+            granted = channel.drain(now, remaining, sink, telemetry)
             total += granted
             remaining -= granted
         return total

@@ -214,7 +214,7 @@ class ReplayWorld:
         # Tracing rides the legacy per-request pipeline (proven bit-identical
         # to the fused batch paths by the tier-1 suite) so spans open and
         # close where requests actually flow; metrics-only telemetry keeps
-        # the fused paths, whose instrumented variants emit on the side.
+        # the fused paths.
         self._traced = telemetry is not None and telemetry.tracer is not None
         self.env = Environment(telemetry=telemetry)
         self.cluster = LustreCluster(
@@ -464,8 +464,13 @@ class ReplayWorld:
             if decision.enforced:
                 channel = channels[decision.channel_id]
                 rows.append((channel._queue.append, channel, channel.stats, request, count))
+                counter = stage._m_enforced
             else:
                 rows.append((None, None, None, request, count))
+                counter = stage._m_passthrough
+            if counter is not None:
+                # What ``stage.submit`` counts per slice, once per row.
+                counter.inc(count * interleave)
         # When every row is enforced and targets a distinct channel, all
         # accumulators are per-row disjoint, so running the interleave adds
         # row-by-row (stats hoisted to locals) replays the exact per-round

@@ -1,10 +1,9 @@
 """Lint configuration: defaults plus the ``[tool.padll-lint]`` table.
 
-Configuration lives next to the packaging metadata in ``pyproject.toml``
-so there is exactly one knob file.  ``tomllib`` ships with Python 3.11+;
-on 3.10 (the oldest supported interpreter) the loader falls back to the
-committed defaults below, which are kept identical to the repo's own
-``[tool.padll-lint]`` table, so lint behaviour matches on every CI leg.
+:data:`DEFAULT_CONFIG` is the one source of this repository's lint
+settings.  A project overrides them key by key in a
+``[tool.padll-lint]`` table of its ``pyproject.toml`` (read with
+``tomllib``, Python 3.11+; on 3.10 the table is ignored).
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
         return DEFAULT_CONFIG
     pyproject = Path(pyproject)
     config = replace(DEFAULT_CONFIG, root=str(pyproject.parent))
-    if tomllib is None:  # Python 3.10: defaults mirror the committed table
+    if tomllib is None:  # Python 3.10
         return config
     try:
         with open(pyproject, "rb") as fh:

@@ -79,7 +79,7 @@ class MDSConfig:
 # ``slot`` is the kind's interned window/served index (see _window_slot),
 # resolved at offer time so the service loop runs without dict lookups.
 # A head-sampled batch appends its trace context as an optional 5th slot;
-# only the instrumented service loop ever looks for it.
+# only :meth:`MetadataServer._observed_popleft` looks for it.
 _B_SLOT, _B_COUNT, _B_COST, _B_ARRIVED, _B_TRACE = 0, 1, 2, 3, 4
 
 
@@ -117,8 +117,7 @@ class MetadataServer:
         #: Sum of (completion latency * ops) for mean-latency reporting.
         self._latency_ops = 0.0
         self._latency_sum = 0.0
-        # Telemetry spine (None = off; the default service() path is then
-        # byte-for-byte the uninstrumented loop below).
+        # Telemetry spine (None = off).
         self._telemetry = None
         self._m_served = None
         self._h_latency = None
@@ -200,9 +199,8 @@ class MetadataServer:
         """Enqueue ``count`` operations of ``kind`` arriving at ``now``.
 
         ``ctx`` optionally carries a telemetry trace context; the batch
-        then gets a 5th slot the instrumented service loop closes an
-        ``mds.service`` span from.  Queueing arithmetic is identical
-        either way.
+        then gets a 5th slot :meth:`service` closes an ``mds.service``
+        span from.  Queueing arithmetic is identical either way.
         """
         if self.failed:
             raise MDSUnavailable(f"{self.name} has failed")
@@ -231,9 +229,12 @@ class MetadataServer:
         before serving, so a tick that begins overloaded is served at the
         degraded rate for its whole duration (conservative, and stable
         under any tick size).
+
+        With telemetry attached each served batch also feeds the
+        service-latency histogram, and a head-sampled batch (5th slot)
+        closes an ``mds.service`` span, followed by a ``reply`` point, at
+        the instant it finishes draining.
         """
-        if self._telemetry is not None:
-            return self._service_traced(now, dt)
         if dt <= 0:
             raise ConfigError(f"service dt must be positive, got {dt}")
         if self.failed:
@@ -249,15 +250,20 @@ class MetadataServer:
         # The drain loop pops one batch per (tick, kind, slice) submitted
         # upstream -- the single hottest loop of every fluid experiment --
         # so per-batch accounting runs on locals with `_record` inlined
-        # (same adds in the same order; written back once below).
+        # (same adds in the same order; written back once below), and
+        # telemetry stays out of it: a batch served whole is observed by
+        # the ``popleft`` that removes it, the one batch a tick can serve
+        # in part is observed after the loop.
         queue = self._queue
-        popleft = queue.popleft
+        h_latency = self._h_latency
+        popleft = queue.popleft if h_latency is None else self._observed_popleft(now)
         queued_units = self._queued_units
         served_buf = self._served_buf
         window_buf = self._window_buf
         window_touched = self._window_touched
         latency_ops = self._latency_ops
         latency_sum = self._latency_sum
+        head = None
         while budget > 1e-12 and queue:
             head = queue[0]
             count = head[1]
@@ -287,89 +293,38 @@ class MetadataServer:
         self._queued_units = queued_units
         self._latency_ops = latency_ops
         self._latency_sum = latency_sum
-        # Clamp accumulated float error.
-        if not queue:
-            self._queued_units = 0.0
-        return served_ops
-
-    def _service_traced(self, now: float, dt: float) -> float:
-        """Instrumented :meth:`service`: same floats in the same order.
-
-        A verbatim copy of the fast drain loop (the golden-digest suite
-        holds it to bit-identity) plus, on the side: a served-ops counter,
-        a per-batch service-latency histogram, and -- for head-sampled
-        batches carrying a 5th slot -- an ``mds.service`` span closed at
-        the instant the batch finishes draining, followed by a ``reply``
-        point.
-        """
-        if dt <= 0:
-            raise ConfigError(f"service dt must be positive, got {dt}")
-        if self.failed:
-            return 0.0
-        self._update_degradation(now, dt)
-        if self.failed:
-            return 0.0
-        rate = self.config.capacity
-        if self.degraded:
-            rate *= self.config.degrade_factor
-        budget = rate * dt
-        served_ops = 0.0
-        queue = self._queue
-        popleft = queue.popleft
-        queued_units = self._queued_units
-        served_buf = self._served_buf
-        window_buf = self._window_buf
-        window_touched = self._window_touched
-        latency_ops = self._latency_ops
-        latency_sum = self._latency_sum
-        h_latency = self._h_latency
-        tracer = self._telemetry.tracer
-        kinds = self._window_kinds
-        while budget > 1e-12 and queue:
-            head = queue[0]
-            count = head[1]
-            cost_per_op = head[2]
-            head_units = cost_per_op * count
-            finished = head_units <= budget
-            if finished:
-                popleft()
-                budget -= head_units
-                queued_units -= head_units
-            else:
-                count = budget / cost_per_op
-                head[1] -= count
-                queued_units -= budget
-                budget = 0.0
-            slot = head[0]
-            latency = now - head[3]
-            if latency < 0.0:
-                latency = 0.0
-            served_buf[slot] += count
-            accumulated = window_buf[slot]
-            if accumulated == 0.0:
-                window_touched.append(slot)
-            window_buf[slot] = accumulated + count
-            latency_ops += count
-            latency_sum += latency * count
-            served_ops += count
-            if h_latency is not None:
+        if h_latency is not None:
+            if queue and queue[0] is head:
+                # The last batch touched is still queued: served in part.
                 h_latency.observe(latency, count)
-            if finished and tracer is not None and len(head) == 5:
-                ctx = head[4]
-                tracer.emit_span(
-                    ctx, "mds.service", head[3], now,
-                    mds=self.name, kind=kinds[slot], count=count,
-                )
-                tracer.emit_point(ctx, "reply", now, mds=self.name)
-        self._queued_units = queued_units
-        self._latency_ops = latency_ops
-        self._latency_sum = latency_sum
-        if self._m_served is not None:
             self._m_served.inc(served_ops)
         # Clamp accumulated float error.
         if not queue:
             self._queued_units = 0.0
         return served_ops
+
+    def _observed_popleft(self, now: float):
+        """``queue.popleft`` that reports the batch it removes as served."""
+        queue = self._queue
+        h_latency = self._h_latency
+        tracer = self._telemetry.tracer
+        name = self.name
+        kinds = self._window_kinds
+
+        def popleft() -> None:
+            batch = queue.popleft()
+            arrived = batch[_B_ARRIVED]
+            count = batch[_B_COUNT]
+            h_latency.observe(now - arrived if now > arrived else 0.0, count)
+            if tracer is not None and len(batch) == 5:
+                ctx = batch[_B_TRACE]
+                tracer.emit_span(
+                    ctx, "mds.service", arrived, now,
+                    mds=name, kind=kinds[batch[_B_SLOT]], count=count,
+                )
+                tracer.emit_point(ctx, "reply", now, mds=name)
+
+        return popleft
 
     def _update_degradation(self, now: float, dt: float) -> None:
         if self.queue_delay > self.config.degrade_after:

@@ -39,6 +39,7 @@ count.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ProcessKilled, SimulationError
@@ -326,9 +327,8 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         #: Telemetry spine (``repro.telemetry.runtime.Telemetry`` or None).
-        #: With it attached, :meth:`run` takes an instrumented dispatch loop
-        #: that counts call/event dispatches; detached (the default) the
-        #: fast loops below are untouched.
+        #: With it attached, :meth:`run` exports its call/event dispatch
+        #: counts and the clock on exit.
         self._telemetry = telemetry
 
     @property
@@ -431,86 +431,27 @@ class Environment:
         The dispatch loop is inlined (rather than calling :meth:`step`)
         with the heap and ``heappop`` bound to locals: this loop pops every
         single entry of every experiment, so call overhead here is a
-        first-order cost.
+        first-order cost.  For the same reason telemetry's dispatch counts
+        are not tallied per pop: every push bumps ``_seq``, so entries
+        popped = entries queued at entry + pushes - entries left, and only
+        the rare Event branch keeps a tally of its own.
         """
-        if self._telemetry is not None:
-            return self._run_instrumented(until)
-        heap = self._heap
-        pop = heapq.heappop
         if until is None:
-            while heap:
-                when, _prio, _seq, item = pop(heap)
-                self._now = when
-                if item.__class__ is tuple:
-                    item[0](item[1])
-                    continue
-                callbacks = item.callbacks
-                item.callbacks = None
-                item._processed = True
-                if callbacks:
-                    for cb in callbacks:
-                        cb(item)
-                elif not item._ok and not isinstance(item._value, ProcessKilled):
-                    raise item._value
-            return
-        if until < self._now:
+            limit = math.inf
+        elif until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        while heap and heap[0][0] <= until:
-            when, _prio, _seq, item = pop(heap)
-            self._now = when
-            if item.__class__ is tuple:
-                item[0](item[1])
-                continue
-            callbacks = item.callbacks
-            item.callbacks = None
-            item._processed = True
-            if callbacks:
-                for cb in callbacks:
-                    cb(item)
-            elif not item._ok and not isinstance(item._value, ProcessKilled):
-                raise item._value
-        self._now = float(until)
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """Instrumented :meth:`run`: identical dispatch, counted.
-
-        A copy of both dispatch loops that tallies fast-path call and
-        Event dispatches into the attached registry (flushed once at
-        exit, so the per-entry cost is two local integer adds).  Clock
-        advancement, ordering, and error propagation are unchanged.
-        """
+        else:
+            limit = until
         heap = self._heap
         pop = heapq.heappop
-        n_calls = 0
         n_events = 0
+        # Entries popped so far = unpushed + self._seq - len(heap).
+        unpushed = len(heap) - self._seq
         try:
-            if until is None:
-                while heap:
-                    when, _prio, _seq, item = pop(heap)
-                    self._now = when
-                    if item.__class__ is tuple:
-                        n_calls += 1
-                        item[0](item[1])
-                        continue
-                    n_events += 1
-                    callbacks = item.callbacks
-                    item.callbacks = None
-                    item._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(item)
-                    elif not item._ok and not isinstance(item._value, ProcessKilled):
-                        raise item._value
-                return
-            if until < self._now:
-                raise SimulationError(
-                    f"run(until={until}) is in the past (now={self._now})"
-                )
-            while heap and heap[0][0] <= until:
+            while heap and heap[0][0] <= limit:
                 when, _prio, _seq, item = pop(heap)
                 self._now = when
                 if item.__class__ is tuple:
-                    n_calls += 1
                     item[0](item[1])
                     continue
                 n_events += 1
@@ -522,12 +463,15 @@ class Environment:
                         cb(item)
                 elif not item._ok and not isinstance(item._value, ProcessKilled):
                     raise item._value
-            self._now = float(until)
+            if until is not None:
+                self._now = float(until)
         finally:
-            registry = self._telemetry.registry
-            registry.counter("padll_engine_dispatches_total", kind="call").inc(n_calls)
-            registry.counter("padll_engine_dispatches_total", kind="event").inc(n_events)
-            registry.gauge("padll_engine_sim_time_seconds").set(self._now)
+            if self._telemetry is not None:
+                n_calls = unpushed + self._seq - len(heap) - n_events
+                registry = self._telemetry.registry
+                registry.counter("padll_engine_dispatches_total", kind="call").inc(n_calls)
+                registry.counter("padll_engine_dispatches_total", kind="event").inc(n_events)
+                registry.gauge("padll_engine_sim_time_seconds").set(self._now)
 
 
 def _invoke(fn: Callable[[], None]) -> None:

@@ -2,11 +2,13 @@
 
 Telemetry is **off by default**: every instrumented component takes
 ``telemetry=None`` and guards its emit sites with a single ``is None``
-check (hot loops branch once at function entry into a duplicated
-instrumented variant), so the disabled path costs nothing measurable --
-the ``telemetry_off_stage_ops_per_sec`` perfbench micro keeps that
-honest.  One :class:`Telemetry` instance scopes one world: its registry,
-tracer, and event log are that world's whole observable surface.
+check.  Hot loops exist once, with or without telemetry: they derive a
+statistic from bookkeeping they keep anyway, or observe through a
+wrapper around a call they already make (docs/OBSERVABILITY.md, design
+rule 1), so the disabled path costs nothing measurable -- the
+``telemetry_off_stage_ops_per_sec`` perfbench micro keeps that honest.  One :class:`Telemetry` instance
+scopes one world: its registry, tracer, and event log are that world's
+whole observable surface.
 """
 
 from __future__ import annotations

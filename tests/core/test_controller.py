@@ -10,7 +10,8 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope, SteppedRate
 from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.rpc import InMemoryFabric, Ping
+from repro.core.fabric import FaultyFabric
+from repro.core.rpc import Ping
 from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
 
 
@@ -202,7 +203,7 @@ class TestAlgorithmLoop:
             return False
 
         cp = ControlPlane(
-            fabric=InMemoryFabric(drop_fn=drop),
+            fabric=FaultyFabric(drop_fn=drop),
             algorithm=StaticPartition(10.0),
         )
         stage = make_stage()
@@ -239,7 +240,7 @@ class TestLiveness:
             return dead["flag"] and isinstance(msg, CollectStats)
 
         cp = ControlPlane(
-            fabric=InMemoryFabric(drop_fn=drop),
+            fabric=FaultyFabric(drop_fn=drop),
             config=ControlPlaneConfig(max_missed_collects=limit),
         )
         return cp, dead
@@ -277,7 +278,7 @@ class TestLiveness:
 
             return isinstance(msg, CollectStats)
 
-        cp = ControlPlane(fabric=InMemoryFabric(drop_fn=drop))
+        cp = ControlPlane(fabric=FaultyFabric(drop_fn=drop))
         cp.register(make_stage("s0", "jobA"))
         for t in range(20):
             cp.tick(float(t))
@@ -298,7 +299,7 @@ class TestEvictionEdges:
             return dead["flag"] and isinstance(msg, CollectStats)
 
         cp = ControlPlane(
-            fabric=InMemoryFabric(drop_fn=drop),
+            fabric=FaultyFabric(drop_fn=drop),
             config=ControlPlaneConfig(max_missed_collects=limit),
             algorithm=ProportionalSharing(capacity=capacity),
         )
@@ -338,7 +339,7 @@ class TestEvictionEdges:
             )
 
         cp = ControlPlane(
-            fabric=InMemoryFabric(drop_fn=drop),
+            fabric=FaultyFabric(drop_fn=drop),
             config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )

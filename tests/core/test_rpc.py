@@ -7,14 +7,13 @@ import pytest
 from repro.errors import RPCError, StageNotRegistered
 from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass, OperationType, Request
+from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.rpc import (
     CollectStats,
     CreateChannel,
     EnforceRate,
-    InMemoryFabric,
     InstallRule,
     Ping,
-    SimFabric,
     StageEndpoint,
 )
 from repro.core.stage import DataPlaneStage, StageIdentity
@@ -24,26 +23,26 @@ def make_stage():
     return DataPlaneStage(StageIdentity("s0", "job0"), lambda req: None)
 
 
-class TestInMemoryFabric:
+class TestSynchronousFabric:
     def test_bind_call(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda msg: "pong")
         assert fabric.call("addr", Ping()) == "pong"
         assert fabric.calls == 1
 
     def test_double_bind_rejected(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda m: None)
         with pytest.raises(RPCError):
             fabric.bind("addr", lambda m: None)
 
     def test_unknown_address(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         with pytest.raises(StageNotRegistered):
             fabric.call("ghost", Ping())
 
     def test_unbind(self):
-        fabric = InMemoryFabric()
+        fabric = FaultyFabric()
         fabric.bind("addr", lambda m: None)
         fabric.unbind("addr")
         with pytest.raises(StageNotRegistered):
@@ -52,7 +51,7 @@ class TestInMemoryFabric:
             fabric.unbind("addr")
 
     def test_drop_injection(self):
-        fabric = InMemoryFabric(drop_fn=lambda addr, msg: isinstance(msg, Ping))
+        fabric = FaultyFabric(drop_fn=lambda addr, msg: isinstance(msg, Ping))
         fabric.bind("addr", lambda m: "ok")
         with pytest.raises(RPCError, match="dropped"):
             fabric.call("addr", Ping())
@@ -93,9 +92,13 @@ class TestStageEndpoint:
             endpoint.handle(Bogus())  # type: ignore[arg-type]
 
 
-class TestSimFabric:
+def lagged(env, latency: float, **kwargs) -> FaultyFabric:
+    return FaultyFabric(env, link=LinkProfile(latency=latency), **kwargs)
+
+
+class TestLatencyFabric:
     def test_latency_defers_effect(self, env):
-        fabric = SimFabric(env, latency=3.0)
+        fabric = lagged(env, 3.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -105,7 +108,7 @@ class TestSimFabric:
         assert stage.channel_rate("metadata") == 1.0
 
     def test_call_async_returns_response(self, env):
-        fabric = SimFabric(env, latency=2.0)
+        fabric = lagged(env, 2.0)
         fabric.bind("s0", lambda m: "answer")
         got = []
 
@@ -115,10 +118,11 @@ class TestSimFabric:
 
         env.process(proc())
         env.run()
-        assert got == [(2.0, "answer")]
+        # Request and reply each cross the 2 s link.
+        assert got == [(4.0, "answer")]
 
     def test_endpoint_error_becomes_rpc_error(self, env):
-        fabric = SimFabric(env, latency=1.0)
+        fabric = lagged(env, 1.0)
 
         def broken(msg):
             raise ValueError("internal")
@@ -138,14 +142,17 @@ class TestSimFabric:
 
     def test_negative_latency_rejected(self, env):
         with pytest.raises(RPCError):
-            SimFabric(env, latency=-1.0)
+            lagged(env, -1.0)
 
 
-class TestDelayedEnforceFabric:
+def enforce_lagged(env, latency: float) -> FaultyFabric:
+    """The control-lag ablation's fabric: collects stay synchronous."""
+    return lagged(env, latency, sync_messages=(CollectStats, Ping))
+
+
+class TestEnforceLaggedFabric:
     def test_enforcement_delayed_and_clock_rewritten(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        fabric = DelayedEnforceFabric(env, latency=3.0)
+        fabric = enforce_lagged(env, 3.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -158,18 +165,14 @@ class TestDelayedEnforceFabric:
         assert stage.channel_rate("metadata") == 1.0
 
     def test_collect_stays_synchronous(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        fabric = DelayedEnforceFabric(env, latency=5.0)
+        fabric = enforce_lagged(env, 5.0)
         stage = make_stage()
         fabric.bind("s0", StageEndpoint(stage).handle)
         stats = fabric.call("s0", CollectStats(now=0.0))
         assert stats is not None
 
     def test_message_to_deregistered_stage_dropped(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        fabric = DelayedEnforceFabric(env, latency=2.0)
+        fabric = enforce_lagged(env, 2.0)
         stage = make_stage()
         stage.create_channel("metadata", rate=100.0)
         fabric.bind("s0", StageEndpoint(stage).handle)
@@ -177,12 +180,6 @@ class TestDelayedEnforceFabric:
         fabric.unbind("s0")
         env.run(until=3.0)  # must not raise
         assert stage.channel_rate("metadata") == 100.0
-
-    def test_negative_latency_rejected(self, env):
-        from repro.core.rpc import DelayedEnforceFabric
-
-        with pytest.raises(RPCError):
-            DelayedEnforceFabric(env, latency=-1.0)
 
 
 class TestRemovalMessages:

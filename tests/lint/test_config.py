@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.lint import DEFAULT_CONFIG, LintConfig, load_config
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestModuleMapping:
@@ -53,12 +50,6 @@ class TestModuleMapping:
 
 
 class TestLoadConfig:
-    def test_repo_table_matches_builtin_defaults(self):
-        # The committed [tool.padll-lint] table IS the 3.10 fallback; the
-        # two must stay in lockstep (see repro.lint.config docstring).
-        loaded = load_config(REPO_ROOT / "pyproject.toml")
-        assert replace(loaded, root=".") == DEFAULT_CONFIG
-
     def test_missing_table_gives_defaults(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text('[project]\nname = "x"\nversion = "0"\n')

@@ -24,6 +24,7 @@ from repro.experiments.fig4 import run_fig4_metadata
 from repro.experiments.fig5 import run_fig5
 from repro.runner import Cell, SweepRunner, results_equal
 from repro.telemetry import Telemetry, TelemetryConfig, run_traced_fig4
+from repro.telemetry.export import events_jsonl, prometheus_text, spans_jsonl
 
 from tests.experiments.test_bit_identity import GOLDEN_DIGESTS
 
@@ -147,6 +148,89 @@ class TestReproducibleExports:
         )
         assert dense.sampled_traces > sparse.sampled_traces
         assert results_equal(sparse.result.series, dense.result.series)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: SHA-256 of (spans JSONL, events JSONL, Prometheus text) from the
+#: fixed-seed runs below.  Reruns only prove the exports reproducible;
+#: these prove a change to a hot loop did not change what it emits.
+#: Recorded at the commit before the loops were collapsed (PR 13); the two
+#: metrics-only Prometheus hashes were re-recorded once in that PR, when the
+#: fused submit started feeding ``padll_stage_enforced_ops_total``.
+_NO_SPANS = _sha("")
+PINNED_EXPORTS = {
+    "fig4:trace": (
+        "dd22ca734b4663fee9a8720a9299664ef3cdf2b46e62d857edac384c11120c29",
+        "3bfc9c543d9487497134a723b9a4e6001808fbc0e545b68de6e3c24e67c05344",
+        "4fb04588cfe5c7e0a34603b3b4ca5d96573ce1390e41a6173e2b6707642e317c",
+    ),
+    "fig4:metrics": (
+        _NO_SPANS,
+        "3bfc9c543d9487497134a723b9a4e6001808fbc0e545b68de6e3c24e67c05344",
+        "1777edf4be39d4af0a592b77793ae0071ad8544ba4ded742071079c76b7ff123",
+    ),
+    "fig5:trace": (
+        "35440555c6df1a7950859808906c141aede4ca3d2c78a7a32755049f2fd97ce0",
+        "a892f59020e9a9a83108747011be52f8dec3e643d5606a92d9ac495d157e3775",
+        "8e2f73174be418b27d097b67b2a895028767a23dbc528753e668af3f3e1cc8f8",
+    ),
+    "fig5:metrics": (
+        _NO_SPANS,
+        "a892f59020e9a9a83108747011be52f8dec3e643d5606a92d9ac495d157e3775",
+        "ab323302a038964402f5e9992f0850dfbc9669c5798b5bb10b62f8dd829ffcb0",
+    ),
+}
+
+
+def _fig4_exports(trace: bool) -> tuple:
+    run = run_traced_fig4(seed=0, trace=trace)
+    return _sha(run.spans_jsonl), _sha(run.events_jsonl), _sha(run.metrics_text)
+
+
+def _fig5_exports(trace: bool) -> tuple:
+    telemetry = Telemetry(TelemetryConfig(seed=0, sample_rate=0.05, trace=trace))
+    run_fig5("proportional", seed=0, duration=600.0, telemetry=telemetry)
+    spans = telemetry.tracer.spans if telemetry.tracer is not None else []
+    return (
+        _sha(spans_jsonl(spans)),
+        _sha(events_jsonl(telemetry.events.events)),
+        _sha(prometheus_text(telemetry.registry)),
+    )
+
+
+class TestPinnedExports:
+    @pytest.mark.parametrize("mode", ["trace", "metrics"])
+    def test_fig4_export_bytes(self, mode):
+        assert _fig4_exports(mode == "trace") == PINNED_EXPORTS[f"fig4:{mode}"]
+
+    @pytest.mark.parametrize("mode", ["trace", "metrics"])
+    def test_fig5_export_bytes(self, mode):
+        assert _fig5_exports(mode == "trace") == PINNED_EXPORTS[f"fig5:{mode}"]
+
+
+def _stage_op_totals(run) -> dict:
+    return {
+        (m["name"], m["labels"]["stage"]): m["value"]
+        for m in run.metrics["metrics"]
+        if m["name"]
+        in ("padll_stage_enforced_ops_total", "padll_stage_passthrough_ops_total")
+    }
+
+
+class TestFusedSubmitCounts:
+    def test_metrics_only_matches_tracing_stage_totals(self):
+        # Metrics-only worlds submit through the fused batch path, tracing
+        # worlds through ``DataPlaneStage.submit``; both must count the
+        # same ops (one add per row vs one per slice: last-bit slack).
+        traced = _stage_op_totals(run_traced_fig4(seed=0, trace=True))
+        fused = _stage_op_totals(run_traced_fig4(seed=0, trace=False))
+        assert traced.keys() == fused.keys()
+        assert traced[("padll_stage_enforced_ops_total", "job1-stage0")] > 0
+        for key, total in traced.items():
+            assert fused[key] == pytest.approx(total, rel=1e-12), key
 
 
 class TestSweepPlacement:
