@@ -9,7 +9,7 @@ Subcommands::
     padll-repro experiment fig1|fig2|fig4|fig4-sharded|fig5|overhead|harm|...
     padll-repro ablation lag|burst|loop
     padll-repro sweep fig4|fig5|ablations|harm|overhead|sharded|all [--jobs N]
-    padll-repro sharded [--shards N] [--fabric shm|pipe] [--digest-only]
+    padll-repro sharded [--shards N] [--digest-only]
     padll-repro perfbench [--smoke] [--out DIR] [--compare [BENCH.json]]
     padll-repro lint [paths ...] [--format json] [--baseline] [--write-baseline]
     padll-repro serve [--port 9178] [--duration N] [--policy CONFIG.json]
@@ -273,19 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("split", "job"),
         default="split",
         help="split jobs across racks, or pin whole jobs to racks",
-    )
-    sharded.add_argument(
-        "--scalar",
-        action="store_true",
-        help="force the scalar per-stage reference arithmetic "
-        "(the single-engine execution the speedups compare against)",
-    )
-    sharded.add_argument(
-        "--fabric",
-        choices=("shm", "pipe"),
-        default="shm",
-        help="shard wire format: zero-copy shared-memory arrays or "
-        "pickled pipe payloads (bit-identical; CI asserts it)",
     )
     sharded.add_argument(
         "--digest-only",
@@ -846,9 +833,7 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
             duration=args.duration,
             step_period=args.step_period,
             placement=args.placement,
-            vectorized=not args.scalar,
             dt=args.dt,
-            fabric=args.fabric,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -322,8 +322,8 @@ class DominantResourceFairness(AllocationAlgorithm):
     """
 
     #: Registered scalar-only (VEC001): the binary search over the
-    #: dominant share has no array formulation yet, so the vectorized
-    #: control tier intentionally falls back to this scalar path.
+    #: dominant share has no array formulation yet, so the hierarchy's
+    #: vectorised control tier intentionally runs this scalar path.
     scalar_only = True
 
     def __init__(

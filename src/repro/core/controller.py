@@ -334,19 +334,11 @@ class ControlPlane:
         if self.config.async_collect:
             return self._collect_async(now)
         stats: Dict[str, StageStats] = {}
-        limit = self.config.max_missed_collects
         for stage_id in list(self._stages):
             try:
                 result = self.fabric.call(stage_id, CollectStats(now=now))
             except RPCError:
-                self.collect_failures += 1
-                misses = self._missed_collects.get(stage_id, 0) + 1
-                self._missed_collects[stage_id] = misses
-                if limit is not None and misses >= limit:
-                    # Presumed dead: evict so the job's share is
-                    # redistributed instead of reserved for a ghost.
-                    self.evictions.append((now, stage_id))
-                    self.deregister(stage_id)
+                self._record_miss(stage_id, now)
                 continue
             self._missed_collects.pop(stage_id, None)
             if result is not None:
@@ -362,6 +354,8 @@ class ControlPlane:
         self._missed_collects[endpoint] = misses
         limit = self.config.max_missed_collects
         if limit is not None and misses >= limit:
+            # Presumed dead: evict so the job's share is redistributed
+            # instead of reserved for a ghost.
             self.evictions.append((now, endpoint))
             if self._telemetry is not None:
                 self._telemetry.events.emit(

@@ -97,10 +97,10 @@ class JobAggregate(NamedTuple):
     """One job's demand partial as seen by one local controller.
 
     A :class:`~typing.NamedTuple` (field order ``job_id, demand,
-    n_stages``) rather than a dataclass: the sharded coordinator wraps
-    ~``n_racks * n_jobs`` of these per epoch, and ``JobAggregate._make``
-    over a raw partial triple is a single C call where a dataclass
-    ``__init__`` costs three ``object.__setattr__`` round trips.
+    n_stages``) rather than a dataclass: a local builds one per hosted
+    job per cycle, and a named tuple is a single C call where a
+    dataclass ``__init__`` costs three ``object.__setattr__`` round
+    trips.
     """
 
     job_id: str
@@ -114,8 +114,8 @@ class AggregateStats:
 
     ``jobs`` entries are :class:`JobAggregate` named tuples or any raw
     ``(job_id, demand, n_stages)`` triple with the same layout -- every
-    plane-side consumer unpacks positionally, which lets high-volume
-    reporters (the sharded coordinator) skip per-entry wrapping.
+    plane-side consumer unpacks positionally, which is what lets
+    :attr:`ArrayStats.jobs` hand out plain triples.
     """
 
     local_id: str
@@ -433,25 +433,27 @@ class HierarchicalControlPlane(ControlPlane):
     out through locals, and liveness eviction removes a silent local's
     entire stage population.
 
-    Vectorised global tier (``vectorized=True``): when the allocation
-    algorithm implements ``allocate_arrays``, the per-cycle demand merge,
-    staleness discount, clamping, logging, and per-stage share split all
-    run as numpy reductions over a frozen job-order layout (rebuilt only
-    when placement changes), reading :class:`ArrayStats` demand vectors
-    without building a single per-job Python object.  Enforcement can
-    bypass the RPC fabric through ``enforce_array_sink(now, per_stage)``
-    -- ``per_stage`` aligned to :meth:`vector_job_ids` -- which the
-    sharded coordinator points straight at its shared-memory scatter
-    buffers; without a sink the vector path falls back to the batched
-    fabric pushes.  Every float is produced by the scalar path's exact
-    expression sequence, so the two modes are bit-identical
-    (``tests/core/test_vector_hierarchy.py`` pins this cycle-for-cycle).
+    Vectorised global tier: given an ``enforce_array_sink(now,
+    per_stage)`` -- ``per_stage`` aligned to :meth:`vector_job_ids` --
+    and an allocation algorithm that implements ``allocate_arrays``, the
+    per-cycle demand merge, staleness discount, clamping, logging, and
+    per-stage share split all run as numpy reductions over a frozen
+    job-order layout (rebuilt only when placement changes), reading
+    :class:`ArrayStats` demand vectors without building a single per-job
+    Python object, and the per-stage rates go to the sink instead of the
+    RPC fabric (the sharded coordinator points it straight at its
+    scatter staging arrays).  Without a sink -- every
+    :class:`LocalController` world -- or with an algorithm that only has
+    ``allocate`` (DRF), the cycle is the scalar one with batched fabric
+    pushes.  Every float of the vector path is produced by the scalar
+    path's exact expression sequence, so which one runs cannot change a
+    result (``tests/core/test_vector_hierarchy.py`` pins this
+    cycle-for-cycle).
     """
 
     def __init__(
         self,
         *args,
-        vectorized: bool = False,
         enforce_array_sink: Optional[Callable[[float, np.ndarray], None]] = None,
         **kwargs,
     ) -> None:
@@ -467,7 +469,6 @@ class HierarchicalControlPlane(ControlPlane):
         self._placement_version = 0
         self._hosting_version = -1
         self._hosting_locals: Dict[str, List[str]] = {}
-        self.vectorized = bool(vectorized)
         self._enforce_array_sink = enforce_array_sink
         # Frozen job-order layout for the vector path, rebuilt lazily on
         # placement change; reservations have their own dirty flag since
@@ -610,8 +611,7 @@ class HierarchicalControlPlane(ControlPlane):
             try:
                 result = self.fabric.call(local_id, message)
             except RPCError:
-                if self._record_miss(local_id, now):
-                    continue
+                self._record_miss(local_id, now)
                 continue
             self._missed_collects.pop(local_id, None)
             if isinstance(result, _AGGREGATE_TYPES):
@@ -780,10 +780,9 @@ class HierarchicalControlPlane(ControlPlane):
 
         Merge, allocate, clamp, log, and split run over job-order
         arrays; the enforcement log receives the same ``(now, job_id,
-        rate)`` rows in the same order.  Pushes go through the array
-        sink when configured (the shm scatter buffers), else the batched
-        fabric fan-out.  The per-job ``JobDemand``/``enforced`` views
-        exist only for telemetry, so they are materialised only when a
+        rate)`` rows in the same order, and the per-stage rates go to
+        the array sink.  The per-job ``JobDemand``/``enforced`` views exist
+        only for telemetry, so they are materialised only when a
         telemetry sink is attached.
         """
         self._ensure_vector_layout()
@@ -800,30 +799,7 @@ class HierarchicalControlPlane(ControlPlane):
             (now, job_id, rate) for job_id, rate in zip(job_ids, rate_list)
         )
         per_stage = np.maximum(min_rate, rates / self._vec_n_stages)
-        sink = self._enforce_array_sink
-        if sink is not None:
-            sink(now, per_stage)
-        else:
-            batches: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-            for job_id, job_per_stage in zip(job_ids, per_stage.tolist()):
-                entry = (job_id, job_per_stage, None)
-                for local_id in self._job_hosting_locals(job_id):
-                    batch = batches.get(local_id)
-                    if batch is None:
-                        batches[local_id] = [entry]
-                    else:
-                        batch.append(entry)
-            channel = self.config.algorithm_channel
-            for local_id, entries in batches.items():
-                try:
-                    self.fabric.call(
-                        local_id,
-                        EnforceJobRateBatch(
-                            channel_id=channel, now=now, entries=tuple(entries)
-                        ),
-                    )
-                except RPCError:
-                    self.collect_failures += 1
+        self._enforce_array_sink(now, per_stage)
         if self._telemetry is not None:
             jobs = self._jobs
             demands = [
@@ -880,12 +856,13 @@ class HierarchicalControlPlane(ControlPlane):
         each batch the entries keep allocation order, which is the order
         the per-job path delivered them to that local.
 
-        With ``vectorized=True`` and an ``allocate_arrays``-capable
+        With an ``enforce_array_sink`` and an ``allocate_arrays``-capable
         algorithm the cycle is delegated to the bit-identical
-        :meth:`_enforce_algorithm_vec`; algorithms without the array
-        verb (DRF, third-party) silently keep the scalar path.
+        :meth:`_enforce_algorithm_vec`; planes without a sink and
+        algorithms without the array verb (DRF, third-party) run the
+        scalar cycle below.
         """
-        if self.vectorized:
+        if self._enforce_array_sink is not None:
             alloc_arrays = getattr(self.algorithm, "allocate_arrays", None)
             if alloc_arrays is not None:
                 return self._enforce_algorithm_vec(now, stats, alloc_arrays)

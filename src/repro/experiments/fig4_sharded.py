@@ -109,22 +109,15 @@ def run_fig4_sharded(
     step_period: float = 60.0,
     loop_interval: float = 1.0,
     placement: str = "split",
-    vectorized: bool = True,
     dt: float = 1.0,
-    fabric: str = "shm",
 ) -> Fig4ShardedResult:
     """Run the two-phase sharded fig4 story; defaults hit 10^6 clients.
 
     ``n_shards`` partitions the rack set over worker processes; any
     value produces bit-identical results (asserted by tests and CI), so
-    pick it for wall-clock alone.  ``vectorized=False`` selects the
-    scalar reference arithmetic -- the single-engine configuration the
-    speedup benchmarks compare against (it also selects the scalar
-    global control tier).  ``fabric`` picks the shard wire (``"shm"``
-    zero-copy arrays or ``"pipe"`` pickles) -- another bit-identical
-    axis, asserted by CI's ``sharded-smoke``.  ``dt`` sets the fluid
-    tick length; ``loop_interval`` must stay a multiple of it, so
-    ``dt < 1`` advances several fluid ticks per control epoch.
+    pick it for wall-clock alone.  ``dt`` sets the fluid tick length;
+    ``loop_interval`` must stay a multiple of it, so ``dt < 1`` advances
+    several fluid ticks per control epoch.
     """
     if duration < 2 * step_period:
         raise ConfigError(
@@ -136,9 +129,7 @@ def run_fig4_sharded(
         clients_per_stage, loop_interval, placement, dt,
     )
 
-    baseline_sim = ShardedSimulation(
-        config, algorithm=None, vectorized=vectorized, fabric=fabric
-    )
+    baseline_sim = ShardedSimulation(config, algorithm=None)
     baseline = baseline_sim.run(duration).finish()
     baseline_rates = baseline.aggregate_served / config.fluid.dt
 
@@ -154,9 +145,7 @@ def run_fig4_sharded(
     padll_sim = ShardedSimulation(
         config,
         algorithm=ProportionalSharing(capacity=limits[0]),
-        vectorized=vectorized,
         epoch_hook=stepped_capacity,
-        fabric=fabric,
     )
     padll = padll_sim.run(duration).finish()
 

@@ -30,7 +30,7 @@ They guard the invariants that no single module can witness:
 * **VEC001** -- an ``AllocationAlgorithm`` subclass that defines
   ``allocate`` must also define ``allocate_arrays`` or carry a
   class-body ``scalar_only = True`` registration, keeping the
-  ``vectorized=True`` control tier honest as policies grow.
+  hierarchy's vectorised control tier honest as policies grow.
 * **FLT001** -- full (non-axis) ``np.sum``/``.sum()`` reductions in
   deterministic layers that share a call chain with a digest
   (hashlib-consuming) function must route through ``_seq_sum`` or
@@ -321,8 +321,8 @@ class ScalarVectorParityRule(ProjectRule):
                 cls.col,
                 cls.source,
                 f"{cls.name} defines allocate but not allocate_arrays; "
-                "the vectorized control tier will silently fall back to "
-                "the scalar path -- implement allocate_arrays or declare "
+                "the hierarchy's vectorised control tier will silently fall "
+                "back to the scalar path -- implement allocate_arrays or declare "
                 "`scalar_only = True` in the class body",
             )
 

@@ -331,11 +331,6 @@ def bench_sharded_control(
     reach (it walks stages one RPC at a time); the in-process single
     shard keeps the measurement free of wire overhead, so the figure
     isolates the compute cost of one global-tier cycle.
-
-    The detail also times the scalar global tier (``vector_control=
-    False``: per-job dict merge/allocate over demand triples) on the
-    same cluster -- the A/B reference the vectorised tier is required
-    to match bit-for-bit -- and records the speedup between them.
     """
     from repro.simulation.sharded import (
         FluidConfig,
@@ -364,24 +359,10 @@ def bench_sharded_control(
     sim.run(float(n_cycles))
     elapsed = time.perf_counter() - start
     sim.close()
-    scalar_cycles = max(1, n_cycles // 5)
-    scalar_sim = ShardedSimulation(
-        config,
-        algorithm=ProportionalSharing(capacity=capacity),
-        vector_control=False,
-    )
-    scalar_start = time.perf_counter()
-    scalar_sim.run(float(scalar_cycles))
-    scalar_elapsed = time.perf_counter() - scalar_start
-    scalar_sim.close()
-    value = n_cycles / elapsed
-    scalar_value = scalar_cycles / scalar_elapsed
     return {
-        "value": value,
+        "value": n_cycles / elapsed,
         "work": float(n_cycles),
         "elapsed_s": elapsed,
-        "scalar_control_cycles_per_sec": scalar_value,
-        "speedup_vs_scalar_control": value / scalar_value,
         "n_stages": float(config.n_stages),
         "n_jobs": float(n_jobs),
         "n_racks": float(n_racks),

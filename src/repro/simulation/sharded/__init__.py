@@ -4,8 +4,8 @@ Scales a run to 10^4 stages / 10^6 simulated clients by modelling each
 rack as a sealed closed-form fluid sub-world (vectorised numpy stage and
 token-bucket updates), farming rack blocks over resident worker
 processes, and synchronising with the control plane once per loop
-interval.  Fixed-seed outputs are bit-identical across shard counts and
-to the scalar single-engine reference -- see
+interval.  Fixed-seed outputs are bit-identical across shard counts, and
+a rack's array arithmetic to its scalar per-stage reference -- see
 :mod:`repro.simulation.sharded.fluid` for the float contract and
 ``tests/simulation/test_sharded.py`` for the assertions.
 """

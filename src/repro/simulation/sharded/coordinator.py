@@ -8,14 +8,22 @@ racks; the control plane is a genuine
 control loop interval:
 
 1. every shard advances its racks ``loop_interval / dt`` fluid ticks and
-   reports per-job demand partials (the barrier);
-2. the coordinator parks the partials behind the rack endpoints and runs
-   one ``cp.tick`` -- the plane's own demand merge, staleness handling,
-   policies and allocator produce :class:`~repro.core.hierarchy.EnforceJobRate`
-   pushes, which the endpoints buffer per rack;
-3. the buffered rates ride the *next* epoch command back out to the
-   shards (enforcement latency of one epoch, matching a real deployment
-   where the push RPC lands after the current window).
+   reports per-job demand partials as one float64 slot vector in the
+   pool's :class:`~repro.simulation.sharded.shm.ShardIndexMap` order
+   (the barrier);
+2. the coordinator runs one ``cp.tick``: the rack endpoints answer the
+   plane's collects with :class:`~repro.core.hierarchy.ArrayStats`
+   slices over that vector, and the plane's own demand merge, staleness
+   handling, policies and allocator write the new rates into per-slot
+   scatter staging arrays -- the algorithm's per-stage rates through
+   the plane's ``enforce_array_sink``, policy pushes and array-less
+   algorithms (DRF) through the per-job / batched enforce verbs;
+3. the staged rates ride the *next* epoch back out to the shards
+   (enforcement latency of one epoch, matching a real deployment where
+   the push RPC lands after the current window).
+
+With an ``allocate_arrays`` algorithm no per-job Python object is built
+on the per-cycle path.
 
 With *split-job* placement (``placement="split"``), stage ``s`` of job
 ``j`` lives on rack ``(j + s) % n_racks`` -- every multi-stage job spans
@@ -36,7 +44,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.controller import ControlPlaneConfig
 from repro.core.hierarchy import (
-    AggregateStats,
     ArrayStats,
     CollectAggregate,
     EnforceJobRate,
@@ -127,7 +134,7 @@ class ShardedResult:
         """SHA-256 over every output float, bit-for-bit.
 
         The invariance tests assert this digest is identical across
-        shard counts and scalar/vectorised execution.
+        shard counts and resident-worker vs in-process execution.
         """
         digest = hashlib.sha256()
         for rack_id in self.rack_served:
@@ -161,21 +168,10 @@ class ShardedSimulation:
 
     ``epoch_hook(control_plane, now)`` (optional) runs right before each
     ``cp.tick`` -- the fig4-style experiments use it to step the
-    allocator's capacity on schedule.  ``vectorized=False`` forces every
-    rack onto the scalar per-stage reference arithmetic.
-
-    ``fabric`` selects the shard wire (``"shm"`` zero-copy arrays or
-    ``"pipe"`` pickled payloads) and ``use_workers`` forces or suppresses
-    resident worker processes -- both forwarded to :class:`ShardPool`,
-    neither able to change a computed float.  ``vector_control``
-    (defaulting to ``vectorized``) runs the global tier on the plane's
-    vectorised path: demand partials stay float64 arrays end-to-end
-    (:class:`~repro.core.hierarchy.ArrayStats` slices over the pool's
-    index map), and the allocator's per-stage rates land directly in the
-    next epoch's scatter arrays through the plane's
-    ``enforce_array_sink``.  ``vector_control=False`` with
-    ``vectorized=False`` is the all-scalar A/B reference; the digest is
-    bit-identical either way.
+    allocator's capacity on schedule.  ``use_workers`` forces or
+    suppresses resident worker processes and ``recv_timeout`` bounds a
+    worker's reply -- both forwarded to :class:`ShardPool`, neither able
+    to change a computed float.
     """
 
     def __init__(
@@ -183,11 +179,8 @@ class ShardedSimulation:
         config: ShardedConfig,
         algorithm=None,
         telemetry=None,
-        vectorized: bool = True,
         controller_config: Optional[ControlPlaneConfig] = None,
         epoch_hook: Optional[Callable[[HierarchicalControlPlane, float], None]] = None,
-        fabric: str = "shm",
-        vector_control: Optional[bool] = None,
         use_workers: Optional[bool] = None,
         recv_timeout: float = 60.0,
     ) -> None:
@@ -195,15 +188,6 @@ class ShardedSimulation:
         self._epoch_hook = epoch_hook
         self._ran = False
         self._telemetry = telemetry
-        self._vector_control = (
-            bool(vectorized) if vector_control is None else bool(vector_control)
-        )
-        #: rack_id -> latest AggregateStats, refreshed at each barrier.
-        self._latest: Dict[str, AggregateStats] = {}
-        #: rack_id -> rate updates buffered by the enforce endpoints.
-        self._outbox: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-        #: Per-slot demand partials of the latest barrier (vector mode).
-        self._latest_vec: Optional[np.ndarray] = None
 
         # Global registration order: jobs outer, stages inner -- the same
         # order a single engine would register them in, independent of
@@ -241,16 +225,16 @@ class ShardedSimulation:
         self._pool = ShardPool(
             blocks,
             config.fluid,
-            vectorized=vectorized,
-            fabric=fabric,
             use_workers=use_workers,
             recv_timeout=recv_timeout,
         )
-        # Scatter staging for the next epoch's enforcement (vector mode):
-        # slot writes land here during cp.tick -- policy pushes through
-        # the per-job verbs first, then the algorithm sink -- so chrono
-        # write order reproduces the outbox list's later-entry-wins.
+        # Scatter staging for the next epoch's enforcement: slot writes
+        # land here during cp.tick -- policy pushes through the per-job
+        # verbs first, then the algorithm's -- so for a slot written
+        # twice in one cycle the later push wins.
         n_slots = self._pool.n_slots
+        #: Per-slot demand partials of the latest barrier.
+        self._demand = np.zeros(n_slots)
         self._flags = np.zeros(n_slots)
         self._rates_arr = np.zeros(n_slots)
         self._bursts_arr = np.full(n_slots, BURST_NONE)
@@ -262,10 +246,7 @@ class ShardedSimulation:
             config=controller_config,
             algorithm=algorithm,
             telemetry=telemetry,
-            vectorized=self._vector_control,
-            enforce_array_sink=(
-                self._enforce_array_sink if self._vector_control else None
-            ),
+            enforce_array_sink=self._enforce_array_sink,
         )
         for rack_id in self._rack_ids:
             self.control_plane.attach_local(
@@ -282,26 +263,16 @@ class ShardedSimulation:
     # -- RackEndpoint verbs -------------------------------------------------
     def _collect_rack(
         self, rack_id: str, message: CollectAggregate
-    ):
-        if self._vector_control:
-            index_map = self._pool.index_map
-            rack_index = self._rack_index[rack_id]
-            demand = self._latest_vec
-            if demand is None:
-                demand = np.zeros(self._pool.n_slots)
-            return ArrayStats(
-                local_id=rack_id,
-                timestamp=message.now,
-                job_ids=index_map.rack_job_ids[rack_index],
-                demand=demand[index_map.rack_slice(rack_id)],
-                stage_counts=index_map.rack_stage_counts[rack_index],
-            )
-        latest = self._latest.get(rack_id)
-        if latest is not None:
-            return AggregateStats(
-                local_id=rack_id, timestamp=message.now, jobs=latest.jobs
-            )
-        return AggregateStats(local_id=rack_id, timestamp=message.now, jobs=())
+    ) -> ArrayStats:
+        index_map = self._pool.index_map
+        rack_index = self._rack_index[rack_id]
+        return ArrayStats(
+            local_id=rack_id,
+            timestamp=message.now,
+            job_ids=index_map.rack_job_ids[rack_index],
+            demand=self._demand[index_map.rack_slice(rack_id)],
+            stage_counts=index_map.rack_stage_counts[rack_index],
+        )
 
     def _slot_write(
         self, rack_id: str, job_id: str, rate: float, burst: Optional[float]
@@ -314,25 +285,14 @@ class ShardedSimulation:
         self._bursts_arr[slot] = BURST_NONE if burst is None else burst
 
     def _enforce_rack(self, rack_id: str, message: EnforceJobRate) -> bool:
-        if self._vector_control:
-            self._slot_write(rack_id, message.job_id, message.rate, message.burst)
-            return True
-        self._outbox.setdefault(rack_id, []).append(
-            (message.job_id, message.rate, message.burst)
-        )
+        self._slot_write(rack_id, message.job_id, message.rate, message.burst)
         return True
 
     def _enforce_rack_batch(
         self, rack_id: str, message: EnforceJobRateBatch
     ) -> bool:
-        if self._vector_control:
-            for job_id, rate, burst in message.entries:
-                self._slot_write(rack_id, job_id, rate, burst)
-            return True
-        # Batch entries are already (job_id, rate, burst) in allocation
-        # order -- exactly the outbox element type, so one extend
-        # replaces a per-job append per spanning job.
-        self._outbox.setdefault(rack_id, []).extend(message.entries)
+        for job_id, rate, burst in message.entries:
+            self._slot_write(rack_id, job_id, rate, burst)
         return True
 
     def _ensure_sink_layout(self) -> None:
@@ -362,7 +322,7 @@ class ShardedSimulation:
         self._sink_version = version
 
     def _enforce_array_sink(self, now: float, per_stage: np.ndarray) -> None:
-        """The plane's vectorised enforcement lands in the scatter staging.
+        """The plane's array enforcement lands in the scatter staging.
 
         ``per_stage`` is aligned to the plane's vector job order; the
         cached scatter map fans each job's (already split) rate out to
@@ -391,50 +351,6 @@ class ShardedSimulation:
         self._ran = True
         n_epochs = int(round(epochs))
         ticks_per_epoch = int(round(config.loop_interval / config.fluid.dt))
-        if self._vector_control:
-            return self._run_vector(n_epochs, ticks_per_epoch)
-        rates: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-        for epoch in range(n_epochs):
-            t0 = epoch * config.loop_interval
-            partials = self._pool.run_epoch(
-                t0, ticks_per_epoch, config.loop_interval, rates
-            )
-            now = t0 + config.loop_interval
-            # Partial triples are already in JobAggregate field order
-            # and the plane unpacks them positionally, so they ride
-            # into AggregateStats unwrapped -- wrapping n_racks * n_jobs
-            # entries per epoch used to dominate this loop.
-            self._latest = {
-                rack_id: AggregateStats(
-                    local_id=rack_id, timestamp=now, jobs=jobs
-                )
-                for rack_id, jobs in partials
-            }
-            if self._epoch_hook is not None:
-                self._epoch_hook(self.control_plane, now)
-            self._outbox = {}
-            self.control_plane.tick(now)
-            rates = self._outbox
-            if self._telemetry is not None:
-                self._telemetry.events.emit(
-                    "shard.epoch",
-                    now,
-                    epoch=epoch,
-                    racks=len(self._latest),
-                    pushes=sum(len(v) for v in rates.values()),
-                )
-        return self
-
-    def _run_vector(self, n_epochs: int, ticks_per_epoch: int) -> "ShardedSimulation":
-        """Array-native epoch loop: no per-job Python objects per cycle.
-
-        Demand partials come back as one float64 slot vector, the rack
-        endpoints answer collects with :class:`ArrayStats` slices over
-        it, and enforcement writes land in the scatter staging arrays to
-        ride the *next* epoch out -- the same one-epoch enforcement
-        latency as the triple-based loop, bit-identical results.
-        """
-        config = self.config
         loop_interval = config.loop_interval
         control_plane = self.control_plane
         pool = self._pool
@@ -442,7 +358,7 @@ class ShardedSimulation:
         telemetry = self._telemetry
         for epoch in range(n_epochs):
             t0 = epoch * loop_interval
-            self._latest_vec = pool.run_epoch_arrays(
+            self._demand = pool.run_epoch_arrays(
                 t0,
                 ticks_per_epoch,
                 loop_interval,

@@ -10,9 +10,10 @@ elementwise expression sequence.
 
 Bit-identity contract (asserted by ``tests/simulation/test_sharded.py``):
 
-* ``vectorized=False`` runs the *same arithmetic* one stage at a time in
-  a plain Python loop -- the "single-engine" reference the sharded
-  benchmarks compare against.  Elementwise IEEE-754 adds/subs/mins are
+* ``FluidRack(vectorized=False)`` runs the *same arithmetic* one stage at
+  a time in a plain Python loop -- the reference the rack-level
+  bit-identity test compares the array path against; the engine itself
+  always builds vectorised racks.  Elementwise IEEE-754 adds/subs/mins are
   identical scalar-vs-vector by definition; the two places where
   evaluation strategy could reassociate floats are pinned to one
   implementation shared by both paths: the offered-load sine is always
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -171,25 +172,19 @@ class FluidRack:
         self.phase = rng.random(n)
         # Local job registry, in first-appearance (registration) order.
         self.job_ids: List[str] = []
-        self._job_index: Dict[str, int] = {}
+        job_index: Dict[str, int] = {}
         job_of = np.empty(n, dtype=np.intp)
         for i, (_stage_id, job_id) in enumerate(spec.stages):
-            idx = self._job_index.get(job_id)
+            idx = job_index.get(job_id)
             if idx is None:
                 idx = len(self.job_ids)
-                self._job_index[job_id] = idx
+                job_index[job_id] = idx
                 self.job_ids.append(job_id)
             job_of[i] = idx
         self.job_of = job_of
         self._job_of_list = job_of.tolist()
         n_jobs = len(self.job_ids)
         self._n_jobs = n_jobs
-        self._stage_counts = (
-            np.bincount(job_of, minlength=n_jobs)
-            if n
-            else np.zeros(0, dtype=np.intp)
-        )
-        self._stage_counts_list = [int(c) for c in self._stage_counts]
         self._job_rate = np.full(n_jobs, config.initial_rate)
         self._job_burst = self._job_rate * config.burst_seconds
         self.rate = self._job_rate[job_of]
@@ -204,46 +199,18 @@ class FluidRack:
         self._served: List[float] = []
 
     # -- enforcement --------------------------------------------------------
-    def apply_rates(
-        self, updates: Sequence[Tuple[str, float, Optional[float]]]
-    ) -> None:
-        """Install per-stage job rates pushed by the global plane.
-
-        ``updates`` is applied in list order (a later entry for the same
-        job wins, matching enforcement-push order within a cycle).  The
-        array rebuild below is identical arithmetic in both execution
-        modes -- fancy indexing only gathers, it never re-associates.
-        """
-        if not updates:
-            return
-        burst_seconds = self.config.burst_seconds
-        for job_id, rate, burst in updates:
-            idx = self._job_index.get(job_id)
-            if idx is None:
-                continue
-            self._job_rate[idx] = rate
-            self._job_burst[idx] = (
-                rate * burst_seconds if burst is None else burst
-            )
-        job_of = self.job_of
-        self.rate = self._job_rate[job_of]
-        self.burst_limit = self._job_burst[job_of]
-        np.minimum(self.tokens, self.burst_limit, out=self.tokens)
-
     def apply_rate_arrays(
         self, mask: np.ndarray, rates: np.ndarray, bursts: np.ndarray
     ) -> None:
-        """Install rates from fixed-layout per-job arrays (the shm wire).
+        """Install per-stage job rates pushed by the global plane.
 
         ``mask``/``rates``/``bursts`` are aligned to this rack's local job
         slots (registration order, the :class:`~repro.simulation.sharded.shm.
-        ShardIndexMap` layout); NaN in ``bursts`` means "derive from the
-        rate" exactly like ``burst=None`` above.  Per slot this performs
-        the same assignment and ``rate * burst_seconds`` multiply as
-        :meth:`apply_rates` -- assignments and elementwise multiplies are
-        bit-identical scalar-vs-vector, so either entry point yields the
-        same rack state.  Used by the shared-memory fabric in both
-        execution modes.
+        ShardIndexMap` layout): slot ``k`` takes ``rates[k]`` where
+        ``mask[k]``, and NaN in ``bursts`` means "derive the burst as
+        ``rate * burst_seconds``".  The per-stage rebuild below only
+        gathers through ``job_of`` -- fancy indexing never re-associates
+        a float, so both execution modes share it.
         """
         if not mask.any():
             return
@@ -345,35 +312,16 @@ class FluidRack:
             self.tick(t0 + k * dt)
 
     # -- epoch-boundary reporting -------------------------------------------
-    def demand_partials(
-        self, loop_interval: float
-    ) -> Tuple[Tuple[str, float, int], ...]:
-        """Per-job ``(job_id, demand, n_stages)`` partials, then reset.
+    def demand_partials_array(self, loop_interval: float) -> np.ndarray:
+        """Per-job demand partials as a float64 array, then reset.
 
         The per-stage expression is the hierarchy's exact one --
         ``enqueued/window + backlog/loop_interval`` -- accumulated per
         job in stage-registration order (``np.bincount`` element order
         == the scalar loop == ``LocalController._collect_aggregate``'s
-        dict accumulation from 0.0).
-        """
-        if self._n == 0:
-            return ()
-        per_job = self.demand_partials_array(loop_interval)
-        # tolist() yields the same Python floats as per-element float()
-        # casts; zip builds the triples at C speed -- this is the
-        # per-epoch reporting path for every job on every rack.
-        return tuple(
-            zip(self.job_ids, per_job.tolist(), self._stage_counts_list)
-        )
-
-    def demand_partials_array(self, loop_interval: float) -> np.ndarray:
-        """Per-job demand partials as a float64 array, then reset.
-
-        Same accumulation as :meth:`demand_partials` (it delegates here)
-        without materialising ``(job_id, demand, n_stages)`` triples: the
-        shared-memory fabric ships this array over the wire verbatim and
-        the static index map supplies ids and stage counts, so the
-        per-epoch reporting path allocates no Python tuples at all.
+        dict accumulation from 0.0).  The array is aligned to
+        :attr:`job_ids`; the wire ships it verbatim and the static index
+        map supplies ids and stage counts.
         """
         contrib = self.window_enqueued / loop_interval + self.backlog / loop_interval
         if self.vectorized:

@@ -12,25 +12,20 @@ sub-worlds.  The coordinator drives them in lock-step epochs:
    demand signal is a pure function of the global rack order, not of
    worker scheduling.
 
-Two wire fabrics implement that barrier:
-
-* ``fabric="shm"`` (default) -- the zero-copy wire of
-  :mod:`repro.simulation.sharded.shm`: rates scatter and demand partials
-  gather through double-buffered shared-memory float64 blocks laid out
-  by a frozen :class:`~repro.simulation.sharded.shm.ShardIndexMap`, and
-  the pipe carries only a tiny ``("epoch", n, parity, ...)`` doorbell
-  and its ``("done", n)`` ack.
-* ``fabric="pipe"`` -- the original pickled-payload protocol, kept as
-  the A/B reference; tests assert both fabrics produce bit-identical
-  digests.
+The barrier's wire is :mod:`repro.simulation.sharded.shm`: rates scatter
+and demand partials gather through double-buffered shared-memory float64
+blocks laid out by a frozen
+:class:`~repro.simulation.sharded.shm.ShardIndexMap`, and each worker's
+pipe carries only a tiny ``("epoch", n, parity, ...)`` doorbell and its
+``("done", n)`` ack.
 
 Because racks are sealed sub-worlds that only exchange state at epoch
-boundaries, neither the blocking (1 process or N) nor the fabric can
-change any computed float -- shard-count and fabric invariance are
-structural.  ``ShardPool(n_shards=1)`` runs in-process with no worker at
-all (the "single-engine" configuration the tests compare against)
-unless ``use_workers=True`` forces a resident worker, which is how the
-fabric-equality tests exercise a real wire at one shard.
+boundaries, neither the blocking (1 process or N) nor the wire can
+change any computed float -- shard-count invariance is structural.
+``ShardPool(n_shards=1)`` runs in-process with no worker and no wire at
+all (the reference the wire-equality tests compare against) unless
+``use_workers=True`` forces a resident worker, which is how those tests
+exercise the real wire at one shard.
 
 Failure containment: every gather waits with a reply deadline
 (``recv_timeout``, counted down in fixed ``poll()`` slices -- no
@@ -47,7 +42,7 @@ from __future__ import annotations
 import atexit
 import math
 import multiprocessing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +50,6 @@ from repro.errors import ConfigError, ShardWorkerError
 from repro.runner.sweep import pool_start_method
 from repro.simulation.sharded.fluid import FluidConfig, FluidRack, RackSpec
 from repro.simulation.sharded.shm import (
-    BURST_NONE,
     COL_BURST,
     COL_FLAG,
     COL_RATE,
@@ -64,9 +58,6 @@ from repro.simulation.sharded.shm import (
 )
 
 __all__ = ["RackFinal", "ShardPool"]
-
-RateUpdate = Tuple[str, float, Optional[float]]
-Partials = Tuple[Tuple[str, float, int], ...]
 
 #: Seconds per liveness-check slice while waiting on a shard reply.
 _POLL_STEP = 0.05
@@ -103,50 +94,10 @@ def _rack_final(rack: FluidRack) -> RackFinal:
     )
 
 
-def _run_shard_epoch(
-    racks: Sequence[FluidRack],
-    t0: float,
-    n_ticks: int,
-    loop_interval: float,
-    rates: Dict[str, List[RateUpdate]],
-) -> List[Tuple[str, Partials]]:
-    """Advance one shard's racks through an epoch; used by both modes."""
-    out: List[Tuple[str, Partials]] = []
-    for rack in racks:
-        updates = rates.get(rack.rack_id)
-        if updates:
-            rack.apply_rates(updates)
-        rack.run_epoch(t0, n_ticks)
-        out.append((rack.rack_id, rack.demand_partials(loop_interval)))
-    return out
-
-
-def _shard_worker(conn, specs, config, vectorized) -> None:
-    """Pipe-fabric worker loop: pickled epoch payloads, kept for A/B."""
-    racks = [FluidRack(spec, config, vectorized=vectorized) for spec in specs]
-    try:
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "epoch":
-                _op, t0, n_ticks, loop_interval, rates = msg
-                conn.send(_run_shard_epoch(racks, t0, n_ticks, loop_interval, rates))
-            elif op == "finish":
-                conn.send([_rack_final(rack) for rack in racks])
-            elif op == "stop":
-                break
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown shard command {op!r}")
-    except EOFError:  # pragma: no cover - coordinator died
-        pass
-    finally:
-        conn.close()
-
-
 def _shard_worker_shm(
-    conn, specs, config, vectorized, seg_names, n_slots, block_start, block_token
+    conn, specs, config, seg_names, n_slots, block_start, block_token
 ) -> None:
-    """Shared-memory worker loop: doorbell pipe + float64 block wire.
+    """Resident worker loop: doorbell pipe + float64 block wire.
 
     The worker rebuilds the index map for its own rack block and refuses
     to serve if its layout token disagrees with the coordinator's --
@@ -159,7 +110,7 @@ def _shard_worker_shm(
         conn.send(("error", "shard index-map layout mismatch"))
         conn.close()
         return
-    racks = [FluidRack(spec, config, vectorized=vectorized) for spec in specs]
+    racks = [FluidRack(spec, config) for spec in specs]
     buffers = ShardBuffers(n_slots, names=seg_names)
     # Per-rack global slot ranges, resolved once.
     slices: List[slice] = []
@@ -212,33 +163,25 @@ class ShardPool:
     across shard counts, so a sweep cell computes the same digest either
     way while the sweep pool supplies the cross-cell parallelism.
 
-    Two epoch APIs share one barrier: :meth:`run_epoch` speaks the
-    legacy per-rack update-list / demand-triple dialect, and
-    :meth:`run_epoch_arrays` speaks fixed-layout per-slot float arrays
-    (the :attr:`index_map` order).  Each converts to the other where the
-    active fabric is not native, so either API runs on either fabric.
+    :meth:`run_epoch_arrays` is the one epoch verb: fixed-layout
+    per-slot float arrays in :attr:`index_map` order, in and out.
     """
 
     def __init__(
         self,
         shards: Sequence[Sequence[RackSpec]],
         config: FluidConfig,
-        vectorized: bool = True,
-        fabric: str = "shm",
         use_workers: Optional[bool] = None,
         recv_timeout: float = 60.0,
     ) -> None:
         if not shards:
             raise ConfigError("need at least one shard")
-        if fabric not in ("shm", "pipe"):
-            raise ConfigError(f"unknown shard fabric {fabric!r}")
         if not (recv_timeout > 0 and math.isfinite(recv_timeout)):
             raise ConfigError(
                 f"recv_timeout must be positive and finite, got {recv_timeout}"
             )
         blocks = [tuple(block) for block in shards]
         self._n_shards = len(blocks)
-        self.fabric = fabric
         self._recv_timeout = float(recv_timeout)
         self._closed = False
         self._local_racks: Optional[List[FluidRack]] = None
@@ -256,54 +199,44 @@ class ShardPool:
         if use_workers is None:
             use_workers = self._n_shards > 1
         if not use_workers or in_daemon:
-            self._local_racks = [
-                FluidRack(spec, config, vectorized=vectorized)
-                for spec in all_specs
-            ]
+            self._local_racks = [FluidRack(spec, config) for spec in all_specs]
             return
         ctx = multiprocessing.get_context(pool_start_method())
-        if fabric == "shm":
-            self._buffers = ShardBuffers(self.n_slots)
-            seg_names = self._buffers.names
+        self._buffers = ShardBuffers(self.n_slots)
+        # Belt over braces: if the owner never reaches close() (unhandled
+        # error up-stack, interpreter teardown), the atexit guard still
+        # unlinks the segments and reaps the workers.
+        atexit.register(self.close)
+        try:
             block_start = 0
             for block in blocks:
                 block_map = ShardIndexMap(block)
                 parent, child = ctx.Pipe()
+                self._conns.append(parent)
                 proc = ctx.Process(
                     target=_shard_worker_shm,
                     args=(
                         child,
                         block,
                         config,
-                        vectorized,
-                        seg_names,
+                        self._buffers.names,
                         self.n_slots,
                         block_start,
                         block_map.layout_token(),
                     ),
                     daemon=True,
                 )
-                proc.start()
-                child.close()
+                try:
+                    proc.start()
+                finally:
+                    child.close()
                 self._procs.append(proc)
-                self._conns.append(parent)
                 block_start += block_map.n_slots
-        else:
-            for block in blocks:
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker,
-                    args=(child, block, config, vectorized),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
-        # Belt over braces: if the owner never reaches close() (unhandled
-        # error up-stack, interpreter teardown), the atexit guard still
-        # unlinks the segments and reaps the workers.
-        atexit.register(self.close)
+        except BaseException:
+            # A worker that fails to start leaves the pool half-built with
+            # no owner: reap the workers already up and unlink the segments.
+            self.close()
+            raise
 
     @property
     def n_shards(self) -> int:
@@ -385,7 +318,7 @@ class ShardPool:
             raise
         return out
 
-    # -- array epoch API (shm-native) ---------------------------------------
+    # -- the epoch verb -------------------------------------------------------
     def run_epoch_arrays(
         self,
         t0: float,
@@ -406,10 +339,6 @@ class ShardPool:
             raise ConfigError("pool is closed")
         if self._local_racks is not None:
             return self._run_epoch_arrays_local(
-                t0, n_ticks, loop_interval, flags, rates, bursts
-            )
-        if self._buffers is None:
-            return self._arrays_via_pipe(
                 t0, n_ticks, loop_interval, flags, rates, bursts
             )
         epoch_no = self._epoch
@@ -443,95 +372,6 @@ class ShardPool:
             rack.run_epoch(t0, n_ticks)
             out[sl] = rack.demand_partials_array(loop_interval)
         return out
-
-    def _arrays_via_pipe(
-        self, t0, n_ticks, loop_interval, flags, rates, bursts
-    ) -> np.ndarray:
-        """Array API on the pipe fabric: convert, ship pickles, convert back."""
-        index_map = self.index_map
-        updates: Dict[str, List[RateUpdate]] = {}
-        for rack_id, job_ids in zip(index_map.rack_ids, index_map.rack_job_ids):
-            sl = index_map.rack_slice(rack_id)
-            rack_updates: List[RateUpdate] = []
-            for k in np.flatnonzero(flags[sl]).tolist():
-                slot = sl.start + k
-                burst = float(bursts[slot])
-                rack_updates.append(
-                    (
-                        job_ids[k],
-                        float(rates[slot]),
-                        None if math.isnan(burst) else burst,
-                    )
-                )
-            if rack_updates:
-                updates[rack_id] = rack_updates
-        merged = self.run_epoch(t0, n_ticks, loop_interval, updates)
-        out = np.empty(self.n_slots)
-        for rack_id, partials in merged:
-            sl = index_map.rack_slice(rack_id)
-            out[sl] = [demand for _job_id, demand, _n in partials]
-        return out
-
-    # -- legacy dict/triple epoch API ---------------------------------------
-    def run_epoch(
-        self,
-        t0: float,
-        n_ticks: int,
-        loop_interval: float,
-        rates: Dict[str, List[RateUpdate]],
-    ) -> List[Tuple[str, Partials]]:
-        """Advance every shard one epoch; partials merge in rack order."""
-        if self._closed:
-            raise ConfigError("pool is closed")
-        if self._local_racks is not None:
-            return _run_shard_epoch(
-                self._local_racks, t0, n_ticks, loop_interval, rates
-            )
-        if self._buffers is not None:
-            return self._dicts_via_shm(t0, n_ticks, loop_interval, rates)
-        # Scatter to all shards before gathering any reply (parallelism),
-        # then gather in shard order (deterministic merge).
-        for shard in range(len(self._conns)):
-            self._send(shard, ("epoch", t0, n_ticks, loop_interval, rates))
-        merged: List[Tuple[str, Partials]] = []
-        for reply in self._gather(self._await_reply):
-            merged.extend(reply)
-        return merged
-
-    def _dicts_via_shm(
-        self, t0, n_ticks, loop_interval, rates
-    ) -> List[Tuple[str, Partials]]:
-        """Dict API on the shm fabric: convert, ship floats, convert back.
-
-        Update lists apply in order with later-entry-wins semantics;
-        sequential slot overwrites below reproduce exactly that.
-        """
-        index_map = self.index_map
-        flags = np.zeros(self.n_slots)
-        rate_arr = np.zeros(self.n_slots)
-        burst_arr = np.full(self.n_slots, BURST_NONE)
-        for rack_id, rack_updates in rates.items():
-            for job_id, rate, burst in rack_updates:
-                slot = index_map.slot_of(rack_id, job_id)
-                if slot < 0:
-                    continue
-                flags[slot] = 1.0
-                rate_arr[slot] = rate
-                burst_arr[slot] = BURST_NONE if burst is None else burst
-        demand = self.run_epoch_arrays(
-            t0, n_ticks, loop_interval, flags, rate_arr, burst_arr
-        )
-        merged: List[Tuple[str, Partials]] = []
-        for rack_id, job_ids, counts in zip(
-            index_map.rack_ids,
-            index_map.rack_job_ids,
-            index_map.rack_stage_counts,
-        ):
-            sl = index_map.rack_slice(rack_id)
-            merged.append(
-                (rack_id, tuple(zip(job_ids, demand[sl].tolist(), counts)))
-            )
-        return merged
 
     # -- lifecycle -----------------------------------------------------------
     def finish(self) -> List[RackFinal]:

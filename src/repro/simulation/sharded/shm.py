@@ -1,11 +1,10 @@
 """Zero-copy shard wire format: index map + shared-memory buffers.
 
-The pipe fabric ships per-epoch demand partials and enforcement rates as
-pickled tuples -- ``O(jobs x racks)`` Python objects serialised and
-deserialised every control epoch, which dominated the 10^4-stage cycle
-cost.  The shared-memory fabric replaces the payload with fixed-layout
-``float64`` blocks in :mod:`multiprocessing.shared_memory` segments and
-reduces the pipe to a tiny "epoch N ready" doorbell.
+Per-epoch demand partials and enforcement rates cross the process
+boundary as fixed-layout ``float64`` blocks in
+:mod:`multiprocessing.shared_memory` segments -- no ``O(jobs x racks)``
+Python objects are serialised per control epoch -- and each worker's
+pipe carries only a tiny "epoch N ready" doorbell.
 
 Wire format (``LAYOUT_VERSION`` 1)
 ----------------------------------
@@ -21,7 +20,7 @@ wire:
 * **scatter** (coordinator -> shards): shape ``(2, n_slots, 3)`` --
   columns ``COL_FLAG`` (1.0 = this slot has a rate update this epoch),
   ``COL_RATE`` (final per-stage rate; a slot holds at most one value per
-  epoch, so pipe-order "later entry wins" becomes plain overwrite), and
+  epoch, so of two pushes to one slot the later simply overwrites), and
   ``COL_BURST`` (explicit burst, or :data:`BURST_NONE` = NaN meaning
   "derive from the rate", i.e. ``burst=None``).
 * **gather** (shards -> coordinator): shape ``(2, n_slots)`` -- the

@@ -231,7 +231,7 @@ class TestAlgorithmLoop:
 class TestLiveness:
     """max_missed_collects evicts presumed-dead stages (section VI knob)."""
 
-    def _dropping_cp(self, limit):
+    def _dropping_cp(self, limit, telemetry=None):
         dead = {"flag": False}
 
         def drop(addr, msg):
@@ -242,8 +242,24 @@ class TestLiveness:
         cp = ControlPlane(
             fabric=FaultyFabric(drop_fn=drop),
             config=ControlPlaneConfig(max_missed_collects=limit),
+            telemetry=telemetry,
         )
         return cp, dead
+
+    def test_sync_eviction_emits_one_control_evict_event(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        cp, dead = self._dropping_cp(limit=2, telemetry=telemetry)
+        cp.register(make_stage("s0", "jobA"))
+        dead["flag"] = True
+        for t in (1.0, 2.0, 3.0):
+            cp.tick(t)
+        assert cp.evictions == [(2.0, "s0")]
+        evicts = list(telemetry.events.of_kind("control.evict"))
+        assert [(e.time, e.fields) for e in evicts] == [
+            (2.0, {"endpoint": "s0", "misses": 2})
+        ]
 
     def test_eviction_after_limit(self):
         cp, dead = self._dropping_cp(limit=3)

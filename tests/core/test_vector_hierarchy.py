@@ -1,12 +1,13 @@
 """Vectorised global tier: bit-identical to the scalar hierarchy.
 
-The vector path (``HierarchicalControlPlane(vectorized=True)`` plus an
-``allocate_arrays``-capable algorithm) re-expresses the per-cycle demand
-merge, staleness discount, allocation, clamping, logging, and per-stage
-split as numpy reductions.  These tests pin the contract that makes it
-safe to ship: every float equals the scalar path's, cycle for cycle --
-across policies, staleness discounts, split jobs, reservation changes,
-and rack eviction mid-run.
+The vector path (a ``HierarchicalControlPlane`` given an
+``enforce_array_sink``, plus an ``allocate_arrays``-capable algorithm)
+re-expresses the per-cycle demand merge, staleness discount, allocation,
+clamping, logging, and per-stage split as numpy reductions.  These tests
+pin the contract that makes it safe to ship: every float equals the
+scalar path's (the same plane without a sink), cycle for cycle -- across
+policies, staleness discounts, split jobs, reservation changes, and rack
+eviction mid-run.
 """
 
 from __future__ import annotations
@@ -33,9 +34,24 @@ from tests.core.test_controller import make_stage
 def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3,
                 config=None):
     """Split placement: stage s of every job lives on rack s % n_racks,
-    so each job spans several racks (the hierarchy's hard case)."""
+    so each job spans several racks (the hierarchy's hard case).
+
+    ``vectorized`` gives the plane an array sink that installs
+    ``per_stage`` (``vector_job_ids()`` order) on every stage the plane
+    still has registered -- what the scalar plane's batched pushes do
+    through the locals.
+    """
+    by_id = {}
+
+    def sink(now, per_stage):
+        for job_id, rate in zip(cp.vector_job_ids(), per_stage.tolist()):
+            for stage_id in cp.jobs[job_id].stage_ids:
+                by_id[stage_id].set_channel_rate("metadata", rate, now, None)
+
     cp = HierarchicalControlPlane(
-        config=config, algorithm=algorithm, vectorized=vectorized
+        config=config,
+        algorithm=algorithm,
+        enforce_array_sink=sink if vectorized else None,
     )
     for r in range(n_racks):
         cp.attach_local(LocalController(f"rack{r}"))
@@ -44,6 +60,7 @@ def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3,
         for s in range(stages_per_job):
             stage = make_stage(f"j{j}s{s}", f"job{j}")
             cp.register_stage(stage, f"rack{s % n_racks}")
+            by_id[stage.identity.stage_id] = stage
             stages.append(stage)
     return cp, stages
 

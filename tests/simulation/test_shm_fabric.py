@@ -5,9 +5,8 @@ The contracts under test (see ``repro.simulation.sharded.shm`` and
 
 * the frozen :class:`ShardIndexMap` reproduces FluidRack's job registry
   order exactly (the pin the shm module docstring references);
-* shm and pipe fabrics, and the array and dict epoch APIs, are all
-  bit-identical -- including full-run digests at 1, 2, and 4 shards
-  with real worker processes;
+* resident workers over the shm wire compute bit-identical demand
+  partials and finals to in-process racks, at 1, 2, and 4 shards;
 * no ``/dev/shm`` segment outlives the pool: normal exit, worker
   crash, and double-stop all leave nothing behind;
 * a dead or silent worker raises :class:`ShardWorkerError` naming the
@@ -16,26 +15,26 @@ The contracts under test (see ``repro.simulation.sharded.shm`` and
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShardWorkerError
-from repro.core.algorithms import ProportionalSharing
 from repro.simulation.sharded import (
     FluidConfig,
     FluidRack,
     RackSpec,
     ShardPool,
-    ShardedConfig,
-    ShardedSimulation,
 )
 from repro.simulation.sharded.shm import (
     BURST_NONE,
     ShardBuffers,
     ShardIndexMap,
 )
+
+from tests.simulation.test_sharded import no_updates
 
 
 def make_spec(n_stages=6, n_jobs=2, index=0):
@@ -138,49 +137,31 @@ class TestShardBuffers:
         buffers.unlink()
 
 
-class TestFabricEquality:
-    """shm vs pipe, arrays vs dicts: every combination is bit-identical."""
+class TestWireEquality:
+    """Resident workers over the shm wire == in-process racks, bit for bit."""
 
-    def drive(self, fabric, use_arrays, n_shards=2):
+    def drive(self, n_shards, use_workers):
         pool = ShardPool(
-            shard_blocks(4, n_shards),
-            fluid_config(),
-            fabric=fabric,
-            use_workers=True,
+            shard_blocks(4, n_shards), fluid_config(), use_workers=use_workers
         )
         index_map = pool.index_map
         outs = []
         try:
             for epoch in range(6):
-                throttle = epoch == 2  # cut job1 everywhere mid-run
-                if use_arrays:
-                    flags = np.zeros(pool.n_slots)
-                    rates = np.zeros(pool.n_slots)
-                    bursts = np.full(pool.n_slots, BURST_NONE)
-                    if throttle:
-                        for rack_id in index_map.rack_ids:
-                            slot = index_map.slot_of(rack_id, "job1")
-                            flags[slot] = 1.0
-                            rates[slot] = 6.5
-                            bursts[slot] = 20.0
-                    outs.append(
-                        pool.run_epoch_arrays(
-                            float(epoch), 2, 2.0, flags, rates, bursts
-                        )
+                flags = np.zeros(pool.n_slots)
+                rates = np.zeros(pool.n_slots)
+                bursts = np.full(pool.n_slots, BURST_NONE)
+                if epoch == 2:  # cut job1 everywhere mid-run
+                    for rack_id in index_map.rack_ids:
+                        slot = index_map.slot_of(rack_id, "job1")
+                        flags[slot] = 1.0
+                        rates[slot] = 6.5
+                        bursts[slot] = 20.0
+                outs.append(
+                    pool.run_epoch_arrays(
+                        float(epoch), 2, 2.0, flags, rates, bursts
                     )
-                else:
-                    updates = {}
-                    if throttle:
-                        updates = {
-                            rack_id: [("job1", 6.5, 20.0)]
-                            for rack_id in index_map.rack_ids
-                        }
-                    merged = pool.run_epoch(float(epoch), 2, 2.0, updates)
-                    flat = np.empty(pool.n_slots)
-                    for rack_id, partials in merged:
-                        sl = index_map.rack_slice(rack_id)
-                        flat[sl] = [demand for _j, demand, _n in partials]
-                    outs.append(flat)
+                )
             finals = pool.finish()
         finally:
             pool.close()
@@ -190,75 +171,68 @@ class TestFabricEquality:
         ]
         return np.stack(outs), tail
 
-    def test_all_fabric_api_combinations_bit_identical(self):
-        ref_demand, ref_tail = self.drive("pipe", use_arrays=False)
-        for fabric, use_arrays in (
-            ("pipe", True), ("shm", False), ("shm", True)
-        ):
-            demand, tail = self.drive(fabric, use_arrays)
-            assert np.array_equal(demand, ref_demand), (fabric, use_arrays)
-            assert tail == ref_tail, (fabric, use_arrays)
-
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_full_run_digest_shm_equals_pipe(self, n_shards):
-        # use_workers=True exercises a real wire even at one shard.
-        def digest(fabric):
-            config = ShardedConfig(
-                n_racks=4,
-                n_shards=n_shards,
-                n_jobs=6,
-                stages_per_job=3,
-                placement="split",
-                loop_interval=1.0,
-                fluid=fluid_config(),
-            )
-            sim = ShardedSimulation(
-                config,
-                algorithm=ProportionalSharing(capacity=150.0),
-                fabric=fabric,
-                use_workers=True,
-            )
-            sim.run(16.0)
-            return sim.finish().digest()
-
-        assert digest("shm") == digest("pipe")
+    def test_workers_match_in_process_racks(self, n_shards):
+        ref_demand, ref_tail = self.drive(1, use_workers=False)
+        demand, tail = self.drive(n_shards, use_workers=True)
+        assert np.array_equal(demand, ref_demand)
+        assert tail == ref_tail
 
 
 class TestSegmentHygiene:
     def test_normal_finish_leaves_no_segments(self):
         before = shm_files()
         pool = ShardPool(
-            shard_blocks(4, 2), fluid_config(), fabric="shm", use_workers=True
+            shard_blocks(4, 2), fluid_config(), use_workers=True
         )
         names = set(pool._buffers.names)
         assert names <= shm_files()
-        pool.run_epoch(0.0, 1, 1.0, {})
+        pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
         pool.finish()  # closes the pool
         assert shm_files() - before == set()
 
     def test_double_stop_is_clean(self):
         before = shm_files()
         pool = ShardPool(
-            shard_blocks(2, 2), fluid_config(), fabric="shm", use_workers=True
+            shard_blocks(2, 2), fluid_config(), use_workers=True
         )
         pool.stop()
         pool.stop()
         assert shm_files() - before == set()
         with pytest.raises(ConfigError):
-            pool.run_epoch(0.0, 1, 1.0, {})
+            pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
+
+    def test_failed_worker_start_leaves_nothing_behind(self, monkeypatch):
+        # The second worker fails to start after the first one is up:
+        # the half-built pool must reap the first and unlink its segments.
+        real_start = multiprocessing.process.BaseProcess.start
+        calls = []
+
+        def flaky_start(proc):
+            calls.append(proc)
+            if len(calls) == 2:
+                raise OSError("cannot allocate memory")
+            real_start(proc)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", flaky_start
+        )
+        before = shm_files()
+        with pytest.raises(OSError, match="cannot allocate"):
+            ShardPool(shard_blocks(4, 2), fluid_config(), use_workers=True)
+        assert len(calls) == 2
+        assert shm_files() - before == set()
+        assert multiprocessing.active_children() == []
 
     def test_worker_crash_raises_named_error_and_unlinks(self):
         before = shm_files()
         pool = ShardPool(
-            shard_blocks(4, 2), fluid_config(), fabric="shm", use_workers=True
+            shard_blocks(4, 2), fluid_config(), use_workers=True
         )
         pool._procs[0].kill()
         pool._procs[0].join()
-        zeros = np.zeros(pool.n_slots)
         with pytest.raises(ShardWorkerError) as err:
-            pool.run_epoch_arrays(
-                0.0, 1, 1.0, zeros, zeros, np.full(pool.n_slots, BURST_NONE)
-            )
+            pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
         assert err.value.shard == 0
         assert "rack0" in str(err.value)
         # The failed pool reaped itself: workers gone, segments unlinked.
@@ -271,7 +245,6 @@ class TestFailureDetection:
         pool = ShardPool(
             shard_blocks(2, 1),
             fluid_config(),
-            fabric="shm",
             use_workers=True,
             recv_timeout=0.2,
         )
@@ -291,5 +264,3 @@ class TestFailureDetection:
                 ShardPool(
                     shard_blocks(2, 1), fluid_config(), recv_timeout=bad
                 )
-        with pytest.raises(ConfigError):
-            ShardPool(shard_blocks(2, 1), fluid_config(), fabric="carrier")

@@ -268,7 +268,7 @@ class TestShardedCommand:
         assert len(one) == 64  # bare sha256 hex, cmp-able by CI
 
     def test_summary_output(self, capsys):
-        rc = main([*self._FAST, "--scalar"])
+        rc = main(self._FAST)
         assert rc == 0
         out = capsys.readouterr().out
         assert "8 stages" in out
