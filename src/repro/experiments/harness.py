@@ -15,12 +15,24 @@ the series the figures are drawn from.  The paper's three setups map to
 Tick ordering within a simulated second is deterministic: replayers
 submit, stages drain, the cluster services, the control loop runs, the
 collector samples -- the order their tickers are created in.
+
+Requests move one way, whatever the setup, the number of stages per job
+or the telemetry mode.  A replay tick hands the job's rows -- one per
+kind, with the slice count of one round-robin round -- to
+:meth:`ReplayWorld._submit_stage_rows` (:meth:`ReplayWorld._deliver_rows`
+for BASELINE): one shared :class:`Request` record per (tick, kind) is
+queued once per slice in each stage's channel.  The drain tick collects
+what the channels grant and :meth:`ReplayWorld._deliver_granted` appends
+it to the MDS queue.  :meth:`ReplayWorld._route` is the one place that
+decides where a kind's ops go (job window slot; MDS, OSS, client-local
+or no MDS up).  Every float accumulator sees one add per slice, in
+submission order, so results do not depend on how records are shared.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,6 +41,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.algorithms import AllocationAlgorithm
 from repro.core.controller import ControlPlane, ControlPlaneConfig
+from repro.core.channel import Channel
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule
 from repro.core.requests import (
@@ -211,11 +224,9 @@ class ReplayWorld:
         self.dt = float(dt)
         self.sample_period = float(sample_period)
         self.telemetry = telemetry
-        # Tracing rides the legacy per-request pipeline (proven bit-identical
-        # to the fused batch paths by the tier-1 suite) so spans open and
-        # close where requests actually flow; metrics-only telemetry keeps
-        # the fused paths.
-        self._traced = telemetry is not None and telemetry.tracer is not None
+        self._tracer = telemetry.tracer if telemetry is not None else None
+        #: kind -> ops no MDS could take since the last drain tick.
+        self._undelivered: Dict[str, float] = {}
         self.env = Environment(telemetry=telemetry)
         self.cluster = LustreCluster(
             ClusterConfig(
@@ -320,21 +331,40 @@ class ReplayWorld:
         return self.racks[(base + stage_index) % len(self.racks)].local_id
 
     # -- job wiring -----------------------------------------------------------------
-    def _deliver(self, runtime: _JobRuntime, request: Request) -> None:
-        """Sink between the job's last component and the FS client."""
-        kind = request.kind_hint
-        if kind is None:
-            kind = MDS_KIND_BY_OP[request.op]
-        count = request.count
-        slot = runtime.window_index.get(kind if kind is not None else "local")
+    def _route(
+        self, runtime: _JobRuntime, kind: Optional[str], path: str, now: float
+    ) -> tuple:
+        """Where ops of ``kind`` on ``path`` go, resolved once per (tick, kind).
+
+        Returns ``(window slot, cost, mds, mds slot, aside)``.  Ops bound
+        for a live MDS carry its queue coordinates (``mds`` is not None);
+        OSS-bound and undeliverable ops carry ``aside``, which sinks one
+        slice given its count; client-local ops carry neither.  Every
+        record in a world is a replay batch (``size == 0``), so a data op
+        moves one byte.
+        """
+        window_key = kind if kind is not None else "local"
+        slot = runtime.window_index.get(window_key)
         if slot is None:
-            slot = runtime.window_slot(kind if kind is not None else "local")
-        accumulated = runtime.window_buf[slot]
-        if accumulated == 0.0:
-            runtime.window_touched.append(slot)
-        runtime.window_buf[slot] = accumulated + count
-        runtime.delivered_total += count
-        self._client.submit_kind(request, kind)
+            slot = runtime.window_slot(window_key)
+        if kind is None:
+            return slot, 0.0, None, 0, None
+        if kind == "read" or kind == "write":
+            return slot, 0.0, None, 0, partial(self.cluster.oss_pool.offer, kind, now=now)
+        mds = self.cluster.mds_for_path(path, now)
+        if mds is None:
+            return slot, 0.0, None, 0, partial(self._mds_down, kind)
+        mds_slot = mds._window_index.get(kind)
+        if mds_slot is None:
+            mds_slot = mds._window_slot(kind)
+        return slot, _COSTS[kind], mds, mds_slot, None
+
+    def _mds_down(self, kind: str, count: float) -> None:
+        """Sink one slice no MDS can take: lost, or held for replay."""
+        self._client.failed_ops += count
+        self.cluster.buffer_for_replay(kind, count)
+        undelivered = self._undelivered
+        undelivered[kind] = undelivered.get(kind, 0.0) + count
 
     def _deliver_rows(
         self,
@@ -342,58 +372,31 @@ class ReplayWorld:
         slices: Sequence[Tuple[str, object, str, float]],
         interleave: int,
     ) -> None:
-        """Fused BASELINE sink: one call delivers a whole replay tick.
+        """Deliver one replay tick of ops that no channel holds back.
 
-        Performs exactly the per-slice arithmetic of ``interleave`` rounds
-        of :meth:`_deliver` + ``PFSClient.submit_kind`` + ``MDS.offer`` --
-        same accumulators, same float operations, same order -- but with
-        routing, cost, and window-slot lookups resolved once per (tick,
-        kind) instead of once per slice.
+        BASELINE jobs submit here; so do the rows of a staged job that
+        match no classifier rule.  Each of the ``interleave`` round-robin
+        rounds adds every row's slice to the job's window, the client and
+        the target's queue -- an MDS batch per slice, as
+        ``MetadataServer.offer`` would append it -- with the routing
+        resolved once per row.
         """
         client = self._client
-        now = client._clock()
-        cluster = self.cluster
-        hot_standby = cluster.config.mds_mode == "hot-standby"
-        shared_mds = cluster.active_mds(now) if hot_standby else None
-        window_index = runtime.window_index
+        now = self.env.now
         window_buf = runtime.window_buf
-        window_touched = runtime.window_touched
-        touch = window_touched.append
-        # Row layout: (window slot, count, route, kind, cost, mds, mds_slot).
-        # Routes: 0 = MDS queue, 1 = OSS, 2 = client-local, 3 = MDS down.
+        touch = runtime.window_touched.append
         rows = []
         for _kind, op, path, count in slices:
-            if count <= 0:
-                continue
-            kind = MDS_KIND_BY_OP[op]
-            window_key = kind if kind is not None else "local"
-            slot = window_index.get(window_key)
-            if slot is None:
-                slot = runtime.window_slot(window_key)
-            if kind is None:
-                rows.append((slot, count, 2, kind, 0.0, None, None))
-            elif kind == "read" or kind == "write":
-                rows.append((slot, count, 1, kind, 0.0, None, None))
-            else:
-                mds = shared_mds if hot_standby else cluster.mds_for_path(path, now)
-                if mds is None or mds.failed:
-                    rows.append((slot, count, 3, kind, 0.0, None, None))
-                else:
-                    mds_slot = mds._window_index.get(kind)
-                    if mds_slot is None:
-                        mds_slot = mds._window_slot(kind)
-                    rows.append((slot, count, 0, kind, _COSTS[kind], mds, mds_slot))
+            if count > 0:
+                rows.append((count, *self._route(runtime, MDS_KIND_BY_OP[op], path, now)))
         delivered_total = runtime.delivered_total
         submitted_ops = client.submitted_ops
-        failed_ops = client.failed_ops
-        oss_offer = cluster.oss_pool.offer
-        buffer_replay = cluster.buffer_for_replay
-        if len(rows) == 1 and rows[0][2] == 0:
+        if len(rows) == 1 and rows[0][3] is not None:
             # Single-kind MDS tick (the per-op fig4 panels): unpack the row
             # once and run the interleave adds in a tight loop.  cost*count
             # is the same product every round, so hoisting it reproduces
             # the per-round accumulation bit-for-bit.
-            slot, count, _route, _kind, cost, mds, mds_slot = rows[0]
+            count, slot, cost, mds, mds_slot, _aside = rows[0]
             queue_append = mds._queue.append
             queued_units = mds._queued_units
             units = cost * count
@@ -411,198 +414,191 @@ class ReplayWorld:
             client.submitted_ops = submitted_ops
             return
         for _ in range(interleave):
-            for slot, count, route, kind, cost, mds, mds_slot in rows:
+            for count, slot, cost, mds, mds_slot, aside in rows:
                 accumulated = window_buf[slot]
                 if accumulated == 0.0:
                     touch(slot)
                 window_buf[slot] = accumulated + count
                 delivered_total += count
                 submitted_ops += count
-                if route == 0:
+                if mds is not None:
                     # MDS queue entries are [slot, count, cost, arrived]
-                    # lists (see repro.pfs.mds); appending one here is the
-                    # fused equivalent of MetadataServer.offer().
+                    # lists (see repro.pfs.mds).
                     mds._queue.append([mds_slot, count, cost, now])
                     mds._queued_units += cost * count
-                elif route == 1:
-                    # Replay batches carry size=0, so bytes == max(0,1)*count.
-                    oss_offer(kind, count, now)
-                elif route == 3:
-                    failed_ops += count
-                    buffer_replay(kind, count)
+                elif aside is not None:
+                    aside(count)
         runtime.delivered_total = delivered_total
         client.submitted_ops = submitted_ops
-        client.failed_ops = failed_ops
 
     def _submit_stage_rows(
         self,
         runtime: _JobRuntime,
-        stage: DataPlaneStage,
+        stages: Sequence[DataPlaneStage],
         slices: Sequence[Tuple[str, object, str, float]],
         interleave: int,
     ) -> None:
-        """Fused single-stage submit: classify once per (tick, kind), then
-        enqueue one shared Request record per round-robin slice.
+        """Submit one replay tick to a job's stages.
 
-        A channel never mutates a queued record in place (batch splits
-        replace the queue head), so enqueuing the same record ``interleave``
-        times is safe; per-entry backlog/stat adds keep every accumulator's
-        float sequence identical to the per-slice ``stage.submit`` path.
+        Each stage is one application instance submitting an equal share:
+        per (tick, kind) the share is computed and classified once per
+        stage, and one shared Request record is queued for every
+        round-robin slice.  A channel never mutates a queued record in
+        place (batch splits replace the queue head), so sharing is safe.
+        A channel's accumulators see its rows' slices in submission order
+        (round-robin round, then kind); channels are disjoint, so they are
+        filled one after another.  Rows no rule matches go to
+        :meth:`_deliver_rows` in that same order, stages innermost.
         """
         now = self.env.now
-        classify = stage.classifier.classify
-        channels = stage._channels
-        job_id = stage.identity.job_id
-        rows = []
+        tracer = self._tracer
+        n_stages = len(stages)
+        job_id = runtime.spec.job_id
+        # channel -> (its records, their counts) this tick.  Keyed by the
+        # channel itself (its id is only unique within a stage); the dict
+        # is read in insertion order, so nothing depends on the hash.
+        groups: Dict[Channel, tuple] = {}
+        enforced = []  # (channel, records, position, record), submission order
+        passed = []  # (stage, slice) of unenforced rows, submission order
         for kind, op, path, count in slices:
             if count <= 0:
                 continue
+            share = count / n_stages
             request = batch_request(
-                op, path, job_id, count, submitted_at=now, kind_hint=MDS_KIND_BY_OP[op]
+                op, path, job_id, share, submitted_at=now, kind_hint=MDS_KIND_BY_OP[op]
             )
-            decision = classify(request)
-            if decision.enforced:
-                channel = channels[decision.channel_id]
-                rows.append((channel._queue.append, channel, channel.stats, request, count))
-                counter = stage._m_enforced
-            else:
-                rows.append((None, None, None, request, count))
-                counter = stage._m_passthrough
-            if counter is not None:
-                # What ``stage.submit`` counts per slice, once per row.
-                counter.inc(count * interleave)
-        # When every row is enforced and targets a distinct channel, all
-        # accumulators are per-row disjoint, so running the interleave adds
-        # row-by-row (stats hoisted to locals) replays the exact per-round
-        # float sequences of the interleave-outer loop.
-        fuse = True
-        seen_channels = set()
-        for enqueue, channel, _stats, _request, _count in rows:
-            # Object-identity dedup within one tick: only distinctness
-            # matters and the ids never reach a result.
-            # padll: allow(DET004)
-            if enqueue is None or id(channel) in seen_channels:
-                fuse = False
-                break
-            seen_channels.add(id(channel))  # padll: allow(DET004)
-        if fuse:
-            for enqueue, channel, stats, request, count in rows:
-                backlog = channel._backlog
-                enqueued_ops = stats.enqueued_ops
-                window_enqueued = stats.window_enqueued
+            for stage in stages:
+                decision = stage.classifier.classify(request)
+                if decision.enforced:
+                    channel = stage._channels[decision.channel_id]
+                    group = groups.get(channel)
+                    if group is None:
+                        groups[channel] = group = ([request], [share])
+                    else:
+                        group[0].append(request)
+                        group[1].append(share)
+                    if tracer is not None:
+                        requests = group[0]
+                        enforced.append((channel, requests, len(requests) - 1, request))
+                    counter = stage._m_enforced
+                else:
+                    passed.append((stage, (kind, op, path, share)))
+                    counter = stage._m_passthrough
+                if counter is not None:
+                    # What ``stage.submit`` counts per slice, once per row.
+                    counter.inc(share * interleave)
+        for channel, (requests, counts) in groups.items():
+            channel._queue.extend(requests * interleave)
+            stats = channel.stats
+            backlog = channel._backlog
+            enqueued_ops = stats.enqueued_ops
+            window_enqueued = stats.window_enqueued
+            if len(counts) == 1:
+                # One kind on this channel (the per-op fig4 panels).
+                count = counts[0]
                 for _ in range(interleave):
-                    enqueue(request)
                     backlog += count
                     enqueued_ops += count
                     window_enqueued += count
-                channel._backlog = backlog
-                stats.enqueued_ops = enqueued_ops
-                stats.window_enqueued = window_enqueued
-            return
-        for _ in range(interleave):
-            for enqueue, channel, stats, request, count in rows:
-                if enqueue is not None:
-                    enqueue(request)
-                    channel._backlog += count
-                    stats.enqueued_ops += count
-                    stats.window_enqueued += count
-                else:
-                    stage._passthrough_window += count
-                    stage._passthrough_total += count
-                    self._deliver(runtime, request)
+            else:
+                for _ in range(interleave):
+                    for count in counts:
+                        backlog += count
+                        enqueued_ops += count
+                        window_enqueued += count
+            channel._backlog = backlog
+            stats.enqueued_ops = enqueued_ops
+            stats.window_enqueued = window_enqueued
+        if tracer is not None:
+            self._sample_slices(enforced, interleave, now)
+        if passed:
+            for _ in range(interleave):
+                for stage, (_kind, _op, _path, share) in passed:
+                    stage._passthrough_window += share
+                    stage._passthrough_total += share
+            self._deliver_rows(runtime, [row for _stage, row in passed], interleave)
 
-    def _deliver_granted(self, runtime: _JobRuntime, grants: List[Request]) -> None:
-        """Fused drain-side delivery: sink a stage's granted records.
+    def _sample_slices(self, enforced: list, interleave: int, now: float) -> None:
+        """Take the head-sampling decision of every slice just queued.
 
-        Equivalent to calling :meth:`_deliver` per record in list order,
-        with clock/routing resolved once per call.
+        Decisions follow submission order (round, kind, stage): tracer
+        ordinals are world-global.  A sampled slice gets a record of its
+        own, carrying the trace context, in place of the shared one -- this
+        tick's slices are the tail of the channel queue -- and its
+        ``stage.submit`` point; the drain side and the MDS read the later
+        spans off the record.
+        """
+        tracer = self._tracer
+        for il in range(interleave):
+            for channel, requests, position, shared in enforced:
+                ctx = tracer.sample()
+                if ctx is None:
+                    continue
+                width = len(requests)
+                channel._queue[(il - interleave) * width + position] = batch_request(
+                    shared.op, shared.path, shared.job_id, shared.count,
+                    submitted_at=now, kind_hint=shared.kind_hint, trace=ctx,
+                )
+                tracer.emit_point(
+                    ctx, "stage.submit", now,
+                    op=shared.op.value, channel=channel.channel_id, count=shared.count,
+                )
+
+    def _deliver_granted(self, runtime: _JobRuntime, grants: Sequence[Request]) -> None:
+        """Deliver the records a stage's channels granted, in grant order.
+
+        The submit side queues one shared record per (tick, kind), so a
+        per-op channel grants the same object in runs and a per-class
+        channel cycles over a tick's kinds: the routing is looked up when
+        the record changes and resolved once per (kind, path).  It is
+        stable within a drain tick (``now`` is fixed, ``active_mds`` is
+        idempotent per tick, and an MDS cannot fail while draining).  The
+        adds still run once per grant.  A sampled record's trace context
+        rides into the MDS queue as the batch's 5th slot, exactly as
+        ``MetadataServer.offer`` appends it, so service closes the
+        ``mds.service`` span.
         """
         client = self._client
-        now = client._clock()
-        cluster = self.cluster
-        hot_standby = cluster.config.mds_mode == "hot-standby"
-        shared_mds = cluster.active_mds(now) if hot_standby else None
-        window_index = runtime.window_index
+        now = self.env.now
         window_buf = runtime.window_buf
         touch = runtime.window_touched.append
-        kind_by_op = MDS_KIND_BY_OP
-        costs = _COSTS
         delivered_total = runtime.delivered_total
         submitted_ops = client.submitted_ops
-        failed_ops = client.failed_ops
-        oss_offer = cluster.oss_pool.offer
-        buffer_replay = cluster.buffer_for_replay
-        # The submit path enqueues ONE shared record per (tick, kind),
-        # ``interleave`` times, so grants repeat the same object in runs.
-        # Routing is stable within a drain tick (``now`` is fixed,
-        # active_mds is idempotent per tick, and an MDS cannot fail while
-        # draining), so resolution is cached across the repeats; the adds
-        # below still execute once per grant, in grant order.
+        routes: Dict[Optional[str], tuple] = {}
         last = None
-        kind = None
-        count = 0.0
-        slot = 0
-        route = 2  # 0 = MDS, 1 = OSS, 2 = local, 3 = MDS down
-        mds = None
-        cost = 0.0
-        mds_slot = 0
-        nbytes = 0.0
         for request in grants:
             if request is not last:
                 last = request
                 kind = request.kind_hint
                 if kind is None:
-                    kind = kind_by_op[request.op]
+                    kind = MDS_KIND_BY_OP[request.op]
+                route = routes.get(kind)
+                if route is None:
+                    routes[kind] = route = self._route(runtime, kind, request.path, now)
+                slot, cost, mds, mds_slot, aside = route
                 count = request.count
-                window_key = kind if kind is not None else "local"
-                slot = window_index.get(window_key)
-                if slot is None:
-                    slot = runtime.window_slot(window_key)
-                if kind is None:
-                    route = 2
-                elif kind == "read" or kind == "write":
-                    route = 1
-                    size = request.size
-                    nbytes = (size if size > 1 else 1) * count
-                else:
-                    mds = (
-                        shared_mds
-                        if hot_standby
-                        else cluster.mds_for_path(request.path, now)
-                    )
-                    if mds is None or mds.failed:
-                        route = 3
-                    else:
-                        route = 0
-                        cost = costs[kind]
-                        mds_slot = mds._window_index.get(kind)
-                        if mds_slot is None:
-                            mds_slot = mds._window_slot(kind)
+                ctx = request.trace
             accumulated = window_buf[slot]
             if accumulated == 0.0:
                 touch(slot)
             window_buf[slot] = accumulated + count
             delivered_total += count
             submitted_ops += count
-            if route == 0:
-                mds._queue.append([mds_slot, count, cost, now])
+            if mds is not None:
+                if ctx is None:
+                    mds._queue.append([mds_slot, count, cost, now])
+                else:
+                    mds._queue.append([mds_slot, count, cost, now, ctx])
                 mds._queued_units += cost * count
-            elif route == 1:
-                oss_offer(kind, nbytes, now)
-            elif route == 3:
-                failed_ops += count
-                buffer_replay(kind, count)
+            elif aside is not None:
+                aside(count)
         runtime.delivered_total = delivered_total
         client.submitted_ops = submitted_ops
-        client.failed_ops = failed_ops
 
     def _start_job(self, runtime: _JobRuntime) -> None:
         spec = runtime.spec
         runtime.started = True
-        submit = None
-        batch_submit = None
         if spec.setup is Setup.BASELINE:
-            submit = lambda req: self._deliver(runtime, req)  # noqa: E731
             batch_submit = lambda rows, il: self._deliver_rows(runtime, rows, il)  # noqa: E731
         else:
             unlimited = spec.setup is Setup.PASSTHROUGH
@@ -613,7 +609,7 @@ class ReplayWorld:
                         job_id=spec.job_id,
                         hostname=f"node-{spec.job_id}-{i}",
                     ),
-                    sink=lambda req, rt=runtime: self._deliver(rt, req),
+                    sink=lambda req, rt=runtime: self._deliver_granted(rt, (req,)),
                     config=StageConfig(pfs_mounts=(PFS_MOUNT,)),
                     telemetry=self.telemetry,
                 )
@@ -632,27 +628,9 @@ class ReplayWorld:
             reservation = self._reservations.get(spec.job_id)
             if reservation is not None:
                 self.controller.set_reservation(spec.job_id, reservation)
-            if spec.n_stages == 1:
-                only = runtime.stages[0]
-                submit = lambda req: only.submit(req, self.env.now)  # noqa: E731
-                batch_submit = (  # noqa: E731
-                    lambda rows, il, st=only: self._submit_stage_rows(runtime, st, rows, il)
-                )
-            else:
-                # Split each batch evenly over the job's stages (one
-                # application instance per node submitting its share).
-                def submit(req, rt=runtime):  # noqa: E731
-                    share = req.count / len(rt.stages)
-                    for stage in rt.stages:
-                        part = batch_request(
-                            req.op, req.path, req.job_id, share, size=req.size
-                        )
-                        stage.submit(part, self.env.now)
-
-        if self._traced:
-            # Per-request submission so every request passes the stage's
-            # sampling point (the fused batch submit bypasses it).
-            batch_submit = None
+            batch_submit = lambda rows, il: self._submit_stage_rows(  # noqa: E731
+                runtime, runtime.stages, rows, il
+            )
         kinds = spec.kinds
         replayer = TraceReplayer(
             spec.trace,
@@ -663,7 +641,7 @@ class ReplayWorld:
         runtime.driver = ReplayDriver(
             self.env,
             replayer,
-            submit,
+            None,
             job_id=spec.job_id,
             mount=PFS_MOUNT,
             dt=self.dt,
@@ -718,15 +696,6 @@ class ReplayWorld:
 
     # -- per-tick housekeeping ----------------------------------------------------
     def _drain_tick(self, now: float) -> None:
-        if self._traced:
-            # Per-grant sinking: grants flow through ``_deliver`` and the
-            # PFS client so sampled trace contexts reach the MDS queue.
-            for runtime in self._jobs.values():
-                for stage in runtime.stages:
-                    stage.drain(now)
-            self.cluster.service(now, self.dt)
-            self._check_completions(now)
-            return
         grants: List[Request] = []
         for runtime in self._jobs.values():
             for stage in runtime.stages:
@@ -737,6 +706,12 @@ class ReplayWorld:
                 if grants:
                     self._deliver_granted(runtime, grants)
                     del grants[:]
+        if self._undelivered:
+            # Every delivery of this instant is done (replay ticks run
+            # before this one): report what found no MDS, once per kind.
+            for kind, count in self._undelivered.items():
+                self._client.note_failure(kind, count, now)
+            self._undelivered.clear()
         self.cluster.service(now, self.dt)
         self._check_completions(now)
 

@@ -68,20 +68,26 @@ class PFSClient:
             return
         mds = self.cluster.mds_for_path(request.path, now)
         if mds is None:
-            self.failed_ops += count
-            self.cluster.buffer_for_replay(kind, count)
-            self._note_failure(kind, count, now)
+            self._undeliverable(kind, count, now)
             return
         try:
             # The trace context (if this request was head-sampled) rides
             # into the MDS queue so service can close the span.
             mds.offer(kind, count, now, request.trace)
         except MDSUnavailable:
-            self.failed_ops += count
-            self.cluster.buffer_for_replay(kind, count)
-            self._note_failure(kind, count, now)
+            self._undeliverable(kind, count, now)
 
-    def _note_failure(self, kind: str, count: float, now: float) -> None:
+    def _undeliverable(self, kind: str, count: float, now: float) -> None:
+        self.failed_ops += count
+        self.cluster.buffer_for_replay(kind, count)
+        self.note_failure(kind, count, now)
+
+    def note_failure(self, kind: str, count: float, now: float) -> None:
+        """Report ``count`` undeliverable ops of ``kind`` to telemetry.
+
+        The replay harness, which keeps ``failed_ops`` per slice itself,
+        calls this once per kind per tick with the tick's total.
+        """
         if self._telemetry is None:
             return
         self._m_failed.inc(count)

@@ -99,7 +99,7 @@ class SinkedEventLog(EventLog):
         super().__init__()
         self.sink = sink
 
-    def emit(self, kind: str, now: float, **fields: object) -> None:
+    def emit(self, kind: str, now: float, /, **fields: object) -> None:
         super().emit(kind, now, **fields)
         self.sink.write({"kind": kind, "time": now, "fields": fields})
 

@@ -37,8 +37,12 @@ class EventLog:
     def __init__(self) -> None:
         self.events: List[Event] = []
 
-    def emit(self, kind: str, now: float, **fields: object) -> None:
-        """Append ``kind`` at sim time ``now`` with JSON-safe ``fields``."""
+    def emit(self, kind: str, now: float, /, **fields: object) -> None:
+        """Append ``kind`` at sim time ``now`` with JSON-safe ``fields``.
+
+        ``kind`` and ``now`` are positional-only, so a field may carry
+        either name (``client.mds_unavailable`` has a ``kind`` field).
+        """
         self.events.append(Event(kind, now, fields))
 
     def of_kind(self, kind: str) -> Iterator[Event]:

@@ -31,8 +31,8 @@ class TelemetryConfig:
     ``seed`` feeds the head sampler's hash (use the experiment seed so
     trace ids are reproducible); ``sample_rate`` is the fraction of
     classified requests that carry a trace context; ``trace=False``
-    keeps the registry and event log but skips span tracing entirely,
-    which also lets the replay harness keep its fused batch paths.
+    keeps the registry and event log but skips span tracing entirely
+    (no head decisions, no spans; requests take the same path).
     """
 
     seed: int = 0

@@ -172,7 +172,11 @@ class TraceReplayer:
 class ReplayDriver:
     """Runs a replayer against a submit target inside a simulation.
 
-    ``submit`` receives one :class:`Request` batch per (tick, kind) --
+    Every tick the driver hands ``batch_submit`` one row per replayed
+    kind, ``(kind, op, path, slice_count)``, plus the interleave factor:
+    the target performs the round-robin submission -- ``interleave``
+    rounds of one slice per kind -- itself.  Without a ``batch_submit``
+    the rows are unrolled into one ``submit(Request)`` call per slice,
     exactly the stream a PADLL stage sees from the real replayer's
     threads.  The driver reports when submission has finished
     (``finished``), which experiments combine with downstream backlog to
@@ -183,7 +187,7 @@ class ReplayDriver:
         self,
         env: Environment,
         replayer: TraceReplayer,
-        submit: Callable[[Request], None],
+        submit: Optional[Callable[[Request], None]],
         job_id: str = "job1",
         mount: str = "/pfs",
         dt: float = 1.0,
@@ -197,14 +201,12 @@ class ReplayDriver:
             raise ConfigError(f"dt must be positive, got {dt}")
         if interleave < 1:
             raise ConfigError(f"interleave must be >= 1, got {interleave}")
+        if submit is None and batch_submit is None:
+            raise ConfigError("replay driver needs a submit or a batch_submit")
         self.env = env
         self.replayer = replayer
         self.submit = submit
-        #: Optional fused sink: receives one tick's ``(kind, op, path,
-        #: slice_count)`` rows plus the interleave factor and performs the
-        #: whole round-robin submission itself (same per-slice arithmetic in
-        #: the same order, without one Request/call per slice).
-        self.batch_submit = batch_submit
+        self.batch_submit = batch_submit if batch_submit is not None else self._unroll
         self.job_id = job_id
         self.mount = mount.rstrip("/") or "/pfs"
         self.dt = float(dt)
@@ -275,29 +277,30 @@ class ReplayDriver:
             demand = self.replayer.demand(replay_time, self.dt)
             counts = [demand[kind] for kind, _, _ in self._kinds_info]
         interleave = self.interleave
-        submit = self.submit
         submitted = self.submitted
         slices = [
             (kind, op, path, count / interleave)
             for (kind, op, path), count in zip(self._kinds_info, counts)
         ]
-        if self.batch_submit is not None:
-            self.batch_submit(slices, interleave)
-            # Per-kind submitted accumulators are independent, so grouping
-            # each kind's ``interleave`` adds together reproduces the
-            # round-robin accumulation bit-for-bit.
-            for kind, _op, _path, slice_count in slices:
-                if slice_count <= 0:
-                    continue
-                acc = submitted[kind]
-                for _ in range(interleave):
-                    acc += slice_count
-                submitted[kind] = acc
-            return
+        self.batch_submit(slices, interleave)
+        # Per-kind submitted accumulators are independent, so grouping
+        # each kind's ``interleave`` adds together reproduces the
+        # round-robin accumulation bit-for-bit.
+        for kind, _op, _path, slice_count in slices:
+            if slice_count <= 0:
+                continue
+            acc = submitted[kind]
+            for _ in range(interleave):
+                acc += slice_count
+            submitted[kind] = acc
+
+    def _unroll(
+        self, slices: List[Tuple[str, OperationType, str, float]], interleave: int
+    ) -> None:
+        """Default ``batch_submit``: one ``submit(Request)`` per slice."""
+        submit = self.submit
         job_id = self.job_id
         for _ in range(interleave):
-            for kind, op, path, slice_count in slices:
-                if slice_count <= 0:
-                    continue
-                submit(batch_request(op, path, job_id, slice_count))
-                submitted[kind] += slice_count
+            for _kind, op, path, slice_count in slices:
+                if slice_count > 0:
+                    submit(batch_request(op, path, job_id, slice_count))

@@ -197,3 +197,73 @@ class TestRunOnce:
         world.run(5.0)
         # One MDS probe plus one probe per job -- no duplicates.
         assert sorted(world.collector._probes) == ["job.j1", "mds"]
+
+
+class TestMdsDown:
+    """A world whose MDS fails keeps running and says what it lost."""
+
+    @staticmethod
+    def run_outage(setup, trace_spans):
+        from repro.telemetry import Telemetry, TelemetryConfig
+        from repro.workloads.abci import generate_mdt_trace
+
+        telemetry = Telemetry(
+            TelemetryConfig(seed=0, sample_rate=0.05, trace=trace_spans)
+        )
+        world = ReplayWorld(
+            setup,
+            mds_can_fail=True,
+            algorithm=StaticPartition(50e3) if setup is Setup.PADLL else None,
+            telemetry=telemetry,
+        )
+        world.add_job(
+            JobSpec(
+                job_id="j1",
+                trace=generate_mdt_trace(seed=0, duration=60 * 60.0),
+                setup=setup,
+            )
+        )
+        primary = world.cluster.mds_servers[0]
+        # The standby takes over 30 s later; until then nothing is served.
+        world.env.call_at(20.0, lambda: primary.fail(world.env.now))
+        world.run(60.0)
+        return world, telemetry
+
+    @pytest.mark.parametrize("setup", [Setup.BASELINE, Setup.PADLL])
+    def test_traced_world_survives_and_logs_what_was_lost(self, setup):
+        # Regression: the first undeliverable request of a traced world
+        # raised TypeError (the event's ``kind`` field collided with
+        # ``EventLog.emit``'s own first parameter).
+        world, telemetry = self.run_outage(setup, trace_spans=True)
+        assert world.env.now == 60.0
+        events = list(telemetry.events.of_kind("client.mds_unavailable"))
+        assert events
+        assert 20.0 <= events[0].time <= 21.0
+        assert {event.fields["kind"] for event in events} == {
+            "open", "close", "getattr", "rename"
+        }
+        assert all(event.fields["client"] == "client0" for event in events)
+        assert sum(event.fields["count"] for event in events) == pytest.approx(
+            world._client.failed_ops, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("setup", [Setup.BASELINE, Setup.PADLL])
+    def test_failed_ops_counter_and_events_in_every_mode(self, setup):
+        # Regression: the fused sinks' MDS-down route bumped
+        # ``client.failed_ops`` but exported 0 and logged nothing.
+        outcomes = []
+        for trace_spans in (False, True):
+            world, telemetry = self.run_outage(setup, trace_spans)
+            failed = world._client.failed_ops
+            assert failed > 0
+            counter = telemetry.registry.counter(
+                "padll_client_failed_ops_total", client="client0"
+            )
+            assert counter.value == pytest.approx(failed, rel=1e-12)
+            events = [
+                (event.time, event.fields["kind"], event.fields["count"])
+                for event in telemetry.events.of_kind("client.mds_unavailable")
+            ]
+            assert events
+            outcomes.append((failed, counter.value, events))
+        assert outcomes[0] == outcomes[1]

@@ -99,6 +99,23 @@ class TestFailover:
         client.submit(Request(OperationType.OPEN, path="/f", count=3.0))
         assert client.failed_ops == 3.0
 
+    def test_client_reports_failed_ops_to_telemetry(self):
+        from repro.telemetry import Telemetry, TelemetryConfig
+
+        telemetry = Telemetry(TelemetryConfig())
+        cluster = small_cluster()
+        client = cluster.new_client()
+        client.attach_telemetry(telemetry)
+        for server in cluster.mds_servers:
+            server.fail(0.0)
+        client.submit(Request(OperationType.OPEN, path="/f", count=3.0))
+        (event,) = telemetry.events.of_kind("client.mds_unavailable")
+        assert event.fields == {"client": client.name, "kind": "open", "count": 3.0}
+        counter = telemetry.registry.counter(
+            "padll_client_failed_ops_total", client=client.name
+        )
+        assert counter.value == 3.0
+
     def test_clock_propagates_to_clients(self):
         cluster = small_cluster()
         client = cluster.new_client()

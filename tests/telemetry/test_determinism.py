@@ -159,13 +159,15 @@ def _sha(text: str) -> str:
 #: these prove a change to a hot loop did not change what it emits.
 #: Recorded at the commit before the loops were collapsed (PR 13); the two
 #: metrics-only Prometheus hashes were re-recorded once in that PR, when the
-#: fused submit started feeding ``padll_stage_enforced_ops_total``.
+#: fused submit started feeding ``padll_stage_enforced_ops_total``.  Since
+#: traced worlds submit on that same path (PR 17) their Prometheus text is
+#: the metrics-only text, byte for byte.
 _NO_SPANS = _sha("")
 PINNED_EXPORTS = {
     "fig4:trace": (
         "dd22ca734b4663fee9a8720a9299664ef3cdf2b46e62d857edac384c11120c29",
         "3bfc9c543d9487497134a723b9a4e6001808fbc0e545b68de6e3c24e67c05344",
-        "4fb04588cfe5c7e0a34603b3b4ca5d96573ce1390e41a6173e2b6707642e317c",
+        "1777edf4be39d4af0a592b77793ae0071ad8544ba4ded742071079c76b7ff123",
     ),
     "fig4:metrics": (
         _NO_SPANS,
@@ -175,7 +177,7 @@ PINNED_EXPORTS = {
     "fig5:trace": (
         "35440555c6df1a7950859808906c141aede4ca3d2c78a7a32755049f2fd97ce0",
         "a892f59020e9a9a83108747011be52f8dec3e643d5606a92d9ac495d157e3775",
-        "8e2f73174be418b27d097b67b2a895028767a23dbc528753e668af3f3e1cc8f8",
+        "ab323302a038964402f5e9992f0850dfbc9669c5798b5bb10b62f8dd829ffcb0",
     ),
     "fig5:metrics": (
         _NO_SPANS,
@@ -222,15 +224,12 @@ def _stage_op_totals(run) -> dict:
 
 class TestFusedSubmitCounts:
     def test_metrics_only_matches_tracing_stage_totals(self):
-        # Metrics-only worlds submit through the fused batch path, tracing
-        # worlds through ``DataPlaneStage.submit``; both must count the
-        # same ops (one add per row vs one per slice: last-bit slack).
+        # Tracing does not change the path requests take, so both modes
+        # count the same ops with the same adds.
         traced = _stage_op_totals(run_traced_fig4(seed=0, trace=True))
         fused = _stage_op_totals(run_traced_fig4(seed=0, trace=False))
-        assert traced.keys() == fused.keys()
         assert traced[("padll_stage_enforced_ops_total", "job1-stage0")] > 0
-        for key, total in traced.items():
-            assert fused[key] == pytest.approx(total, rel=1e-12), key
+        assert traced == fused
 
 
 class TestSweepPlacement:

@@ -53,6 +53,16 @@ class TestJsonl:
         assert record["time"] == 5.0
         assert record["fields"] == {"iteration": 1}
 
+    def test_fields_may_be_named_like_emit_parameters(self):
+        # ``kind`` and ``now`` are positional-only: the JSONL nests fields,
+        # so an event can carry e.g. the op kind it is about.
+        log = EventLog()
+        log.emit("client.mds_unavailable", 5.0, kind="open", now=4.0)
+        record = json.loads(events_jsonl(log.events).splitlines()[0])
+        assert record["kind"] == "client.mds_unavailable"
+        assert record["time"] == 5.0
+        assert record["fields"] == {"kind": "open", "now": 4.0}
+
 
 class TestPrometheusText:
     def test_renders_all_kinds(self):
