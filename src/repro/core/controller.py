@@ -35,7 +35,7 @@ from repro.core.session import CollectSession
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 from repro.simulation.rng import make_rng
 
-__all__ = ["JobInfo", "ControlPlaneConfig", "ControlPlane"]
+__all__ = ["JobInfo", "ControlPlaneConfig", "fold_stage_demand", "ControlPlane"]
 
 
 @dataclass(slots=True)
@@ -146,6 +146,35 @@ class ControlPlaneConfig:
             )
 
 
+def fold_stage_demand(
+    per_job: Dict[str, float],
+    st: StageStats,
+    channel: str,
+    loop_interval: float,
+    discount: Optional[float] = None,
+) -> None:
+    """Add one stage's window to its job's entry in ``per_job``.
+
+    Demand = offered rate over the window plus the backlog's drain
+    desire (backlog / loop interval): a job with queued work wants at
+    least enough rate to clear it within one loop period.  Every tier
+    that folds stage windows -- the flat plane, a local controller --
+    calls this, so their partial sums agree bit for bit.
+    """
+    snap = next((c for c in st.channels if c.channel_id == channel), None)
+    if snap is None:
+        return
+    window = st.window if st.window > 0 else loop_interval
+    offered = snap.enqueued_ops / window
+    drain = snap.backlog / loop_interval
+    acc = per_job.get(st.job_id, 0.0)
+    if discount is not None:
+        per_job[st.job_id] = acc + (offered + drain) * discount
+    else:
+        # Golden digests depend on this float expression bit for bit.
+        per_job[st.job_id] = acc + offered + drain
+
+
 class ControlPlane:
     """Global coordinator of all data-plane stages."""
 
@@ -215,6 +244,15 @@ class ControlPlane:
         if identity.stage_id in self._stages:
             raise ConfigError(f"stage {identity.stage_id!r} already registered")
         self.fabric.bind(identity.stage_id, handler)
+        self._record_stage(identity, now)
+
+    def deregister(self, stage_id: str) -> None:
+        """Remove a stage (job teardown); removes the job when empty."""
+        self._forget_stage(stage_id)
+        self._drop_endpoint(stage_id)
+
+    def _record_stage(self, identity: StageIdentity, now: float) -> None:
+        """Enter a stage into the stage and job tables."""
         self._stages[identity.stage_id] = identity
         job = self._jobs.get(identity.job_id)
         if job is None:
@@ -222,21 +260,26 @@ class ControlPlane:
             self._jobs[identity.job_id] = job
         job.stage_ids.append(identity.stage_id)
 
-    def deregister(self, stage_id: str) -> None:
-        """Remove a stage (job teardown); removes the job when empty."""
+    def _forget_stage(self, stage_id: str) -> StageIdentity:
+        """Undo :meth:`_record_stage`; the job goes with its last stage."""
         identity = self._stages.pop(stage_id, None)
         if identity is None:
             raise StageNotRegistered(f"stage {stage_id!r} not registered")
-        self.fabric.unbind(stage_id)
         self._last_stats.pop(stage_id, None)
-        self._missed_collects.pop(stage_id, None)
-        session = self._sessions.pop(stage_id, None)
-        if session is not None:
-            session.abandon()
         job = self._jobs[identity.job_id]
         job.stage_ids.remove(stage_id)
         if not job.stage_ids:
             del self._jobs[identity.job_id]
+        return identity
+
+    def _drop_endpoint(self, endpoint: str) -> None:
+        """Unbind a collect endpoint; drop its stats, misses and session."""
+        self.fabric.unbind(endpoint)
+        self._last_stats.pop(endpoint, None)
+        self._missed_collects.pop(endpoint, None)
+        session = self._sessions.pop(endpoint, None)
+        if session is not None:
+            session.abandon()
 
     def deregister_job(self, job_id: str) -> None:
         """Remove every stage of a job."""
@@ -334,16 +377,17 @@ class ControlPlane:
         if self.config.async_collect:
             return self._collect_async(now)
         stats: Dict[str, StageStats] = {}
-        for stage_id in list(self._stages):
+        message = self._collect_message(now)
+        for endpoint in self._collect_endpoints():
             try:
-                result = self.fabric.call(stage_id, CollectStats(now=now))
+                result = self.fabric.call(endpoint, message)
             except RPCError:
-                self._record_miss(stage_id, now)
+                self._record_miss(endpoint, now)
                 continue
-            self._missed_collects.pop(stage_id, None)
+            self._missed_collects.pop(endpoint, None)
             if result is not None:
-                stats[stage_id] = result
-                self._last_stats[stage_id] = result
+                stats[endpoint] = result
+                self._last_stats[endpoint] = result
         return stats
 
     def _record_miss(self, endpoint: str, now: float) -> bool:
@@ -370,11 +414,11 @@ class ControlPlane:
         self.deregister(endpoint)
 
     def _collect_endpoints(self) -> List[str]:
-        """Addresses the collect state machine polls (stages, by default)."""
+        """Addresses a collect polls (stages, by default)."""
         return list(self._stages)
 
     def _collect_message(self, now: float):
-        """The request one collect session issues (hierarchy overrides)."""
+        """The request a collect sends each endpoint (hierarchy overrides)."""
         return CollectStats(now=now)
 
     def _collect_async(self, now: float) -> Dict[str, StageStats]:
@@ -502,12 +546,13 @@ class ControlPlane:
         if not demands:
             return None, None
         allocation = self.algorithm.allocate(demands)
+        min_rate = self.config.min_rate
         enforced: Dict[str, float] = {}
         for job_id, rate in allocation.items():
-            rate = max(self.config.min_rate, rate)
+            rate = max(min_rate, rate)
             enforced[job_id] = rate
             self.enforcement_log.append((now, job_id, rate))
-            self._push_job_rate(job_id, self.config.algorithm_channel, rate, now)
+        self._push_rates(enforced, self.config.algorithm_channel, now)
         return demands, enforced
 
     def _emit_cycle(
@@ -528,17 +573,6 @@ class ControlPlane:
         Runs only with telemetry attached; the tel-only ``_prev_rates``
         state never feeds back into enforcement arithmetic.
         """
-        observed: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for stage_id, st in stats.items():
-            observed[stage_id] = {
-                snap.channel_id: {
-                    "enqueued_rate": st.demand_rate(snap.channel_id),
-                    "granted_rate": st.granted_rate(snap.channel_id),
-                    "backlog": snap.backlog,
-                    "rate_limit": snap.rate_limit,
-                }
-                for snap in st.channels
-            }
         rates: Dict[str, float] = dict(enforced or {})
         for (job_id, channel_id), rate in policy_rates.items():
             rates[f"{job_id}:{channel_id}"] = rate
@@ -550,7 +584,7 @@ class ControlPlane:
             now,
             iteration=self.loop_iterations,
             paused=paused,
-            observed=observed,
+            **self._cycle_view(stats),
             demand={d.job_id: d.demand for d in demands} if demands else {},
             reservations={d.job_id: d.reservation for d in demands} if demands else {},
             algorithm=type(self.algorithm).__name__ if self.algorithm else None,
@@ -562,12 +596,25 @@ class ControlPlane:
             deltas=deltas,
         )
 
-    def _job_demands(self, stats: Dict[str, StageStats]) -> List[JobDemand]:
-        """Aggregate per-stage windows into per-job demand signals.
+    def _cycle_view(self, stats: Dict[str, StageStats]) -> Dict[str, object]:
+        """What this plane's collect saw, as ``control.cycle`` fields:
+        per stage and channel, demand/throughput/backlog/limit."""
+        observed: Dict[str, Dict[str, Dict[str, float]]] = {}
+        for stage_id, st in stats.items():
+            observed[stage_id] = {
+                snap.channel_id: {
+                    "enqueued_rate": st.demand_rate(snap.channel_id),
+                    "granted_rate": st.granted_rate(snap.channel_id),
+                    "backlog": snap.backlog,
+                    "rate_limit": snap.rate_limit,
+                }
+                for snap in st.channels
+            }
+        return {"observed": observed}
 
-        Demand = offered rate over the window plus the backlog's drain
-        desire (backlog / loop interval): a job with queued work wants at
-        least enough rate to clear it within one loop period.
+    def _job_demands(self, stats: Dict[str, StageStats]) -> List[JobDemand]:
+        """Aggregate per-stage windows into per-job demand signals
+        (:func:`fold_stage_demand` per stage).
 
         Async collects stamp each entry with its *age*; with
         ``stale_halflife`` configured, a stale entry's demand is
@@ -576,27 +623,17 @@ class ControlPlane:
         take the exact legacy accumulation path, bit for bit.
         """
         channel = self.config.algorithm_channel
+        loop_interval = self.config.loop_interval
         halflife = self.config.stale_halflife
         ages = self._stats_age
         per_job_demand: Dict[str, float] = {}
         for stage_id, st in stats.items():
-            snap = next((c for c in st.channels if c.channel_id == channel), None)
-            if snap is None:
-                continue
-            window = st.window if st.window > 0 else self.config.loop_interval
-            offered = snap.enqueued_ops / window
-            drain = snap.backlog / self.config.loop_interval
+            discount = None
             if halflife is not None and ages:
                 age = ages.get(stage_id, 0.0)
                 if age > 0.0:
-                    discounted = (offered + drain) * (0.5 ** (age / halflife))
-                    per_job_demand[st.job_id] = (
-                        per_job_demand.get(st.job_id, 0.0) + discounted
-                    )
-                    continue
-            # Exact legacy accumulation order -- golden digests depend on
-            # this float expression bit for bit.
-            per_job_demand[st.job_id] = per_job_demand.get(st.job_id, 0.0) + offered + drain
+                    discount = 0.5 ** (age / halflife)
+            fold_stage_demand(per_job_demand, st, channel, loop_interval, discount)
         return [
             JobDemand(
                 job_id=job_id,
@@ -614,26 +651,31 @@ class ControlPlane:
         now: float,
         burst: Optional[float] = None,
     ) -> None:
-        """Split a job-level rate equally across the job's stages and push."""
+        """Split a job-level rate equally across the job's stages and push
+        one :class:`EnforceRate` per stage (hierarchy overrides)."""
         job = self._jobs.get(job_id)
         if job is None or not job.stage_ids:
             return
         per_stage = max(self.config.min_rate, rate / job.n_stages)
         per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
+        message = EnforceRate(
+            channel_id=channel_id, rate=per_stage, now=now, burst=per_burst
+        )
         for stage_id in job.stage_ids:
             try:
-                self.fabric.call(
-                    stage_id,
-                    EnforceRate(
-                        channel_id=channel_id, rate=per_stage, now=now, burst=per_burst
-                    ),
-                )
+                self.fabric.call(stage_id, message)
             except RPCError:
                 self.collect_failures += 1
             except ConfigError:
                 # The stage has no such channel: the rule does not apply to
                 # it (e.g. a data-only stage receiving a metadata rule).
                 continue
+
+    def _push_rates(self, rates: Dict[str, float], channel_id: str, now: float) -> None:
+        """Fan one cycle's job-level rates out, in ``rates`` order
+        (hierarchy overrides: one batch per hosting local)."""
+        for job_id, rate in rates.items():
+            self._push_job_rate(job_id, channel_id, rate, now)
 
     # -- convenience -------------------------------------------------------------
     def last_stats(self, stage_id: str) -> Optional[StageStats]:

@@ -8,16 +8,36 @@ aggregates their window statistics into per-job demand partials, and
 fans a pushed job-level rate out to its stages.  The global plane then
 talks to O(racks) endpoints.
 
+The hierarchical plane *is* the flat plane's loop -- tick, collect walk
+and sessions, policies, allocate/clamp/log, liveness accounting, the
+``control.cycle`` event are all inherited.  It overrides exactly what the
+topology changes:
+
+* **endpoints** -- collects poll the attached locals, not stages;
+* **collect message** -- :class:`CollectAggregate` instead of
+  ``CollectStats``; the reply is a per-job :class:`AggregateStats`;
+* **demand merge** -- ``_job_demands`` sums per-local partials (below);
+* **fan-out** -- ``_push_rates`` sends one :class:`EnforceJobRateBatch`
+  per hosting local instead of one ``EnforceRate`` per stage
+  (``_push_job_rate``, a single policy's push, is a batch of one);
+* **eviction scope** -- evicting a silent local removes all its stages;
+
+plus the bookkeeping of which local hosts which stage, and the vector
+twin of the allocate step for array-speaking racks.
+
 Equivalence contract: on a fault-free fabric, with every job's stages
 hosted by a single local controller (the placement
 :class:`~repro.experiments.harness.ReplayWorld` uses), the hierarchical
 plane computes *bit-identical* demand signals and pushes *identical*
-enforcement messages in the same order as the flat plane -- the
-aggregation uses the exact accumulation expression of
-``ControlPlane._job_demands`` and the per-stage rate split
-``max(min_rate, rate / n_stages)`` is computed once globally, so no
+per-stage rates in the same order as the flat plane -- a local folds its
+stages with the flat plane's own
+:func:`~repro.core.controller.fold_stage_demand`, and the per-stage rate
+split ``max(min_rate, rate / n_stages)`` is computed once globally, so no
 float is ever re-associated.  ``tests/core/test_hierarchy.py`` asserts
-the enforcement logs match cycle for cycle.
+the enforcement logs match cycle for cycle.  (The flat plane is *not*
+the one-local case of this one: it folds every stage into one running
+sum, ``(acc + offered) + drain`` per stage, where a local per stage
+would contribute ``acc + (offered + drain)``.)
 
 Under faults, collect the aggregates through the async session machinery
 (``ControlPlaneConfig.async_collect=True``): the sessions poll local
@@ -28,21 +48,20 @@ Split-job placement / demand-merge protocol
 -------------------------------------------
 Jobs are *not* required to live on one rack.  When a job's stages span
 several locals, each local reports a **partial** per-job demand in its
-:class:`AggregateStats` (folded with the flat plane's exact expression
-over just its hosted stages), and ``_job_demands`` merges the partials
-at the global tier: ``sum over locals of partial * staleness_discount``,
-where the discount ``0.5 ** (age / stale_halflife)`` is per-*local* --
-one slow rack dims only its own contribution to a spanning job, not its
-rack-mates'.  Enforcement fans back out with the per-stage split
-``max(min_rate, rate / job.n_stages)`` computed **once** at the global
-tier from the job's *total* stage count, then pushed to every hosting
-local exactly once.  The algorithm's cycle pushes travel batched -- one
-:class:`EnforceJobRateBatch` per hosting local per cycle, entries in
-allocation order -- so a cycle costs O(locals) messages instead of
-O(jobs x locals); a local that does not understand batches still sees
-per-job :class:`EnforceJobRate` semantics (``RackEndpoint`` unpacks).
-With a single-rack job this reduces term-for-term to the
-whole-job-per-rack behaviour (one partial, one push), which is why the
+:class:`AggregateStats` (folded over just its hosted stages), and
+``_job_demands`` merges the partials at the global tier: ``sum over
+locals of partial * staleness_discount``, where the discount
+``0.5 ** (age / stale_halflife)`` is per-*local* -- one slow rack dims
+only its own contribution to a spanning job, not its rack-mates'.
+Enforcement fans back out with the per-stage split ``max(min_rate, rate
+/ job.n_stages)`` computed **once** at the global tier from the job's
+*total* stage count, then pushed to every hosting local exactly once.
+There is one enforcement verb toward a local,
+:class:`EnforceJobRateBatch`: the algorithm's cycle sends one batch per
+hosting local with the entries in allocation order, so a cycle costs
+O(locals) messages instead of O(jobs x locals); a policy push is a batch
+of one.  With a single-rack job this reduces term-for-term to the
+whole-job-per-rack behaviour (one partial, one entry), which is why the
 flat-equivalence contract above survives split placement.
 
 Racks need not be in-process objects: :class:`RackEndpoint` is a proxy
@@ -61,7 +80,7 @@ import numpy as np
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.algorithms import JobDemand
-from repro.core.controller import ControlPlane, JobInfo
+from repro.core.controller import ControlPlane, fold_stage_demand
 from repro.core.rpc import (
     CollectStats,
     EnforceRate,
@@ -76,7 +95,6 @@ __all__ = [
     "JobAggregate",
     "AggregateStats",
     "ArrayStats",
-    "EnforceJobRate",
     "EnforceJobRateBatch",
     "LocalController",
     "RackEndpoint",
@@ -163,28 +181,16 @@ _AGGREGATE_TYPES = (AggregateStats, ArrayStats)
 
 
 @dataclass(frozen=True, slots=True)
-class EnforceJobRate(RpcMessage):
-    """Push a job's (already split) per-stage rate to a local controller."""
-
-    job_id: str
-    channel_id: str
-    rate: float
-    now: float
-    burst: Optional[float] = None
-
-
-@dataclass(frozen=True, slots=True)
 class EnforceJobRateBatch(RpcMessage):
-    """One control cycle's enforcement pushes to one local, batched.
+    """The enforcement verb toward a local: job rates to fan out.
 
-    ``entries`` is ``(job_id, rate, burst)`` triples in allocation
-    order, each rate already per-stage split at the global tier --
-    semantically identical to sending one :class:`EnforceJobRate` per
-    entry, but it turns the algorithm's fan-out from
-    ``O(jobs x hosting locals)`` messages per cycle into ``O(locals)``.
-    On a faulty fabric the batch is one message: losing it loses the
-    local's whole cycle of rates, which is exactly how a real batched
-    push RPC fails.
+    ``entries`` is ``(job_id, rate, burst)`` triples, each rate already
+    per-stage split at the global tier.  The algorithm's cycle sends one
+    batch per hosting local with the entries in allocation order --
+    ``O(locals)`` messages per cycle, not ``O(jobs x hosting locals)``;
+    a policy push is a batch of one.  On a faulty fabric the batch is
+    one message: losing it loses the local's whole cycle of rates, which
+    is exactly how a real batched push RPC fails.
     """
 
     channel_id: str
@@ -197,8 +203,9 @@ class LocalController:
 
     Handles three verbs: :class:`CollectAggregate` (collect every local
     stage's window stats and fold them into per-job demand partials with
-    the flat plane's exact arithmetic), :class:`EnforceJobRate` (fan a
-    per-stage rate out to the job's local stages), and :class:`Ping`.
+    the flat plane's exact arithmetic), :class:`EnforceJobRateBatch` (fan
+    each entry's per-stage rate out to that job's local stages), and
+    :class:`Ping`.
     """
 
     def __init__(self, local_id: str, telemetry=None) -> None:
@@ -253,14 +260,8 @@ class LocalController:
     def handle(self, message: RpcMessage) -> Any:
         if isinstance(message, CollectAggregate):
             return self._collect_aggregate(message)
-        if isinstance(message, EnforceJobRate):
-            return self._enforce_job_rate(message)
         if isinstance(message, EnforceJobRateBatch):
-            for job_id, rate, burst in message.entries:
-                self._apply_job_rate(
-                    job_id, message.channel_id, rate, message.now, burst
-                )
-            return True
+            return self._enforce_batch(message)
         if isinstance(message, Ping):
             return message.payload
         raise RPCError(
@@ -275,18 +276,8 @@ class LocalController:
         loop_interval = message.loop_interval
         for handler in self._handlers.values():
             st = handler(collect)
-            if st is None:
-                continue
-            snap = next(
-                (c for c in st.channels if c.channel_id == channel), None
-            )
-            if snap is None:
-                continue
-            window = st.window if st.window > 0 else loop_interval
-            offered = snap.enqueued_ops / window
-            drain = snap.backlog / loop_interval
-            # Exact flat-plane accumulation expression (bit-for-bit).
-            per_job[st.job_id] = per_job.get(st.job_id, 0.0) + offered + drain
+            if st is not None:
+                fold_stage_demand(per_job, st, channel, loop_interval)
         jobs = tuple(
             JobAggregate(
                 job_id=job_id,
@@ -299,37 +290,17 @@ class LocalController:
             local_id=self.local_id, timestamp=message.now, jobs=jobs
         )
 
-    def _enforce_job_rate(self, message: EnforceJobRate) -> bool:
-        return self._apply_job_rate(
-            message.job_id,
-            message.channel_id,
-            message.rate,
-            message.now,
-            message.burst,
-        )
-
-    def _apply_job_rate(
-        self,
-        job_id: str,
-        channel_id: str,
-        rate: float,
-        now: float,
-        burst: Optional[float],
-    ) -> bool:
-        for stage_id in self._job_stages.get(job_id, ()):
-            handler = self._handlers[stage_id]
-            try:
-                handler(
-                    EnforceRate(
-                        channel_id=channel_id,
-                        rate=rate,
-                        now=now,
-                        burst=burst,
-                    )
-                )
-            except ConfigError:
-                # The stage has no such channel: the rule does not apply.
-                continue
+    def _enforce_batch(self, message: EnforceJobRateBatch) -> bool:
+        for job_id, rate, burst in message.entries:
+            enforce = EnforceRate(
+                channel_id=message.channel_id, rate=rate, now=message.now, burst=burst
+            )
+            for stage_id in self._job_stages.get(job_id, ()):
+                try:
+                    self._handlers[stage_id](enforce)
+                except ConfigError:
+                    # The stage has no such channel: the rule does not apply.
+                    continue
         return True
 
 
@@ -344,8 +315,9 @@ class RackEndpoint:
     * ``collect(local_id, message)`` answers :class:`CollectAggregate`
       with an :class:`AggregateStats` (partial per-job demands for the
       rack's remote stages);
-    * ``enforce(local_id, message)`` delivers an :class:`EnforceJobRate`
-      to wherever the rack's stages actually run.
+    * ``enforce(local_id, message)`` delivers an
+      :class:`EnforceJobRateBatch` to wherever the rack's stages
+      actually run.
 
     The sharded simulation uses this to drive the *real* global plane --
     demand merge, staleness discounting, liveness eviction, telemetry --
@@ -356,20 +328,13 @@ class RackEndpoint:
         self,
         local_id: str,
         collect: Callable[[str, CollectAggregate], AggregateStats],
-        enforce: Callable[[str, EnforceJobRate], Any],
-        enforce_batch: Optional[
-            Callable[[str, EnforceJobRateBatch], Any]
-        ] = None,
+        enforce: Callable[[str, EnforceJobRateBatch], Any],
     ) -> None:
         if not local_id:
             raise ConfigError("rack endpoint needs an id")
         self.local_id = local_id
         self._collect = collect
         self._enforce = enforce
-        #: Optional batched-enforcement verb.  Without it a batch is
-        #: unpacked into per-job ``enforce`` calls, so callers that only
-        #: care about per-job semantics need not know batches exist.
-        self._enforce_batch = enforce_batch
         #: stage_id -> StageIdentity, in adoption (registration) order.
         self._identities: Dict[str, StageIdentity] = {}
 
@@ -399,23 +364,8 @@ class RackEndpoint:
     def handle(self, message: RpcMessage) -> Any:
         if isinstance(message, CollectAggregate):
             return self._collect(self.local_id, message)
-        if isinstance(message, EnforceJobRate):
-            return self._enforce(self.local_id, message)
         if isinstance(message, EnforceJobRateBatch):
-            if self._enforce_batch is not None:
-                return self._enforce_batch(self.local_id, message)
-            for job_id, rate, burst in message.entries:
-                self._enforce(
-                    self.local_id,
-                    EnforceJobRate(
-                        job_id=job_id,
-                        channel_id=message.channel_id,
-                        rate=rate,
-                        now=message.now,
-                        burst=burst,
-                    ),
-                )
-            return True
+            return self._enforce(self.local_id, message)
         if isinstance(message, Ping):
             return message.payload
         raise RPCError(
@@ -508,14 +458,8 @@ class HierarchicalControlPlane(ControlPlane):
         self, stage: DataPlaneStage, local_id: str, now: float = 0.0
     ) -> None:
         """Register a stage with its hosting local controller."""
-        local = self._locals.get(local_id)
-        if local is None:
-            raise ConfigError(f"no local controller {local_id!r} attached")
-        identity = stage.identity
-        if identity.stage_id in self._stages:
-            raise ConfigError(f"stage {identity.stage_id!r} already registered")
-        local.register(stage)
-        self._record_stage(identity, local_id, now)
+        self._hosting_local(stage.identity, local_id).register(stage)
+        self._record_stage(stage.identity, now, local_id)
 
     def register_remote(
         self, identity: StageIdentity, local_id: str, now: float = 0.0
@@ -528,44 +472,41 @@ class HierarchicalControlPlane(ControlPlane):
         membership, stage->local mapping, n_stages for the enforcement
         split -- is identical to :meth:`register_stage`.
         """
-        local = self._locals.get(local_id)
-        if local is None:
-            raise ConfigError(f"no local controller {local_id!r} attached")
-        adopt = getattr(local, "adopt", None)
+        adopt = getattr(self._hosting_local(identity, local_id), "adopt", None)
         if adopt is None:
             raise ConfigError(
                 f"local {local_id!r} cannot adopt remote stages; "
                 "use register_stage"
             )
+        adopt(identity)
+        self._record_stage(identity, now, local_id)
+
+    def _hosting_local(self, identity: StageIdentity, local_id: str):
+        """The attached local a not-yet-registered stage is to join."""
+        local = self._locals.get(local_id)
+        if local is None:
+            raise ConfigError(f"no local controller {local_id!r} attached")
         if identity.stage_id in self._stages:
             raise ConfigError(f"stage {identity.stage_id!r} already registered")
-        adopt(identity)
-        self._record_stage(identity, local_id, now)
+        return local
 
     def _record_stage(
-        self, identity: StageIdentity, local_id: str, now: float
+        self, identity: StageIdentity, now: float, local_id: str
     ) -> None:
-        self._stages[identity.stage_id] = identity
+        super()._record_stage(identity, now)
         self._stage_local[identity.stage_id] = local_id
         self._placement_version += 1
-        job = self._jobs.get(identity.job_id)
-        if job is None:
-            job = JobInfo(job_id=identity.job_id, registered_at=now)
-            self._jobs[identity.job_id] = job
-        job.stage_ids.append(identity.stage_id)
+
+    def _forget_stage(self, stage_id: str) -> StageIdentity:
+        identity = super()._forget_stage(stage_id)
+        del self._stage_local[stage_id]
+        self._placement_version += 1
+        return identity
 
     def deregister(self, stage_id: str) -> None:
-        local_id = self._stage_local.pop(stage_id, None)
-        if local_id is None:
-            raise StageNotRegistered(f"stage {stage_id!r} not registered")
-        identity = self._stages.pop(stage_id)
-        self._placement_version += 1
+        local_id = self._stage_local.get(stage_id)
+        self._forget_stage(stage_id)
         self._locals[local_id].deregister(stage_id)
-        self._last_stats.pop(stage_id, None)
-        job = self._jobs[identity.job_id]
-        job.stage_ids.remove(stage_id)
-        if not job.stage_ids:
-            del self._jobs[identity.job_id]
 
     def _job_hosting_locals(self, job_id: str) -> List[str]:
         """Locals hosting ``job_id``'s stages, in first-appearance order.
@@ -595,34 +536,12 @@ class HierarchicalControlPlane(ControlPlane):
     def _collect_endpoints(self) -> List[str]:
         return list(self._locals)
 
-    def _aggregate_message(self, now: float) -> CollectAggregate:
+    def _collect_message(self, now: float) -> CollectAggregate:
         return CollectAggregate(
             now=now,
             channel=self.config.algorithm_channel,
             loop_interval=self.config.loop_interval,
         )
-
-    def _collect(self, now: float) -> Dict[str, AggregateStats]:
-        if self.config.async_collect:
-            return self._collect_async(now)
-        stats: Dict[str, AggregateStats] = {}
-        message = self._aggregate_message(now)
-        for local_id in list(self._locals):
-            try:
-                result = self.fabric.call(local_id, message)
-            except RPCError:
-                self._record_miss(local_id, now)
-                continue
-            self._missed_collects.pop(local_id, None)
-            if isinstance(result, _AGGREGATE_TYPES):
-                stats[local_id] = result
-                self._last_stats[local_id] = result
-        return stats
-
-    def _collect_message(self, now: float) -> CollectAggregate:
-        # The base session machine polls _collect_endpoints() (locals here)
-        # with this message instead of CollectStats.
-        return self._aggregate_message(now)
 
     # -- demand & enforcement ----------------------------------------------
     def _job_demands(self, stats: Dict[str, AggregateStats]) -> List[JobDemand]:
@@ -813,6 +732,23 @@ class HierarchicalControlPlane(ControlPlane):
             return demands, dict(zip(job_ids, rate_list))
         return None, None
 
+    def _enforce_algorithm(
+        self, now: float, stats: Dict[str, AggregateStats]
+    ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
+        """The base cycle, or its bit-identical vector twin.
+
+        With an ``enforce_array_sink`` and an ``allocate_arrays``-capable
+        algorithm the cycle is delegated to :meth:`_enforce_algorithm_vec`;
+        planes without a sink and algorithms without the array verb (DRF,
+        third-party) run the inherited scalar cycle, whose pushes leave
+        through :meth:`_push_rates`.
+        """
+        if self._enforce_array_sink is not None:
+            alloc_arrays = getattr(self.algorithm, "allocate_arrays", None)
+            if alloc_arrays is not None:
+                return self._enforce_algorithm_vec(now, stats, alloc_arrays)
+        return super()._enforce_algorithm(now, stats)
+
     def _push_job_rate(
         self,
         job_id: str,
@@ -821,85 +757,49 @@ class HierarchicalControlPlane(ControlPlane):
         now: float,
         burst: Optional[float] = None,
     ) -> None:
-        job = self._jobs.get(job_id)
-        if job is None or not job.stage_ids:
-            return
-        # Split once, globally, with the flat plane's exact expression --
-        # locals receive a final per-stage rate, so no re-association.
-        per_stage = max(self.config.min_rate, rate / job.n_stages)
-        per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
-        for local_id in self._job_hosting_locals(job_id):
-            try:
-                self.fabric.call(
-                    local_id,
-                    EnforceJobRate(
-                        job_id=job_id,
-                        channel_id=channel_id,
-                        rate=per_stage,
-                        now=now,
-                        burst=per_burst,
-                    ),
-                )
-            except RPCError:
-                self.collect_failures += 1
+        """A policy push (or a pause) is a batch of one."""
+        self._push_rates({job_id: rate}, channel_id, now, burst)
 
-    def _enforce_algorithm(
-        self, now: float, stats: Dict[str, AggregateStats]
-    ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
-        """Allocate, log, and fan rates out in per-local batches.
+    def _push_rates(
+        self,
+        rates: Dict[str, float],
+        channel_id: str,
+        now: float,
+        burst: Optional[float] = None,
+    ) -> None:
+        """Fan job-level rates out as one batch per hosting local.
 
-        Same demand merge, clamping, logging, and per-stage split as the
-        base per-job path, but the pushes for one cycle are grouped into
-        one :class:`EnforceJobRateBatch` per hosting local: a job
-        spanning R racks costs R batch *entries*, not R messages, so a
-        cycle sends O(locals) RPCs instead of O(jobs x locals).  Within
-        each batch the entries keep allocation order, which is the order
-        the per-job path delivered them to that local.
-
-        With an ``enforce_array_sink`` and an ``allocate_arrays``-capable
-        algorithm the cycle is delegated to the bit-identical
-        :meth:`_enforce_algorithm_vec`; planes without a sink and
-        algorithms without the array verb (DRF, third-party) run the
-        scalar cycle below.
+        Each rate is split once, here, from the job's *total* stage
+        count, so locals receive a final per-stage rate and no float is
+        re-associated.  A job spanning R racks costs R batch *entries*,
+        not R messages; within each batch the entries keep ``rates``
+        order (allocation order for the algorithm's cycle).
         """
-        if self._enforce_array_sink is not None:
-            alloc_arrays = getattr(self.algorithm, "allocate_arrays", None)
-            if alloc_arrays is not None:
-                return self._enforce_algorithm_vec(now, stats, alloc_arrays)
-        demands = self._job_demands(stats)
-        if not demands:
-            return None, None
-        allocation = self.algorithm.allocate(demands)
         min_rate = self.config.min_rate
-        enforced: Dict[str, float] = {}
         batches: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
-        for job_id, rate in allocation.items():
-            rate = max(min_rate, rate)
-            enforced[job_id] = rate
-            self.enforcement_log.append((now, job_id, rate))
+        for job_id, rate in rates.items():
             job = self._jobs.get(job_id)
             if job is None or not job.stage_ids:
                 continue
             per_stage = max(min_rate, rate / job.n_stages)
-            entry = (job_id, per_stage, None)
+            per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
+            entry = (job_id, per_stage, per_burst)
             for local_id in self._job_hosting_locals(job_id):
                 batch = batches.get(local_id)
                 if batch is None:
                     batches[local_id] = [entry]
                 else:
                     batch.append(entry)
-        channel = self.config.algorithm_channel
         for local_id, entries in batches.items():
             try:
                 self.fabric.call(
                     local_id,
                     EnforceJobRateBatch(
-                        channel_id=channel, now=now, entries=tuple(entries)
+                        channel_id=channel_id, now=now, entries=tuple(entries)
                     ),
                 )
             except RPCError:
                 self.collect_failures += 1
-        return demands, enforced
 
     # -- liveness ----------------------------------------------------------
     def _evict(self, endpoint: str) -> None:
@@ -908,27 +808,14 @@ class HierarchicalControlPlane(ControlPlane):
         if local is None:
             raise StageNotRegistered(f"local {endpoint!r} not attached")
         self._placement_version += 1
-        self.fabric.unbind(endpoint)
-        self._last_stats.pop(endpoint, None)
-        self._missed_collects.pop(endpoint, None)
-        session = self._sessions.pop(endpoint, None)
-        if session is not None:
-            session.abandon()
+        self._drop_endpoint(endpoint)
         for stage_id in local.stage_ids:
             local.deregister(stage_id)
-            self._stage_local.pop(stage_id, None)
-            identity = self._stages.pop(stage_id)
-            self._last_stats.pop(stage_id, None)
-            job = self._jobs[identity.job_id]
-            job.stage_ids.remove(stage_id)
-            if not job.stage_ids:
-                del self._jobs[identity.job_id]
+            self._forget_stage(stage_id)
 
     # -- introspection -------------------------------------------------------
-    def _emit_cycle(
-        self, telemetry, now, stats, demands, enforced, policy_rates, paused
-    ) -> None:
-        """Job-level ``control.cycle``: locals report aggregates, not
+    def _cycle_view(self, stats: Dict[str, AggregateStats]) -> Dict[str, object]:
+        """Job-level ``control.cycle`` view: locals report aggregates, not
         per-channel stage snapshots."""
         observed = {
             local_id: {
@@ -938,26 +825,4 @@ class HierarchicalControlPlane(ControlPlane):
             for local_id, agg in stats.items()
             if isinstance(agg, _AGGREGATE_TYPES)
         }
-        rates: Dict[str, float] = dict(enforced or {})
-        for (job_id, channel_id), rate in policy_rates.items():
-            rates[f"{job_id}:{channel_id}"] = rate
-        prev = self._prev_rates
-        deltas = {t: r - prev.get(t, 0.0) for t, r in rates.items()}
-        self._prev_rates = rates
-        telemetry.events.emit(
-            "control.cycle",
-            now,
-            iteration=self.loop_iterations,
-            paused=paused,
-            hierarchical=True,
-            observed=observed,
-            demand={d.job_id: d.demand for d in demands} if demands else {},
-            reservations={d.job_id: d.reservation for d in demands} if demands else {},
-            algorithm=type(self.algorithm).__name__ if self.algorithm else None,
-            rates=dict(enforced or {}),
-            policy_rates={
-                f"{job_id}:{channel_id}": rate
-                for (job_id, channel_id), rate in policy_rates.items()
-            },
-            deltas=deltas,
-        )
+        return {"hierarchical": True, "observed": observed}

@@ -1,13 +1,22 @@
 """Data-plane stage: the per-node interception point.
 
 A stage sits between one application instance and the file-system client.
-Every intercepted POSIX request is classified; matched requests queue in
-the stage's enforcement channels and are released downstream at the rate
-the control plane provisioned; unmatched requests pass straight through.
+Every intercepted POSIX request is classified; matched requests are held
+to the rate the control plane provisioned for their enforcement channel;
+unmatched requests pass straight through.
 
-The stage is clock-agnostic: callers provide ``now`` (simulated seconds in
-the experiments, wall-clock in the live interposition layer) and call
-:meth:`drain` periodically to release throttled work.
+The control plane speaks one small contract to every stage -- create or
+remove a channel, install or remove a rule, enforce a rate, collect the
+window statistics, survive controller silence.  :class:`StageCore` is the
+stage side of that contract; it is clock-agnostic (callers provide
+``now``) and lock-free.  Two stages are built on it:
+
+* :class:`DataPlaneStage` (here) queues matched requests in
+  :class:`~repro.core.channel.Channel` objects and releases them on
+  :meth:`~DataPlaneStage.drain`, on whatever clock the caller supplies
+  (simulated seconds in the experiments);
+* :class:`~repro.interpose.live_stage.LiveStage` blocks the calling
+  application thread on a wall-clock bucket instead of queueing.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.core.channel import Channel
@@ -29,6 +38,7 @@ __all__ = [
     "OrphanPolicy",
     "ChannelSnapshot",
     "StageStats",
+    "StageCore",
     "DataPlaneStage",
 ]
 
@@ -168,8 +178,226 @@ class StageStats:
         )
 
 
-class DataPlaneStage:
-    """One PADLL stage: classifier + enforcement channels + downstream sink."""
+class StageCore:
+    """Everything the control plane touches on a stage, written once.
+
+    Identity, classifier, the channel table, rule install/removal, the
+    controller-silence state machine and the collect window.  A concrete
+    stage adds a channel kind (:meth:`_make_channel`) and a data path.
+    The core reads no clock and takes no lock: every method that needs
+    the time is handed ``now``, and a stage whose data path runs on
+    other threads serialises its calls into the core itself.
+
+    A channel kind provides ``channel_id``, ``rate``, ``backlog``,
+    ``stats`` (read for ``mean_wait`` / ``wait_max``),
+    ``set_rate(rate, now, burst)`` and
+    ``collect() -> (granted, enqueued, backlog)``.
+    """
+
+    def __init__(
+        self,
+        identity: StageIdentity,
+        classifier: Classifier,
+        orphan_policy: Optional[OrphanPolicy] = None,
+    ) -> None:
+        self.identity = identity
+        self.classifier = classifier
+        #: Controller-silence survival policy (None = hold rates forever,
+        #: implicitly, with no orphaned state to report).
+        self._orphan_policy = orphan_policy
+        self._last_enforced: Optional[float] = None
+        self._orphan_since: Optional[float] = None
+        self._orphan_rates: Dict[str, float] = {}
+        self.orphan_transitions = 0
+        self._channels: Dict[str, Any] = {}
+        #: Channels in creation order; the per-tick walks iterate this
+        #: list instead of rebuilding a dict view.
+        self._channel_list: List[Any] = []
+        #: Zero-copy read view handed out by the ``channels`` property.
+        self._channels_view: Mapping[str, Any] = MappingProxyType(self._channels)
+        self._passthrough_window = 0.0
+        self._passthrough_total = 0.0
+        self._last_collect = 0.0
+        self._telemetry = None
+
+    # -- channel management (control-plane driven) ---------------------------
+    @property
+    def channels(self) -> Mapping[str, Any]:
+        """Read-only live view of the channel table (no copy per access)."""
+        return self._channels_view
+
+    def _make_channel(
+        self, channel_id: str, rate: float, burst: Optional[float], now: float
+    ):
+        raise NotImplementedError
+
+    def create_channel(
+        self,
+        channel_id: str,
+        rate: float = UNLIMITED,
+        burst: Optional[float] = None,
+        *,
+        now: float = 0.0,
+    ):
+        """Create an enforcement channel (error if the id exists)."""
+        if channel_id in self._channels:
+            raise ConfigError(f"channel {channel_id!r} already exists")
+        channel = self._make_channel(channel_id, rate, burst, now)
+        self._channels[channel_id] = channel
+        self._channel_list.append(channel)
+        return channel
+
+    def remove_channel(self, channel_id: str) -> None:
+        """Remove a channel; refuses while requests are still queued or
+        an installed rule still routes to it."""
+        channel = self._channel(channel_id)
+        if channel.backlog > 0:
+            raise ConfigError(
+                f"channel {channel_id!r} still holds {channel.backlog} queued ops"
+            )
+        routed = [
+            rule.name for rule in self.classifier.rules
+            if rule.channel_id == channel_id
+        ]
+        if routed:
+            raise ConfigError(
+                f"channel {channel_id!r} is still the target of rule(s) "
+                f"{', '.join(map(repr, routed))}"
+            )
+        del self._channels[channel_id]
+        self._channel_list.remove(channel)
+
+    def channel_rate(self, channel_id: str) -> float:
+        return self._channel(channel_id).rate
+
+    def add_classifier_rule(self, rule: ClassifierRule) -> None:
+        """Install a differentiation rule; its channel must already exist."""
+        if rule.channel_id not in self._channels:
+            raise ConfigError(
+                f"rule {rule.name!r} targets unknown channel {rule.channel_id!r}"
+            )
+        self.classifier.add_rule(rule)
+
+    def remove_classifier_rule(self, name: str) -> None:
+        self.classifier.remove_rule(name)
+
+    def _channel(self, channel_id: str):
+        try:
+            return self._channels[channel_id]
+        except KeyError:
+            raise ConfigError(f"no channel {channel_id!r} in stage "
+                              f"{self.identity.stage_id!r}") from None
+
+    def _enforce_rate(
+        self, channel_id: str, rate: float, now: float, burst: Optional[float]
+    ) -> None:
+        """Apply a control-plane rate rule; any such message (re-)adopts."""
+        self._channel(channel_id).set_rate(rate, now, burst)
+        if self._orphan_policy is not None:
+            self._note_enforcement(now)
+
+    # -- orphan policy ---------------------------------------------------------
+    def set_orphan_policy(self, policy: Optional[OrphanPolicy]) -> None:
+        """Install (or clear) the controller-silence survival policy."""
+        self._orphan_policy = policy
+        self._orphan_since = None
+        self._orphan_rates = {}
+
+    @property
+    def orphaned(self) -> bool:
+        return self._orphan_since is not None
+
+    def _note_enforcement(self, now: float) -> None:
+        """An enforcement message arrived: the stage is (re-)adopted."""
+        self._last_enforced = now
+        if self._orphan_since is not None:
+            self._orphan_since = None
+            self._orphan_rates = {}
+            if self._telemetry is not None:
+                self._telemetry.events.emit(
+                    "stage.adopted",
+                    now,
+                    stage=self.identity.stage_id,
+                    job=self.identity.job_id,
+                )
+
+    def _orphan_check(self, now: float) -> None:
+        """Enter/advance the orphaned state (called from the data path)."""
+        policy = self._orphan_policy
+        last = self._last_enforced
+        if last is None:
+            return  # never adopted by a controller; nothing to miss
+        if self._orphan_since is None:
+            if now - last < policy.silence_threshold:
+                return
+            self._orphan_since = now
+            self._orphan_rates = {
+                channel.channel_id: channel.rate
+                for channel in self._channel_list
+            }
+            self.orphan_transitions += 1
+            if self._telemetry is not None:
+                self._telemetry.events.emit(
+                    "stage.orphaned",
+                    now,
+                    stage=self.identity.stage_id,
+                    job=self.identity.job_id,
+                    mode=policy.mode,
+                    floor=policy.floor,
+                )
+        if policy.mode == "decay":
+            # Halve toward the safe floor each half-life of silence.
+            factor = 2.0 ** (-(now - self._orphan_since) / policy.half_life)
+            floor = policy.floor
+            for channel in self._channel_list:
+                base = self._orphan_rates.get(channel.channel_id, channel.rate)
+                target = base * factor
+                if target < floor:
+                    target = floor
+                channel.set_rate(target, now)
+
+    # -- monitoring -------------------------------------------------------------
+    def backlog(self, channel_id: Optional[str] = None) -> float:
+        if channel_id is not None:
+            return self._channel(channel_id).backlog
+        return sum(c.backlog for c in self._channel_list)
+
+    @property
+    def passthrough_total(self) -> float:
+        return self._passthrough_total
+
+    def _collect_window(self, now: float) -> StageStats:
+        """Export and reset window statistics (control-plane heartbeat)."""
+        window = now - self._last_collect
+        snapshots = []
+        for channel in self._channel_list:
+            granted, enqueued, backlog = channel.collect()
+            snapshots.append(
+                ChannelSnapshot(
+                    channel_id=channel.channel_id,
+                    granted_ops=granted,
+                    enqueued_ops=enqueued,
+                    backlog=backlog,
+                    rate_limit=channel.rate,
+                    mean_wait=channel.stats.mean_wait,
+                    max_wait=channel.stats.wait_max,
+                )
+            )
+        passthrough = self._passthrough_window
+        self._passthrough_window = 0.0
+        self._last_collect = now
+        return StageStats(
+            stage_id=self.identity.stage_id,
+            job_id=self.identity.job_id,
+            timestamp=now,
+            window=window,
+            channels=tuple(snapshots),
+            passthrough_ops=passthrough,
+        )
+
+
+class DataPlaneStage(StageCore):
+    """One PADLL stage: the core + queueing channels + a downstream sink."""
 
     def __init__(
         self,
@@ -179,27 +407,11 @@ class DataPlaneStage:
         telemetry=None,
         orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
-        self.identity = identity
         self.config = config or StageConfig()
-        #: Controller-silence survival policy (None = legacy behaviour:
-        #: hold rates forever, implicitly).
-        self._orphan_policy = orphan_policy
-        self._last_enforced: Optional[float] = None
-        self._orphan_since: Optional[float] = None
-        self._orphan_rates: Dict[str, float] = {}
-        self.orphan_transitions = 0
+        super().__init__(
+            identity, Classifier(pfs_mounts=self.config.pfs_mounts), orphan_policy
+        )
         self._sink = sink
-        self.classifier = Classifier(pfs_mounts=self.config.pfs_mounts)
-        self._channels: Dict[str, Channel] = {}
-        #: Channels in creation order; ``drain`` iterates this list instead
-        #: of rebuilding a dict view every tick.
-        self._channel_list: List[Channel] = []
-        #: Zero-copy read view handed out by the ``channels`` property.
-        self._channels_view: Mapping[str, Channel] = MappingProxyType(self._channels)
-        self._passthrough_window = 0.0
-        self._passthrough_total = 0.0
-        self._last_collect = 0.0
-        self._telemetry = None
         self._m_enforced = None
         self._m_passthrough = None
         if telemetry is not None:
@@ -228,126 +440,21 @@ class DataPlaneStage:
         for channel in self._channel_list:
             channel.attach_telemetry(telemetry, stage_id)
 
-    # -- channel management (control-plane driven) ---------------------------
-    @property
-    def channels(self) -> Mapping[str, Channel]:
-        """Read-only live view of the channel table (no copy per access)."""
-        return self._channels_view
-
-    def create_channel(
-        self,
-        channel_id: str,
-        rate: float = UNLIMITED,
-        burst: Optional[float] = None,
-        *,
-        now: float = 0.0,
+    def _make_channel(
+        self, channel_id: str, rate: float, burst: Optional[float], now: float
     ) -> Channel:
-        """Create an enforcement channel (error if the id exists)."""
-        if channel_id in self._channels:
-            raise ConfigError(f"channel {channel_id!r} already exists")
         channel = Channel(
             channel_id, rate, burst, now=now, integral=self.config.integral
         )
-        self._channels[channel_id] = channel
-        self._channel_list.append(channel)
         if self._telemetry is not None:
             channel.attach_telemetry(self._telemetry, self.identity.stage_id)
         return channel
-
-    def remove_channel(self, channel_id: str) -> None:
-        """Remove a channel; refuses while requests are still queued."""
-        channel = self._channel(channel_id)
-        if channel.backlog > 0:
-            raise ConfigError(
-                f"channel {channel_id!r} still holds {channel.backlog} queued ops"
-            )
-        del self._channels[channel_id]
-        self._channel_list.remove(channel)
 
     def set_channel_rate(
         self, channel_id: str, rate: float, now: float, burst: Optional[float] = None
     ) -> None:
         """Apply a control-plane rate rule to one channel."""
-        self._channel(channel_id).set_rate(rate, now, burst)
-        if self._orphan_policy is not None:
-            self._note_enforcement(now)
-
-    # -- orphan policy ---------------------------------------------------------
-    def set_orphan_policy(self, policy: Optional[OrphanPolicy]) -> None:
-        """Install (or clear) the controller-silence survival policy."""
-        self._orphan_policy = policy
-        self._orphan_since = None
-        self._orphan_rates = {}
-
-    @property
-    def orphaned(self) -> bool:
-        return self._orphan_since is not None
-
-    def _note_enforcement(self, now: float) -> None:
-        """An enforcement message arrived: the stage is (re-)adopted."""
-        self._last_enforced = now
-        if self._orphan_since is not None:
-            self._orphan_since = None
-            self._orphan_rates = {}
-            if self._telemetry is not None:
-                self._telemetry.events.emit(
-                    "control.adopted", now, stage=self.identity.stage_id
-                )
-
-    def _orphan_check(self, now: float) -> None:
-        """Enter/advance the orphaned state from the drain path."""
-        policy = self._orphan_policy
-        last = self._last_enforced
-        if last is None:
-            return  # never adopted by a controller; nothing to miss
-        if self._orphan_since is None:
-            if now - last < policy.silence_threshold:
-                return
-            self._orphan_since = now
-            self._orphan_rates = {
-                channel.channel_id: channel.rate
-                for channel in self._channel_list
-            }
-            self.orphan_transitions += 1
-            if self._telemetry is not None:
-                self._telemetry.events.emit(
-                    "control.orphan",
-                    now,
-                    stage=self.identity.stage_id,
-                    mode=policy.mode,
-                    silent_for=now - last,
-                )
-        if policy.mode == "decay":
-            # Halve toward the safe floor each half-life of silence.
-            factor = 2.0 ** (-(now - self._orphan_since) / policy.half_life)
-            floor = policy.floor
-            for channel in self._channel_list:
-                base = self._orphan_rates.get(channel.channel_id, channel.rate)
-                target = base * factor
-                if target < floor:
-                    target = floor
-                channel.set_rate(target, now)
-
-    def channel_rate(self, channel_id: str) -> float:
-        return self._channel(channel_id).rate
-
-    def add_classifier_rule(self, rule: ClassifierRule) -> None:
-        """Install a differentiation rule; its channel must already exist."""
-        if rule.channel_id not in self._channels:
-            raise ConfigError(
-                f"rule {rule.name!r} targets unknown channel {rule.channel_id!r}"
-            )
-        self.classifier.add_rule(rule)
-
-    def remove_classifier_rule(self, name: str) -> None:
-        self.classifier.remove_rule(name)
-
-    def _channel(self, channel_id: str) -> Channel:
-        try:
-            return self._channels[channel_id]
-        except KeyError:
-            raise ConfigError(f"no channel {channel_id!r} in stage "
-                              f"{self.identity.stage_id!r}") from None
+        self._enforce_rate(channel_id, rate, now, burst)
 
     # -- data path -------------------------------------------------------------
     def submit(self, request: Request, now: float) -> Decision:
@@ -421,52 +528,18 @@ class DataPlaneStage:
             remaining -= granted
         return total
 
-    # -- monitoring -------------------------------------------------------------
-    def backlog(self, channel_id: Optional[str] = None) -> float:
-        if channel_id is not None:
-            return self._channel(channel_id).backlog
-        return sum(c.backlog for c in self._channel_list)
-
-    @property
-    def passthrough_total(self) -> float:
-        return self._passthrough_total
-
     def collect(self, now: float) -> StageStats:
         """Export and reset window statistics (control-plane heartbeat)."""
-        window = now - self._last_collect
-        snapshots = []
-        for channel in self._channel_list:
-            granted, enqueued, backlog = channel.collect()
-            snapshots.append(
-                ChannelSnapshot(
-                    channel_id=channel.channel_id,
-                    granted_ops=granted,
-                    enqueued_ops=enqueued,
-                    backlog=backlog,
-                    rate_limit=channel.rate,
-                    mean_wait=channel.stats.mean_wait,
-                    max_wait=channel.stats.wait_max,
-                )
-            )
-        passthrough = self._passthrough_window
-        self._passthrough_window = 0.0
-        self._last_collect = now
+        stats = self._collect_window(now)
         telemetry = self._telemetry
         if telemetry is not None:
             # Control-plane frequency (~1 Hz): registry interning here is
             # cheaper than carrying per-channel gauge handles on the stage.
             registry = telemetry.registry
             stage_id = self.identity.stage_id
-            for snapshot in snapshots:
+            for snapshot in stats.channels:
                 registry.gauge(
                     "padll_channel_backlog_ops",
                     stage=stage_id, channel=snapshot.channel_id,
                 ).set(snapshot.backlog)
-        return StageStats(
-            stage_id=self.identity.stage_id,
-            job_id=self.identity.job_id,
-            timestamp=now,
-            window=window,
-            channels=tuple(snapshots),
-            passthrough_ops=passthrough,
-        )
+        return stats

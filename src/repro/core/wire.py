@@ -60,7 +60,6 @@ from repro.core.stage import ChannelSnapshot, StageIdentity, StageStats
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
-    EnforceJobRate,
     EnforceJobRateBatch,
     JobAggregate,
 )
@@ -399,9 +398,6 @@ register_codec(RemoveRule, "RemoveRule", ("name",))
 register_codec(RemoveChannel, "RemoveChannel", ("channel_id",))
 
 register_codec(CollectAggregate, "CollectAggregate", ("now", "channel", "loop_interval"))
-register_codec(
-    EnforceJobRate, "EnforceJobRate", ("job_id", "channel_id", "rate", "now", "burst")
-)
 register_codec(EnforceJobRateBatch, "EnforceJobRateBatch", ("channel_id", "now", "entries"))
 
 register_codec(

@@ -1,26 +1,31 @@
 """Wall-clock data-plane stage for the live interposition layer.
 
-Quacks like :class:`~repro.core.stage.DataPlaneStage` for everything the
-control plane touches (``collect``, ``set_channel_rate``,
-``create_channel``, ``add_classifier_rule``), so the same
+A :class:`~repro.core.stage.StageCore` like the simulated
+:class:`~repro.core.stage.DataPlaneStage`, so the same
 :class:`~repro.core.rpc.StageEndpoint` and
-:class:`~repro.core.controller.ControlPlane` drive both the simulated and
-the live stages.  The data path differs: instead of queue-and-drain, the
-live stage *blocks the calling thread* in :meth:`throttle` until its
-channel's bucket grants a token -- exactly what the LD_PRELOAD shim does
-to an application thread.
+:class:`~repro.core.controller.ControlPlane` drive both and every
+control verb behaves the same on both.  What this module adds is what
+only a live stage has: the wall clock the core is handed, the stage lock
+that serialises control messages against application threads, and the
+data path -- instead of queue-and-drain, the live stage *blocks the
+calling thread* in :meth:`LiveStage.throttle` until its channel's bucket
+grants a token, exactly what the LD_PRELOAD shim does to an application
+thread.
+
+Lock order is stage -> channel/bucket, never the reverse: the data path
+holds at most one of them at a time.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.errors import ConfigError
-from repro.core.differentiation import Classifier, ClassifierRule, Decision
+from repro.core.channel import ChannelStats
+from repro.core.differentiation import Classifier, Decision
 from repro.core.requests import Request
-from repro.core.stage import ChannelSnapshot, OrphanPolicy, StageIdentity, StageStats
+from repro.core.stage import OrphanPolicy, StageCore, StageIdentity, StageStats
 from repro.core.token_bucket import UNLIMITED
 from repro.interpose.live_bucket import LiveTokenBucket
 
@@ -28,7 +33,15 @@ __all__ = ["LiveStage"]
 
 
 class _LiveChannel:
+    """A bucket and its grant counters; no queue (blocked threads hold
+    their own requests), so backlog and queue waits are always zero."""
+
     __slots__ = ("channel_id", "bucket", "granted_total", "window_granted", "lock")
+
+    backlog = 0.0
+    #: Where the core's collect reads queue waits: nothing ever waits
+    #: here, so every live channel shares the one all-zero record.
+    stats = ChannelStats()
 
     def __init__(self, channel_id: str, bucket: LiveTokenBucket) -> None:
         self.channel_id = channel_id
@@ -37,19 +50,28 @@ class _LiveChannel:
         self.window_granted = 0.0
         self.lock = threading.Lock()
 
+    @property
+    def rate(self) -> float:
+        return self.bucket.rate
+
+    def set_rate(self, rate: float, now: float, burst: Optional[float] = None) -> None:
+        # The bucket stamps the change from its own wall clock.
+        self.bucket.set_rate(rate, burst)
+
     def record(self, count: float) -> None:
         with self.lock:
             self.granted_total += count
             self.window_granted += count
 
-    def take_window(self) -> float:
+    def collect(self) -> tuple[float, float, float]:
+        """Return and reset the rate window: (granted, enqueued, backlog)."""
         with self.lock:
             window = self.window_granted
             self.window_granted = 0.0
-            return window
+        return window, window, 0.0
 
 
-class LiveStage:
+class LiveStage(StageCore):
     """A PADLL stage enforcing rates on real (wall-clock) I/O."""
 
     def __init__(
@@ -60,23 +82,10 @@ class LiveStage:
         telemetry=None,
         orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
-        self.identity = identity
-        self.classifier = Classifier(pfs_mounts=pfs_mounts)
+        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts), orphan_policy)
         self._clock = clock
-        self._channels: Dict[str, _LiveChannel] = {}
         self._lock = threading.Lock()
-        self._passthrough_total = 0.0
-        self._passthrough_window = 0.0
         self._last_collect = clock()
-        #: Same controller-silence policy as the simulated stage: with the
-        #: control loop unreachable, hold the last rates or decay toward
-        #: the safe floor (checked on the throttle path).
-        self._orphan_policy = orphan_policy
-        self._last_enforced: Optional[float] = None
-        self._orphan_since: Optional[float] = None
-        self._orphan_rates: Dict[str, float] = {}
-        self.orphan_transitions = 0
-        self._telemetry = None
         self._m_throttled = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)
@@ -97,7 +106,14 @@ class LiveStage:
             )
         )
 
-    # -- control-plane surface (mirrors DataPlaneStage) -------------------------
+    # -- control-plane surface: the core's verbs under the stage lock ----------
+    def _make_channel(
+        self, channel_id: str, rate: float, burst: Optional[float], now: float
+    ) -> _LiveChannel:
+        return _LiveChannel(
+            channel_id, LiveTokenBucket(rate, burst, clock=self._clock)
+        )
+
     def create_channel(
         self,
         channel_id: str,
@@ -105,112 +121,29 @@ class LiveStage:
         burst: Optional[float] = None,
         *,
         now: float = 0.0,
-    ) -> None:
+    ) -> _LiveChannel:
         with self._lock:
-            if channel_id in self._channels:
-                raise ConfigError(f"channel {channel_id!r} already exists")
-            self._channels[channel_id] = _LiveChannel(
-                channel_id, LiveTokenBucket(rate, burst, clock=self._clock)
-            )
+            return super().create_channel(channel_id, rate, burst, now=now)
+
+    def remove_channel(self, channel_id: str) -> None:
+        with self._lock:
+            super().remove_channel(channel_id)
 
     def set_channel_rate(
         self, channel_id: str, rate: float, now: float = 0.0, burst: Optional[float] = None
     ) -> None:
-        self._channel(channel_id).bucket.set_rate(rate, burst)
-        if self._orphan_policy is not None:
-            self._note_enforcement()
+        """Apply a rate rule; ``now`` is the sender's clock and is ignored
+        -- silence is measured on this stage's own."""
+        with self._lock:
+            self._enforce_rate(channel_id, rate, self._clock(), burst)
 
-    # -- orphan policy ----------------------------------------------------------
     def set_orphan_policy(self, policy: Optional[OrphanPolicy]) -> None:
         with self._lock:
-            self._orphan_policy = policy
-            self._orphan_since = None
-            self._orphan_rates = {}
+            super().set_orphan_policy(policy)
 
-    @property
-    def orphaned(self) -> bool:
-        return self._orphan_since is not None
-
-    def _note_enforcement(self) -> None:
-        readopted = False
+    def _check_silence(self) -> None:
         with self._lock:
-            now = self._clock()
-            self._last_enforced = now
-            if self._orphan_since is not None:
-                self._orphan_since = None
-                self._orphan_rates = {}
-                readopted = True
-        if readopted and self._telemetry is not None:
-            # Re-adoption is the operator-visible end of an orphan episode;
-            # emitted outside the lock (the event log append is atomic).
-            self._telemetry.events.emit(
-                "stage.adopted",
-                now,
-                stage=self.identity.stage_id,
-                job=self.identity.job_id,
-            )
-
-    def _orphan_check(self) -> None:
-        """Enter/advance the orphaned state (called on the throttle path)."""
-        policy = self._orphan_policy
-        entered = None
-        with self._lock:
-            last = self._last_enforced
-            if last is None:
-                return
-            now = self._clock()
-            if self._orphan_since is None:
-                if now - last < policy.silence_threshold:
-                    return
-                self._orphan_since = now
-                self._orphan_rates = {
-                    cid: ch.bucket.rate for cid, ch in self._channels.items()
-                }
-                self.orphan_transitions += 1
-                entered = now
-            if policy.mode != "decay":
-                if entered is not None:
-                    self._emit_orphaned(entered, policy)
-                return
-            factor = 2.0 ** (-(now - self._orphan_since) / policy.half_life)
-            floor = policy.floor
-            channels = list(self._channels.items())
-            rates = dict(self._orphan_rates)
-        for cid, channel in channels:
-            base = rates.get(cid, channel.bucket.rate)
-            target = base * factor
-            if target < floor:
-                target = floor
-            channel.bucket.set_rate(target)
-        if entered is not None:
-            self._emit_orphaned(entered, policy)
-
-    def _emit_orphaned(self, now: float, policy: OrphanPolicy) -> None:
-        if self._telemetry is not None:
-            self._telemetry.events.emit(
-                "stage.orphaned",
-                now,
-                stage=self.identity.stage_id,
-                job=self.identity.job_id,
-                mode=policy.mode,
-                floor=policy.floor,
-            )
-
-    def channel_rate(self, channel_id: str) -> float:
-        return self._channel(channel_id).bucket.rate
-
-    def add_classifier_rule(self, rule: ClassifierRule) -> None:
-        if rule.channel_id not in self._channels:
-            raise ConfigError(
-                f"rule {rule.name!r} targets unknown channel {rule.channel_id!r}"
-            )
-        self.classifier.add_rule(rule)
-
-    def _channel(self, channel_id: str) -> _LiveChannel:
-        try:
-            return self._channels[channel_id]
-        except KeyError:
-            raise ConfigError(f"no channel {channel_id!r}") from None
+            self._orphan_check(self._clock())
 
     # -- data path ------------------------------------------------------------------
     def _acquire(self, channel: _LiveChannel, count: float, stop) -> bool:
@@ -239,7 +172,7 @@ class LiveStage:
         if decision.enforced:
             assert decision.channel_id is not None
             if self._orphan_policy is not None:
-                self._orphan_check()
+                self._check_silence()
             channel = self._channel(decision.channel_id)
             telemetry = self._telemetry
             if telemetry is not None:
@@ -273,10 +206,6 @@ class LiveStage:
         return decision
 
     # -- monitoring -------------------------------------------------------------------
-    @property
-    def passthrough_total(self) -> float:
-        return self._passthrough_total
-
     def granted_total(self, channel_id: str) -> float:
         return self._channel(channel_id).granted_total
 
@@ -288,27 +217,4 @@ class LiveStage:
         """
         t = self._clock() if now is None or now == 0.0 else now
         with self._lock:
-            window = t - self._last_collect
-            self._last_collect = t
-            passthrough = self._passthrough_window
-            self._passthrough_window = 0.0
-        snapshots = []
-        for channel in self._channels.values():
-            granted = channel.take_window()
-            snapshots.append(
-                ChannelSnapshot(
-                    channel_id=channel.channel_id,
-                    granted_ops=granted,
-                    enqueued_ops=granted,
-                    backlog=0.0,
-                    rate_limit=channel.bucket.rate,
-                )
-            )
-        return StageStats(
-            stage_id=self.identity.stage_id,
-            job_id=self.identity.job_id,
-            timestamp=t,
-            window=window,
-            channels=tuple(snapshots),
-            passthrough_ops=passthrough,
-        )
+            return self._collect_window(t)

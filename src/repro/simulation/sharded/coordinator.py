@@ -17,7 +17,7 @@ control loop interval:
    handling, policies and allocator write the new rates into per-slot
    scatter staging arrays -- the algorithm's per-stage rates through
    the plane's ``enforce_array_sink``, policy pushes and array-less
-   algorithms (DRF) through the per-job / batched enforce verbs;
+   algorithms (DRF) through the batched enforce verb;
 3. the staged rates ride the *next* epoch back out to the shards
    (enforcement latency of one epoch, matching a real deployment where
    the push RPC lands after the current window).
@@ -46,7 +46,6 @@ from repro.core.controller import ControlPlaneConfig
 from repro.core.hierarchy import (
     ArrayStats,
     CollectAggregate,
-    EnforceJobRate,
     EnforceJobRateBatch,
     HierarchicalControlPlane,
     RackEndpoint,
@@ -229,9 +228,9 @@ class ShardedSimulation:
             recv_timeout=recv_timeout,
         )
         # Scatter staging for the next epoch's enforcement: slot writes
-        # land here during cp.tick -- policy pushes through the per-job
-        # verbs first, then the algorithm's -- so for a slot written
-        # twice in one cycle the later push wins.
+        # land here during cp.tick -- policy pushes first, then the
+        # algorithm's -- so for a slot written twice in one cycle the
+        # later push wins.
         n_slots = self._pool.n_slots
         #: Per-slot demand partials of the latest barrier.
         self._demand = np.zeros(n_slots)
@@ -254,7 +253,6 @@ class ShardedSimulation:
                     rack_id,
                     collect=self._collect_rack,
                     enforce=self._enforce_rack,
-                    enforce_batch=self._enforce_rack_batch,
                 )
             )
         for identity, rack_id in registrations:
@@ -274,25 +272,15 @@ class ShardedSimulation:
             stage_counts=index_map.rack_stage_counts[rack_index],
         )
 
-    def _slot_write(
-        self, rack_id: str, job_id: str, rate: float, burst: Optional[float]
-    ) -> None:
-        slot = self._pool.index_map.slot_of(rack_id, job_id)
-        if slot < 0:
-            return
-        self._flags[slot] = 1.0
-        self._rates_arr[slot] = rate
-        self._bursts_arr[slot] = BURST_NONE if burst is None else burst
-
-    def _enforce_rack(self, rack_id: str, message: EnforceJobRate) -> bool:
-        self._slot_write(rack_id, message.job_id, message.rate, message.burst)
-        return True
-
-    def _enforce_rack_batch(
-        self, rack_id: str, message: EnforceJobRateBatch
-    ) -> bool:
+    def _enforce_rack(self, rack_id: str, message: EnforceJobRateBatch) -> bool:
+        slot_of = self._pool.index_map.slot_of
         for job_id, rate, burst in message.entries:
-            self._slot_write(rack_id, job_id, rate, burst)
+            slot = slot_of(rack_id, job_id)
+            if slot < 0:
+                continue
+            self._flags[slot] = 1.0
+            self._rates_arr[slot] = rate
+            self._bursts_arr[slot] = BURST_NONE if burst is None else burst
         return True
 
     def _ensure_sink_layout(self) -> None:

@@ -11,7 +11,7 @@ from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
-    EnforceJobRate,
+    EnforceJobRateBatch,
     HierarchicalControlPlane,
     LocalController,
 )
@@ -83,7 +83,9 @@ class TestLocalController:
         local.register(a)
         local.register(b)
         local.handle(
-            EnforceJobRate(job_id="jobA", channel_id="metadata", rate=7.0, now=0.0)
+            EnforceJobRateBatch(
+                channel_id="metadata", now=0.0, entries=(("jobA", 7.0, None),)
+            )
         )
         assert a.channel_rate("metadata") == 7.0
         assert b.channel_rate("metadata") == float("inf")

@@ -7,13 +7,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.stage import OrphanPolicy
+from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
-from repro.core.stage import StageIdentity
-
-from tests.core.test_controller import make_stage
+from repro.telemetry import Telemetry
 
 POLICY_HOLD = OrphanPolicy(orphan_after=2, interval=1.0, mode="hold")
+POLICY_DECAY = OrphanPolicy(
+    orphan_after=2, interval=1.0, mode="decay", floor=2.0, half_life=5.0
+)
 
 
 class TestOrphanPolicyValidation:
@@ -38,121 +39,141 @@ class TestOrphanPolicyValidation:
             OrphanPolicy(half_life=-1.0)
 
 
-class TestSimStageOrphan:
-    def _adopted_stage(self, policy, rate=64.0):
-        stage = make_stage("s0", "jobA")
+class StageOrphanContract:
+    """The silence state machine lives in ``StageCore``; every stage built
+    on it must behave the same.  A subclass supplies the stage and the
+    two ways time reaches it:
+
+    * ``stage_at(telemetry)`` -- a fresh stage with a ``metadata``
+      channel and a rule routing metadata operations to it;
+    * ``touch(stage, t)`` -- advance the stage's clock to ``t`` and
+      exercise the data path (where silence is noticed);
+    * ``enforce(stage, rate, t)`` -- an enforcement message at ``t``.
+    """
+
+    def adopted(self, policy, rate=64.0):
+        self.telemetry = Telemetry()
+        stage = self.stage_at(self.telemetry)
         stage.set_orphan_policy(policy)
-        stage.set_channel_rate("metadata", rate, now=0.0)  # adoption
+        self.enforce(stage, rate, 0.0)  # adoption
         return stage
 
+    def events(self, kind):
+        return [(e.time, e.fields) for e in self.telemetry.events.of_kind(kind)]
+
     def test_never_enforced_stage_never_orphans(self):
-        stage = make_stage("s0", "jobA")
+        self.telemetry = Telemetry()
+        stage = self.stage_at(self.telemetry)
         stage.set_orphan_policy(POLICY_HOLD)
-        stage.drain(100.0)
+        self.touch(stage, 100.0)
         assert not stage.orphaned
         assert stage.orphan_transitions == 0
+        assert self.events("stage.orphaned") == []
 
     def test_hold_keeps_last_rate(self):
-        stage = self._adopted_stage(POLICY_HOLD)
-        stage.drain(1.0)
+        stage = self.adopted(POLICY_HOLD)
+        self.touch(stage, 1.0)
         assert not stage.orphaned
-        stage.drain(2.0)  # silence >= 2 cycles
+        self.touch(stage, 2.0)  # silence >= 2 cycles
         assert stage.orphaned
         assert stage.orphan_transitions == 1
-        stage.drain(50.0)
+        self.touch(stage, 50.0)
         assert stage.channel_rate("metadata") == 64.0  # held
+        assert self.events("stage.orphaned") == [
+            (2.0, {"stage": "s0", "job": "jobA", "mode": "hold", "floor": 1.0})
+        ]
 
     def test_decay_halves_toward_floor(self):
-        policy = OrphanPolicy(
-            orphan_after=2, interval=1.0, mode="decay", floor=2.0, half_life=5.0
-        )
-        stage = self._adopted_stage(policy)
-        stage.drain(2.0)  # orphaned at t=2
+        stage = self.adopted(POLICY_DECAY)
+        self.touch(stage, 2.0)  # orphaned at t=2
         assert stage.orphaned
-        stage.drain(7.0)  # one half-life of orphanhood
+        self.touch(stage, 7.0)  # one half-life of orphanhood
         assert stage.channel_rate("metadata") == pytest.approx(32.0)
-        stage.drain(12.0)  # two half-lives
+        self.touch(stage, 12.0)  # two half-lives
         assert stage.channel_rate("metadata") == pytest.approx(16.0)
-        stage.drain(500.0)
+        self.touch(stage, 500.0)
         assert stage.channel_rate("metadata") == 2.0  # clamped at the floor
+        assert self.events("stage.orphaned") == [
+            (2.0, {"stage": "s0", "job": "jobA", "mode": "decay", "floor": 2.0})
+        ]
 
     def test_enforcement_readopts(self):
-        policy = OrphanPolicy(
-            orphan_after=2, interval=1.0, mode="decay", floor=2.0, half_life=5.0
-        )
-        stage = self._adopted_stage(policy)
-        stage.drain(2.0)
+        stage = self.adopted(POLICY_DECAY)
+        self.touch(stage, 2.0)
         assert stage.orphaned
-        stage.set_channel_rate("metadata", 50.0, now=3.0)  # controller is back
+        assert self.events("stage.adopted") == []
+        self.enforce(stage, 50.0, 3.0)  # controller is back
         assert not stage.orphaned
         assert stage.channel_rate("metadata") == 50.0
+        assert self.events("stage.adopted") == [
+            (3.0, {"stage": "s0", "job": "jobA"})
+        ]
         # A fresh silence window orphans it again (new transition).
-        stage.drain(5.0)
+        self.touch(stage, 5.0)
         assert stage.orphaned
         assert stage.orphan_transitions == 2
+        assert [t for t, _ in self.events("stage.orphaned")] == [2.0, 5.0]
+
+    def test_set_policy_none_disables(self):
+        stage = self.adopted(POLICY_HOLD)
+        stage.set_orphan_policy(None)
+        self.touch(stage, 10.0)
+        assert not stage.orphaned
+        assert self.events("stage.orphaned") == []
+
+
+def _route_metadata(stage):
+    stage.create_channel("metadata", rate=1e9)
+    stage.add_classifier_rule(
+        ClassifierRule(
+            name="md",
+            channel_id="metadata",
+            op_classes=frozenset({OperationClass.METADATA}),
+        )
+    )
+    return stage
+
+
+class TestSimStageOrphan(StageOrphanContract):
+    """Caller-supplied time; silence is noticed on the drain path."""
+
+    def stage_at(self, telemetry):
+        return _route_metadata(
+            DataPlaneStage(
+                StageIdentity("s0", "jobA"), lambda req: None, telemetry=telemetry
+            )
+        )
+
+    def touch(self, stage, t):
+        stage.drain(t)
+
+    def enforce(self, stage, rate, t):
+        stage.set_channel_rate("metadata", rate, now=t)
 
     def test_drain_collect_also_checks(self):
-        stage = self._adopted_stage(POLICY_HOLD)
+        stage = self.adopted(POLICY_HOLD)
         grants = []
         stage.drain_collect(10.0, grants)
         assert stage.orphaned
 
-    def test_set_policy_none_disables(self):
-        stage = self._adopted_stage(POLICY_HOLD)
-        stage.set_orphan_policy(None)
-        stage.drain(10.0)
-        assert not stage.orphaned
 
+class TestLiveStageOrphan(StageOrphanContract):
+    """The stage's own clock; silence is noticed on the throttle path."""
 
-class TestLiveStageOrphan:
-    def _live(self, policy, clock):
-        stage = LiveStage(
-            StageIdentity("ls0", "jobA"), clock=clock, orphan_policy=policy
-        )
-        stage.create_channel("metadata", rate=1e9)
-        stage.add_classifier_rule(
-            ClassifierRule(
-                name="md",
-                channel_id="metadata",
-                op_classes=frozenset({OperationClass.METADATA}),
+    def stage_at(self, telemetry):
+        self.now = 0.0
+        return _route_metadata(
+            LiveStage(
+                StageIdentity("s0", "jobA"),
+                clock=lambda: self.now,
+                telemetry=telemetry,
             )
         )
-        return stage
 
-    def test_live_throttle_path_orphans_and_decays(self):
-        t = {"now": 0.0}
-        policy = OrphanPolicy(
-            orphan_after=2, interval=1.0, mode="decay", floor=2.0, half_life=5.0
-        )
-        stage = self._live(policy, clock=lambda: t["now"])
-        stage.set_channel_rate("metadata", 64.0)  # adoption at t=0
-        req = Request(OperationType.OPEN, path="/f", count=0.001)
-        t["now"] = 1.0
-        stage.throttle(req)
-        assert not stage.orphaned
-        t["now"] = 2.0  # silence hits the 2-cycle threshold
-        stage.throttle(req)
-        assert stage.orphaned
-        assert stage.orphan_transitions == 1
-        t["now"] = 7.0  # one half-life of orphanhood
-        stage.throttle(req)
-        assert stage.channel_rate("metadata") == pytest.approx(32.0)
-        # Controller reappears.
-        stage.set_channel_rate("metadata", 40.0)
-        assert not stage.orphaned
-        assert stage.channel_rate("metadata") == 40.0
-
-    def test_live_hold_mode_keeps_rate(self):
-        t = {"now": 0.0}
-        stage = self._live(POLICY_HOLD, clock=lambda: t["now"])
-        stage.set_channel_rate("metadata", 10.0)
-        t["now"] = 30.0
+    def touch(self, stage, t):
+        self.now = t
         stage.throttle(Request(OperationType.OPEN, path="/f", count=0.001))
-        assert stage.orphaned
-        assert stage.channel_rate("metadata") == 10.0
 
-    def test_live_never_enforced_never_orphans(self):
-        t = {"now": 100.0}
-        stage = self._live(POLICY_HOLD, clock=lambda: t["now"])
-        stage.throttle(Request(OperationType.OPEN, path="/f", count=0.001))
-        assert not stage.orphaned
+    def enforce(self, stage, rate, t):
+        self.now = t
+        stage.set_channel_rate("metadata", rate)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import RPCError, StageNotRegistered
@@ -14,9 +16,13 @@ from repro.core.rpc import (
     EnforceRate,
     InstallRule,
     Ping,
+    RemoveChannel,
+    RemoveRule,
     StageEndpoint,
 )
 from repro.core.stage import DataPlaneStage, StageIdentity
+from repro.interpose.live_stage import LiveStage
+from repro.net import SocketTransport
 
 
 def make_stage():
@@ -183,11 +189,11 @@ class TestEnforceLaggedFabric:
 
 
 class TestRemovalMessages:
-    def test_remove_rule_and_channel(self):
-        stage = make_stage()
-        endpoint = StageEndpoint(stage)
-        endpoint.handle(CreateChannel(channel_id="metadata", rate=5.0, now=0.0))
-        endpoint.handle(
+    def _remove_rule_and_channel(self, stage, handle):
+        """Create, install, remove both again -- ``handle`` delivers each
+        verb to ``stage`` and returns its reply."""
+        assert handle(CreateChannel(channel_id="metadata", rate=5.0, now=0.0))
+        assert handle(
             InstallRule(
                 rule=ClassifierRule(
                     name="md",
@@ -196,20 +202,51 @@ class TestRemovalMessages:
                 )
             )
         )
-        from repro.core.rpc import RemoveChannel, RemoveRule
-
-        assert endpoint.handle(RemoveRule(name="md"))
+        assert handle(RemoveRule(name="md"))
         # Rule gone: requests pass through now.
         decision = stage.classifier.classify(
             Request(OperationType.OPEN, path="/f")
         )
         assert not decision.enforced
-        assert endpoint.handle(RemoveChannel(channel_id="metadata"))
+        assert handle(RemoveChannel(channel_id="metadata"))
         assert stage.channels == {}
+
+    def test_remove_rule_and_channel(self):
+        stage = make_stage()
+        self._remove_rule_and_channel(stage, StageEndpoint(stage).handle)
+
+    def test_remove_rule_and_channel_live(self):
+        stage = LiveStage(StageIdentity("s0", "job0"))
+        self._remove_rule_and_channel(stage, StageEndpoint(stage).handle)
+        assert not stage.throttle(Request(OperationType.OPEN, path="/f")).enforced
+
+    def test_remove_rule_and_channel_live_over_socket(self):
+        # The live stage is the one that sits behind a real wire: every
+        # verb is framed, answered by the worker's reader thread, and an
+        # AttributeError there would come back as an ERROR frame.
+        stage = LiveStage(StageIdentity("s0", "job0"))
+        accepted = []
+        seen = threading.Event()
+        plane, worker = SocketTransport(), SocketTransport()
+        try:
+            host, port = plane.listen(
+                "127.0.0.1", 0,
+                on_connect=lambda conn: (accepted.append(conn), seen.set()),
+            )
+            worker.bind("s0", StageEndpoint(stage).handle)
+            worker.connect(host, port, name="worker")
+            assert seen.wait(5.0), "worker never connected"
+            (connection,) = accepted
+            self._remove_rule_and_channel(
+                stage, lambda message: connection.request("s0", message)
+            )
+            assert not stage.throttle(Request(OperationType.OPEN, path="/f")).enforced
+        finally:
+            worker.close()
+            plane.close()
 
     def test_remove_channel_with_backlog_refused(self):
         from repro.errors import ConfigError
-        from repro.core.rpc import RemoveChannel
 
         stage = make_stage()
         endpoint = StageEndpoint(stage)

@@ -18,13 +18,13 @@ from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
-    EnforceJobRate,
     EnforceJobRateBatch,
     HierarchicalControlPlane,
     JobAggregate,
     LocalController,
     RackEndpoint,
 )
+from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.requests import OperationType, Request
 from repro.core.rpc import Ping
 from repro.core.stage import StageIdentity
@@ -112,7 +112,7 @@ class TestDemandMerge:
         pushes = []
 
         def enforce(local_id, message):
-            pushes.append((local_id, message.job_id))
+            pushes.extend((local_id, job_id) for job_id, _, _ in message.entries)
             return True
 
         def collect(local_id, message):
@@ -209,7 +209,7 @@ class TestBatchedEnforcement:
                     )
             return register
 
-        batched_log, sequential_log = [], []
+        batched_log = []
         batched = LocalController("rack0")
         record_into(batched_log)(batched)
         batched.handle(
@@ -219,54 +219,7 @@ class TestBatchedEnforcement:
                 entries=(("job0", 5.0, None), ("job1", 7.0, 14.0)),
             )
         )
-        sequential = LocalController("rack0")
-        record_into(sequential_log)(sequential)
-        for job_id, rate, burst in (("job0", 5.0, None), ("job1", 7.0, 14.0)):
-            sequential.handle(
-                EnforceJobRate(
-                    job_id=job_id,
-                    channel_id="metadata",
-                    rate=rate,
-                    now=1.0,
-                    burst=burst,
-                )
-            )
-        assert batched_log == sequential_log == [(0, 5.0, None), (1, 7.0, 14.0)]
-
-    def test_rack_endpoint_unpacks_batch_without_batch_verb(self):
-        pushes = []
-        rack = RackEndpoint(
-            "rack0",
-            collect=lambda *a: None,
-            enforce=lambda lid, m: pushes.append(
-                (lid, m.job_id, m.rate, m.burst)
-            ),
-        )
-        rack.handle(
-            EnforceJobRateBatch(
-                channel_id="metadata",
-                now=3.0,
-                entries=(("job0", 2.0, None), ("job1", 4.0, 8.0)),
-            )
-        )
-        assert pushes == [
-            ("rack0", "job0", 2.0, None),
-            ("rack0", "job1", 4.0, 8.0),
-        ]
-
-    def test_rack_endpoint_prefers_batch_verb(self):
-        batches = []
-        rack = RackEndpoint(
-            "rack0",
-            collect=lambda *a: None,
-            enforce=lambda *a: pytest.fail("unpacked despite batch verb"),
-            enforce_batch=lambda lid, m: batches.append((lid, m.entries)),
-        )
-        message = EnforceJobRateBatch(
-            channel_id="metadata", now=3.0, entries=(("job0", 2.0, None),)
-        )
-        rack.handle(message)
-        assert batches == [("rack0", (("job0", 2.0, None),))]
+        assert batched_log == [(0, 5.0, None), (1, 7.0, 14.0)]
 
     def test_cycle_sends_one_batch_per_hosting_local(self):
         # Two spanning jobs on two racks: each rack must receive exactly
@@ -283,8 +236,7 @@ class TestBatchedEnforcement:
                     timestamp=m.now,
                     jobs=(("job0", 40.0, 1), ("job1", 20.0, 1)),
                 ),
-                enforce=lambda *a: pytest.fail("per-job push on batched path"),
-                enforce_batch=lambda lid, m: batches.setdefault(lid, []).append(m),
+                enforce=lambda lid, m: batches.setdefault(lid, []).append(m),
             )
 
         cp = HierarchicalControlPlane(
@@ -306,6 +258,44 @@ class TestBatchedEnforcement:
                 ("job1", logged["job1"] / 2, None),
             )
 
+    def test_policy_push_is_a_batch_of_one_per_hosting_local(self):
+        # A 4-stage job: one stage on each of two LocalControllers, two
+        # on a RackEndpoint.  The policy's rate and burst are split once
+        # over all four stages and reach every hosting local as one
+        # single-entry batch.
+        rack_batches = []
+        cp = HierarchicalControlPlane()
+        for r in range(2):
+            cp.attach_local(LocalController(f"rack{r}"))
+        cp.attach_local(
+            RackEndpoint(
+                "rack2",
+                collect=lambda lid, m: None,
+                enforce=lambda lid, m: rack_batches.append(m),
+            )
+        )
+        stages = [make_stage(f"s{r}", "job0") for r in range(2)]
+        for r, stage in enumerate(stages):
+            cp.register_stage(stage, f"rack{r}")
+        for s in (2, 3):
+            cp.register_remote(StageIdentity(f"s{s}", "job0"), "rack2")
+        cp.install_policy(
+            PolicyRule(
+                name="cap",
+                scope=RuleScope(channel_id="metadata"),
+                schedule=ConstantRate(40.0),
+                burst=120.0,
+            )
+        )
+        cp.tick(1.0)
+        for stage in stages:
+            bucket = stage.channels["metadata"].bucket
+            assert (bucket.rate, bucket.capacity) == (10.0, 30.0)
+        (message,) = rack_batches
+        assert message == EnforceJobRateBatch(
+            channel_id="metadata", now=1.0, entries=(("job0", 10.0, 30.0),)
+        )
+
 
 class TestRackEndpoint:
     def test_dispatches_verbs_to_callables(self):
@@ -316,12 +306,17 @@ class TestRackEndpoint:
             return AggregateStats(local_id=local_id, timestamp=message.now, jobs=())
 
         def enforce(local_id, message):
-            seen["enforce"] = (local_id, message.job_id, message.rate)
+            ((job_id, rate, _burst),) = message.entries
+            seen["enforce"] = (local_id, job_id, rate)
             return True
 
         rack = RackEndpoint("rack0", collect=collect, enforce=enforce)
         rack.handle(CollectAggregate(now=2.0, channel="metadata", loop_interval=1.0))
-        rack.handle(EnforceJobRate(job_id="j", channel_id="metadata", rate=5.0, now=2.0))
+        rack.handle(
+            EnforceJobRateBatch(
+                channel_id="metadata", now=2.0, entries=(("j", 5.0, None),)
+            )
+        )
         assert seen == {
             "collect": ("rack0", 2.0),
             "enforce": ("rack0", "j", 5.0),

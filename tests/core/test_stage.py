@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+from repro.interpose.live_stage import LiveStage
 
 
 def make_stage(sink=None, **config_kw):
@@ -59,6 +60,25 @@ class TestChannels:
         with pytest.raises(ConfigError, match="queued"):
             stage.remove_channel("metadata")
         stage.drain(0.0)
+        stage.remove_classifier_rule("metadata-rule")
+        stage.remove_channel("metadata")
+        assert "metadata" not in stage.channels
+
+    @pytest.mark.parametrize(
+        "factory",
+        [make_stage, lambda: LiveStage(StageIdentity("s0", "job0"))],
+        ids=["sim", "live"],
+    )
+    def test_remove_channel_refuses_routed_rule(self, factory):
+        # A rule left pointing at a removed channel would raise on the
+        # data path of the next matching request.
+        stage = factory()
+        stage.create_channel("metadata")
+        stage.add_classifier_rule(md_rule())
+        with pytest.raises(ConfigError, match="'metadata-rule'"):
+            stage.remove_channel("metadata")
+        assert "metadata" in stage.channels
+        stage.remove_classifier_rule("metadata-rule")
         stage.remove_channel("metadata")
         assert "metadata" not in stage.channels
 

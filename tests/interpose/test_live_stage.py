@@ -104,3 +104,65 @@ class TestLiveStage:
         clock.t = 1.0
         stats = endpoint.handle(CollectStats(now=1.0))
         assert stats.job_id == "jobL"
+
+
+class TestControlAgainstDataPath:
+    def test_control_verbs_race_throttling_threads(self):
+        """Stage lock -> bucket lock, never the reverse: a control thread
+        enforcing, collecting and re-creating channels while application
+        threads throttle (and drive orphan decay) must neither deadlock
+        nor lose a grant from the collect windows."""
+        import sys
+        import threading
+        import time
+
+        from repro.core.stage import OrphanPolicy
+
+        stage = LiveStage(
+            StageIdentity("ls0", "jobL"),
+            orphan_policy=OrphanPolicy(
+                orphan_after=1, interval=0.001, mode="decay",
+                floor=1e8, half_life=0.001,
+            ),
+        )
+        stage.create_channel("metadata", rate=1e9)
+        stage.add_classifier_rule(
+            ClassifierRule(
+                "md", "metadata", op_classes=frozenset({OperationClass.METADATA})
+            )
+        )
+        n_threads, per_thread = 8, 2000
+        collected = []
+        done = threading.Event()
+
+        def application():
+            for _ in range(per_thread):
+                stage.throttle(Request(OperationType.OPEN, path="/f"))
+
+        def controller():
+            while not done.is_set():
+                stage.set_channel_rate("metadata", 1e9)
+                collected.append(stage.collect().channels[0].granted_ops)
+                stage.create_channel("scratch")
+                stage.remove_channel("scratch")
+                time.sleep(0.0005)  # long enough for the stage to orphan
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            control = threading.Thread(target=controller)
+            apps = [threading.Thread(target=application) for _ in range(n_threads)]
+            control.start()
+            for thread in apps:
+                thread.start()
+            for thread in apps:
+                thread.join(timeout=30.0)
+            done.set()
+            control.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not control.is_alive() and not any(t.is_alive() for t in apps)
+        collected.append(stage.collect().channels[0].granted_ops)
+        assert sum(collected) == n_threads * per_thread
+        assert stage.granted_total("metadata") == n_threads * per_thread
+        assert stage.orphan_transitions >= 1
