@@ -13,14 +13,17 @@ order), so an administrator can install a specific rule ("open calls to
 
 Fast path
 ---------
-``classify`` is called once per intercepted request -- millions of times
-per experiment -- so decisions are memoised in a generation-stamped cache
-keyed on ``(op, job_id, dirname(path))`` (the operation class is implied
-by the operation type, so it needs no key slot).  Caching per *directory*
+``classify`` (and ``decide``, the same lookup for the live wrappers, which
+hold an op and a path but no request record) is called once per
+intercepted request -- millions of times per experiment -- so decisions
+are memoised in a generation-stamped cache keyed on
+``(op value, job_id, dirname(path))`` (the operation class is implied by
+the operation type, so it needs no key slot).  Caching per *directory*
 is exact except when some rule prefix or PFS mount points at an entry
 *inside* that directory, in which case siblings can classify differently;
-those directories are precomputed and fall back to exact-path keys.  The
-cache is invalidated whenever the rule table changes.
+those directories are precomputed and fall back to exact-path keys, as do
+paths with no directory part at all.  The cache is invalidated whenever
+the rule table changes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.core.requests import OperationClass, OperationType, Request
+from repro.core.requests import OperationClass, OperationType, Request, batch_request
 
 __all__ = ["Decision", "PASSTHROUGH", "ClassifierRule", "Classifier"]
 
@@ -240,16 +243,26 @@ class Classifier:
 
     def classify(self, request: Request) -> Decision:
         """Return the decision for ``request`` (first matching rule wins)."""
-        path = request.path
-        directory = _dirname(path)
-        if directory in self._ambiguous_dirs:
-            key = (request.op, request.job_id, path, True)
+        return self.decide(request.op, request.job_id, request.path)
+
+    def decide(self, op: OperationType, job_id: str, path: str) -> Decision:
+        """:meth:`classify` for a caller that holds no :class:`Request`.
+
+        The key carries the op's value string (``Enum.__hash__`` is a
+        Python-level call) and inlines :func:`_dirname`; a hit runs no
+        other frame.  Slash-less paths -- the empty "unknown" path and
+        relative names, which decide differently -- are keyed exactly.
+        """
+        i = path.rfind("/")
+        directory = path[:i] if i > 0 else "/"
+        if i < 0 or directory in self._ambiguous_dirs:
+            key = (op._value_, job_id, path, True)
         else:
-            key = (request.op, request.job_id, directory, False)
+            key = (op._value_, job_id, directory, False)
         decision = self._cache.get(key)
         if decision is not None:
             return decision
-        decision = self._classify_uncached(request)
+        decision = self._classify_uncached(batch_request(op, path, job_id, 1.0))
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = decision

@@ -13,7 +13,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ConfigError
-from repro.core.token_bucket import TokenBucket
+from repro.core.token_bucket import UNLIMITED, TokenBucket
 
 __all__ = ["LiveTokenBucket"]
 
@@ -30,26 +30,35 @@ class LiveTokenBucket:
     ) -> None:
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
+        #: Guards the balance; a live channel keeps its grant counters
+        #: under the same lock so an admitted call takes exactly one.
+        self.lock = threading.Lock()
         self._bucket = TokenBucket(rate, capacity, now=clock())
+        #: True while the rate is ``UNLIMITED`` (written under the lock).
+        self.unlimited = rate == UNLIMITED
 
     @property
     def rate(self) -> float:
-        with self._lock:
+        with self.lock:
             return self._bucket.rate
 
     def set_rate(self, rate: float, capacity: Optional[float] = None) -> None:
-        with self._lock:
+        with self.lock:
             self._bucket.set_rate(rate, self._clock(), capacity)
+            self.unlimited = rate == UNLIMITED
 
     def tokens(self) -> float:
-        with self._lock:
+        with self.lock:
             return self._bucket.tokens(self._clock())
+
+    def take(self, n: float) -> bool:
+        """Non-blocking acquire for a caller already holding :attr:`lock`."""
+        return self._bucket.try_consume(n, self._clock())
 
     def try_acquire(self, n: float = 1.0) -> bool:
         """Non-blocking acquire."""
-        with self._lock:
-            return self._bucket.try_consume(n, self._clock())
+        with self.lock:
+            return self.take(n)
 
     def acquire(self, n: float = 1.0, timeout: Optional[float] = None) -> bool:
         """Block until ``n`` tokens are available (or ``timeout`` expires).
@@ -62,7 +71,7 @@ class LiveTokenBucket:
             raise ConfigError(f"timeout must be >= 0, got {timeout}")
         deadline = None if timeout is None else self._clock() + timeout
         while True:
-            with self._lock:
+            with self.lock:
                 now = self._clock()
                 if self._bucket.try_consume(n, now):
                     return True

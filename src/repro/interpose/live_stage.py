@@ -8,12 +8,14 @@ control verb behaves the same on both.  What this module adds is what
 only a live stage has: the wall clock the core is handed, the stage lock
 that serialises control messages against application threads, and the
 data path -- instead of queue-and-drain, the live stage *blocks the
-calling thread* in :meth:`LiveStage.throttle` until its channel's bucket
+calling thread* in :meth:`LiveStage.admit` until its channel's bucket
 grants a token, exactly what the LD_PRELOAD shim does to an application
 thread.
 
-Lock order is stage -> channel/bucket, never the reverse: the data path
-holds at most one of them at a time.
+Lock order is stage -> channel, never the reverse: the data path holds
+at most one of them at a time, and a call that is admitted without
+waiting takes exactly one lock in all -- its channel's (which is the
+bucket's), or the stage's when it is passed through.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.channel import ChannelStats
 from repro.core.differentiation import Classifier, Decision
-from repro.core.requests import Request
+from repro.core.requests import OperationType, Request
 from repro.core.stage import OrphanPolicy, StageCore, StageIdentity, StageStats
 from repro.core.token_bucket import UNLIMITED
 from repro.interpose.live_bucket import LiveTokenBucket
@@ -48,7 +50,7 @@ class _LiveChannel:
         self.bucket = bucket
         self.granted_total = 0.0
         self.window_granted = 0.0
-        self.lock = threading.Lock()
+        self.lock = bucket.lock
 
     @property
     def rate(self) -> float:
@@ -58,7 +60,18 @@ class _LiveChannel:
         # The bucket stamps the change from its own wall clock.
         self.bucket.set_rate(rate, burst)
 
+    def admit(self, count: float) -> bool:
+        """Grant ``count`` now if the bucket allows it, and count the grant
+        in the same critical section; never blocks."""
+        with self.lock:
+            if not (self.bucket.unlimited or self.bucket.take(count)):
+                return False
+            self.granted_total += count
+            self.window_granted += count
+        return True
+
     def record(self, count: float) -> None:
+        """Count a grant the caller waited for (:meth:`LiveStage._acquire`)."""
         with self.lock:
             self.granted_total += count
             self.window_granted += count
@@ -160,50 +173,64 @@ class LiveStage(StageCore):
                 return True
         return False
 
-    def throttle(self, request: Request, stop=None) -> Optional[Decision]:
-        """Classify ``request`` and block until its channel admits it.
+    def admit(
+        self,
+        op: OperationType,
+        path: str,
+        count: float = 1.0,
+        stop=None,
+        job_id: Optional[str] = None,
+    ) -> Optional[Decision]:
+        """Classify ``(op, path)`` and block until its channel admits it.
 
-        ``stop`` (a ``threading.Event``) makes the wait interruptible:
-        when it is set before the bucket grants, the request is
-        abandoned and ``None`` is returned instead of a decision.
+        The data path: the interposer's wrappers call this with the op
+        and the path text, no :class:`Request`.  ``stop`` (a
+        ``threading.Event``) makes the wait interruptible: when it is
+        set before the bucket grants, the call is abandoned and ``None``
+        is returned instead of a decision.
         """
-        request.job_id = request.job_id or self.identity.job_id
-        decision = self.classifier.classify(request)
-        if decision.enforced:
-            assert decision.channel_id is not None
-            if self._orphan_policy is not None:
-                self._check_silence()
-            channel = self._channel(decision.channel_id)
-            telemetry = self._telemetry
-            if telemetry is not None:
-                self._m_throttled.inc(request.count)
-                tracer = telemetry.tracer
-                if tracer is not None:
-                    with self._lock:
-                        ctx = tracer.sample()
-                    if ctx is not None:
-                        start = self._clock()
-                        if not self._acquire(channel, request.count, stop):
-                            return None
-                        end = self._clock()
-                        channel.record(request.count)
-                        with self._lock:
-                            tracer.emit_span(
-                                ctx, "live.throttle", start, end,
-                                channel=decision.channel_id,
-                                count=request.count,
-                                stage=self.identity.stage_id,
-                                job=self.identity.job_id,
-                            )
-                        return decision
-            if not self._acquire(channel, request.count, stop):
-                return None
-            channel.record(request.count)
-        else:
+        decision = self.classifier.decide(op, job_id or self.identity.job_id, path)
+        channel_id = decision.channel_id
+        if channel_id is None:
             with self._lock:
-                self._passthrough_total += request.count
-                self._passthrough_window += request.count
+                self._passthrough_total += count
+                self._passthrough_window += count
+            return decision
+        if self._orphan_policy is not None:
+            self._check_silence()
+        channel = self._channels.get(channel_id)
+        if channel is None:
+            channel = self._channel(channel_id)  # raises, naming the stage
+        ctx = None
+        telemetry = self._telemetry
+        if telemetry is not None:
+            self._m_throttled.inc(count)
+            tracer = telemetry.tracer
+            if tracer is not None:
+                with self._lock:
+                    ctx = tracer.sample()
+                if ctx is not None:
+                    start = self._clock()
+        if not channel.admit(count):
+            if not self._acquire(channel, count, stop):
+                return None
+            channel.record(count)
+        if ctx is not None:
+            end = self._clock()
+            with self._lock:
+                tracer.emit_span(
+                    ctx, "live.throttle", start, end,
+                    channel=channel_id,
+                    count=count,
+                    stage=self.identity.stage_id,
+                    job=self.identity.job_id,
+                )
         return decision
+
+    def throttle(self, request: Request, stop=None) -> Optional[Decision]:
+        """:meth:`admit` for a caller that already holds a request record."""
+        request.job_id = request.job_id or self.identity.job_id
+        return self.admit(request.op, request.path, request.count, stop, request.job_id)
 
     # -- monitoring -------------------------------------------------------------------
     def granted_total(self, channel_id: str) -> float:

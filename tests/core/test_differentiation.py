@@ -212,6 +212,42 @@ class TestDecisionCache:
         assert clf.classify(Request(OperationType.OPEN, path="/pfs/jobA/f1")).enforced
         assert clf.classify(Request(OperationType.OPEN, path="/pfs/jobA/f2")).enforced
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (a, b)
+            for a in ("", "rel", "/mnt/pfs/x", "/mnt/pfsx/y")
+            for b in ("", "rel", "/mnt/pfs/x", "/mnt/pfsx/y")
+            if a < b
+        ],
+    )
+    def test_decisions_do_not_depend_on_arrival_order(self, a, b):
+        """The unknown path "" is PFS-bound, a relative name is not: no
+        two paths that decide differently may share a cache key."""
+
+        def decide(order):
+            clf = Classifier([md_rule()], pfs_mounts=("/mnt/pfs",))
+            return {
+                path: clf.classify(Request(OperationType.STAT, path=path))
+                for path in order
+            }
+
+        assert decide((a, b)) == decide((b, a))
+        fresh = Classifier([md_rule()], pfs_mounts=("/mnt/pfs",))
+        for path, decision in decide((a, b)).items():
+            assert decision == fresh._classify_uncached(
+                Request(OperationType.STAT, path=path)
+            )
+
+    def test_decide_is_classify_without_the_request(self):
+        clf = Classifier([md_rule()], pfs_mounts=("/mnt/pfs",))
+        for op in (OperationType.STAT, OperationType.READ):
+            for path in ("", "rel", "/mnt/pfs/x", "/mnt/pfs", "/mnt/pfsx/y", "/"):
+                for job in ("", "job1"):
+                    assert clf.decide(op, job, path) is clf.classify(
+                        Request(op, path=path, job_id=job)
+                    )
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -221,7 +257,7 @@ class TestDecisionCache:
                     [
                         "/pfs", "/pfs/jobA", "/pfs/jobA/x", "/pfs/jobA/x/y",
                         "/pfs/jobB", "/pfs/jobB/z", "/pfsother", "/nfs/home/u",
-                        "/", "", "/pfs/jobA/x/../x/y",
+                        "/", "", "/pfs/jobA/x/../x/y", "rel", "other-rel",
                     ]
                 ),
                 st.sampled_from(["job1", "job2", ""]),

@@ -183,3 +183,102 @@ class TestFdBasedCalls:
         assert ip._fd_paths == {}
         # os.open restored to the original.
         assert not hasattr(os.open, "__wrapped__")
+
+
+@pytest.fixture
+def mounted(tmp_path):
+    """A PFS mount and a local directory side by side, by the real paths
+    ``os.getcwd()`` reports, and a stage enforcing metadata on the mount."""
+    root = os.path.realpath(tmp_path)
+    pfs, local = os.path.join(root, "pfs"), os.path.join(root, "local")
+    os.mkdir(pfs)
+    os.mkdir(local)
+    stage = LiveStage(StageIdentity("mp1", "jobM"), pfs_mounts=(pfs,))
+    stage.create_channel("metadata")
+    stage.add_classifier_rule(
+        ClassifierRule(
+            "md", "metadata", op_classes=frozenset({OperationClass.METADATA})
+        )
+    )
+    return stage, pfs, local
+
+
+class TestPathResolution:
+    def test_relative_paths_inside_a_mount_are_enforced(self, mounted, monkeypatch):
+        stage, pfs, _ = mounted
+        monkeypatch.chdir(pfs)
+        with Interposer(stage, wrap_file_io=False):
+            fd = os.open("rel", os.O_CREAT | os.O_WRONLY)
+            os.stat("rel")
+            os.stat("./rel")
+            os.close(fd)
+        assert stage.granted_total("metadata") == 4.0
+        assert stage.passthrough_total == 0.0
+
+    def test_relative_paths_outside_every_mount_pass_through(self, mounted, monkeypatch):
+        stage, pfs, local = mounted
+        monkeypatch.chdir(local)
+        with Interposer(stage, wrap_file_io=False):
+            os.close(os.open("rel", os.O_CREAT | os.O_WRONLY))
+            os.stat("rel")
+            # Lexically back out of the local directory and into the mount.
+            os.stat(os.path.join("..", "pfs"))
+        assert stage.passthrough_total == 3.0
+        assert stage.granted_total("metadata") == 1.0
+
+    def test_relative_builtin_open_is_enforced(self, mounted, monkeypatch):
+        stage, pfs, _ = mounted
+        monkeypatch.chdir(pfs)
+        with Interposer(stage):
+            open("rel", "w").close()
+        assert stage.granted_total("metadata") == 2.0  # open + close
+
+    def test_bytes_and_pathlike_paths_classify_like_str(self, mounted):
+        import pathlib
+
+        stage, pfs, local = mounted
+        with Interposer(stage, wrap_file_io=False):
+            os.stat(os.fsencode(pfs))
+            os.stat(pathlib.Path(pfs))
+            os.stat(os.fsencode(local))
+        assert stage.granted_total("metadata") == 2.0
+        assert stage.passthrough_total == 1.0
+
+    def test_symlink_is_classified_by_the_link_not_its_target(self, mounted):
+        stage, pfs, local = mounted
+        with Interposer(stage, wrap_file_io=False):
+            # Link made on the PFS, pointing at local text: PFS metadata work.
+            os.symlink(os.path.join(local, "target"), os.path.join(pfs, "ln"))
+            assert stage.granted_total("metadata") == 1.0
+            # Link made locally, pointing into the PFS: no PFS work at all.
+            os.symlink(os.path.join(pfs, "target"), os.path.join(local, "ln"))
+        assert stage.granted_total("metadata") == 1.0
+        assert stage.passthrough_total == 1.0
+
+    def test_keyword_paths_are_classified(self, mounted):
+        stage, pfs, local = mounted
+        with Interposer(stage, wrap_file_io=False):
+            os.mkdir(path=os.path.join(local, "d"))
+            os.stat(path=os.path.join(local, "d"))
+            os.symlink(src="anything", dst=os.path.join(local, "ln2"))
+            os.rename(src=os.path.join(local, "d"), dst=os.path.join(local, "e"))
+            assert stage.granted_total("metadata") == 0.0
+            os.stat(path=pfs)
+            os.close(fd=os.open(path=os.path.join(pfs, "k"), flags=os.O_CREAT | os.O_WRONLY))
+        # mkdir is directory management, which this stage has no rule for.
+        assert stage.passthrough_total == 4.0
+        assert stage.granted_total("metadata") == 3.0
+
+    def test_unknown_path_after_a_relative_name_is_not_passed_through(self, mounted, monkeypatch):
+        # Both once shared the decision-cache key of "".
+        stage, _, local = mounted
+        monkeypatch.chdir(local)
+        pre_fd = os.open(os.path.join(local, "pre"), os.O_CREAT | os.O_WRONLY)
+        try:
+            with Interposer(stage, wrap_file_io=False):
+                os.stat("pre")
+                os.stat(pre_fd)  # unknown path: conservatively PFS-bound
+        finally:
+            os.close(pre_fd)
+        assert stage.passthrough_total == 1.0
+        assert stage.granted_total("metadata") == 1.0

@@ -88,6 +88,26 @@ def test_live_stage_control_calls_keep_the_benchmark_signatures():
     assert live.collect(7.0).timestamp == 7.0
 
 
+def test_live_stage_throttle_takes_a_request_positionally():
+    # live_control_wire's demand generator and live_interpose's isolated
+    # drive call ``stage.throttle(Request(...))``; the interposer's own
+    # path is ``admit(op, path)``, and the two must stay one path.
+    from repro.core.requests import OperationType, Request
+
+    live = live_stage.LiveStage(stage.StageIdentity("s0", "job0"))
+    live.create_channel("metadata")
+    live.add_classifier_rule(
+        differentiation.ClassifierRule(
+            "md", "metadata", op_types=frozenset({OperationType.OPEN})
+        )
+    )
+    decision = live.throttle(Request(OperationType.OPEN, path="/pfs/f", count=3.0))
+    assert decision.channel_id == "metadata"
+    assert live.admit(OperationType.OPEN, "/pfs/f") is decision
+    assert live.granted_total("metadata") == 4.0
+    assert "admit" in vars(live_stage.LiveStage)
+
+
 def test_flat_plane_message_names():
     # The layer metrics read ``core.fabric.call[CollectStats]`` and
     # ``core.fabric.call[EnforceRate]`` -- keyed on the class name.
