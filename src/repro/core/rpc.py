@@ -9,9 +9,10 @@ This module owns the *verbs* (typed messages) and the server-side
 dispatcher (:class:`StageEndpoint`).  The wire stack around them is
 layered:
 
-* :mod:`repro.core.wire` -- the codec: versioned, length-prefixed
-  binary framing for every verb defined here (``WIRE_VERSION``
-  handshake, exact float round-trip);
+* :mod:`repro.core.wire` -- the codec: a versioned, length-prefixed
+  frame (20-byte binary header, ``WIRE_VERSION`` handshake) around a
+  canonical-JSON payload in which every verb defined here travels as a
+  tagged object and every float round-trips exactly;
 * :mod:`repro.core.transport` -- the delivery interface
   (:class:`~repro.core.transport.Transport`) with the in-process
   implementation; :mod:`repro.net` adds the socket implementation;

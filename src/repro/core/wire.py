@@ -5,7 +5,9 @@ this module owns the *codec* -- how verbs, replies, and telemetry
 documents become bytes -- and :mod:`repro.core.transport` /
 :mod:`repro.net` own *delivery*.  Keeping the codec pure (no sockets, no
 clocks, no threads) lets it live in the deterministic layer and be
-golden-tested byte-for-byte.
+golden-tested byte-for-byte (``tests/net/test_wire_golden.py`` holds the
+literal corpus; it is the codec's reference, there is no second
+implementation to compare against).
 
 Framing
 -------
@@ -21,14 +23,25 @@ refused by :class:`FrameDecoder` before any allocation.
 
 Payloads
 --------
-Payloads are canonical JSON (sorted keys, compact separators) over a
-tagged value encoding.  Python's ``json`` emits floats with
-``repr``-shortest round-trip text, so every double survives the wire
-bit-exactly -- the property the cross-transport bit-identity test pins.
+Payloads are canonical JSON (sorted keys, compact separators, ASCII
+only) over a tagged value encoding.  Floats are written with
+``float.__repr__`` -- the shortest text that reads back as the same
+double -- and the non-finite ones as the ``Infinity`` / ``-Infinity`` /
+``NaN`` tokens ``json`` accepts, so every double survives the wire
+bit-exactly: the property the cross-transport bit-identity test pins.
 Tuples, frozensets, enums, and registered dataclasses are encoded as
 ``{"!t": tag, "f": ...}`` objects so decode restores the exact Python
 shape (a ``StageStats`` decoded from the wire compares equal to the one
 that was sent).
+
+Both directions walk a message once.  :func:`register_codec` /
+:func:`register_enum` compile, when they are called, an *emitter* per class
+that writes the canonical text directly (tag text precomputed, all
+fields fetched by one ``attrgetter``) and a *reviver* per tag; encode
+dispatches on the exact type of each node, decode hands one
+``object_hook`` to the C JSON parser, which revives tagged objects
+bottom-up as it closes them.  :func:`decode_payload` raises only
+:class:`~repro.errors.WireError`, whatever the payload holds.
 
 Every RPC verb must be registered here via :func:`register_codec` with
 an explicit positional field tuple; the lint rules WIRE001/WIRE002
@@ -40,8 +53,9 @@ class's declared fields.
 from __future__ import annotations
 
 import json
+import operator
 import struct
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 import repro.errors as _errors
 from repro.errors import RPCError, WireError
@@ -77,8 +91,6 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "encode_frame",
-    "encode_value",
-    "decode_value",
     "encode_payload",
     "decode_payload",
     "hello_payload",
@@ -127,15 +139,97 @@ class Frame(NamedTuple):
 
 
 # -- tagged value codec ------------------------------------------------------
+# One walk each way.  Encode: ``_EMIT`` maps an exact type to a function
+# that returns the value's canonical JSON text, children included;
+# ``register_codec`` / ``register_enum`` compile one such emitter per class.
+# Decode: the C parser calls ``_revive`` on every JSON object as it closes
+# it -- children first -- and ``_REVIVE`` maps a tag to the function that
+# turns the already-revived body into the Python value.
 
-class _Codec(NamedTuple):
-    cls: type
-    tag: str
-    fields: Tuple[str, ...]
+_escape = json.encoder.encode_basestring_ascii
+
+_REVIVE: Dict[str, Callable[[Any], Any]] = {
+    "tuple": tuple,
+    "frozenset": frozenset,
+    "dict": dict,
+}
+_BUILTIN_TAGS = frozenset(_REVIVE)
+
+_INF = float("inf")
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-_BY_CLASS: Dict[type, _Codec] = {}
-_BY_TAG: Dict[str, Callable[[Any], Any]] = {}
+def _emit_base(value: Any) -> str:
+    """The emitter for a type ``_EMIT`` does not list: a subclass that
+    travels as its base (an unregistered NamedTuple is a tuple, an
+    IntEnum an int), or a class with no codec at all."""
+    for base in (int, str, float, tuple, list, frozenset, set, dict):
+        if isinstance(value, base):
+            return _EMIT[base](value)
+    cls = type(value)
+    raise WireError(f"no wire codec for {cls.__module__}.{cls.__qualname__}")
+
+
+def _emit(value: Any) -> str:
+    """The canonical JSON text of one value, children included."""
+    return _EMIT.get(type(value), _emit_base)(value)
+
+
+def _join(items: Any) -> str:
+    # ``_emit`` spelt out: called through ``map`` it would be one more
+    # Python frame for every node of every message.
+    return ",".join([_EMIT.get(type(item), _emit_base)(item) for item in items])
+
+
+def _emit_float(value: float) -> str:
+    # repr is the shortest text that round-trips the double exactly.
+    if -_INF < value < _INF:
+        return float.__repr__(value)
+    return _NON_FINITE[float.__repr__(value)]
+
+
+def _emit_list(value: Any) -> str:
+    return "[" + _join(value) + "]"
+
+
+def _emit_tuple(value: Any) -> str:
+    return '{"!t":"tuple","f":[' + _join(value) + "]}"
+
+
+def _emit_set(value: Any) -> str:
+    # Set order is hash order; the sorted element texts are the canon.
+    return '{"!t":"frozenset","f":[' + ",".join(sorted(map(_emit, value))) + "]}"
+
+
+def _emit_dict(value: Any) -> str:
+    items = {str(key): _emit(item) for key, item in value.items()}
+    if _TAG in items:
+        # A plain object carrying "!t" would read back as a tagged
+        # value; it travels as a tagged list of [key, value] pairs.
+        pairs = [f"[{_escape(key)},{items[key]}]" for key in sorted(items)]
+        return '{"!t":"dict","f":[' + ",".join(pairs) + "]}"
+    return "{" + ",".join([f"{_escape(key)}:{items[key]}" for key in sorted(items)]) + "}"
+
+
+_EMIT: Dict[type, Callable[[Any], str]] = {
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    str: _escape,
+    float: _emit_float,
+    list: _emit_list,
+    tuple: _emit_tuple,
+    frozenset: _emit_set,
+    set: _emit_set,
+    dict: _emit_dict,
+}
+
+
+def _claim(cls: type, tag: str) -> None:
+    if tag in _REVIVE:
+        raise WireError(f"wire tag {tag!r} already registered")
+    if cls in _EMIT:
+        raise WireError(f"class {cls.__name__} already has a wire codec")
 
 
 def register_codec(cls: type, tag: str, fields: Tuple[str, ...]) -> None:
@@ -145,123 +239,116 @@ def register_codec(cls: type, tag: str, fields: Tuple[str, ...]) -> None:
     attributes in that order and decode calls ``cls(*decoded)``.  The
     field tuple is validated against the class's actual attributes at
     registration time, and statically (arity vs. declared fields) by the
-    WIRE002 lint rule.
+    WIRE002 lint rule.  Both directions are compiled here, once: the
+    emitter closes over the tag's text and one ``attrgetter`` for all
+    the fields, the reviver over the class and its arity.
     """
-    if tag in _BY_TAG:
-        raise WireError(f"wire tag {tag!r} already registered")
-    if cls in _BY_CLASS:
-        raise WireError(f"class {cls.__name__} already has a wire codec")
+    _claim(cls, tag)
+    fields = tuple(fields)
     declared = getattr(cls, "__dataclass_fields__", None)
     if declared is not None:
         init_fields = tuple(
             name for name, f in declared.items() if f.init
         )
-        if tuple(fields) != init_fields:
+        if fields != init_fields:
             raise WireError(
                 f"wire codec for {cls.__name__} registers fields {fields}, "
                 f"but the dataclass declares {init_fields}"
             )
     named = getattr(cls, "_fields", None)
-    if named is not None and tuple(fields) != tuple(named):
+    if named is not None and fields != tuple(named):
         raise WireError(
             f"wire codec for {cls.__name__} registers fields {fields}, "
             f"but the NamedTuple declares {tuple(named)}"
         )
-    codec = _Codec(cls=cls, tag=tag, fields=tuple(fields))
-    _BY_CLASS[cls] = codec
+    head = f'{{"!t":{_escape(tag)},"f":['
+    arity = len(fields)
+    read = operator.attrgetter(*fields)
+    if arity == 1:
 
-    def _decode(doc: Any) -> Any:
-        if not isinstance(doc, list) or len(doc) != len(codec.fields):
-            raise WireError(
-                f"tag {tag!r} expects {len(codec.fields)} fields, got {doc!r}"
-            )
-        return codec.cls(*(decode_value(item) for item in doc))
+        def emit(value: Any) -> str:
+            return head + _emit(read(value)) + "]}"
 
-    _BY_TAG[tag] = _decode
+    else:
+
+        def emit(value: Any) -> str:
+            return head + _join(read(value)) + "]}"
+
+    def revive(body: Any) -> Any:
+        if type(body) is not list or len(body) != arity:
+            raise WireError(f"tag {tag!r} expects {arity} fields, got {body!r}")
+        return cls(*body)
+
+    _EMIT[cls] = emit
+    _REVIVE[tag] = revive
 
 
 def register_enum(cls: type, tag: str) -> None:
     """Register an :class:`enum.Enum` codec: members travel by value."""
-    if tag in _BY_TAG:
-        raise WireError(f"wire tag {tag!r} already registered")
-    if cls in _BY_CLASS:
-        raise WireError(f"class {cls.__name__} already has a wire codec")
-    _BY_CLASS[cls] = _Codec(cls=cls, tag=tag, fields=())
-    _BY_TAG[tag] = lambda doc: cls(doc)
+    _claim(cls, tag)
+    head = f'{{"!t":{_escape(tag)},"f":'
+    _EMIT[cls] = lambda member: head + _emit(member.value) + "}"
+    _REVIVE[tag] = cls
 
 
 def registered_tags() -> Tuple[str, ...]:
-    return tuple(sorted(_BY_TAG))
-
-
-def encode_value(value: Any) -> Any:
-    """Lower a Python value into the JSON-safe tagged form."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        # json round-trips floats exactly (repr-shortest); Infinity/NaN
-        # are emitted as bare tokens, which json.loads accepts back.
-        return value
-    cls = type(value)
-    codec = _BY_CLASS.get(cls)
-    if codec is not None:
-        if codec.fields:
-            return {
-                _TAG: codec.tag,
-                "f": [encode_value(getattr(value, name)) for name in codec.fields],
-            }
-        return {_TAG: codec.tag, "f": value.value}
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "f": [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_value(item) for item in value]
-    if isinstance(value, (frozenset, set)):
-        encoded = [encode_value(item) for item in value]
-        encoded.sort(key=lambda doc: json.dumps(doc, sort_keys=True))
-        return {_TAG: "frozenset", "f": encoded}
-    if isinstance(value, dict):
-        items = {str(k): encode_value(v) for k, v in value.items()}
-        if _TAG in items:
-            return {_TAG: "dict", "f": sorted(items.items())}
-        return items
-    raise WireError(f"no wire codec for {cls.__module__}.{cls.__qualname__}")
-
-
-def decode_value(doc: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(doc, list):
-        return [decode_value(item) for item in doc]
-    if not isinstance(doc, dict):
-        return doc
-    tag = doc.get(_TAG)
-    if tag is None:
-        return {key: decode_value(item) for key, item in doc.items()}
-    body = doc.get("f")
-    if tag == "tuple":
-        return tuple(decode_value(item) for item in body)
-    if tag == "frozenset":
-        return frozenset(decode_value(item) for item in body)
-    if tag == "dict":
-        return {key: decode_value(item) for key, item in body}
-    decoder = _BY_TAG.get(tag)
-    if decoder is None:
-        raise WireError(f"unknown wire tag {tag!r}")
-    return decoder(body)
+    return tuple(sorted(_REVIVE.keys() - _BUILTIN_TAGS))
 
 
 def encode_payload(value: Any) -> bytes:
-    """Canonical JSON bytes for one frame payload."""
-    return json.dumps(
-        encode_value(value), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """Canonical JSON bytes for one frame payload.
+
+    Sorted keys, compact separators, ASCII-only text: byte for byte what
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
+    the tagged document, produced in one walk over the value.
+    """
+    return _emit(value).encode("ascii")
+
+
+def _revive(doc: Dict[str, Any]) -> Any:
+    tag = doc.get(_TAG)
+    if tag is None:
+        return doc
+    try:
+        reviver = _REVIVE[tag]
+    except (KeyError, TypeError):
+        raise WireError(f"unknown wire tag {tag!r}") from None
+    return reviver(doc.get("f"))
+
+
+_decoder = json.JSONDecoder(object_hook=_revive)
+_scan = _decoder.scan_once
 
 
 def decode_payload(data: bytes) -> Any:
+    """The value one frame payload carries; raises only :class:`WireError`.
+
+    A payload is hostile until proven otherwise: text that is not JSON,
+    an unknown tag, a body its class refuses (wrong arity, an enum value
+    that does not exist, a rule that constrains nothing), nesting deep
+    enough to exhaust the stack -- each is a ``WireError`` naming the
+    cause, never a bare exception in the reader thread.
+    """
     try:
-        doc = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        try:
+            value, end = _scan(text, 0)
+        except StopIteration:
+            end = None
+        if end == len(text):
+            return value
+        # Not one canonical document: padded with whitespace (legal
+        # JSON) or followed by garbage.  The stock entry point tells the
+        # two apart, at the price of a second parse.
+        return _decoder.decode(text)
+    except WireError:
+        raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"malformed frame payload: {exc}") from exc
-    return decode_value(doc)
+    except Exception as exc:  # noqa: BLE001 - whatever a constructor raises
+        raise WireError(
+            f"frame payload does not revive: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # -- error transport ---------------------------------------------------------
@@ -325,37 +412,45 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Frame]:
-        self._buffer.extend(data)
+        # A chunk that holds whole frames is parsed where it lies; only
+        # the tail of a frame still arriving is copied into the buffer.
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            source: Any = buffer
+        else:
+            source = data
         frames: List[Frame] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[Frame]:
-        if len(self._buffer) < HEADER_SIZE:
-            return None
-        magic, version, kind, _reserved, corr_id, length = _HEADER.unpack_from(
-            self._buffer
-        )
-        if magic != MAGIC:
-            raise WireError(f"bad frame magic {bytes(magic)!r}")
-        if kind not in _FRAME_KINDS:
-            raise WireError(f"unknown frame kind {kind}")
-        if length > MAX_FRAME:
-            raise WireError(
-                f"frame payload {length} bytes exceeds MAX_FRAME {MAX_FRAME}"
+        size = len(source)
+        offset = 0
+        while size - offset >= HEADER_SIZE:
+            magic, version, kind, _reserved, corr_id, length = _HEADER.unpack_from(
+                source, offset
             )
-        if version != WIRE_VERSION and kind != FRAME_HELLO:
-            raise WireError(
-                f"frame version {version} != WIRE_VERSION {WIRE_VERSION}"
+            if magic != MAGIC:
+                raise WireError(f"bad frame magic {bytes(magic)!r}")
+            if kind not in _FRAME_KINDS:
+                raise WireError(f"unknown frame kind {kind}")
+            if length > MAX_FRAME:
+                raise WireError(
+                    f"frame payload {length} bytes exceeds MAX_FRAME {MAX_FRAME}"
+                )
+            if version != WIRE_VERSION and kind != FRAME_HELLO:
+                raise WireError(
+                    f"frame version {version} != WIRE_VERSION {WIRE_VERSION}"
+                )
+            end = offset + HEADER_SIZE + length
+            if end > size:
+                break
+            frames.append(
+                Frame(kind, corr_id, bytes(source[offset + HEADER_SIZE:end]), version)
             )
-        if len(self._buffer) < HEADER_SIZE + length:
-            return None
-        payload = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
-        del self._buffer[:HEADER_SIZE + length]
-        return Frame(kind=kind, corr_id=corr_id, payload=payload, version=version)
+            offset = end
+        if source is buffer:
+            del buffer[:offset]
+        elif offset < size:
+            buffer += memoryview(data)[offset:]
+        return frames
 
 
 # -- handshake ---------------------------------------------------------------

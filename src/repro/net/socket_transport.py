@@ -16,6 +16,9 @@ Threading model (documented in docs/TRANSPORT.md):
   connection therefore serialise, matching the controller's sequential
   per-stage calls), REPLY/ERROR frames resolve the pending-request
   table by correlation id, PUSH frames invoke the ``on_push`` callback;
+* a caller waits for its reply on a one-shot latch -- a bare lock the
+  reader releases -- not on a :class:`threading.Event` (see
+  :class:`_Waiter`);
 * writers serialise on a per-connection send lock; any thread may send;
 * the listener owns one accept thread; closing the listening socket is
   the shutdown signal.
@@ -25,6 +28,14 @@ abandons its correlation id and raises :class:`~repro.errors.RPCError`.
 A reply that arrives after abandonment (or for an id this side never
 issued) is counted in :attr:`WireConnection.stale_replies` and
 discarded -- stale replies must never be mistaken for fresh ones.
+
+Failure containment: a payload that does not decode, a handler that
+raises, and a return value with no codec each fail the *one* request
+they belong to (an ERROR frame for that correlation id); framing faults
+are unrecoverable mid-stream and close the connection; and anything
+else that escapes the reader closes it too, with the exception named in
+``close_reason`` -- a reader thread never dies leaving a connection that
+looks open.
 
 Handshake: both ends send a HELLO frame first and refuse the peer on a
 ``WIRE_VERSION`` mismatch (an ERROR frame is returned so the peer can
@@ -66,14 +77,30 @@ DEFAULT_DEADLINE = 5.0
 
 
 class _Waiter:
-    """One in-flight request: an event plus its eventual outcome."""
+    """One in-flight request: a one-shot latch plus its eventual outcome.
 
-    __slots__ = ("event", "value", "error")
+    The latch is a bare lock, taken here and released exactly once by
+    whoever removes the waiter from the pending table (the reader with
+    the reply, or ``_shutdown``); the caller's ``wait`` is a timed
+    acquire.  One waiter and one releaser is all a reply hand-off needs,
+    and a :class:`threading.Event` pays for more: a second lock inside a
+    ``Condition`` per wait and a ``notify_all`` per set.
+    """
+
+    __slots__ = ("_latch", "value", "error")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self.value: Any = None
         self.error: Optional[BaseException] = None
+
+    def resolve(self) -> None:
+        self._latch.release()
+
+    def wait(self, timeout: float) -> bool:
+        """True once resolved; False if ``timeout`` (>= 0) seconds pass first."""
+        return self._latch.acquire(True, timeout)
 
 
 class WireConnection:
@@ -164,7 +191,7 @@ class WireConnection:
             self._pending.clear()
         for waiter in waiters:
             waiter.error = RPCError(f"connection {self.name!r} closed: {reason}")
-            waiter.event.set()
+            waiter.resolve()
         if notify and self._on_close is not None:
             callback, self._on_close = self._on_close, None
             try:
@@ -206,7 +233,7 @@ class WireConnection:
             with self._pending_lock:
                 self._pending.pop(corr_id, None)
             raise
-        if not waiter.event.wait(deadline):
+        if not waiter.wait(deadline):
             # Abandon the id: a reply landing later is stale by definition.
             with self._pending_lock:
                 abandoned = self._pending.pop(corr_id, None) is not None
@@ -215,7 +242,7 @@ class WireConnection:
                     f"request to {address!r} missed its {deadline}s deadline"
                 )
             # Lost the race: the reader resolved it between wait and pop.
-            waiter.event.wait(1.0)
+            waiter.wait(1.0)
         if waiter.error is not None:
             raise waiter.error
         return waiter.value
@@ -240,6 +267,11 @@ class WireConnection:
             except RPCError:
                 pass
             self._shutdown(f"protocol error: {exc}", notify=True)
+            return
+        except Exception as exc:  # noqa: BLE001 - never die leaving the link open
+            self._shutdown(
+                f"reader failed: {type(exc).__name__}: {exc}", notify=True
+            )
             return
         if self._decoder.pending:
             self._shutdown(
@@ -297,13 +329,16 @@ class WireConnection:
             )
             return
         try:
-            value = handler(message)
+            # A return value without a codec fails this one request, like
+            # any other handler error; the link and its other addresses
+            # stay up.
+            reply = encode_payload(handler(message))
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
             self._send_frame(
                 FRAME_ERROR, frame.corr_id, encode_payload(error_payload(exc))
             )
             return
-        self._send_frame(FRAME_REPLY, frame.corr_id, encode_payload(value))
+        self._send_frame(FRAME_REPLY, frame.corr_id, reply)
 
     def _resolve(self, frame) -> None:
         if frame.corr_id == 0:
@@ -331,7 +366,7 @@ class WireConnection:
                 waiter.value = decode_payload(frame.payload)
         except WireError as exc:
             waiter.error = exc
-        waiter.event.set()
+        waiter.resolve()
 
 
 class _RemoteEndpoint:

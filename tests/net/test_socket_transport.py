@@ -23,6 +23,7 @@ from repro.core.wire import (
     FRAME_ERROR,
     FRAME_HELLO,
     FRAME_REPLY,
+    FRAME_REQUEST,
     MAX_FRAME,
     WIRE_VERSION,
     FrameDecoder,
@@ -32,7 +33,7 @@ from repro.core.wire import (
     hello_payload,
 )
 from repro.errors import RPCError, StageNotRegistered, WireError
-from repro.net import SocketTransport
+from repro.net import SocketTransport, WireConnection
 
 
 def _drain_frames(sock, decoder, want, timeout=5.0):
@@ -262,3 +263,158 @@ class TestStaleReplies:
         assert _wait(lambda: accepted.stale_replies == 1)
         assert not accepted.closed
         raw.close()
+
+
+class TestReplyWithoutCodec:
+    def test_only_that_request_fails(self, pair):
+        """A handler's unencodable return value is that request's error,
+        not a protocol fault that drops every address on the link."""
+
+        class Mystery:
+            pass
+
+        worker = SocketTransport()
+        worker.bind("bad", lambda message: Mystery())
+        worker.bind("good", lambda message: "fine")
+        dialed = worker.connect(pair.host, pair.port, name="worker")
+        accepted = pair.wait_accepted()
+        pair.transport.attach("bad", accepted)
+        pair.transport.attach("good", accepted)
+        with pytest.raises(WireError, match="no wire codec for .*Mystery"):
+            pair.transport.call("bad", Ping())
+        assert pair.transport.call("good", Ping()) == "fine"
+        assert not accepted.closed and not dialed.closed
+        worker.close()
+
+
+#: Well-framed, well-formed JSON whose tagged value cannot be revived, and
+#: the exception the reviver meets on the way.
+HOSTILE_PAYLOADS = [
+    pytest.param(b'{"!t":"OperationType","f":"nope"}', "ValueError", id="enum-value"),
+    pytest.param(b'{"!t":"tuple","f":5}', "TypeError", id="tuple-of-int"),
+    pytest.param(b'{"!t":"CollectStats","f":[1.0,2.0]}', "expects 1 fields", id="arity"),
+    pytest.param(
+        b'{"!t":"ClassifierRule","f":["","metadata",null,null,null,null,0]}',
+        "ConfigError",
+        id="constructor-refuses",
+    ),
+    pytest.param(b'{"!t":["unhashable"],"f":[]}', "unknown wire tag", id="tag-unhashable"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "RecursionError", id="nesting"),
+]
+
+
+class _Link:
+    """A started :class:`WireConnection` with the test as its raw peer."""
+
+    def __init__(self, registry=lambda address: None):
+        ours, self.peer = socket.socketpair()
+        self.closed_with = []
+        self.decoder = FrameDecoder()
+        self.connection = WireConnection(
+            ours, registry, on_close=self.closed_with.append, name="under-test"
+        ).start()
+        self.peer.sendall(encode_frame(FRAME_HELLO, 0, encode_payload(hello_payload())))
+        assert _drain_frames(self.peer, self.decoder, 1)[0].kind == FRAME_HELLO
+        self.connection.handshake()
+
+    def request_in_thread(self, address, deadline=5.0):
+        """Issue a request nobody answers yet; returns (thread, outcome)."""
+        outcome = {}
+
+        def call():
+            start = time.monotonic()
+            try:
+                outcome["value"] = self.connection.request(address, Ping(), deadline)
+            except BaseException as exc:  # noqa: BLE001 - the test inspects it
+                outcome["error"] = exc
+            outcome["seconds"] = time.monotonic() - start
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    def close(self):
+        self.connection.close()
+        self.peer.close()
+
+
+@pytest.fixture()
+def link():
+    made = _Link()
+    yield made
+    made.close()
+
+
+class TestHostilePayloads:
+    """A payload that parses but does not revive is a ``WireError`` for the
+    one request it belongs to.  It must never kill the reader thread,
+    which would leave a connection that looks open and answers nothing."""
+
+    @pytest.mark.parametrize("payload, names", HOSTILE_PAYLOADS)
+    def test_decode_payload_raises_only_wire_error(self, payload, names):
+        with pytest.raises(WireError, match=names):
+            decode_payload(payload)
+
+    @pytest.mark.parametrize("payload, names", HOSTILE_PAYLOADS)
+    def test_as_request(self, link, payload, names):
+        thread, outcome = link.request_in_thread("elsewhere")
+        assert _drain_frames(link.peer, link.decoder, 1)[0].kind == FRAME_REQUEST
+        link.peer.sendall(encode_frame(FRAME_REQUEST, 41, payload))
+        refusal = _drain_frames(link.peer, link.decoder, 1)[0]
+        assert (refusal.kind, refusal.corr_id) == (FRAME_ERROR, 41)
+        doc = decode_payload(refusal.payload)
+        assert doc["error"] == "WireError" and names in doc["detail"]
+        # The link still serves, and the request in flight is untouched.
+        link.peer.sendall(
+            encode_frame(FRAME_REQUEST, 42, encode_payload({"to": "x", "msg": Ping()}))
+        )
+        unbound = _drain_frames(link.peer, link.decoder, 1)[0]
+        assert (unbound.kind, unbound.corr_id) == (FRAME_ERROR, 42)
+        link.peer.sendall(encode_frame(FRAME_REPLY, 1, encode_payload("answered")))
+        thread.join(5.0)
+        assert outcome.get("value") == "answered"
+        assert not link.connection.closed and link.closed_with == []
+
+    @pytest.mark.parametrize("payload, names", HOSTILE_PAYLOADS)
+    def test_as_reply(self, link, payload, names):
+        thread, outcome = link.request_in_thread("elsewhere")
+        request = _drain_frames(link.peer, link.decoder, 1)[0]
+        link.peer.sendall(encode_frame(FRAME_REPLY, request.corr_id, payload))
+        thread.join(5.0)
+        assert isinstance(outcome.get("error"), WireError), outcome
+        assert names in str(outcome["error"])
+        assert outcome["seconds"] < 2.0  # failed on arrival, not at its deadline
+        assert not link.connection.closed and link.closed_with == []
+        assert link.connection._reader.is_alive()
+
+
+class TestReaderFailure:
+    def test_an_escaping_exception_shuts_the_connection_down(self):
+        """Whatever still gets past the per-frame handling must close the
+        link loudly: closed, ``on_close`` fired, reader gone, and the
+        requests in flight failed now rather than at their deadline."""
+
+        def registry(address):
+            raise RuntimeError(f"registry exploded on {address!r}")
+
+        link = _Link(registry)
+        thread, outcome = link.request_in_thread("elsewhere", deadline=30.0)
+        assert _drain_frames(link.peer, link.decoder, 1)[0].kind == FRAME_REQUEST
+        link.peer.sendall(
+            encode_frame(FRAME_REQUEST, 7, encode_payload({"to": "x", "msg": Ping()}))
+        )
+        thread.join(5.0)
+        connection = link.connection
+        assert isinstance(outcome.get("error"), RPCError), outcome
+        assert "RuntimeError" in str(outcome["error"])
+        assert outcome["seconds"] < 5.0
+        assert _wait(lambda: connection.closed)
+        assert connection.close_reason == (
+            "reader failed: RuntimeError: registry exploded on 'x'"
+        )
+        assert link.closed_with == [connection]
+        connection._reader.join(5.0)
+        assert not connection._reader.is_alive()
+        with pytest.raises(OSError):
+            connection._sock.getpeername()  # the socket is closed, not leaked
+        link.close()
