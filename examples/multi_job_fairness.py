@@ -14,7 +14,6 @@ Run:  python examples/multi_job_fairness.py
 from __future__ import annotations
 
 from repro.analysis.fairness import jains_index, reservation_satisfaction
-from repro.monitoring.report import cluster_report
 from repro.analysis.plots import ascii_plot
 from repro.core.algorithms import ProportionalSharing
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
@@ -76,8 +75,6 @@ def main() -> None:
         )
     print(f"Jain's fairness index of achieved rates: "
           f"{jains_index(list(achieved.values())):.3f}")
-    print()
-    print(cluster_report(world.cluster, now=900.0))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ Subcommands::
     padll-repro ablation lag|burst|loop
     padll-repro sweep fig4|fig5|ablations|harm|overhead|sharded|all [--jobs N]
     padll-repro sharded [--shards N] [--digest-only]
-    padll-repro perfbench [--smoke] [--out DIR] [--compare [BENCH.json]]
     padll-repro lint [paths ...] [--format json] [--baseline] [--write-baseline]
     padll-repro serve [--port 9178] [--duration N] [--policy CONFIG.json]
 
@@ -25,6 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
+from repro.runner import ARTEFACTS, GRIDS, SweepRunner, grid, resolve
 
 __all__ = ["main", "build_parser"]
 
@@ -120,13 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -- experiments --------------------------------------------------------------
     exp = sub.add_parser("experiment", help="regenerate a paper artefact")
-    exp.add_argument(
-        "name",
-        choices=(
-            "fig1", "fig2", "fig4", "fig4-sharded", "fig5", "overhead", "harm",
-            "cost-aware", "dependability",
-        ),
-    )
+    exp.add_argument("name", choices=tuple(ARTEFACTS))
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument(
         "--export",
@@ -148,10 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "grid",
-        choices=(
-            "fig4", "fig5", "ablations", "harm", "overhead", "dependability",
-            "sharded", "all",
-        ),
+        choices=(*GRIDS, "all"),
         help="which artefact grid to run",
     )
     sweep.add_argument("--seed", type=int, default=0)
@@ -177,67 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="scaled-down durations (CI smoke / local sanity runs)",
-    )
-
-    # -- perfbench ------------------------------------------------------------------
-    bench = sub.add_parser(
-        "perfbench",
-        help="run the performance benchmarks and record a BENCH_*.json point",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="runs per benchmark (best is kept)"
-    )
-    bench.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="work-size multiplier (metrics are work/second, so results "
-        "from different scales stay comparable)",
-    )
-    bench.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        help="untimed runs of each benchmark before the recorded repeats",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI preset: --scale 0.05 --repeats 1 --warmup 0",
-    )
-    bench.add_argument(
-        "--label", default="", help="free-form tag stored in the report"
-    )
-    bench.add_argument(
-        "--out",
-        metavar="DIR",
-        default="benchmarks",
-        help="directory for BENCH_<stamp>.json (default: benchmarks/)",
-    )
-    bench.add_argument(
-        "--only",
-        metavar="NAME",
-        action="append",
-        default=None,
-        help="run only this benchmark (repeatable)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BENCH.json",
-        nargs="?",
-        const="",
-        default=None,
-        help="diff the fresh run against a committed report (default: the "
-        "latest under the repository's benchmarks/) and exit 3 when any "
-        "benchmark drops past --threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="relative drop that counts as a regression for --compare "
-        "(0.5 = fresh below half the baseline)",
     )
 
     # -- sharded --------------------------------------------------------------------
@@ -586,31 +516,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.name == "fig1":
-        from repro.experiments.fig1 import main as run
-    elif args.name == "fig2":
-        from repro.experiments.fig2 import main as run
-    elif args.name == "fig4":
-        from repro.experiments.fig4 import main as run
-    elif args.name == "fig4-sharded":
-        from repro.experiments.fig4_sharded import main as run
-    elif args.name == "fig5":
-        from repro.experiments.fig5 import main as run
-    elif args.name == "overhead":
-        from repro.experiments.overhead import main as run
-
-        run()
-        return 0
-    elif args.name == "harm":
-        from repro.experiments.harm import main as run
-    elif args.name == "dependability":
-        from repro.experiments.dependability import main as run
-    else:
-        from repro.experiments.cost_aware import main as run
-    results = run(seed=args.seed)
+    results = resolve(ARTEFACTS[args.name])(seed=args.seed)
     if args.export:
         _export_results(args.name, results, args.export)
     return 0
+
+
+#: Experiments whose ``main`` returns {label: result} with exportable
+#: series, and the result attribute that holds them.
+_EXPORTABLE = {"fig4": "series", "fig5": "job_series"}
 
 
 def _export_results(name: str, results, directory: str) -> None:
@@ -618,20 +532,15 @@ def _export_results(name: str, results, directory: str) -> None:
 
     from repro.analysis.export import export_wide
 
-    if name == "fig4":
-        for target, result in results.items():
-            path = export_wide(
-                result.series, Path(directory) / f"fig4-{target}.csv"
-            )
-            print(f"exported {path}")
-    elif name == "fig5":
-        for setup, result in results.items():
-            path = export_wide(
-                result.job_series, Path(directory) / f"fig5-{setup}.csv"
-            )
-            print(f"exported {path}")
-    else:
+    attr = _EXPORTABLE.get(name)
+    if attr is None:
         print(f"--export is not supported for {name}", file=sys.stderr)
+        return
+    for label, result in results.items():
+        path = export_wide(
+            getattr(result, attr), Path(directory) / f"{name}-{label}.csv"
+        )
+        print(f"exported {path}")
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
@@ -664,57 +573,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import ConfigError
-    from repro.runner import (
-        SweepRunner,
-        ablation_grid,
-        dependability_grid,
-        fig4_grid,
-        fig5_grid,
-        full_grid,
-        harm_grid,
-        overhead_grid,
-        sharded_grid,
-    )
 
-    seed = args.seed
-    if args.quick:
-        grids = {
-            "fig4": lambda: fig4_grid(
-                seed=seed, duration=120.0, step_period=60.0, drain_tail=30.0
-            ),
-            "fig5": lambda: fig5_grid(seed=seed, duration=300.0),
-            "ablations": lambda: ablation_grid(
-                seed=seed, duration=120.0, loop_duration=300.0
-            ),
-            "harm": lambda: harm_grid(seed=seed, duration=300.0),
-            "overhead": lambda: overhead_grid(seed=seed, duration=120.0),
-            "dependability": lambda: dependability_grid(seed=seed, duration=90.0),
-            "sharded": lambda: sharded_grid(
-                seed=seed,
-                n_jobs=8,
-                stages_per_job=4,
-                n_racks=4,
-                clients_per_stage=10,
-                duration=60.0,
-                step_period=15.0,
-            ),
-        }
-        grids["all"] = lambda: [cell for make in (
-            grids["fig4"], grids["fig5"], grids["ablations"],
-            grids["harm"], grids["overhead"], grids["dependability"],
-        ) for cell in make()]
-    else:
-        grids = {
-            "fig4": lambda: fig4_grid(seed=seed),
-            "fig5": lambda: fig5_grid(seed=seed),
-            "ablations": lambda: ablation_grid(seed=seed),
-            "harm": lambda: harm_grid(seed=seed),
-            "overhead": lambda: overhead_grid(seed=seed),
-            "dependability": lambda: dependability_grid(seed=seed),
-            "sharded": lambda: sharded_grid(seed=seed),
-            "all": lambda: full_grid(seed=seed),
-        }
-    cells = grids[args.grid]()
+    cells = grid(args.grid, seed=args.seed, quick=args.quick)
     try:
         runner = SweepRunner(
             jobs=args.jobs,
@@ -730,92 +590,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         status = "cached" if outcome.cached else "computed"
         print(f"{outcome.cell.name:<{width}}  {status:<8}  {outcome.elapsed_s:8.2f}s")
     return 0
-
-
-def _cmd_perfbench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.perfbench import (
-        DEFAULT_BENCH_DIR,
-        PerfbenchConfig,
-        compare_reports,
-        latest_report,
-        run_perfbench,
-        save_report,
-    )
-
-    repo_root = Path(__file__).resolve().parents[2]
-    scale, repeats, warmup = args.scale, args.repeats, args.warmup
-    if args.smoke:
-        scale, repeats, warmup = 0.05, 1, 0
-    out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        print(f"error: --out {args.out!r} exists and is not a directory",
-              file=sys.stderr)
-        return 2
-    # Resolve the comparison baseline *before* running: when --compare is
-    # given without a path we take the newest committed BENCH_*.json, and
-    # the report we are about to save must not shadow it.
-    baseline: Optional[dict] = None
-    if args.compare is not None:
-        if args.compare == "":
-            baseline_path = latest_report(repo_root / DEFAULT_BENCH_DIR)
-            if baseline_path is None:
-                print(
-                    f"error: --compare found no BENCH_*.json under "
-                    f"{repo_root / DEFAULT_BENCH_DIR}",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            baseline_path = Path(args.compare)
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    try:
-        config = PerfbenchConfig(
-            seed=args.seed,
-            repeats=repeats,
-            scale=scale,
-            label=args.label,
-            warmup=warmup,
-        )
-        if args.compare is not None and not 0.0 < args.threshold < 1.0:
-            raise ValueError(
-                f"--threshold must be in (0, 1), got {args.threshold}"
-            )
-        # Resolve the git SHA against the source checkout, not the caller's
-        # cwd (for an installed package this still degrades to "unknown").
-        report = run_perfbench(config, repo_root=repo_root, only=args.only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    path = save_report(report, out_dir)
-    print(report.summary())
-    print(f"wrote {path}")
-    if baseline is None:
-        return 0
-    comparisons = compare_reports(baseline, report.to_dict(), args.threshold)
-    print(f"compare vs {baseline_path} (threshold {args.threshold:.0%} drop):")
-    regressed = False
-    for comp in comparisons:
-        if comp.change is None:
-            status = "only in " + ("fresh" if comp.baseline is None else "baseline")
-            print(f"  {comp.name:<36} {status}")
-            continue
-        marker = "REGRESSED" if comp.regressed else "ok"
-        print(
-            f"  {comp.name:<36} {comp.baseline:>14,.0f} -> "
-            f"{comp.fresh:>14,.0f} {comp.unit:<12} "
-            f"{comp.change:+7.1%}  {marker}"
-        )
-        regressed = regressed or comp.regressed
-    return 3 if regressed else 0
 
 
 def _cmd_sharded(args: argparse.Namespace) -> int:
@@ -948,6 +722,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.config import load_config
+    from repro.errors import ConfigError
     from repro.service import (
         OperatorServer,
         ServiceConfig,
@@ -1003,7 +778,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.policy:
         config = dataclasses.replace(config, padll=load_config(args.policy))
 
-    runtime = ServiceRuntime(config)
+    try:
+        runtime = ServiceRuntime(config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     server = OperatorServer(runtime, config.host, config.port)
 
     def on_signal(signum, frame) -> None:
@@ -1133,8 +912,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_experiment(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "perfbench":
-            return _cmd_perfbench(args)
         if args.command == "sharded":
             return _cmd_sharded(args)
         if args.command == "lint":

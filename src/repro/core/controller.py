@@ -33,9 +33,11 @@ from repro.core.rpc import (
 )
 from repro.core.session import CollectSession
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
-from repro.simulation.rng import make_rng
 
 __all__ = ["JobInfo", "ControlPlaneConfig", "fold_stage_demand", "ControlPlane"]
+
+#: Each retry of one collect waits twice as long as the one before it.
+RETRY_BACKOFF_FACTOR = 2.0
 
 
 @dataclass(slots=True)
@@ -81,14 +83,8 @@ class ControlPlaneConfig:
     collect_deadline: Optional[float] = None
     #: Extra attempts after a timeout/failure before it counts as a miss.
     max_collect_retries: int = 0
-    #: Backoff before a retry: ``retry_backoff * factor**(attempt-1)``
-    #: seconds, stretched by up to ``retry_jitter`` (seeded, relative).
+    #: Backoff before a retry, seconds; doubles with every further attempt.
     retry_backoff: float = 0.0
-    retry_backoff_factor: float = 2.0
-    retry_jitter: float = 0.0
-    #: Cap on new collect requests issued per tick (None = all endpoints);
-    #: the issue order rotates so every endpoint is eventually served.
-    collect_budget: Optional[int] = None
     #: How long a stale (pre-deadline) stats reply stays usable by the
     #: allocator; None means only fresh replies feed the demand signal.
     stale_ttl: Optional[float] = None
@@ -96,8 +92,6 @@ class ControlPlaneConfig:
     #: contributes ``0.5 ** (age / stale_halflife)`` of its demand.  None
     #: disables discounting.
     stale_halflife: Optional[float] = None
-    #: Seed for the control plane's own RNG (retry jitter only).
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.loop_interval <= 0:
@@ -125,18 +119,6 @@ class ControlPlaneConfig:
         if self.retry_backoff < 0:
             raise ConfigError(
                 f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.retry_backoff_factor < 1:
-            raise ConfigError(
-                f"retry_backoff_factor must be >= 1, got {self.retry_backoff_factor}"
-            )
-        if self.retry_jitter < 0:
-            raise ConfigError(
-                f"retry_jitter must be >= 0, got {self.retry_jitter}"
-            )
-        if self.collect_budget is not None and self.collect_budget < 1:
-            raise ConfigError(
-                f"collect_budget must be >= 1, got {self.collect_budget}"
             )
         if self.stale_ttl is not None and self.stale_ttl <= 0:
             raise ConfigError(f"stale_ttl must be positive, got {self.stale_ttl}")
@@ -219,8 +201,6 @@ class ControlPlane:
         #: feeds the allocator's stale-demand discount.  Empty in sync
         #: mode, where every entry is from this very tick.
         self._stats_age: Dict[str, float] = {}
-        #: Seeded RNG for retry-backoff jitter; nothing else draws from it.
-        self._rng = make_rng(self.config.seed)
         #: Telemetry spine (None = introspection off).  When attached, every
         #: loop iteration appends one ``control.cycle`` event recording what
         #: the loop saw and what it pushed.
@@ -426,9 +406,9 @@ class ControlPlane:
 
         One pass over the endpoints advances each session's state machine
         at this tick boundary: harvest replies that arrived since the
-        last tick, expire deadlines into retries (seeded-jitter
-        exponential backoff) or -- with retries exhausted -- liveness
-        misses, then issue new requests within the per-tick budget.
+        last tick, expire deadlines into retries (exponential backoff)
+        or -- with retries exhausted -- liveness misses, then issue a new
+        request to every endpoint that has none in flight.
         """
         config = self.config
         deadline = (
@@ -436,18 +416,10 @@ class ControlPlane:
             if config.collect_deadline is not None
             else config.loop_interval / 2
         )
-        budget = config.collect_budget
         telemetry = self._telemetry
-        endpoints = self._collect_endpoints()
-        if budget is not None and endpoints:
-            # Rotate the issue order so a tight budget still serves every
-            # endpoint round-robin across ticks.
-            k = self.loop_iterations % len(endpoints)
-            endpoints = endpoints[k:] + endpoints[:k]
-        issued = 0
         stats: Dict[str, StageStats] = {}
         ages: Dict[str, float] = {}
-        for endpoint in endpoints:
+        for endpoint in self._collect_endpoints():
             session = self._sessions.get(endpoint)
             if session is None:
                 session = self._sessions[endpoint] = CollectSession(endpoint)
@@ -486,18 +458,11 @@ class ControlPlane:
                     stats[endpoint] = session.stats
                     ages[endpoint] = age
             # -- issue ------------------------------------------------------
-            if (
-                session.pending is None
-                and now >= session.next_attempt_at
-                and (budget is None or issued < budget)
-            ):
+            if session.pending is None and now >= session.next_attempt_at:
                 try:
                     session.issue(self.fabric, self._collect_message(now), now)
                 except (RPCError, StageNotRegistered):
-                    if self._record_miss(endpoint, now):
-                        continue
-                else:
-                    issued += 1
+                    self._record_miss(endpoint, now)
         self._stats_age = ages
         return stats
 
@@ -506,12 +471,9 @@ class ControlPlane:
         True if the endpoint was evicted."""
         config = self.config
         if session.attempt <= config.max_collect_retries:
-            backoff = config.retry_backoff * (
-                config.retry_backoff_factor ** (session.attempt - 1)
+            session.next_attempt_at = now + config.retry_backoff * (
+                RETRY_BACKOFF_FACTOR ** (session.attempt - 1)
             )
-            if config.retry_jitter > 0 and backoff > 0:
-                backoff *= 1.0 + config.retry_jitter * self._rng.random()
-            session.next_attempt_at = now + backoff
             return False
         session.attempt = 0
         session.next_attempt_at = now

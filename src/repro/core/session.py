@@ -13,14 +13,13 @@ in-flight statistics request through an explicit lifecycle:
 * **failure**: the endpoint raised; recorded, retried like a timeout,
 * **timeout**: the deadline passes with no reply; the session abandons
   the request (bumping an epoch so a late reply is ignored) and either
-  schedules a retry with seeded-jitter exponential backoff or -- once
-  retries are exhausted -- reports a *miss* to the liveness accounting.
+  schedules a retry with exponential backoff or -- once retries are
+  exhausted -- reports a *miss* to the liveness accounting.
 
 All transitions happen at control-tick boundaries driven by the owning
 :class:`~repro.core.controller.ControlPlane`; the only engine-time work
 is the reply callback writing into the session.  Nothing here reads a
-wall clock or global RNG -- backoff jitter draws come from the control
-plane's seeded generator.
+wall clock or draws a random number.
 """
 
 from __future__ import annotations

@@ -116,7 +116,6 @@ def _build_world(
             retry_backoff=0.25,
             stale_ttl=5.0,
             stale_halflife=2.0,
-            seed=seed,
         ),
         hierarchical=(mode != "flat"),
         n_racks=2,

@@ -150,8 +150,8 @@ def _timed(fn, root: str, n_ops: int) -> float:
     return time.perf_counter() - start  # padll: allow(DET001)
 
 
-def main() -> None:
-    sim = run_sim_overhead()
+def main(seed: int = 0) -> None:
+    sim = run_sim_overhead(seed=seed)
     print("simulated passthrough-vs-baseline delivered-ops delta:")
     for target, delta in sim.delivered_delta.items():
         print(f"  {target:<10} {delta * 100:.3f}%  (paper bound: 0.9%)")

@@ -20,15 +20,19 @@ so on.  This package runs such grids through a shared engine
 
 from repro.runner.cache import ResultCache, cell_digest
 from repro.runner.cells import (
+    ARTEFACTS,
     EXPERIMENTS,
+    GRIDS,
     Cell,
     ablation_grid,
     dependability_grid,
     fig4_grid,
     fig5_grid,
     full_grid,
+    grid,
     harm_grid,
     overhead_grid,
+    resolve,
     run_cell,
     sharded_grid,
 )
@@ -40,8 +44,10 @@ from repro.runner.sweep import (
 )
 
 __all__ = [
+    "ARTEFACTS",
     "Cell",
     "EXPERIMENTS",
+    "GRIDS",
     "ResultCache",
     "SweepOutcome",
     "SweepRunner",
@@ -51,9 +57,11 @@ __all__ = [
     "fig4_grid",
     "fig5_grid",
     "full_grid",
+    "grid",
     "harm_grid",
     "overhead_grid",
     "pool_start_method",
+    "resolve",
     "results_equal",
     "run_cell",
     "sharded_grid",

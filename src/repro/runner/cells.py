@@ -28,6 +28,7 @@ they run.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -35,8 +36,12 @@ from repro.errors import ConfigError
 
 __all__ = [
     "Cell",
+    "ARTEFACTS",
     "EXPERIMENTS",
+    "GRIDS",
+    "resolve",
     "run_cell",
+    "grid",
     "fig4_grid",
     "fig5_grid",
     "ablation_grid",
@@ -82,93 +87,57 @@ class Cell:
         return f"{base}@seed{self.seed}"
 
 
-# -- experiment runners -----------------------------------------------------------
-# Module-level (picklable) wrappers: each takes (seed, **params) and
-# returns the experiment's own result object.
+# -- the experiment table ----------------------------------------------------------
+# Literal "module:function" strings, resolved when a cell (or the CLI)
+# runs one: building a grid, pickling a cell for a pool worker or
+# filling argparse ``choices`` imports no experiment.  Every function
+# takes ``seed`` plus the cell's params as keywords.
 
-
-def _run_fig4_metadata(seed: int, **params: Any):
-    from repro.experiments.fig4 import run_fig4_metadata
-
-    return run_fig4_metadata(seed=seed, **params)
-
-
-def _run_fig5(seed: int, **params: Any):
-    from repro.experiments.fig5 import run_fig5
-
-    return run_fig5(seed=seed, **params)
-
-
-def _run_fig4_traced(seed: int, **params: Any):
-    from repro.telemetry.experiment import run_traced_fig4
-
-    return run_traced_fig4(seed=seed, **params)
-
-
-def _run_ablation_lag(seed: int, **params: Any):
-    from repro.experiments.ablations import sweep_control_lag
-
-    return sweep_control_lag(seed=seed, **params)
-
-
-def _run_ablation_burst(seed: int, **params: Any):
-    from repro.experiments.ablations import sweep_burst_size
-
-    return sweep_burst_size(seed=seed, **params)
-
-
-def _run_ablation_loop(seed: int, **params: Any):
-    from repro.experiments.ablations import sweep_loop_interval
-
-    return dict(sweep_loop_interval(seed=seed, **params))
-
-
-def _run_harm(seed: int, **params: Any):
-    from repro.experiments.harm import run_harm
-
-    return run_harm(seed=seed, **params)
-
-
-def _run_overhead_sim(seed: int, **params: Any):
-    from repro.experiments.overhead import run_sim_overhead
-
-    if "targets" in params:
-        params = dict(params, targets=tuple(params["targets"]))
-    return run_sim_overhead(seed=seed, **params)
-
-
-def _run_dependability(seed: int, **params: Any):
-    from repro.experiments.dependability import run_dependability
-
-    if "levels" in params:
-        params = dict(params, levels=tuple(params["levels"]))
-    return run_dependability(seed=seed, **params)
-
-
-def _run_fig4_sharded(seed: int, **params: Any):
-    from repro.experiments.fig4_sharded import run_fig4_sharded
-
-    return run_fig4_sharded(seed=seed, **params)
-
-
-EXPERIMENTS: Dict[str, Callable[..., Any]] = {
-    "fig4-metadata": _run_fig4_metadata,
-    "fig4-traced": _run_fig4_traced,
-    "fig5": _run_fig5,
-    "ablation-lag": _run_ablation_lag,
-    "ablation-burst": _run_ablation_burst,
-    "ablation-loop": _run_ablation_loop,
-    "harm": _run_harm,
-    "overhead-sim": _run_overhead_sim,
-    "dependability": _run_dependability,
-    "fig4-sharded": _run_fig4_sharded,
+#: Cell experiment key -> the function one cell runs.
+EXPERIMENTS: Dict[str, str] = {
+    "fig4-metadata": "repro.experiments.fig4:run_fig4_metadata",
+    "fig4-traced": "repro.telemetry.experiment:run_traced_fig4",
+    "fig5": "repro.experiments.fig5:run_fig5",
+    "ablation-lag": "repro.experiments.ablations:sweep_control_lag",
+    "ablation-burst": "repro.experiments.ablations:sweep_burst_size",
+    "ablation-loop": "repro.experiments.ablations:sweep_loop_interval",
+    "harm": "repro.experiments.harm:run_harm",
+    "overhead-sim": "repro.experiments.overhead:run_sim_overhead",
+    "dependability": "repro.experiments.dependability:run_dependability",
+    "fig4-sharded": "repro.experiments.fig4_sharded:run_fig4_sharded",
 }
+
+#: Params that arrive as JSON lists (a cell's params are what the cache
+#: key canonicalises) and leave as the tuples the signatures declare.
+TUPLE_PARAMS: Dict[str, str] = {"overhead-sim": "targets", "dependability": "levels"}
+
+#: ``padll-repro experiment NAME`` -> the module's print-and-return ``main``.
+ARTEFACTS: Dict[str, str] = {
+    "fig1": "repro.experiments.fig1:main",
+    "fig2": "repro.experiments.fig2:main",
+    "fig4": "repro.experiments.fig4:main",
+    "fig4-sharded": "repro.experiments.fig4_sharded:main",
+    "fig5": "repro.experiments.fig5:main",
+    "overhead": "repro.experiments.overhead:main",
+    "harm": "repro.experiments.harm:main",
+    "cost-aware": "repro.experiments.cost_aware:main",
+    "dependability": "repro.experiments.dependability:main",
+}
+
+
+def resolve(target: str) -> Callable[..., Any]:
+    """Import a table entry's module and return the named function."""
+    module, _, attr = target.partition(":")
+    return getattr(importlib.import_module(module), attr)
 
 
 def run_cell(cell: Cell) -> Any:
     """Execute one cell and return the experiment's result object."""
-    runner = EXPERIMENTS[cell.experiment]
-    return runner(cell.seed, **cell.params)
+    params = dict(cell.params)
+    listed = TUPLE_PARAMS.get(cell.experiment)
+    if listed in params:
+        params[listed] = tuple(params[listed])
+    return resolve(EXPERIMENTS[cell.experiment])(seed=cell.seed, **params)
 
 
 # -- grid builders ----------------------------------------------------------------
@@ -281,13 +250,42 @@ def sharded_grid(
     ]
 
 
+#: Grid name -> (builder, the keywords ``--quick`` overrides: scaled-down
+#: durations for CI smoke and local sanity runs).
+GRIDS: Dict[str, Tuple[Callable[..., List[Cell]], Dict[str, Any]]] = {
+    "fig4": (fig4_grid, {"duration": 120.0, "step_period": 60.0, "drain_tail": 30.0}),
+    "fig5": (fig5_grid, {"duration": 300.0}),
+    "ablations": (ablation_grid, {"duration": 120.0, "loop_duration": 300.0}),
+    "harm": (harm_grid, {"duration": 300.0}),
+    "overhead": (overhead_grid, {"duration": 120.0}),
+    "dependability": (dependability_grid, {"duration": 90.0}),
+    "sharded": (
+        sharded_grid,
+        {
+            "n_jobs": 8,
+            "stages_per_job": 4,
+            "n_racks": 4,
+            "clients_per_stage": 10,
+            "duration": 60.0,
+            "step_period": 15.0,
+        },
+    ),
+}
+
+
+def grid(name: str, seed: int = 0, quick: bool = False) -> List[Cell]:
+    """The cells of one named grid; ``all`` is every grid but ``sharded``."""
+    if name == "all":
+        return [
+            cell
+            for part in GRIDS
+            if part != "sharded"
+            for cell in grid(part, seed, quick)
+        ]
+    builder, quick_overrides = GRIDS[name]
+    return builder(seed=seed, **(quick_overrides if quick else {}))
+
+
 def full_grid(seed: int = 0) -> List[Cell]:
     """Every paper-scale artefact grid, concatenated."""
-    return (
-        fig4_grid(seed=seed)
-        + fig5_grid(seed=seed)
-        + ablation_grid(seed=seed)
-        + harm_grid(seed=seed)
-        + overhead_grid(seed=seed)
-        + dependability_grid(seed=seed)
-    )
+    return grid("all", seed)

@@ -15,17 +15,22 @@ Example::
       "capacity": 400.0,
       "workload": {"jobs": 2, "stages_per_job": 2, "rate": 150.0},
       "faults": {"loss": 0.05, "latency": 0.0},
-      "orphan": {"mode": "decay", "after": 3, "floor": 2.0, "half_life": 5.0},
+      "orphan": {"mode": "decay", "orphan_after": 3, "floor": 2.0, "half_life": 5.0},
       "padll": { ... repro.core.config document ... }
     }
+
+The dataclasses below are the schema: a key is a field name, an absent
+key keeps the field's default, and an unknown key -- at any level -- is
+refused.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigError
 from repro.core.config import PadllConfig, parse_config
@@ -191,71 +196,51 @@ class ServiceConfig:
         return max(5.0 * self.interval, 2.0)
 
 
-def _parse_orphan(doc: Mapping[str, Any]) -> OrphanPolicy:
-    return OrphanPolicy(
-        orphan_after=int(doc.get("after", 3)),
-        interval=float(doc.get("interval", 1.0)),
-        mode=str(doc.get("mode", "hold")),
-        floor=float(doc.get("floor", 1.0)),
-        half_life=float(doc.get("half_life", 10.0)),
-    )
+def _accepted(hint: Any) -> Tuple[type, ...]:
+    """The value types a field annotated ``hint`` takes from JSON."""
+    if get_origin(hint) is Union:  # Optional[X]
+        return tuple(t for arg in get_args(hint) for t in _accepted(arg))
+    if hint is float:
+        return (int, float)
+    return (get_origin(hint) or hint,)
+
+
+def _from_doc(cls: type, doc: Any, level: str) -> Any:
+    """Build dataclass ``cls`` from a JSON object; the dataclass is the schema.
+
+    A key is a field name (anything else is refused, naming ``level``), an
+    absent key keeps the field's default, a JSON list becomes a tuple, and
+    the object under a dataclass-typed field is built the same way.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{level} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {level} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        accepted = _accepted(hints[key])
+        schema = next(filter(is_dataclass, accepted), None)
+        if isinstance(value, list):
+            value = tuple(value)
+        elif schema is not None and value is not None:
+            value = (
+                parse_config(value)  # the policy document has its own parser
+                if schema is PadllConfig
+                else _from_doc(schema, value, f"{level} {key!r}")
+            )
+        if not isinstance(value, accepted):
+            raise ConfigError(
+                f"{level} key {key!r} takes {hints[key]}, got {value!r}"
+            )
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def parse_service_config(doc: Mapping[str, Any]) -> ServiceConfig:
     """Parse one JSON document into a :class:`ServiceConfig`."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError("service config must be a JSON object")
-    known = {
-        "host", "port", "interval", "seed", "sample_rate", "trace",
-        "capacity", "channel", "workload", "faults", "orphan", "padll",
-        "audit_capacity", "stale_after", "stage_procs", "control_host",
-        "control_port", "admin_token", "audit_dir", "audit_rotate_bytes",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown service config keys: {sorted(unknown)}")
-    workload_doc = doc.get("workload", {})
-    workload = WorkloadSpec(
-        jobs=int(workload_doc.get("jobs", 2)),
-        stages_per_job=int(workload_doc.get("stages_per_job", 2)),
-        rate=float(workload_doc.get("rate", 150.0)),
-        ops=tuple(workload_doc.get("ops", ("open", "stat", "mkdir", "getxattr"))),
-        path_prefix=str(workload_doc.get("path_prefix", "/pfs/scratch")),
-    )
-    faults_doc = doc.get("faults", {})
-    faults = FaultSpec(
-        loss=float(faults_doc.get("loss", 0.0)),
-        latency=float(faults_doc.get("latency", 0.0)),
-        jitter=float(faults_doc.get("jitter", 0.0)),
-    )
-    orphan = None if "orphan" not in doc else _parse_orphan(doc["orphan"])
-    padll = None if "padll" not in doc else parse_config(doc["padll"])
-    return ServiceConfig(
-        host=str(doc.get("host", "127.0.0.1")),
-        port=int(doc.get("port", 9178)),
-        interval=float(doc.get("interval", 0.25)),
-        seed=int(doc.get("seed", 0)),
-        sample_rate=float(doc.get("sample_rate", 0.05)),
-        trace=bool(doc.get("trace", True)),
-        capacity=float(doc.get("capacity", 400.0)),
-        channel=str(doc.get("channel", "metadata")),
-        workload=workload,
-        faults=faults,
-        orphan=orphan,
-        padll=padll,
-        audit_capacity=int(doc.get("audit_capacity", 4096)),
-        stale_after=(
-            None if doc.get("stale_after") is None else float(doc["stale_after"])
-        ),
-        stage_procs=int(doc.get("stage_procs", 0)),
-        control_host=str(doc.get("control_host", "127.0.0.1")),
-        control_port=int(doc.get("control_port", 0)),
-        admin_token=(
-            None if doc.get("admin_token") is None else str(doc["admin_token"])
-        ),
-        audit_dir=None if doc.get("audit_dir") is None else str(doc["audit_dir"]),
-        audit_rotate_bytes=int(doc.get("audit_rotate_bytes", 1_000_000)),
-    )
+    return _from_doc(ServiceConfig, doc, "service config")
 
 
 def load_service_config(path: Union[str, Path]) -> ServiceConfig:

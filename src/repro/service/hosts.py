@@ -12,9 +12,13 @@ Crash semantics: a monitor thread polls the children; an exited child
 is respawned (after a short backoff) with the *same* host id and stage
 list, so its re-registration reads as a takeover upstream.  Meanwhile
 the broken connection has already evicted the dead host's stages from
-the controller -- the orphan-policy window between eviction and
-re-registration is exactly the paper's "control plane lost a stage"
-story, now reproduced with real processes.
+the controller, so the window between eviction and re-registration is
+the paper's "control plane lost a stage" story with real processes.
+
+A child is told what :meth:`HostSupervisor._argv` carries -- seed,
+channel name, workload, sampling -- and nothing else: its stages run the
+default channel layout with no orphan policy, and ``ServiceRuntime``
+refuses a config that asks for more.
 """
 
 from __future__ import annotations

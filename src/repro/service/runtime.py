@@ -118,6 +118,31 @@ def _positive_rate(value: Any, action: str) -> float:
     return rate
 
 
+def _refuse_unshipped_stage_settings(config: ServiceConfig) -> None:
+    """Out-of-process stages get seed, channel name, workload and sampling
+    from the supervisor's argv and nothing else: refuse a config whose
+    per-stage settings would silently stay behind in this process."""
+    if config.stage_procs == 0:
+        return
+    padll = config.padll
+    unshipped = [
+        name
+        for name, value in (
+            ("orphan", config.orphan),
+            ("padll.channels", padll is not None and padll.channels),
+            ("padll.pfs_mounts", padll is not None and padll.pfs_mounts),
+        )
+        if value
+    ]
+    if unshipped:
+        raise ConfigError(
+            f"stage_procs={config.stage_procs} cannot carry "
+            f"{', '.join(unshipped)} to stage-host processes: remote stages "
+            "would run the default channel layout with no orphan policy; "
+            "run the stages in-process (stage_procs=0) or drop those settings"
+        )
+
+
 class _LaggedHandler:
     """Endpoint shim stalling each delivery by a (seeded-jitter) delay.
 
@@ -154,6 +179,7 @@ class ServiceRuntime:
         loop: Optional[LiveControlLoop] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
+        _refuse_unshipped_stage_settings(self.config)
         self.clock = clock
         self._shutdown = threading.Event()
         self._shutdown_reason: Optional[str] = None
@@ -187,7 +213,8 @@ class ServiceRuntime:
             )
         if controller is not None:
             # Wrapped mode: serve an externally built world (tests,
-            # embedders, perfbench).  No stages or workload are created.
+            # embedders, bench/'s service.snapshot_ms drive).  No stages
+            # or workload are created.
             self.telemetry = telemetry if telemetry is not None else Telemetry()
             self.controller = controller
             self.fabric = controller.fabric
@@ -266,7 +293,6 @@ class ServiceRuntime:
             config=ControlPlaneConfig(
                 loop_interval=config.interval,
                 algorithm_channel=config.channel,
-                seed=config.seed,
             ),
             algorithm=algorithm,
             telemetry=self.telemetry,

@@ -5,8 +5,9 @@ Telemetry is **off by default**: every instrumented component takes
 check.  Hot loops exist once, with or without telemetry: they derive a
 statistic from bookkeeping they keep anyway, or observe through a
 wrapper around a call they already make (docs/OBSERVABILITY.md, design
-rule 1), so the disabled path costs nothing measurable -- the
-``telemetry_off_stage_ops_per_sec`` perfbench micro keeps that honest.  One :class:`Telemetry` instance
+rule 1), so the disabled path costs nothing measurable -- every
+untraced ``bench/`` run measures it, and ``telemetry.tracing_cost_ratio``
+there is the price of switching it on.  One :class:`Telemetry` instance
 scopes one world: its registry, tracer, and event log are that world's
 whole observable surface.
 """

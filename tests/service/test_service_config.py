@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.core.algorithms import ProportionalSharing
+from repro.core.stage import OrphanPolicy
 from repro.service.config import (
     FaultSpec,
     ServiceConfig,
@@ -16,6 +20,8 @@ from repro.service.config import (
     parse_service_config,
     with_overrides,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestSpecs:
@@ -78,7 +84,7 @@ class TestParse:
                 "capacity": 1234.0,
                 "workload": {"jobs": 3, "stages_per_job": 1, "rate": 10.0},
                 "faults": {"loss": 0.1, "latency": 0.01},
-                "orphan": {"mode": "decay", "after": 2, "floor": 3.0},
+                "orphan": {"mode": "decay", "orphan_after": 2, "floor": 3.0},
                 "padll": {
                     "channels": [{"id": "metadata", "classes": ["metadata"]}],
                     "algorithm": {"type": "proportional", "capacity": 500},
@@ -89,11 +95,64 @@ class TestParse:
         assert config.workload.jobs == 3
         assert config.faults.loss == 0.1
         assert config.orphan is not None and config.orphan.mode == "decay"
+        assert config.orphan.orphan_after == 2
         assert isinstance(config.padll.algorithm, ProportionalSharing)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown service config keys"):
             parse_service_config({"prot": 1})
+
+    @pytest.mark.parametrize(
+        "doc, level",
+        [
+            ({"workload": {"job": 3}}, "'workload'"),
+            ({"faults": {"los": 0.5}}, "'faults'"),
+            ({"orphan": {"after": 7}}, "'orphan'"),
+            ({"padll": {"channel": []}}, "top-level"),
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, doc, level):
+        # A typo below the top level used to run the default silently.
+        with pytest.raises(ConfigError, match=f"unknown .*{level}.* keys"):
+            parse_service_config(doc)
+
+    def test_defaults_come_from_the_dataclasses(self):
+        assert parse_service_config({}) == ServiceConfig()
+        config = parse_service_config(
+            {"workload": {}, "faults": {}, "orphan": {}, "padll": None}
+        )
+        assert config == dataclasses.replace(ServiceConfig(), orphan=OrphanPolicy())
+        assert parse_service_config({"orphan": None}).orphan is None
+
+    def test_lists_become_tuples_and_types_are_checked(self):
+        config = parse_service_config({"workload": {"ops": ["open", "stat"]}})
+        assert config.workload.ops == ("open", "stat")
+        assert parse_service_config({"interval": 1}).interval == 1.0
+        for doc in (
+            {"port": "9178"},
+            {"workload": {"ops": "open"}},
+            {"faults": 3},
+            {"workload": None},  # null means "none" only where None is a value
+        ):
+            with pytest.raises(ConfigError):
+                parse_service_config(doc)
+
+    def test_documented_examples_load(self):
+        # Every JSON block in docs/SERVICE.md that is a service document
+        # (it names a listener or a workload) must parse as written.
+        text = (REPO_ROOT / "docs" / "SERVICE.md").read_text()
+        docs = [
+            doc
+            for doc in map(json.loads, re.findall(r"```json\n(.*?)```", text, re.S))
+            if "port" in doc or "workload" in doc
+        ]
+        assert docs
+        for doc in docs:
+            config = parse_service_config(doc)
+            assert config.padll is None
+            assert config.orphan == OrphanPolicy(
+                orphan_after=3, interval=0.25, mode="decay", floor=10.0, half_life=1.0
+            )
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):

@@ -58,6 +58,41 @@ class TestCliServe:
         assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
 
 
+    def test_stage_procs_runs_and_shuts_down_clean(self):
+        # The CI multi-process smoke's shape: no orphan policy, no policy
+        # document -- nothing the supervisor's argv cannot carry.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--duration", "5", "--interval", "0.1",
+                "--seed", "5", "--workload-rate", "80", "--stage-procs", "2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.count("stage(s) registered with") == 2, result.stdout
+        assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
+
+    def test_stage_procs_refuses_a_channel_layout_it_cannot_ship(self, tmp_path):
+        policy = tmp_path / "policy.json"
+        policy.write_text(
+            json.dumps({"channels": [{"id": "metadata", "classes": ["metadata"]}]})
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--duration", "1", "--stage-procs", "2", "--policy", str(policy),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "cannot carry padll.channels" in result.stderr
+
+
 class TestLiveFaultsOverHttp:
     def test_orphan_decay_and_readoption_visible_in_events(self):
         config = ServiceConfig(

@@ -15,11 +15,14 @@ import time
 
 import pytest
 
+from repro.core.config import parse_config
 from repro.core.rpc import CollectStats
+from repro.core.stage import OrphanPolicy
 from repro.errors import ConfigError
 from repro.net import SocketTransport
 from repro.service.config import ServiceConfig, WorkloadSpec
 from repro.service.hosts import HostSupervisor, partition_stages
+from repro.service.runtime import ServiceRuntime
 from repro.service.stagehost import StageHost, job_of
 
 
@@ -261,3 +264,45 @@ class TestHostSupervisor:
             "alive": 0,
             "restarts": 0,
         }
+
+
+class TestUnshippedStageSettings:
+    """The supervisor's argv carries seed, channel name, workload and
+    sampling; a per-stage setting it cannot carry must not be dropped
+    silently on the way to a stage-host process."""
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"orphan": OrphanPolicy(mode="decay")}, "orphan"),
+            (
+                {"padll": parse_config(
+                    {"channels": [{"id": "metadata", "classes": ["metadata"]}]}
+                )},
+                "padll.channels",
+            ),
+            ({"padll": parse_config({"pfs_mounts": ["/lustre"]})}, "padll.pfs_mounts"),
+        ],
+    )
+    def test_refused_by_name(self, kwargs, named):
+        with pytest.raises(ConfigError, match=rf"stage_procs=2 cannot carry {named} "):
+            ServiceRuntime(_proc_config(**kwargs))
+        # The same settings are fine where the stages are built in-process.
+        ServiceRuntime(_proc_config(stage_procs=0, **kwargs))
+
+    def test_controller_side_settings_still_accepted(self):
+        padll = parse_config(
+            {
+                "policies": [
+                    {"name": "cap", "channel": "metadata",
+                     "schedule": {"type": "constant", "rate": 50.0}}
+                ],
+                "algorithm": {"type": "proportional", "capacity": 500},
+            }
+        )
+        runtime = ServiceRuntime(_proc_config(padll=padll))
+        try:
+            assert "cap" in runtime.controller.policies
+            assert runtime.control_address is not None
+        finally:
+            runtime.stop()

@@ -71,6 +71,29 @@ class TestExperimentCommands:
         assert "getattr" in out
         assert "98" in out
 
+    def test_every_artefact_gets_the_seed(self, monkeypatch, capsys):
+        # One table, one call: `experiment overhead --seed N` used to run
+        # seed 0 whatever N was (its branch called main() bare).
+        import repro.experiments.overhead as overhead
+
+        seeds = []
+
+        def sim(seed):
+            seeds.append(seed)
+            return overhead.SimOverheadResult(delivered_delta={"open": 0.0})
+
+        monkeypatch.setattr(overhead, "run_sim_overhead", sim)
+        monkeypatch.setattr(
+            overhead,
+            "run_live_overhead",
+            lambda: overhead.LiveOverheadResult(
+                n_ops=4, baseline_seconds=1.0, passthrough_seconds=1.0
+            ),
+        )
+        assert main(["experiment", "overhead", "--seed", "5"]) == 0
+        assert seeds == [5]
+        assert "paper bound: 0.9%" in capsys.readouterr().out
+
 
 class TestPolicyCommands:
     def test_check_valid(self, tmp_path, capsys):
@@ -101,6 +124,26 @@ class TestExport:
         rc = main(["experiment", "fig2", "--export", "/tmp/nowhere"])
         assert rc == 0
         assert "not supported" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, attr", [("fig4", "series"), ("fig5", "job_series")])
+    def test_export_writes_one_csv_per_result(
+        self, name, attr, monkeypatch, tmp_path, capsys
+    ):
+        import importlib
+        from types import SimpleNamespace
+
+        module = importlib.import_module(f"repro.experiments.{name}")
+        series = {"job1": ([0.0, 1.0], [5.0, 6.0])}
+        monkeypatch.setattr(
+            module,
+            "main",
+            lambda seed: {"a": SimpleNamespace(**{attr: series}),
+                          "b": SimpleNamespace(**{attr: series})},
+        )
+        assert main(["experiment", name, "--export", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{name}-a.csv", f"{name}-b.csv"
+        ]
 
 
 class TestLintCommand:
@@ -288,52 +331,3 @@ class TestShardedCommand:
         assert rc == 2
         assert "loop_interval" in capsys.readouterr().err
 
-
-class TestPerfbenchCompare:
-    _FAST = ["perfbench", "--smoke", "--only", "control_cycles_per_sec"]
-
-    def _baseline(self, tmp_path, value):
-        import json
-
-        path = tmp_path / "BENCH_20260101T000000Z.json"
-        path.write_text(json.dumps({
-            "benchmarks": {
-                "control_cycles_per_sec": {"value": value, "unit": "cycles/s"}
-            }
-        }))
-        return path
-
-    def test_regression_exits_three(self, tmp_path, capsys):
-        baseline = self._baseline(tmp_path, 1e12)
-        rc = main([*self._FAST, "--out", str(tmp_path / "out"),
-                   "--compare", str(baseline)])
-        assert rc == 3
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_comparable_run_exits_zero(self, tmp_path, capsys):
-        baseline = self._baseline(tmp_path, 1e-6)
-        rc = main([*self._FAST, "--out", str(tmp_path / "out"),
-                   "--compare", str(baseline)])
-        assert rc == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_unreadable_baseline_is_usage_error(self, tmp_path, capsys):
-        rc = main([*self._FAST, "--out", str(tmp_path / "out"),
-                   "--compare", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "cannot read baseline" in capsys.readouterr().err
-
-    def test_bare_compare_uses_committed_trajectory(self, tmp_path, capsys):
-        # --compare with no path diffs against the newest committed
-        # benchmarks/BENCH_*.json; on a dev machine that never regresses
-        # the harness, only possibly the numbers, so accept 0 or 3.
-        rc = main([*self._FAST, "--out", str(tmp_path / "out"), "--compare"])
-        assert rc in (0, 3)
-        assert "compare vs" in capsys.readouterr().out
-
-    def test_threshold_validation(self, tmp_path, capsys):
-        baseline = self._baseline(tmp_path, 1.0)
-        rc = main([*self._FAST, "--out", str(tmp_path / "out"),
-                   "--compare", str(baseline), "--threshold", "1.5"])
-        assert rc == 2
-        assert "threshold" in capsys.readouterr().err

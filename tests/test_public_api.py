@@ -41,7 +41,6 @@ MODULES = [
     "repro.analysis.export",
     "repro.analysis.fairness",
     "repro.analysis.plots",
-    "repro.analysis.slo",
     "repro.experiments.ablations",
     "repro.experiments.cost_aware",
     "repro.experiments.failover",
@@ -59,7 +58,6 @@ MODULES = [
     "repro.interpose.monkeypatch",
     "repro.monitoring.collector",
     "repro.monitoring.metrics",
-    "repro.monitoring.report",
     "repro.pfs.client",
     "repro.pfs.cluster",
     "repro.pfs.costs",
