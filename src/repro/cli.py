@@ -10,7 +10,7 @@ Subcommands::
     padll-repro ablation lag|burst|loop
     padll-repro sweep fig4|fig5|ablations|harm|overhead|sharded|all [--jobs N]
     padll-repro sharded [--shards N] [--digest-only]
-    padll-repro lint [paths ...] [--format json] [--baseline] [--write-baseline]
+    padll-repro lint [paths ...] [--format text|json|sarif] [--verbose]
     padll-repro serve [--port 9178] [--duration N] [--policy CONFIG.json]
 
 Each experiment subcommand regenerates the corresponding paper artefact
@@ -228,28 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "GitHub code scanning)",
     )
     lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse cache-miss files with N worker processes",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental cache under [tool.padll-lint] cache-dir",
-    )
-    lint.add_argument(
-        "--baseline",
-        action="store_true",
-        help="subtract the committed baseline file before gating",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    lint.add_argument(
         "--config",
         metavar="PYPROJECT",
         default=None,
@@ -258,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--verbose",
         action="store_true",
-        help="also list pragma-suppressed and baselined findings (text format)",
+        help="also list pragma-suppressed findings (text format)",
     )
 
     # -- operator service ----------------------------------------------------------------
@@ -338,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated stage ids; the job id is each id's first '/' segment",
     )
     stage_host.add_argument("--seed", type=int, default=0)
-    stage_host.add_argument("--channel", default="metadata")
     stage_host.add_argument(
         "--workload-rate",
         type=float,
@@ -350,16 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated op mix for the synthetic workload",
     )
     stage_host.add_argument("--path-prefix", default="/pfs/scratch")
-    stage_host.add_argument("--sample-rate", type=float, default=0.05)
-    stage_host.add_argument(
-        "--push-interval",
-        type=float,
-        default=0.5,
-        help="seconds between telemetry pushes to the controller",
-    )
-    stage_host.add_argument(
-        "--duration", type=float, default=None, help="exit cleanly after N seconds"
-    )
 
     # -- policy configs ----------------------------------------------------------------
     policy = sub.add_parser("policy", help="validate a PADLL config file")
@@ -638,7 +605,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.errors import ConfigError
     from repro.lint import (
-        Baseline,
         lint_paths,
         load_config,
         render_json,
@@ -648,36 +614,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     try:
         config = load_config(Path(args.config) if args.config else None)
-        baseline_path = config.resolve(config.baseline)
-        cache_dir = None if args.no_cache else config.resolve(config.cache_dir)
-        jobs = max(1, args.jobs)
-        if args.write_baseline:
-            result = lint_paths(
-                [Path(p) for p in args.paths] or None,
-                config,
-                jobs=jobs,
-                cache_dir=cache_dir,
-            )
-            if result.parse_errors:
-                for error in result.parse_errors:
-                    print(error, file=sys.stderr)
-                return 1
-            Baseline.from_findings(
-                finding for finding in result.findings if not finding.suppressed
-            ).save(baseline_path)
-            print(
-                f"wrote {baseline_path} "
-                f"({len(result.active)} grandfathered finding(s))"
-            )
-            return 0
-        baseline = Baseline.load(baseline_path) if args.baseline else None
-        result = lint_paths(
-            [Path(p) for p in args.paths] or None,
-            config,
-            baseline=baseline,
-            jobs=jobs,
-            cache_dir=cache_dir,
-        )
+        result = lint_paths([Path(p) for p in args.paths] or None, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -860,13 +797,7 @@ def _cmd_stage_host(args: argparse.Namespace) -> int:
         )
     try:
         stage_host = StageHost(
-            args.host_id,
-            stage_ids,
-            channel=args.channel,
-            seed=args.seed,
-            workload=workload,
-            sample_rate=args.sample_rate,
-            push_interval=args.push_interval,
+            args.host_id, stage_ids, seed=args.seed, workload=workload
         )
     except ReproError as exc:
         print(f"stage-host: {exc}")
@@ -880,14 +811,14 @@ def _cmd_stage_host(args: argparse.Namespace) -> int:
     try:
         stage_host.start(host, int(port_text))
     except ReproError as exc:
-        print(f"stage-host {args.host_id}: connect failed: {exc}")
+        print(f"stage-host {args.host_id}: start failed: {exc}")
         return 1
     print(
         f"stage-host {args.host_id}: {len(stage_ids)} stage(s) registered "
         f"with {args.connect}",
         flush=True,
     )
-    code = stage_host.run(args.duration)
+    code = stage_host.run()
     print(
         f"stage-host {args.host_id}: exiting "
         f"({'link lost' if code else 'stopped'}), "

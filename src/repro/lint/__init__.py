@@ -35,16 +35,13 @@ FLT001   digest-adjacent full reductions route through ``_seq_sum``
 =======  ========================================================
 
 Findings can be suppressed in place with ``# padll: allow(RULE)``
-pragmas or grandfathered through a committed baseline file.  The
-``padll-repro lint`` subcommand (see :mod:`repro.cli`) is the
-user-facing entry point; CI gates on it and archives the JSON and
-SARIF reports.
+pragmas and in no other way.  The ``padll-repro lint`` subcommand (see
+:mod:`repro.cli`) is the user-facing entry point; CI gates on it and
+archives the JSON and SARIF reports.
 """
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig, load_config
-from repro.lint.findings import Finding, fingerprint
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache
+from repro.lint.findings import Finding
 from repro.lint.engine import LintResult, lint_paths, lint_source
 from repro.lint.project import ModuleFacts, ProjectContext, collect_facts
 from repro.lint.project_rules import (
@@ -57,10 +54,8 @@ from repro.lint.rules import RULES, Rule, all_rule_ids
 from repro.lint.sarif import render_sarif
 
 __all__ = [
-    "Baseline",
     "DEFAULT_CONFIG",
     "Finding",
-    "LintCache",
     "LintConfig",
     "LintResult",
     "ModuleFacts",
@@ -72,7 +67,6 @@ __all__ = [
     "all_project_rule_ids",
     "all_rule_ids",
     "collect_facts",
-    "fingerprint",
     "lint_paths",
     "lint_source",
     "load_config",

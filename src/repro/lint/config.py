@@ -59,11 +59,6 @@ class LintConfig:
     )
     #: Module prefixes holding the LD_PRELOAD-analogue shim (INT001 scope).
     interpose_layers: Tuple[str, ...] = ("repro.interpose",)
-    #: Baseline file path, relative to the config file's directory.
-    baseline: str = "lint-baseline.json"
-    #: Incremental cache directory, relative to the config file's
-    #: directory (the CLI resolves and uses it; library calls opt in).
-    cache_dir: str = ".padll-lint-cache"
     #: Path substrings to skip entirely.
     exclude: Tuple[str, ...] = ()
     #: Rule ids disabled project-wide.
@@ -103,14 +98,9 @@ _KEYS = {
     "src-roots": "src_roots",
     "deterministic-layers": "deterministic_layers",
     "interpose-layers": "interpose_layers",
-    "baseline": "baseline",
-    "cache-dir": "cache_dir",
     "exclude": "exclude",
     "disable": "disable",
 }
-
-#: config attributes holding a single path string (not a string list)
-_STRING_KEYS = frozenset({"baseline", "cache_dir"})
 
 
 def find_pyproject(start: Optional[Path] = None) -> Optional[Path]:
@@ -146,16 +136,9 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
         attr = _KEYS.get(key)
         if attr is None:
             raise ConfigError(f"unknown [tool.padll-lint] key: {key!r}")
-        if attr in _STRING_KEYS:
-            if not isinstance(value, str):
-                raise ConfigError(f"[tool.padll-lint] {key} must be a string")
-            updates[attr] = value
-        else:
-            if not isinstance(value, list) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise ConfigError(
-                    f"[tool.padll-lint] {key} must be a list of strings"
-                )
-            updates[attr] = tuple(value)
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise ConfigError(f"[tool.padll-lint] {key} must be a list of strings")
+        updates[attr] = tuple(value)
     return replace(config, **updates)

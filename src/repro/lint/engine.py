@@ -7,15 +7,12 @@ in the same walk-adjacent pipeline.  **Pass two** is cross-module: every
 module's facts are combined into one
 :class:`~repro.lint.project.ProjectContext` and handed to the
 :data:`~repro.lint.project_rules.PROJECT_RULES` (WIRE/SHM/VEC/FLT).
-Pragmas suppress findings from both passes identically; the baseline is
-applied last, over the merged, per-file-sorted stream.
+Pragmas suppress findings from both passes identically, and nothing
+else does: there is no baseline to grandfather a finding into.
 
-Pass one is the expensive half, so it is what the incremental cache
-(:mod:`repro.lint.cache`) memoises and what ``--jobs N`` parallelises
-across processes.  The project pass always re-runs -- it is cheap and
-its output depends on every file at once.  File discovery stays sorted
-and deterministic: the linter itself must obey its own DET003, and the
-cold-vs-warm byte-identical-report guarantee depends on it.
+File discovery stays sorted and deterministic: the linter itself must
+obey its own DET003, and two runs over one tree render byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -23,15 +20,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache, config_fingerprint, source_sha
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PragmaIndex, scan_pragmas
-from repro.lint.project import FACTS_VERSION, ModuleFacts, ProjectContext, collect_facts
+from repro.lint.project import ModuleFacts, ProjectContext, collect_facts
 from repro.lint.project_rules import PROJECT_RULES, ProjectRule, all_project_rule_ids
 from repro.lint.rules import RULES, LintContext, Rule
 
@@ -51,26 +46,15 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: files served from the incremental cache (not part of the JSON
-    #: report: a warm run must render byte-identically to a cold one)
-    cache_hits: int = 0
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that gate: neither pragma-suppressed nor baselined."""
-        return [
-            finding
-            for finding in self.findings
-            if not finding.suppressed and not finding.baselined
-        ]
+        """Findings that gate: everything no pragma suppressed."""
+        return [finding for finding in self.findings if not finding.suppressed]
 
     @property
     def suppressed(self) -> List[Finding]:
         return [finding for finding in self.findings if finding.suppressed]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
 
     @property
     def ok(self) -> bool:
@@ -86,29 +70,6 @@ class ModuleRecord:
     facts: Optional[ModuleFacts]
     pragmas: PragmaIndex
     parse_error: Optional[str] = None
-
-    def to_cache(self) -> Dict[str, Any]:
-        return {
-            "display_path": self.display_path,
-            "findings": [finding.to_dict() for finding in self.findings],
-            "facts": None if self.facts is None else self.facts.to_dict(),
-            "pragmas": self.pragmas.to_dict(),
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_cache(cls, doc: Dict[str, Any]) -> "ModuleRecord":
-        return cls(
-            display_path=doc["display_path"],
-            findings=[Finding(**entry) for entry in doc["findings"]],
-            facts=(
-                None
-                if doc["facts"] is None
-                else ModuleFacts.from_dict(doc["facts"])
-            ),
-            pragmas=PragmaIndex.from_dict(doc["pragmas"]),
-            parse_error=doc["parse_error"],
-        )
 
 
 def _select_rules(config: LintConfig, rules: Sequence[Rule]) -> List[Rule]:
@@ -174,12 +135,6 @@ def _scan_module(
     )
 
 
-def _scan_for_pool(payload: Tuple[str, str, LintConfig]) -> ModuleRecord:
-    """Process-pool entry point: default rules, facts collected."""
-    source, path, config = payload
-    return _scan_module(source, path, config, RULES, collect=True)
-
-
 def lint_source(
     source: str,
     path: str,
@@ -225,33 +180,18 @@ def iter_python_files(
     return selected
 
 
-def _ruleset_signature(rules: Sequence[Rule]) -> str:
-    """Cache-key component covering both passes' rule populations."""
-    parts = [f"facts={FACTS_VERSION}"]
-    parts.extend(rule.id for rule in rules)
-    parts.extend(all_project_rule_ids())
-    return "|".join(parts)
-
-
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[Rule]] = None,
     *,
     project_rules: Optional[Sequence[ProjectRule]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
 ) -> LintResult:
     """Lint files/directories through both passes.
 
     ``rules``/``project_rules`` override the default populations (a
     custom per-module ``rules`` list skips the project pass unless
-    ``project_rules`` is also given).  ``cache_dir`` enables the
-    incremental cache (disabled by default so library callers never
-    write outside their own tree); ``jobs > 1`` parses cache-miss files
-    in a process pool.  Pragmas apply to both passes, then the
-    ``baseline`` filters the merged stream.
+    ``project_rules`` is also given).  Pragmas apply to both passes.
     """
     config = config if config is not None else LintConfig()
     if paths is None:
@@ -269,79 +209,31 @@ def lint_paths(
     # Validate ``disable`` up front even if no file ends up scanned.
     _select_rules(config, per_module_rules)
 
-    cache: Optional[LintCache] = None
-    if cache_dir is not None and rules is None and project_rules is None:
-        cache = LintCache(
-            Path(cache_dir),
-            f"{_ruleset_signature(per_module_rules)}\n"
-            f"{config_fingerprint(config)}",
-        )
-
     result = LintResult()
-    records: List[Optional[ModuleRecord]] = []
-    keys: List[Optional[str]] = []
-    pending: List[Tuple[int, str, str]] = []  # (slot, source, display path)
+    records: List[ModuleRecord] = []
     for file in iter_python_files(paths, config.exclude):
         try:
             source = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             result.parse_errors.append(f"{file}: unreadable: {exc}")
             continue
-        display = _display_path(file, config)
-        key = None
-        if cache is not None:
-            key = cache.key(display, source_sha(source))
-            doc = cache.load(key)
-            if doc is not None:
-                try:
-                    records.append(ModuleRecord.from_cache(doc))
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed entry: fall through to a fresh scan
-                else:
-                    keys.append(None)
-                    result.cache_hits += 1
-                    continue
-        records.append(None)
-        keys.append(key)
-        pending.append((len(records) - 1, source, display))
-
-    collect = run_project or cache is not None
-    if jobs > 1 and rules is None and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scanned = list(
-                pool.map(
-                    _scan_for_pool,
-                    [(source, display, config) for _, source, display in pending],
-                )
-            )
-    else:
-        scanned = [
-            _scan_module(source, display, config, per_module_rules, collect)
-            for _, source, display in pending
-        ]
-    for (slot, _, _), record in zip(pending, scanned):
-        records[slot] = record
-        if cache is not None and keys[slot] is not None:
-            cache.store(keys[slot], record.to_cache())
-
-    result.files_scanned = len(records)
-    for record in records:
-        assert record is not None
+        record = _scan_module(
+            source, _display_path(file, config), config, per_module_rules, run_project
+        )
+        records.append(record)
         if record.parse_error is not None:
             result.parse_errors.append(record.parse_error)
+    result.files_scanned = len(records)
 
     # Pass two: the cross-module rules over every module's facts.
     project_by_path: Dict[str, List[Finding]] = {}
     if selected_project:
-        facts = [r.facts for r in records if r is not None and r.facts is not None]
-        context = ProjectContext(facts, config)
+        context = ProjectContext(
+            [r.facts for r in records if r.facts is not None], config
+        )
         for rule in selected_project:
             rule.check_project(context)
-        pragmas_by_path = {
-            r.display_path: r.pragmas for r in records if r is not None
-        }
+        pragmas_by_path = {r.display_path: r.pragmas for r in records}
         for finding in context.findings:
             pragmas = pragmas_by_path.get(finding.path)
             if pragmas is not None and pragmas.suppresses(
@@ -350,15 +242,10 @@ def lint_paths(
                 finding = Finding(**{**finding.to_dict(), "suppressed": True})
             project_by_path.setdefault(finding.path, []).append(finding)
 
-    all_findings: List[Finding] = []
     for record in records:
-        assert record is not None
         merged = record.findings + project_by_path.get(record.display_path, [])
         merged.sort(key=lambda f: (f.line, f.col, f.rule))
-        all_findings.extend(merged)
-    if baseline is not None:
-        all_findings = baseline.apply(all_findings)
-    result.findings = all_findings
+        result.findings.extend(merged)
     return result
 
 

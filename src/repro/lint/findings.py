@@ -1,18 +1,11 @@
-"""Finding record and the stable fingerprint used by baselines.
-
-A finding's *fingerprint* deliberately excludes the line number: edits
-above a grandfathered finding must not invalidate the baseline entry.
-Instead it keys on (rule, path, stripped source line), the same scheme
-flake8/ruff-style baselines use; several identical lines in one file
-collapse onto one fingerprint with a count.
-"""
+"""The finding record every rule emits and every reporter renders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict
 
-__all__ = ["Finding", "fingerprint"]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,12 +18,10 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line, for reports and baseline fingerprints.
+    #: The stripped source line, for reports.
     source: str = ""
     #: True when an in-source pragma suppressed this finding.
     suppressed: bool = False
-    #: True when a baseline entry absorbed this finding.
-    baselined: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -41,13 +32,7 @@ class Finding:
             "message": self.message,
             "source": self.source,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-def fingerprint(finding: Finding) -> tuple:
-    """Line-number-independent identity used for baseline matching."""
-    return (finding.rule, finding.path.replace("\\", "/"), finding.source)

@@ -49,26 +49,6 @@ class PragmaIndex:
     def empty(self) -> bool:
         return not self._line_rules and not self._file_rules
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON shape for the incremental cache."""
-        return {
-            "lines": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self._line_rules.items())
-            },
-            "files": sorted(self._file_rules),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, object]) -> "PragmaIndex":
-        return cls(
-            {
-                int(line): set(rules)
-                for line, rules in doc.get("lines", {}).items()  # type: ignore[union-attr]
-            },
-            set(doc.get("files", ())),  # type: ignore[arg-type]
-        )
-
 
 def scan_pragmas(source: str) -> PragmaIndex:
     """Extract every pragma comment from ``source``."""

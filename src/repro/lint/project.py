@@ -3,10 +3,8 @@
 The two-pass engine first *collects* a :class:`ModuleFacts` record per
 module (one AST walk, alongside the per-module rules), then hands every
 record to the cross-module :class:`~repro.lint.project_rules.ProjectRule`
-pass through a :class:`ProjectContext`.  Facts are plain, JSON-round-
-trippable data -- never AST nodes -- for two reasons: the incremental
-cache persists them per file (so a warm run skips re-parsing entirely),
-and project rules must be able to attribute findings to concrete
+pass through a :class:`ProjectContext`.  Facts are plain data -- never
+AST nodes -- so project rules attribute findings to concrete
 ``(path, line, source)`` sites without holding the module trees alive.
 
 What is collected (each entry names the rules that consume it):
@@ -34,25 +32,20 @@ What is collected (each entry names the rules that consume it):
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.resolve import ImportResolver
 
 __all__ = [
-    "FACTS_VERSION",
     "ClassFact",
     "FunctionFact",
     "ModuleFacts",
     "ProjectContext",
     "collect_facts",
 ]
-
-#: Bump whenever the collected shape changes: the incremental cache keys
-#: on it, so stale fact records can never feed the project pass.
-FACTS_VERSION = 2
 
 _HANDLER_PREFIXES = ("handle_", "_handle")
 _NAMEDTUPLE_BASES = frozenset({"typing.NamedTuple", "NamedTuple"})
@@ -187,61 +180,6 @@ class ModuleFacts:
     shm_ctors: Tuple[Site, ...] = ()
     unregisters: Tuple[Site, ...] = ()
     attach_unlinks: Tuple[Site, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ModuleFacts":
-        return cls(
-            module=doc["module"],
-            path=doc["path"],
-            is_layout=doc["is_layout"],
-            classes=tuple(
-                ClassFact(
-                    **{
-                        **entry,
-                        "bases": tuple(entry["bases"]),
-                        "methods": tuple(entry["methods"]),
-                        "flags": tuple(entry["flags"]),
-                        "seq_fields": tuple(
-                            SeqField(**sf) for sf in entry["seq_fields"]
-                        ),
-                        "array_attrs": tuple(entry["array_attrs"]),
-                    }
-                )
-                for entry in doc["classes"]
-            ),
-            functions=tuple(
-                FunctionFact(
-                    **{
-                        **entry,
-                        "calls": tuple(entry["calls"]),
-                        "method_calls": tuple(entry["method_calls"]),
-                        "sum_sites": tuple(
-                            SumSite(**site) for site in entry["sum_sites"]
-                        ),
-                    }
-                )
-                for entry in doc["functions"]
-            ),
-            constructions=tuple(
-                CallSite(**entry) for entry in doc["constructions"]
-            ),
-            handler_checks=tuple(doc["handler_checks"]),
-            unpacks=tuple(UnpackSite(**entry) for entry in doc["unpacks"]),
-            wire_regs=tuple(
-                WireRegSite(**entry) for entry in doc["wire_regs"]
-            ),
-            subscripts=tuple(
-                SubscriptSite(**entry) for entry in doc["subscripts"]
-            ),
-            shm_ctors=tuple(Site(**entry) for entry in doc["shm_ctors"]),
-            unregisters=tuple(Site(**entry) for entry in doc["unregisters"]),
-            attach_unlinks=tuple(
-                Site(**entry) for entry in doc["attach_unlinks"]
-            ),
-        )
 
 
 def _is_handler_name(name: str) -> bool:

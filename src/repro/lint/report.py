@@ -17,7 +17,8 @@ from repro.lint.rules import RULES
 __all__ = ["REPORT_VERSION", "render_json", "render_text"]
 
 #: v2: ``active_by_rule`` gained the cross-module WIRE/SHM/VEC/FLT ids.
-REPORT_VERSION = 2
+#: v3: the baseline is gone -- no ``baselined`` field or count.
+REPORT_VERSION = 3
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -32,12 +33,9 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
     if verbose:
         for finding in result.suppressed:
             lines.append(f"{finding.render()} [suppressed by pragma]")
-        for finding in result.baselined:
-            lines.append(f"{finding.render()} [baselined]")
     lines.append(
         f"{len(result.active)} finding(s), {len(result.suppressed)} "
-        f"suppressed, {len(result.baselined)} baselined, "
-        f"{len(result.parse_errors)} parse error(s) across "
+        f"suppressed, {len(result.parse_errors)} parse error(s) across "
         f"{result.files_scanned} file(s)"
     )
     return "\n".join(lines)
@@ -57,7 +55,6 @@ def render_json(result: LintResult) -> str:
         "counts": {
             "active": len(result.active),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
             "parse_errors": len(result.parse_errors),
         },
         "active_by_rule": by_rule,

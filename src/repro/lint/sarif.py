@@ -4,13 +4,13 @@ SARIF is the interchange format GitHub code scanning ingests
 (``github/codeql-action/upload-sarif``), turning lint findings into
 inline PR annotations.  Only what code scanning actually consumes is
 emitted: one run, the full rule metadata table (both passes), and one
-``result`` per finding with a physical location.  Pragma-suppressed and
-baselined findings are included with a ``suppressions`` entry -- SARIF
-viewers render them greyed-out rather than losing them -- while active
-findings carry an empty ``suppressions`` list and level ``error``.
+``result`` per finding with a physical location.  Pragma-suppressed
+findings are included with a ``suppressions`` entry -- SARIF viewers
+render them greyed-out rather than losing them -- while active findings
+carry an empty ``suppressions`` list and level ``error``.
 
 The serialisation is deterministic (sorted keys, findings in engine
-order), so the warm-cache run produces a byte-identical document too.
+order).
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ def _rule_metadata() -> List[Dict[str, Any]]:
 def _suppressions(finding: Finding) -> List[Dict[str, Any]]:
     if finding.suppressed:
         return [{"kind": "inSource", "justification": "padll pragma"}]
-    if finding.baselined:
-        return [{"kind": "external", "justification": "lint baseline"}]
     return []
 
 

@@ -423,14 +423,6 @@ class SocketListener:
         )
         self._accept_thread.start()
 
-    @property
-    def host(self) -> str:
-        return self.address[0]
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
     def connections(self) -> List[WireConnection]:
         with self._lock:
             return list(self._connections)
@@ -527,10 +519,6 @@ class SocketTransport(InProcTransport):
         )
         return self._listener.address
 
-    @property
-    def listener(self) -> Optional[SocketListener]:
-        return self._listener
-
     # -- client side -------------------------------------------------------
     def connect(
         self,
@@ -583,20 +571,6 @@ class SocketTransport(InProcTransport):
     ) -> None:
         """Bind ``address`` to a remote endpoint reached over ``connection``."""
         self.bind(address, _RemoteEndpoint(connection, address, deadline))
-
-    def connection_for(self, address: str) -> Optional[WireConnection]:
-        handler = self.handler(address)
-        if isinstance(handler, _RemoteEndpoint):
-            return handler.connection
-        return None
-
-    def addresses_on(self, connection: WireConnection) -> Tuple[str, ...]:
-        """Every address currently attached over ``connection``."""
-        return tuple(
-            address
-            for address in self.addresses()
-            if self.connection_for(address) is connection
-        )
 
     def close(self) -> None:
         if self._listener is not None:

@@ -15,10 +15,11 @@ the broken connection has already evicted the dead host's stages from
 the controller, so the window between eviction and re-registration is
 the paper's "control plane lost a stage" story with real processes.
 
-A child is told what :meth:`HostSupervisor._argv` carries -- seed,
-channel name, workload, sampling -- and nothing else: its stages run the
-default channel layout with no orphan policy, and ``ServiceRuntime``
-refuses a config that asks for more.
+A child's argv (:meth:`HostSupervisor._argv`) carries what the process
+knows about *itself* -- where to dial, host id, stage ids, seed, workload.
+What its stages look like (channels, mounts, orphan policy, sampling,
+tracing) the host asks the controller for, over the connection it dials
+(:class:`~repro.service.stagehost.StageLayout`).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class HostSupervisor:
     def _argv(self, host_id: str, stage_ids: Sequence[str], index: int) -> List[str]:
         config = self._config
         spec = config.workload
-        argv = [
+        return [
             sys.executable,
             "-m",
             "repro.cli",
@@ -127,18 +128,13 @@ class HostSupervisor:
             ",".join(stage_ids),
             "--seed",
             str(config.seed ^ (index * 0x9E3779B1)),
-            "--channel",
-            config.channel,
             "--workload-rate",
             str(spec.rate),
             "--workload-ops",
             ",".join(spec.ops),
             "--path-prefix",
             spec.path_prefix,
-            "--sample-rate",
-            str(config.sample_rate),
         ]
-        return argv
 
     def control_address(self) -> str:
         return f"{self._control_host}:{self._control_port}"

@@ -20,11 +20,14 @@ Concurrency contract (pinned by ``tests/service/test_concurrent_scrape.py``):
   (sampling rate, shutdown flag) apply synchronously, as does the whole
   queue when no loop is running (then there is no writer to race).
 
-Out-of-process mode (``stage_procs > 0``) swaps the fabric's inner
-transport for a listening :class:`~repro.net.SocketTransport` and moves
-every stage into supervised ``padll-repro stage-host`` children
-(:mod:`repro.service.hosts`).  Hosts dial in, PUSH registrations and
-telemetry over the wire; both land on reader threads and are therefore
+Wherever they run, stages are built by :func:`~repro.service.stagehost.
+build_stages` from the config's ``StageLayout`` and join the controller
+through :meth:`ServiceRuntime._register`.  Out-of-process mode
+(``stage_procs > 0``) swaps the fabric's inner transport for a listening
+:class:`~repro.net.SocketTransport` and moves every stage into supervised
+``padll-repro stage-host`` children (:mod:`repro.service.hosts`).  Hosts
+dial in, ask for the layout (answered on the reader thread), then PUSH
+registrations and telemetry; both land on reader threads and are
 *queued* onto ``_control_queue``, applied by the same loop thread as
 admin verbs -- one writer, regardless of where the stages live.  A
 closed connection queues the eviction of everything registered over it;
@@ -37,18 +40,16 @@ import random
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from pathlib import Path
 
-from repro.errors import ConfigError, PolicyError, ReproError
-from repro.core.config import ChannelSpec
+from repro.errors import ConfigError, PolicyError, ReproError, RPCError
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.algorithms import ProportionalSharing
-from repro.core.differentiation import ClassifierRule
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
-from repro.core.requests import OperationClass
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
 from repro.interpose.live_stage import LiveStage
@@ -56,10 +57,11 @@ from repro.interpose.loop import LiveControlLoop
 from repro.net import SocketTransport, WireConnection
 from repro.service.audit import AuditLog
 from repro.service.config import ServiceConfig
+from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.sinks import JsonlSink, SinkedEventLog
 from repro.service.snapshot import build_snapshot, filter_events, filter_spans
+from repro.service.stagehost import LAYOUT_ADDRESS, StageLayout, build_stages
 from repro.service.workload import LiveWorkload
-from repro.telemetry.events import Event
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
 from repro.telemetry.trace import Span
@@ -84,24 +86,6 @@ ADMIN_ACTIONS: Dict[str, str] = {
 
 _SYNC_ACTIONS = frozenset({"telemetry.sampling", "service.shutdown"})
 
-_DEFAULT_CLASSES = frozenset(
-    {OperationClass.METADATA, OperationClass.DIRECTORY_MANAGEMENT}
-)
-
-
-def _default_channel_spec(channel: str) -> ChannelSpec:
-    """The implicit PADLL layout when no document is supplied: one
-    metadata channel catching metadata + directory-management ops."""
-    return ChannelSpec(
-        channel_id=channel,
-        rule=ClassifierRule(
-            name=f"service:{channel}",
-            channel_id=channel,
-            op_classes=_DEFAULT_CLASSES,
-        ),
-    )
-
-
 def _require(params: Mapping[str, Any], key: str, action: str) -> Any:
     if key not in params:
         raise ConfigError(f"admin {action}: missing parameter {key!r}")
@@ -116,31 +100,6 @@ def _positive_rate(value: Any, action: str) -> float:
     if rate <= 0:
         raise ConfigError(f"admin {action}: rate must be positive, got {rate}")
     return rate
-
-
-def _refuse_unshipped_stage_settings(config: ServiceConfig) -> None:
-    """Out-of-process stages get seed, channel name, workload and sampling
-    from the supervisor's argv and nothing else: refuse a config whose
-    per-stage settings would silently stay behind in this process."""
-    if config.stage_procs == 0:
-        return
-    padll = config.padll
-    unshipped = [
-        name
-        for name, value in (
-            ("orphan", config.orphan),
-            ("padll.channels", padll is not None and padll.channels),
-            ("padll.pfs_mounts", padll is not None and padll.pfs_mounts),
-        )
-        if value
-    ]
-    if unshipped:
-        raise ConfigError(
-            f"stage_procs={config.stage_procs} cannot carry "
-            f"{', '.join(unshipped)} to stage-host processes: remote stages "
-            "would run the default channel layout with no orphan policy; "
-            "run the stages in-process (stage_procs=0) or drop those settings"
-        )
 
 
 class _LaggedHandler:
@@ -179,7 +138,6 @@ class ServiceRuntime:
         loop: Optional[LiveControlLoop] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        _refuse_unshipped_stage_settings(self.config)
         self.clock = clock
         self._shutdown = threading.Event()
         self._shutdown_reason: Optional[str] = None
@@ -199,7 +157,9 @@ class ServiceRuntime:
         self.control_address: Optional[tuple] = None
         self._remote_stages: Dict[WireConnection, set] = {}
         self._remote_hosts: Dict[WireConnection, str] = {}
-        self._remote_last: Dict[tuple, Any] = {}
+        #: Last absolute each connection reported, per (metric, labels);
+        #: dropped with the connection, so a restarted host counts from 0.
+        self._remote_last: Dict[WireConnection, Dict[tuple, Any]] = {}
         self._remote_workload: Dict[str, Dict[str, float]] = {}
         self._audit_sink: Optional[JsonlSink] = None
         self._event_sink: Optional[JsonlSink] = None
@@ -260,6 +220,9 @@ class ServiceRuntime:
     def _build_world(self) -> None:
         config = self.config
         faults = config.faults
+        #: What every stage is built from, here or in a stage host.
+        self._layout = StageLayout.from_config(config)
+        self._lag_rng = random.Random(config.seed)
         transport = None
         if config.stage_procs > 0:
             # Out-of-process mode: stages live in stage-host children and
@@ -270,6 +233,8 @@ class ServiceRuntime:
                 deadline=max(1.0, 4.0 * config.interval)
             )
             self.transport = transport
+            # Read per request (reader thread): ``telemetry.sampling`` swaps it.
+            transport.bind(LAYOUT_ADDRESS, lambda host_id: self._layout.to_wire())
             self.control_address = transport.listen(
                 config.control_host,
                 config.control_port,
@@ -301,51 +266,34 @@ class ServiceRuntime:
             padll.install_on(self.controller)
             for job_id, rate in padll.reservations.items():
                 self.controller.set_reservation(job_id, rate)
-        channel_specs = (
-            padll.channels
-            if padll is not None and padll.channels
-            else [_default_channel_spec(config.channel)]
-        )
-        pfs_mounts = (
-            padll.pfs_mounts
-            if padll is not None and padll.pfs_mounts is not None
-            else ("/pfs",)
-        )
-        lag_rng = None
-        if faults.latency > 0 or faults.jitter > 0:
-            lag_rng = random.Random(config.seed)
         spec = config.workload
-        now = self.clock()
         if config.stage_procs == 0:
-            for j in range(spec.jobs):
-                job_id = f"job{j}"
-                for s in range(spec.stages_per_job):
-                    stage = LiveStage(
-                        StageIdentity(stage_id=f"{job_id}/s{s}", job_id=job_id),
-                        pfs_mounts=pfs_mounts,
-                        clock=self.clock,
-                        telemetry=self.telemetry,
-                        orphan_policy=config.orphan,
-                    )
-                    for channel_spec in channel_specs:
-                        channel_spec.apply(stage, now=now)
-                    handler = StageEndpoint(stage).handle
-                    if lag_rng is not None:
-                        handler = _LaggedHandler(
-                            handler, faults.latency, faults.jitter, lag_rng
-                        )
-                    self.controller.register_endpoint(
-                        stage.identity, handler, now=now
-                    )
-                    self.stages.append(stage)
+            self.stages = build_stages(
+                partition_stages(spec.jobs, spec.stages_per_job, 1)[0],
+                self._layout,
+                self.clock,
+                self.telemetry,
+            )
+            for stage in self.stages:
+                self._register(stage.identity, StageEndpoint(stage).handle)
+            if spec.rate > 0:
+                self.workload = LiveWorkload(self.stages, spec, seed=config.seed)
         self.loop = LiveControlLoop(
             self.controller,
             interval=config.interval,
             clock=self.clock,
             on_tick=self._on_tick,
         )
-        if config.stage_procs == 0 and spec.rate > 0:
-            self.workload = LiveWorkload(self.stages, spec, seed=config.seed)
+
+    def _register(self, identity: StageIdentity, handler: Callable) -> None:
+        """The one way a stage joins the controller, wherever it runs:
+        behind the lag shim when the fault profile asks for controller lag."""
+        faults = self.config.faults
+        if faults.latency > 0 or faults.jitter > 0:
+            handler = _LaggedHandler(
+                handler, faults.latency, faults.jitter, self._lag_rng
+            )
+        self.controller.register_endpoint(identity, handler, now=self.clock())
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -354,8 +302,6 @@ class ServiceRuntime:
         if self.workload is not None:
             self.workload.start()
         if self.config.stage_procs > 0 and self.hosts is None:
-            from repro.service.hosts import HostSupervisor
-
             host, port = self.control_address
             self.hosts = HostSupervisor(
                 self.config, host, port, telemetry=self.telemetry, clock=self.clock
@@ -449,7 +395,7 @@ class ServiceRuntime:
         def handler(message, _connection=connection, _address=stage_id):
             return _connection.request(_address, message)
 
-        self.controller.register_endpoint(identity, handler, now=now)
+        self._register(identity, handler)
         self._remote_stages.setdefault(connection, set()).add(stage_id)
         self._remote_hosts[connection] = host
         self.telemetry.registry.gauge("padll_remote_host_up", host=host).set(1)
@@ -465,6 +411,7 @@ class ServiceRuntime:
         """
         stages = self._remote_stages.pop(connection, set())
         host = self._remote_hosts.pop(connection, "")
+        self._remote_last.pop(connection, None)
         if not stages:
             return
         now = self.clock()
@@ -483,57 +430,46 @@ class ServiceRuntime:
             )
         self.telemetry.registry.gauge("padll_remote_host_up", host=host).set(0)
 
-    def _append_remote_event(self, kind: str, time_: float, fields: Mapping) -> None:
-        log = self.telemetry.events
-        event = Event(kind, time_, dict(fields))
-        if isinstance(log, SinkedEventLog):
-            log.record(event)
-        else:
-            log.events.append(event)
-
     def _merge_remote(self, connection: WireConnection, doc: Mapping) -> None:
         """Fold one host's telemetry push into this world's spine.
 
-        Counters ship as absolutes; the per-(host, metric) delta is
-        applied here so ``/metrics`` aggregates across hosts.  A smaller
-        absolute than last time means the host restarted -- its fresh
-        total *is* the delta.  Gauges last-write-win (labels carry the
-        stage id, so hosts never collide), histograms merge per-bucket
-        deltas, and events/spans append verbatim.
+        Counters ship as absolutes; the delta against what the same
+        *connection* last reported is applied here so ``/metrics``
+        aggregates across hosts, and a restarted host -- a new
+        connection -- counts from zero.  Gauges last-write-win (labels
+        carry the stage id, so hosts never collide), histograms merge
+        per-bucket deltas, and events/spans append verbatim.
         """
         host = str(doc.get("host", self._remote_hosts.get(connection, "")))
         registry = self.telemetry.registry
+        last_seen = self._remote_last.setdefault(connection, {})
         for entry in doc.get("metrics", ()):
             name, label_pairs, kind, value = entry
             labels = {str(k): v for k, v in label_pairs}
-            key = (host, name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+            key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
             if kind == "counter":
-                last = self._remote_last.get(key, 0.0)
-                delta = value - last if value >= last else value
+                delta = value - last_seen.get(key, 0.0)
                 if delta:
                     registry.counter(name, **labels).inc(delta)
-                self._remote_last[key] = value
+                last_seen[key] = value
             elif kind == "gauge":
                 registry.gauge(name, **labels).set(value)
             elif kind == "histogram":
                 bounds = tuple(value["bounds"])
                 counts = list(value["counts"])
                 total = float(value["total"])
-                last_counts, last_total = self._remote_last.get(
+                last_counts, last_total = last_seen.get(
                     key, ([0.0] * len(counts), 0.0)
                 )
-                if len(last_counts) != len(counts) or any(
-                    c < lc for c, lc in zip(counts, last_counts)
-                ):
-                    last_counts, last_total = [0.0] * len(counts), 0.0
                 deltas = [c - lc for c, lc in zip(counts, last_counts)]
                 if any(deltas):
                     registry.histogram(name, bounds=bounds, **labels).merge(
                         deltas, total - last_total
                     )
-                self._remote_last[key] = (counts, total)
+                last_seen[key] = (counts, total)
+        events = self.telemetry.events
         for kind_, time_, fields in doc.get("events", ()):
-            self._append_remote_event(str(kind_), float(time_), fields)
+            events.emit(str(kind_), float(time_), **fields)
         tracer = self.telemetry.tracer
         if tracer is not None:
             for trace_id, name, start, end, attrs in doc.get("spans", ()):
@@ -671,6 +607,16 @@ class ServiceRuntime:
 
             def set_sampling() -> None:
                 tracer.sample_rate = rate
+                if self.transport is None:
+                    return
+                # Remote stages are sampled by their host's tracer: tell the
+                # registered hosts, and answer later ones with the new rate.
+                self._layout = replace(self._layout, sample_rate=rate)
+                for connection in list(self._remote_hosts):
+                    try:
+                        connection.push({"kind": "sampling", "rate": rate})
+                    except RPCError:
+                        pass  # a dying link; its respawn asks for the layout
 
             return set_sampling
         if action == "service.shutdown":

@@ -103,13 +103,6 @@ class SinkedEventLog(EventLog):
         super().emit(kind, now, **fields)
         self.sink.write({"kind": kind, "time": now, "fields": fields})
 
-    def record(self, event) -> None:
-        """Append an already-built Event (the remote-telemetry merge path)."""
-        self.events.append(event)
-        self.sink.write(
-            {"kind": event.kind, "time": event.time, "fields": event.fields}
-        )
-
 
 def load_jsonl(
     path: Union[str, Path], *, with_rotated: bool = False

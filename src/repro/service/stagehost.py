@@ -5,7 +5,10 @@ process holding a handful of :class:`~repro.interpose.live_stage.
 LiveStage` data planes (with their synthetic workload drivers), dialing
 the controller's socket fabric and *registering* its stages over the
 wire -- the paper's deployment shape, where enforcement lives inside
-application processes and only the control plane is centralised.
+application processes and only the control plane is centralised.  What
+those stages look like is the controller's to say: the host's first
+request over the connection it dialed asks for the :class:`StageLayout`,
+and :func:`build_stages` (the in-process world's builder too) makes them.
 
 The connection is the reverse tunnel of :mod:`repro.net`: the host
 dials out, binds its stage endpoints on its own
@@ -27,27 +30,139 @@ import os
 import socket as socketlib
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, RPCError
+from repro.errors import ConfigError, ReproError, RPCError
+from repro.core.config import ChannelSpec
+from repro.core.differentiation import ClassifierRule
+from repro.core.requests import OperationClass
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.net import SocketTransport, WireConnection
-from repro.service.config import WorkloadSpec
-from repro.service.runtime import _default_channel_spec
+from repro.service.config import ServiceConfig, WorkloadSpec
 from repro.service.workload import LiveWorkload
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
 
-__all__ = ["StageHost"]
+__all__ = ["LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages", "job_of"]
 
 #: Default period between telemetry pushes, seconds.
 DEFAULT_PUSH_INTERVAL = 0.5
+
+#: The address a stage host asks its controller for the stage layout.
+LAYOUT_ADDRESS = "padll/layout"
+
+_DEFAULT_CLASSES = frozenset(
+    {OperationClass.METADATA, OperationClass.DIRECTORY_MANAGEMENT}
+)
 
 
 def job_of(stage_id: str) -> str:
     """Job id convention: everything before the first ``/``."""
     return stage_id.split("/", 1)[0]
+
+
+@dataclass(frozen=True, slots=True)
+class StageLayout:
+    """The stage-side settings of a :class:`ServiceConfig`, defaults resolved.
+
+    What a stage is built from, wherever it runs: the controller derives
+    it once from its config (:meth:`from_config`), builds its in-process
+    stages from it, and answers :data:`LAYOUT_ADDRESS` with it
+    (:meth:`to_wire`) so a stage host builds the same ones.
+    """
+
+    channels: Tuple[ChannelSpec, ...]
+    pfs_mounts: Tuple[str, ...]
+    orphan: Optional[OrphanPolicy]
+    sample_rate: float
+    trace: bool
+
+    def __post_init__(self) -> None:
+        rules = [spec.rule for spec in self.channels]
+        if not rules or not all(isinstance(rule, ClassifierRule) for rule in rules):
+            raise ConfigError("stage layout needs channels, each with its rule")
+        if not self.pfs_mounts or not all(isinstance(m, str) for m in self.pfs_mounts):
+            raise ConfigError("stage layout needs PFS mount paths")
+
+    @classmethod
+    def from_config(cls, config: ServiceConfig) -> "StageLayout":
+        """Resolve the defaults: with no policy document, one channel
+        named ``config.channel`` catching metadata + directory-management
+        ops under ``/pfs``."""
+        padll = config.padll
+        channels = () if padll is None else tuple(padll.channels)
+        if not channels:
+            name = config.channel
+            rule = ClassifierRule(
+                name=f"service:{name}", channel_id=name, op_classes=_DEFAULT_CLASSES
+            )
+            channels = (ChannelSpec(channel_id=name, rule=rule),)
+        mounts = None if padll is None else padll.pfs_mounts
+        return cls(
+            channels=channels,
+            pfs_mounts=("/pfs",) if mounts is None else tuple(mounts),
+            orphan=config.orphan,
+            sample_rate=config.sample_rate,
+            trace=config.trace,
+        )
+
+    def to_wire(self) -> tuple:
+        """Containers of types the control codec already carries."""
+        return (
+            tuple(
+                (spec.channel_id, spec.rule, spec.initial_rate)
+                for spec in self.channels
+            ),
+            self.pfs_mounts,
+            None if self.orphan is None else astuple(self.orphan),
+            self.sample_rate,
+            self.trace,
+        )
+
+    @classmethod
+    def from_wire(cls, doc: Any) -> "StageLayout":
+        """Inverse of :meth:`to_wire`; anything else is a ConfigError."""
+        try:
+            channels, pfs_mounts, orphan, sample_rate, trace = doc
+            return cls(
+                channels=tuple(ChannelSpec(*spec) for spec in channels),
+                pfs_mounts=tuple(pfs_mounts),
+                orphan=None if orphan is None else OrphanPolicy(*orphan),
+                sample_rate=float(sample_rate),
+                trace=bool(trace),
+            )
+        except (TypeError, ValueError, ReproError) as exc:
+            raise ConfigError(f"malformed stage layout: {exc}") from exc
+
+
+def build_stages(
+    stage_ids: Sequence[str],
+    layout: StageLayout,
+    clock: Callable[[], float],
+    telemetry: Telemetry,
+    **identity: Any,
+) -> List[LiveStage]:
+    """Build one :class:`LiveStage` per id from ``layout``.
+
+    ``identity`` carries what only the hosting process knows about
+    itself (``hostname``, ``pid``) into each :class:`StageIdentity`.
+    """
+    now = clock()
+    stages = []
+    for stage_id in stage_ids:
+        stage = LiveStage(
+            StageIdentity(stage_id=stage_id, job_id=job_of(stage_id), **identity),
+            pfs_mounts=layout.pfs_mounts,
+            clock=clock,
+            telemetry=telemetry,
+            orphan_policy=layout.orphan,
+        )
+        for spec in layout.channels:
+            spec.apply(stage, now=now)
+        stages.append(stage)
+    return stages
 
 
 class StageHost:
@@ -58,12 +173,8 @@ class StageHost:
         host_id: str,
         stage_ids: Sequence[str],
         *,
-        channel: str = "metadata",
         seed: int = 0,
         workload: Optional[WorkloadSpec] = None,
-        sample_rate: float = 0.05,
-        orphan: Optional[OrphanPolicy] = None,
-        pfs_mounts: Tuple[str, ...] = ("/pfs",),
         push_interval: float = DEFAULT_PUSH_INTERVAL,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -77,33 +188,15 @@ class StageHost:
             )
         self.host_id = host_id
         self.clock = clock
+        self._stage_ids = tuple(stage_ids)
+        self._seed = seed
+        self._workload_spec = workload
         self._push_interval = push_interval
-        self.telemetry = Telemetry(
-            TelemetryConfig(seed=seed, sample_rate=sample_rate, trace=True)
-        )
         self.transport = SocketTransport()
+        # Both built in start(), from the layout the controller answers.
+        self.telemetry: Optional[Telemetry] = None
         self.stages: List[LiveStage] = []
-        now = clock()
-        spec = _default_channel_spec(channel)
-        for stage_id in stage_ids:
-            stage = LiveStage(
-                StageIdentity(
-                    stage_id=stage_id,
-                    job_id=job_of(stage_id),
-                    hostname=socketlib.gethostname(),
-                    pid=os.getpid(),
-                ),
-                pfs_mounts=pfs_mounts,
-                clock=clock,
-                telemetry=self.telemetry,
-                orphan_policy=orphan,
-            )
-            spec.apply(stage, now=now)
-            self.transport.bind(stage_id, StageEndpoint(stage).handle)
-            self.stages.append(stage)
         self.workload: Optional[LiveWorkload] = None
-        if workload is not None and workload.rate > 0:
-            self.workload = LiveWorkload(self.stages, workload, seed=seed)
         self.connection: Optional[WireConnection] = None
         self._stop = threading.Event()
         self._stopped = False
@@ -118,26 +211,59 @@ class StageHost:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self, host: str, port: int, *, timeout: float = 5.0) -> None:
-        """Dial the controller, register every stage, start driving."""
+        """Dial the controller, fetch the layout, build and register every
+        stage, start driving."""
         self.connection = self.transport.connect(
             host,
             port,
             name=self.host_id,
+            on_push=self._on_push,
             on_close=self._on_close,
             timeout=timeout,
         )
+        try:
+            layout = StageLayout.from_wire(
+                self.connection.request(LAYOUT_ADDRESS, self.host_id)
+            )
+        except ReproError as exc:
+            self.transport.close()
+            raise ConfigError(
+                f"no stage layout from the controller ({LAYOUT_ADDRESS}): {exc}"
+            ) from exc
+        self.telemetry = Telemetry(
+            TelemetryConfig(self._seed, layout.sample_rate, trace=layout.trace)
+        )
+        self.stages = build_stages(
+            self._stage_ids,
+            layout,
+            self.clock,
+            self.telemetry,
+            hostname=socketlib.gethostname(),
+            pid=os.getpid(),
+        )
         for stage in self.stages:
+            stage_id = stage.identity.stage_id
+            self.transport.bind(stage_id, StageEndpoint(stage).handle)
             self.connection.push(
                 {
                     "kind": "register",
                     "host": self.host_id,
-                    "address": stage.identity.stage_id,
+                    "address": stage_id,
                     "stage": stage.identity,
                 }
             )
-        if self.workload is not None:
+        spec = self._workload_spec
+        if spec is not None and spec.rate > 0:
+            self.workload = LiveWorkload(self.stages, spec, seed=self._seed)
             self.workload.start()
         self._pump.start()
+
+    def _on_push(self, connection: WireConnection, doc: Any) -> None:
+        """PUSH frames from the controller: the admin plane's sampling rate."""
+        if isinstance(doc, Mapping) and doc.get("kind") == "sampling":
+            tracer = None if self.telemetry is None else self.telemetry.tracer
+            if tracer is not None:
+                tracer.sample_rate = float(doc["rate"])
 
     def _on_close(self, connection: WireConnection) -> None:
         self._disconnected.set()

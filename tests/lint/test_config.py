@@ -63,13 +63,11 @@ class TestLoadConfig:
             "[tool.padll-lint]\n"
             'paths = ["lib"]\n'
             'deterministic-layers = ["mypkg.sim"]\n'
-            'baseline = "lint.json"\n'
             'disable = ["DET005"]\n'
         )
         config = load_config(pyproject)
         assert config.paths == ("lib",)
         assert config.deterministic_layers == ("mypkg.sim",)
-        assert config.baseline == "lint.json"
         assert config.disable == ("DET005",)
         assert config.src_roots == DEFAULT_CONFIG.src_roots
 

@@ -1,21 +1,22 @@
-"""The gate itself: ``src/repro`` lints clean against the committed baseline,
-and a seeded violation in a deterministic layer is caught."""
+"""The gate itself: ``src/repro`` lints clean (there is no baseline to
+subtract), and a seeded violation in a deterministic layer is caught."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths, load_config
+from repro.lint import lint_paths, load_config
 from repro.lint.rules import PATCHED_OS_NAMES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestSelfCheck:
-    def test_src_repro_lints_clean_against_committed_baseline(self):
+    def test_src_repro_lints_clean(self):
+        # No baseline to subtract: every intentional exemption is an
+        # in-source pragma.
         config = load_config(REPO_ROOT / "pyproject.toml")
-        baseline = Baseline.load(config.resolve(config.baseline))
-        result = lint_paths(config=config, baseline=baseline)
+        result = lint_paths(config=config)
         assert result.parse_errors == []
         assert result.active == [], "\n".join(
             finding.render() for finding in result.active
@@ -23,12 +24,6 @@ class TestSelfCheck:
         # The whole src/repro tree was actually scanned (catches a config
         # regression that would silently lint nothing).
         assert result.files_scanned > 60
-
-    def test_committed_baseline_is_empty(self):
-        # ISSUE 3 acceptance: the baseline ships empty; every intentional
-        # exemption is an in-source pragma with a justification comment.
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        assert len(Baseline.load(config.resolve(config.baseline))) == 0
 
     def test_seeded_violation_is_caught(self, tmp_path):
         # CI-gate rehearsal: introduce a wall-clock call into a copy of a

@@ -100,19 +100,6 @@ class TestSinkedEventLog:
             for event in log.events
         ]
 
-    def test_record_path_mirrors_prebuilt_events(self, tmp_path):
-        from repro.telemetry.events import Event
-
-        sink = JsonlSink(tmp_path / "events.jsonl")
-        log = SinkedEventLog(sink)
-        event = Event(kind="stage.adopted", time=4.0, fields={"stage": "j/s0"})
-        log.record(event)
-        sink.close()
-        assert log.events[-1] is event
-        assert load_jsonl(tmp_path / "events.jsonl") == [
-            {"kind": "stage.adopted", "time": 4.0, "fields": {"stage": "j/s0"}}
-        ]
-
 
 class TestRuntimeIntegration:
     def test_audit_dir_shadows_both_logs(self, tmp_path):
@@ -139,3 +126,19 @@ class TestRuntimeIntegration:
         ]
         assert event_docs == in_memory
         assert any(doc["kind"] == "control.admin" for doc in event_docs)
+
+    def test_merged_remote_events_reach_the_sink(self, tmp_path):
+        # A stage host's events are emitted like local ones: same Event in
+        # memory, same line on disk.
+        runtime = ServiceRuntime(
+            ServiceConfig(port=0, stage_procs=1, audit_dir=str(tmp_path))
+        )
+        runtime._merge_remote(
+            object(),
+            {"host": "host0", "events": [["stage.adopted", 4.0, {"stage": "j/s0"}]]},
+        )
+        runtime.stop()
+        merged = {"kind": "stage.adopted", "time": 4.0, "fields": {"stage": "j/s0"}}
+        assert merged in load_jsonl(tmp_path / "events.jsonl")
+        (event,) = runtime.telemetry.events.of_kind("stage.adopted")
+        assert (event.time, event.fields) == (4.0, {"stage": "j/s0"})

@@ -59,8 +59,7 @@ class TestCliServe:
 
 
     def test_stage_procs_runs_and_shuts_down_clean(self):
-        # The CI multi-process smoke's shape: no orphan policy, no policy
-        # document -- nothing the supervisor's argv cannot carry.
+        # The default layout: no orphan policy, no policy document.
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "serve",
@@ -75,22 +74,33 @@ class TestCliServe:
         assert result.stdout.count("stage(s) registered with") == 2, result.stdout
         assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
 
-    def test_stage_procs_refuses_a_channel_layout_it_cannot_ship(self, tmp_path):
+    def test_stage_procs_serves_a_two_channel_layout(self, tmp_path):
+        # Was an exit-2 refusal (argv could not carry ``padll.channels``);
+        # the hosts fetch the layout from the controller now.
         policy = tmp_path / "policy.json"
         policy.write_text(
-            json.dumps({"channels": [{"id": "metadata", "classes": ["metadata"]}]})
+            json.dumps(
+                {
+                    "channels": [
+                        {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
+                        {"id": "opens", "ops": ["open"], "priority": 10},
+                    ]
+                }
+            )
         )
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-                "--duration", "1", "--stage-procs", "2", "--policy", str(policy),
+                "--duration", "4", "--interval", "0.1", "--workload-rate", "80",
+                "--stage-procs", "2", "--policy", str(policy),
             ],
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert result.returncode == 2, result.stdout + result.stderr
-        assert "cannot carry padll.channels" in result.stderr
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.count("stage(s) registered with") == 2, result.stdout
+        assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
 
 
 class TestLiveFaultsOverHttp:

@@ -10,20 +10,23 @@ spawning actual children).
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.config import parse_config
+from repro.core.requests import OperationType
 from repro.core.rpc import CollectStats
 from repro.core.stage import OrphanPolicy
 from repro.errors import ConfigError
 from repro.net import SocketTransport
-from repro.service.config import ServiceConfig, WorkloadSpec
+from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.runtime import ServiceRuntime
-from repro.service.stagehost import StageHost, job_of
+from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout, job_of
 
 
 def _wait(predicate, timeout=5.0):
@@ -75,11 +78,19 @@ class TestStageHostValidation:
             StageHost("host0", ["job0/s0"], push_interval=0.0)
 
 
-class _Controller:
-    """A listening controller-side transport capturing pushes."""
+_DEFAULT_LAYOUT = StageLayout.from_config(ServiceConfig()).to_wire()
 
-    def __init__(self):
+
+class _Controller:
+    """A listening controller-side transport capturing pushes.
+
+    Answers the layout request with ``layout`` (``None`` binds nothing).
+    """
+
+    def __init__(self, layout=_DEFAULT_LAYOUT):
         self.transport = SocketTransport()
+        if layout is not None:
+            self.transport.bind(LAYOUT_ADDRESS, lambda host_id: layout)
         self.accepted = []
         self.pushed = []
         self._seen = threading.Event()
@@ -238,6 +249,10 @@ class TestHostSupervisor:
             assert argv[argv.index("--connect") + 1] == "127.0.0.1:4321"
             assert argv[argv.index("--host-id") + 1] == host_id
             stages.extend(argv[argv.index("--stages") + 1].split(","))
+            # argv says what a process knows about itself; what its stages
+            # look like comes from the controller's layout, not from flags.
+            for flag in ("--channel", "--sample-rate", "--push-interval", "--duration"):
+                assert flag not in argv
         # Every stage in the world is owned by exactly one host.
         assert sorted(stages) == sorted(
             s
@@ -266,10 +281,71 @@ class TestHostSupervisor:
         }
 
 
-class TestUnshippedStageSettings:
-    """The supervisor's argv carries seed, channel name, workload and
-    sampling; a per-stage setting it cannot carry must not be dropped
-    silently on the way to a stage-host process."""
+_TWO_CHANNELS = {
+    "pfs_mounts": ["/lustre"],
+    "channels": [
+        {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
+        {"id": "opens", "ops": ["open"], "priority": 10, "initial_rate": 40.0},
+    ],
+}
+
+
+def _layout_config(**kwargs):
+    return _proc_config(
+        workload=WorkloadSpec(jobs=2, stages_per_job=1, rate=0.0),
+        orphan=OrphanPolicy(mode="decay", floor=2.0, half_life=5.0),
+        padll=parse_config(_TWO_CHANNELS),
+        **kwargs,
+    )
+
+
+def _dial(runtime, host_id="host0", **kwargs):
+    """A StageHost over every stage of ``runtime``'s world, dialed in-process
+    (the runtime is not started, so nothing spawns a child and wire-originated
+    registrations apply inline)."""
+    spec = runtime.config.workload
+    stage_ids = partition_stages(spec.jobs, spec.stages_per_job, 1)[0]
+    host = StageHost(host_id, stage_ids, push_interval=0.05, **kwargs)
+    host.start(*runtime.control_address)
+    assert _wait(lambda: len(runtime.controller.stages) == len(stage_ids))
+    return host
+
+
+class TestOneLayout:
+    """One config, one builder: a stage is the same stage wherever it runs."""
+
+    def test_in_process_and_remote_stages_are_built_alike(self):
+        local = ServiceRuntime(_layout_config(stage_procs=0, trace=False))
+        remote = ServiceRuntime(_layout_config(stage_procs=1, trace=False))
+        host = None
+        try:
+            host = _dial(remote)
+            assert host.telemetry.tracer is None  # trace: false reached the host
+            assert [s.identity.stage_id for s in host.stages] == [
+                s.identity.stage_id for s in local.stages
+            ]
+            for here, there in zip(local.stages, host.stages):
+                assert list(there.channels) == list(here.channels) == [
+                    "metadata", "opens"
+                ]
+                assert there.classifier.rules == here.classifier.rules
+                assert there.classifier.pfs_mounts == here.classifier.pfs_mounts
+                assert there.classifier.pfs_mounts == ("/lustre",)
+                assert there._orphan_policy == here._orphan_policy
+                assert there._orphan_policy.mode == "decay"
+                assert there.channel_rate("opens") == here.channel_rate("opens") == 40.0
+                job = here.identity.job_id
+                for path, channel in (("/lustre/a/f", "opens"), ("/tmp/a/f", None)):
+                    decision = there.classifier.decide(OperationType.OPEN, job, path)
+                    assert decision == here.classifier.decide(
+                        OperationType.OPEN, job, path
+                    )
+                    assert decision.channel_id == channel
+        finally:
+            if host is not None:
+                host.stop()
+            remote.stop()
+            local.stop()
 
     @pytest.mark.parametrize(
         "kwargs, named",
@@ -284,11 +360,22 @@ class TestUnshippedStageSettings:
             ({"padll": parse_config({"pfs_mounts": ["/lustre"]})}, "padll.pfs_mounts"),
         ],
     )
-    def test_refused_by_name(self, kwargs, named):
-        with pytest.raises(ConfigError, match=rf"stage_procs=2 cannot carry {named} "):
-            ServiceRuntime(_proc_config(**kwargs))
-        # The same settings are fine where the stages are built in-process.
-        ServiceRuntime(_proc_config(stage_procs=0, **kwargs))
+    def test_setting_travels(self, kwargs, named):
+        """The three per-stage settings PR 21 refused under ``stage_procs > 0``
+        (argv could not carry them): each constructs now, and is what a
+        dialing host is answered with."""
+        runtime = ServiceRuntime(_proc_config(**kwargs))
+        try:
+            layout = StageLayout.from_wire(runtime.transport.call(LAYOUT_ADDRESS, "h"))
+        finally:
+            runtime.stop()
+        assert layout == StageLayout.from_config(_proc_config(**kwargs))
+        if named == "orphan":
+            assert layout.orphan == kwargs["orphan"]
+        elif named == "padll.channels":
+            assert [spec.rule.name for spec in layout.channels] == ["metadata-rule"]
+        else:
+            assert layout.pfs_mounts == ("/lustre",)
 
     def test_controller_side_settings_still_accepted(self):
         padll = parse_config(
@@ -304,5 +391,117 @@ class TestUnshippedStageSettings:
         try:
             assert "cap" in runtime.controller.policies
             assert runtime.control_address is not None
+        finally:
+            runtime.stop()
+
+    def test_controller_lag_applies_to_remote_stages(self):
+        runtime = ServiceRuntime(
+            _layout_config(stage_procs=1, faults=FaultSpec(latency=0.05))
+        )
+        host = None
+        try:
+            host = _dial(runtime)
+            started = time.monotonic()
+            runtime.controller.tick(started)
+            # Two stages, one collect and at least one enforce each.
+            assert time.monotonic() - started >= 0.2
+        finally:
+            if host is not None:
+                host.stop()
+            runtime.stop()
+
+    @pytest.mark.parametrize(
+        "layout", [None, "garbage", ((), ("/pfs",), None, 0.05, True)]
+    )
+    def test_host_without_a_layout_fails_naming_it(self, layout):
+        controller = _Controller(layout=layout)
+        try:
+            host = StageHost("hostX", ["job0/s0"])
+            with pytest.raises(ConfigError, match="padll/layout"):
+                host.start(controller.host, controller.port)
+            assert host.stages == []
+        finally:
+            controller.close()
+
+    def test_stage_host_process_exits_one_naming_the_layout(self):
+        controller = _Controller(layout=None)
+        try:
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "stage-host",
+                    "--connect", f"{controller.host}:{controller.port}",
+                    "--host-id", "hostY", "--stages", "job0/s0",
+                ],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            controller.close()
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "padll/layout" in result.stdout
+
+
+class TestSamplingReachesHosts:
+    def test_admin_sampling_rate_is_pushed_to_every_host(self):
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=1,
+                sample_rate=0.0,
+                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0),
+            )
+        )
+        host = late = None
+        try:
+            host = _dial(
+                runtime, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0)
+            )
+            assert host.telemetry.tracer.sample_rate == 0.0
+            result = runtime.admin("telemetry.sampling", {"rate": 1.0})
+            assert result["applied"] is True
+            assert _wait(lambda: host.telemetry.tracer.sample_rate == 1.0)
+            # ... and the spans the host now samples arrive with its pushes.
+            assert _wait(lambda: len(runtime.telemetry.tracer.spans) > 0)
+            # A host that dials afterwards starts at the rate in force.
+            late = StageHost("host1", ["job9/s0"])
+            late.start(*runtime.control_address)
+            assert late.telemetry.tracer.sample_rate == 1.0
+        finally:
+            for h in (host, late):
+                if h is not None:
+                    h.stop()
+            runtime.stop()
+
+
+class TestRestartedHostCounters:
+    def test_new_connection_counts_from_zero_and_old_keys_go(self):
+        runtime = ServiceRuntime(_proc_config(stage_procs=1))
+        try:
+            first, second = object(), object()
+
+            def push(connection, value):
+                runtime._merge_remote(
+                    connection,
+                    {
+                        "host": "host0",
+                        "metrics": [
+                            ["padll_live_throttled_ops_total",
+                             [["stage", "job0/s0"]], "counter", value]
+                        ],
+                    },
+                )
+
+            push(first, 30.0)
+            runtime._evict_connection(first)
+            assert first not in runtime._remote_last
+            # The respawned process has already passed its predecessor's total.
+            push(second, 60.0)
+            counter = runtime.telemetry.registry.counter(
+                "padll_live_throttled_ops_total", stage="job0/s0"
+            )
+            assert counter.value == 90.0
+            push(second, 75.0)
+            assert counter.value == 105.0
+            assert list(runtime._remote_last) == [second]
         finally:
             runtime.stop()

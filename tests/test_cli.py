@@ -178,20 +178,6 @@ class TestLintCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        config, module = self._tree(tmp_path, "x = 1\n")
-        rc = main(["lint", module, "--config", config, "--baseline"])
-        assert rc == 2
-        assert "write-baseline" in capsys.readouterr().err
-
-    def test_baseline_round_trip_via_cli(self, tmp_path, capsys):
-        config, module = self._tree(tmp_path, "import time\nt = time.time()\n")
-        assert main(["lint", module, "--config", config, "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        capsys.readouterr()
-        assert main(["lint", module, "--config", config, "--baseline"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
     def test_json_format_is_machine_readable(self, tmp_path, capsys):
         import json
 
@@ -207,7 +193,7 @@ class TestLintCommand:
         from pathlib import Path
 
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        assert main(["lint", "--baseline", "--config", str(pyproject)]) == 0
+        assert main(["lint", "--config", str(pyproject)]) == 0
 
 
 class TestSweepCommand:
