@@ -2,8 +2,8 @@
 
 These are genuine pytest-benchmark timings (many rounds), profiling the
 components the experiments stress: token-bucket arithmetic, stage
-submit/drain, classification, MDS fluid service, namespace metadata ops,
-and the allocation algorithms.
+submit/drain, classification, MDS fluid service, and the allocation
+algorithms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.token_bucket import TokenBucket
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.namespace import Namespace
 
 
 def test_token_bucket_consume(benchmark):
@@ -87,21 +86,6 @@ def test_mds_fluid_service(benchmark):
     benchmark(tick)
 
 
-def test_namespace_create_stat_unlink(benchmark):
-    ns = Namespace()
-    counter = {"i": 0}
-
-    def churn():
-        i = counter["i"]
-        counter["i"] += 1
-        path = f"/f{i}"
-        ns.close(ns.create(path))
-        ns.getattr(path)
-        ns.unlink(path)
-
-    benchmark(churn)
-
-
 def test_proportional_sharing_allocate(benchmark):
     algo = ProportionalSharing(300e3)
     demands = [
@@ -137,17 +121,6 @@ def test_replayer_demand_lookup(benchmark):
         replayer.demand(state["t"], 1.0)
 
     benchmark(lookup)
-
-
-def test_namespace_walk(benchmark):
-    from repro.pfs.namespace import Namespace
-
-    ns = Namespace()
-    for d in range(20):
-        ns.mkdir(f"/d{d}")
-        for f in range(50):
-            ns.close(ns.create(f"/d{d}/f{f}"))
-    benchmark(lambda: sum(1 for _ in ns.walk()))
 
 
 def test_discrete_mds_throughput(benchmark):

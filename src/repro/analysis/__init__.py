@@ -1,25 +1,21 @@
 """Post-processing: burstiness, fairness, and terminal rendering.
 
 Implements the quantities the paper's claims are phrased in -- "prevents
-I/O burstiness" (coefficient of variation, peak-to-mean), "ensures I/O
+I/O burstiness" (coefficient of variation), "ensures I/O
 fairness" (Jain's index), completion times -- plus ASCII sparkline/plot
 rendering so every experiment harness can print its figure in a terminal.
 """
 
-from repro.analysis.burstiness import burst_fraction, coefficient_of_variation, peak_to_mean
-from repro.analysis.export import export_series, export_wide
-from repro.analysis.fairness import jains_index, max_min_ratio, reservation_satisfaction
+from repro.analysis.burstiness import coefficient_of_variation
+from repro.analysis.export import export_wide
+from repro.analysis.fairness import jains_index, reservation_satisfaction
 from repro.analysis.plots import ascii_plot, sparkline
 
 __all__ = [
     "ascii_plot",
-    "burst_fraction",
     "coefficient_of_variation",
-    "export_series",
     "export_wide",
     "jains_index",
-    "max_min_ratio",
-    "peak_to_mean",
     "reservation_satisfaction",
     "sparkline",
 ]

@@ -1,11 +1,9 @@
 """Burstiness metrics.
 
 The paper claims PADLL "prevents I/O burstiness and provides sustained
-metadata performance".  We quantify that with three standard measures on
-a throughput series: the coefficient of variation (std/mean), the
-peak-to-mean ratio, and the fraction of time spent above a burst
-threshold.  All take plain numpy arrays so they work on any series the
-collector produced.
+metadata performance".  We quantify that with the coefficient of
+variation (std/mean) of a throughput series, taken from a plain numpy
+array so it works on any series the collector produced.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["coefficient_of_variation", "peak_to_mean", "burst_fraction"]
+__all__ = ["coefficient_of_variation"]
 
 
 def _as_series(values) -> np.ndarray:
@@ -36,19 +34,3 @@ def coefficient_of_variation(values) -> float:
         return 0.0
     return float(arr.std() / mean)
 
-
-def peak_to_mean(values) -> float:
-    """max/mean of the series; 1 for a flat rate."""
-    arr = _as_series(values)
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0 if arr.max() == 0 else float("inf")
-    return float(arr.max() / mean)
-
-
-def burst_fraction(values, threshold: float) -> float:
-    """Fraction of samples strictly above ``threshold``."""
-    if threshold < 0:
-        raise ConfigError(f"threshold must be >= 0, got {threshold}")
-    arr = _as_series(values)
-    return float((arr > threshold).mean())

@@ -1,12 +1,9 @@
 """Export experiment series to CSV for external plotting.
 
-Every figure harness returns named ``(times, values)`` series; this
-module writes them in two layouts:
-
-* :func:`export_series` -- one file per series (simple, diff-friendly);
-* :func:`export_wide` -- one file with a shared time column and one
-  column per series (what gnuplot/pandas plotting scripts want), built by
-  aligning all series on the union of their timestamps.
+Every figure harness returns named ``(times, values)`` series;
+:func:`export_wide` writes them as one file with a shared time column and
+one column per series (what gnuplot/pandas plotting scripts want), built
+by aligning all series on the union of their timestamps.
 """
 
 from __future__ import annotations
@@ -19,40 +16,9 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["export_series", "export_wide"]
+__all__ = ["export_wide"]
 
 SeriesMap = Mapping[str, Tuple[np.ndarray, np.ndarray]]
-
-
-def _safe_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-
-
-def export_series(
-    series: SeriesMap, directory: Union[str, Path]
-) -> list[Path]:
-    """Write each named series to ``directory/<name>.csv``; returns paths."""
-    if not series:
-        raise ConfigError("no series to export")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, (times, values) in series.items():
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape:
-            raise ConfigError(
-                f"series {name!r}: times and values shapes differ "
-                f"({times.shape} vs {values.shape})"
-            )
-        path = directory / f"{_safe_name(name)}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "value"])
-            for t, v in zip(times, values):
-                writer.writerow([f"{t:.6g}", f"{v:.6g}"])
-        written.append(path)
-    return written
 
 
 def export_wide(

@@ -1,9 +1,9 @@
 """Fairness metrics over per-job allocations.
 
 Jain's index is the standard fairness score (1 = perfectly equal);
-``max_min_ratio`` captures priority spreads; ``reservation_satisfaction``
-scores how well each job's guaranteed rate was honoured -- the property
-the paper's Proportional-sharing setup must uphold.
+``reservation_satisfaction`` scores how well each job's guaranteed rate
+was honoured -- the property the paper's Proportional-sharing setup must
+uphold.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["jains_index", "max_min_ratio", "reservation_satisfaction"]
+__all__ = ["jains_index", "reservation_satisfaction"]
 
 
 def _as_alloc(values) -> np.ndarray:
@@ -38,15 +38,6 @@ def jains_index(allocations) -> float:
     arr = arr / peak
     denom = arr.size * float((arr * arr).sum())
     return min(1.0, float(arr.sum()) ** 2 / denom)
-
-
-def max_min_ratio(allocations) -> float:
-    """max/min of the allocations; inf when someone got nothing."""
-    arr = _as_alloc(allocations)
-    lo = arr.min()
-    if lo == 0:
-        return float("inf") if arr.max() > 0 else 1.0
-    return float(arr.max() / lo)
 
 
 def reservation_satisfaction(

@@ -182,6 +182,10 @@ class ControlPlane:
         self._stages: Dict[str, StageIdentity] = {}
         self._jobs: Dict[str, JobInfo] = {}
         self._policies: Dict[str, PolicyRule] = {}
+        #: job id -> guaranteed rate.  Keyed by job id, not by JobInfo, so
+        #: a reservation (like a policy) can be set before the job's first
+        #: stage registers and survives its last stage's eviction.
+        self._reservations: Dict[str, float] = {}
         self._last_stats: Dict[str, StageStats] = {}
         #: (now, job_id, rate) tuples of every algorithm enforcement -- the
         #: audit trail experiments assert against.  Bounded (ring buffer)
@@ -236,7 +240,11 @@ class ControlPlane:
         self._stages[identity.stage_id] = identity
         job = self._jobs.get(identity.job_id)
         if job is None:
-            job = JobInfo(job_id=identity.job_id, registered_at=now)
+            job = JobInfo(
+                job_id=identity.job_id,
+                reservation=self._reservations.get(identity.job_id, 0.0),
+                registered_at=now,
+            )
             self._jobs[identity.job_id] = job
         job.stage_ids.append(identity.stage_id)
 
@@ -278,13 +286,16 @@ class ControlPlane:
         return dict(self._stages)
 
     def set_reservation(self, job_id: str, rate: float) -> None:
-        """Assign a job's guaranteed rate (used by reservation algorithms)."""
+        """Assign a job's guaranteed rate (used by reservation algorithms).
+
+        The job need not be registered: the rate applies whenever it is.
+        """
         if rate < 0:
             raise PolicyError(f"reservation must be >= 0, got {rate}")
+        self._reservations[job_id] = rate
         job = self._jobs.get(job_id)
-        if job is None:
-            raise StageNotRegistered(f"job {job_id!r} not registered")
-        job.reservation = rate
+        if job is not None:
+            job.reservation = rate
 
     # -- policies --------------------------------------------------------------
     def install_policy(self, rule: PolicyRule) -> None:

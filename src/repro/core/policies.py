@@ -2,9 +2,9 @@
 
 Administrators express *what* should be throttled and *at which rate over
 time*.  A :class:`PolicyRule` binds a scope (which jobs, which channel) to a
-:class:`RateSchedule` (constant, stepped, or arbitrary callable).  The
-control plane evaluates active rules every feedback-loop iteration and
-pushes the resulting rates to the matching stages.
+:class:`RateSchedule` (constant or stepped).  The control plane evaluates
+active rules every feedback-loop iteration and pushes the resulting rates
+to the matching stages.
 
 Stepped schedules are the paper's Fig. 4 mechanism: "a static rate whose
 value changes every N minutes upon instruction of the system administrator".
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import PolicyError
 
@@ -23,7 +23,6 @@ __all__ = [
     "RateSchedule",
     "ConstantRate",
     "SteppedRate",
-    "CallableRate",
     "RuleScope",
     "PolicyRule",
 ]
@@ -96,19 +95,6 @@ class SteppedRate(RateSchedule):
             raise PolicyError(f"schedule queried at negative time {t}")
         idx = bisect_right(self._starts, t) - 1
         return self._rates[idx]
-
-
-@dataclass(frozen=True, slots=True)
-class CallableRate(RateSchedule):
-    """Adapter wrapping an arbitrary ``f(t) -> rate`` function."""
-
-    fn: Callable[[float], float]
-
-    def rate_at(self, t: float) -> float:
-        rate = self.fn(t)
-        if rate <= 0:
-            raise PolicyError(f"schedule produced non-positive rate {rate} at t={t}")
-        return rate
 
 
 @dataclass(frozen=True, slots=True)

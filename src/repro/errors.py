@@ -10,15 +10,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "SimulationError",
-    "ProcessKilled",
     "PFSError",
-    "NamespaceError",
-    "NoSuchEntry",
-    "EntryExists",
-    "NotADirectoryEntry",
-    "IsADirectoryEntry",
-    "DirectoryNotEmpty",
-    "InvalidHandle",
     "MDSUnavailable",
     "ConfigError",
     "PolicyError",
@@ -37,10 +29,6 @@ class ReproError(Exception):
 
 class SimulationError(ReproError):
     """Misuse or internal failure of the discrete-event engine."""
-
-
-class ProcessKilled(SimulationError):
-    """Raised inside a simulated process when it is externally killed."""
 
 
 class ConfigError(ReproError):
@@ -79,34 +67,6 @@ class ShardWorkerError(RPCError):
 
 class PFSError(ReproError):
     """Base class for simulated parallel-file-system failures."""
-
-
-class NamespaceError(PFSError):
-    """Base class for namespace (metadata) operation failures."""
-
-
-class NoSuchEntry(NamespaceError):
-    """Path component does not exist (ENOENT)."""
-
-
-class EntryExists(NamespaceError):
-    """Target already exists (EEXIST)."""
-
-
-class NotADirectoryEntry(NamespaceError):
-    """A path component used as a directory is not one (ENOTDIR)."""
-
-
-class IsADirectoryEntry(NamespaceError):
-    """File operation applied to a directory (EISDIR)."""
-
-
-class DirectoryNotEmpty(NamespaceError):
-    """rmdir of a non-empty directory (ENOTEMPTY)."""
-
-
-class InvalidHandle(NamespaceError):
-    """Operation on a closed or unknown file handle (EBADF)."""
 
 
 class MDSUnavailable(PFSError):

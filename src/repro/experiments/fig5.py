@@ -74,18 +74,6 @@ class Fig5Result:
         total = np.sum([self.job_series[j][1][:n] for j in names], axis=0)
         return times[:n], total
 
-    def job_cov(self, job_id: str) -> float:
-        """Burstiness (CoV) of a job's rate over its active window."""
-        times, rates = self.job_series[job_id]
-        job = self.jobs[job_id]
-        stop = job.completed_at if job.completed_at is not None else self.duration
-        mask = (times >= job.start) & (times < stop)
-        active = rates[mask]
-        active = active[active > 0]
-        if active.size < 2:
-            return 0.0
-        return coefficient_of_variation(active)
-
     def completion_minutes(self) -> Dict[str, Optional[float]]:
         return {
             job_id: (None if j.completed_at is None else j.completed_at / 60.0)

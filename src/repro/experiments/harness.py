@@ -282,7 +282,6 @@ class ReplayWorld:
                 lambda: self.cluster.active_mds(self.env.now) is not None
             )
         self._jobs: Dict[str, _JobRuntime] = {}
-        self._reservations: Dict[str, float] = {}
         self._pending_policies: List[PolicyRule] = []
         # Tick order: jobs submit (tickers created at add_job time, before
         # these), then stages drain, the cluster services, the control loop
@@ -292,8 +291,7 @@ class ReplayWorld:
 
     # -- configuration ------------------------------------------------------------
     def set_reservation(self, job_id: str, rate: float) -> None:
-        """Reservation applied when (and if) the job registers."""
-        self._reservations[job_id] = rate
+        self.controller.set_reservation(job_id, rate)
 
     def install_policy(self, rule: PolicyRule) -> None:
         self.controller.install_policy(rule)
@@ -625,9 +623,6 @@ class ReplayWorld:
                     )
                 else:
                     self.controller.register(stage, now=self.env.now)
-            reservation = self._reservations.get(spec.job_id)
-            if reservation is not None:
-                self.controller.set_reservation(spec.job_id, reservation)
             batch_submit = lambda rows, il: self._submit_stage_rows(  # noqa: E731
                 runtime, runtime.stages, rows, il
             )

@@ -238,7 +238,7 @@ class UnseededRandomRule(Rule):
                 return (
                     f"{name}() draws from numpy's hidden global RandomState; "
                     f"thread an explicit Generator "
-                    f"(repro.simulation.rng.make_rng/spawn_rngs)"
+                    f"(repro.simulation.rng.make_rng)"
                 )
         return None
 

@@ -71,12 +71,6 @@ class Collector:
             raise ConfigError(f"probe {probe.name!r} already registered")
         self._probes[probe.name] = probe
 
-    def remove_probe(self, name: str) -> None:
-        if name not in self._probes:
-            raise ConfigError(f"no probe named {name!r}")
-        del self._probes[name]
-        self._probe_series.pop(name, None)
-
     def stop(self) -> None:
         self._ticker.stop()
 
@@ -111,43 +105,5 @@ class Collector:
             out["total"] = sum(out.values())
             out["queue_delay"] = mds.queue_delay
             return out
-
-        return Probe(name=name, sample=sample)
-
-    @staticmethod
-    def stage_probe(name: str, stage) -> Probe:
-        """Granted rate per channel from a data-plane stage.
-
-        Note: this *consumes* the stage's stat window, so do not combine it
-        with a control plane collecting from the same stage -- use the
-        control plane's own statistics there instead.
-        """
-
-        def sample(now: float, period: float) -> Dict[str, float]:
-            stats = stage.collect(now)
-            out = {
-                snap.channel_id: snap.granted_ops / period for snap in stats.channels
-            }
-            out["passthrough"] = stats.passthrough_ops / period
-            return out
-
-        return Probe(name=name, sample=sample)
-
-    @staticmethod
-    def oss_probe(name: str, pool) -> Probe:
-        """Read/write byte rates from the OSS pool window."""
-
-        def sample(now: float, period: float) -> Dict[str, float]:
-            window = pool.take_window()
-            return {kind: nbytes / period for kind, nbytes in window.items()}
-
-        return Probe(name=name, sample=sample)
-
-    @staticmethod
-    def callable_probe(name: str, fn: Callable[[], float]) -> Probe:
-        """Sample an arbitrary gauge (queue depth, backlog, ...)."""
-
-        def sample(now: float, period: float) -> Dict[str, float]:
-            return {"": float(fn())}
 
         return Probe(name=name, sample=sample)

@@ -1,4 +1,4 @@
-"""Time-series storage and summaries.
+"""Time-series storage.
 
 A :class:`TimeSeries` is an append-only (time, value) log backed by numpy
 arrays grown geometrically (amortised O(1) appends, vectorised reads) --
@@ -8,45 +8,13 @@ second across 30-day traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["TimeSeries", "SeriesSummary"]
-
-
-@dataclass(frozen=True, slots=True)
-class SeriesSummary:
-    """Descriptive statistics of one series."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "SeriesSummary":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        p50, p95, p99 = np.percentile(values, [50, 95, 99])
-        return cls(
-            n=int(values.size),
-            mean=float(values.mean()),
-            std=float(values.std()),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-            p50=float(p50),
-            p95=float(p95),
-            p99=float(p99),
-        )
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -94,41 +62,7 @@ class TimeSeries:
     def values(self) -> np.ndarray:
         return self._values[: self._size]
 
-    def summary(self) -> SeriesSummary:
-        return SeriesSummary.of(self.values())
-
-    def window(self, start: float, stop: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, values) restricted to start <= t < stop."""
-        if stop < start:
-            raise ConfigError(f"window stop {stop} before start {start}")
-        times = self.times()
-        mask = (times >= start) & (times < stop)
-        return times[mask], self.values()[mask]
-
-    def integral(self) -> float:
-        """Trapezoidal integral of value over time."""
-        if self._size < 2:
-            return 0.0
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        return float(trapezoid(self.values(), self.times()))
-
     def last(self) -> Tuple[float, float]:
         if self._size == 0:
             raise ConfigError(f"series {self.name!r} is empty")
         return float(self._times[self._size - 1]), float(self._values[self._size - 1])
-
-    def resample_mean(self, period: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Bucket-mean the series onto a regular grid of ``period`` seconds."""
-        if period <= 0:
-            raise ConfigError(f"period must be positive, got {period}")
-        if self._size == 0:
-            return np.array([]), np.array([])
-        times, values = self.times(), self.values()
-        start = times[0]
-        buckets = np.floor((times - start) / period).astype(np.int64)
-        n_buckets = int(buckets[-1]) + 1
-        sums = np.bincount(buckets, weights=values, minlength=n_buckets)
-        counts = np.bincount(buckets, minlength=n_buckets)
-        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-        grid = start + (np.arange(n_buckets) + 0.5) * period
-        return grid, means

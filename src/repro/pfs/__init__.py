@@ -1,11 +1,11 @@
 """Lustre-like parallel file system simulator.
 
-The substrate the experiments run against: a POSIX namespace with real
-metadata semantics (:mod:`repro.pfs.namespace`), a metadata server with a
+The substrate the experiments run against: a metadata server with a
 per-operation cost model, queueing, saturation and failure behaviour
-(:mod:`repro.pfs.mds`), object storage servers with striping and bandwidth
-limits (:mod:`repro.pfs.oss`), and a cluster wrapper with hot-standby MDS
-failover (:mod:`repro.pfs.cluster`).
+(:mod:`repro.pfs.mds`), its per-request counterpart with service threads
+and a lock table (:mod:`repro.pfs.discrete`, :mod:`repro.pfs.locks`), an
+object-storage bandwidth pool (:mod:`repro.pfs.oss`), and a cluster
+wrapper with hot-standby failover or DNE routing (:mod:`repro.pfs.cluster`).
 """
 
 from repro.pfs.client import PFSClient
@@ -14,7 +14,6 @@ from repro.pfs.costs import OP_COSTS, op_cost
 from repro.pfs.discrete import ClosedLoopClient, DiscreteMDS, DiscreteMDSConfig
 from repro.pfs.locks import LockMode, LockTable
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.namespace import FileKind, Inode, Namespace, OpenHandle
 from repro.pfs.oss import OSTarget, ObjectStoragePool
 
 __all__ = [
@@ -22,18 +21,14 @@ __all__ = [
     "ClusterConfig",
     "DiscreteMDS",
     "DiscreteMDSConfig",
-    "FileKind",
-    "Inode",
     "LockMode",
     "LockTable",
     "LustreCluster",
     "MDSConfig",
     "MetadataServer",
-    "Namespace",
     "OP_COSTS",
     "OSTarget",
     "ObjectStoragePool",
-    "OpenHandle",
     "PFSClient",
     "op_cost",
 ]

@@ -2,9 +2,7 @@
 
 Mirrors PFS_A's configuration from the paper's trace study: 2 MDSs in
 hot-standby (one active, one standby that takes over after a failover
-delay), 6 MDTs persisting the namespace, and 36 OSTs behind OSSs.  The
-namespace's stripe allocator is wired to the OSS pool so file creation is
-capacity-balanced, as the paper describes the MDS doing.
+delay), 6 MDTs, and 36 OSTs behind OSSs.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Callable, List, Optional
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.client import PFSClient
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.namespace import Namespace
 from repro.pfs.oss import ObjectStoragePool
 
 __all__ = ["ClusterConfig", "LustreCluster"]
@@ -45,9 +42,6 @@ class ClusterConfig:
     #: that (the whole outage backlog arrives as one burst -- the recovery
     #: storm); False drops outage requests outright.
     replay_on_failover: bool = True
-    #: Extra cost factor for renames that cross MDT boundaries in DNE mode
-    #: (the paper: atomicity across servers is particularly expensive).
-    cross_mdt_rename_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.n_mds < 1:
@@ -60,11 +54,6 @@ class ClusterConfig:
             )
         if self.mds_mode not in ("hot-standby", "dne"):
             raise ConfigError(f"unknown MDS mode {self.mds_mode!r}")
-        if self.cross_mdt_rename_factor < 1.0:
-            raise ConfigError(
-                f"cross-MDT rename factor must be >= 1, got "
-                f"{self.cross_mdt_rename_factor}"
-            )
 
 
 class LustreCluster:
@@ -79,17 +68,8 @@ class LustreCluster:
             ost_capacity_bytes=max(1, self.config.total_capacity_bytes // self.config.n_ost),
             oss_bandwidth=self.config.oss_bandwidth,
         )
-        # One shared namespace; MDTs are its persistence shards.  All MDS
-        # replicas serve the same namespace (hot-standby, not DNE).
-        self.namespace = Namespace(
-            clock=lambda: self._clock(),
-            stripe_allocator=self.oss_pool.allocate_stripe,
-            total_capacity_bytes=self.config.total_capacity_bytes,
-        )
         self.mds_servers: List[MetadataServer] = [
-            MetadataServer(
-                name=f"mds{i}", config=self.config.mds, namespace=self.namespace
-            )
+            MetadataServer(name=f"mds{i}", config=self.config.mds)
             for i in range(self.config.n_mds)
         ]
         self._active_index = 0
@@ -137,15 +117,6 @@ class LustreCluster:
         for ch in top:
             digest = (digest * 131 + ord(ch)) % (2**31)
         return digest % len(self.mds_servers)
-
-    def rename_cost_multiplier(self, src: str, dst: str) -> float:
-        """Cost factor for a rename between ``src`` and ``dst``."""
-        if (
-            self.config.mds_mode == "dne"
-            and self._shard_index(src) != self._shard_index(dst)
-        ):
-            return self.config.cross_mdt_rename_factor
-        return 1.0
 
     # -- MDS failover --------------------------------------------------------------
     def active_mds(self, now: float) -> Optional[MetadataServer]:
@@ -216,10 +187,3 @@ class LustreCluster:
                 served = mds.service(now, dt)
         self.oss_pool.service(now, dt)
         return served
-
-    # -- monitoring hooks ---------------------------------------------------------
-    def metadata_capacity_opsps(self, kind: str = "getattr") -> float:
-        """Nominal MDS throughput in ops/s if the load were all ``kind``."""
-        from repro.pfs.costs import op_cost
-
-        return self.config.mds.capacity / op_cost(kind)

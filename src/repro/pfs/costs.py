@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from repro.errors import ConfigError
 
-__all__ = ["OP_COSTS", "op_cost", "batch_cost"]
+__all__ = ["OP_COSTS", "op_cost"]
 
 #: MDS operation kind -> cost units per operation.
 OP_COSTS = MappingProxyType(
@@ -50,9 +50,3 @@ def op_cost(kind: str) -> float:
     except KeyError:
         raise ConfigError(f"unknown MDS operation kind {kind!r}") from None
 
-
-def batch_cost(kind: str, count: float) -> float:
-    """Cost units of ``count`` operations of ``kind``."""
-    if count < 0:
-        raise ConfigError(f"batch count must be >= 0, got {count}")
-    return op_cost(kind) * count

@@ -19,9 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.costs import op_cost
-from repro.pfs.locks import LockMode, LockTable
-from repro.pfs.mds import MetadataServer
-from repro.pfs.namespace import Namespace
+from repro.pfs.locks import LOCK_MODES, LockMode, LockTable
 from repro.simulation.engine import Environment, Process
 from repro.simulation.resources import Resource
 
@@ -54,24 +52,14 @@ class DiscreteMDSConfig:
         return self.capacity / self.n_threads
 
 
-#: Operation kind -> lock mode (same table as the fluid MDS's execute()).
-_LOCK_MODES = dict(MetadataServer._LOCKS)
-
-
 class DiscreteMDS:
     """A per-request MDS: threads, service times, locks."""
 
     def __init__(
-        self,
-        env: Environment,
-        config: Optional[DiscreteMDSConfig] = None,
-        namespace: Optional[Namespace] = None,
+        self, env: Environment, config: Optional[DiscreteMDSConfig] = None
     ) -> None:
         self.env = env
         self.config = config or DiscreteMDSConfig()
-        self.namespace = namespace if namespace is not None else Namespace(
-            clock=lambda: env.now
-        )
         self.threads = Resource(env, capacity=self.config.n_threads)
         self.locks = LockTable()
         self.failed = False
@@ -100,7 +88,7 @@ class DiscreteMDS:
         """
         if self.failed:
             raise MDSUnavailable("discrete MDS has failed")
-        mode = _LOCK_MODES.get(kind)
+        mode = LOCK_MODES.get(kind)
         if mode is None:
             raise ConfigError(f"unknown MDS operation kind {kind!r}")
         lock_paths = list(paths) or ["/"]

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Sequence
 
 from repro.errors import ConfigError
 
-__all__ = ["LockMode", "LockTable", "LockGrant"]
+__all__ = ["LockMode", "LockTable", "LockGrant", "LOCK_MODES"]
 
 
 class LockMode(enum.Enum):
@@ -27,6 +27,23 @@ class LockMode(enum.Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+#: Operation kind -> lock mode taken on the affected entries.
+LOCK_MODES: Dict[str, LockMode] = {
+    "getattr": LockMode.READ,
+    "statfs": LockMode.READ,
+    "open": LockMode.WRITE,
+    "close": LockMode.WRITE,
+    "setattr": LockMode.WRITE,
+    "rename": LockMode.WRITE,
+    "unlink": LockMode.WRITE,
+    "link": LockMode.WRITE,
+    "mkdir": LockMode.WRITE,
+    "mknod": LockMode.WRITE,
+    "rmdir": LockMode.WRITE,
+    "sync": LockMode.READ,
+}
 
 
 @dataclass(slots=True)

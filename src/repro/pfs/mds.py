@@ -7,14 +7,11 @@ timeouts); sustained overload fails the server -- the "harm" the paper's
 title is about.  A hot-standby MDS (PFS_A's configuration) can take over
 after a failover delay, losing the queued work.
 
-Two APIs are exposed:
-
-* the **fluid** API (:meth:`offer` / :meth:`service`) used by the
-  experiment harness at 10^5-10^6 ops/s scale; arithmetic over a tick is
-  closed-form, so this path is exact, not approximate;
-* the **discrete** API (:meth:`execute`) that applies a single operation to
-  the backing :class:`~repro.pfs.namespace.Namespace` under the lock table,
-  used by correctness tests and small-scale simulations.
+The API is *fluid* (:meth:`offer` / :meth:`service`): the experiment
+harness runs at 10^5-10^6 ops/s, and arithmetic over a tick is
+closed-form, so this path is exact, not approximate.  The per-request
+counterpart, with threads and a lock table, is
+:class:`~repro.pfs.discrete.DiscreteMDS`.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.costs import OP_COSTS, op_cost
-from repro.pfs.locks import LockMode, LockTable
-from repro.pfs.namespace import Namespace
 
 __all__ = ["MDSConfig", "MetadataServer"]
 
@@ -84,18 +79,13 @@ _B_SLOT, _B_COUNT, _B_COST, _B_ARRIVED, _B_TRACE = 0, 1, 2, 3, 4
 
 
 class MetadataServer:
-    """One MDS instance backed by (a subtree of) a namespace."""
+    """One MDS instance: a cost-unit queue served at a fixed capacity."""
 
     def __init__(
-        self,
-        name: str = "mds0",
-        config: Optional[MDSConfig] = None,
-        namespace: Optional[Namespace] = None,
+        self, name: str = "mds0", config: Optional[MDSConfig] = None
     ) -> None:
         self.name = name
         self.config = config or MDSConfig()
-        self.namespace = namespace if namespace is not None else Namespace()
-        self.locks = LockTable()
         self._queue: Deque[list] = deque()
         self._queued_units = 0.0
         self._degraded_since: Optional[float] = None
@@ -114,9 +104,6 @@ class MetadataServer:
         self._window_kinds: list[str] = []
         self._window_buf: list[float] = []
         self._window_touched: list[int] = []
-        #: Sum of (completion latency * ops) for mean-latency reporting.
-        self._latency_ops = 0.0
-        self._latency_sum = 0.0
         # Telemetry spine (None = off).
         self._telemetry = None
         self._m_served = None
@@ -168,12 +155,6 @@ class MetadataServer:
             if count != 0.0
         }
 
-    def mean_latency(self) -> float:
-        """Mean completion latency over everything served so far."""
-        if self._latency_ops == 0:
-            return 0.0
-        return self._latency_sum / self._latency_ops
-
     def take_window(self) -> Dict[str, float]:
         """Return and reset the per-kind served counts (monitoring hook)."""
         buf = self._window_buf
@@ -211,7 +192,7 @@ class MetadataServer:
             cost = op_cost(kind)  # raises the canonical ConfigError
         if cost == 0.0:
             # Data kinds don't touch the MDS; serving them is free here.
-            self._record(kind, count, latency=0.0)
+            self._record(kind, count)
             return
         slot = self._window_index.get(kind)
         if slot is None:
@@ -261,8 +242,6 @@ class MetadataServer:
         served_buf = self._served_buf
         window_buf = self._window_buf
         window_touched = self._window_touched
-        latency_ops = self._latency_ops
-        latency_sum = self._latency_sum
         head = None
         while budget > 1e-12 and queue:
             head = queue[0]
@@ -279,24 +258,18 @@ class MetadataServer:
                 queued_units -= budget
                 budget = 0.0
             slot = head[0]
-            latency = now - head[3]
-            if latency < 0.0:
-                latency = 0.0
             served_buf[slot] += count
             accumulated = window_buf[slot]
             if accumulated == 0.0:
                 window_touched.append(slot)
             window_buf[slot] = accumulated + count
-            latency_ops += count
-            latency_sum += latency * count
             served_ops += count
         self._queued_units = queued_units
-        self._latency_ops = latency_ops
-        self._latency_sum = latency_sum
         if h_latency is not None:
             if queue and queue[0] is head:
                 # The last batch touched is still queued: served in part.
-                h_latency.observe(latency, count)
+                arrived = head[_B_ARRIVED]
+                h_latency.observe(now - arrived if now > arrived else 0.0, count)
             self._m_served.inc(served_ops)
         # Clamp accumulated float error.
         if not queue:
@@ -359,13 +332,7 @@ class MetadataServer:
         self._queued_units = 0.0
         self._degraded_since = None
 
-    def recover(self) -> None:
-        """Bring a failed server back (empty queue, clean state)."""
-        self.failed = False
-        self.failed_at = None
-        self._degraded_since = None
-
-    def _record(self, kind: str, count: float, latency: float) -> None:
+    def _record(self, kind: str, count: float) -> None:
         slot = self._window_index.get(kind)
         if slot is None:
             slot = self._window_slot(kind)
@@ -374,46 +341,3 @@ class MetadataServer:
         if accumulated == 0.0:
             self._window_touched.append(slot)
         self._window_buf[slot] = accumulated + count
-        self._latency_ops += count
-        self._latency_sum += latency * count
-
-    # -- discrete path ------------------------------------------------------------
-    #: operation kind -> lock mode taken on the affected entries.
-    _LOCKS: Dict[str, LockMode] = {
-        "getattr": LockMode.READ,
-        "statfs": LockMode.READ,
-        "open": LockMode.WRITE,
-        "close": LockMode.WRITE,
-        "setattr": LockMode.WRITE,
-        "rename": LockMode.WRITE,
-        "unlink": LockMode.WRITE,
-        "link": LockMode.WRITE,
-        "mkdir": LockMode.WRITE,
-        "mknod": LockMode.WRITE,
-        "rmdir": LockMode.WRITE,
-        "sync": LockMode.READ,
-    }
-
-    def execute(self, kind: str, now: float, *args, **kwargs):
-        """Apply one operation to the namespace under the lock table.
-
-        Raises :class:`MDSUnavailable` when failed.  The caller names the
-        namespace method via ``kind``-specific arguments, e.g.
-        ``execute("rename", now, "/a", "/b")``.
-        """
-        if self.failed:
-            raise MDSUnavailable(f"{self.name} has failed")
-        mode = self._LOCKS.get(kind)
-        if mode is None:
-            raise ConfigError(f"unknown MDS operation kind {kind!r}")
-        paths = [a for a in args if isinstance(a, str) and a.startswith("/")] or ["/"]
-        grant = self.locks.acquire(paths, mode)
-        try:
-            method = getattr(self.namespace, kind, None)
-            if method is None:
-                raise ConfigError(f"namespace has no handler for {kind!r}")
-            result = method(*args, **kwargs)
-        finally:
-            self.locks.release(grant)
-        self._record(kind, 1.0, latency=0.0)
-        return result

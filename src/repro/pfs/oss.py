@@ -1,10 +1,8 @@
 """Object storage servers and targets: the PFS data path.
 
-Files are striped over OSTs; the MDS assigns OSTs to new files in a
-capacity-balanced manner (the allocator below picks the least-used
-targets, as the paper describes).  OSSs serve read/write bytes at a fixed
-aggregate bandwidth per server with a shared queue, which is all Fig. 4's
-data panels need: an offered-vs-served byte rate with saturation.
+OSSs serve read/write bytes at a fixed aggregate bandwidth per server
+with a shared queue, which is all Fig. 4's data panels need: an
+offered-vs-served byte rate with saturation.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigError
 
@@ -32,14 +30,6 @@ class OSTarget:
             raise ConfigError(
                 f"OST capacity must be positive, got {self.capacity_bytes}"
             )
-
-    @property
-    def free_bytes(self) -> int:
-        return max(0, self.capacity_bytes - self.used_bytes)
-
-    @property
-    def fill_fraction(self) -> float:
-        return self.used_bytes / self.capacity_bytes
 
 
 @dataclass(slots=True)
@@ -74,35 +64,6 @@ class ObjectStoragePool:
         self._queued_bytes = 0.0
         self.served_bytes: Dict[str, float] = {"read": 0.0, "write": 0.0}
         self._window_bytes: Dict[str, float] = {"read": 0.0, "write": 0.0}
-        # Per-OST queues for stripe-routed traffic (offer_striped): each
-        # OST serves at the aggregate bandwidth divided evenly across OSTs,
-        # so a hot OST bottlenecks files striped over it while the pool as
-        # a whole stays underused -- real stripe contention.
-        self._ost_queues: List[Deque[_IOBatch]] = [deque() for _ in range(n_ost)]
-        self._ost_queued: List[float] = [0.0] * n_ost
-        self.ost_served_bytes: List[float] = [0.0] * n_ost
-
-    # -- allocation (called by the MDS at create time) ---------------------------
-    def allocate_stripe(self, stripe_count: int) -> Tuple[int, ...]:
-        """Pick ``stripe_count`` OSTs, least-filled first (capacity balance)."""
-        if stripe_count <= 0:
-            raise ConfigError(f"stripe count must be positive, got {stripe_count}")
-        if stripe_count > len(self.targets):
-            raise ConfigError(
-                f"stripe count {stripe_count} exceeds OST count {len(self.targets)}"
-            )
-        order = sorted(self.targets, key=lambda t: (t.fill_fraction, t.index))
-        return tuple(t.index for t in order[:stripe_count])
-
-    def record_allocation(self, stripe: Tuple[int, ...], nbytes: int) -> None:
-        """Account ``nbytes`` spread evenly over a file's stripe."""
-        if nbytes < 0:
-            raise ConfigError(f"allocation of negative size {nbytes}")
-        if not stripe:
-            return
-        share = nbytes // len(stripe)
-        for idx in stripe:
-            self.targets[idx].used_bytes += share
 
     # -- fluid data path ------------------------------------------------------------
     @property
@@ -144,58 +105,6 @@ class ObjectStoragePool:
         if not self._queue:
             self._queued_bytes = 0.0
         return served
-
-    # -- per-OST (stripe-routed) data path -----------------------------------------
-    @property
-    def per_ost_bandwidth(self) -> float:
-        """Each OST's service rate (the pool bandwidth split evenly)."""
-        return self.total_bandwidth / len(self.targets)
-
-    def offer_striped(
-        self, kind: str, nbytes: float, stripe: Tuple[int, ...], now: float
-    ) -> None:
-        """Enqueue an I/O spread evenly over a file's stripe OSTs."""
-        if kind not in ("read", "write"):
-            raise ConfigError(f"unknown data operation kind {kind!r}")
-        if not stripe:
-            raise ConfigError("striped offer needs a non-empty stripe")
-        for idx in stripe:
-            if not 0 <= idx < len(self.targets):
-                raise ConfigError(f"OST index {idx} out of range")
-        if nbytes <= 0:
-            return
-        share = nbytes / len(stripe)
-        for idx in stripe:
-            self._ost_queues[idx].append(
-                _IOBatch(kind=kind, nbytes=share, arrived=now)
-            )
-            self._ost_queued[idx] += share
-
-    def ost_queue_bytes(self, index: int) -> float:
-        return self._ost_queued[index]
-
-    def service_striped(self, now: float, dt: float) -> float:
-        """Serve every OST's queue at its own bandwidth; returns bytes."""
-        if dt <= 0:
-            raise ConfigError(f"service dt must be positive, got {dt}")
-        per_ost_budget = self.per_ost_bandwidth * dt
-        served_total = 0.0
-        for idx, queue in enumerate(self._ost_queues):
-            budget = per_ost_budget
-            while budget > 1e-9 and queue:
-                head = queue[0]
-                take = min(head.nbytes, budget)
-                head.nbytes -= take
-                budget -= take
-                served_total += take
-                self._ost_queued[idx] -= take
-                self.ost_served_bytes[idx] += take
-                self._account(head.kind, take)
-                if head.nbytes <= 1e-9:
-                    queue.popleft()
-            if not queue:
-                self._ost_queued[idx] = 0.0
-        return served_total
 
     def _account(self, kind: str, nbytes: float) -> None:
         self.served_bytes[kind] += nbytes

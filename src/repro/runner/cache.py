@@ -102,16 +102,3 @@ class ResultCache:
                 pass
             raise
         return path
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for entry in sorted(self.root.glob("*.pkl")):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

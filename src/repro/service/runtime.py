@@ -568,6 +568,8 @@ class ServiceRuntime:
             return lambda: controller.replace_policy(rule)
         if action == "job.reservation":
             job = str(_require(params, "job", action))
+            if job not in controller.jobs:
+                raise PolicyError(f"admin {action}: no job {job!r}")
             rate = float(_require(params, "rate", action))
             return lambda: controller.set_reservation(job, rate)
         if action == "job.drain":

@@ -204,9 +204,6 @@ class StageHost:
         self._pump = threading.Thread(
             target=self._pump_loop, name=f"padll-host-pump-{host_id}", daemon=True
         )
-        # Incremental cursors: only new events/spans ship each push.
-        self._event_cursor = 0
-        self._span_cursor = 0
         self.pushes = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -345,18 +342,15 @@ class StageHost:
         event_end = len(events)
         new_events = [
             [event.kind, event.time, event.fields]
-            for event in events[self._event_cursor : event_end]
+            for event in events[:event_end]
         ]
         tracer = self.telemetry.tracer
-        new_spans: List[List[object]] = []
-        span_end = 0
-        if tracer is not None:
-            spans = tracer.spans
-            span_end = len(spans)
-            new_spans = [
-                [span.trace_id, span.name, span.start, span.end, span.attrs]
-                for span in spans[self._span_cursor : span_end]
-            ]
+        spans = [] if tracer is None else tracer.spans
+        span_end = len(spans)
+        new_spans = [
+            [span.trace_id, span.name, span.start, span.end, span.attrs]
+            for span in spans[:span_end]
+        ]
         doc = {
             "kind": "telemetry",
             "host": self.host_id,
@@ -370,7 +364,9 @@ class StageHost:
         try:
             connection.push(doc)
         except RPCError:
-            return  # link died mid-push; cursors stay put for the next host
-        self._event_cursor = event_end
-        self._span_cursor = span_end
+            return  # link died mid-push; the lists stay whole for the next attempt
+        # Shipped: the host keeps only what arrived since (appends land
+        # at the tail, so the prefix is exactly what the push carried).
+        del events[:event_end]
+        del spans[:span_end]
         self.pushes += 1

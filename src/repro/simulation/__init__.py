@@ -10,7 +10,7 @@ when those events fire.
 The engine serves two styles of modelling used throughout the reproduction:
 
 * **per-request** events for correctness-critical paths (MDS queueing,
-  RPC exchanges, namespace operations), and
+  RPC exchanges), and
 * **fluid per-tick batches** for the paper's experiment scale (10^5-10^6
   metadata ops/s), where token-bucket arithmetic over a tick is closed-form
   and simulating individual operations would be pointless work.
@@ -21,29 +21,18 @@ deterministic epoch barrier -- the path to 10^4 stages / 10^6 simulated
 clients with bit-identical fixed-seed results at any shard count.
 """
 
-from repro.simulation.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from repro.simulation.resources import Resource, Store
+from repro.simulation.engine import AllOf, Environment, Event, Process, Timeout
+from repro.simulation.resources import Resource
 from repro.simulation.rng import SeedSequence, make_rng
 from repro.simulation.ticker import Ticker
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SeedSequence",
-    "Store",
     "Ticker",
     "Timeout",
     "make_rng",

@@ -19,12 +19,11 @@ Fast path
 Besides full :class:`Event` objects, the heap carries bare ``(fn, arg)``
 tuples (pushed via :meth:`Environment._schedule_call`).  They fire as a
 single call with no Event allocation, no callbacks list, and no processed
-bookkeeping.  Process boot, resume-after-processed-event hops, interrupt
-delivery, deferrals, and ticker ticks all ride this path; within an
-instant they sort by ``(priority, sequence)`` exactly like events do, so
-the execution order is identical to the event-based implementation they
-replaced -- which keeps fixed-seed experiments bit-reproducible across
-the optimisation.
+bookkeeping.  Process boot, resume-after-processed-event hops and ticker
+ticks all ride this path; within an instant they sort by ``(priority,
+sequence)`` exactly like events do, so the execution order is identical
+to the event-based implementation they replaced -- which keeps
+fixed-seed experiments bit-reproducible across the optimisation.
 
 Scaling out
 -----------
@@ -42,15 +41,13 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import SimulationError
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
-    "AnyOf",
     "AllOf",
 ]
 
@@ -158,18 +155,6 @@ class Timeout(Event):
         heapq.heappush(env._heap, (env._now + delay, URGENT, env._seq, self))
 
 
-class Interrupt(Exception):
-    """Thrown *into* a process by :meth:`Process.interrupt`.
-
-    Carries an arbitrary ``cause`` so the interrupted process can decide how
-    to react (e.g. a job being descheduled vs. killed).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running generator; also an event that fires on termination.
 
@@ -177,7 +162,7 @@ class Process(Event):
     the event value, so ``result = yield child_process`` works.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -189,7 +174,6 @@ class Process(Event):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick the process off at the current time (no boot Event: the
         # callback tuple fires in the same heap position one would).
@@ -200,44 +184,15 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is a no-op error, matching SimPy.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self.env._schedule_call(self._throw, Interrupt(cause))
-
-    def kill(self) -> None:
-        """Terminate the process by raising :class:`ProcessKilled` in it."""
-        if self.is_alive:
-            if self._target is not None:
-                try:
-                    (self._target.callbacks or []).remove(self._resume)
-                except ValueError:
-                    pass
-            self._throw(ProcessKilled(self.name))
-
     # -- engine internals ---------------------------------------------------
     def _start(self, _arg: Any) -> None:
         self._step(self._generator.send, None)
 
     def _resume(self, event: Event) -> None:
-        self._target = None
         if event._ok:
             self._step(self._generator.send, event._value)
         else:
             self._step(self._generator.throw, event._value)
-
-    def _throw(self, exc: BaseException) -> None:
-        self._target = None
-        self._step(self._generator.throw, exc)
 
     def _step(self, advance: Callable[[Any], Any], value: Any) -> None:
         try:
@@ -245,10 +200,6 @@ class Process(Event):
         except StopIteration as stop:
             if not self._triggered:
                 self.succeed(stop.value)
-            return
-        except ProcessKilled as exc:
-            if not self._triggered:
-                self.fail(exc)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -258,13 +209,12 @@ class Process(Event):
             # Already fired: resume at this instant, after pending events.
             self.env._schedule_call(self._resume, target)
         else:
-            self._target = target
             assert target.callbacks is not None
             target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AllOf(Event):
+    """Fires when all of its events have fired."""
 
     __slots__ = ("_events", "_done")
 
@@ -284,29 +234,6 @@ class _Condition(Event):
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e.value for e in self._events if e.processed or e.triggered}
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when the first of its events fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires when all of its events have fired."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -349,9 +276,6 @@ class Environment:
         """Register ``generator`` as a running process."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -363,22 +287,6 @@ class Environment:
         assert evt.callbacks is not None
         evt.callbacks.append(lambda _e: fn())
         return evt
-
-    def defer(self, fn: Callable[[], None], phase: int = 1) -> None:
-        """Run ``fn`` at the current instant, *after* every normally
-        scheduled event for this instant, in ascending ``phase`` order.
-
-        Events sort by ``(time, priority, sequence)``; ordinary events use
-        priorities 0 (timeouts) and 1 (triggered events), so a phase-``p``
-        deferral is scheduled at priority ``1 + p`` and runs after all of
-        them -- and after lower-phase deferrals -- regardless of creation
-        order.  This gives multi-component simulations deterministic
-        within-tick stages (e.g. producers < drainers < control loop <
-        samplers) without fragile sequence-number races.
-        """
-        if phase < 1:
-            raise SimulationError(f"defer phase must be >= 1, got {phase}")
-        self._schedule_call(_invoke, fn, NORMAL + int(phase))
 
     # -- scheduling & main loop ----------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
@@ -396,31 +304,6 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, priority, self._seq, (fn, arg)))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one heap entry (advancing the clock to it)."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _prio, _seq, item = heapq.heappop(self._heap)
-        self._now = when
-        if item.__class__ is tuple:
-            item[0](item[1])
-            return
-        callbacks = item.callbacks
-        item.callbacks = None
-        item._processed = True
-        if callbacks:
-            for cb in callbacks:
-                cb(item)
-        elif not item._ok and not isinstance(item._value, ProcessKilled):
-            # A failed event nobody waited on: surface the error instead
-            # of silently swallowing it.  (A deliberate kill() of an
-            # unjoined process is not an error.)
-            raise item._value
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or the clock reaches ``until``.
 
@@ -428,10 +311,9 @@ class Environment:
         even if the last event fires earlier, so periodic samplers observe a
         well-defined end time.
 
-        The dispatch loop is inlined (rather than calling :meth:`step`)
-        with the heap and ``heappop`` bound to locals: this loop pops every
-        single entry of every experiment, so call overhead here is a
-        first-order cost.  For the same reason telemetry's dispatch counts
+        The dispatch loop runs with the heap and ``heappop`` bound to
+        locals: it pops every single entry of every experiment, so call
+        overhead here is a first-order cost.  For the same reason telemetry's dispatch counts
         are not tallied per pop: every push bumps ``_seq``, so entries
         popped = entries queued at entry + pushes - entries left, and only
         the rare Event branch keeps a tally of its own.
@@ -461,7 +343,9 @@ class Environment:
                 if callbacks:
                     for cb in callbacks:
                         cb(item)
-                elif not item._ok and not isinstance(item._value, ProcessKilled):
+                elif not item._ok:
+                    # A failed event nobody waited on: surface the error
+                    # instead of silently swallowing it.
                     raise item._value
             if until is not None:
                 self._now = float(until)
@@ -473,7 +357,3 @@ class Environment:
                 registry.counter("padll_engine_dispatches_total", kind="event").inc(n_events)
                 registry.gauge("padll_engine_sim_time_seconds").set(self._now)
 
-
-def _invoke(fn: Callable[[], None]) -> None:
-    """Adapter so zero-argument deferrals ride the ``(fn, arg)`` fast path."""
-    fn()

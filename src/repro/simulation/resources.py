@@ -1,73 +1,19 @@
-"""Shared simulated resources: FIFO stores and capacity-limited servers.
+"""Shared simulated resources: capacity-limited servers.
 
-These are the queueing primitives the PFS model is built from: an MDS is a
-:class:`Resource` with a service capacity, its request queue is a
-:class:`Store`.
+The queueing primitive the per-request PFS model is built from: a
+:class:`~repro.pfs.discrete.DiscreteMDS` is a :class:`Resource` whose
+slots are its service threads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.simulation.engine import Environment, Event
 
-__all__ = ["Store", "Resource"]
-
-
-class Store:
-    """Unbounded-or-bounded FIFO of Python objects with event-based get/put.
-
-    ``put(item)`` returns an event that fires once the item is accepted
-    (immediately unless the store is full); ``get()`` returns an event that
-    fires with the next item once one is available.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise SimulationError(f"store capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Enqueue ``item``; the returned event fires when accepted."""
-        evt = Event(self.env)
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            evt.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            evt.succeed()
-        else:
-            self._putters.append((evt, item))
-        return evt
-
-    def get(self) -> Event:
-        """Dequeue the next item; the returned event fires with the item."""
-        evt = Event(self.env)
-        if self._items:
-            evt.succeed(self._items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self._items.append(item)
-                putter.succeed()
-        else:
-            self._getters.append(evt)
-        return evt
+__all__ = ["Resource"]
 
 
 class Resource:

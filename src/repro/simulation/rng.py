@@ -2,16 +2,16 @@
 
 All stochastic components (trace generators, RPC jitter, workload noise)
 draw from generators created here so that a single experiment seed pins the
-entire run.  Child streams are derived with ``numpy``'s SeedSequence
-spawning, which guarantees independence between components without manual
-seed bookkeeping.
+entire run.  A component that needs its own stream takes a
+``SeedSequence`` (or a seed derived from the experiment's), so components
+stay independent without manual seed bookkeeping.
 """
 
 from __future__ import annotations
 
 from numpy.random import Generator, PCG64, SeedSequence
 
-__all__ = ["make_rng", "spawn_rngs", "SeedSequence"]
+__all__ = ["make_rng", "SeedSequence"]
 
 
 def make_rng(seed: int | SeedSequence | None = None) -> Generator:
@@ -20,10 +20,3 @@ def make_rng(seed: int | SeedSequence | None = None) -> Generator:
         return Generator(PCG64(seed))
     return Generator(PCG64(SeedSequence(seed)))
 
-
-def spawn_rngs(seed: int | SeedSequence | None, n: int) -> list[Generator]:
-    """Derive ``n`` independent generators from one parent seed."""
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    parent = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    return [Generator(PCG64(child)) for child in parent.spawn(n)]

@@ -21,7 +21,6 @@ from repro.telemetry.registry import (
     Counter,
     Gauge,
     Histogram,
-    HistogramWindow,
     MetricsRegistry,
 )
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
@@ -34,7 +33,6 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "HistogramWindow",
     "MetricsRegistry",
     "Span",
     "Telemetry",

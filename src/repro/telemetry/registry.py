@@ -1,11 +1,10 @@
-"""The metrics registry: counters, gauges, and sim-time-windowed histograms.
+"""The metrics registry: counters, gauges, and histograms.
 
 Components publish through *handles* obtained once at attach time
 (:meth:`MetricsRegistry.counter` and friends intern on ``(name, labels)``),
 so the hot-path cost of an enabled metric is one attribute load plus a
-float add.  Nothing in the registry reads a clock: windowed histograms
-are advanced by the caller passing the simulated ``now``, which is what
-lets instrumented runs stay bit-identical to uninstrumented ones.
+float add.  Nothing in the registry reads a clock, which is what lets
+instrumented runs stay bit-identical to uninstrumented ones.
 
 The registry also owns :class:`~repro.monitoring.metrics.TimeSeries`
 instances (see :meth:`timeseries`), which is how the monitoring
@@ -24,7 +23,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramWindow",
     "MetricsRegistry",
 ]
 
@@ -63,44 +61,16 @@ class Gauge:
         self.value = float(value)
 
 
-class HistogramWindow:
-    """One drained histogram window: ``[start, end)`` in sim time."""
-
-    __slots__ = ("start", "end", "counts", "count", "total")
-
-    def __init__(
-        self, start: float, end: float, counts: Tuple[float, ...], count: float, total: float
-    ) -> None:
-        self.start = start
-        self.end = end
-        self.counts = counts
-        self.count = count
-        self.total = total
-
-
 class Histogram:
-    """Fixed-boundary histogram with cumulative totals and a sim-time window.
+    """Fixed-boundary histogram with cumulative totals.
 
     ``bounds`` are the inclusive upper bucket edges; one implicit
     ``+Inf`` bucket is appended.  ``observe(value, n)`` adds ``n``
     observations of ``value`` (weighted observes keep per-batch fluid
-    accounting cheap).  ``take_window(now)`` returns everything observed
-    since the previous take, stamped with the caller-provided sim-time
-    span -- the histogram itself never touches a clock.
+    accounting cheap).
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "bounds",
-        "_counts",
-        "_window_counts",
-        "count",
-        "total",
-        "_window_count",
-        "_window_total",
-        "_window_start",
-    )
+    __slots__ = ("name", "labels", "bounds", "_counts", "count", "total")
 
     def __init__(self, name: str, labels: LabelsKey, bounds: Tuple[float, ...]) -> None:
         if not bounds:
@@ -113,14 +83,9 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.bounds = ordered
-        size = len(ordered) + 1  # trailing +Inf bucket
-        self._counts = [0.0] * size
-        self._window_counts = [0.0] * size
+        self._counts = [0.0] * (len(ordered) + 1)  # trailing +Inf bucket
         self.count = 0.0
         self.total = 0.0
-        self._window_count = 0.0
-        self._window_total = 0.0
-        self._window_start = 0.0
 
     def _bucket_index(self, value: float) -> int:
         # Linear scan: bucket tables here are short (<=16) and the scan
@@ -133,27 +98,8 @@ class Histogram:
     def observe(self, value: float, n: float = 1.0) -> None:
         index = self._bucket_index(value)
         self._counts[index] += n
-        self._window_counts[index] += n
         self.count += n
         self.total += value * n
-        self._window_count += n
-        self._window_total += value * n
-
-    def take_window(self, now: float) -> HistogramWindow:
-        """Drain and return the current window, closing it at sim time ``now``."""
-        window = HistogramWindow(
-            start=self._window_start,
-            end=now,
-            counts=tuple(self._window_counts),
-            count=self._window_count,
-            total=self._window_total,
-        )
-        size = len(self._window_counts)
-        self._window_counts = [0.0] * size
-        self._window_count = 0.0
-        self._window_total = 0.0
-        self._window_start = now
-        return window
 
     def bucket_counts(self) -> Tuple[float, ...]:
         """Raw per-bucket totals over all time (last entry is +Inf).
@@ -167,8 +113,8 @@ class Histogram:
         """Fold a remote histogram *delta* into this one.
 
         ``counts`` must be bucket-aligned (same bounds, trailing +Inf);
-        the delta is added to both the all-time totals and the open
-        window, as if the observations had happened locally.
+        the delta is added to the all-time totals, as if the
+        observations had happened locally.
         """
         if len(counts) != len(self._counts):
             raise ConfigError(
@@ -178,12 +124,9 @@ class Histogram:
         added = 0.0
         for index, n in enumerate(counts):
             self._counts[index] += n
-            self._window_counts[index] += n
             added += n
         self.count += added
         self.total += total
-        self._window_count += added
-        self._window_total += total
 
     def cumulative(self) -> List[Tuple[float, float]]:
         """Prometheus-style cumulative ``(le, count)`` pairs over all time."""

@@ -35,7 +35,7 @@ def open_loop_arrivals(
 
     Deterministic spacing by default; ``poisson=True`` draws exponential
     inter-arrival gaps (seeded, reproducible).  Returns the generator
-    process so callers can join or kill it.
+    process so callers can join it.
     """
     if rate <= 0:
         raise ConfigError(f"arrival rate must be positive, got {rate}")

@@ -109,16 +109,6 @@ class OpTrace:
         return {k: float(s / total) for k, s in zip(self.kinds, sums)}
 
     # -- transforms ---------------------------------------------------------------
-    def slice(self, start: int, stop: Optional[int] = None) -> "OpTrace":
-        """Sub-trace over sample rows [start, stop)."""
-        rows = self.counts[start:stop]
-        return OpTrace(
-            self.kinds,
-            rows.copy(),
-            sample_period=self.sample_period,
-            start_time=self.start_time + start * self.sample_period,
-        )
-
     def select(self, kinds: Sequence[str]) -> "OpTrace":
         """Sub-trace keeping only the given kinds."""
         idx = [self.kind_index(k) for k in kinds]
@@ -138,61 +128,6 @@ class OpTrace:
             self.counts * factor,
             sample_period=self.sample_period,
             start_time=self.start_time,
-        )
-
-    def merge(self, other: "OpTrace") -> "OpTrace":
-        """Element-wise sum of two aligned traces (e.g. two MDTs' loads).
-
-        Both traces must share the sample period and length; kinds are
-        unioned (a kind missing from one trace contributes zeros).
-        """
-        if self.sample_period != other.sample_period:
-            raise TraceFormatError(
-                f"sample periods differ: {self.sample_period} vs "
-                f"{other.sample_period}"
-            )
-        if self.n_samples != other.n_samples:
-            raise TraceFormatError(
-                f"sample counts differ: {self.n_samples} vs {other.n_samples}"
-            )
-        kinds = tuple(dict.fromkeys(self.kinds + other.kinds))
-        counts = np.zeros((self.n_samples, len(kinds)))
-        for source in (self, other):
-            for k in source.kinds:
-                counts[:, kinds.index(k)] += source.counts[:, source.kind_index(k)]
-        return OpTrace(
-            kinds, counts, sample_period=self.sample_period,
-            start_time=self.start_time,
-        )
-
-    def concat(self, other: "OpTrace") -> "OpTrace":
-        """Append ``other`` in time (same kinds and period required)."""
-        if self.sample_period != other.sample_period:
-            raise TraceFormatError("sample periods differ")
-        if self.kinds != other.kinds:
-            raise TraceFormatError(
-                f"kinds differ: {self.kinds} vs {other.kinds}"
-            )
-        return OpTrace(
-            self.kinds,
-            np.vstack([self.counts, other.counts]),
-            sample_period=self.sample_period,
-            start_time=self.start_time,
-        )
-
-    def resample(self, new_period: float) -> "OpTrace":
-        """Aggregate to a coarser sample period (must be a multiple)."""
-        ratio = new_period / self.sample_period
-        if ratio < 1 or abs(ratio - round(ratio)) > 1e-9:
-            raise TraceFormatError(
-                f"new period {new_period} must be an integer multiple of "
-                f"{self.sample_period}"
-            )
-        step = int(round(ratio))
-        usable = (self.n_samples // step) * step
-        folded = self.counts[:usable].reshape(-1, step, len(self.kinds)).sum(axis=1)
-        return OpTrace(
-            self.kinds, folded, sample_period=new_period, start_time=self.start_time
         )
 
     # -- persistence -----------------------------------------------------------------

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.analysis.burstiness import (
-    burst_fraction,
-    coefficient_of_variation,
-    peak_to_mean,
-)
+from repro.analysis.burstiness import coefficient_of_variation
 
 
 class TestCoV:
@@ -34,23 +30,3 @@ class TestCoV:
     def test_invalid_input(self, bad):
         with pytest.raises(ConfigError):
             coefficient_of_variation(bad)
-
-
-class TestPeakToMean:
-    def test_flat_is_one(self):
-        assert peak_to_mean([3.0, 3.0]) == pytest.approx(1.0)
-
-    def test_known(self):
-        assert peak_to_mean([1.0, 1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_zero_mean(self):
-        assert peak_to_mean([0.0]) == 0.0
-
-
-class TestBurstFraction:
-    def test_counts_strictly_above(self):
-        assert burst_fraction([1.0, 2.0, 3.0, 4.0], 2.0) == pytest.approx(0.5)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            burst_fraction([1.0], -1.0)

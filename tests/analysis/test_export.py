@@ -6,10 +6,8 @@ import csv
 import math
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigError
-from repro.analysis.export import export_series, export_wide
+from repro.analysis.export import export_wide
 
 
 def make_series():
@@ -18,35 +16,6 @@ def make_series():
         "baseline": (t, np.array([10.0, 20.0, 30.0])),
         "padll/run1": (t, np.array([5.0, 5.0, 5.0])),
     }
-
-
-class TestExportSeries:
-    def test_one_file_per_series(self, tmp_path):
-        paths = export_series(make_series(), tmp_path)
-        assert len(paths) == 2
-        names = {p.name for p in paths}
-        assert "baseline.csv" in names
-        assert "padll_run1.csv" in names  # sanitised
-
-    def test_roundtrip_values(self, tmp_path):
-        (path,) = export_series(
-            {"s": (np.array([0.0, 1.5]), np.array([1.25, 2.5]))}, tmp_path
-        )
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time", "value"]
-        assert [float(v) for v in rows[1]] == [0.0, 1.25]
-        assert [float(v) for v in rows[2]] == [1.5, 2.5]
-
-    def test_shape_mismatch(self, tmp_path):
-        with pytest.raises(ConfigError, match="shapes differ"):
-            export_series(
-                {"s": (np.array([0.0]), np.array([1.0, 2.0]))}, tmp_path
-            )
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_series({}, tmp_path)
 
 
 class TestExportWide:

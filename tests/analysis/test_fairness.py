@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.analysis.fairness import (
     jains_index,
-    max_min_ratio,
     reservation_satisfaction,
 )
 
@@ -39,18 +38,6 @@ class TestJains:
 def test_jains_bounds(alloc):
     idx = jains_index(alloc)
     assert 0.0 < idx <= 1.0 + 1e-12
-
-
-class TestMaxMin:
-    def test_flat(self):
-        assert max_min_ratio([2.0, 2.0]) == 1.0
-
-    def test_priority_spread(self):
-        assert max_min_ratio([40.0, 120.0]) == pytest.approx(3.0)
-
-    def test_zero_min(self):
-        assert max_min_ratio([0.0, 5.0]) == float("inf")
-        assert max_min_ratio([0.0, 0.0]) == 1.0
 
 
 class TestReservationSatisfaction:

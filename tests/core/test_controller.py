@@ -61,15 +61,23 @@ class TestRegistration:
         with pytest.raises(StageNotRegistered):
             cp.deregister_job("jobA")
 
-    def test_reservation_requires_registered_job(self):
+    def test_reservation_outlives_registration(self):
         cp = ControlPlane()
-        with pytest.raises(StageNotRegistered):
-            cp.set_reservation("ghost", 1.0)
-        cp.register(make_stage("s0", "jobA"))
+        # Like a policy, a reservation may precede the job it names ...
         cp.set_reservation("jobA", 5.0)
+        assert cp.jobs == {}
+        cp.register(make_stage("s0", "jobA"))
         assert cp.jobs["jobA"].reservation == 5.0
+        cp.set_reservation("jobA", 7.0)
+        assert cp.jobs["jobA"].reservation == 7.0
+        # ... and survives the job's last stage leaving and coming back.
+        cp.deregister("s0")
+        assert cp.jobs == {}
+        cp.register(make_stage("s0", "jobA"))
+        assert cp.jobs["jobA"].reservation == 7.0
         with pytest.raises(PolicyError):
             cp.set_reservation("jobA", -1.0)
+        assert cp.jobs["jobA"].reservation == 7.0
 
 
 class TestPolicies:

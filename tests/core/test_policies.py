@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.core.policies import (
-    CallableRate,
     ConstantRate,
     PolicyRule,
     RuleScope,
@@ -65,17 +64,6 @@ class TestSteppedRate:
     def test_infinite_step_allowed(self):
         sched = SteppedRate([(0.0, math.inf), (10.0, 5.0)])
         assert sched.rate_at(5.0) == math.inf
-
-
-class TestCallableRate:
-    def test_wraps_function(self):
-        sched = CallableRate(lambda t: 10.0 + t)
-        assert sched.rate_at(5.0) == 15.0
-
-    def test_rejects_bad_output(self):
-        sched = CallableRate(lambda t: -1.0)
-        with pytest.raises(PolicyError):
-            sched.rate_at(0.0)
 
 
 class TestRuleScope:

@@ -5,19 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.differentiation import ClassifierRule
-from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.monitoring.collector import Collector, Probe
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.oss import ObjectStoragePool
+
+
+def gauge_probe(name, fn):
+    """A probe sampling one callable into the series ``name``."""
+    return Probe(name, lambda now, period: {"": float(fn())})
 
 
 class TestCollector:
     def test_callable_probe_sampling(self, env):
         collector = Collector(env, period=1.0)
         box = {"v": 0.0}
-        collector.add_probe(Collector.callable_probe("gauge", lambda: box["v"]))
+        collector.add_probe(gauge_probe("gauge", lambda: box["v"]))
         env.call_at(1.5, lambda: box.__setitem__("v", 7.0))
         env.run(until=3.5)
         series = collector.series["gauge"]
@@ -25,19 +26,10 @@ class TestCollector:
 
     def test_duplicate_probe_rejected(self, env):
         collector = Collector(env, period=1.0)
-        probe = Collector.callable_probe("g", lambda: 0.0)
+        probe = gauge_probe("g", lambda: 0.0)
         collector.add_probe(probe)
         with pytest.raises(ConfigError):
             collector.add_probe(probe)
-
-    def test_remove_probe(self, env):
-        collector = Collector(env, period=1.0)
-        collector.add_probe(Collector.callable_probe("g", lambda: 0.0))
-        collector.remove_probe("g")
-        with pytest.raises(ConfigError):
-            collector.remove_probe("g")
-        env.run(until=2.0)
-        assert "g" not in collector.series or len(collector.series["g"]) <= 1
 
     def test_invalid_period(self, env):
         with pytest.raises(ConfigError):
@@ -56,33 +48,9 @@ class TestCollector:
         assert total.values()[0] == pytest.approx(50.0)
         assert total.values()[-1] == pytest.approx(0.0)
 
-    def test_stage_probe(self, env):
-        stage = DataPlaneStage(StageIdentity("s0", "j0"), lambda r: None)
-        stage.create_channel("metadata", rate=10.0)
-        stage.add_classifier_rule(
-            ClassifierRule(
-                "md", "metadata", op_classes=frozenset({OperationClass.METADATA})
-            )
-        )
-        collector = Collector(env, period=1.0, start=1.0)
-        collector.add_probe(Collector.stage_probe("stage", stage))
-        stage.submit(Request(OperationType.OPEN, path="/f", count=30.0), 0.0)
-        stage.drain(0.0)
-        env.run(until=1.5)
-        assert collector.series["stage.metadata"].values()[0] == pytest.approx(10.0)
-
-    def test_oss_probe(self, env):
-        pool = ObjectStoragePool(n_oss=1, n_ost=2, ost_capacity_bytes=1000, oss_bandwidth=100.0)
-        collector = Collector(env, period=1.0, start=1.0)
-        collector.add_probe(Collector.oss_probe("oss", pool))
-        pool.offer("write", 50.0, 0.0)
-        pool.service(0.0, 1.0)
-        env.run(until=1.5)
-        assert collector.series["oss.write"].values()[0] == pytest.approx(50.0)
-
     def test_stop(self, env):
         collector = Collector(env, period=1.0)
-        collector.add_probe(Collector.callable_probe("g", lambda: 1.0))
+        collector.add_probe(gauge_probe("g", lambda: 1.0))
         env.call_at(2.5, collector.stop)
         env.run(until=10.0)
         assert len(collector.series["g"]) == 3

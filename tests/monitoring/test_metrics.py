@@ -1,4 +1,4 @@
-"""Tests for TimeSeries and summaries."""
+"""Tests for TimeSeries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.monitoring.metrics import SeriesSummary, TimeSeries
+from repro.monitoring.metrics import TimeSeries
 
 
 class TestTimeSeries:
@@ -34,22 +34,6 @@ class TestTimeSeries:
             ts.append(4.0, 1.0)
         ts.append(5.0, 2.0)  # equal is fine
 
-    def test_window(self):
-        ts = TimeSeries("x")
-        for t in range(10):
-            ts.append(float(t), float(t))
-        times, values = ts.window(3.0, 7.0)
-        assert list(times) == [3.0, 4.0, 5.0, 6.0]
-        with pytest.raises(ConfigError):
-            ts.window(5.0, 1.0)
-
-    def test_integral(self):
-        ts = TimeSeries("x")
-        ts.append(0.0, 10.0)
-        ts.append(2.0, 10.0)
-        assert ts.integral() == pytest.approx(20.0)
-        assert TimeSeries("y").integral() == 0.0
-
     def test_last(self):
         ts = TimeSeries("x")
         with pytest.raises(ConfigError):
@@ -57,36 +41,9 @@ class TestTimeSeries:
         ts.append(1.0, 2.0)
         assert ts.last() == (1.0, 2.0)
 
-    def test_resample_mean(self):
-        ts = TimeSeries("x")
-        for t in range(10):
-            ts.append(float(t), float(t % 2))
-        grid, means = ts.resample_mean(2.0)
-        assert len(grid) == 5
-        assert np.allclose(means, 0.5)
-
-    def test_resample_empty(self):
-        grid, means = TimeSeries("x").resample_mean(1.0)
-        assert grid.size == 0
-
     def test_invalid_capacity(self):
         with pytest.raises(ConfigError):
             TimeSeries("x", capacity=0)
-
-
-class TestSummary:
-    def test_of_known_values(self):
-        s = SeriesSummary.of(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_empty(self):
-        s = SeriesSummary.of(np.array([]))
-        assert s.n == 0
-        assert s.mean == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,6 +54,5 @@ def test_series_preserves_all_appends(values):
         ts.append(float(i), v)
     assert len(ts) == len(values)
     assert np.allclose(ts.values(), np.array(values))
-    summary = ts.summary()
-    assert summary.minimum == pytest.approx(min(values))
-    assert summary.maximum == pytest.approx(max(values))
+    assert ts.values().min() == pytest.approx(min(values))
+    assert ts.values().max() == pytest.approx(max(values))

@@ -65,16 +65,6 @@ class TestRouting:
         assert cluster.oss_pool.served_bytes["write"] == pytest.approx(50.0)
 
 
-class TestStripeWiring:
-    def test_created_files_get_balanced_stripes(self):
-        cluster = small_cluster()
-        fd = cluster.namespace.create("/f", stripe_count=2)
-        cluster.namespace.close(fd)
-        stripe = cluster.namespace.getattr("/f").stripe
-        assert len(stripe) == 2
-        assert all(0 <= i < 4 for i in stripe)
-
-
 class TestFailover:
     def test_standby_takes_over_after_delay(self):
         cluster = small_cluster()
@@ -126,11 +116,6 @@ class TestFailover:
         # The offer landed at the simulated time, visible in latency math:
         assert cluster.mds_servers[0]._queue[0][3] == 42.0  # [slot, count, cost, arrived]
 
-    def test_capacity_quote(self):
-        cluster = small_cluster()
-        assert cluster.metadata_capacity_opsps("getattr") == pytest.approx(1000.0)
-        assert cluster.metadata_capacity_opsps("rename") == pytest.approx(125.0)
-
 
 class TestDNE:
     """Distributed-namespace mode: every MDS active, sharded by top dir."""
@@ -179,17 +164,6 @@ class TestDNE:
         client.submit(Request(OperationType.STAT, path=other + "/f"))
         assert client.failed_ops == 5.0
 
-    def test_cross_mdt_rename_costlier(self):
-        cluster = self._dne(n_mds=3)
-        src = "/projA/f"
-        cross = next(
-            f"/proj{i}/g" for i in range(30)
-            if cluster._shard_index(f"/proj{i}/g") != cluster._shard_index(src)
-        )
-        same = "/projA/g"
-        assert cluster.rename_cost_multiplier(src, same) == 1.0
-        assert cluster.rename_cost_multiplier(src, cross) == pytest.approx(2.0)
-
     def test_hot_standby_ignores_path(self):
         cluster = small_cluster()
         a = cluster.mds_for_path("/x/f", 0.0)
@@ -199,10 +173,6 @@ class TestDNE:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
             small_cluster(mds_mode="quantum")
-
-    def test_invalid_rename_factor(self):
-        with pytest.raises(ConfigError):
-            small_cluster(cross_mdt_rename_factor=0.5)
 
 
 class TestReplayBuffer:

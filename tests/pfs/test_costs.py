@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.pfs.costs import OP_COSTS, batch_cost, op_cost
+from repro.pfs.costs import OP_COSTS, op_cost
 
 
 class TestCosts:
@@ -28,12 +28,6 @@ class TestCosts:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             op_cost("frobnicate")
-
-    def test_batch_cost(self):
-        assert batch_cost("getattr", 100) == 100 * op_cost("getattr")
-        assert batch_cost("rename", 0) == 0.0
-        with pytest.raises(ConfigError):
-            batch_cost("getattr", -1)
 
     def test_table_immutable(self):
         with pytest.raises(TypeError):

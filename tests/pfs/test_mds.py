@@ -66,14 +66,6 @@ class TestFluidService:
         assert m.take_window() == {"getattr": pytest.approx(50.0)}
         assert m.take_window() == {}
 
-    def test_latency_accounting(self):
-        m = mds(capacity=10.0, degrade_after=1e9)
-        m.offer("getattr", 30.0, 0.0)
-        m.service(0.0, 1.0)
-        m.service(1.0, 1.0)
-        m.service(2.0, 1.0)
-        assert m.mean_latency() == pytest.approx((0 + 1 + 2) / 3)
-
     def test_invalid_service_dt(self):
         with pytest.raises(ConfigError):
             mds().service(0.0, 0.0)
@@ -127,45 +119,6 @@ class TestDegradationAndFailure:
         with pytest.raises(MDSUnavailable):
             m.offer("getattr", 1.0, 0.0)
         assert m.service(1.0, 1.0) == 0.0
-
-    def test_recover(self):
-        m = mds()
-        m.fail(0.0)
-        m.recover()
-        m.offer("getattr", 1.0, 1.0)
-        assert m.service(1.0, 1.0) == pytest.approx(1.0)
-
-
-class TestDiscreteExecute:
-    def test_execute_applies_to_namespace(self):
-        m = mds()
-        m.execute("mkdir", 0.0, "/d")
-        assert m.namespace.exists("/d")
-        assert m.served["mkdir"] == 1.0
-
-    def test_execute_rename(self):
-        m = mds()
-        m.execute("mkdir", 0.0, "/d")
-        fd = m.namespace.create("/d/f")
-        m.namespace.close(fd)
-        m.execute("rename", 0.0, "/d/f", "/d/g")
-        assert m.namespace.exists("/d/g")
-
-    def test_execute_releases_locks_on_error(self):
-        m = mds()
-        with pytest.raises(Exception):
-            m.execute("rmdir", 0.0, "/missing")
-        assert m.locks.held == 0
-
-    def test_execute_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            mds().execute("teleport", 0.0, "/x")
-
-    def test_execute_on_failed_mds(self):
-        m = mds()
-        m.fail(0.0)
-        with pytest.raises(MDSUnavailable):
-            m.execute("mkdir", 0.0, "/d")
 
 
 # -- conservation property --------------------------------------------------------

@@ -33,36 +33,6 @@ class TestConstruction:
             OSTarget(index=0, capacity_bytes=0)
 
 
-class TestStripeAllocation:
-    def test_least_filled_first(self):
-        p = pool()
-        p.targets[0].used_bytes = 900
-        p.targets[1].used_bytes = 100
-        p.targets[2].used_bytes = 500
-        assert p.allocate_stripe(2) == (3, 1)  # 3 is empty, then 1
-
-    def test_capacity_balancing_over_many_files(self):
-        """Repeated allocate+record keeps fill fractions close together."""
-        p = pool(n_ost=6, ost_capacity_bytes=10_000)
-        for _ in range(60):
-            stripe = p.allocate_stripe(2)
-            p.record_allocation(stripe, 200)
-        fills = [t.fill_fraction for t in p.targets]
-        assert max(fills) - min(fills) <= 0.05
-
-    def test_bounds(self):
-        p = pool()
-        with pytest.raises(ConfigError):
-            p.allocate_stripe(0)
-        with pytest.raises(ConfigError):
-            p.allocate_stripe(99)
-
-    def test_record_allocation_negative_rejected(self):
-        p = pool()
-        with pytest.raises(ConfigError):
-            p.record_allocation((0,), -5)
-
-
 class TestFluidService:
     def test_bandwidth_bound(self):
         p = pool()  # 2 OSS * 100 B/s
@@ -102,56 +72,3 @@ class TestFluidService:
     def test_invalid_dt(self):
         with pytest.raises(ConfigError):
             pool().service(0.0, 0.0)
-
-
-class TestStripedService:
-    def test_even_spread_over_stripe(self):
-        p = pool()  # 4 OSTs, total bandwidth 200 B/s -> 50 B/s per OST
-        p.offer_striped("write", 100.0, (0, 1), 0.0)
-        assert p.ost_queue_bytes(0) == 50.0
-        assert p.ost_queue_bytes(1) == 50.0
-        assert p.ost_queue_bytes(2) == 0.0
-
-    def test_hot_ost_bottlenecks_despite_idle_pool(self):
-        """Everything striped onto OST 0: the pool has 4x the bandwidth
-        needed, but the hot OST serves at only its own share."""
-        p = pool()
-        p.offer_striped("write", 500.0, (0,), 0.0)
-        served = p.service_striped(0.0, 1.0)
-        assert served == pytest.approx(50.0)  # one OST's bandwidth
-        assert p.ost_queue_bytes(0) == pytest.approx(450.0)
-
-    def test_wide_stripe_uses_full_pool(self):
-        p = pool()
-        p.offer_striped("write", 200.0, (0, 1, 2, 3), 0.0)
-        served = p.service_striped(0.0, 1.0)
-        assert served == pytest.approx(200.0)
-
-    def test_per_ost_accounting(self):
-        p = pool()
-        p.offer_striped("read", 80.0, (2, 3), 0.0)
-        p.service_striped(0.0, 1.0)
-        assert p.ost_served_bytes[2] == pytest.approx(40.0)
-        assert p.ost_served_bytes[3] == pytest.approx(40.0)
-        assert p.served_bytes["read"] == pytest.approx(80.0)
-
-    def test_validation(self):
-        p = pool()
-        with pytest.raises(ConfigError):
-            p.offer_striped("scan", 1.0, (0,), 0.0)
-        with pytest.raises(ConfigError):
-            p.offer_striped("read", 1.0, (), 0.0)
-        with pytest.raises(ConfigError):
-            p.offer_striped("read", 1.0, (99,), 0.0)
-        with pytest.raises(ConfigError):
-            p.service_striped(0.0, 0.0)
-
-    def test_conservation(self):
-        p = pool()
-        total = 0.0
-        for t in range(5):
-            p.offer_striped("write", 120.0, (0, 1, 2), float(t))
-            total += 120.0
-            p.service_striped(float(t), 1.0)
-        queued = sum(p.ost_queue_bytes(i) for i in range(4))
-        assert sum(p.ost_served_bytes) + queued == pytest.approx(total)

@@ -112,6 +112,8 @@ class TestValidation:
             runtime.admin("job.evict", {"job": "nope"})
         with pytest.raises(PolicyError, match="no job"):
             runtime.admin("job.drain", {"job": "nope"})
+        with pytest.raises(PolicyError, match="no job"):
+            runtime.admin("job.reservation", {"job": "nope", "rate": 5.0})
 
     def test_rejected_actions_are_audited(self):
         runtime = make_runtime()

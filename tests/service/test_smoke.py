@@ -8,16 +8,21 @@ worker threads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
+from repro.core.config import load_config
 from repro.core.fabric import LinkProfile
-from repro.core.stage import OrphanPolicy
+from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.service import OperatorServer, ServiceConfig, ServiceRuntime, WorkloadSpec
+
+EXAMPLE_POLICY = Path(__file__).resolve().parents[2] / "examples" / "padll.json"
 
 
 def get(url: str):
@@ -57,6 +62,42 @@ class TestCliServe:
         assert "padll-repro serve: listening on http://127.0.0.1:" in result.stdout
         assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
 
+    def test_serve_runs_the_shipped_example_policy(self):
+        # examples/padll.json reserves rates for jobs that register later
+        # (or never); that used to die with StageNotRegistered at start-up.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--duration", "2", "--interval", "0.1", "--workload-rate", "80",
+                "--policy", str(EXAMPLE_POLICY),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
+
+    def test_example_reservation_applies_once_the_job_registers(self):
+        config = ServiceConfig(
+            port=0,
+            padll=load_config(EXAMPLE_POLICY),
+            workload=WorkloadSpec(jobs=2, stages_per_job=1, rate=0.0),
+        )
+        for stage_procs in (0, 1):  # in-process world, then one awaiting its hosts
+            runtime = ServiceRuntime(dataclasses.replace(config, stage_procs=stage_procs))
+            try:
+                if stage_procs:
+                    assert runtime.controller.jobs == {}
+                    identity = StageIdentity("job1/s0", "job1")
+                    runtime._register(identity, lambda message: None)
+                reservations = {
+                    job: info.reservation for job, info in runtime.controller.jobs.items()
+                }
+                assert reservations["job1"] == 40_000.0
+                assert reservations.get("job0", 0.0) == 0.0  # not in the example
+            finally:
+                runtime.stop()
 
     def test_stage_procs_runs_and_shuts_down_clean(self):
         # The default layout: no orphan policy, no policy document.

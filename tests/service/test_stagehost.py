@@ -21,12 +21,13 @@ from repro.core.config import parse_config
 from repro.core.requests import OperationType
 from repro.core.rpc import CollectStats
 from repro.core.stage import OrphanPolicy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RPCError
 from repro.net import SocketTransport
 from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.runtime import ServiceRuntime
 from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout, job_of
+from repro.telemetry.trace import Tracer
 
 
 def _wait(predicate, timeout=5.0):
@@ -504,4 +505,94 @@ class TestRestartedHostCounters:
             assert counter.value == 105.0
             assert list(runtime._remote_last) == [second]
         finally:
+            runtime.stop()
+
+
+class TestHostKeepsOnlyWhatItHasNotShipped:
+    """A push deletes what it shipped; the controller ends up with all of it."""
+
+    def test_lists_stay_short_under_load_and_everything_arrives_once(self, monkeypatch):
+        emitted = []
+        emit_span = Tracer.emit_span
+
+        def counting(self, ctx, *args, **attrs):
+            emitted.append(ctx.trace_id)  # only a host's stage emits spans here
+            emit_span(self, ctx, *args, **attrs)
+
+        monkeypatch.setattr(Tracer, "emit_span", counting)
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=1,
+                sample_rate=1.0,
+                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0),
+            )
+        )
+        host = None
+        try:
+            host = _dial(
+                runtime, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0)
+            )
+            for marker in range(20):  # host events, spread over several pushes
+                host.telemetry.events.emit("test.marker", float(marker), n=marker)
+                time.sleep(0.01)
+            assert _wait(lambda: host.pushes >= 5 and len(emitted) >= 50)
+            # Five pushes in, the host holds a push interval's worth, not history.
+            assert len(host.telemetry.tracer.spans) < len(emitted) / 2
+            host.stop()  # drivers and pump joined, then one final flush
+            assert host.telemetry.tracer.spans == []
+            assert host.telemetry.events.events == []
+            merged = [span.trace_id for span in runtime.telemetry.tracer.spans]
+            assert merged == emitted
+            markers = [e.fields["n"] for e in runtime.telemetry.events.of_kind("test.marker")]
+            assert markers == list(range(20))
+        finally:
+            if host is not None:
+                host.stop()
+            runtime.stop()
+
+    def test_a_failed_push_leaves_the_lists_whole(self, controller, monkeypatch):
+        host = StageHost("hostF", ["job0/s0"], push_interval=60.0)
+        try:
+            host.start(controller.host, controller.port)
+            controller.wait_connected()
+            host.telemetry.events.emit("test.marker", 1.0, n=0)
+            push = host.connection.push
+
+            def dead_link(doc):
+                raise RPCError("link died mid-push")
+
+            monkeypatch.setattr(host.connection, "push", dead_link)
+            host._push_telemetry()
+            assert (host.pushes, len(host.telemetry.events)) == (0, 1)
+            monkeypatch.setattr(host.connection, "push", push)
+            host._push_telemetry()
+            assert (host.pushes, len(host.telemetry.events)) == (1, 0)
+            assert _wait(
+                lambda: [d["events"] for d in controller.pushed if d["kind"] == "telemetry"]
+                == [[["test.marker", 1.0, {"n": 0}]]]
+            )
+        finally:
+            host.stop()
+
+
+class TestReservationOutlivesTheHost:
+    def test_respawned_host_comes_back_at_its_jobs_reservation(self):
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=1, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0)
+            )
+        )
+        host = respawned = None
+        try:
+            host = _dial(runtime)
+            runtime.admin("job.reservation", {"job": "job0", "rate": 25.0})
+            assert runtime.controller.jobs["job0"].reservation == 25.0
+            host.stop()  # the link closes: job0's only stage is evicted
+            assert _wait(lambda: runtime.controller.jobs == {})
+            respawned = _dial(runtime)
+            assert runtime.controller.jobs["job0"].reservation == 25.0
+        finally:
+            for h in (host, respawned):
+                if h is not None:
+                    h.stop()
             runtime.stop()

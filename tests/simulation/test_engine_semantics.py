@@ -1,7 +1,7 @@
 """Within-instant ordering contracts of the fast-path engine.
 
-The engine schedules process boots, resumes on already-processed events,
-interrupts, and deferred ticks as bare ``(fn, arg)`` heap entries instead
+The engine schedules process boots, resumes on already-processed events
+and deferred ticks as bare ``(fn, arg)`` heap entries instead
 of event objects.  These tests pin the observable semantics that fast
 path must preserve: where in an instant each kind of entry fires, and
 what a process sees when the event it yields has already been processed.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.engine import Environment, Interrupt
+from repro.simulation.engine import Environment
 from repro.simulation.ticker import Ticker
 
 
@@ -79,64 +79,6 @@ class TestDeferPhaseOrdering:
             ("control", 10.0),
         ]
 
-    def test_event_origin_defer_runs_after_same_phase_ticker(self, env):
-        order = []
-        Ticker(env, 10.0, lambda now: order.append("drain-ticker"), defer=1)
-        Ticker(env, 10.0, lambda now: env.defer(lambda: order.append("deferred")))
-        env.run(until=10.0)
-        # A defer() issued while the instant is in progress lands behind
-        # the phase-1 ticker: ticker entries enter the heap one period
-        # earlier, so they keep the lower sequence number.
-        assert order == ["drain-ticker", "deferred", "drain-ticker", "deferred"]
-
-
-class TestInterruptRaces:
-    def test_interrupt_beats_target_that_already_triggered(self, env):
-        log = []
-        victim = None
-
-        def victim_proc():
-            evt = env.event()
-            env.process(attacker(evt))
-            try:
-                yield evt
-                log.append("resumed")
-            except Interrupt as interrupt:
-                log.append(("interrupted", interrupt.cause))
-
-        def attacker(evt):
-            evt.succeed("val")  # target triggered, not yet processed
-            victim.interrupt("late")
-            yield env.timeout(0.0)
-
-        victim = env.process(victim_proc())
-        env.run()
-        assert log == [("interrupted", "late")]
-
-    def test_interrupt_process_waiting_on_processed_event(self, env):
-        log = []
-
-        def victim(evt):
-            try:
-                yield evt  # already processed: resume is pending, not set
-                log.append("resumed")
-                yield env.timeout(10.0)
-                log.append("finished")
-            except Interrupt as interrupt:
-                log.append(("interrupted", interrupt.cause, env.now))
-
-        def driver():
-            evt = env.event()
-            evt.succeed("x")
-            yield env.timeout(1.0)  # evt is processed during this wait
-            proc = env.process(victim(evt))
-            yield env.timeout(0.0)
-            proc.interrupt("gotcha")
-
-        env.process(driver())
-        env.run()
-        assert log == [("interrupted", "gotcha", 1.0)]
-
 
 class TestConditionsWithProcessedMembers:
     def test_allof_with_one_preprocessed_member(self, env):
@@ -169,35 +111,3 @@ class TestConditionsWithProcessedMembers:
         env.process(proc())
         env.run()
         assert got == [(0.0, "a", "b")]
-
-    def test_anyof_with_preprocessed_member_fires_immediately(self, env):
-        fast = env.event()
-        fast.succeed("fast")
-        env.run()
-        slow = env.timeout(100.0)
-        got = []
-
-        def proc():
-            result = yield env.any_of([fast, slow])
-            got.append((env.now, result.get(fast)))
-
-        env.process(proc())
-        env.run()
-        assert got == [(0.0, "fast")]
-
-    def test_anyof_with_preprocessed_failed_member(self, env):
-        bad = env.event()
-        bad.fail(RuntimeError("bad"))
-        bad.callbacks.append(lambda e: None)  # defuse the unwaited failure
-        env.run()
-        got = []
-
-        def proc():
-            try:
-                yield env.any_of([bad, env.timeout(5.0)])
-            except RuntimeError as exc:
-                got.append((env.now, str(exc)))
-
-        env.process(proc())
-        env.run()
-        assert got == [(0.0, "bad")]

@@ -1,82 +1,11 @@
-"""Tests for Store and Resource."""
+"""Tests for Resource."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.resources import Resource, Store
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append(item)
-            item = yield store.get()
-            got.append(item)
-
-        env.process(getter())
-        env.run()
-        assert got == ["a", "b"]  # FIFO
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((env.now, item))
-
-        env.process(getter())
-        env.call_at(3.0, lambda: store.put("late"))
-        env.run()
-        assert got == [(3.0, "late")]
-
-    def test_bounded_put_blocks(self, env):
-        store = Store(env, capacity=1)
-        store.put("a")
-        log = []
-
-        def putter():
-            yield store.put("b")
-            log.append(env.now)
-
-        def getter():
-            yield env.timeout(5.0)
-            item = yield store.get()
-            log.append(item)
-
-        env.process(putter())
-        env.process(getter())
-        env.run()
-        # put unblocks when "a" is taken at t=5
-        assert log == ["a", 5.0]
-        assert store.items == ("b",)
-
-    def test_handoff_to_waiting_getter(self, env):
-        store = Store(env)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append(item)
-
-        env.process(getter())
-        env.run()
-        store.put("direct")
-        env.run()
-        assert got == ["direct"]
-        assert len(store) == 0
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
+from repro.simulation.resources import Resource
 
 
 class TestResource:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.simulation.rng import SeedSequence, make_rng, spawn_rngs
+from repro.simulation.rng import SeedSequence, make_rng
 
 
 class TestMakeRng:
@@ -24,22 +23,3 @@ class TestMakeRng:
         a = make_rng(SeedSequence(5)).random(10)
         b = make_rng(seq).random(10)
         assert np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_children_independent_and_deterministic(self):
-        kids_a = spawn_rngs(3, 4)
-        kids_b = spawn_rngs(3, 4)
-        for x, y in zip(kids_a, kids_b):
-            assert np.array_equal(x.random(50), y.random(50))
-        draws = [g.random(50) for g in spawn_rngs(3, 4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(draws[i], draws[j])
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)

@@ -56,3 +56,34 @@ class TestTicker:
         Ticker(env, 1.0, lambda t: log.append("b"))
         env.run(until=2.5)
         assert log == ["a", "b"] * 3
+
+
+class TestTickerPhases:
+    def test_producer_consumer_sampler_ordering(self, env):
+        """The canonical pipeline: produce < drain < sample, every tick,
+        regardless of creation order or tick period."""
+        log = []
+        Ticker(env, 1.0, lambda now: log.append(("sample", now)), defer=3)
+        Ticker(env, 1.0, lambda now: log.append(("drain", now)), defer=1)
+
+        def start_producer():
+            Ticker(env, 1.0, lambda now: log.append(("produce", now)))
+
+        env.call_at(0.0, start_producer)
+        env.run(until=3.5)
+        per_tick = {}
+        for name, t in log:
+            per_tick.setdefault(t, []).append(name)
+        for t, names in per_tick.items():
+            assert names == ["produce", "drain", "sample"], (t, names)
+
+    def test_mixed_periods_preserve_phase_order(self, env):
+        """A 5s-period sampler still runs after the 1s-period drainer at
+        shared instants (the bug class the phase system exists for)."""
+        log = []
+        Ticker(env, 5.0, lambda now: log.append(("sample", now)), defer=3)
+        Ticker(env, 1.0, lambda now: log.append(("drain", now)), defer=1)
+        env.run(until=10.5)
+        for t in (0.0, 5.0, 10.0):
+            names = [n for n, tt in log if tt == t]
+            assert names == ["drain", "sample"], t

@@ -12,6 +12,7 @@ from repro.core.requests import OperationType, Request
 from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.pfs.mds import MDSConfig, MetadataServer
 from repro.simulation.engine import Environment
+from repro.simulation.ticker import Ticker
 from repro.telemetry import Telemetry, TelemetryConfig
 
 
@@ -37,24 +38,27 @@ class TestEngineDispatchCounts:
                 yield env.timeout(1.0)
 
         env.process(sleeper())  # 1 boot call, 3 timeouts, 1 termination event
-        env.defer(lambda: None)  # 1 call
+        # 1 boot call (which ticks at t=0 itself), then one call per tick
+        # at t=2 and t=4; the t=6 entry is beyond the horizon.
+        ticker = Ticker(env, 2.0, lambda now: None)
         env.call_at(10.0, lambda: None)  # beyond the horizon: stays queued
         env.run(until=5.0)
-        assert _dispatches(telemetry) == (2.0, 4.0)
+        assert _dispatches(telemetry) == (4.0, 4.0)
         assert telemetry.registry.get("padll_engine_sim_time_seconds").value == 5.0
-        env.run()  # the leftover timeout; counters accumulate across runs
-        assert _dispatches(telemetry) == (2.0, 5.0)
+        ticker.stop()
+        env.run()  # the stopped t=6 entry and the leftover timeout; counters accumulate
+        assert _dispatches(telemetry) == (5.0, 5.0)
 
     def test_counts_survive_a_raising_callback(self):
         telemetry = _telemetry()
         env = Environment(telemetry=telemetry)
 
-        def boom():
+        def boom(now):
             raise RuntimeError("boom")
 
-        env.defer(lambda: None)
-        env.defer(boom)
-        env.defer(lambda: None)
+        Ticker(env, 1.0, lambda now: None)
+        Ticker(env, 1.0, boom)
+        Ticker(env, 1.0, lambda now: None)
         try:
             env.run()
         except RuntimeError:

@@ -75,18 +75,6 @@ class TestHistogram:
         assert hist.count == 50.0
         assert hist.cumulative()[0] == (1.0, 50.0)
 
-    def test_window_resets_on_take(self):
-        hist = MetricsRegistry().histogram("h", bounds=(1.0,))
-        hist.observe(0.5)
-        window = hist.take_window(now=10.0)
-        assert window.count == 1.0
-        assert window.end == 10.0
-        window2 = hist.take_window(now=20.0)
-        assert window2.count == 0.0
-        assert window2.start == 10.0
-        # Cumulative state is untouched by the windowing.
-        assert hist.count == 1.0
-
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ConfigError):
             MetricsRegistry().histogram("h", bounds=(2.0, 1.0))

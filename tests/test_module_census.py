@@ -1,4 +1,5 @@
-"""Census: every module under ``src/repro`` has a user under ``src/repro``.
+"""Census: every module under ``src/repro`` has a user under ``src/repro``,
+and every function no entry point reaches has a reason (``KEPT_UNREACHED``).
 
 A module is *used* when another ``src/repro`` module
 
@@ -39,6 +40,76 @@ KEPT = {
     "repro.workloads.mdtest": "ROADMAP item 4(d); examples/mdtest_benchmark.py",
     "repro.workloads.dltraining": "ROADMAP item 4(d); "
     "examples/dl_training_protection.py",
+}
+
+#: Why a function of >= 5 lines that no entry point enters may stay.
+REASONS = (
+    "reference",  # an implementation or comparison a test checks results against
+    "fault path",  # runs only when something fails, is refused or is evicted
+    "paper verb",  # a control verb of the paper no controller here sends
+    "pinned by PATCHED",  # tests/test_bench_contract.py names it
+    "roadmap",  # the open ROADMAP item that will call it
+    "boundary",  # an input no entry point presents, handled rather than refused
+)
+
+#: ``module:qualname`` of every such function -> ``reason: what it serves``.
+#: ``tests/tools/reach_census.py`` (the ``reach-census`` CI job) traces every
+#: entry point that is not ``tests/`` and fails on one that is missing here;
+#: a function it names is deleted with its tests, or earns a line with one
+#: of ``REASONS`` -- not a caller added to quiet it.
+KEPT_UNREACHED: Dict[str, str] = {
+    "repro.core.algorithms:PriorityPartition.allocate_arrays": "reference: VEC001 pairs it "
+    "with allocate(); tests/core/test_vector_hierarchy.py holds the two bit-identical",
+    "repro.core.differentiation:Classifier.remove_rule": "paper verb: RemoveRule "
+    "(wire golden corpus)",
+    "repro.core.stage:StageCore.remove_channel": "paper verb: RemoveChannel "
+    "(wire golden corpus)",
+    "repro.core.hierarchy:HierarchicalControlPlane._evict": "fault path: a stage that "
+    "stopped answering collects",
+    "repro.core.hierarchy:HierarchicalControlPlane._forget_stage": "fault path: eviction "
+    "and deregistration under a local controller",
+    "repro.core.hierarchy:LocalController.deregister": "fault path: the rack-local half "
+    "of an eviction",
+    "repro.core.ringlog:RingLog.__eq__": "reference: flat == hier and InProc == TCP "
+    "compare enforcement logs with it",
+    "repro.core.ringlog:RingLog.__repr__": "reference: what a failed log comparison prints",
+    "repro.core.transport:InProcTransport.call": "reference: direct delivery, the "
+    "in-process side of tests/net (the fabric goes through handler())",
+    "repro.core.wire:_emit_base": "fault path: a value whose exact type has no emitter",
+    "repro.core.wire:raise_error": "fault path: an error reply re-raised at the caller",
+    "repro.lint.engine:lint_source": "reference: one-module entry the rule tests lint "
+    "snippets through",
+    "repro.lint.rules:LintContext.parent": "fault path: walked only in a module that "
+    "holds what a rule polices",
+    "repro.lint.rules:LintContext.wrapped_in": "fault path: DET003's sorted() check, "
+    "reached only by an unordered fs call",
+    "repro.monitoring.metrics:TimeSeries._grow": "boundary: a series past its first "
+    "1 024 samples",
+    "repro.pfs.mds:MetadataServer._record": "boundary: a data kind offered straight to "
+    "an MDS is free; PFSClient routes them to the OSS pool",
+    "repro.runner.sweep:results_equal": "reference: serial == parallel == cached sweeps",
+    "repro.service.sinks:JsonlSink._rotate_locked": "fault path: a sink past "
+    "audit_rotate_bytes",
+    "repro.service.sinks:load_jsonl": "roadmap: item 4(b), journal replay on restart",
+    "repro.simulation.engine:Event.__repr__": "fault path: names the event in "
+    "'already triggered'",
+    "repro.simulation.engine:Event.fail": "fault path: a failed event thrown into its "
+    "waiters",
+    "repro.simulation.sharded.coordinator:ShardedSimulation._enforce_rack": "reference: "
+    "the scalar verb a scalar_only algorithm (DRF) is enforced through, 1 == N shards",
+    "repro.simulation.sharded.fluid:FluidRack._tick_scalar": "reference: the rack "
+    "bit-identity test compares the vector tick against it",
+    "repro.telemetry.registry:Histogram.merge": "roadmap: item 5 ships "
+    "padll_enforce_propagation_seconds from stage hosts; no live stage has a histogram yet",
+    "repro.workloads.arrivals:open_loop_arrivals": "roadmap: item 4(d) demand shapes",
+    "repro.workloads.arrivals:open_loop_arrivals.<locals>.run": "roadmap: item 4(d) "
+    "demand shapes",
+    "repro.workloads.dltraining:DLTrainingWorkload.epoch_ops": "roadmap: item 4(d) "
+    "demand shapes",
+    "repro.workloads.replayer:ReplayDriver._unroll": "reference: the per-request "
+    "schedule the fused replay is checked against",
+    "repro.workloads.trace:OpTrace.__eq__": "reference: save/load round trips compare "
+    "traces with it",
 }
 
 
@@ -137,3 +208,35 @@ def test_the_rule_sees_the_three_kinds_of_use(users):
     assert users["repro.experiments.cost_aware"] == {"repro.runner.cells"}
     # an __init__ that re-exports a module is not its user
     assert "repro.analysis" not in users["repro.analysis.fairness"]
+
+
+def _qualnames(path: Path) -> Set[str]:
+    """Every function's ``__qualname__`` in ``path``, from the source."""
+    names: Set[str] = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return names
+
+
+def test_every_kept_unreached_entry_names_a_function_and_a_reason():
+    stale = set()
+    for key in KEPT_UNREACHED:
+        module, _, qualname = key.partition(":")
+        if module not in MODULES or qualname not in _qualnames(MODULES[module]):
+            stale.add(key)
+    assert stale == set(), "no such function any more; drop these from KEPT_UNREACHED"
+    unexplained = {
+        key: why for key, why in KEPT_UNREACHED.items()
+        if why.partition(":")[0] not in REASONS or not why.partition(":")[2].strip()
+    }
+    assert unexplained == {}, f"each entry reads '<one of {REASONS}>: what it serves'"

@@ -44,13 +44,6 @@ class TestOpenLoopArrivals:
         with pytest.raises(ConfigError):
             open_loop_arrivals(env, 0.0, lambda i: None)
 
-    def test_kill_stops_arrivals(self, env):
-        fired = []
-        proc = open_loop_arrivals(env, 10.0, lambda i: fired.append(env.now))
-        env.call_at(0.55, proc.kill)
-        env.run(until=2.0)
-        assert len(fired) == 6  # t = 0.0 .. 0.5
-
 
 class TestAdmissionGate:
     def _grant_times(self, env, gate, n, issue_at=0.0):

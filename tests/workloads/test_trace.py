@@ -67,11 +67,6 @@ class TestStatistics:
 
 
 class TestTransforms:
-    def test_slice(self, small_trace):
-        sub = small_trace.slice(2, 5)
-        assert sub.n_samples == 3
-        assert sub.start_time == 120.0
-        assert np.array_equal(sub.counts, small_trace.counts[2:5])
 
     def test_select(self, small_trace):
         sub = small_trace.select(["open", "rename"])
@@ -83,13 +78,6 @@ class TestTransforms:
         assert half.total() == pytest.approx(small_trace.total() / 2)
         with pytest.raises(TraceFormatError):
             small_trace.scale(-1.0)
-
-    def test_resample(self, small_trace):
-        coarse = small_trace.resample(120.0)
-        assert coarse.n_samples == 5
-        assert coarse.total() == pytest.approx(small_trace.total())
-        with pytest.raises(TraceFormatError):
-            small_trace.resample(90.0)  # not a multiple
 
 
 class TestPersistence:
@@ -146,47 +134,3 @@ def test_roundtrip_preserves_statistics(data, tmp_path_factory):
     for loaded in (OpTrace.load_csv(tmp / "t.csv"), OpTrace.load_jsonl(tmp / "t.jsonl")):
         assert loaded.total() == pytest.approx(trace.total(), rel=1e-4, abs=1e-4)
         assert loaded.n_samples == trace.n_samples
-
-
-class TestMergeConcat:
-    def test_merge_sums_shared_kinds(self, small_trace):
-        merged = small_trace.merge(small_trace)
-        assert merged.total() == pytest.approx(2 * small_trace.total())
-        assert merged.kinds == small_trace.kinds
-
-    def test_merge_unions_kinds(self):
-        a = OpTrace(("open",), np.array([[10.0], [20.0]]))
-        b = OpTrace(("close",), np.array([[1.0], [2.0]]))
-        merged = a.merge(b)
-        assert merged.kinds == ("open", "close")
-        assert merged.total("open") == 30.0
-        assert merged.total("close") == 3.0
-
-    def test_merge_mismatched_rejected(self, small_trace):
-        short = small_trace.slice(0, 5)
-        with pytest.raises(TraceFormatError):
-            small_trace.merge(short)
-        coarse = small_trace.resample(120.0)
-        with pytest.raises(TraceFormatError):
-            small_trace.merge(coarse)
-
-    def test_concat_appends_time(self, small_trace):
-        doubled = small_trace.concat(small_trace)
-        assert doubled.n_samples == 2 * small_trace.n_samples
-        assert doubled.total() == pytest.approx(2 * small_trace.total())
-
-    def test_concat_kind_mismatch(self, small_trace):
-        other = small_trace.select(["open"])
-        with pytest.raises(TraceFormatError):
-            small_trace.concat(other)
-
-    def test_multi_mdt_aggregate(self):
-        """Six per-MDT traces merge into one PFS-wide trace (the paper's
-        PFS_A layout), conserving the total operation count."""
-        from repro.workloads.abci import generate_mdt_trace
-
-        mdts = [generate_mdt_trace(seed=s, duration=30 * 60.0) for s in range(6)]
-        total = mdts[0]
-        for trace in mdts[1:]:
-            total = total.merge(trace)
-        assert total.total() == pytest.approx(sum(t.total() for t in mdts))
