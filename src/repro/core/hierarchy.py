@@ -74,6 +74,7 @@ process) with global bookkeeping identical to ``register_stage``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -714,9 +715,7 @@ class HierarchicalControlPlane(ControlPlane):
         min_rate = self.config.min_rate
         rates = np.maximum(min_rate, rates)
         rate_list = rates.tolist()
-        self.enforcement_log.extend(
-            (now, job_id, rate) for job_id, rate in zip(job_ids, rate_list)
-        )
+        self.enforcement_log.extend(zip(repeat(now), job_ids, rate_list))
         per_stage = np.maximum(min_rate, rates / self._vec_n_stages)
         self._enforce_array_sink(now, per_stage)
         if self._telemetry is not None:

@@ -44,8 +44,7 @@ class RingLog:
         self._entries: deque = deque(maxlen=capacity)
         #: Entries evicted off the front to honour ``capacity``.
         self.dropped = 0
-        for item in initial:
-            self.append(item)
+        self.extend(initial)
 
     @property
     def capacity(self) -> Optional[int]:
@@ -58,8 +57,13 @@ class RingLog:
         entries.append(item)
 
     def extend(self, items: Iterable[Any]) -> None:
-        for item in items:
-            self.append(item)
+        """``append`` for every item, with the overflow counted once."""
+        entries = self._entries
+        if self._capacity is not None:
+            if not hasattr(items, "__len__"):
+                items = tuple(items)
+            self.dropped += max(0, len(entries) + len(items) - self._capacity)
+        entries.extend(items)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -4,28 +4,32 @@ At the scale the ROADMAP targets (10^4 stages, 10^6 simulated clients)
 per-request discrete events are pointless work: within one engine tick
 every hot-path update -- token-bucket refill and grant, backlog
 carryover, the rack MDS queue -- is closed-form arithmetic over the
-tick.  A :class:`FluidRack` therefore keeps its stage population as
-``numpy`` arrays and advances a whole rack per tick with a fixed
-elementwise expression sequence.
+tick.  A :class:`FluidBlock` therefore keeps the stage population of a
+whole block of racks (a shard) as one set of ``numpy`` arrays and
+advances it per tick with a fixed elementwise expression sequence; only
+the rack MDS queues, a handful of floats each, are walked rack by rack.
 
 Bit-identity contract (asserted by ``tests/simulation/test_sharded.py``):
 
-* ``FluidRack(vectorized=False)`` runs the *same arithmetic* one stage at
-  a time in a plain Python loop -- the reference the rack-level
-  bit-identity test compares the array path against; the engine itself
-  always builds vectorised racks.  Elementwise IEEE-754 adds/subs/mins are
-  identical scalar-vs-vector by definition; the two places where
-  evaluation strategy could reassociate floats are pinned to one
-  implementation shared by both paths: the offered-load sine is always
-  evaluated by ``np.sin`` over the full array (NumPy's SIMD kernels are
-  not ulp-identical to ``math.sin``), and rack-level reductions always
-  go through ``np.sum`` over the identical per-stage array (pairwise
-  summation order).  Per-job partial accumulation uses ``np.bincount``,
-  whose sequential element-order adds equal the scalar loop's.
+* ``vectorized=False`` runs the *same arithmetic* one stage at a time in
+  a plain Python loop -- the reference the bit-identity tests compare
+  the array path against; the engine itself always builds vectorised
+  blocks.  Elementwise IEEE-754 adds/subs/mins are identical
+  scalar-vs-vector by definition; the two places where evaluation
+  strategy could reassociate floats are pinned to one implementation
+  shared by both paths: the offered-load sine is always evaluated by
+  ``np.sin`` over the full array (NumPy's SIMD kernels are not
+  ulp-identical to ``math.sin``), and rack-level reductions always go
+  through ``np.sum`` over the rack's contiguous per-stage slice (the
+  pairwise order depends on the slice's length alone).  Per-job partial
+  accumulation uses ``np.bincount``, whose sequential element-order
+  adds equal the scalar loop's.
 * A rack is a sealed sub-world: every draw comes from its own
-  generator, seeded by ``(config.seed, rack index)``, and no per-tick
-  state crosses rack boundaries -- which is what makes shard-count
-  invariance (1 shard == N shards) structural rather than incidental.
+  generator, seeded by ``(config.seed, rack index)``, no per-tick state
+  crosses rack boundaries, and no elementwise or per-slot result depends
+  on which other racks share the arrays -- which is what makes
+  shard-count invariance (1 shard == N shards, a block == its racks one
+  by one) structural rather than incidental.
 
 Demand partials follow the hierarchy's exact per-stage expression
 (``offered = enqueued/window``, ``drain = backlog/loop_interval``,
@@ -39,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.simulation.rng import SeedSequence, make_rng
 
-__all__ = ["UNLIMITED", "FluidConfig", "RackSpec", "FluidRack"]
+__all__ = ["UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,62 +145,93 @@ class RackSpec:
             raise ConfigError(f"rack index must be >= 0, got {self.index}")
 
 
-class FluidRack:
-    """A sealed per-rack fluid sub-world of token-bucketed stages.
+@dataclass(eq=False)
+class RackFinal:
+    """End-of-run snapshot of one rack, shipped back over the pipe."""
+
+    rack_id: str
+    served: np.ndarray
+    job_ids: Tuple[str, ...]
+    job_granted: np.ndarray
+    delivered_ops: float
+    backlog: float
+
+
+class FluidBlock:
+    """A contiguous block of sealed fluid racks, advanced as one array set.
 
     Per tick: each stage's offered load arrives into its backlog, the
     stage's token bucket grants ``min(backlog + arrivals, tokens)``, and
-    the granted ops feed a rack-local MDS queue served at a fixed
-    capacity.  Enforcement arrives between epochs as final per-stage
-    job rates (already split by the global plane -- no re-association).
+    the granted ops feed the stage's rack-local MDS queue, served at a
+    fixed capacity.  Enforcement arrives between epochs as final
+    per-stage job rates (already split by the global plane -- no
+    re-association).
+
+    The per-stage arrays are the racks' arrays concatenated in rack
+    order; ``job_of`` holds block slot numbers -- one slot per
+    ``(rack, job)``, the :class:`~repro.simulation.sharded.shm.
+    ShardIndexMap` numbering counted from the block's first slot -- so a
+    slot collects only its own rack's stages, in registration order.
     """
 
     def __init__(
-        self, spec: RackSpec, config: FluidConfig, vectorized: bool = True
+        self, specs: Sequence[RackSpec], config: FluidConfig, vectorized: bool = True
     ) -> None:
-        self.spec = spec
         self.config = config
         self.vectorized = bool(vectorized)
-        self.rack_id = spec.rack_id
-        n = len(spec.stages)
-        self._n = n
         self._dt = config.dt
         self._inv_period = 1.0 / config.demand_period
-        rng = make_rng(SeedSequence([config.seed, spec.index]))
+        self.rack_ids = tuple(spec.rack_id for spec in specs)
         base_rate = float(config.clients_per_stage) * config.ops_per_client
-        # Draw order is part of the rack's determinism contract: base
-        # rates first, then phases, regardless of execution mode.
-        self.base = base_rate * rng.lognormal(
-            mean=0.0, sigma=config.demand_sigma, size=n
-        )
-        self.phase = rng.random(n)
-        # Local job registry, in first-appearance (registration) order.
-        self.job_ids: List[str] = []
-        job_index: Dict[str, int] = {}
-        job_of = np.empty(n, dtype=np.intp)
-        for i, (_stage_id, job_id) in enumerate(spec.stages):
-            idx = job_index.get(job_id)
-            if idx is None:
-                idx = len(self.job_ids)
-                job_index[job_id] = idx
-                self.job_ids.append(job_id)
-            job_of[i] = idx
-        self.job_of = job_of
-        self._job_of_list = job_of.tolist()
-        n_jobs = len(self.job_ids)
-        self._n_jobs = n_jobs
-        self._job_rate = np.full(n_jobs, config.initial_rate)
+        bases: List[np.ndarray] = []
+        phases: List[np.ndarray] = []
+        #: Per rack, its job ids in first-appearance (registration) order.
+        self.rack_job_ids: List[Tuple[str, ...]] = []
+        #: Per rack, its half-open stage range and slot range in the block.
+        self._bounds: List[Tuple[int, int, int, int]] = []
+        #: Per rack, what its MDS can serve in one tick.
+        self._tick_capacity: List[float] = []
+        job_of: List[int] = []
+        n_slots = 0
+        for spec in specs:
+            n = len(spec.stages)
+            # Draw order is part of the rack's determinism contract: its
+            # own generator, base rates first, then phases, regardless of
+            # execution mode or of which racks share the block.
+            rng = make_rng(SeedSequence([config.seed, spec.index]))
+            bases.append(rng.lognormal(mean=0.0, sigma=config.demand_sigma, size=n))
+            phases.append(rng.random(n))
+            self._tick_capacity.append(config.mds_capacity_per_stage * n * config.dt)
+            slots: Dict[str, int] = {}
+            for _stage_id, job_id in spec.stages:
+                slot = slots.get(job_id)
+                if slot is None:
+                    slot = slots[job_id] = n_slots + len(slots)
+                job_of.append(slot)
+            self.rack_job_ids.append(tuple(slots))
+            self._bounds.append(
+                (len(job_of) - n, len(job_of), n_slots, n_slots + len(slots))
+            )
+            n_slots += len(slots)
+        self.base = base_rate * np.concatenate(bases)
+        self.phase = np.concatenate(phases)
+        self.job_of = np.array(job_of, dtype=np.intp)
+        self._job_of_list = job_of
+        self._n_slots = n_slots
+        self._job_rate = np.full(n_slots, config.initial_rate)
         self._job_burst = self._job_rate * config.burst_seconds
-        self.rate = self._job_rate[job_of]
-        self.burst_limit = self._job_burst[job_of]
+        self.rate = self._job_rate[self.job_of]
+        self.burst_limit = self._job_burst[self.job_of]
         self.tokens = self.burst_limit.copy()
-        self.backlog = np.zeros(n)
-        self.window_enqueued = np.zeros(n)
-        self.job_granted = np.zeros(n_jobs)
-        self.mds_queue = 0.0
-        self.capacity = config.mds_capacity_per_stage * n
-        self.delivered_ops = 0.0
-        self._served: List[float] = []
+        self.backlog = np.zeros(len(job_of))
+        self.window_enqueued = np.zeros(len(job_of))
+        #: Ops granted so far, per slot.
+        self.job_granted = np.zeros(n_slots)
+        # The rest of the genuinely per-rack state: each MDS queue, what
+        # it delivered, and its served series.
+        self._mds_queue = [0.0] * len(specs)
+        self._delivered = [0.0] * len(specs)
+        self._served: List[List[float]] = [[] for _ in specs]
 
     # -- enforcement --------------------------------------------------------
     def apply_rate_arrays(
@@ -204,13 +239,13 @@ class FluidRack:
     ) -> None:
         """Install per-stage job rates pushed by the global plane.
 
-        ``mask``/``rates``/``bursts`` are aligned to this rack's local job
-        slots (registration order, the :class:`~repro.simulation.sharded.shm.
-        ShardIndexMap` layout): slot ``k`` takes ``rates[k]`` where
-        ``mask[k]``, and NaN in ``bursts`` means "derive the burst as
-        ``rate * burst_seconds``".  The per-stage rebuild below only
-        gathers through ``job_of`` -- fancy indexing never re-associates
-        a float, so both execution modes share it.
+        ``mask``/``rates``/``bursts`` are aligned to this block's slots:
+        slot ``k`` takes ``rates[k]`` where ``mask[k]``, and NaN in
+        ``bursts`` means "derive the burst as ``rate * burst_seconds``".
+        The per-stage rebuild below only gathers through ``job_of`` --
+        fancy indexing never re-associates a float, so both execution
+        modes share it -- and the token clamp is the identity on a stage
+        whose slot took no update (its tokens never exceed its burst).
         """
         if not mask.any():
             return
@@ -238,25 +273,25 @@ class FluidRack:
             * np.sin(TWO_PI * (t * self._inv_period + self.phase))
         )
 
-    def tick(self, t: float) -> float:
-        """Advance one ``dt``; returns ops served by the rack MDS."""
-        if self._n == 0:
-            self._served.append(0.0)
-            return 0.0
+    def tick(self, t: float) -> None:
+        """Advance one ``dt``: every stage at once, then each rack's MDS."""
         if self.vectorized:
             granted = self._tick_vectorized(t)
         else:
             granted = self._tick_scalar(t)
-        # Rack-level reduction: same np.sum pairwise order in both modes,
-        # over a shape fixed by the rack layout -- switching to _seq_sum
-        # would change the committed golden digests for no safety gain.
-        granted_sum = float(np.sum(granted))  # padll: allow(FLT001)
-        queue = self.mds_queue + granted_sum
-        served = queue if queue < self.capacity * self._dt else self.capacity * self._dt
-        self.mds_queue = queue - served
-        self.delivered_ops += served
-        self._served.append(served)
-        return served
+        mds_queue = self._mds_queue
+        delivered = self._delivered
+        for r, (lo, hi, _, _) in enumerate(self._bounds):
+            # Rack-level reduction over a contiguous slice: the same pairwise
+            # order in both modes and at every shard count, over a shape
+            # fixed by the rack layout -- switching to _seq_sum would change
+            # the committed golden digests for no safety gain.
+            queue = mds_queue[r] + float(granted[lo:hi].sum())  # padll: allow(FLT001)
+            capacity = self._tick_capacity[r]
+            served = queue if queue < capacity else capacity
+            mds_queue[r] = queue - served
+            delivered[r] += served
+            self._served[r].append(served)
 
     def _tick_vectorized(self, t: float) -> np.ndarray:
         dt = self._dt
@@ -268,7 +303,7 @@ class FluidRack:
         self.backlog = want - granted
         self.window_enqueued += arrive
         self.job_granted += np.bincount(
-            self.job_of, weights=granted, minlength=self._n_jobs
+            self.job_of, weights=granted, minlength=self._n_slots
         )
         return granted
 
@@ -276,7 +311,7 @@ class FluidRack:
         """Per-stage Python loop: the single-engine reference arithmetic."""
         dt = self._dt
         offered = self._offered(t)
-        n = self._n
+        n = len(offered)
         granted = np.empty(n)
         tokens = self.tokens
         rate = self.rate
@@ -297,7 +332,7 @@ class FluidRack:
             granted[i] = g
         # np.bincount adds weights sequentially in element order; this
         # loop replays that exact accumulation.
-        tick_granted = np.zeros(self._n_jobs)
+        tick_granted = np.zeros(self._n_slots)
         job_of = self._job_of_list
         for i in range(n):
             idx = job_of[i]
@@ -313,36 +348,76 @@ class FluidRack:
 
     # -- epoch-boundary reporting -------------------------------------------
     def demand_partials_array(self, loop_interval: float) -> np.ndarray:
-        """Per-job demand partials as a float64 array, then reset.
+        """Per-slot demand partials as a float64 array, then reset.
 
         The per-stage expression is the hierarchy's exact one --
         ``enqueued/window + backlog/loop_interval`` -- accumulated per
         job in stage-registration order (``np.bincount`` element order
         == the scalar loop == ``LocalController._collect_aggregate``'s
-        dict accumulation from 0.0).  The array is aligned to
-        :attr:`job_ids`; the wire ships it verbatim and the static index
+        dict accumulation from 0.0).  The array is aligned to the
+        block's slots; the wire ships it verbatim and the static index
         map supplies ids and stage counts.
         """
         contrib = self.window_enqueued / loop_interval + self.backlog / loop_interval
         if self.vectorized:
-            per_job = np.bincount(
-                self.job_of, weights=contrib, minlength=self._n_jobs
+            per_slot = np.bincount(
+                self.job_of, weights=contrib, minlength=self._n_slots
             )
         else:
-            per_job = np.zeros(self._n_jobs)
+            per_slot = np.zeros(self._n_slots)
             job_of = self._job_of_list
-            for i in range(self._n):
+            for i in range(len(contrib)):
                 idx = job_of[i]
-                per_job[idx] = per_job[idx] + contrib[i]
+                per_slot[idx] = per_slot[idx] + contrib[i]
         self.window_enqueued[:] = 0.0
-        return per_job
+        return per_slot
+
+    def finals(self) -> List[RackFinal]:
+        """Every rack's end-of-run snapshot, in rack order."""
+        finals = []
+        for r, (lo, hi, first_slot, end_slot) in enumerate(self._bounds):
+            # backlog's shape is fixed by the rack layout, so the pairwise
+            # order is identical on every tick and across shard counts.
+            backlog = float(self.backlog[lo:hi].sum())  # padll: allow(FLT001)
+            finals.append(
+                RackFinal(
+                    rack_id=self.rack_ids[r],
+                    served=np.asarray(self._served[r], dtype=np.float64),
+                    job_ids=self.rack_job_ids[r],
+                    job_granted=self.job_granted[first_slot:end_slot].copy(),
+                    delivered_ops=self._delivered[r],
+                    backlog=backlog + self._mds_queue[r],
+                )
+            )
+        return finals
+
+
+class FluidRack(FluidBlock):
+    """A block of one rack under that rack's own names: the handle the
+    bit-identity tests hold a single rack by (the engine runs blocks)."""
+
+    def __init__(
+        self, spec: RackSpec, config: FluidConfig, vectorized: bool = True
+    ) -> None:
+        super().__init__((spec,), config, vectorized)
+
+    @property
+    def job_ids(self) -> Tuple[str, ...]:
+        return self.rack_job_ids[0]
+
+    @property
+    def delivered_ops(self) -> float:
+        return self._delivered[0]
+
+    def tick(self, t: float) -> float:
+        """Advance one ``dt``; returns ops served by the rack MDS."""
+        super().tick(t)
+        return self._served[0][-1]
 
     def served_series(self) -> np.ndarray:
         """Ops served by the rack MDS, one entry per tick."""
-        return np.asarray(self._served, dtype=np.float64)
+        return self.finals()[0].served
 
     def total_backlog(self) -> float:
         """Un-granted ops still queued at the rack's stages."""
-        # backlog's shape is fixed by the rack layout, so the pairwise
-        # order is identical on every tick and across shard counts.
-        return float(np.sum(self.backlog)) + self.mds_queue  # padll: allow(FLT001)
+        return self.finals()[0].backlog

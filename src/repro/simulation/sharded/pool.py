@@ -2,8 +2,9 @@
 
 One resident worker process per shard (the ``SweepRunner`` pool idiom:
 same :func:`~repro.runner.sweep.pool_start_method` fork/spawn
-selection), each owning a block of :class:`~repro.simulation.sharded.fluid.FluidRack`
-sub-worlds.  The coordinator drives them in lock-step epochs:
+selection), each owning one :class:`~repro.simulation.sharded.fluid.FluidBlock`
+-- its contiguous block of racks as one array set.  The coordinator
+drives them in lock-step epochs:
 
 1. *scatter* -- publish every shard's epoch input (new enforcement
    rates + tick count) before reading any reply, so shards advance in
@@ -15,9 +16,10 @@ sub-worlds.  The coordinator drives them in lock-step epochs:
 The barrier's wire is :mod:`repro.simulation.sharded.shm`: rates scatter
 and demand partials gather through double-buffered shared-memory float64
 blocks laid out by a frozen
-:class:`~repro.simulation.sharded.shm.ShardIndexMap`, and each worker's
-pipe carries only a tiny ``("epoch", n, parity, ...)`` doorbell and its
-``("done", n)`` ack.
+:class:`~repro.simulation.sharded.shm.ShardIndexMap`, of which a worker
+reads and writes only its block's contiguous slot slice, and each
+worker's pipe carries only a tiny ``("epoch", n, parity, ...)`` doorbell
+and its ``("done", n)`` ack.
 
 Because racks are sealed sub-worlds that only exchange state at epoch
 boundaries, neither the blocking (1 process or N) nor the wire can
@@ -48,7 +50,12 @@ import numpy as np
 
 from repro.errors import ConfigError, ShardWorkerError
 from repro.runner.sweep import pool_start_method
-from repro.simulation.sharded.fluid import FluidConfig, FluidRack, RackSpec
+from repro.simulation.sharded.fluid import (
+    FluidBlock,
+    FluidConfig,
+    RackFinal,
+    RackSpec,
+)
 from repro.simulation.sharded.shm import (
     COL_BURST,
     COL_FLAG,
@@ -63,38 +70,20 @@ __all__ = ["RackFinal", "ShardPool"]
 _POLL_STEP = 0.05
 
 
-class RackFinal:
-    """End-of-run snapshot of one rack, shipped back over the pipe."""
+def _run_epoch(
+    block: FluidBlock, t0, n_ticks, loop_interval, flags, rates, bursts
+) -> np.ndarray:
+    """The one epoch body: install the pushed rates, advance, report.
 
-    def __init__(
-        self,
-        rack_id: str,
-        served: np.ndarray,
-        job_ids: Tuple[str, ...],
-        job_granted: np.ndarray,
-        delivered_ops: float,
-        backlog: float,
-    ) -> None:
-        self.rack_id = rack_id
-        self.served = served
-        self.job_ids = job_ids
-        self.job_granted = job_granted
-        self.delivered_ops = delivered_ops
-        self.backlog = backlog
+    ``flags``/``rates``/``bursts`` and the returned demand partials are
+    aligned to the block's slots.
+    """
+    block.apply_rate_arrays(flags != 0.0, rates, bursts)
+    block.run_epoch(t0, n_ticks)
+    return block.demand_partials_array(loop_interval)
 
 
-def _rack_final(rack: FluidRack) -> RackFinal:
-    return RackFinal(
-        rack_id=rack.rack_id,
-        served=rack.served_series(),
-        job_ids=tuple(rack.job_ids),
-        job_granted=rack.job_granted.copy(),
-        delivered_ops=rack.delivered_ops,
-        backlog=rack.total_backlog(),
-    )
-
-
-def _shard_worker_shm(
+def _shard_worker(
     conn, specs, config, seg_names, n_slots, block_start, block_token
 ) -> None:
     """Resident worker loop: doorbell pipe + float64 block wire.
@@ -102,40 +91,38 @@ def _shard_worker_shm(
     The worker rebuilds the index map for its own rack block and refuses
     to serve if its layout token disagrees with the coordinator's --
     layout drift fails loudly at startup instead of corrupting floats.
-    Rack slot ranges are contiguous within the global buffers starting
-    at ``block_start`` (shard blocks are contiguous rack ranges).
+    The block's slots are one contiguous range of the global buffers
+    starting at ``block_start`` (shard blocks are contiguous rack
+    ranges), so an epoch reads one scatter slice and writes one gather
+    slice.
     """
     block_map = ShardIndexMap(specs)
     if block_map.layout_token() != block_token:  # pragma: no cover - drift guard
         conn.send(("error", "shard index-map layout mismatch"))
         conn.close()
         return
-    racks = [FluidRack(spec, config) for spec in specs]
+    block = FluidBlock(specs, config)
     buffers = ShardBuffers(n_slots, names=seg_names)
-    # Per-rack global slot ranges, resolved once.
-    slices: List[slice] = []
-    for rack in racks:
-        local = block_map.rack_slice(rack.rack_id)
-        slices.append(slice(block_start + local.start, block_start + local.stop))
+    slots = slice(block_start, block_start + block_map.n_slots)
     try:
         while True:
             msg = conn.recv()
             op = msg[0]
             if op == "epoch":
                 _op, epoch_no, parity, t0, n_ticks, loop_interval = msg
-                scatter = buffers.scatter[parity]
-                gather = buffers.gather[parity]
-                for rack, sl in zip(racks, slices):
-                    block = scatter[sl]
-                    mask = block[:, COL_FLAG] != 0.0
-                    rack.apply_rate_arrays(
-                        mask, block[:, COL_RATE], block[:, COL_BURST]
-                    )
-                    rack.run_epoch(t0, n_ticks)
-                    gather[sl] = rack.demand_partials_array(loop_interval)
+                scatter = buffers.scatter[parity][slots]
+                buffers.gather[parity][slots] = _run_epoch(
+                    block,
+                    t0,
+                    n_ticks,
+                    loop_interval,
+                    scatter[:, COL_FLAG],
+                    scatter[:, COL_RATE],
+                    scatter[:, COL_BURST],
+                )
                 conn.send(("done", epoch_no))
             elif op == "finish":
-                conn.send([_rack_final(rack) for rack in racks])
+                conn.send(block.finals())
             elif op == "stop":
                 break
             else:  # pragma: no cover - protocol misuse
@@ -184,7 +171,7 @@ class ShardPool:
         self._n_shards = len(blocks)
         self._recv_timeout = float(recv_timeout)
         self._closed = False
-        self._local_racks: Optional[List[FluidRack]] = None
+        self._local_block: Optional[FluidBlock] = None
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._conns: List = []
         self._buffers: Optional[ShardBuffers] = None
@@ -199,7 +186,7 @@ class ShardPool:
         if use_workers is None:
             use_workers = self._n_shards > 1
         if not use_workers or in_daemon:
-            self._local_racks = [FluidRack(spec, config) for spec in all_specs]
+            self._local_block = FluidBlock(all_specs, config)
             return
         ctx = multiprocessing.get_context(pool_start_method())
         self._buffers = ShardBuffers(self.n_slots)
@@ -214,7 +201,7 @@ class ShardPool:
                 parent, child = ctx.Pipe()
                 self._conns.append(parent)
                 proc = ctx.Process(
-                    target=_shard_worker_shm,
+                    target=_shard_worker,
                     args=(
                         child,
                         block,
@@ -337,9 +324,9 @@ class ShardPool:
         """
         if self._closed:
             raise ConfigError("pool is closed")
-        if self._local_racks is not None:
-            return self._run_epoch_arrays_local(
-                t0, n_ticks, loop_interval, flags, rates, bursts
+        if self._local_block is not None:
+            return _run_epoch(
+                self._local_block, t0, n_ticks, loop_interval, flags, rates, bursts
             )
         epoch_no = self._epoch
         parity = epoch_no & 1
@@ -362,24 +349,13 @@ class ShardPool:
         self._epoch = epoch_no + 1
         return self._buffers.gather[parity].copy()
 
-    def _run_epoch_arrays_local(
-        self, t0, n_ticks, loop_interval, flags, rates, bursts
-    ) -> np.ndarray:
-        out = np.empty(self.n_slots)
-        for rack in self._local_racks:
-            sl = self.index_map.rack_slice(rack.rack_id)
-            rack.apply_rate_arrays(flags[sl] != 0.0, rates[sl], bursts[sl])
-            rack.run_epoch(t0, n_ticks)
-            out[sl] = rack.demand_partials_array(loop_interval)
-        return out
-
     # -- lifecycle -----------------------------------------------------------
     def finish(self) -> List[RackFinal]:
         """Collect per-rack finals (in rack order) and stop the workers."""
         if self._closed:
             raise ConfigError("pool is closed")
-        if self._local_racks is not None:
-            finals = [_rack_final(rack) for rack in self._local_racks]
+        if self._local_block is not None:
+            finals = self._local_block.finals()
             self.close()
             return finals
         for shard in range(len(self._conns)):
@@ -399,7 +375,7 @@ class ShardPool:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover - interpreter teardown
             pass
-        self._local_racks = None
+        self._local_block = None
         try:
             for conn in self._conns:
                 try:
@@ -423,9 +399,6 @@ class ShardPool:
                 buffers, self._buffers = self._buffers, None
                 buffers.close()
                 buffers.unlink()
-
-    #: The ISSUE speaks of ``stop()``; it is the same operation as close.
-    stop = close
 
     def __enter__(self) -> "ShardPool":
         return self

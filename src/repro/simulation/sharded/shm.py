@@ -11,11 +11,12 @@ Wire format (``LAYOUT_VERSION`` 1)
 At pool startup both sides build the same frozen :class:`ShardIndexMap`
 from the rack specs: racks in global order, each rack's jobs in local
 registration order (the exact first-appearance order
-:class:`~repro.simulation.sharded.fluid.FluidRack` uses).  One **slot**
+:class:`~repro.simulation.sharded.fluid.FluidBlock` uses).  One **slot**
 is one ``(rack, job)`` pair; slots are numbered contiguously rack by
-rack, so a rack owns the half-open slot range ``rack_slice(rack_id)``.
-Job ids and per-slot stage counts are static, so only floats ride the
-wire:
+rack, so a rack owns the half-open slot range ``rack_slice(rack_id)``
+and a shard -- a contiguous range of racks, one ``FluidBlock`` -- one
+contiguous slice, which is all its worker reads or writes.  Job ids and
+per-slot stage counts are static, so only floats ride the wire:
 
 * **scatter** (coordinator -> shards): shape ``(2, n_slots, 3)`` --
   columns ``COL_FLAG`` (1.0 = this slot has a rate update this epoch),
@@ -24,8 +25,8 @@ wire:
   ``COL_BURST`` (explicit burst, or :data:`BURST_NONE` = NaN meaning
   "derive from the rate", i.e. ``burst=None``).
 * **gather** (shards -> coordinator): shape ``(2, n_slots)`` -- the
-  per-job demand partial of each slot, written by
-  :meth:`~repro.simulation.sharded.fluid.FluidRack.demand_partials_array`.
+  per-job demand partial of each slot; a worker writes its slice with
+  one :meth:`~repro.simulation.sharded.fluid.FluidBlock.demand_partials_array`.
 
 The leading axis is the **double buffer**: epoch ``e`` uses parity
 ``e % 2``, so the coordinator can assemble epoch ``e+1``'s scatter block
@@ -109,8 +110,8 @@ class ShardIndexMap:
         offset = 0
         for spec in specs:
             # First-appearance job order and per-job stage counts: the
-            # exact registry FluidRack builds from the same spec (pinned
-            # by tests/simulation/test_shm_fabric.py).
+            # exact registry FluidBlock builds from the same specs (pinned
+            # by tests/simulation/test_shm_fabric.py and test_sharded.py).
             job_ids: List[str] = []
             counts: Dict[str, int] = {}
             for _stage_id, job_id in spec.stages:

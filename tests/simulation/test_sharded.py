@@ -4,7 +4,9 @@ The contracts under test (see ``repro.simulation.sharded.fluid``):
 
 * a rack on the scalar per-stage reference arithmetic
   (``FluidRack(vectorized=False)``) and a vectorised rack hold
-  bit-identical state and outputs;
+  bit-identical state and outputs, and so does a multi-rack block;
+* a block of racks advanced as one array set holds exactly what its
+  racks hold when each is advanced alone;
 * the full-run digest is identical for 1 shard and N shards, including
   real multi-process pools, and equals a literal frozen before the
   engine's alternative wire and control loop were deleted;
@@ -28,7 +30,8 @@ from repro.simulation.sharded import (
     ShardedConfig,
     ShardedSimulation,
 )
-from repro.simulation.sharded.shm import BURST_NONE
+from repro.simulation.sharded.fluid import FluidBlock
+from repro.simulation.sharded.shm import BURST_NONE, ShardIndexMap
 
 
 def small_fluid(**kw):
@@ -174,6 +177,134 @@ class TestFluidRack:
             RackSpec(rack_id="", index=0, stages=())
         with pytest.raises(ConfigError):
             RackSpec(rack_id="rack0", index=-1, stages=())
+
+
+def layout_specs(placement, n_racks=4, n_jobs=7, stages_per_job=3, empty=1):
+    """The coordinator's rack layout, with rack ``empty`` left without stages."""
+    config = small_config(
+        n_racks=n_racks, n_jobs=n_jobs, stages_per_job=stages_per_job,
+        placement=placement,
+    )
+    stages = [[] for _ in range(n_racks)]
+    for j in range(n_jobs):
+        for s in range(stages_per_job):
+            stages[config.rack_of(j, s)].append((f"job{j}-s{s}", f"job{j}"))
+    stages[empty] = []
+    return [
+        RackSpec(rack_id=f"rack{r}", index=r, stages=tuple(hosted))
+        for r, hosted in enumerate(stages)
+    ]
+
+
+def final_fields(final):
+    return (
+        final.rack_id,
+        final.served.tobytes(),
+        final.job_ids,
+        final.job_granted.tobytes(),
+        final.delivered_ops,
+        final.backlog,
+    )
+
+
+def rate_cut(specs):
+    """Per-slot scatter arrays over ``specs``: the first job of every rack
+    cut, and the last rack's last job cut with the one explicit burst."""
+    index_map = ShardIndexMap(specs)
+    mask = np.zeros(index_map.n_slots, dtype=bool)
+    rates = np.zeros(index_map.n_slots)
+    bursts = np.full(index_map.n_slots, BURST_NONE)
+    for rack_id, job_ids in zip(index_map.rack_ids, index_map.rack_job_ids):
+        if job_ids:
+            slot = index_map.slot_of(rack_id, job_ids[0])
+            mask[slot], rates[slot] = True, 12.5
+    mask[-1], rates[-1], bursts[-1] = True, 5.0, 40.0
+    return index_map, mask, rates, bursts
+
+
+class TestFluidBlock:
+    """A shard's one array set == its racks, each advanced alone."""
+
+    @pytest.mark.parametrize("placement", ["split", "job"])
+    def test_block_is_its_racks(self, placement):
+        specs = layout_specs(placement)
+        assert not specs[1].stages and specs[0].stages and specs[2].stages
+        config = small_fluid()
+        block = FluidBlock(specs, config)
+        racks = [FluidRack(spec, config) for spec in specs]
+        index_map, mask, rates, bursts = rate_cut(specs)
+        assert 3 <= mask.sum() < len(mask) and np.isnan(bursts).sum() == len(bursts) - 1
+
+        def joined(attr):
+            return np.concatenate([getattr(rack, attr) for rack in racks])
+
+        for t in range(40):
+            if t == 15:
+                block.apply_rate_arrays(mask, rates, bursts)
+                for rack in racks:
+                    sl = index_map.rack_slice(rack.rack_ids[0])
+                    rack.apply_rate_arrays(mask[sl], rates[sl], bursts[sl])
+            if t == 25:  # an epoch boundary: partials out, window reset
+                assert np.array_equal(
+                    block.demand_partials_array(2.0),
+                    np.concatenate([r.demand_partials_array(2.0) for r in racks]),
+                )
+            block.tick(float(t))
+            served = [rack.tick(float(t)) for rack in racks]
+            assert served == [series[-1] for series in block._served]
+        for attr in ("tokens", "backlog", "window_enqueued", "job_granted",
+                     "rate", "burst_limit"):
+            assert np.array_equal(getattr(block, attr), joined(attr)), attr
+        finals = block.finals()
+        assert [final_fields(f) for f in finals] == [
+            final_fields(rack.finals()[0]) for rack in racks
+        ]
+        for final, rack in zip(finals, racks):
+            assert np.array_equal(final.served, rack.served_series())
+            assert len(final.served) == 40
+            assert final.delivered_ops == rack.delivered_ops
+            assert final.backlog == rack.total_backlog()
+        assert float(np.sum(finals[1].served)) == 0.0  # the empty rack
+        assert np.array_equal(
+            block.demand_partials_array(1.0),
+            np.concatenate([r.demand_partials_array(1.0) for r in racks]),
+        )
+
+    def test_scalar_matches_vectorized_on_a_multi_rack_block(self):
+        specs = layout_specs("split")
+        config = small_fluid()
+        vec = FluidBlock(specs, config, vectorized=True)
+        ref = FluidBlock(specs, config, vectorized=False)
+        _index_map, mask, rates, bursts = rate_cut(specs)
+        for t in range(40):
+            if t == 15:
+                vec.apply_rate_arrays(mask, rates, bursts)
+                ref.apply_rate_arrays(mask, rates, bursts)
+            vec.tick(float(t))
+            ref.tick(float(t))
+        for attr in ("tokens", "backlog", "window_enqueued", "job_granted"):
+            assert np.array_equal(getattr(vec, attr), getattr(ref, attr)), attr
+        assert [final_fields(f) for f in vec.finals()] == [
+            final_fields(f) for f in ref.finals()
+        ]
+        assert np.array_equal(
+            vec.demand_partials_array(1.0), ref.demand_partials_array(1.0)
+        )
+
+    def test_block_slots_are_the_index_map_slots(self):
+        # The worker hands a block its slice of the global buffers
+        # verbatim, so block slot k must be index-map slot k.
+        specs = layout_specs("job")
+        block = FluidBlock(specs, small_fluid())
+        index_map = ShardIndexMap(specs)
+        assert tuple(block.rack_job_ids) == index_map.rack_job_ids
+        assert len(block.job_granted) == index_map.n_slots
+        stage_jobs = [job for spec in specs for _stage, job in spec.stages]
+        stage_racks = [spec.rack_id for spec in specs for _ in spec.stages]
+        assert block.job_of.tolist() == [
+            index_map.slot_of(rack_id, job_id)
+            for rack_id, job_id in zip(stage_racks, stage_jobs)
+        ]
 
 
 class TestShardInvariance:

@@ -196,8 +196,8 @@ class TestSegmentHygiene:
         pool = ShardPool(
             shard_blocks(2, 2), fluid_config(), use_workers=True
         )
-        pool.stop()
-        pool.stop()
+        pool.close()
+        pool.close()
         assert shm_files() - before == set()
         with pytest.raises(ConfigError):
             pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))

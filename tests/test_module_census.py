@@ -97,8 +97,8 @@ KEPT_UNREACHED: Dict[str, str] = {
     "waiters",
     "repro.simulation.sharded.coordinator:ShardedSimulation._enforce_rack": "reference: "
     "the scalar verb a scalar_only algorithm (DRF) is enforced through, 1 == N shards",
-    "repro.simulation.sharded.fluid:FluidRack._tick_scalar": "reference: the rack "
-    "bit-identity test compares the vector tick against it",
+    "repro.simulation.sharded.fluid:FluidBlock._tick_scalar": "reference: the rack "
+    "and block bit-identity tests compare the vector tick against it",
     "repro.telemetry.registry:Histogram.merge": "roadmap: item 5 ships "
     "padll_enforce_propagation_seconds from stage hosts; no live stage has a histogram yet",
     "repro.workloads.arrivals:open_loop_arrivals": "roadmap: item 4(d) demand shapes",
