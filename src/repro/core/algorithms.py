@@ -44,9 +44,14 @@ def _seq_sum(values: np.ndarray) -> float:
     The vectorised allocators are bit-identity twins of the scalar ones,
     and IEEE-754 addition is not associative: every reduction whose result
     feeds an allocation must replay the scalar path's ``sum(list)``
-    accumulation order exactly.
+    accumulation order exactly.  ``np.add.accumulate`` adds strictly left
+    to right in C; ``+ 0.0`` turns an all-``-0.0`` total into the ``+0.0``
+    that ``sum(list, 0.0)`` returns (tests/core/test_seq_sum.py pins the
+    two bit for bit).
     """
-    return sum(values.tolist(), 0.0)
+    if not values.size:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,7 +74,6 @@ process) with global bookkeeping identical to ``register_stage``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -700,7 +699,8 @@ class HierarchicalControlPlane(ControlPlane):
 
         Merge, allocate, clamp, log, and split run over job-order
         arrays; the enforcement log receives the same ``(now, job_id,
-        rate)`` rows in the same order, and the per-stage rates go to
+        rate)`` rows in the same order -- as one column block, the rows
+        built when it is read -- and the per-stage rates go to
         the array sink.  The per-job ``JobDemand``/``enforced`` views exist
         only for telemetry, so they are materialised only when a
         telemetry sink is attached.
@@ -714,8 +714,7 @@ class HierarchicalControlPlane(ControlPlane):
         rates = alloc_arrays(job_ids, demand, reservation)
         min_rate = self.config.min_rate
         rates = np.maximum(min_rate, rates)
-        rate_list = rates.tolist()
-        self.enforcement_log.extend(zip(repeat(now), job_ids, rate_list))
+        self.enforcement_log.extend_rows(now, job_ids, rates)
         per_stage = np.maximum(min_rate, rates / self._vec_n_stages)
         self._enforce_array_sink(now, per_stage)
         if self._telemetry is not None:
@@ -728,7 +727,7 @@ class HierarchicalControlPlane(ControlPlane):
                 )
                 for job_id, job_demand in zip(job_ids, demand.tolist())
             ]
-            return demands, dict(zip(job_ids, rate_list))
+            return demands, dict(zip(job_ids, rates.tolist()))
         return None, None
 
     def _enforce_algorithm(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+from itertools import repeat
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -122,6 +125,131 @@ class TestExtendIsAppendInALoop:
         assert len(log) + log.dropped == 40 * 5_000
         assert log.dropped == (0 if capacity is None else 40 * 5_000 - capacity)
         assert log[-1] == (39, 4_999)
+
+
+def _columns(first, n, head):
+    """``(head, keys, values)`` for rows ``first .. first + n - 1``.
+
+    Keys are the row numbers (so a reader can check runs are contiguous)
+    and values carry them too, with a signed zero and a subnormal mixed in
+    so a row that changed bits would show in its ``repr``.
+    """
+    keys = tuple(range(first, first + n))
+    values = np.array(keys, dtype=float)
+    values[::5] = -0.0
+    values[1::7] = 5e-324
+    return head, keys, values
+
+
+def _script(c):
+    """Operations for capacity ``c``: ``("append", row_count)`` / ``("rows", n)``."""
+    return {
+        "fits": [("append", 1), ("rows", max(1, c // 2))],
+        "straddles": [("rows", c // 2 + 1), ("append", 2), ("rows", c // 2 + 1)],
+        "longer-than-capacity": [("append", 3), ("rows", c + 3)],
+        "interleaved": [
+            ("rows", 3), ("append", 2), ("rows", c - 1 or 1), ("append", 1),
+            ("rows", 5), ("append", c), ("rows", 2), ("append", 1),
+        ],
+        "empty-keys": [("append", 2), ("rows", 0), ("append", 1), ("rows", 0)],
+    }
+
+
+def _assert_same(log, reference):
+    n = len(reference)
+    assert len(log) == n and log.dropped == reference.dropped
+    assert bool(log) == bool(reference)
+    assert log == reference and log == list(reference) and log == tuple(reference)
+    indices = range(-n, n) if n <= 64 else [0, 1, 2, n // 2, n - 2, n - 1, -1, -n]
+    for i in indices:
+        assert repr(log[i]) == repr(reference[i])
+    for cut in (slice(None), slice(1, 3), slice(-5, None), slice(None, None, 2), slice(3, -3)):
+        assert log[cut] == reference[cut]
+    for limit in (None, -1, 0, 1, 5, n - 1, n, n + 5):
+        assert log.snapshot(limit) == reference.snapshot(limit)
+    for out_of_range in (n, n + 1, -n - 1):
+        with pytest.raises(IndexError):
+            log[out_of_range]
+
+
+class TestBlockIsItsRows:
+    """``extend_rows(h, keys, values)`` reads back exactly as
+    ``extend(zip(repeat(h), keys, values.tolist()))``."""
+
+    @pytest.mark.parametrize("capacity", [None, 1, 7, 65_536])
+    @pytest.mark.parametrize(
+        "case", ["fits", "straddles", "longer-than-capacity", "interleaved", "empty-keys"]
+    )
+    def test_reads_match_the_row_by_row_log(self, capacity, case):
+        log = RingLog(capacity=capacity)
+        reference = RingLog(capacity=capacity)
+        every_row = []  # the plain-list model both logs must keep the tail of
+        for step, (op, n) in enumerate(_script(capacity or 10)[case]):
+            first = len(every_row)
+            if op == "append":
+                for row in range(first, first + n):
+                    log.append(("one", row, float(row)))
+                    reference.append(("one", row, float(row)))
+                    every_row.append(("one", row, float(row)))
+            else:
+                head, keys, values = _columns(first, n, float(step))
+                log.extend_rows(head, keys, values)
+                reference.extend(zip(repeat(head), keys, values.tolist()))
+                every_row.extend(zip(repeat(head), keys, values.tolist()))
+            _assert_same(log, reference)
+            kept = every_row[-capacity:] if capacity else every_row
+            assert log == kept
+        # Same objects and float bits (-0.0, subnormals), not just ==.
+        assert [repr(row) for row in log] == [repr(row) for row in kept]
+        assert len(log) + log.dropped == len(every_row)
+
+    def test_readers_get_contiguous_runs_while_blocks_are_cut(self):
+        # Capacity 7 001 against blocks of 13 .. 1 499 rows and single
+        # appends: nearly every write cuts the oldest block mid-way.  The
+        # reader checks each copy is one contiguous, in-order run of row
+        # numbers -- never a skipped or duplicated row.
+        capacity = 7_001
+        log = RingLog(capacity=capacity)
+        stop = threading.Event()
+        failures = []
+        copies = [0]
+
+        def read():
+            limits = (None, 10, 3_000)
+            while not stop.is_set():
+                limit = limits[copies[0] % len(limits)]
+                rows = log.snapshot(limit)
+                ids = [row[1] for row in rows]
+                contiguous = not ids or ids == list(range(ids[0], ids[0] + len(ids)))
+                bound = capacity if limit is None else limit
+                if not contiguous or len(ids) > bound:
+                    failures.append((limit, len(ids), ids[:3]))
+                # A key paired with another row's value would show here.
+                if any(row[2] not in (row[1], 0.0, 5e-324) for row in rows):
+                    failures.append(("value", limit))
+                copies[0] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reader = threading.Thread(target=read)
+        reader.start()
+        next_row = 0
+        try:
+            for round_no in range(400):
+                n = (13, 1_499, 257, 1_000)[round_no % 4]
+                log.extend_rows(*_columns(next_row, n, float(round_no)))
+                next_row += n
+                if round_no % 3 == 0:
+                    log.append(("one", next_row, float(next_row)))
+                    next_row += 1
+        finally:
+            stop.set()
+            reader.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert copies[0] > 0 and not failures
+        assert len(log) == capacity and log.dropped == next_row - capacity
+        assert log[0][1] == next_row - capacity and log[-1][1] == next_row - 1
 
 
 class TestControlPlaneBoundedLogs:

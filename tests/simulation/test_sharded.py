@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.algorithms import DominantResourceFairness, ProportionalSharing
+from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.simulation.sharded import (
     UNLIMITED,
     FluidConfig,
@@ -61,6 +62,17 @@ def small_config(**kw):
 #: ``n_shards in (1, 2, 4)`` produced exactly this digest.
 SMALL_CONFIG_DIGEST = (
     "aa956cbfb343f77d2e9d9bee39f1a2cd837e08dbbb27c250f4314f946241fe0e"
+)
+
+
+#: ``padll-repro sharded --jobs 2500 --stages-per-job 4 --racks 32
+#: --clients-per-stage 100 --duration 40 --step-period 15 --digest-only``:
+#: 40 cycles x 2 500 jobs push 100 000 rows through the 65 536-row
+#: enforcement log, which drops 13 whole blocks and keeps the last 536
+#: rows of the 14th.
+#: The ``sharded-smoke`` CI job pins the same literal.
+WRAPPED_LOG_DIGEST = (
+    "f457b63370885a5f4d9878555822a107131520d7f70de341a8b7e15385d75304"
 )
 
 
@@ -322,6 +334,21 @@ class TestShardInvariance:
             small_config(n_shards=1), capacity=150.0, use_workers=True
         )
         assert result.digest() == SMALL_CONFIG_DIGEST
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_digest_of_a_wrapped_enforcement_log_is_the_literal(self, n_shards):
+        result = run_fig4_sharded(
+            n_jobs=2_500,
+            stages_per_job=4,
+            n_racks=32,
+            n_shards=n_shards,
+            clients_per_stage=100,
+            duration=40.0,
+            step_period=15.0,
+        )
+        log = result.results["padll"].enforcement_log
+        assert len(log) == 65_536  # the default history_limit, wrapped
+        assert result.digest() == WRAPPED_LOG_DIGEST
 
     def test_algorithm_without_array_verb_is_shard_invariant(self):
         # DRF has no allocate_arrays, so the plane runs its scalar cycle:
