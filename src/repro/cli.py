@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="worker processes for the rack shards (results are "
+        help="rack blocks, run in-process (results are "
         "bit-identical at any shard count)",
     )
     sharded.add_argument("--clients-per-stage", type=int, default=100)

@@ -67,8 +67,8 @@ flat-equivalence contract above survives split placement.
 Racks need not be in-process objects: :class:`RackEndpoint` is a proxy
 local whose collect/enforce verbs are plain callables, and
 ``register_remote`` registers a stage that lives elsewhere (for example
-inside a :class:`~repro.simulation.sharded.ShardedSimulation` worker
-process) with global bookkeeping identical to ``register_stage``.
+in a :class:`~repro.simulation.sharded.ShardedSimulation` rack block)
+with global bookkeeping identical to ``register_stage``.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class AggregateStats:
 
 
 class ArrayStats:
-    """Array-backed :class:`AggregateStats` twin for the shm wire format.
+    """Array-backed :class:`AggregateStats` twin over a per-slot array.
 
     ``job_ids``/``stage_counts`` are the local's static layout (the
     :class:`~repro.simulation.sharded.shm.ShardIndexMap` rack slice) and
@@ -321,7 +321,7 @@ class RackEndpoint:
 
     The sharded simulation uses this to drive the *real* global plane --
     demand merge, staleness discounting, liveness eviction, telemetry --
-    while the data planes advance in worker processes.
+    while the data planes advance as fluid rack blocks.
     """
 
     def __init__(

@@ -17,7 +17,6 @@ __all__ = [
     "RPCError",
     "WireError",
     "StageNotRegistered",
-    "ShardWorkerError",
     "InterpositionError",
     "TraceFormatError",
 ]
@@ -49,20 +48,6 @@ class WireError(RPCError):
 
 class StageNotRegistered(RPCError):
     """A control-plane call addressed a stage id that is not registered."""
-
-
-class ShardWorkerError(RPCError):
-    """A shard worker process died or missed its reply deadline.
-
-    Raised by :class:`~repro.simulation.sharded.pool.ShardPool` instead of
-    deadlocking on a silent pipe; carries the shard index and the rack ids
-    it was hosting so operators know which block of the cluster is gone.
-    """
-
-    def __init__(self, message: str, shard: int = -1, racks: tuple = ()) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.racks = tuple(racks)
 
 
 class PFSError(ReproError):

@@ -113,9 +113,9 @@ def run_fig4_sharded(
 ) -> Fig4ShardedResult:
     """Run the two-phase sharded fig4 story; defaults hit 10^6 clients.
 
-    ``n_shards`` partitions the rack set over worker processes; any
-    value produces bit-identical results (asserted by tests and CI), so
-    pick it for wall-clock alone.  ``dt`` sets the fluid tick length;
+    ``n_shards`` partitions the rack set into that many in-process rack
+    blocks; any value produces bit-identical results (asserted by tests
+    and CI).  ``dt`` sets the fluid tick length;
     ``loop_interval`` must stay a multiple of it, so ``dt < 1`` advances
     several fluid ticks per control epoch.
     """

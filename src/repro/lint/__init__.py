@@ -27,9 +27,6 @@ Rule     Invariant
 =======  ========================================================
 WIRE001  every constructed RPC verb has a registered handler
 WIRE002  positional wire-payload unpacks match declared arity
-WIRE003  LAYOUT_VERSION-guarded arrays only written via the slot map
-SHM001   shm buffers indexed only through epoch-parity selectors
-SHM002   workers attach-only; creators own unlink
 VEC001   ``allocate`` implies ``allocate_arrays`` (or scalar_only)
 FLT001   digest-adjacent full reductions route through ``_seq_sum``
 =======  ========================================================

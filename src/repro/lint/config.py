@@ -35,15 +35,11 @@ class LintConfig:
     deterministic_layers: Tuple[str, ...] = (
         "repro.simulation",
         # Covered by the 'repro.simulation' prefix already, but the sharded
-        # engine is listed explicitly: its worker processes make wall-clock
-        # or unthreaded-RNG leaks especially corrosive (they would silently
-        # break the 1-shard == N-shard bit-identity contract), so the entry
-        # must survive any future narrowing of the parent prefix.
+        # engine is listed explicitly: a wall-clock or unthreaded-RNG leak
+        # there would silently break the 1-shard == N-shard bit-identity
+        # contract, so the entry must survive any future narrowing of the
+        # parent prefix.
         "repro.simulation.sharded",
-        # The shared-memory wire of the sharded engine: same explicit pin,
-        # same reason -- a wall-clock read in the scatter/gather path would
-        # break the resident-worker == in-process bit-identity contract.
-        "repro.simulation.sharded.shm",
         "repro.pfs",
         "repro.core",
         "repro.experiments",

@@ -6,7 +6,7 @@ rule, and a :class:`~repro.lint.project.ModuleFacts` record is collected
 in the same walk-adjacent pipeline.  **Pass two** is cross-module: every
 module's facts are combined into one
 :class:`~repro.lint.project.ProjectContext` and handed to the
-:data:`~repro.lint.project_rules.PROJECT_RULES` (WIRE/SHM/VEC/FLT).
+:data:`~repro.lint.project_rules.PROJECT_RULES` (WIRE/VEC/FLT).
 Pragmas suppress findings from both passes identically, and nothing
 else does: there is no baseline to grandfather a finding into.
 

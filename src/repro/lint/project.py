@@ -10,9 +10,8 @@ AST nodes -- so project rules attribute findings to concrete
 What is collected (each entry names the rules that consume it):
 
 * class definitions with canonicalised bases, method names, class-body
-  flags, NamedTuple arity, ``Tuple[...]`` field annotations, and
-  numpy-array ``self.X = np...`` attributes  (WIRE001/002/003, SHM001,
-  VEC001)
+  flags, NamedTuple arity, and ``Tuple[...]`` field annotations
+  (WIRE001/002, VEC001)
 * capitalized constructor call sites and ``isinstance`` targets inside
   ``handle*`` dispatchers, with module-level tuple constants expanded
   (WIRE001)
@@ -20,10 +19,6 @@ What is collected (each entry names the rules that consume it):
 * ``register_codec(Cls, tag, (field, ...))`` call sites with the
   registered class canonicalised and the field-tuple arity counted
   (WIRE001 codec coverage, WIRE002 codec arity)
-* subscripts of attribute expressions, classified by index shape and
-  load/store context  (WIRE003, SHM001)
-* raw ``SharedMemory`` constructions, ``resource_tracker.unregister``
-  calls, and attach-then-unlink flows  (SHM002)
 * a function table with resolved call edges, bare method-call names,
   hashlib usage, and full-reduction ``sum`` sites -- the call graph's
   input  (FLT001)
@@ -81,20 +76,6 @@ class UnpackSite:
 
 
 @dataclass(frozen=True, slots=True)
-class SubscriptSite:
-    """``<expr>.attr[index]`` with the index shape classified."""
-
-    attr: str
-    #: "name" (a bare Name/Attribute -- the parity-selector shape),
-    #: "const", "slice", "tuple", or "other".
-    index: str
-    store: bool
-    line: int
-    col: int
-    source: str
-
-
-@dataclass(frozen=True, slots=True)
 class SeqField:
     """A class field annotated as a homogeneous ``Tuple[elem, ...]``."""
 
@@ -142,8 +123,6 @@ class ClassFact:
     #: number of annotated class-body fields (a NamedTuple's arity)
     field_count: int
     seq_fields: Tuple[SeqField, ...]
-    #: attributes assigned ``self.X = np....(...)`` inside methods
-    array_attrs: Tuple[str, ...]
 
     @property
     def is_namedtuple(self) -> bool:
@@ -167,19 +146,12 @@ class ModuleFacts:
 
     module: str
     path: str
-    #: module defines a top-level LAYOUT_VERSION constant (the marker of
-    #: a versioned wire-layout module; WIRE003/SHM002 anchor on it)
-    is_layout: bool = False
     classes: Tuple[ClassFact, ...] = ()
     functions: Tuple[FunctionFact, ...] = ()
     constructions: Tuple[CallSite, ...] = ()
     handler_checks: Tuple[str, ...] = ()
     unpacks: Tuple[UnpackSite, ...] = ()
     wire_regs: Tuple[WireRegSite, ...] = ()
-    subscripts: Tuple[SubscriptSite, ...] = ()
-    shm_ctors: Tuple[Site, ...] = ()
-    unregisters: Tuple[Site, ...] = ()
-    attach_unlinks: Tuple[Site, ...] = ()
 
 
 def _is_handler_name(name: str) -> bool:
@@ -199,11 +171,9 @@ class _FactsCollector(ast.NodeVisitor):
         )
         self.source_lines = source.splitlines()
         # Module-level prepass: names defined here (for canonicalising
-        # bare references), tuple constants (isinstance target tables),
-        # and the LAYOUT_VERSION marker.
+        # bare references) and tuple constants (isinstance target tables).
         self.module_defs: Set[str] = set()
         self.const_tuples: Dict[str, Tuple[str, ...]] = {}
-        self.is_layout = False
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 self.module_defs.add(stmt.name)
@@ -212,8 +182,6 @@ class _FactsCollector(ast.NodeVisitor):
                     if not isinstance(target, ast.Name):
                         continue
                     self.module_defs.add(target.id)
-                    if target.id == "LAYOUT_VERSION":
-                        self.is_layout = True
                     if isinstance(stmt.value, ast.Tuple):
                         names = [self._canon(e) for e in stmt.value.elts]
                         if all(name is not None for name in names):
@@ -222,8 +190,6 @@ class _FactsCollector(ast.NodeVisitor):
                 stmt.target, ast.Name
             ):
                 self.module_defs.add(stmt.target.id)
-                if stmt.target.id == "LAYOUT_VERSION":
-                    self.is_layout = True
         # Accumulators
         self.classes: List[ClassFact] = []
         self.functions: List[FunctionFact] = []
@@ -231,13 +197,8 @@ class _FactsCollector(ast.NodeVisitor):
         self.handler_checks: List[str] = []
         self.unpacks: List[UnpackSite] = []
         self.wire_regs: List[WireRegSite] = []
-        self.subscripts: List[SubscriptSite] = []
-        self.shm_ctors: List[Site] = []
-        self.unregisters: List[Site] = []
-        self.attach_unlinks: List[Site] = []
         # Scope state
         self._scope: List[str] = []
-        self._class_stack: List[Dict[str, Any]] = []
         self._func_stack: List[Dict[str, Any]] = [
             self._new_func("<module>", 1)
         ]
@@ -256,7 +217,6 @@ class _FactsCollector(ast.NodeVisitor):
             "method_calls": [],
             "uses_hashlib": False,
             "sum_sites": [],
-            "attach_names": set(),
         }
 
     @staticmethod
@@ -316,34 +276,21 @@ class _FactsCollector(ast.NodeVisitor):
                 seq = self._seq_annotation(stmt.target.id, stmt.annotation)
                 if seq is not None:
                     seq_fields.append(seq)
-        record = {
-            "name": node.name,
-            "site": self._site(node),
-            "bases": bases,
-            "methods": tuple(methods),
-            "flags": tuple(flags),
-            "field_count": field_count,
-            "seq_fields": tuple(seq_fields),
-            "array_attrs": [],
-        }
-        self._class_stack.append(record)
+        site = self._site(node)
         self._scope.append(node.name)
         self.generic_visit(node)
         self._scope.pop()
-        self._class_stack.pop()
-        site = record["site"]
         self.classes.append(
             ClassFact(
-                name=record["name"],
+                name=node.name,
                 line=site.line,
                 col=site.col,
                 source=site.source,
-                bases=record["bases"],
-                methods=record["methods"],
-                flags=record["flags"],
-                field_count=record["field_count"],
-                seq_fields=record["seq_fields"],
-                array_attrs=tuple(dict.fromkeys(record["array_attrs"])),
+                bases=bases,
+                methods=tuple(methods),
+                flags=tuple(flags),
+                field_count=field_count,
+                seq_fields=tuple(seq_fields),
             )
         )
 
@@ -411,10 +358,6 @@ class _FactsCollector(ast.NodeVisitor):
                 self.constructions.append(
                     CallSite(name, site.line, site.col, site.source)
                 )
-            if name.endswith("shared_memory.SharedMemory"):
-                self.shm_ctors.append(self._site(node))
-            if name.endswith("resource_tracker.unregister"):
-                self.unregisters.append(self._site(node))
             if name == "isinstance" and len(node.args) == 2:
                 self._record_isinstance(node.args[1])
             if (
@@ -438,11 +381,6 @@ class _FactsCollector(ast.NodeVisitor):
                 func["sum_sites"].append(
                     SumSite("method.sum", site.line, site.col, site.source)
                 )
-            if node.func.attr == "unlink" and isinstance(
-                node.func.value, ast.Name
-            ):
-                if node.func.value.id in func["attach_names"]:
-                    self.attach_unlinks.append(self._site(node))
         self.generic_visit(node)
 
     @staticmethod
@@ -496,32 +434,6 @@ class _FactsCollector(ast.NodeVisitor):
         self.handler_checks.extend(names)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        func = self._func_stack[-1]
-        # attach_segment() result bound to a local name (SHM002 flow).
-        if (
-            len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Call)
-        ):
-            called = self._canon(node.value.func)
-            if called is not None and (
-                called == "attach_segment"
-                or called.endswith(".attach_segment")
-            ):
-                func["attach_names"].add(node.targets[0].id)
-        # self.X = np....(...) inside a method (guarded-array discovery).
-        if self._class_stack and isinstance(node.value, ast.Call):
-            ctor = self.resolver.resolve(node.value.func)
-            if ctor is not None and ctor.startswith("numpy."):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        self._class_stack[-1]["array_attrs"].append(
-                            target.attr
-                        )
         # a, b, c = <expr>.attr  (positional wire unpack)
         if len(node.targets) == 1:
             self._record_unpack(node.targets[0], node.value)
@@ -559,47 +471,16 @@ class _FactsCollector(ast.NodeVisitor):
             )
         )
 
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.value, ast.Attribute):
-            index = node.slice
-            if isinstance(index, (ast.Name, ast.Attribute)):
-                kind = "name"
-            elif isinstance(index, ast.Constant):
-                kind = "const"
-            elif isinstance(index, ast.Slice):
-                kind = "slice"
-            elif isinstance(index, ast.Tuple):
-                kind = "tuple"
-            else:
-                kind = "other"
-            site = self._site(node)
-            self.subscripts.append(
-                SubscriptSite(
-                    attr=node.value.attr,
-                    index=kind,
-                    store=isinstance(node.ctx, ast.Store),
-                    line=site.line,
-                    col=site.col,
-                    source=site.source,
-                )
-            )
-        self.generic_visit(node)
-
     def facts(self) -> ModuleFacts:
         return ModuleFacts(
             module=self.module,
             path=self.path,
-            is_layout=self.is_layout,
             classes=tuple(self.classes),
             functions=tuple(self.functions),
             constructions=tuple(self.constructions),
             handler_checks=tuple(dict.fromkeys(self.handler_checks)),
             unpacks=tuple(self.unpacks),
             wire_regs=tuple(self.wire_regs),
-            subscripts=tuple(self.subscripts),
-            shm_ctors=tuple(self.shm_ctors),
-            unregisters=tuple(self.unregisters),
-            attach_unlinks=tuple(self.attach_unlinks),
         )
 
 
@@ -614,9 +495,8 @@ class ProjectContext:
     """The whole-program view handed to every project rule.
 
     Wraps the per-module fact records with the derived indexes the rules
-    share: a canonical class table, transitive subclass closures, the
-    layout-module/guarded-attribute sets, and the (lazily built)
-    cross-module call graph.
+    share: a canonical class table, transitive subclass closures, and the
+    (lazily built) cross-module call graph.
     """
 
     def __init__(
@@ -684,38 +564,6 @@ class ProjectContext:
             for name in self.class_index
             if base in self.ancestors(name)
         }
-
-    # -- layout modules (LAYOUT_VERSION wire formats) ------------------------
-
-    def layout_modules(self) -> Tuple[ModuleFacts, ...]:
-        return tuple(facts for facts in self.modules if facts.is_layout)
-
-    def layout_packages(self) -> Tuple[str, ...]:
-        """The package subtree that owns each layout module's buffers."""
-        packages = []
-        for facts in self.layout_modules():
-            package = (
-                facts.module.rsplit(".", 1)[0]
-                if "." in facts.module
-                else facts.module
-            )
-            if package not in packages:
-                packages.append(package)
-        return tuple(packages)
-
-    def guarded_array_attrs(self) -> Set[str]:
-        """numpy-array attributes of classes defined in layout modules."""
-        attrs: Set[str] = set()
-        for facts in self.layout_modules():
-            for cls in facts.classes:
-                attrs.update(cls.array_attrs)
-        return attrs
-
-    def in_layout_package(self, module: str) -> bool:
-        return any(
-            module == package or module.startswith(package + ".")
-            for package in self.layout_packages()
-        )
 
     # -- call graph ----------------------------------------------------------
 

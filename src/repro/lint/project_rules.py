@@ -1,4 +1,4 @@
-"""Cross-module project rules (WIRE, SHM, VEC, FLT families).
+"""Cross-module project rules (WIRE, VEC, FLT families).
 
 These run in the engine's second pass, after every module's
 :class:`~repro.lint.project.ModuleFacts` has been collected, and see the
@@ -16,17 +16,6 @@ They guard the invariants that no single module can witness:
   class fields) match the declared arity, and every verb's
   ``register_codec`` field tuple matches the verb dataclass's own
   field count (codec drift caught without importing the module).
-* **WIRE003** -- arrays owned by a ``LAYOUT_VERSION``-guarded layout
-  module are never *written* through a subscript outside that module's
-  package: the slot-map API is the only writer.
-* **SHM001** -- those same arrays are only indexed through a bare
-  name/attribute (the epoch-parity selector shape); raw numeric, slice,
-  or tuple indexes bypass the parity discipline.
-* **SHM002** -- segment hygiene: ``SharedMemory`` is only constructed
-  inside layout modules, ``resource_tracker.unregister`` is never
-  called directly, and a segment obtained via ``attach_segment`` is
-  never ``unlink``-ed by its attacher (workers attach-only; creators
-  own unlink).
 * **VEC001** -- an ``AllocationAlgorithm`` subclass that defines
   ``allocate`` must also define ``allocate_arrays`` or carry a
   class-body ``scalar_only = True`` registration, keeping the
@@ -197,105 +186,6 @@ class WireArityRule(ProjectRule):
                     )
 
 
-class LayoutWriteRule(ProjectRule):
-    """WIRE003: layout-guarded arrays are not written outside their package."""
-
-    id = "WIRE003"
-    summary = (
-        "LAYOUT_VERSION-guarded array written through a subscript "
-        "outside the layout package"
-    )
-
-    def check_project(self, project: ProjectContext) -> None:
-        guarded = project.guarded_array_attrs()
-        if not guarded:
-            return
-        for facts in project.modules:
-            if project.in_layout_package(facts.module):
-                continue
-            for site in facts.subscripts:
-                if site.store and site.attr in guarded:
-                    project.emit_at(
-                        self.id,
-                        facts,
-                        site,
-                        f".{site.attr} is a LAYOUT_VERSION-guarded wire "
-                        "buffer; writing it outside the layout package "
-                        "bypasses the slot-map API and the layout-token "
-                        "compatibility guard",
-                    )
-
-
-class ParityIndexRule(ProjectRule):
-    """SHM001: guarded shm buffers indexed only through parity selectors."""
-
-    id = "SHM001"
-    summary = (
-        "shared-memory buffer indexed with a raw (non parity-selector) "
-        "index"
-    )
-
-    def check_project(self, project: ProjectContext) -> None:
-        guarded = project.guarded_array_attrs()
-        if not guarded:
-            return
-        for facts in project.modules:
-            for site in facts.subscripts:
-                if site.attr in guarded and site.index != "name":
-                    project.emit_at(
-                        self.id,
-                        facts,
-                        site,
-                        f".{site.attr} is a double-buffered shm block: "
-                        "the first index must be the epoch-parity "
-                        f"selector, not a raw {site.index} index that "
-                        "can read the in-flight half",
-                    )
-
-
-class SegmentHygieneRule(ProjectRule):
-    """SHM002: attach-only workers, creator-owned unlink."""
-
-    id = "SHM002"
-    summary = (
-        "shared-memory segment lifecycle violation (raw ctor, direct "
-        "unregister, or attacher-side unlink)"
-    )
-
-    def check_project(self, project: ProjectContext) -> None:
-        for facts in project.modules:
-            if not facts.is_layout:
-                for site in facts.shm_ctors:
-                    project.emit_at(
-                        self.id,
-                        facts,
-                        site,
-                        "raw SharedMemory construction outside a layout "
-                        "module; go through the layout module's "
-                        "create/attach API so segment hygiene stays in "
-                        "one place",
-                    )
-            for site in facts.unregisters:
-                project.emit_at(
-                    self.id,
-                    facts,
-                    site,
-                    "direct resource_tracker.unregister call: on this "
-                    "Python the tracker is process-tree-global, so an "
-                    "attacher-side unregister erases the creator's entry "
-                    "and crashes the creator's unlink",
-                )
-            for site in facts.attach_unlinks:
-                project.emit_at(
-                    self.id,
-                    facts,
-                    site,
-                    "segment obtained via attach_segment is unlink-ed by "
-                    "its attacher; workers are attach-only -- the "
-                    "creator owns the single unlink",
-                )
-
-
 class ScalarVectorParityRule(ProjectRule):
     """VEC001: allocate implies allocate_arrays (or scalar_only opt-out)."""
 
@@ -381,9 +271,6 @@ class DigestSumRule(ProjectRule):
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
     UnhandledVerbRule(),
     WireArityRule(),
-    LayoutWriteRule(),
-    ParityIndexRule(),
-    SegmentHygieneRule(),
     ScalarVectorParityRule(),
     DigestSumRule(),
 )

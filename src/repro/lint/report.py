@@ -18,7 +18,8 @@ __all__ = ["REPORT_VERSION", "render_json", "render_text"]
 
 #: v2: ``active_by_rule`` gained the cross-module WIRE/SHM/VEC/FLT ids.
 #: v3: the baseline is gone -- no ``baselined`` field or count.
-REPORT_VERSION = 3
+#: v4: WIRE003, SHM001 and SHM002 left the rule catalogue.
+REPORT_VERSION = 4
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:

@@ -44,8 +44,7 @@ def pool_start_method() -> str:
 
     fork (where available) shares the already-imported package with
     workers; spawn re-imports it.  Either way results are bit-identical
-    -- work units carry their seeds.  Shared by :class:`SweepRunner` and
-    the sharded-simulation :class:`~repro.simulation.sharded.ShardPool`.
+    -- work units carry their seeds.
     """
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 

@@ -16,7 +16,7 @@ The engine serves two styles of modelling used throughout the reproduction:
   and simulating individual operations would be pointless work.
 
 Beyond one core, :mod:`repro.simulation.sharded` partitions a cluster
-into per-rack fluid shards farmed over worker processes behind a
+into blocks of closed-form fluid racks, run in-process behind a
 deterministic epoch barrier -- the path to 10^4 stages / 10^6 simulated
 clients with bit-identical fixed-seed results at any shard count.
 """

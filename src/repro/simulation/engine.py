@@ -30,7 +30,7 @@ Scaling out
 This engine is single-core by design.  For cluster-scale runs (10^4
 stages / 10^6 simulated clients) use :mod:`repro.simulation.sharded`,
 which sidesteps the event heap entirely: closed-form fluid racks advance
-in parallel worker processes and synchronise with the control plane at
+as numpy array blocks and synchronise with the control plane at
 epoch boundaries, with fixed-seed outputs bit-identical at any shard
 count.
 """

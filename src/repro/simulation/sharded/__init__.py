@@ -2,8 +2,8 @@
 
 Scales a run to 10^4 stages / 10^6 simulated clients by modelling each
 rack as a sealed closed-form fluid sub-world (vectorised numpy stage and
-token-bucket updates, one array set per block of racks), farming rack
-blocks over resident worker processes, and synchronising with the
+token-bucket updates, one array set per block of racks), running the
+rack blocks in-process one after another, and synchronising with the
 control plane once per loop interval.  Fixed-seed outputs are
 bit-identical across shard counts, and a block's array arithmetic to its
 racks taken one by one and to the scalar per-stage reference -- see

@@ -7,10 +7,11 @@ racks; the control plane is a genuine
 :class:`~repro.core.hierarchy.RackEndpoint` proxies.  One *epoch* is one
 control loop interval:
 
-1. every shard advances its racks ``loop_interval / dt`` fluid ticks and
-   reports per-job demand partials as one float64 slot vector in the
-   pool's :class:`~repro.simulation.sharded.shm.ShardIndexMap` order
-   (the barrier);
+1. every shard's rack block advances ``loop_interval / dt`` fluid
+   ticks, in shard order in this process, and reports per-job demand
+   partials as one float64 slot vector in the pool's
+   :class:`~repro.simulation.sharded.shm.ShardIndexMap` order (the
+   barrier);
 2. the coordinator runs one ``cp.tick``: the rack endpoints answer the
    plane's collects with :class:`~repro.core.hierarchy.ArrayStats`
    slices over that vector, and the plane's own demand merge, staleness
@@ -133,7 +134,7 @@ class ShardedResult:
         """SHA-256 over every output float, bit-for-bit.
 
         The invariance tests assert this digest is identical across
-        shard counts and resident-worker vs in-process execution.
+        shard counts.
         """
         digest = hashlib.sha256()
         for rack_id in self.rack_served:
@@ -167,10 +168,7 @@ class ShardedSimulation:
 
     ``epoch_hook(control_plane, now)`` (optional) runs right before each
     ``cp.tick`` -- the fig4-style experiments use it to step the
-    allocator's capacity on schedule.  ``use_workers`` forces or
-    suppresses resident worker processes and ``recv_timeout`` bounds a
-    worker's reply -- both forwarded to :class:`ShardPool`, neither able
-    to change a computed float.
+    allocator's capacity on schedule.
     """
 
     def __init__(
@@ -180,8 +178,6 @@ class ShardedSimulation:
         telemetry=None,
         controller_config: Optional[ControlPlaneConfig] = None,
         epoch_hook: Optional[Callable[[HierarchicalControlPlane, float], None]] = None,
-        use_workers: Optional[bool] = None,
-        recv_timeout: float = 60.0,
     ) -> None:
         self.config = config
         self._epoch_hook = epoch_hook
@@ -213,7 +209,7 @@ class ShardedSimulation:
         ]
         # Contiguous block partition of racks into shards: shard s gets
         # racks [s*q + min(s, r), ...) -- blocking never affects per-rack
-        # math, only which process runs it.
+        # math, only which array set a rack's stages live in.
         q, r = divmod(config.n_racks, config.n_shards)
         blocks: List[List[RackSpec]] = []
         start = 0
@@ -221,12 +217,7 @@ class ShardedSimulation:
             size = q + (1 if s < r else 0)
             blocks.append(specs[start : start + size])
             start += size
-        self._pool = ShardPool(
-            blocks,
-            config.fluid,
-            use_workers=use_workers,
-            recv_timeout=recv_timeout,
-        )
+        self._pool = ShardPool(blocks, config.fluid)
         # Scatter staging for the next epoch's enforcement: slot writes
         # land here during cp.tick -- policy pushes first, then the
         # algorithm's -- so for a slot written twice in one cycle the
@@ -397,7 +388,7 @@ class ShardedSimulation:
         )
 
     def close(self) -> None:
-        """Release pool workers without collecting results."""
+        """Release the pool without collecting results."""
         self._pool.close()
 
     def __enter__(self) -> "ShardedSimulation":

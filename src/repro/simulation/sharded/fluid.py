@@ -35,7 +35,7 @@ Demand partials follow the hierarchy's exact per-stage expression
 (``offered = enqueued/window``, ``drain = backlog/loop_interval``,
 accumulated per job in stage-registration order), so the merged global
 demand the :class:`~repro.core.hierarchy.HierarchicalControlPlane` sees
-is the same signal a resident
+is the same signal a
 :class:`~repro.core.hierarchy.LocalController` would have reported.
 """
 
@@ -355,8 +355,8 @@ class FluidBlock:
         job in stage-registration order (``np.bincount`` element order
         == the scalar loop == ``LocalController._collect_aggregate``'s
         dict accumulation from 0.0).  The array is aligned to the
-        block's slots; the wire ships it verbatim and the static index
-        map supplies ids and stage counts.
+        block's slots; the pool places it verbatim in its slot slice and
+        the static index map supplies ids and stage counts.
         """
         contrib = self.window_enqueued / loop_interval + self.backlog / loop_interval
         if self.vectorized:

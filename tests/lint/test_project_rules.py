@@ -1,4 +1,4 @@
-"""Seeded-violation tests for the cross-module WIRE/SHM/VEC/FLT rules.
+"""Seeded-violation tests for the cross-module WIRE/VEC/FLT rules.
 
 Each test builds a minimal project tree under tmp_path mirroring the
 real layout (``src/repro/...``), seeds exactly one violation, and
@@ -356,133 +356,6 @@ class TestWire002:
                     "\n"
                     "_FIELDS = (\"channel_id\",)\n"
                     'register_codec(EnforceRate, "EnforceRate", _FIELDS)\n'
-                ),
-            },
-        )
-        assert active == []
-
-
-LAYOUT_STUB = """\
-import numpy as np
-
-LAYOUT_VERSION = 3
-
-
-def attach_segment(name):
-    raise NotImplementedError
-
-
-class ShardBuffers:
-    def __init__(self, shm):
-        self.scatter = np.ndarray((2, 4), dtype=np.float64, buffer=shm.buf)
-        self.gather = np.ndarray((2, 4), dtype=np.float64, buffer=shm.buf)
-"""
-
-
-class TestWire003:
-    def test_outside_write_fires_once(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": LAYOUT_STUB,
-                "src/repro/experiments/poke.py": (
-                    "def poke(buffers, parity):\n"
-                    "    buffers.scatter[parity] = 1.0\n"
-                ),
-            },
-        )
-        assert [f.rule for f in active] == ["WIRE003"]
-        assert active[0].path.endswith("poke.py")
-
-    def test_parity_write_inside_package_is_clean(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": LAYOUT_STUB,
-                "src/repro/simulation/sharded/pool.py": (
-                    "def publish(buffers, parity, values):\n"
-                    "    buffers.scatter[parity] = values\n"
-                ),
-            },
-        )
-        assert active == []
-
-
-class TestShm001:
-    def test_raw_index_fires_once(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": LAYOUT_STUB,
-                "src/repro/simulation/sharded/pool.py": (
-                    "def peek(buffers):\n"
-                    "    return buffers.scatter[0]\n"
-                ),
-            },
-        )
-        assert [f.rule for f in active] == ["SHM001"]
-        assert "parity" in active[0].message
-
-    def test_parity_read_is_clean(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": LAYOUT_STUB,
-                "src/repro/simulation/sharded/pool.py": (
-                    "def peek(buffers, parity):\n"
-                    "    return buffers.gather[parity].copy()\n"
-                ),
-            },
-        )
-        assert active == []
-
-
-class TestShm002:
-    def test_raw_ctor_outside_layout_module_fires_once(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/runner/raw.py": (
-                    "from multiprocessing import shared_memory\n"
-                    "\n"
-                    "\n"
-                    "def grab(name):\n"
-                    "    return shared_memory.SharedMemory(name=name)\n"
-                ),
-            },
-        )
-        assert [f.rule for f in active] == ["SHM002"]
-
-    def test_attacher_unlink_fires_once(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": LAYOUT_STUB,
-                "src/repro/simulation/sharded/worker.py": (
-                    "from repro.simulation.sharded.shm import attach_segment\n"
-                    "\n"
-                    "\n"
-                    "def cleanup(name):\n"
-                    "    segment = attach_segment(name)\n"
-                    "    segment.unlink()\n"
-                ),
-            },
-        )
-        assert [f.rule for f in active] == ["SHM002"]
-        assert "attach" in active[0].message
-
-    def test_ctor_inside_layout_module_is_clean(self, tmp_path):
-        active = _lint_tree(
-            tmp_path,
-            {
-                "src/repro/simulation/sharded/shm.py": (
-                    "from multiprocessing import shared_memory\n"
-                    "\n"
-                    "LAYOUT_VERSION = 3\n"
-                    "\n"
-                    "\n"
-                    "def create_segment(size):\n"
-                    "    return shared_memory.SharedMemory(create=True, size=size)\n"
                 ),
             },
         )

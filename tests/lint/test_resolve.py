@@ -30,12 +30,12 @@ class TestRelativeImports:
 
     def test_one_dot_import_in_plain_module(self):
         resolver = _resolver(
-            "from .shm import attach_segment",
+            "from .shm import ShardIndexMap",
             module="repro.simulation.sharded.pool",
         )
         assert (
-            resolver.resolve(_expr("attach_segment"))
-            == "repro.simulation.sharded.shm.attach_segment"
+            resolver.resolve(_expr("ShardIndexMap"))
+            == "repro.simulation.sharded.shm.ShardIndexMap"
         )
 
     def test_one_dot_import_in_package_init(self):

@@ -7,14 +7,20 @@ The contracts under test (see ``repro.simulation.sharded.fluid``):
   bit-identical state and outputs, and so does a multi-rack block;
 * a block of racks advanced as one array set holds exactly what its
   racks hold when each is advanced alone;
-* the full-run digest is identical for 1 shard and N shards, including
-  real multi-process pools, and equals a literal frozen before the
-  engine's alternative wire and control loop were deleted;
+* the frozen index map numbers slots exactly as the blocks do, and N
+  in-process blocks produce the demand partials and finals of one block;
+* the full-run digest is identical for 1 shard and N shards, equals a
+  literal frozen before the engine's alternative wire and control loop
+  were deleted, and a run at any shard count starts no process and no
+  shared-memory segment;
 * demand partials follow the hierarchy's exact per-stage expression;
 * enforcement pushed by the global plane genuinely caps throughput.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +80,11 @@ SMALL_CONFIG_DIGEST = (
 WRAPPED_LOG_DIGEST = (
     "f457b63370885a5f4d9878555822a107131520d7f70de341a8b7e15385d75304"
 )
+
+
+def psm_segments():
+    """Names of the shared-memory segments this engine's wire used to make."""
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
 
 
 def run_result(config, capacity=None, duration=30.0, algorithm=None, **kw):
@@ -304,7 +315,7 @@ class TestFluidBlock:
         )
 
     def test_block_slots_are_the_index_map_slots(self):
-        # The worker hands a block its slice of the global buffers
+        # The pool hands a block its slice of the global slot arrays
         # verbatim, so block slot k must be index-map slot k.
         specs = layout_specs("job")
         block = FluidBlock(specs, small_fluid())
@@ -319,6 +330,79 @@ class TestFluidBlock:
         ]
 
 
+class TestIndexMap:
+    def test_matches_fluid_rack_registry_order(self):
+        # The map is derived from the specs alone, so it must reproduce
+        # FluidRack's registry -- job ids in first-appearance order, with
+        # their stage counts.
+        spec = make_spec(n_stages=11, n_jobs=4)
+        index_map = ShardIndexMap([spec])
+        rack = FluidRack(spec, small_fluid())
+        assert index_map.rack_job_ids[0] == tuple(rack.job_ids)
+        counts = np.bincount(rack.job_of, minlength=len(rack.job_ids))
+        assert index_map.rack_stage_counts[0] == tuple(counts.tolist())
+
+    def test_slots_are_contiguous_per_rack(self):
+        specs = [make_spec(index=0), make_spec(n_jobs=3, index=1)]
+        index_map = ShardIndexMap(specs)
+        assert index_map.n_slots == 2 + 3
+        assert index_map.rack_slice("rack0") == slice(0, 2)
+        assert index_map.rack_slice("rack1") == slice(2, 5)
+        assert index_map.slot_of("rack1", "job2") == 4
+        assert index_map.slot_of("rack0", "job2") == -1
+        assert index_map.slot_of("ghost", "job0") == -1
+
+    def test_duplicate_rack_ids_rejected(self):
+        with pytest.raises(ConfigError):
+            ShardIndexMap([make_spec(index=0), make_spec(index=0)])
+
+
+def shard_blocks(n_racks, n_shards):
+    """``n_racks`` small racks cut into ``n_shards`` contiguous blocks,
+    the larger blocks first (the coordinator's partition)."""
+    specs = [make_spec(n_stages=5, n_jobs=3, index=i) for i in range(n_racks)]
+    base, extra = divmod(n_racks, n_shards)
+    blocks, at = [], 0
+    for s in range(n_shards):
+        size = base + (1 if s < extra else 0)
+        blocks.append(specs[at:at + size])
+        at += size
+    return blocks
+
+
+class TestBlockEquality:
+    """N in-process blocks == one block, bit for bit, epoch by epoch."""
+
+    def drive(self, n_shards):
+        pool = ShardPool(shard_blocks(5, n_shards), small_fluid())
+        index_map = pool.index_map
+        outs = []
+        for epoch in range(6):
+            flags, rates = np.zeros(pool.n_slots), np.zeros(pool.n_slots)
+            bursts = np.full(pool.n_slots, BURST_NONE)
+            if epoch == 2:  # cut job1 everywhere, explicit burst
+                for rack_id in index_map.rack_ids:
+                    slot = index_map.slot_of(rack_id, "job1")
+                    flags[slot], rates[slot], bursts[slot] = 1.0, 6.5, 20.0
+            if epoch == 4:  # cut job0 on racks 1 and 4 only, derived burst
+                for k, rack_id in enumerate(index_map.rack_ids[1::3]):
+                    slot = index_map.slot_of(rack_id, "job0")
+                    flags[slot], rates[slot] = 1.0, 3.25 * (k + 1)
+            outs.append(
+                pool.run_epoch_arrays(float(2 * epoch), 2, 2.0, flags, rates, bursts)
+            )
+        return np.stack(outs), [final_fields(f) for f in pool.finish()]
+
+    @pytest.mark.parametrize("n_shards", [2, 3, 4])
+    def test_blocks_match_one_block(self, n_shards):
+        # 5 racks: blocks of 3/2, 2/2/1 and 2/1/1/1.
+        ref_demand, ref_finals = self.drive(1)
+        demand, finals = self.drive(n_shards)
+        assert demand.shape == (6, 5 * 3)
+        assert np.array_equal(demand, ref_demand)
+        assert finals == ref_finals
+
+
 class TestShardInvariance:
     """The tentpole contract: fixed-seed results are bit-identical to the
     single-engine run regardless of how racks are farmed out."""
@@ -329,11 +413,30 @@ class TestShardInvariance:
         assert result.digest() == SMALL_CONFIG_DIGEST
 
     def test_one_resident_worker_computes_the_frozen_literal(self):
-        # use_workers=True puts the single shard behind the real wire.
+        # The one shard a resident worker used to hold is a single
+        # FluidBlock in this process, and it computes the literal.
+        sim = ShardedSimulation(
+            small_config(n_shards=1), algorithm=ProportionalSharing(capacity=150.0)
+        )
+        assert [type(block) for block, _ in sim._pool._blocks] == [FluidBlock]
+        sim.run(30.0)
+        assert sim.finish().digest() == SMALL_CONFIG_DIGEST
+
+    def test_four_shards_run_in_process(self):
+        # Every epoch of a 4-shard run happens with no child process
+        # alive and no shared-memory segment beyond those present before.
+        before = psm_segments()
+        seen = []
+
+        def hook(_plane, _now):
+            seen.append((multiprocessing.active_children(), psm_segments() - before))
+
         result = run_result(
-            small_config(n_shards=1), capacity=150.0, use_workers=True
+            small_config(n_shards=4), capacity=150.0, epoch_hook=hook
         )
         assert result.digest() == SMALL_CONFIG_DIGEST
+        assert seen == [([], set())] * 30
+        assert psm_segments() - before == set()
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_digest_of_a_wrapped_enforcement_log_is_the_literal(self, n_shards):
@@ -422,6 +525,24 @@ def no_updates(pool):
     return zeros, zeros, np.full(pool.n_slots, BURST_NONE)
 
 
+class TestSegmentHygiene:
+    def test_normal_finish_leaves_no_segments(self):
+        before = psm_segments()
+        pool = ShardPool(shard_blocks(4, 2), small_fluid())
+        pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
+        pool.finish()  # closes the pool
+        assert psm_segments() - before == set()
+
+    def test_double_stop_is_clean(self):
+        before = psm_segments()
+        pool = ShardPool(shard_blocks(2, 2), small_fluid())
+        pool.close()
+        pool.close()
+        assert psm_segments() - before == set()
+        with pytest.raises(ConfigError):
+            pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
+
+
 class TestLifecycle:
     def test_run_is_single_shot_and_validates_duration(self):
         sim = ShardedSimulation(small_config())
@@ -446,6 +567,8 @@ class TestLifecycle:
     def test_pool_context_manager_and_empty_shards_rejected(self):
         with pytest.raises(ConfigError):
             ShardPool([], small_fluid())
+        with pytest.raises(ConfigError):
+            ShardPool([[make_spec(index=0)], []], small_fluid())
         with ShardPool([[make_spec()]], small_fluid()) as pool:
             demand = pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
             assert pool.index_map.rack_ids == ("rack0",)
