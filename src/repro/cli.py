@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: [tool.padll-lint] paths)",
+        help="files or directories to lint (default: src/repro under the "
+        "directory holding pyproject.toml)",
     )
     lint.add_argument(
         "--format",
@@ -226,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="report format (json is the CI artifact schema; sarif feeds "
         "GitHub code scanning)",
-    )
-    lint.add_argument(
-        "--config",
-        metavar="PYPROJECT",
-        default=None,
-        help="pyproject.toml holding [tool.padll-lint] (default: nearest)",
     )
     lint.add_argument(
         "--verbose",
@@ -613,8 +608,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
     try:
-        config = load_config(Path(args.config) if args.config else None)
-        result = lint_paths([Path(p) for p in args.paths] or None, config)
+        result = lint_paths([Path(p) for p in args.paths] or None, load_config())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

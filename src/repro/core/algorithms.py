@@ -326,9 +326,11 @@ class DominantResourceFairness(AllocationAlgorithm):
     monotone in ``s``, so the search converges geometrically).
     """
 
-    #: Registered scalar-only (VEC001): the binary search over the
-    #: dominant share has no array formulation yet, so the hierarchy's
-    #: vectorised control tier intentionally runs this scalar path.
+    #: Registered scalar-only (``tests/core/test_contracts.py`` requires
+    #: it of an allocator without ``allocate_arrays``): the binary search
+    #: over the dominant share has no array formulation yet, so the
+    #: hierarchy's vectorised control tier intentionally runs this scalar
+    #: path.
     scalar_only = True
 
     def __init__(

@@ -12,7 +12,8 @@ blocks: ``append`` / ``extend`` fill a row block, and ``extend_rows``
 stores the vector cycle's ``(now, job_ids, rates)`` as one column block
 whose row tuples are created only when the log is read.  It preserves
 everything the experiments rely on: ``append``, ``len``, iteration
-order, indexing/slicing, and equality against plain lists and tuples.
+order, and equality against plain lists and tuples; a reader that wants
+one row indexes a :meth:`~RingLog.snapshot`.
 ``dropped`` counts entries that fell off the front, so tests (and
 operators) can tell a truncated trail from a short one.
 """
@@ -159,14 +160,6 @@ class RingLog:
     def __bool__(self) -> bool:
         return self._len > 0
 
-    def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return self.snapshot()[index]
-        # Copy only from the row asked for to the newest; out of range is
-        # ``back >= 0`` (an empty copy) or ``back < -len`` (a short one).
-        back = index - self._len if index >= 0 else index
-        return self.snapshot(max(-back, 0))[back]
-
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, RingLog):
             return len(self) == len(other) and self.snapshot() == other.snapshot()
@@ -194,8 +187,10 @@ class RingLog:
         holds makes it start over.  ``limit`` keeps only the newest
         entries and copies only those.
         """
-        if limit is not None and limit < 0:
-            limit = None
+        if limit is None or limit < 0 or limit > self._limit:
+            # Never more than ``capacity``: a writer shows new rows before
+            # it cuts the oldest, and a copy taken in between holds both.
+            limit = self._capacity
         while True:
             cuts = self._cuts
             if cuts & 1:

@@ -44,10 +44,10 @@ bottom-up as it closes them.  :func:`decode_payload` raises only
 :class:`~repro.errors.WireError`, whatever the payload holds.
 
 Every RPC verb must be registered here via :func:`register_codec` with
-an explicit positional field tuple; the lint rules WIRE001/WIRE002
-statically check that every :class:`~repro.core.rpc.RpcMessage`
-subclass has a registration and that the registered arity matches the
-class's declared fields.
+an explicit positional field tuple: ``tests/core/test_contracts.py``
+checks that every :class:`~repro.core.rpc.RpcMessage` subclass has a
+codec and a handler, and :func:`register_codec` refuses a field tuple
+that differs from the class's own fields.
 """
 
 from __future__ import annotations
@@ -238,10 +238,10 @@ def register_codec(cls: type, tag: str, fields: Tuple[str, ...]) -> None:
     ``fields`` is the exact constructor-argument order; encode reads the
     attributes in that order and decode calls ``cls(*decoded)``.  The
     field tuple is validated against the class's actual attributes at
-    registration time, and statically (arity vs. declared fields) by the
-    WIRE002 lint rule.  Both directions are compiled here, once: the
-    emitter closes over the tag's text and one ``attrgetter`` for all
-    the fields, the reviver over the class and its arity.
+    registration time, that is, when this module is imported.  Both
+    directions are compiled here, once: the emitter closes over the
+    tag's text and one ``attrgetter`` for all the fields, the reviver
+    over the class and its arity.
     """
     _claim(cls, tag)
     fields = tuple(fields)
@@ -478,8 +478,8 @@ def check_hello(frame: Frame) -> Dict[str, Any]:
 
 # -- verb registrations ------------------------------------------------------
 # Every RpcMessage subclass must appear here (or in its defining module)
-# with its full positional field tuple; WIRE001/WIRE002 enforce coverage
-# and arity statically, and register_codec re-validates at import time.
+# with its full positional field tuple; tests/core/test_contracts.py
+# checks coverage, and register_codec validates each tuple at import.
 
 register_enum(OperationType, "OperationType")
 register_enum(OperationClass, "OperationClass")

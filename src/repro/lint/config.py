@@ -1,9 +1,9 @@
-"""Lint configuration: defaults plus the ``[tool.padll-lint]`` table.
+"""Lint configuration: the project's layout, as code defaults.
 
 :data:`DEFAULT_CONFIG` is the one source of this repository's lint
-settings.  A project overrides them key by key in a
-``[tool.padll-lint]`` table of its ``pyproject.toml`` (read with
-``tomllib``, Python 3.11+; on 3.10 the table is ignored).
+settings; nothing reads them from a file.  :func:`load_config` only
+anchors the relative ``paths`` at the project root, so
+``padll-repro lint`` works from any directory inside the checkout.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly on 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - Python 3.10
-    tomllib = None  # type: ignore[assignment]
-
-from repro.errors import ConfigError
-
-__all__ = ["DEFAULT_CONFIG", "LintConfig", "load_config", "find_pyproject"]
+__all__ = ["DEFAULT_CONFIG", "LintConfig", "load_config"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +24,8 @@ class LintConfig:
     #: Roots stripped from file paths to derive dotted module names.
     src_roots: Tuple[str, ...] = ("src",)
     #: Module prefixes where simulated time must come from the engine and
-    #: randomness from threaded Generators (DET001/DET004 scope).
+    #: randomness from threaded Generators (DET001/DET004/DET006/FLT001
+    #: scope).
     deterministic_layers: Tuple[str, ...] = (
         "repro.simulation",
         # Covered by the 'repro.simulation' prefix already, but the sharded
@@ -55,10 +49,6 @@ class LintConfig:
     )
     #: Module prefixes holding the LD_PRELOAD-analogue shim (INT001 scope).
     interpose_layers: Tuple[str, ...] = ("repro.interpose",)
-    #: Path substrings to skip entirely.
-    exclude: Tuple[str, ...] = ()
-    #: Rule ids disabled project-wide.
-    disable: Tuple[str, ...] = ()
     #: Directory the relative entries above resolve against.
     root: str = "."
 
@@ -89,52 +79,13 @@ def _strip_init(parts: Tuple[str, ...]) -> Tuple[str, ...]:
 
 DEFAULT_CONFIG = LintConfig()
 
-_KEYS = {
-    "paths": "paths",
-    "src-roots": "src_roots",
-    "deterministic-layers": "deterministic_layers",
-    "interpose-layers": "interpose_layers",
-    "exclude": "exclude",
-    "disable": "disable",
-}
 
-
-def find_pyproject(start: Optional[Path] = None) -> Optional[Path]:
-    """Nearest ``pyproject.toml`` at or above ``start`` (default: cwd)."""
-    here = (start or Path.cwd()).resolve()
+def load_config(start: Optional[Path] = None) -> LintConfig:
+    """:data:`DEFAULT_CONFIG` rooted at the project: the nearest directory
+    at or above ``start`` (default: the working directory) that holds a
+    ``pyproject.toml``, or the working directory when none does."""
+    here = Path(start or Path.cwd()).absolute()
     for candidate in (here, *here.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            return pyproject
-    return None
-
-
-def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Load ``[tool.padll-lint]``; missing file/table/tomllib -> defaults."""
-    if pyproject is None:
-        pyproject = find_pyproject()
-    if pyproject is None:
-        return DEFAULT_CONFIG
-    pyproject = Path(pyproject)
-    config = replace(DEFAULT_CONFIG, root=str(pyproject.parent))
-    if tomllib is None:  # Python 3.10
-        return config
-    try:
-        with open(pyproject, "rb") as fh:
-            doc = tomllib.load(fh)
-    except (OSError, tomllib.TOMLDecodeError) as exc:
-        raise ConfigError(f"cannot read {pyproject}: {exc}") from None
-    table = doc.get("tool", {}).get("padll-lint", {})
-    if not isinstance(table, dict):
-        raise ConfigError("[tool.padll-lint] must be a table")
-    updates = {}
-    for key, value in table.items():
-        attr = _KEYS.get(key)
-        if attr is None:
-            raise ConfigError(f"unknown [tool.padll-lint] key: {key!r}")
-        if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value
-        ):
-            raise ConfigError(f"[tool.padll-lint] {key} must be a list of strings")
-        updates[attr] = tuple(value)
-    return replace(config, **updates)
+        if (candidate / "pyproject.toml").is_file():
+            return replace(DEFAULT_CONFIG, root=str(candidate))
+    return DEFAULT_CONFIG

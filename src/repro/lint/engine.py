@@ -1,14 +1,8 @@
-"""The lint engine: discovery, per-module scan, cross-module pass.
+"""The lint engine: file discovery and the per-module scan.
 
-The engine runs in two passes.  **Pass one** is per-module: each file is
-parsed once, every AST node is dispatched to every applicable per-module
-rule, and a :class:`~repro.lint.project.ModuleFacts` record is collected
-in the same walk-adjacent pipeline.  **Pass two** is cross-module: every
-module's facts are combined into one
-:class:`~repro.lint.project.ProjectContext` and handed to the
-:data:`~repro.lint.project_rules.PROJECT_RULES` (WIRE/VEC/FLT).
-Pragmas suppress findings from both passes identically, and nothing
-else does: there is no baseline to grandfather a finding into.
+Each file is parsed once and every AST node is dispatched to every
+applicable rule.  Pragmas suppress findings, and nothing else does:
+there is no baseline to grandfather a finding into.
 
 File discovery stays sorted and deterministic: the linter itself must
 obey its own DET003, and two runs over one tree render byte-identical
@@ -20,19 +14,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.pragmas import PragmaIndex, scan_pragmas
-from repro.lint.project import ModuleFacts, ProjectContext, collect_facts
-from repro.lint.project_rules import PROJECT_RULES, ProjectRule, all_project_rule_ids
-from repro.lint.rules import RULES, LintContext, Rule
+from repro.lint.pragmas import scan_pragmas
+from repro.lint.rules import RULES, LintContext
 
 __all__ = [
     "LintResult",
-    "ModuleRecord",
     "iter_python_files",
     "lint_paths",
     "lint_source",
@@ -61,104 +52,30 @@ class LintResult:
         return not self.active and not self.parse_errors
 
 
-@dataclass(slots=True)
-class ModuleRecord:
-    """Everything pass one produced for one file."""
-
-    display_path: str
-    findings: List[Finding]
-    facts: Optional[ModuleFacts]
-    pragmas: PragmaIndex
-    parse_error: Optional[str] = None
-
-
-def _select_rules(config: LintConfig, rules: Sequence[Rule]) -> List[Rule]:
-    disabled = set(config.disable)
-    known = (
-        {rule.id for rule in rules}
-        | {rule.id for rule in RULES}
-        | set(all_project_rule_ids())
-    )
-    unknown = disabled - known
-    if unknown:
-        raise ConfigError(f"disable lists unknown rule ids: {sorted(unknown)}")
-    return [rule for rule in rules if rule.id not in disabled]
-
-
-def _select_project_rules(
-    config: LintConfig, project_rules: Sequence[ProjectRule]
-) -> List[ProjectRule]:
-    disabled = set(config.disable)
-    return [rule for rule in project_rules if rule.id not in disabled]
-
-
-def _scan_module(
-    source: str,
-    path: str,
-    config: LintConfig,
-    rules: Sequence[Rule],
-    collect: bool,
-) -> ModuleRecord:
-    """Pass one for a single module: rules + pragmas (+ facts)."""
-    pragmas = scan_pragmas(source)
+def lint_source(
+    source: str, path: str, config: LintConfig
+) -> Tuple[List[Finding], Optional[str]]:
+    """Lint one module's text; returns (findings, parse_error)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return ModuleRecord(
-            display_path=path,
-            findings=[],
-            facts=None,
-            pragmas=pragmas,
-            parse_error=f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}",
-        )
-    module = config.module_for(Path(path))
-    ctx = LintContext(path, module, tree, source, config)
-    active_rules = [
-        rule for rule in _select_rules(config, rules) if rule.applies(ctx)
-    ]
+        return [], f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
+    ctx = LintContext(path, config.module_for(Path(path)), tree, source, config)
+    active_rules = [rule for rule in RULES if rule.applies(ctx)]
     if active_rules:
         for node in ast.walk(tree):
             for rule in active_rules:
                 rule.check(node, ctx)
+    pragmas = scan_pragmas(source)
     findings = []
     for finding in sorted(ctx.findings, key=lambda f: (f.line, f.col, f.rule)):
         if pragmas.suppresses(finding.rule, finding.line):
             finding = Finding(**{**finding.to_dict(), "suppressed": True})
         findings.append(finding)
-    facts = collect_facts(tree, path, module, source) if collect else None
-    return ModuleRecord(
-        display_path=path,
-        findings=findings,
-        facts=facts,
-        pragmas=pragmas,
-        parse_error=None,
-    )
+    return findings, None
 
 
-def lint_source(
-    source: str,
-    path: str,
-    config: LintConfig,
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Finding], Optional[str]]:
-    """Lint one module's text; returns (findings, parse_error).
-
-    Per-module pass only -- the cross-module rules need every module's
-    facts and run in :func:`lint_paths`.
-    """
-    record = _scan_module(
-        source,
-        path,
-        config,
-        rules if rules is not None else RULES,
-        collect=False,
-    )
-    return record.findings, record.parse_error
-
-
-def iter_python_files(
-    paths: Iterable[Path], exclude: Tuple[str, ...] = ()
-) -> List[Path]:
+def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     """Deterministic (sorted) expansion of files/directories to .py files."""
     files: List[Path] = []
     for path in paths:
@@ -169,83 +86,29 @@ def iter_python_files(
             files.append(path)
         else:
             raise ConfigError(f"lint path does not exist: {path}")
-    seen = set()
-    selected: List[Path] = []
-    for file in files:
-        key = str(file)
-        if key in seen or any(marker in key for marker in exclude):
-            continue
-        seen.add(key)
-        selected.append(file)
-    return selected
+    return list(dict.fromkeys(files))
 
 
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    *,
-    project_rules: Optional[Sequence[ProjectRule]] = None,
 ) -> LintResult:
-    """Lint files/directories through both passes.
-
-    ``rules``/``project_rules`` override the default populations (a
-    custom per-module ``rules`` list skips the project pass unless
-    ``project_rules`` is also given).  Pragmas apply to both passes.
-    """
+    """Lint files/directories (default: the config's ``paths``)."""
     config = config if config is not None else LintConfig()
     if paths is None:
         paths = [config.resolve(entry) for entry in config.paths]
-    per_module_rules = rules if rules is not None else RULES
-    run_project = rules is None or project_rules is not None
-    selected_project = (
-        _select_project_rules(
-            config,
-            project_rules if project_rules is not None else PROJECT_RULES,
-        )
-        if run_project
-        else []
-    )
-    # Validate ``disable`` up front even if no file ends up scanned.
-    _select_rules(config, per_module_rules)
-
     result = LintResult()
-    records: List[ModuleRecord] = []
-    for file in iter_python_files(paths, config.exclude):
+    for file in iter_python_files(paths):
         try:
             source = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             result.parse_errors.append(f"{file}: unreadable: {exc}")
             continue
-        record = _scan_module(
-            source, _display_path(file, config), config, per_module_rules, run_project
-        )
-        records.append(record)
-        if record.parse_error is not None:
-            result.parse_errors.append(record.parse_error)
-    result.files_scanned = len(records)
-
-    # Pass two: the cross-module rules over every module's facts.
-    project_by_path: Dict[str, List[Finding]] = {}
-    if selected_project:
-        context = ProjectContext(
-            [r.facts for r in records if r.facts is not None], config
-        )
-        for rule in selected_project:
-            rule.check_project(context)
-        pragmas_by_path = {r.display_path: r.pragmas for r in records}
-        for finding in context.findings:
-            pragmas = pragmas_by_path.get(finding.path)
-            if pragmas is not None and pragmas.suppresses(
-                finding.rule, finding.line
-            ):
-                finding = Finding(**{**finding.to_dict(), "suppressed": True})
-            project_by_path.setdefault(finding.path, []).append(finding)
-
-    for record in records:
-        merged = record.findings + project_by_path.get(record.display_path, [])
-        merged.sort(key=lambda f: (f.line, f.col, f.rule))
-        result.findings.extend(merged)
+        findings, error = lint_source(source, _display_path(file, config), config)
+        result.files_scanned += 1
+        result.findings.extend(findings)
+        if error is not None:
+            result.parse_errors.append(error)
     return result
 
 

@@ -1,11 +1,11 @@
-"""The rule registry and the initial determinism/interposition rule set.
+"""The rule registry: the determinism, interposition and reduction rules.
 
 Every rule sees every AST node of every scanned module exactly once,
 with the module's :class:`~repro.lint.resolve.ImportResolver` and a
 parent map available through the :class:`LintContext`.  Rules match on
 canonical dotted names, so aliased imports cannot dodge them.
 
-Rule ids are stable API: pragmas, baselines, and CI reference them.
+Rule ids are stable API: pragmas and CI reference them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.resolve import ImportResolver
 
-__all__ = ["LintContext", "Rule", "RULES", "all_rule_ids"]
+__all__ = ["LintContext", "Rule", "RULES"]
 
 
 class LintContext:
@@ -547,6 +547,42 @@ class InterposeReentryRule(Rule):
             )
 
 
+# --------------------------------------------------------------------------
+# FLT001 -- full float reductions in deterministic layers
+# --------------------------------------------------------------------------
+
+
+class FullReductionRule(Rule):
+    id = "FLT001"
+    summary = "full np.sum/.sum() reduction in a deterministic layer"
+
+    def applies(self, ctx: LintContext) -> bool:
+        return ctx.in_deterministic_layer()
+
+    def check(self, node: ast.AST, ctx: LintContext) -> None:
+        # ``np.sum(x, 0)`` or ``axis=`` is an axis-wise reduction, which
+        # does not fold to one scalar.
+        if not isinstance(node, ast.Call) or len(node.args) > 1:
+            return
+        if any(keyword.arg == "axis" for keyword in node.keywords):
+            return
+        if ctx.resolver.resolve_call(node) == "numpy.sum":
+            kind = "np.sum()"
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
+            kind = ".sum()"
+        else:
+            return
+        ctx.emit(
+            self.id,
+            node,
+            f"full {kind} reduction in deterministic layer {ctx.module}: "
+            f"numpy's pairwise summation order depends on the array's "
+            f"length, so a reshaped input changes the bits every digest "
+            f"downstream folds in; route through _seq_sum or justify the "
+            f"shape with a pragma",
+        )
+
+
 RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -555,8 +591,5 @@ RULES: Tuple[Rule, ...] = (
     MutableDefaultRule(),
     TelemetryClockRule(),
     InterposeReentryRule(),
+    FullReductionRule(),
 )
-
-
-def all_rule_ids() -> Tuple[str, ...]:
-    return tuple(rule.id for rule in RULES)

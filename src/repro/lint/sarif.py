@@ -3,7 +3,7 @@
 SARIF is the interchange format GitHub code scanning ingests
 (``github/codeql-action/upload-sarif``), turning lint findings into
 inline PR annotations.  Only what code scanning actually consumes is
-emitted: one run, the full rule metadata table (both passes), and one
+emitted: one run, the full rule metadata table, and one
 ``result`` per finding with a physical location.  Pragma-suppressed
 findings are included with a ``suppressions`` entry -- SARIF viewers
 render them greyed-out rather than losing them -- while active findings
@@ -20,7 +20,6 @@ from typing import Any, Dict, List
 
 from repro.lint.engine import LintResult
 from repro.lint.findings import Finding
-from repro.lint.project_rules import PROJECT_RULES
 from repro.lint.rules import RULES
 
 __all__ = ["SARIF_SCHEMA", "SARIF_VERSION", "render_sarif"]
@@ -36,7 +35,7 @@ _DOCS_URI = "docs/LINT.md"
 
 def _rule_metadata() -> List[Dict[str, Any]]:
     entries = []
-    for rule in (*RULES, *PROJECT_RULES):
+    for rule in RULES:
         entries.append(
             {
                 "id": rule.id,

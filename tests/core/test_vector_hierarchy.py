@@ -12,6 +12,9 @@ eviction mid-run.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -106,12 +109,24 @@ def assert_planes_identical(make_algorithm, **kw):
     return ref_cp, vec_cp
 
 
+#: The enforcement log of ``test_proportional_sharing_cycle_for_cycle``:
+#: the vector cycle there folds the locals' ``AggregateStats`` entries,
+#: unpacked positionally, so a reordered payload moves this literal.
+PROPORTIONAL_LOG_DIGEST = (
+    "b75a045ebf5db0df5103f8af3069086cc3c05ff13f073edc5605f8311cc161ba"
+)
+
+
 class TestPlaneEquality:
     def test_proportional_sharing_cycle_for_cycle(self):
         ref, vec = assert_planes_identical(
             lambda: ProportionalSharing(capacity=90.0)
         )
-        assert len(list(vec.enforcement_log)) > 0
+        rows = [[now.hex(), job, rate.hex()] for now, job, rate in vec.enforcement_log]
+        assert len(rows) == 30
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            PROPORTIONAL_LOG_DIGEST
+        )
 
     def test_priority_partition_cycle_for_cycle(self):
         rates = {f"job{j}": 5.0 + 2.5 * j for j in range(3)}

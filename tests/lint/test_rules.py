@@ -254,6 +254,47 @@ class TestINT001InterposeReentry:
         assert active_rules(code, FREE_PATH) == []
 
 
+class TestFLT001FullReduction:
+    DIGEST = """
+    import hashlib
+
+    import numpy as np
+
+
+    def digest(arr):
+        return hashlib.sha256(repr(total(arr)).encode()).hexdigest()
+
+
+    def total(arr):
+        return float(np.sum(arr))
+    """
+
+    def test_flags_full_sum_on_a_digest_path(self):
+        findings = run_lint(self.DIGEST)
+        assert [f.rule for f in findings] == ["FLT001"]
+        assert "np.sum" in findings[0].source
+
+    def test_flags_bare_sum_with_no_digest_anywhere(self):
+        # Per module: a full reduction fires whether or not anything in
+        # the program hashes it.
+        code = "import numpy as np\ndef f(x):\n    return np.sum(x) + x.sum()\n"
+        assert active_rules(code) == ["FLT001", "FLT001"]
+
+    def test_axis_reduction_is_exempt(self):
+        code = self.DIGEST.replace("np.sum(arr)", "np.sum(arr, axis=0)[0]")
+        assert active_rules(code) == []
+
+    def test_ignores_outside_deterministic_layers(self):
+        assert active_rules(self.DIGEST, FREE_PATH) == []
+
+    def test_pragma_suppresses(self):
+        code = self.DIGEST.replace(
+            "np.sum(arr))", "np.sum(arr))  # padll: allow(FLT001)"
+        )
+        findings = run_lint(code)
+        assert [(f.rule, f.suppressed) for f in findings] == [("FLT001", True)]
+
+
 class TestFindingMetadata:
     def test_finding_carries_location_and_source(self):
         finding = run_lint("import time\nt = time.time()\n")[0]

@@ -5,18 +5,18 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_paths, load_config
+from repro.lint import LintConfig, lint_paths
 from repro.lint.rules import PATCHED_OS_NAMES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+CONFIG = LintConfig(root=str(REPO_ROOT))
 
 
 class TestSelfCheck:
     def test_src_repro_lints_clean(self):
         # No baseline to subtract: every intentional exemption is an
         # in-source pragma.
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        result = lint_paths(config=config)
+        result = lint_paths(config=CONFIG)
         assert result.parse_errors == []
         assert result.active == [], "\n".join(
             finding.render() for finding in result.active
@@ -36,42 +36,9 @@ class TestSelfCheck:
         target = tmp_path / "src" / "repro" / "simulation" / "engine.py"
         target.parent.mkdir(parents=True)
         target.write_text(seeded)
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        result = lint_paths([target], config)
+        result = lint_paths([target], CONFIG)
         assert [f.rule for f in result.active] == ["DET001"]
         assert result.active[0].line > len(engine_src.splitlines()) - 1
-
-    def test_seeded_cross_module_violation_is_caught(self, tmp_path):
-        # Project-pass rehearsal on the real tree: copy src/, append an
-        # RPC verb that is constructed but neither handled nor codec-
-        # registered anywhere, and assert both WIRE001 findings appear
-        # (the CI lint job runs the same injection through the CLI).
-        import shutil
-
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        session = tmp_path / "src" / "repro" / "core" / "session.py"
-        session.write_text(
-            session.read_text(encoding="utf-8")
-            + (
-                "\n\nfrom repro.core.rpc import RpcMessage\n"
-                "\n\nclass _RehearsalVerb(RpcMessage):\n"
-                '    """Constructed below, handled nowhere."""\n'
-                "\n\ndef _rehearsal_send():\n"
-                "    return _RehearsalVerb()\n"
-            ),
-            encoding="utf-8",
-        )
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        from dataclasses import replace
-
-        result = lint_paths(
-            [tmp_path / "src"], replace(config, root=str(tmp_path))
-        )
-        assert [f.rule for f in result.active] == ["WIRE001", "WIRE001"]
-        assert all(f.path.endswith("session.py") for f in result.active)
-        messages = " | ".join(f.message for f in result.active)
-        assert "dispatcher" in messages
-        assert "no register_codec registration" in messages
 
     def test_patched_os_table_covers_monkeypatch_surface(self):
         # INT001's entry-point list must cover everything the Interposer
@@ -85,8 +52,7 @@ class TestSelfCheck:
     def test_linter_obeys_its_own_rules(self):
         # repro.lint is not a deterministic layer, but DET003/DET005 are
         # tree-wide; the linter's own sources must pass them.
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        result = lint_paths([REPO_ROOT / "src/repro/lint"], config)
+        result = lint_paths([REPO_ROOT / "src/repro/lint"], CONFIG)
         assert result.active == [], "\n".join(
             finding.render() for finding in result.active
         )

@@ -71,6 +71,13 @@ SMALL_CONFIG_DIGEST = (
 )
 
 
+#: ``small_config()`` + the DRF below
+#: (``test_algorithm_without_array_verb_is_shard_invariant``): the scalar
+#: cycle, whose rates reach the slots through ``EnforceJobRateBatch``
+#: entries unpacked one by one.
+DRF_DIGEST = "d533e53af20bc4d871a3e429f0a8ea35f0f96143f889bd1aed5c06e13b365dfe"
+
+
 #: ``padll-repro sharded --jobs 2500 --stages-per-job 4 --racks 32
 #: --clients-per-stage 100 --duration 40 --step-period 15 --digest-only``:
 #: 40 cycles x 2 500 jobs push 100 000 rows through the 65 536-row
@@ -468,7 +475,7 @@ class TestShardInvariance:
         one = run_result(small_config(n_shards=1), algorithm=drf())
         two = run_result(small_config(n_shards=2), algorithm=drf())
         assert len(one.enforcement_log) == 30 * 6
-        assert one.digest() == two.digest()
+        assert one.digest() == two.digest() == DRF_DIGEST
         # Enforcement really landed: DRF caps what an uncapped run delivers.
         free = run_result(small_config(n_shards=1))
         assert one.delivered_ops < free.delivered_ops

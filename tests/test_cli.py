@@ -149,11 +149,10 @@ class TestExport:
 class TestLintCommand:
     @staticmethod
     def _tree(tmp_path, body: str):
-        (tmp_path / "pyproject.toml").write_text("[tool.padll-lint]\n")
         module = tmp_path / "src" / "repro" / "simulation" / "mod.py"
         module.parent.mkdir(parents=True)
         module.write_text(body)
-        return str(tmp_path / "pyproject.toml"), str(module)
+        return str(module)
 
     def test_listed_in_help(self, capsys):
         help_text = build_parser().format_help()
@@ -161,39 +160,42 @@ class TestLintCommand:
         assert "static-analysis" in help_text
 
     def test_clean_file_exits_zero(self, tmp_path, capsys):
-        config, module = self._tree(tmp_path, "x = 1\n")
-        assert main(["lint", module, "--config", config]) == 0
+        module = self._tree(tmp_path, "x = 1\n")
+        assert main(["lint", module]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
-        config, module = self._tree(tmp_path, "import time\nt = time.time()\n")
-        assert main(["lint", module, "--config", config]) == 1
+        module = self._tree(tmp_path, "import time\nt = time.time()\n")
+        assert main(["lint", module]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out
         assert "time.time" in out
 
     def test_bad_path_is_usage_error(self, tmp_path, capsys):
-        config, _ = self._tree(tmp_path, "x = 1\n")
-        rc = main(["lint", str(tmp_path / "ghost.py"), "--config", config])
+        rc = main(["lint", str(tmp_path / "ghost.py")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_json_format_is_machine_readable(self, tmp_path, capsys):
         import json
 
-        config, module = self._tree(tmp_path, "import time\nt = time.time()\n")
-        assert main(["lint", module, "--config", config, "--format", "json"]) == 1
+        module = self._tree(tmp_path, "import time\nt = time.time()\n")
+        assert main(["lint", module, "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
         assert doc["active_by_rule"]["DET001"] == 1
         assert doc["findings"][0]["rule"] == "DET001"
 
-    def test_self_lint_of_repo_tree(self, capsys):
-        # The committed tree must gate clean through the real CLI path.
+    def test_self_lint_of_repo_tree(self, capsys, monkeypatch):
+        # The committed tree must gate clean through the real CLI path,
+        # from any directory of the checkout.
         from pathlib import Path
 
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        assert main(["lint", "--config", str(pyproject)]) == 0
+        monkeypatch.chdir(Path(__file__).resolve().parents[1] / "src" / "repro")
+        assert main(["lint"]) == 0
+        # The default paths resolved at the checkout root, not in the cwd.
+        scanned = int(capsys.readouterr().out.split(" across ")[1].split()[0])
+        assert scanned > 60
 
 
 class TestSweepCommand:

@@ -58,8 +58,9 @@ REASONS = (
 #: a function it names is deleted with its tests, or earns a line with one
 #: of ``REASONS`` -- not a caller added to quiet it.
 KEPT_UNREACHED: Dict[str, str] = {
-    "repro.core.algorithms:PriorityPartition.allocate_arrays": "reference: VEC001 pairs it "
-    "with allocate(); tests/core/test_vector_hierarchy.py holds the two bit-identical",
+    "repro.core.algorithms:PriorityPartition.allocate_arrays": "reference: "
+    "tests/core/test_contracts.py pairs it with allocate(); "
+    "tests/core/test_vector_hierarchy.py holds the two bit-identical",
     "repro.core.differentiation:Classifier.remove_rule": "paper verb: RemoveRule "
     "(wire golden corpus)",
     "repro.core.stage:StageCore.remove_channel": "paper verb: RemoveChannel "
@@ -73,12 +74,12 @@ KEPT_UNREACHED: Dict[str, str] = {
     "repro.core.ringlog:RingLog.__eq__": "reference: flat == hier and InProc == TCP "
     "compare enforcement logs with it",
     "repro.core.ringlog:RingLog.__repr__": "reference: what a failed log comparison prints",
+    "repro.core.ringlog:RingLog._drop": "boundary: a log past its capacity (the wrapped-log "
+    "digest of tests/simulation/test_sharded.py and the sharded-smoke CI job)",
     "repro.core.transport:InProcTransport.call": "reference: direct delivery, the "
     "in-process side of tests/net (the fabric goes through handler())",
     "repro.core.wire:_emit_base": "fault path: a value whose exact type has no emitter",
     "repro.core.wire:raise_error": "fault path: an error reply re-raised at the caller",
-    "repro.lint.engine:lint_source": "reference: one-module entry the rule tests lint "
-    "snippets through",
     "repro.lint.rules:LintContext.parent": "fault path: walked only in a module that "
     "holds what a rule polices",
     "repro.lint.rules:LintContext.wrapped_in": "fault path: DET003's sorted() check, "
