@@ -1,8 +1,8 @@
 """Control algorithms: cluster-wide rate allocation across jobs.
 
 The control plane's feedback loop measures each job's demand and hands the
-list to an allocation algorithm, which returns the per-job rates to
-enforce.  Three allocators are provided:
+per-job arrays to an allocation algorithm, which returns the per-job
+rates to enforce.  Four allocators are provided:
 
 * :class:`StaticPartition` -- every job gets the same fixed rate
   (the paper's *Static* setup: 75 KOps/s each under a 300 KOps/s cap);
@@ -17,8 +17,7 @@ enforce.  Three allocators are provided:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,13 +40,12 @@ MIN_RATE = 1e-9
 def _seq_sum(values: np.ndarray) -> float:
     """Sum in Python's left-to-right order, not ``np.sum``'s pairwise order.
 
-    The vectorised allocators are bit-identity twins of the scalar ones,
-    and IEEE-754 addition is not associative: every reduction whose result
-    feeds an allocation must replay the scalar path's ``sum(list)``
-    accumulation order exactly.  ``np.add.accumulate`` adds strictly left
-    to right in C; ``+ 0.0`` turns an all-``-0.0`` total into the ``+0.0``
-    that ``sum(list, 0.0)`` returns (tests/core/test_seq_sum.py pins the
-    two bit for bit).
+    IEEE-754 addition is not associative, and the golden digests were
+    built on ``sum(list)``: every reduction whose result feeds an
+    allocation keeps that accumulation order.  ``np.add.accumulate`` adds
+    strictly left to right in C; ``+ 0.0`` turns an all-``-0.0`` total
+    into the ``+0.0`` that ``sum(list, 0.0)`` returns
+    (tests/core/test_seq_sum.py pins the two bit for bit).
     """
     if not values.size:
         return 0.0
@@ -76,17 +74,34 @@ class JobDemand:
 
 
 class AllocationAlgorithm:
-    """Interface: demands in, per-job rates out.
+    """Interface: per-job arrays in, per-job rates out.
 
-    Allocators may additionally implement ``allocate_arrays(job_ids,
-    demand, reservation) -> np.ndarray`` -- the vectorised twin of
-    :meth:`allocate` over parallel per-job arrays, required to return
-    bit-identical rates (the hierarchical plane's vector path probes for
-    it with ``getattr`` and falls back to :meth:`allocate` otherwise).
+    An allocator implements ``allocate_arrays(job_ids, demand,
+    reservation) -> np.ndarray``: ``demand`` and ``reservation`` are
+    float arrays aligned to the ``job_ids`` tuple, and the result is one
+    rate per job in the same order.  The control plane calls it once per
+    cycle, with the same ``job_ids`` tuple object for as long as the
+    placement does not change.
     """
 
-    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
+    def allocate_arrays(
+        self,
+        job_ids: Tuple[str, ...],
+        demand: np.ndarray,
+        reservation: np.ndarray,
+    ) -> np.ndarray:
         raise NotImplementedError  # pragma: no cover - interface
+
+    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
+        """:meth:`allocate_arrays` for a list of :class:`JobDemand`,
+        keyed by job id."""
+        job_ids = tuple(d.job_id for d in demands)
+        rates = self.allocate_arrays(
+            job_ids,
+            np.array([d.demand for d in demands], dtype=float),
+            np.array([d.reservation for d in demands], dtype=float),
+        )
+        return dict(zip(job_ids, rates.tolist()))
 
 
 class StaticPartition(AllocationAlgorithm):
@@ -96,9 +111,6 @@ class StaticPartition(AllocationAlgorithm):
         if rate_per_job <= 0:
             raise PolicyError(f"per-job rate must be positive, got {rate_per_job}")
         self.rate_per_job = float(rate_per_job)
-
-    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
-        return {d.job_id: self.rate_per_job for d in demands}
 
     def allocate_arrays(
         self,
@@ -122,15 +134,6 @@ class PriorityPartition(AllocationAlgorithm):
         self.default = default
         self._ids_cache: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
 
-    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for d in demands:
-            rate = self.rates.get(d.job_id, self.default)
-            if rate is None:
-                raise PolicyError(f"no priority rate configured for job {d.job_id!r}")
-            out[d.job_id] = rate
-        return out
-
     def allocate_arrays(
         self,
         job_ids: Tuple[str, ...],
@@ -152,58 +155,18 @@ class PriorityPartition(AllocationAlgorithm):
         return out
 
 
-def weighted_max_min(
-    capacity: float,
-    demands: Sequence[float],
-    weights: Sequence[float],
-) -> list[float]:
-    """Weighted max-min fair allocation (progressive water-filling).
-
-    Returns per-entry allocations with sum <= capacity, each <= its demand,
-    and leftover capacity split in proportion to ``weights`` among entries
-    whose demand is not yet met.  Runs in O(n log n).
-    """
-    if capacity < 0:
-        raise PolicyError(f"capacity must be >= 0, got {capacity}")
-    n = len(demands)
-    if n != len(weights):
-        raise PolicyError("demands and weights length mismatch")
-    alloc = [0.0] * n
-    remaining_cap = capacity
-    # Entries still below their demand; weight zero entries can only receive
-    # capacity after all weighted entries are satisfied (they have no claim),
-    # so give them a tiny epsilon weight instead of special-casing.
-    eps_w = 1e-12
-    unmet = [i for i in range(n) if demands[i] > 0]
-    w = [max(weights[i], eps_w) for i in range(n)]
-    while unmet and remaining_cap > 1e-12:
-        total_w = sum(w[i] for i in unmet)
-        # Fill level at which the first unmet entry saturates.
-        level = min((demands[i] - alloc[i]) / w[i] for i in unmet)
-        step = remaining_cap / total_w
-        if step <= level:
-            # Capacity exhausts before anyone saturates: final split.
-            for i in unmet:
-                alloc[i] += step * w[i]
-            remaining_cap = 0.0
-            break
-        for i in unmet:
-            alloc[i] += level * w[i]
-        remaining_cap -= level * total_w
-        unmet = [i for i in unmet if demands[i] - alloc[i] > 1e-9]
-    return alloc
-
-
 def weighted_max_min_arrays(
     capacity: float, demands: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Vectorised twin of :func:`weighted_max_min`, bit-identical.
+    """Weighted max-min fair allocation (progressive water-filling).
 
-    Same progressive water-filling over an ascending unmet index array:
-    elementwise multiplies/adds/compares are IEEE-identical to the scalar
-    loop's, ``np.min`` selects (never re-associates), and the one
-    order-sensitive reduction -- the unmet weight total -- goes through
-    :func:`_seq_sum` to replay Python ``sum``'s left-to-right adds.
+    Returns per-entry allocations with sum <= capacity, each <= its
+    demand, and leftover capacity split in proportion to ``weights``
+    among entries whose demand is not yet met.  A zero weight counts as
+    a tiny epsilon: such an entry has no claim until every weighted one
+    is satisfied.  The unmet set is an ascending index array; ``np.min``
+    selects (never re-associates), and the one order-sensitive reduction
+    -- the unmet weight total -- goes through :func:`_seq_sum`.
     """
     if capacity < 0:
         raise PolicyError(f"capacity must be >= 0, got {capacity}")
@@ -260,18 +223,16 @@ class ProportionalSharing(AllocationAlgorithm):
         demand: np.ndarray,
         reservation: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised twin of :meth:`allocate`, bit-identical.
+        """Reservations first, then the leftover water-filled by reservation.
 
-        Every expression mirrors the scalar path one-for-one: elementwise
-        headroom/min/max/add are IEEE-identical, and the two reductions
-        whose results feed allocations (total reservation, phase-1 total)
-        use :func:`_seq_sum` to keep Python ``sum``'s accumulation order.
+        The two reductions whose results feed allocations (total
+        reservation, phase-1 total) use :func:`_seq_sum`.
         """
         n = len(job_ids)
         if n == 0:
             return np.zeros(0)
-        # Same duplicate guard as allocate(); the plane hands the same
-        # tuple object every cycle, so validate each distinct tuple once.
+        # The plane hands the same tuple object every cycle, so validate
+        # each distinct tuple once.
         if job_ids != self._checked_ids:
             if len(set(job_ids)) != n:
                 raise PolicyError(
@@ -292,28 +253,9 @@ class ProportionalSharing(AllocationAlgorithm):
         extra = weighted_max_min_arrays(leftover, residual, reservations)
         return np.maximum(MIN_RATE, alloc + extra)
 
-    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
-        if not demands:
-            return {}
-        ids = [d.job_id for d in demands]
-        if len(set(ids)) != len(ids):
-            raise PolicyError(f"duplicate job ids in demand list: {ids}")
-        wants = [d.demand * self.headroom for d in demands]
-        reservations = [d.reservation for d in demands]
-        total_res = sum(reservations)
-        if total_res > self.capacity and total_res > 0:
-            scale = self.capacity / total_res
-            reservations = [r * scale for r in reservations]
-        # Phase 1: satisfy reservations (up to demand).
-        alloc = [min(w, r) for w, r in zip(wants, reservations)]
-        leftover = max(0.0, self.capacity - sum(alloc))  # clamp float error
-        # Phase 2: water-fill the leftover proportionally to reservations.
-        residual = [max(0.0, w - a) for w, a in zip(wants, alloc)]
-        extra = weighted_max_min(leftover, residual, reservations)
-        return {
-            jid: max(MIN_RATE, a + e)
-            for jid, a, e in zip(ids, alloc, extra)
-        }
+    #: ``bench/`` patches this name in the class's own ``__dict__``
+    #: (``tests/test_bench_contract.py``).
+    allocate = AllocationAlgorithm.allocate
 
 
 class DominantResourceFairness(AllocationAlgorithm):
@@ -325,13 +267,6 @@ class DominantResourceFairness(AllocationAlgorithm):
     no resource is over-committed, via binary search (allocations are
     monotone in ``s``, so the search converges geometrically).
     """
-
-    #: Registered scalar-only (``tests/core/test_contracts.py`` requires
-    #: it of an allocator without ``allocate_arrays``): the binary search
-    #: over the dominant share has no array formulation yet, so the
-    #: hierarchy's vectorised control tier intentionally runs this scalar
-    #: path.
-    scalar_only = True
 
     def __init__(
         self,
@@ -362,36 +297,43 @@ class DominantResourceFairness(AllocationAlgorithm):
         usage = self.usages[job_id]
         return max(usage[r] / self.capacities[r] for r in usage)
 
-    def _rates_at(self, s: float, demands: Sequence[JobDemand]) -> list[float]:
+    def _rates_at(
+        self, s: float, job_ids: Sequence[str], demands: Sequence[float]
+    ) -> list[float]:
         return [
-            min(d.demand, s / self._dominant(d.job_id)) if d.demand > 0 else 0.0
-            for d in demands
+            min(d, s / self._dominant(job_id)) if d > 0 else 0.0
+            for job_id, d in zip(job_ids, demands)
         ]
 
-    def _feasible(self, rates: Sequence[float], demands: Sequence[JobDemand]) -> bool:
+    def _feasible(self, rates: Sequence[float], job_ids: Sequence[str]) -> bool:
         for res, cap in self.capacities.items():
             used = sum(
-                self.usages[d.job_id].get(res, 0.0) * x
-                for d, x in zip(demands, rates)
+                self.usages[job_id].get(res, 0.0) * x
+                for job_id, x in zip(job_ids, rates)
             )
             if used > cap * (1 + 1e-9):
                 return False
         return True
 
-    def allocate(self, demands: Sequence[JobDemand]) -> Dict[str, float]:
-        if not demands:
-            return {}
-        for d in demands:
-            if d.job_id not in self.usages:
-                raise PolicyError(f"no usage vector for job {d.job_id!r}")
+    def allocate_arrays(
+        self,
+        job_ids: Tuple[str, ...],
+        demand: np.ndarray,
+        reservation: np.ndarray,
+    ) -> np.ndarray:
+        """Binary search over the dominant share, on Python lists."""
+        for job_id in job_ids:
+            if job_id not in self.usages:
+                raise PolicyError(f"no usage vector for job {job_id!r}")
+        demands = demand.tolist()
         # Upper bound for the dominant share: 1.0 (a job owning its entire
         # dominant resource).
         lo, hi = 0.0, 1.0
-        if not self._feasible(self._rates_at(hi, demands), demands):
+        if not self._feasible(self._rates_at(hi, job_ids, demands), job_ids):
             # Binary search in (lo, hi].
             for _ in range(200):
                 mid = (lo + hi) / 2
-                if self._feasible(self._rates_at(mid, demands), demands):
+                if self._feasible(self._rates_at(mid, job_ids, demands), job_ids):
                     lo = mid
                 else:
                     hi = mid
@@ -400,7 +342,4 @@ class DominantResourceFairness(AllocationAlgorithm):
             s = lo
         else:
             s = hi
-        rates = self._rates_at(s, demands)
-        return {
-            d.job_id: max(MIN_RATE, x) for d, x in zip(demands, rates)
-        }
+        return np.maximum(MIN_RATE, np.array(self._rates_at(s, job_ids, demands), dtype=float))

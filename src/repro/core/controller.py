@@ -17,9 +17,10 @@ distributed jobs with one stage per application instance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError, PolicyError, RPCError, StageNotRegistered
 from repro.core.algorithms import AllocationAlgorithm, JobDemand, MIN_RATE
@@ -210,6 +211,14 @@ class ControlPlane:
         #: the loop saw and what it pushed.
         self._telemetry = telemetry
         self._prev_rates: Dict[str, float] = {}
+        # The cycle's frozen job order, rebuilt lazily when placement
+        # changes; reservations have their own dirty flag since
+        # set_reservation moves no stage.
+        self._placement_version = 0
+        self._vec_version = -1
+        self._vec_job_ids: Tuple[str, ...] = ()
+        self._vec_res: Optional[np.ndarray] = None
+        self._vec_res_dirty = True
 
     # -- registration -------------------------------------------------------
     def register(
@@ -247,6 +256,7 @@ class ControlPlane:
             )
             self._jobs[identity.job_id] = job
         job.stage_ids.append(identity.stage_id)
+        self._placement_version += 1
 
     def _forget_stage(self, stage_id: str) -> StageIdentity:
         """Undo :meth:`_record_stage`; the job goes with its last stage."""
@@ -258,6 +268,7 @@ class ControlPlane:
         job.stage_ids.remove(stage_id)
         if not job.stage_ids:
             del self._jobs[identity.job_id]
+        self._placement_version += 1
         return identity
 
     def _drop_endpoint(self, endpoint: str) -> None:
@@ -296,6 +307,38 @@ class ControlPlane:
         job = self._jobs.get(job_id)
         if job is not None:
             job.reservation = rate
+        self._vec_res_dirty = True
+
+    @property
+    def placement_version(self) -> int:
+        """Bumps whenever a stage registers, deregisters, or is evicted.
+
+        Callers holding layout-derived caches (the sharded coordinator's
+        slot scatter map) key them on this.
+        """
+        return self._placement_version
+
+    def vector_job_ids(self) -> Tuple[str, ...]:
+        """The cycle's frozen job order (``self._jobs`` order): the
+        allocator's arrays and the logged rows are aligned to it."""
+        self._ensure_vector_layout()
+        return self._vec_job_ids
+
+    def _ensure_vector_layout(self) -> None:
+        if self._vec_version == self._placement_version:
+            return
+        self._vec_job_ids = tuple(self._jobs)
+        self._vec_res_dirty = True
+        self._vec_version = self._placement_version
+
+    def _reservation_vec(self) -> np.ndarray:
+        if self._vec_res_dirty:
+            jobs = self._jobs
+            self._vec_res = np.array(
+                [jobs[job_id].reservation for job_id in self._vec_job_ids]
+            )
+            self._vec_res_dirty = False
+        return self._vec_res
 
     # -- policies --------------------------------------------------------------
     def install_policy(self, rule: PolicyRule) -> None:
@@ -376,6 +419,15 @@ class ControlPlane:
                 self._record_miss(endpoint, now)
                 continue
             self._missed_collects.pop(endpoint, None)
+            if result is True:
+                # A deferring fabric acknowledges the send; the reply
+                # never comes back to this walk.
+                raise ConfigError(
+                    f"the fabric deferred the collect to {endpoint!r}, so a "
+                    "synchronous collect has no reply to read: set "
+                    "ControlPlaneConfig(async_collect=True) or list "
+                    f"{type(message).__name__} in FaultyFabric(sync_messages=...)"
+                )
             if result is not None:
                 stats[endpoint] = result
                 self._last_stats[endpoint] = result
@@ -515,18 +567,33 @@ class ControlPlane:
     def _enforce_algorithm(
         self, now: float, stats: Dict[str, StageStats]
     ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
-        demands = self._job_demands(stats)
-        if not demands:
+        """The control cycle: demand -> allocate -> clamp -> log -> deliver.
+
+        Runs over arrays aligned to the frozen job order; the enforcement
+        log receives each cycle's ``(now, job_id, rate)`` rows as one
+        column block, built into rows when it is read.  The per-job
+        ``JobDemand`` / rate views exist only for telemetry's
+        ``control.cycle`` event, so they are built only with telemetry.
+        """
+        self._ensure_vector_layout()
+        job_ids = self._vec_job_ids
+        if not job_ids:
             return None, None
-        allocation = self.algorithm.allocate(demands)
-        min_rate = self.config.min_rate
-        enforced: Dict[str, float] = {}
-        for job_id, rate in allocation.items():
-            rate = max(min_rate, rate)
-            enforced[job_id] = rate
-            self.enforcement_log.append((now, job_id, rate))
-        self._push_rates(enforced, self.config.algorithm_channel, now)
-        return demands, enforced
+        demand = self._job_demand_vec(stats)
+        rates = self.algorithm.allocate_arrays(
+            job_ids, demand, self._reservation_vec()
+        )
+        rates = np.maximum(self.config.min_rate, rates)
+        self.enforcement_log.extend_rows(now, job_ids, rates)
+        self._deliver_rates(now, rates)
+        if self._telemetry is None:
+            return None, None
+        jobs = self._jobs
+        demands = [
+            JobDemand(job_id, job_demand, jobs[job_id].reservation)
+            for job_id, job_demand in zip(job_ids, demand.tolist())
+        ]
+        return demands, dict(zip(job_ids, rates.tolist()))
 
     def _emit_cycle(
         self,
@@ -585,9 +652,9 @@ class ControlPlane:
             }
         return {"observed": observed}
 
-    def _job_demands(self, stats: Dict[str, StageStats]) -> List[JobDemand]:
-        """Aggregate per-stage windows into per-job demand signals
-        (:func:`fold_stage_demand` per stage).
+    def _job_demand_vec(self, stats: Dict[str, StageStats]) -> np.ndarray:
+        """Per-job demand in the frozen job order: every stage window
+        folded into its job's entry (:func:`fold_stage_demand`).
 
         Async collects stamp each entry with its *age*; with
         ``stale_halflife`` configured, a stale entry's demand is
@@ -607,14 +674,8 @@ class ControlPlane:
                 if age > 0.0:
                     discount = 0.5 ** (age / halflife)
             fold_stage_demand(per_job_demand, st, channel, loop_interval, discount)
-        return [
-            JobDemand(
-                job_id=job_id,
-                demand=per_job_demand.get(job_id, 0.0),
-                reservation=job.reservation,
-            )
-            for job_id, job in self._jobs.items()
-        ]
+        get = per_job_demand.get
+        return np.array([get(job_id, 0.0) for job_id in self._vec_job_ids])
 
     def _push_job_rate(
         self,
@@ -649,6 +710,15 @@ class ControlPlane:
         (hierarchy overrides: one batch per hosting local)."""
         for job_id, rate in rates.items():
             self._push_job_rate(job_id, channel_id, rate, now)
+
+    def _deliver_rates(self, now: float, rates: np.ndarray) -> None:
+        """Deliver one cycle's clamped rates, aligned to the frozen job
+        order (hierarchy overrides: an array sink, when it has one)."""
+        self._push_rates(
+            dict(zip(self._vec_job_ids, rates.tolist())),
+            self.config.algorithm_channel,
+            now,
+        )
 
     # -- convenience -------------------------------------------------------------
     def last_stats(self, stage_id: str) -> Optional[StageStats]:

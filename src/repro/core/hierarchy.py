@@ -9,21 +9,22 @@ fans a pushed job-level rate out to its stages.  The global plane then
 talks to O(racks) endpoints.
 
 The hierarchical plane *is* the flat plane's loop -- tick, collect walk
-and sessions, policies, allocate/clamp/log, liveness accounting, the
-``control.cycle`` event are all inherited.  It overrides exactly what the
-topology changes:
+and sessions, policies, the allocate/clamp/log cycle over arrays,
+liveness accounting, the ``control.cycle`` event are all inherited.  It
+overrides exactly what the topology changes:
 
 * **endpoints** -- collects poll the attached locals, not stages;
 * **collect message** -- :class:`CollectAggregate` instead of
   ``CollectStats``; the reply is a per-job :class:`AggregateStats`;
-* **demand merge** -- ``_job_demands`` sums per-local partials (below);
+* **demand merge** -- ``_job_demand_vec`` sums per-local partials (below);
 * **fan-out** -- ``_push_rates`` sends one :class:`EnforceJobRateBatch`
   per hosting local instead of one ``EnforceRate`` per stage
-  (``_push_job_rate``, a single policy's push, is a batch of one);
+  (``_push_job_rate``, a single policy's push, is a batch of one), and
+  ``_deliver_rates`` hands the cycle's per-stage rates to an
+  ``enforce_array_sink`` instead when the plane has one;
 * **eviction scope** -- evicting a silent local removes all its stages;
 
-plus the bookkeeping of which local hosts which stage, and the vector
-twin of the allocate step for array-speaking racks.
+plus the bookkeeping of which local hosts which stage.
 
 Equivalence contract: on a fault-free fabric, with every job's stages
 hosted by a single local controller (the placement
@@ -49,7 +50,7 @@ Split-job placement / demand-merge protocol
 Jobs are *not* required to live on one rack.  When a job's stages span
 several locals, each local reports a **partial** per-job demand in its
 :class:`AggregateStats` (folded over just its hosted stages), and
-``_job_demands`` merges the partials at the global tier: ``sum over
+``_job_demand_vec`` merges the partials at the global tier: ``sum over
 locals of partial * staleness_discount``, where the discount
 ``0.5 ** (age / stale_halflife)`` is per-*local* -- one slow rack dims
 only its own contribution to a spanning job, not its rack-mates'.
@@ -79,7 +80,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
-from repro.core.algorithms import JobDemand
 from repro.core.controller import ControlPlane, fold_stage_demand
 from repro.core.rpc import (
     CollectStats,
@@ -149,10 +149,9 @@ class ArrayStats:
     ``demand`` is the per-epoch float64 demand-partial vector aligned to
     them -- no per-job Python objects on the per-cycle path.  The
     :attr:`jobs` property materialises the classic ``(job_id, demand,
-    n_stages)`` triples, so every scalar consumer (``_job_demands``,
-    telemetry's ``_emit_cycle``, tests) reads an ``ArrayStats`` exactly
-    like an :class:`AggregateStats`; the plane's vector path reads the
-    arrays directly instead.
+    n_stages)`` triples, so telemetry's ``control.cycle`` view and tests
+    read an ``ArrayStats`` exactly like an :class:`AggregateStats`; the
+    plane's demand merge reads the arrays directly instead.
     """
 
     __slots__ = ("local_id", "timestamp", "job_ids", "demand", "stage_counts")
@@ -383,22 +382,15 @@ class HierarchicalControlPlane(ControlPlane):
     out through locals, and liveness eviction removes a silent local's
     entire stage population.
 
-    Vectorised global tier: given an ``enforce_array_sink(now,
-    per_stage)`` -- ``per_stage`` aligned to :meth:`vector_job_ids` --
-    and an allocation algorithm that implements ``allocate_arrays``, the
-    per-cycle demand merge, staleness discount, clamping, logging, and
-    per-stage share split all run as numpy reductions over a frozen
-    job-order layout (rebuilt only when placement changes), reading
-    :class:`ArrayStats` demand vectors without building a single per-job
-    Python object, and the per-stage rates go to the sink instead of the
-    RPC fabric (the sharded coordinator points it straight at its
-    scatter staging arrays).  Without a sink -- every
-    :class:`LocalController` world -- or with an algorithm that only has
-    ``allocate`` (DRF), the cycle is the scalar one with batched fabric
-    pushes.  Every float of the vector path is produced by the scalar
-    path's exact expression sequence, so which one runs cannot change a
-    result (``tests/core/test_vector_hierarchy.py`` pins this
-    cycle-for-cycle).
+    The demand merge reads :class:`ArrayStats` demand vectors without
+    building a per-job Python object.  Given an
+    ``enforce_array_sink(now, per_stage)`` -- ``per_stage`` aligned to
+    :meth:`vector_job_ids` -- the cycle's per-stage rates go to the sink
+    instead of the RPC fabric (the sharded coordinator points it straight
+    at its scatter staging arrays); without one -- every
+    :class:`LocalController` world -- they leave as batched fabric
+    pushes.  Both deliver the same per-stage floats
+    (``tests/core/test_vector_hierarchy.py`` pins this cycle-for-cycle).
     """
 
     def __init__(
@@ -416,19 +408,12 @@ class HierarchicalControlPlane(ControlPlane):
         # job's stage list), rebuilt lazily whenever placement changes.
         # Enforcement reads this every cycle; placement changes only at
         # registration/eviction time, so the cache is almost always warm.
-        self._placement_version = 0
         self._hosting_version = -1
         self._hosting_locals: Dict[str, List[str]] = {}
         self._enforce_array_sink = enforce_array_sink
-        # Frozen job-order layout for the vector path, rebuilt lazily on
-        # placement change; reservations have their own dirty flag since
-        # set_reservation does not move any stage.
-        self._vec_version = -1
-        self._vec_job_ids: Tuple[str, ...] = ()
+        # Rebuilt with the base class's frozen job order.
         self._vec_pos: Dict[str, int] = {}
         self._vec_n_stages: Optional[np.ndarray] = None
-        self._vec_res: Optional[np.ndarray] = None
-        self._vec_res_dirty = True
         #: local_id -> (job_ids ref, plane index array, valid selector).
         self._vec_local_idx: Dict[str, tuple] = {}
 
@@ -495,12 +480,10 @@ class HierarchicalControlPlane(ControlPlane):
     ) -> None:
         super()._record_stage(identity, now)
         self._stage_local[identity.stage_id] = local_id
-        self._placement_version += 1
 
     def _forget_stage(self, stage_id: str) -> StageIdentity:
         identity = super()._forget_stage(stage_id)
         del self._stage_local[stage_id]
-        self._placement_version += 1
         return identity
 
     def deregister(self, stage_id: str) -> None:
@@ -544,95 +527,29 @@ class HierarchicalControlPlane(ControlPlane):
         )
 
     # -- demand & enforcement ----------------------------------------------
-    def _job_demands(self, stats: Dict[str, AggregateStats]) -> List[JobDemand]:
-        halflife = self.config.stale_halflife
-        ages = self._stats_age
-        per_job_demand: Dict[str, float] = {}
-        for local_id, agg in stats.items():
-            if not isinstance(agg, _AGGREGATE_TYPES):
-                continue
-            discount = 1.0
-            if halflife is not None and ages:
-                age = ages.get(local_id, 0.0)
-                if age > 0.0:
-                    discount = 0.5 ** (age / halflife)
-            # Positional unpack: entries are JobAggregate named tuples
-            # or raw (job_id, demand, n_stages) triples -- same layout.
-            for job_id, demand, _n_stages in agg.jobs:
-                if job_id not in self._jobs:
-                    continue  # job finished since the aggregate was taken
-                if discount != 1.0:
-                    demand = demand * discount
-                per_job_demand[job_id] = (
-                    per_job_demand.get(job_id, 0.0) + demand
-                )
-        return [
-            JobDemand(
-                job_id=job_id,
-                demand=per_job_demand.get(job_id, 0.0),
-                reservation=job.reservation,
-            )
-            for job_id, job in self._jobs.items()
-        ]
-
-    # -- vectorised global tier ---------------------------------------------
-    @property
-    def placement_version(self) -> int:
-        """Bumps whenever a stage registers, deregisters, or is evicted.
-
-        Callers holding layout-derived caches (the sharded coordinator's
-        slot scatter map) key them on this.
-        """
-        return self._placement_version
-
-    def set_reservation(self, job_id: str, rate: float) -> None:
-        super().set_reservation(job_id, rate)
-        self._vec_res_dirty = True
-
     def _ensure_vector_layout(self) -> None:
         if self._vec_version == self._placement_version:
             return
-        job_ids = tuple(self._jobs)
-        self._vec_job_ids = job_ids
+        super()._ensure_vector_layout()
+        job_ids = self._vec_job_ids
         self._vec_pos = {job_id: i for i, job_id in enumerate(job_ids)}
         self._vec_n_stages = np.array(
             [float(self._jobs[job_id].n_stages) for job_id in job_ids]
         )
-        self._vec_res = None
-        self._vec_res_dirty = True
         self._vec_local_idx = {}
-        self._vec_version = self._placement_version
-
-    def vector_job_ids(self) -> Tuple[str, ...]:
-        """The frozen job order of the vector path (``self._jobs`` order).
-
-        ``enforce_array_sink`` receives ``per_stage`` aligned to this.
-        """
-        self._ensure_vector_layout()
-        return self._vec_job_ids
 
     def hosting_locals(self, job_id: str) -> List[str]:
         """Locals hosting ``job_id``, first-appearance order (public)."""
         return list(self._job_hosting_locals(job_id))
-
-    def _reservation_vec(self) -> np.ndarray:
-        if self._vec_res_dirty or self._vec_res is None:
-            jobs = self._jobs
-            self._vec_res = np.array(
-                [jobs[job_id].reservation for job_id in self._vec_job_ids]
-            )
-            self._vec_res_dirty = False
-        return self._vec_res
 
     def _local_index(self, local_id: str, agg: ArrayStats):
         """Plane-order index array for one local's job slots, cached.
 
         Returns ``(idx, sel)``: ``demand[idx] += vals`` when every
         reported job is registered (``sel is None``), else
-        ``demand[idx] += vals[sel]`` with unknown jobs masked out --
-        the vector form of the scalar path's "job finished since the
-        aggregate was taken" skip.  Within one local job ids are unique,
-        so the fancy-index add never has duplicate targets.
+        ``demand[idx] += vals[sel]`` with unknown jobs (finished since
+        the aggregate was taken) masked out.  Within one local job ids
+        are unique, so the fancy-index add never has duplicate targets.
         """
         cached = self._vec_local_idx.get(local_id)
         if cached is not None and (
@@ -651,13 +568,12 @@ class HierarchicalControlPlane(ControlPlane):
         return entry[1], entry[2]
 
     def _job_demand_vec(self, stats: Dict[str, AggregateStats]) -> np.ndarray:
-        """Merged per-job demand vector: ``_job_demands`` bit-for-bit.
+        """Merged per-job demand vector: the per-local partials summed.
 
-        Accumulation replays the scalar walk exactly -- locals in stats
-        order, one ``+=`` per local (each local reports a job at most
-        once, so the fancy-index add performs the same single addition
-        the dict accumulation would), per-local staleness discount as
-        the same elementwise multiply, implicit 0.0 start.
+        Locals in stats order, one ``+=`` per local (each local reports a
+        job at most once, so the fancy-index add performs a single
+        addition per job), each local's partial times its own staleness
+        discount, implicit 0.0 start.
         """
         demand = np.zeros(len(self._vec_job_ids))
         halflife = self.config.stale_halflife
@@ -681,8 +597,8 @@ class HierarchicalControlPlane(ControlPlane):
                 else:
                     demand[idx] += vals[sel]
             else:
-                # Classic AggregateStats mixed into a vector cycle: fold
-                # it entry-by-entry with the scalar expression.
+                # A LocalController's AggregateStats: fold it entry by
+                # entry.
                 for job_id, job_demand, _n_stages in agg.jobs:
                     i = pos.get(job_id)
                     if i is None:
@@ -692,60 +608,12 @@ class HierarchicalControlPlane(ControlPlane):
                     demand[i] += job_demand
         return demand
 
-    def _enforce_algorithm_vec(
-        self, now: float, stats: Dict[str, AggregateStats], alloc_arrays
-    ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
-        """Vector twin of :meth:`_enforce_algorithm`, bit-identical.
-
-        Merge, allocate, clamp, log, and split run over job-order
-        arrays; the enforcement log receives the same ``(now, job_id,
-        rate)`` rows in the same order -- as one column block, the rows
-        built when it is read -- and the per-stage rates go to
-        the array sink.  The per-job ``JobDemand``/``enforced`` views exist
-        only for telemetry, so they are materialised only when a
-        telemetry sink is attached.
-        """
-        self._ensure_vector_layout()
-        job_ids = self._vec_job_ids
-        if not job_ids:
-            return None, None
-        demand = self._job_demand_vec(stats)
-        reservation = self._reservation_vec()
-        rates = alloc_arrays(job_ids, demand, reservation)
-        min_rate = self.config.min_rate
-        rates = np.maximum(min_rate, rates)
-        self.enforcement_log.extend_rows(now, job_ids, rates)
-        per_stage = np.maximum(min_rate, rates / self._vec_n_stages)
-        self._enforce_array_sink(now, per_stage)
-        if self._telemetry is not None:
-            jobs = self._jobs
-            demands = [
-                JobDemand(
-                    job_id=job_id,
-                    demand=job_demand,
-                    reservation=jobs[job_id].reservation,
-                )
-                for job_id, job_demand in zip(job_ids, demand.tolist())
-            ]
-            return demands, dict(zip(job_ids, rates.tolist()))
-        return None, None
-
-    def _enforce_algorithm(
-        self, now: float, stats: Dict[str, AggregateStats]
-    ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
-        """The base cycle, or its bit-identical vector twin.
-
-        With an ``enforce_array_sink`` and an ``allocate_arrays``-capable
-        algorithm the cycle is delegated to :meth:`_enforce_algorithm_vec`;
-        planes without a sink and algorithms without the array verb (DRF,
-        third-party) run the inherited scalar cycle, whose pushes leave
-        through :meth:`_push_rates`.
-        """
-        if self._enforce_array_sink is not None:
-            alloc_arrays = getattr(self.algorithm, "allocate_arrays", None)
-            if alloc_arrays is not None:
-                return self._enforce_algorithm_vec(now, stats, alloc_arrays)
-        return super()._enforce_algorithm(now, stats)
+    def _deliver_rates(self, now: float, rates: np.ndarray) -> None:
+        sink = self._enforce_array_sink
+        if sink is None:
+            super()._deliver_rates(now, rates)
+        else:
+            sink(now, np.maximum(self.config.min_rate, rates / self._vec_n_stages))
 
     def _push_job_rate(
         self,
@@ -805,7 +673,6 @@ class HierarchicalControlPlane(ControlPlane):
         local = self._locals.pop(endpoint, None)
         if local is None:
             raise StageNotRegistered(f"local {endpoint!r} not attached")
-        self._placement_version += 1
         self._drop_endpoint(endpoint)
         for stage_id in local.stage_ids:
             local.deregister(stage_id)

@@ -111,7 +111,11 @@ def run_latency_qos(
         channel = None
         if controlled:
             per_aggr = (MDS_CAPACITY * cap_fraction - LIGHT_RATE) / N_AGGRESSORS
-            channel = Channel(name, rate=per_aggr, burst=per_aggr * 0.5)
+            # Whole-request grants: each release issues one getattr, so a
+            # split head would reach the MDS twice.
+            channel = Channel(
+                name, rate=per_aggr, burst=per_aggr * 0.5, integral=True
+            )
             channels[name] = channel
         _client_process(
             env, mds, name, AGGRESSOR_RATE,

@@ -21,8 +21,8 @@ FLT001   full ``np.sum``/``.sum()`` reductions in deterministic
 =======  ========================================================
 
 The control plane's registry contracts -- every RPC verb has a codec
-and a handler, every codec matches its class, every allocator with
-``allocate`` has ``allocate_arrays`` or says ``scalar_only`` -- are not
+and a handler, every codec matches its class, every allocator defines
+``allocate_arrays`` -- are not
 lint rules: ``tests/core/test_contracts.py`` reads the registries
 themselves.
 

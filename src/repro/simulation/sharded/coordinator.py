@@ -17,14 +17,14 @@ control loop interval:
    slices over that vector, and the plane's own demand merge, staleness
    handling, policies and allocator write the new rates into per-slot
    scatter staging arrays -- the algorithm's per-stage rates through
-   the plane's ``enforce_array_sink``, policy pushes and array-less
-   algorithms (DRF) through the batched enforce verb;
+   the plane's ``enforce_array_sink``, policy and pause pushes through
+   the batched enforce verb;
 3. the staged rates ride the *next* epoch back out to the shards
    (enforcement latency of one epoch, matching a real deployment where
    the push RPC lands after the current window).
 
-With an ``allocate_arrays`` algorithm no per-job Python object is built
-on the per-cycle path.
+The per-cycle path builds no per-job Python object (DRF's search runs
+over Python lists inside its ``allocate_arrays``).
 
 With *split-job* placement (``placement="split"``), stage ``s`` of job
 ``j`` lives on rack ``(j + s) % n_racks`` -- every multi-stage job spans

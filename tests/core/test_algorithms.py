@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PolicyError
 from repro.core.algorithms import (
+    MIN_RATE,
     DominantResourceFairness,
     JobDemand,
     PriorityPartition,
     ProportionalSharing,
     StaticPartition,
-    weighted_max_min,
+    weighted_max_min_arrays,
 )
+
+
+def weighted_max_min(capacity, demands, weights):
+    return weighted_max_min_arrays(
+        capacity, np.array(demands, dtype=float), np.array(weights, dtype=float)
+    ).tolist()
 
 
 class TestStaticPartition:
@@ -44,6 +52,11 @@ class TestPriorityPartition:
         with pytest.raises(PolicyError):
             algo.allocate([JobDemand("jX", 1.0)])
 
+    def test_missing_rate_raises_from_allocate_arrays(self):
+        algo = PriorityPartition({"job0": 5.0})
+        with pytest.raises(PolicyError):
+            algo.allocate_arrays(("job0", "ghost"), np.ones(2), np.zeros(2))
+
 
 class TestWeightedMaxMin:
     def test_under_capacity_everyone_satisfied(self):
@@ -63,6 +76,12 @@ class TestWeightedMaxMin:
     def test_length_mismatch(self):
         with pytest.raises(PolicyError):
             weighted_max_min(1.0, [1.0], [1.0, 2.0])
+
+    def test_edge_cases(self):
+        assert weighted_max_min(0.0, [5.0], [1.0]) == [0.0]
+        assert weighted_max_min(10.0, [0.0] * 3, [1.0] * 3) == [0.0, 0.0, 0.0]
+        with pytest.raises(PolicyError):
+            weighted_max_min(-1.0, [1.0], [1.0])
 
 
 class TestProportionalSharing:
@@ -131,6 +150,13 @@ job_lists = st.lists(
 )
 
 
+def assert_within_demand(out, demands):
+    """Each rate stays at its demand cap, give or take float error and
+    the ``MIN_RATE`` floor."""
+    for d in demands:
+        assert MIN_RATE <= out[d.job_id] <= max(d.demand, 1e-6) * (1 + 1e-6) + 1e-6
+
+
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.floats(min_value=1.0, max_value=1e6), jobs=job_lists)
 def test_proportional_sharing_invariants(capacity, jobs):
@@ -148,8 +174,94 @@ def test_proportional_sharing_invariants(capacity, jobs):
         # Reservation guarantee (scaled if oversubscribed).
         entitled = min(d.demand, d.reservation * scale)
         assert out[d.job_id] >= entitled - 1e-6 * max(1.0, entitled)
-        # Never allocated meaningfully beyond demand.
-        assert out[d.job_id] <= max(d.demand, 1e-6) * (1 + 1e-6) + 1e-6
+    # Never allocated meaningfully beyond demand; never below the floor.
+    assert_within_demand(out, demands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate=st.floats(min_value=1e-6, max_value=1e6), jobs=job_lists)
+def test_static_partition_invariants(rate, jobs):
+    demands = [JobDemand(f"j{i}", d, r) for i, (d, r) in enumerate(jobs)]
+    out = StaticPartition(rate).allocate(demands)
+    # Demand-blind: every job gets the configured rate, whatever it asks.
+    assert list(out) == [d.job_id for d in demands]
+    assert set(out.values()) == {rate}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rates=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=8),
+    default=st.floats(min_value=1e-6, max_value=1e6),
+    jobs=job_lists,
+)
+def test_priority_partition_invariants(rates, default, jobs):
+    table = {f"j{i}": rate for i, rate in enumerate(rates)}
+    demands = [JobDemand(f"j{i}", d, r) for i, (d, r) in enumerate(jobs)]
+    out = PriorityPartition(table, default=default).allocate(demands)
+    # Each job gets its own configured rate, the default when it has none.
+    assert out == {d.job_id: table.get(d.job_id, default) for d in demands}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    capacities=st.lists(st.floats(min_value=1.0, max_value=1e5), min_size=1, max_size=3),
+    jobs=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e5),  # demand
+            st.lists(
+                st.just(0.0) | st.floats(min_value=1e-3, max_value=10.0),
+                min_size=3,
+                max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_drf_invariants(capacities, jobs):
+    resources = [f"r{k}" for k in range(len(capacities))]
+    usages = {}
+    for i, (_, usage) in enumerate(jobs):
+        usage = dict(zip(resources, usage))
+        if not any(usage.values()):
+            usage[resources[0]] = 1.0  # a job must consume something
+        usages[f"j{i}"] = usage
+    algo = DominantResourceFairness(dict(zip(resources, capacities)), usages)
+    demands = [JobDemand(f"j{i}", d) for i, (d, _) in enumerate(jobs)]
+    out = algo.allocate(demands)
+    # No resource over-committed (the floor may add MIN_RATE per job).
+    for res, cap in zip(resources, capacities):
+        used = sum(usages[d.job_id][res] * out[d.job_id] for d in demands)
+        floor = sum(usages[d.job_id][res] * MIN_RATE for d in demands)
+        assert used <= cap * (1 + 1e-6) + floor
+    assert_within_demand(out, demands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.floats(min_value=0.0, max_value=1e6),
+    entries=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e6),  # demand
+            st.floats(min_value=0.0, max_value=1e3),  # weight
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_weighted_max_min_invariants(capacity, entries):
+    demands = [d for d, _ in entries]
+    weights = [w for _, w in entries]
+    alloc = weighted_max_min(capacity, demands, weights)
+    tol = 1e-9 * max(1.0, capacity, sum(demands))
+    # Never beyond capacity, never beyond demand, never negative.
+    assert sum(alloc) <= capacity + tol
+    for a, d in zip(alloc, demands):
+        assert 0.0 <= a <= d + tol
+    # When everything fits, everyone is served in full.
+    if sum(demands) <= capacity:
+        for a, d in zip(alloc, demands):
+            assert a == pytest.approx(d, rel=1e-9, abs=tol)
 
 
 class TestDRF:

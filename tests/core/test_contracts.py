@@ -66,9 +66,9 @@ def verbs_without(samples=SAMPLES):
     }
 
 
-def scalar_without_twin():
-    return [c.__name__ for c in registered(AllocationAlgorithm) if "allocate" in vars(c)
-            and not ("allocate_arrays" in vars(c) or vars(c).get("scalar_only"))]
+def allocators_without_array_verb():
+    return [c.__name__ for c in registered(AllocationAlgorithm)
+            if "allocate_arrays" not in vars(c)]
 
 
 def test_every_verb_has_a_codec_and_a_handler():
@@ -76,8 +76,8 @@ def test_every_verb_has_a_codec_and_a_handler():
     assert verbs_without() == {"codec": [], "handler": []}
 
 
-def test_every_allocator_has_an_array_twin_or_says_scalar_only():
-    assert scalar_without_twin() == []
+def test_every_allocator_defines_allocate_arrays():
+    assert allocators_without_array_verb() == []
 
 
 def test_a_stray_verb_and_a_stray_allocator_are_named(monkeypatch):
@@ -95,4 +95,4 @@ def test_a_stray_verb_and_a_stray_allocator_are_named(monkeypatch):
     named = {"codec": ["StrayVerb"], "handler": ["StrayVerb"]}
     assert verbs_without() == named  # no sample to send
     assert verbs_without({**SAMPLES, StrayVerb: StrayVerb()}) == named
-    assert scalar_without_twin() == ["StrayPolicy"]
+    assert allocators_without_array_verb() == ["StrayPolicy"]

@@ -1,9 +1,9 @@
 """``_seq_sum`` is ``sum(values.tolist(), 0.0)`` bit for bit.
 
-The vectorised allocators replay the scalar path's left-to-right adds
-through ``_seq_sum`` (what lint rule FLT001 asks a full reduction in a
-deterministic layer to use), which runs them in C with
-``np.add.accumulate``.  This property is the reference: a numpy that
+The allocators keep ``sum(list)``'s left-to-right adds, on which the
+golden digests were built, through ``_seq_sum`` (what lint rule FLT001
+asks a full reduction in a deterministic layer to use), which runs them
+in C with ``np.add.accumulate``.  This property is the reference: a numpy that
 reordered ``accumulate`` (pairwise, SIMD lanes) would fail it before it
 moved a golden digest.
 """

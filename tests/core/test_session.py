@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.core.algorithms import ProportionalSharing
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.fabric import FaultyFabric, LinkProfile
+from repro.core.hierarchy import (
+    CollectAggregate,
+    HierarchicalControlPlane,
+    LocalController,
+)
+from repro.core.rpc import CollectStats
 from repro.core.requests import OperationType, Request
 from repro.core.session import CollectSession
 from repro.simulation.engine import Environment
@@ -123,6 +130,41 @@ class TestAsyncCollect:
         assert cp.collect_failures == 0
 
 
+class TestSyncCollectOverDeferringFabric:
+    """A deferring fabric acknowledges a send with ``True``; a synchronous
+    collect must refuse that, not read it as a stage's stats."""
+
+    def plane(self, env, kind, sync_messages=()):
+        fabric = FaultyFabric(
+            env, link=LinkProfile(latency=0.5), sync_messages=sync_messages
+        )
+        algorithm = ProportionalSharing(capacity=100.0)
+        if kind == "flat":
+            cp = ControlPlane(fabric=fabric, algorithm=algorithm)
+            cp.register(make_stage("s0", "job0"))
+        else:
+            cp = HierarchicalControlPlane(fabric=fabric, algorithm=algorithm)
+            cp.attach_local(LocalController("rack0"))
+            cp.register_stage(make_stage("s0", "job0"), "rack0")
+        return cp
+
+    @pytest.mark.parametrize("kind", ["flat", "hierarchical"])
+    def test_first_collect_names_the_fixes(self, env, kind):
+        cp = self.plane(env, kind)
+        with pytest.raises(ConfigError, match="async_collect=True") as info:
+            cp.tick(0.0)
+        assert "sync_messages" in str(info.value)
+        assert len(cp.enforcement_log) == 0
+
+    @pytest.mark.parametrize(
+        "kind, verb", [("flat", CollectStats), ("hierarchical", CollectAggregate)]
+    )
+    def test_synchronous_collect_messages_still_work(self, env, kind, verb):
+        cp = self.plane(env, kind, sync_messages=(verb,))
+        cp.tick(0.0)
+        assert len(cp.enforcement_log) == 1
+
+
 class TestStaleness:
     def _age_stats(self, cp, stage_id, age, now):
         session = cp._sessions[stage_id]
@@ -140,10 +182,11 @@ class TestStaleness:
         # Manufacture staleness: pretend the reply arrived 10s (two
         # half-lives) ago, then recompute demands.
         stats = {"s0": cp._sessions["s0"].stats}
+        assert len(cp.vector_job_ids()) == 1
         cp._stats_age = {"s0": 0.0}
-        fresh = cp._job_demands(stats)[0].demand
+        fresh = cp._job_demand_vec(stats)[0]
         cp._stats_age = {"s0": 10.0}
-        stale = cp._job_demands(stats)[0].demand
+        stale = cp._job_demand_vec(stats)[0]
         assert stale == pytest.approx(fresh * 0.25)
 
     def test_stale_beyond_ttl_excluded(self, env):

@@ -156,8 +156,8 @@ class TestDemandMerge:
         # rack0's aggregate is one halflife old; rack1's is fresh.  Only
         # rack0's partial dims -- its rack-mate contributes at full weight.
         cp._stats_age = {"rack0": halflife}
-        demands = {d.job_id: d.demand for d in cp._job_demands(stats)}
-        assert demands["job0"] == 40.0 * 0.5 + 40.0
+        assert cp.vector_job_ids() == ("job0",)
+        assert cp._job_demand_vec(stats).tolist() == [40.0 * 0.5 + 40.0]
 
 
 class TestSpanningJobEviction:

@@ -1,13 +1,11 @@
-"""Vectorised global tier: bit-identical to the scalar hierarchy.
+"""Sink delivery equals batched delivery on the hierarchical plane.
 
-The vector path (a ``HierarchicalControlPlane`` given an
-``enforce_array_sink``, plus an ``allocate_arrays``-capable algorithm)
-re-expresses the per-cycle demand merge, staleness discount, allocation,
-clamping, logging, and per-stage split as numpy reductions.  These tests
-pin the contract that makes it safe to ship: every float equals the
-scalar path's (the same plane without a sink), cycle for cycle -- across
-policies, staleness discounts, split jobs, reservation changes, and rack
-eviction mid-run.
+A ``HierarchicalControlPlane`` given an ``enforce_array_sink`` hands each
+cycle's per-stage rates to the sink as one array; without one, the same
+cycle sends one ``EnforceJobRateBatch`` per hosting local.  These tests
+pin that the two deliveries land the same floats on every stage, cycle
+for cycle -- across allocators, staleness discounts, split jobs,
+reservation changes, and rack eviction mid-run.
 """
 
 from __future__ import annotations
@@ -15,17 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-import pytest
-
-from repro.errors import PolicyError
 from repro.core.algorithms import (
-    JobDemand,
+    DominantResourceFairness,
     PriorityPartition,
     ProportionalSharing,
     StaticPartition,
-    weighted_max_min,
-    weighted_max_min_arrays,
 )
 from repro.core.controller import ControlPlaneConfig
 from repro.core.hierarchy import HierarchicalControlPlane, LocalController
@@ -41,7 +33,7 @@ def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3,
 
     ``vectorized`` gives the plane an array sink that installs
     ``per_stage`` (``vector_job_ids()`` order) on every stage the plane
-    still has registered -- what the scalar plane's batched pushes do
+    still has registered -- what the sink-less plane's batched pushes do
     through the locals.
     """
     by_id = {}
@@ -110,7 +102,7 @@ def assert_planes_identical(make_algorithm, **kw):
 
 
 #: The enforcement log of ``test_proportional_sharing_cycle_for_cycle``:
-#: the vector cycle there folds the locals' ``AggregateStats`` entries,
+#: the cycle there folds the locals' ``AggregateStats`` entries,
 #: unpacked positionally, so a reordered payload moves this literal.
 PROPORTIONAL_LOG_DIGEST = (
     "b75a045ebf5db0df5103f8af3069086cc3c05ff13f073edc5605f8311cc161ba"
@@ -118,6 +110,8 @@ PROPORTIONAL_LOG_DIGEST = (
 
 
 class TestPlaneEquality:
+    """The array sink and the batched fabric push deliver the same rates."""
+
     def test_proportional_sharing_cycle_for_cycle(self):
         ref, vec = assert_planes_identical(
             lambda: ProportionalSharing(capacity=90.0)
@@ -145,8 +139,8 @@ class TestPlaneEquality:
 
     def test_rack_eviction_mid_run(self):
         # Evicting rack2 drops a stage of every job (split placement),
-        # bumping placement_version: the vector layout must rebuild and
-        # keep matching the scalar plane afterwards.
+        # bumping placement_version: the job-order layout must rebuild and
+        # the sink keep matching the batched pushes afterwards.
         ref, vec = assert_planes_identical(
             lambda: ProportionalSharing(capacity=90.0), evict="rack2"
         )
@@ -169,100 +163,10 @@ class TestPlaneEquality:
         vec_hist = drive(vec_cp, vec_stages, ages=ages)
         assert ref_hist == vec_hist
 
-    def test_demand_merge_matches_scalar_on_same_plane(self):
-        cp, stages = build_plane(ProportionalSharing(capacity=90.0), True)
-        for i, stage in enumerate(stages):
-            stage.submit(
-                Request(OperationType.OPEN, path="/f", count=9.0 + i), 1.0
+    def test_dominant_resource_fairness_cycle_for_cycle(self):
+        assert_planes_identical(
+            lambda: DominantResourceFairness(
+                capacities={"mds": 90.0},
+                usages={f"job{j}": {"mds": 1.0 + 0.5 * j} for j in range(5)},
             )
-        stats = cp._collect(1.0)
-        job_ids = cp.vector_job_ids()
-        vec = cp._job_demand_vec(stats)
-        scalar = cp._job_demands(stats)
-        assert tuple(d.job_id for d in scalar) == job_ids
-        assert [d.demand for d in scalar] == vec.tolist()
-
-    def test_drf_keeps_scalar_path(self):
-        # DominantResourceFairness has no allocate_arrays: the vector
-        # plane must silently fall back to the scalar cycle.
-        from repro.core.algorithms import DominantResourceFairness
-
-        algo = DominantResourceFairness(
-            capacities={"mds": 90.0},
-            usages={f"job{j}": {"mds": 1.0} for j in range(5)},
         )
-        assert getattr(algo, "allocate_arrays", None) is None
-        cp, stages = build_plane(algo, vectorized=True)
-        hist = drive(cp, stages, n_cycles=2)
-        assert len(hist[-1][0]) > 0
-
-
-class TestAllocatorEquality:
-    """allocate_arrays vs allocate, bitwise, over fuzzed demand sets."""
-
-    def cases(self, n_sets=25, n_jobs=7):
-        rng = np.random.default_rng(42)
-        for _ in range(n_sets):
-            demand = rng.uniform(0.0, 40.0, n_jobs)
-            demand[rng.uniform(size=n_jobs) < 0.25] = 0.0
-            reservation = rng.uniform(0.0, 15.0, n_jobs)
-            reservation[rng.uniform(size=n_jobs) < 0.3] = 0.0
-            yield demand, reservation
-
-    def compare(self, algorithm, demand, reservation):
-        job_ids = tuple(f"job{i}" for i in range(len(demand)))
-        demands = [
-            JobDemand(job_id=j, demand=float(d), reservation=float(r))
-            for j, d, r in zip(job_ids, demand, reservation)
-        ]
-        scalar = algorithm.allocate(demands)
-        vector = algorithm.allocate_arrays(job_ids, demand, reservation)
-        assert [scalar[j] for j in job_ids] == vector.tolist()
-
-    def test_proportional_sharing_bitwise(self):
-        for demand, reservation in self.cases():
-            self.compare(
-                ProportionalSharing(capacity=55.0), demand, reservation
-            )
-
-    def test_priority_and_static_bitwise(self):
-        rates = {f"job{i}": 3.0 + i for i in range(4)}
-        for demand, reservation in self.cases(n_sets=5):
-            self.compare(
-                PriorityPartition(rates, default=2.0), demand, reservation
-            )
-            self.compare(StaticPartition(rate_per_job=8.0), demand, reservation)
-
-    def test_priority_missing_rate_raises(self):
-        algo = PriorityPartition({"job0": 5.0})
-        with pytest.raises(PolicyError):
-            algo.allocate_arrays(
-                ("job0", "ghost"), np.ones(2), np.zeros(2)
-            )
-
-    def test_weighted_max_min_bitwise(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            n = int(rng.integers(1, 9))
-            demands = rng.uniform(0.0, 30.0, n)
-            demands[rng.uniform(size=n) < 0.3] = 0.0
-            weights = rng.uniform(0.0, 5.0, n)
-            weights[rng.uniform(size=n) < 0.3] = 0.0
-            capacity = float(rng.uniform(0.0, 60.0))
-            scalar = weighted_max_min(
-                capacity, demands.tolist(), weights.tolist()
-            )
-            vector = weighted_max_min_arrays(capacity, demands, weights)
-            assert scalar == vector.tolist()
-
-    def test_weighted_max_min_edge_cases(self):
-        assert weighted_max_min_arrays(
-            0.0, np.array([5.0]), np.array([1.0])
-        ).tolist() == [0.0]
-        assert weighted_max_min_arrays(
-            10.0, np.zeros(3), np.ones(3)
-        ).tolist() == [0.0, 0.0, 0.0]
-        with pytest.raises(PolicyError):
-            weighted_max_min_arrays(-1.0, np.ones(1), np.ones(1))
-        with pytest.raises(PolicyError):
-            weighted_max_min_arrays(1.0, np.ones(2), np.ones(1))

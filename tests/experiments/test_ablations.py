@@ -65,6 +65,27 @@ class TestLatencyQoS:
         )
         assert controlled.percentile("light", 99) < 0.5
 
+    def test_no_aggressor_completes_more_than_its_channel_granted(self, monkeypatch):
+        # Every release issues one whole getattr, so completions can
+        # never outrun grants (a request split at the token boundary
+        # would be issued once per part).
+        from repro.core.channel import Channel
+        from repro.experiments import latency
+
+        channels = []
+
+        class Recorded(Channel):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                channels.append(self)
+
+        monkeypatch.setattr(latency, "Channel", Recorded)
+        result = latency.run_latency_qos(True, duration=20.0)
+        assert [c.channel_id for c in channels] == ["aggr0", "aggr1"]
+        for channel in channels:
+            completed = result.latencies[channel.channel_id].size
+            assert 0 < completed <= channel.stats.granted_ops
+
     def test_cap_fraction_validation(self):
         from repro.errors import ConfigError
         from repro.experiments.latency import run_latency_qos

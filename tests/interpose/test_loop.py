@@ -64,7 +64,7 @@ class TestLiveControlLoop:
         cp = ControlPlane()
 
         class Boom:
-            def allocate(self, demands):
+            def allocate_arrays(self, job_ids, demand, reservation):
                 raise RuntimeError("algorithm exploded")
 
         cp.algorithm = Boom()
@@ -87,11 +87,11 @@ class TestLiveControlLoop:
         calls = {"n": 0}
 
         class FlakyOnce:
-            def allocate(self, demands):
+            def allocate_arrays(self, job_ids, demand, reservation):
                 calls["n"] += 1
                 if calls["n"] == 1:
                     raise RuntimeError("transient blip")
-                return {}
+                return demand
 
         cp.algorithm = FlakyOnce()
         cp.register(make_live_stage())

@@ -541,7 +541,11 @@ class TestHostKeepsOnlyWhatItHasNotShipped:
             host.stop()  # drivers and pump joined, then one final flush
             assert host.telemetry.tracer.spans == []
             assert host.telemetry.events.events == []
-            merged = [span.trace_id for span in runtime.telemetry.tracer.spans]
+            # The controller applies a push on its loop thread, after the
+            # reader thread has queued it: wait for the final one.
+            merged_spans = runtime.telemetry.tracer.spans
+            assert _wait(lambda: len(merged_spans) >= len(emitted))
+            merged = [span.trace_id for span in merged_spans]
             assert merged == emitted
             markers = [e.fields["n"] for e in runtime.telemetry.events.of_kind("test.marker")]
             assert markers == list(range(20))

@@ -27,6 +27,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.algorithms import DominantResourceFairness, ProportionalSharing
+from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.simulation.sharded import (
     UNLIMITED,
@@ -72,9 +73,9 @@ SMALL_CONFIG_DIGEST = (
 
 
 #: ``small_config()`` + the DRF below
-#: (``test_algorithm_without_array_verb_is_shard_invariant``): the scalar
-#: cycle, whose rates reach the slots through ``EnforceJobRateBatch``
-#: entries unpacked one by one.
+#: (``test_list_based_allocator_is_shard_invariant``), frozen while DRF's
+#: rates still reached the slots through ``EnforceJobRateBatch`` entries;
+#: they now arrive through the array sink, with the same floats.
 DRF_DIGEST = "d533e53af20bc4d871a3e429f0a8ea35f0f96143f889bd1aed5c06e13b365dfe"
 
 
@@ -460,17 +461,15 @@ class TestShardInvariance:
         assert len(log) == 65_536  # the default history_limit, wrapped
         assert result.digest() == WRAPPED_LOG_DIGEST
 
-    def test_algorithm_without_array_verb_is_shard_invariant(self):
-        # DRF has no allocate_arrays, so the plane runs its scalar cycle:
-        # ArrayStats are read through .jobs and the rates reach the slot
-        # arrays through EnforceJobRateBatch instead of the array sink.
+    def test_list_based_allocator_is_shard_invariant(self):
+        # DRF searches over Python lists behind allocate_arrays; its rates
+        # reach the slot arrays through the array sink like every other
+        # allocator's.
         def drf():
-            algorithm = DominantResourceFairness(
+            return DominantResourceFairness(
                 capacities={"mds": 150.0},
                 usages={f"job{j}": {"mds": 1.0 + 0.5 * j} for j in range(6)},
             )
-            assert getattr(algorithm, "allocate_arrays", None) is None
-            return algorithm
 
         one = run_result(small_config(n_shards=1), algorithm=drf())
         two = run_result(small_config(n_shards=2), algorithm=drf())
@@ -524,6 +523,35 @@ class TestEnforcement:
         # after the last tick every hosted (rack, job) slot is flagged.
         assert np.count_nonzero(sim._flags) == sim._pool.n_slots
         sim.close()
+
+    def test_a_policy_push_reaches_the_slots_through_the_batch_verb(self):
+        # Policy and pause pushes are EnforceJobRateBatch entries, each
+        # (job, rate, burst) unpacked into the scatter staging; with no
+        # algorithm nothing else writes a slot.
+        def policed(n_shards):
+            sim = ShardedSimulation(small_config(n_shards=n_shards))
+            sim.control_plane.install_policy(
+                PolicyRule(
+                    "cap",
+                    RuleScope("metadata", job_id="job0"),
+                    ConstantRate(30.0),
+                    burst=60.0,
+                )
+            )
+            sim.run(3.0)
+            return sim
+
+        sim = policed(1)
+        index_map = sim._pool.index_map
+        slots = [
+            index_map.slot_of(rack_id, "job0")
+            for rack_id in sim.control_plane.hosting_locals("job0")
+        ]
+        assert len(slots) == 3 and np.count_nonzero(sim._flags) == 3
+        # 30 ops/s and a 60-op burst split over job0's 3 stages.
+        assert sim._rates_arr[slots].tolist() == [10.0] * 3
+        assert sim._bursts_arr[slots].tolist() == [20.0] * 3
+        assert sim.finish().digest() == policed(2).finish().digest()
 
 
 def no_updates(pool):

@@ -58,9 +58,6 @@ REASONS = (
 #: a function it names is deleted with its tests, or earns a line with one
 #: of ``REASONS`` -- not a caller added to quiet it.
 KEPT_UNREACHED: Dict[str, str] = {
-    "repro.core.algorithms:PriorityPartition.allocate_arrays": "reference: "
-    "tests/core/test_contracts.py pairs it with allocate(); "
-    "tests/core/test_vector_hierarchy.py holds the two bit-identical",
     "repro.core.differentiation:Classifier.remove_rule": "paper verb: RemoveRule "
     "(wire golden corpus)",
     "repro.core.stage:StageCore.remove_channel": "paper verb: RemoveChannel "
@@ -96,8 +93,9 @@ KEPT_UNREACHED: Dict[str, str] = {
     "'already triggered'",
     "repro.simulation.engine:Event.fail": "fault path: a failed event thrown into its "
     "waiters",
-    "repro.simulation.sharded.coordinator:ShardedSimulation._enforce_rack": "reference: "
-    "the scalar verb a scalar_only algorithm (DRF) is enforced through, 1 == N shards",
+    "repro.simulation.sharded.coordinator:ShardedSimulation._enforce_rack": "boundary: "
+    "policy and pause pushes, which no sharded entry point sends (every allocator's "
+    "rates arrive through the array sink)",
     "repro.simulation.sharded.fluid:FluidBlock._tick_scalar": "reference: the rack "
     "and block bit-identity tests compare the vector tick against it",
     "repro.telemetry.registry:Histogram.merge": "roadmap: item 5 ships "
