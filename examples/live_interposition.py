@@ -18,7 +18,13 @@ import os
 import tempfile
 import time
 
-from repro.core import ClassifierRule, ControlPlane, OperationClass, StageIdentity
+from repro.core import (
+    ClassifierRule,
+    ControlPlane,
+    ControlPlaneConfig,
+    OperationClass,
+    StageIdentity,
+)
 from repro.core.policies import PolicyRule, RuleScope, SteppedRate
 from repro.interpose import Interposer, LiveControlLoop, LiveStage
 
@@ -51,7 +57,7 @@ def main() -> None:
     )
 
     # A live control plane: 100 ops/s for 2 s, then 400 ops/s.
-    controller = ControlPlane()
+    controller = ControlPlane(config=ControlPlaneConfig(loop_interval=0.1))
     controller.register(stage)
     t0 = time.monotonic()
     controller.install_policy(
@@ -63,7 +69,7 @@ def main() -> None:
     )
 
     print(f"PFS mount: {pfs_mount}  (everything else passes through)")
-    with LiveControlLoop(controller, interval=0.1, clock=lambda: time.monotonic() - t0):
+    with LiveControlLoop(controller, clock=lambda: time.monotonic() - t0):
         with Interposer(stage, wrap_file_io=False):
             start = time.monotonic()
             last = start

@@ -37,8 +37,22 @@ from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 
 __all__ = ["JobInfo", "ControlPlaneConfig", "fold_stage_demand", "ControlPlane"]
 
+# The session machine's timings, in loop intervals: the loop's period is
+# stated once (``ControlPlaneConfig.loop_interval``) and each is a multiple.
+
+#: Reply deadline of one session collect.  Wider than the loop, so a slow
+#: but alive link degrades through staleness before it times out.
+COLLECT_DEADLINE = 2.5
+#: Extra attempts after a timeout/failure before it counts as a miss.
+MAX_COLLECT_RETRIES = 1
+#: Backoff before the first retry; doubles with every further attempt.
+RETRY_BACKOFF = 0.25
 #: Each retry of one collect waits twice as long as the one before it.
 RETRY_BACKOFF_FACTOR = 2.0
+#: How long a stale (pre-deadline) reply stays usable by the allocator.
+STALE_TTL = 5.0
+#: Half-life of the discount on a stale reply's demand.
+STALE_HALFLIFE = 2.0
 
 
 @dataclass(slots=True)
@@ -60,7 +74,9 @@ class JobInfo:
 class ControlPlaneConfig:
     """Loop tuning knobs."""
 
-    #: Feedback-loop period in seconds.
+    #: Feedback-loop period in seconds: the one statement of it.  The
+    #: session timings above, the live loop's tick and the orphan
+    #: threshold of every stage this plane enforces follow it.
     loop_interval: float = 1.0
     #: Channel the cluster-wide algorithm controls (e.g. "metadata").
     algorithm_channel: str = "metadata"
@@ -75,24 +91,6 @@ class ControlPlaneConfig:
     #: default comfortably holds every paper-scale experiment's full trail
     #: while bounding memory in long-running live loops; None = unbounded.
     history_limit: Optional[int] = 65536
-    #: Collect through per-endpoint async sessions (deadlines, retries,
-    #: staleness) instead of the synchronous walk.  Requires a fabric with
-    #: ``call_async`` and an attached engine.
-    async_collect: bool = False
-    #: Reply deadline for one async collect request; None means half the
-    #: loop interval.
-    collect_deadline: Optional[float] = None
-    #: Extra attempts after a timeout/failure before it counts as a miss.
-    max_collect_retries: int = 0
-    #: Backoff before a retry, seconds; doubles with every further attempt.
-    retry_backoff: float = 0.0
-    #: How long a stale (pre-deadline) stats reply stays usable by the
-    #: allocator; None means only fresh replies feed the demand signal.
-    stale_ttl: Optional[float] = None
-    #: Half-life of the stale-demand discount: a reply ``age`` seconds old
-    #: contributes ``0.5 ** (age / stale_halflife)`` of its demand.  None
-    #: disables discounting.
-    stale_halflife: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.loop_interval <= 0:
@@ -108,24 +106,6 @@ class ControlPlaneConfig:
         if self.history_limit is not None and self.history_limit < 1:
             raise ConfigError(
                 f"history_limit must be >= 1, got {self.history_limit}"
-            )
-        if self.collect_deadline is not None and self.collect_deadline <= 0:
-            raise ConfigError(
-                f"collect_deadline must be positive, got {self.collect_deadline}"
-            )
-        if self.max_collect_retries < 0:
-            raise ConfigError(
-                f"max_collect_retries must be >= 0, got {self.max_collect_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ConfigError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.stale_ttl is not None and self.stale_ttl <= 0:
-            raise ConfigError(f"stale_ttl must be positive, got {self.stale_ttl}")
-        if self.stale_halflife is not None and self.stale_halflife <= 0:
-            raise ConfigError(
-                f"stale_halflife must be positive, got {self.stale_halflife}"
             )
 
 
@@ -195,16 +175,16 @@ class ControlPlane:
         self.enforcement_log: RingLog = RingLog(self.config.history_limit)
         self.loop_iterations = 0
         self.collect_failures = 0
-        #: Async-collect bookkeeping: deadline expiries observed.
+        #: Session collects: deadline expiries observed.
         self.collect_timeouts = 0
         self._missed_collects: Dict[str, int] = {}
         #: Stages evicted by the liveness check: (time, stage_id).
         self.evictions: RingLog = RingLog(self.config.history_limit)
-        #: Per-endpoint collect sessions (async mode only).
+        #: Per-endpoint collect sessions (deferring fabrics only).
         self._sessions: Dict[str, CollectSession] = {}
         #: Age (seconds) of each stats entry the last collect produced;
-        #: feeds the allocator's stale-demand discount.  Empty in sync
-        #: mode, where every entry is from this very tick.
+        #: feeds the allocator's stale-demand discount.  Empty after a
+        #: synchronous walk, where every entry is from this very tick.
         self._stats_age: Dict[str, float] = {}
         #: Telemetry spine (None = introspection off).  When attached, every
         #: loop iteration appends one ``control.cycle`` event recording what
@@ -408,10 +388,16 @@ class ControlPlane:
             )
 
     def _collect(self, now: float) -> Dict[str, StageStats]:
-        if self.config.async_collect:
-            return self._collect_async(now)
-        stats: Dict[str, StageStats] = {}
+        """Collect every endpoint's window; the fabric picks the loop.
+
+        A fabric that defers the collect message answers it later, so
+        the per-endpoint sessions run; one that answers in line gets the
+        synchronous walk, which skips the session bookkeeping.
+        """
         message = self._collect_message(now)
+        if self.fabric.defers(message):
+            return self._collect_async(now, message)
+        stats: Dict[str, StageStats] = {}
         for endpoint in self._collect_endpoints():
             try:
                 result = self.fabric.call(endpoint, message)
@@ -419,15 +405,6 @@ class ControlPlane:
                 self._record_miss(endpoint, now)
                 continue
             self._missed_collects.pop(endpoint, None)
-            if result is True:
-                # A deferring fabric acknowledges the send; the reply
-                # never comes back to this walk.
-                raise ConfigError(
-                    f"the fabric deferred the collect to {endpoint!r}, so a "
-                    "synchronous collect has no reply to read: set "
-                    "ControlPlaneConfig(async_collect=True) or list "
-                    f"{type(message).__name__} in FaultyFabric(sync_messages=...)"
-                )
             if result is not None:
                 stats[endpoint] = result
                 self._last_stats[endpoint] = result
@@ -464,21 +441,19 @@ class ControlPlane:
         """The request a collect sends each endpoint (hierarchy overrides)."""
         return CollectStats(now=now)
 
-    def _collect_async(self, now: float) -> Dict[str, StageStats]:
+    def _collect_async(self, now: float, message) -> Dict[str, StageStats]:
         """Session-driven collect: issue/retry/timeout per endpoint.
 
         One pass over the endpoints advances each session's state machine
         at this tick boundary: harvest replies that arrived since the
         last tick, expire deadlines into retries (exponential backoff)
         or -- with retries exhausted -- liveness misses, then issue a new
-        request to every endpoint that has none in flight.
+        request to every endpoint that has none in flight.  Every timing
+        is a module constant times the loop interval.
         """
-        config = self.config
-        deadline = (
-            config.collect_deadline
-            if config.collect_deadline is not None
-            else config.loop_interval / 2
-        )
+        interval = self.config.loop_interval
+        deadline = COLLECT_DEADLINE * interval
+        stale_ttl = STALE_TTL * interval
         telemetry = self._telemetry
         stats: Dict[str, StageStats] = {}
         ages: Dict[str, float] = {}
@@ -496,7 +471,6 @@ class ControlPlane:
                 and now - session.issued_at >= deadline
             ):
                 session.abandon()
-                session.timeouts += 1
                 self.collect_timeouts += 1
                 if telemetry is not None:
                     telemetry.events.emit(
@@ -511,19 +485,17 @@ class ControlPlane:
             # -- harvest ----------------------------------------------------
             if session.stats is not None:
                 age = now - session.stats_at
-                fresh = age <= config.loop_interval
+                fresh = age <= interval
                 if fresh:
                     self._missed_collects.pop(endpoint, None)
                     self._last_stats[endpoint] = session.stats
-                if fresh or (
-                    config.stale_ttl is not None and age <= config.stale_ttl
-                ):
+                if fresh or age <= stale_ttl:
                     stats[endpoint] = session.stats
                     ages[endpoint] = age
             # -- issue ------------------------------------------------------
             if session.pending is None and now >= session.next_attempt_at:
                 try:
-                    session.issue(self.fabric, self._collect_message(now), now)
+                    session.issue(self.fabric, message, now)
                 except (RPCError, StageNotRegistered):
                     self._record_miss(endpoint, now)
         self._stats_age = ages
@@ -532,9 +504,9 @@ class ControlPlane:
     def _handle_expiry(self, session: CollectSession, now: float) -> bool:
         """Route one expired attempt into retry-with-backoff or a miss;
         True if the endpoint was evicted."""
-        config = self.config
-        if session.attempt <= config.max_collect_retries:
-            session.next_attempt_at = now + config.retry_backoff * (
+        if session.attempt <= MAX_COLLECT_RETRIES:
+            backoff = RETRY_BACKOFF * self.config.loop_interval
+            session.next_attempt_at = now + backoff * (
                 RETRY_BACKOFF_FACTOR ** (session.attempt - 1)
             )
             return False
@@ -656,20 +628,20 @@ class ControlPlane:
         """Per-job demand in the frozen job order: every stage window
         folded into its job's entry (:func:`fold_stage_demand`).
 
-        Async collects stamp each entry with its *age*; with
-        ``stale_halflife`` configured, a stale entry's demand is
-        discounted by ``0.5 ** (age / halflife)`` so decisions lean on
-        old observations progressively less.  Fresh (age-zero) entries
-        take the exact legacy accumulation path, bit for bit.
+        Session collects stamp each entry with its *age*; a stale entry's
+        demand is discounted by ``0.5 ** (age / halflife)`` (the half-life
+        is ``STALE_HALFLIFE`` loop intervals) so decisions lean on old
+        observations progressively less.  Fresh (age-zero) entries take
+        the exact undiscounted accumulation path, bit for bit.
         """
         channel = self.config.algorithm_channel
         loop_interval = self.config.loop_interval
-        halflife = self.config.stale_halflife
+        halflife = STALE_HALFLIFE * loop_interval
         ages = self._stats_age
         per_job_demand: Dict[str, float] = {}
         for stage_id, st in stats.items():
             discount = None
-            if halflife is not None and ages:
+            if ages:
                 age = ages.get(stage_id, 0.0)
                 if age > 0.0:
                     discount = 0.5 ** (age / halflife)
@@ -699,7 +671,9 @@ class ControlPlane:
             try:
                 self.fabric.call(stage_id, message)
             except RPCError:
-                self.collect_failures += 1
+                # A lost push: the fabric counts and names it (``dropped``,
+                # ``rpc.drop``); it is not a collect failure.
+                continue
             except ConfigError:
                 # The stage has no such channel: the rule does not apply to
                 # it (e.g. a data-only stage receiving a metadata rule).

@@ -71,9 +71,12 @@ class FaultyFabric:
 
     ``sync_messages`` lists message types that dispatch synchronously even
     with an engine attached (the control-lag ablation keeps collects
-    synchronous this way).  Deferred messages have their ``now`` field
-    rewritten to arrival time (a token bucket cannot refill into the
-    past), and ``call_async`` replies traverse the link a second time.
+    synchronous this way); :meth:`defers` says which kind a message is,
+    and the control plane collects through per-endpoint sessions exactly
+    when its collect message defers.  Deferred messages have their
+    ``now`` field rewritten to arrival time (a token bucket cannot refill
+    into the past), and ``call_async`` replies traverse the link a second
+    time.
 
     The fabric is a *decorator* over a :class:`~repro.core.transport.
     Transport`: the registry and the actual delivery live in the inner
@@ -226,6 +229,12 @@ class FaultyFabric:
         return handler(message)
 
     # -- verbs -------------------------------------------------------------
+    def defers(self, message: Any) -> bool:
+        """True when a reply to ``message`` comes back later, through the
+        engine, not from :meth:`call` (which inlines this test: one frame
+        fewer per RPC)."""
+        return self.env is not None and not isinstance(message, self._sync_messages)
+
     def call(self, address: str, message: Any) -> Any:
         """Send a message for its *effect*.
 

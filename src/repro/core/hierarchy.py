@@ -40,8 +40,9 @@ the one-local case of this one: it folds every stage into one running
 sum, ``(acc + offered) + drain`` per stage, where a local per stage
 would contribute ``acc + (offered + drain)``.)
 
-Under faults, collect the aggregates through the async session machinery
-(``ControlPlaneConfig.async_collect=True``): the sessions poll local
+Over a fabric that defers :class:`CollectAggregate` (an engine attached,
+the verb not in ``sync_messages``), the aggregates are collected through
+the session machinery like any flat collect: the sessions poll local
 controllers instead of stages, and evicting an unresponsive local evicts
 all of its stages at once.
 
@@ -52,8 +53,9 @@ several locals, each local reports a **partial** per-job demand in its
 :class:`AggregateStats` (folded over just its hosted stages), and
 ``_job_demand_vec`` merges the partials at the global tier: ``sum over
 locals of partial * staleness_discount``, where the discount
-``0.5 ** (age / stale_halflife)`` is per-*local* -- one slow rack dims
-only its own contribution to a spanning job, not its rack-mates'.
+``0.5 ** (age / halflife)`` (a half-life of ``STALE_HALFLIFE`` loop
+intervals) is per-*local* -- one slow rack dims only its own
+contribution to a spanning job, not its rack-mates'.
 Enforcement fans back out with the per-stage split ``max(min_rate, rate
 / job.n_stages)`` computed **once** at the global tier from the job's
 *total* stage count, then pushed to every hosting local exactly once.
@@ -80,7 +82,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
-from repro.core.controller import ControlPlane, fold_stage_demand
+from repro.core.controller import STALE_HALFLIFE, ControlPlane, fold_stage_demand
 from repro.core.rpc import (
     CollectStats,
     EnforceRate,
@@ -576,14 +578,14 @@ class HierarchicalControlPlane(ControlPlane):
         discount, implicit 0.0 start.
         """
         demand = np.zeros(len(self._vec_job_ids))
-        halflife = self.config.stale_halflife
+        halflife = STALE_HALFLIFE * self.config.loop_interval
         ages = self._stats_age
         pos = self._vec_pos
         for local_id, agg in stats.items():
             if not isinstance(agg, _AGGREGATE_TYPES):
                 continue
             discount = 1.0
-            if halflife is not None and ages:
+            if ages:
                 age = ages.get(local_id, 0.0)
                 if age > 0.0:
                     discount = 0.5 ** (age / halflife)
@@ -665,7 +667,9 @@ class HierarchicalControlPlane(ControlPlane):
                     ),
                 )
             except RPCError:
-                self.collect_failures += 1
+                # A lost push: the fabric counts and names it (``dropped``,
+                # ``rpc.drop``); it is not a collect failure.
+                pass
 
     # -- liveness ----------------------------------------------------------
     def _evict(self, endpoint: str) -> None:

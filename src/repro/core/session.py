@@ -1,10 +1,13 @@
 """Per-endpoint collect sessions: the control loop's async state machine.
 
-The flat control loop's collect phase was a synchronous walk -- one
-blocking ``fabric.call`` per stage per tick.  That shape cannot tolerate
-latency (the loop would stall) or loss (a lost reply is indistinguishable
-from a dead stage).  A :class:`CollectSession` tracks one endpoint's
-in-flight statistics request through an explicit lifecycle:
+Over a fabric that answers in line, the control loop's collect phase is
+a synchronous walk -- one ``fabric.call`` per endpoint per tick.  Over a
+fabric that defers the collect (an engine attached, see
+:meth:`~repro.core.fabric.FaultyFabric.defers`) that shape cannot work:
+a reply arrives after latency, or never (a lost reply is
+indistinguishable from a dead stage).  A :class:`CollectSession` tracks
+one endpoint's in-flight statistics request through an explicit
+lifecycle:
 
 ``idle`` -> *issue* (``call_async``) -> ``pending`` -> one of
 
@@ -46,10 +49,6 @@ class CollectSession:
     attempt: int = 0
     #: Bumped when a request is abandoned; stale replies are discarded.
     epoch: int = 0
-    #: Deadline expiries observed (cumulative).
-    timeouts: int = 0
-    #: Endpoint-side errors observed (cumulative).
-    failures: int = 0
     #: True when the endpoint failed the last request (cleared each tick).
     failed: bool = False
     #: Most recent successful reply and its arrival (engine) time.
@@ -73,7 +72,6 @@ class CollectSession:
                 _sess.stats = evt.value
                 _sess.stats_at = evt.env.now
             else:
-                _sess.failures += 1
                 _sess.failed = True
 
         # The event is freshly created and untriggered, so its callbacks
@@ -85,7 +83,3 @@ class CollectSession:
         """Forget the in-flight request; its late reply will be ignored."""
         self.epoch += 1
         self.pending = None
-
-    def age(self, now: float) -> float:
-        """Seconds since the last successful reply (inf if never)."""
-        return now - self.stats_at

@@ -49,9 +49,9 @@ class OrphanPolicy:
 
     A real LD_PRELOAD stage keeps serving requests when its controller is
     partitioned away; it must decide what rate to run at.  A stage enters
-    the *orphaned* state after ``orphan_after`` expected enforcement
-    cycles (of ``interval`` seconds each) pass without any enforcement
-    message, then follows ``mode``:
+    the *orphaned* state after ``orphan_after`` loop intervals of the
+    plane that enforces it pass without any enforcement message, then
+    follows ``mode``:
 
     * ``"hold"`` -- keep the last enforced rates (optimistic: assume the
       allocation is still roughly right);
@@ -60,11 +60,13 @@ class OrphanPolicy:
       so an unsupervised stage cannot keep harming the MDS).
 
     The first enforcement message to arrive re-adopts the stage and
-    restores normal operation.
+    restores normal operation.  The interval is not part of the policy:
+    whoever builds the stage hands it the enforcing plane's
+    ``loop_interval`` together with the policy
+    (:meth:`StageCore.set_orphan_policy`), so the two cannot disagree.
     """
 
     orphan_after: int = 3
-    interval: float = 1.0
     mode: str = "hold"
     floor: float = 1.0
     half_life: float = 10.0
@@ -74,8 +76,6 @@ class OrphanPolicy:
             raise ConfigError(
                 f"orphan_after must be >= 1, got {self.orphan_after}"
             )
-        if self.interval <= 0:
-            raise ConfigError(f"interval must be positive, got {self.interval}")
         if self.mode not in ("hold", "decay"):
             raise ConfigError(f"mode must be 'hold' or 'decay', got {self.mode!r}")
         if self.floor <= 0:
@@ -85,10 +85,10 @@ class OrphanPolicy:
                 f"half_life must be positive, got {self.half_life}"
             )
 
-    @property
-    def silence_threshold(self) -> float:
-        """Seconds of enforcement silence before a stage is orphaned."""
-        return self.orphan_after * self.interval
+    def silence_threshold(self, loop_interval: float) -> float:
+        """Seconds of enforcement silence before a stage is orphaned,
+        under a plane whose loop period is ``loop_interval``."""
+        return self.orphan_after * loop_interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,17 +194,14 @@ class StageCore:
     ``collect() -> (granted, enqueued, backlog)``.
     """
 
-    def __init__(
-        self,
-        identity: StageIdentity,
-        classifier: Classifier,
-        orphan_policy: Optional[OrphanPolicy] = None,
-    ) -> None:
+    def __init__(self, identity: StageIdentity, classifier: Classifier) -> None:
         self.identity = identity
         self.classifier = classifier
         #: Controller-silence survival policy (None = hold rates forever,
-        #: implicitly, with no orphaned state to report).
-        self._orphan_policy = orphan_policy
+        #: implicitly, with no orphaned state to report) and the silence,
+        #: in seconds, after which it orphans the stage.
+        self._orphan_policy: Optional[OrphanPolicy] = None
+        self._silence_threshold = math.inf
         self._last_enforced: Optional[float] = None
         self._orphan_since: Optional[float] = None
         self._orphan_rates: Dict[str, float] = {}
@@ -297,8 +294,22 @@ class StageCore:
             self._note_enforcement(now)
 
     # -- orphan policy ---------------------------------------------------------
-    def set_orphan_policy(self, policy: Optional[OrphanPolicy]) -> None:
-        """Install (or clear) the controller-silence survival policy."""
+    def set_orphan_policy(
+        self, policy: Optional[OrphanPolicy], loop_interval: Optional[float] = None
+    ) -> None:
+        """Install (or clear, with None) the controller-silence survival
+        policy.  ``loop_interval`` is the period of the plane that
+        enforces this stage: the stage orphans after
+        ``policy.orphan_after`` of them pass without enforcement."""
+        if policy is None:
+            self._silence_threshold = math.inf
+        elif loop_interval is None or loop_interval <= 0:
+            raise ConfigError(
+                "an orphan policy needs the enforcing plane's loop interval, "
+                f"got {loop_interval!r}"
+            )
+        else:
+            self._silence_threshold = policy.silence_threshold(loop_interval)
         self._orphan_policy = policy
         self._orphan_since = None
         self._orphan_rates = {}
@@ -328,7 +339,7 @@ class StageCore:
         if last is None:
             return  # never adopted by a controller; nothing to miss
         if self._orphan_since is None:
-            if now - last < policy.silence_threshold:
+            if now - last < self._silence_threshold:
                 return
             self._orphan_since = now
             self._orphan_rates = {
@@ -405,12 +416,9 @@ class DataPlaneStage(StageCore):
         sink: Callable[[Request], None],
         config: Optional[StageConfig] = None,
         telemetry=None,
-        orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
         self.config = config or StageConfig()
-        super().__init__(
-            identity, Classifier(pfs_mounts=self.config.pfs_mounts), orphan_policy
-        )
+        super().__init__(identity, Classifier(pfs_mounts=self.config.pfs_mounts))
         self._sink = sink
         self._m_enforced = None
         self._m_passthrough = None

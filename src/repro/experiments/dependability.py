@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.core.algorithms import ProportionalSharing
-from repro.core.controller import ControlPlaneConfig
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.stage import OrphanPolicy
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
@@ -61,9 +60,7 @@ FAULT_AXES: Dict[str, Tuple[float, ...]] = {
 PARTITION_START_FRAC = 0.4
 #: Relative deviation below which an enforced rate counts as matching.
 TOLERANCE = 0.05
-ORPHAN_POLICY = OrphanPolicy(
-    orphan_after=3, interval=1.0, mode="decay", floor=50.0, half_life=5.0
-)
+ORPHAN_POLICY = OrphanPolicy(orphan_after=3, mode="decay", floor=50.0, half_life=5.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,19 +101,9 @@ def _build_world(
         Setup.PADLL,
         sample_period=1.0,
         algorithm=ProportionalSharing(cap),
+        # An engine-attached fabric defers collects, so the plane runs its
+        # sessions: deadlines, retries and staleness in loop intervals.
         fabric_factory=fabric_factory,
-        controller_config=ControlPlaneConfig(
-            loop_interval=1.0,
-            async_collect=True,
-            # Deadline wider than the loop so a slow (but alive) link
-            # degrades through *staleness* -- discounted demand -- before
-            # it degrades through timeouts.
-            collect_deadline=2.5,
-            max_collect_retries=1,
-            retry_backoff=0.25,
-            stale_ttl=5.0,
-            stale_halflife=2.0,
-        ),
         hierarchical=(mode != "flat"),
         n_racks=2,
         placement="split" if mode == "hier-split" else "job",

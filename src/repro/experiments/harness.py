@@ -204,7 +204,6 @@ class ReplayWorld:
         fabric_factory=None,
         health_aware: bool = False,
         telemetry=None,
-        controller_config: Optional[ControlPlaneConfig] = None,
         hierarchical: bool = False,
         n_racks: int = 2,
         placement: str = "job",
@@ -240,10 +239,9 @@ class ReplayWorld:
         # ``fabric_factory(env)`` lets experiments interpose a custom RPC
         # fabric (e.g. delayed enforcement for the control-lag ablation).
         fabric = fabric_factory(self.env) if fabric_factory is not None else None
-        # ``controller_config`` overrides the two convenience knobs above
-        # (dependability runs need the full surface: async collects,
-        # retries, staleness, eviction).
-        config = controller_config or ControlPlaneConfig(
+        # The fabric picks the collect loop: sessions (deadlines, retries,
+        # staleness, all in loop intervals) when it defers collects.
+        config = ControlPlaneConfig(
             loop_interval=loop_interval, algorithm_channel=algorithm_channel
         )
         self.hierarchical = hierarchical
@@ -613,7 +611,9 @@ class ReplayWorld:
                 )
                 self._build_channels(stage, spec, unlimited)
                 if self.orphan_policy is not None:
-                    stage.set_orphan_policy(self.orphan_policy)
+                    stage.set_orphan_policy(
+                        self.orphan_policy, self.controller.config.loop_interval
+                    )
                 runtime.stages.append(stage)
                 if self.hierarchical:
                     self.controller.register_stage(

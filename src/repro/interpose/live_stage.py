@@ -93,9 +93,8 @@ class LiveStage(StageCore):
         pfs_mounts: Optional[Sequence[str]] = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry=None,
-        orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
-        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts), orphan_policy)
+        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts))
         self._clock = clock
         self._lock = threading.Lock()
         self._last_collect = clock()
@@ -150,9 +149,11 @@ class LiveStage(StageCore):
         with self._lock:
             self._enforce_rate(channel_id, rate, self._clock(), burst)
 
-    def set_orphan_policy(self, policy: Optional[OrphanPolicy]) -> None:
+    def set_orphan_policy(
+        self, policy: Optional[OrphanPolicy], loop_interval: Optional[float] = None
+    ) -> None:
         with self._lock:
-            super().set_orphan_policy(policy)
+            super().set_orphan_policy(policy, loop_interval)
 
     def _check_silence(self) -> None:
         with self._lock:

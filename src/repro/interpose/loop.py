@@ -4,7 +4,8 @@ The simulated experiments tick the control plane from the event engine;
 the live layer needs a real thread doing the same at wall-clock
 intervals.  :class:`LiveControlLoop` wraps a
 :class:`~repro.core.controller.ControlPlane` in a daemon thread calling
-``tick(time.monotonic())`` every ``interval`` seconds until stopped.
+``tick(time.monotonic())`` every ``controller.config.loop_interval``
+seconds until stopped -- the plane's one statement of its period.
 
 The loop also exposes the lifecycle surface the operator service
 (:mod:`repro.service`) reads from its server threads: cumulative tick
@@ -31,14 +32,10 @@ class LiveControlLoop:
     def __init__(
         self,
         controller: ControlPlane,
-        interval: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         on_tick: Optional[Callable[[float], None]] = None,
     ) -> None:
-        if interval <= 0:
-            raise ConfigError(f"interval must be positive, got {interval}")
         self.controller = controller
-        self.interval = float(interval)
         self._clock = clock
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -62,6 +59,11 @@ class LiveControlLoop:
         #: loop thread.  Hook exceptions are recorded like tick errors --
         #: an observer must not be able to kill enforcement either.
         self.on_tick = on_tick
+
+    @property
+    def interval(self) -> float:
+        """Seconds between ticks: the controller's ``loop_interval``."""
+        return self.controller.config.loop_interval
 
     @property
     def running(self) -> bool:

@@ -21,7 +21,9 @@ Example::
 
 The dataclasses below are the schema: a key is a field name, an absent
 key keeps the field's default, and an unknown key -- at any level -- is
-refused.
+refused.  ``interval`` is the loop's one period: the live loop ticks at
+it and ``orphan.orphan_after`` counts it, so ``orphan`` has no interval
+of its own (an ``orphan.interval`` key is refused).
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class ServiceConfig:
     #: Port 0 binds an ephemeral port (tests); the bound port is
     #: discoverable on the server object after start.
     port: int = 9178
-    #: Control-loop period, seconds.
+    #: Control-loop period, seconds: the controller's ``loop_interval``,
+    #: the live loop's tick and the unit of ``orphan.orphan_after``.
     interval: float = 0.25
     seed: int = 0
     sample_rate: float = 0.05

@@ -279,10 +279,7 @@ class ServiceRuntime:
             if spec.rate > 0:
                 self.workload = LiveWorkload(self.stages, spec, seed=config.seed)
         self.loop = LiveControlLoop(
-            self.controller,
-            interval=config.interval,
-            clock=self.clock,
-            on_tick=self._on_tick,
+            self.controller, clock=self.clock, on_tick=self._on_tick
         )
 
     def _register(self, identity: StageIdentity, handler: Callable) -> None:

@@ -76,6 +76,9 @@ class StageLayout:
     channels: Tuple[ChannelSpec, ...]
     pfs_mounts: Tuple[str, ...]
     orphan: Optional[OrphanPolicy]
+    #: The controller's loop period: a stage orphans after
+    #: ``orphan.orphan_after`` of them without enforcement.
+    loop_interval: float
     sample_rate: float
     trace: bool
 
@@ -104,6 +107,7 @@ class StageLayout:
             channels=channels,
             pfs_mounts=("/pfs",) if mounts is None else tuple(mounts),
             orphan=config.orphan,
+            loop_interval=config.interval,
             sample_rate=config.sample_rate,
             trace=config.trace,
         )
@@ -117,6 +121,7 @@ class StageLayout:
             ),
             self.pfs_mounts,
             None if self.orphan is None else astuple(self.orphan),
+            self.loop_interval,
             self.sample_rate,
             self.trace,
         )
@@ -125,11 +130,12 @@ class StageLayout:
     def from_wire(cls, doc: Any) -> "StageLayout":
         """Inverse of :meth:`to_wire`; anything else is a ConfigError."""
         try:
-            channels, pfs_mounts, orphan, sample_rate, trace = doc
+            channels, pfs_mounts, orphan, loop_interval, sample_rate, trace = doc
             return cls(
                 channels=tuple(ChannelSpec(*spec) for spec in channels),
                 pfs_mounts=tuple(pfs_mounts),
                 orphan=None if orphan is None else OrphanPolicy(*orphan),
+                loop_interval=float(loop_interval),
                 sample_rate=float(sample_rate),
                 trace=bool(trace),
             )
@@ -157,8 +163,9 @@ def build_stages(
             pfs_mounts=layout.pfs_mounts,
             clock=clock,
             telemetry=telemetry,
-            orphan_policy=layout.orphan,
         )
+        if layout.orphan is not None:
+            stage.set_orphan_policy(layout.orphan, layout.loop_interval)
         for spec in layout.channels:
             spec.apply(stage, now=now)
         stages.append(stage)

@@ -221,6 +221,36 @@ class TestAlgorithmLoop:
         # Enforcement still proceeds from registry state.
         assert stage.channel_rate("metadata") == 10.0
 
+    @pytest.mark.parametrize("kind", ["flat", "hierarchical"])
+    def test_lost_push_is_not_a_collect_failure(self, kind):
+        """Every collect is answered; only the pushes are lost.  The
+        fabric counts them (``dropped``), the collect tally does not."""
+        from repro.core.hierarchy import (
+            EnforceJobRateBatch,
+            HierarchicalControlPlane,
+            LocalController,
+        )
+        from repro.core.rpc import EnforceRate
+
+        push = (EnforceRate, EnforceJobRateBatch)
+        fabric = FaultyFabric(drop_fn=lambda addr, msg: isinstance(msg, push))
+        if kind == "flat":
+            cp = ControlPlane(fabric=fabric, algorithm=StaticPartition(10.0))
+            for i in range(2):
+                cp.register(make_stage(f"s{i}", f"job{i}"))
+        else:
+            cp = HierarchicalControlPlane(
+                fabric=fabric, algorithm=StaticPartition(10.0)
+            )
+            for i in range(2):
+                cp.attach_local(LocalController(f"rack{i}"))
+                cp.register_stage(make_stage(f"s{i}", f"job{i}"), f"rack{i}")
+        for t in range(3):
+            cp.tick(float(t))
+        assert cp.collect_failures == 0
+        assert fabric.dropped == 6  # 2 pushes per tick, 3 ticks
+        assert len(cp.enforcement_log) == 6
+
     def test_loop_iteration_counter(self):
         cp = ControlPlane()
         for t in range(5):

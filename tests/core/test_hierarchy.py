@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.algorithms import ProportionalSharing
-from repro.core.controller import ControlPlane, ControlPlaneConfig
+from repro.core.controller import (
+    COLLECT_DEADLINE,
+    MAX_COLLECT_RETRIES,
+    RETRY_BACKOFF,
+    ControlPlane,
+    ControlPlaneConfig,
+)
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
     AggregateStats,
@@ -19,6 +27,15 @@ from repro.core.requests import OperationType, Request
 from repro.core.rpc import Ping
 
 from tests.core.test_controller import make_stage
+
+#: Whole-second ticks (loop interval 1 s) in which a silent endpoint
+#: exhausts two collect sessions -- ``max_missed_collects=2`` evicts it.
+#: A session is 1 + MAX_COLLECT_RETRIES attempts, each timing out after
+#: COLLECT_DEADLINE intervals, with a backoff before every retry.
+EXHAUST_TWICE = 1 + 2 * (
+    (1 + MAX_COLLECT_RETRIES) * math.ceil(COLLECT_DEADLINE)
+    + MAX_COLLECT_RETRIES * math.ceil(RETRY_BACKOFF)
+)
 
 
 def build_flat(n_jobs=3, stages_per_job=2, capacity=120.0):
@@ -185,7 +202,7 @@ class TestFaultTolerance:
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
         cp = HierarchicalControlPlane(
             fabric=fabric,
-            config=ControlPlaneConfig(async_collect=True, max_missed_collects=2),
+            config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )
         for r in range(2):
@@ -194,7 +211,7 @@ class TestFaultTolerance:
             cp.register_stage(make_stage(f"j{j}s0", f"job{j}"), f"rack{j % 2}")
         # rack1 goes dark for good.
         fabric.set_link("rack1", LinkProfile(loss=1.0))
-        for t in range(12):
+        for t in range(EXHAUST_TWICE):
             env.run(until=float(t))
             cp.tick(float(t))
         assert "rack1" not in cp.locals
@@ -206,9 +223,7 @@ class TestFaultTolerance:
     def test_async_collect_feeds_allocator_through_locals(self, env):
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
         cp = HierarchicalControlPlane(
-            fabric=fabric,
-            config=ControlPlaneConfig(async_collect=True),
-            algorithm=ProportionalSharing(capacity=100.0),
+            fabric=fabric, algorithm=ProportionalSharing(capacity=100.0)
         )
         cp.attach_local(LocalController("rack0"))
         stages = [make_stage(f"s{i}", f"job{i}") for i in range(2)]

@@ -11,26 +11,28 @@ from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.telemetry import Telemetry
 
-POLICY_HOLD = OrphanPolicy(orphan_after=2, interval=1.0, mode="hold")
-POLICY_DECAY = OrphanPolicy(
-    orphan_after=2, interval=1.0, mode="decay", floor=2.0, half_life=5.0
-)
+#: The enforcing plane's loop period every stage here is handed.
+INTERVAL = 1.0
+POLICY_HOLD = OrphanPolicy(orphan_after=2, mode="hold")
+POLICY_DECAY = OrphanPolicy(orphan_after=2, mode="decay", floor=2.0, half_life=5.0)
 
 
 class TestOrphanPolicyValidation:
     def test_defaults(self):
         policy = OrphanPolicy()
         assert policy.mode == "hold"
-        assert policy.silence_threshold == 3.0
+        assert policy.silence_threshold(1.0) == 3.0
 
     def test_silence_threshold_scales_with_interval(self):
-        assert OrphanPolicy(orphan_after=4, interval=0.5).silence_threshold == 2.0
+        # orphan_after counts loop intervals of the enforcing plane.
+        assert OrphanPolicy(orphan_after=4).silence_threshold(0.5) == 2.0
+        assert OrphanPolicy(orphan_after=3).silence_threshold(4.0) == 12.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             OrphanPolicy(orphan_after=0)
-        with pytest.raises(ConfigError):
-            OrphanPolicy(interval=0.0)
+        with pytest.raises(TypeError):
+            OrphanPolicy(interval=1.0)  # the period is the plane's, not the policy's
         with pytest.raises(ConfigError):
             OrphanPolicy(mode="panic")
         with pytest.raises(ConfigError):
@@ -54,7 +56,7 @@ class StageOrphanContract:
     def adopted(self, policy, rate=64.0):
         self.telemetry = Telemetry()
         stage = self.stage_at(self.telemetry)
-        stage.set_orphan_policy(policy)
+        stage.set_orphan_policy(policy, INTERVAL)
         self.enforce(stage, rate, 0.0)  # adoption
         return stage
 
@@ -64,7 +66,7 @@ class StageOrphanContract:
     def test_never_enforced_stage_never_orphans(self):
         self.telemetry = Telemetry()
         stage = self.stage_at(self.telemetry)
-        stage.set_orphan_policy(POLICY_HOLD)
+        stage.set_orphan_policy(POLICY_HOLD, INTERVAL)
         self.touch(stage, 100.0)
         assert not stage.orphaned
         assert stage.orphan_transitions == 0
@@ -113,6 +115,23 @@ class StageOrphanContract:
         assert stage.orphaned
         assert stage.orphan_transitions == 2
         assert [t for t, _ in self.events("stage.orphaned")] == [2.0, 5.0]
+
+    def test_threshold_follows_the_loop_interval(self):
+        self.telemetry = Telemetry()
+        stage = self.stage_at(self.telemetry)
+        stage.set_orphan_policy(POLICY_HOLD, 4.0)  # 2 intervals = 8 s
+        self.enforce(stage, 64.0, 0.0)
+        self.touch(stage, 7.5)
+        assert not stage.orphaned
+        self.touch(stage, 8.0)
+        assert stage.orphaned
+
+    def test_policy_needs_the_loop_interval(self):
+        stage = self.stage_at(Telemetry())
+        for interval in (None, 0.0):
+            with pytest.raises(ConfigError, match="loop interval"):
+                stage.set_orphan_policy(POLICY_HOLD, interval)
+        stage.set_orphan_policy(None)  # clearing needs none
 
     def test_set_policy_none_disables(self):
         stage = self.adopted(POLICY_HOLD)

@@ -1,12 +1,20 @@
-"""Async collect sessions: deadlines, retries, budget, staleness."""
+"""Collect sessions: the fabric picks them; deadlines, retries and
+staleness are constants counted in loop intervals."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.core.algorithms import ProportionalSharing
-from repro.core.controller import ControlPlane, ControlPlaneConfig
+from repro.core.controller import (
+    COLLECT_DEADLINE,
+    MAX_COLLECT_RETRIES,
+    RETRY_BACKOFF,
+    STALE_HALFLIFE,
+    STALE_TTL,
+    ControlPlane,
+    ControlPlaneConfig,
+)
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
     CollectAggregate,
@@ -47,11 +55,12 @@ def make_world(env, *, link, config, n_stages=2, seed=0, capacity=100.0, algorit
 
 
 class TestAsyncCollect:
+    """An engine-attached fabric defers collects, so the plane runs its
+    sessions with no flag; every timing is a constant in loop intervals."""
+
     def test_replies_feed_next_cycle(self, env):
         cp, fabric, stages = make_world(
-            env,
-            link=LinkProfile(latency=0.1),
-            config=ControlPlaneConfig(async_collect=True),
+            env, link=LinkProfile(latency=0.1), config=ControlPlaneConfig()
         )
 
         def load(now):
@@ -61,6 +70,7 @@ class TestAsyncCollect:
         drive(cp, env, ticks=5, load=load)
         # Replies arrive 0.2s after issue -- fresh by the next tick -- so
         # the allocator runs and enforces from tick 1 onward.
+        assert set(cp._sessions) == {"s0", "s1"}
         assert cp.collect_failures == 0
         assert len(cp.enforcement_log) > 0
         assert cp.collect_timeouts == 0
@@ -68,71 +78,73 @@ class TestAsyncCollect:
     def test_slow_link_times_out(self, env):
         cp, fabric, stages = make_world(
             env,
-            link=LinkProfile(latency=5.0),  # way past the 0.5s deadline
-            config=ControlPlaneConfig(async_collect=True),
+            # A 10 s round trip: past the 2.5-interval deadline.
+            link=LinkProfile(latency=5.0),
+            config=ControlPlaneConfig(),
         )
-        drive(cp, env, ticks=4)
+        drive(cp, env, ticks=8)
         assert cp.collect_timeouts > 0
-        assert cp.collect_failures > 0  # retries default to 0: each timeout is a miss
+        # Each miss is 1 + MAX_COLLECT_RETRIES timeouts.
+        assert cp.collect_failures > 0
+        assert cp.collect_timeouts == cp.collect_failures * (1 + MAX_COLLECT_RETRIES)
 
     def test_total_loss_evicts_at_limit(self, env):
         cp, fabric, stages = make_world(
             env,
             link=LinkProfile(loss=1.0),
-            config=ControlPlaneConfig(async_collect=True, max_missed_collects=3),
+            config=ControlPlaneConfig(max_missed_collects=3),
         )
-        drive(cp, env, ticks=10)
+        drive(cp, env, ticks=25)
         assert len(cp.stages) == 0
         evicted = {stage_id for _, stage_id in cp.evictions}
         assert evicted == {"s0", "s1"}
 
     def test_retries_defer_misses(self, env):
-        config_no_retry = ControlPlaneConfig(async_collect=True)
-        config_retries = ControlPlaneConfig(
-            async_collect=True,
-            max_collect_retries=3,
-            retry_backoff=0.0,
+        cp, fabric, _ = make_world(
+            env, link=LinkProfile(loss=1.0), config=ControlPlaneConfig()
         )
-        results = {}
-        for name, config in (("none", config_no_retry), ("retries", config_retries)):
-            e = Environment()
-            cp, _, _ = make_world(e, link=LinkProfile(loss=1.0), config=config)
-            drive(cp, e, ticks=8)
-            results[name] = cp.collect_failures
-        # With retries, several timeouts fold into one liveness miss.
-        assert results["retries"] < results["none"]
+        drive(cp, env, ticks=22)
+        # Under total loss every attempt times out; a miss is counted only
+        # once the retries are exhausted.
+        assert cp.collect_failures == 6  # 2 stages x 3 exhausted sessions
+        assert cp.collect_failures == cp.collect_timeouts / (1 + MAX_COLLECT_RETRIES)
 
     def test_retry_backoff_spaces_attempts(self, env):
+        interval = 4.0
         cp, fabric, stages = make_world(
             env,
             link=LinkProfile(loss=1.0),
-            config=ControlPlaneConfig(
-                async_collect=True,
-                max_collect_retries=10,
-                retry_backoff=2.0,
-            ),
+            config=ControlPlaneConfig(loop_interval=interval),
             n_stages=1,
             algorithm=False,
         )
-        drive(cp, env, ticks=10)
-        # Exponential backoff: far fewer issues than ticks (every issued
-        # collect is lost, so issues == timeouts == fabric calls).
-        session = cp._sessions["s0"]
-        assert session.timeouts <= 4
-        assert fabric.calls <= 4
+        issued = []
+        for t in range(23):
+            env.run(until=float(t))
+            calls = fabric.calls
+            cp.tick(float(t))
+            if fabric.calls > calls:
+                issued.append(float(t))
+        deadline = COLLECT_DEADLINE * interval  # 10 s
+        retry = deadline + RETRY_BACKOFF * interval  # 1 s after the timeout
+        # The retry times out too: retries are exhausted, the miss is
+        # counted and a fresh attempt goes out at once.
+        assert issued == [0.0, retry, retry + deadline]
+        assert cp.collect_timeouts == 2
+        assert cp.collect_failures == 1
 
     def test_sync_path_untouched_by_default(self):
-        config = ControlPlaneConfig()
-        assert config.async_collect is False
-        cp = ControlPlane(config=config)
+        cp = ControlPlane(config=ControlPlaneConfig())
         cp.register(make_stage("s0", "jobA"))
         cp.tick(0.0)  # default fabric, no engine: must not need call_async
         assert cp.collect_failures == 0
+        assert cp._sessions == {}
 
 
 class TestSyncCollectOverDeferringFabric:
-    """A deferring fabric acknowledges a send with ``True``; a synchronous
-    collect must refuse that, not read it as a stage's stats."""
+    """Over an engine fabric the collect loop is the fabric's to pick:
+    sessions by default, the synchronous walk for a collect verb listed
+    in ``sync_messages`` (the control-lag ablation's set-up)."""
 
     def plane(self, env, kind, sync_messages=()):
         fabric = FaultyFabric(
@@ -148,69 +160,71 @@ class TestSyncCollectOverDeferringFabric:
             cp.register_stage(make_stage("s0", "job0"), "rack0")
         return cp
 
-    @pytest.mark.parametrize("kind", ["flat", "hierarchical"])
-    def test_first_collect_names_the_fixes(self, env, kind):
+    @pytest.mark.parametrize(
+        "kind, endpoint", [("flat", "s0"), ("hierarchical", "rack0")]
+    )
+    def test_engine_fabric_runs_sessions(self, env, kind, endpoint):
         cp = self.plane(env, kind)
-        with pytest.raises(ConfigError, match="async_collect=True") as info:
-            cp.tick(0.0)
-        assert "sync_messages" in str(info.value)
-        assert len(cp.enforcement_log) == 0
+        assert cp.fabric.defers(cp._collect_message(0.0))
+        cp.tick(0.0)
+        assert set(cp._sessions) == {endpoint}
+        assert cp._sessions[endpoint].pending is not None
 
     @pytest.mark.parametrize(
         "kind, verb", [("flat", CollectStats), ("hierarchical", CollectAggregate)]
     )
     def test_synchronous_collect_messages_still_work(self, env, kind, verb):
         cp = self.plane(env, kind, sync_messages=(verb,))
+        assert not cp.fabric.defers(cp._collect_message(0.0))
         cp.tick(0.0)
         assert len(cp.enforcement_log) == 1
+        assert cp._sessions == {}
 
 
 class TestStaleness:
+    INTERVAL = 1.0
+
     def _age_stats(self, cp, stage_id, age, now):
         session = cp._sessions[stage_id]
         session.stats_at = now - age
 
     def test_stale_stats_discounted(self, env):
-        config = ControlPlaneConfig(
-            async_collect=True, stale_ttl=30.0, stale_halflife=5.0
-        )
         cp, fabric, stages = make_world(
-            env, link=LinkProfile(latency=0.1), config=config, n_stages=1
+            env, link=LinkProfile(latency=0.1), config=ControlPlaneConfig(), n_stages=1
         )
         stages[0].submit(Request(OperationType.OPEN, path="/f", count=50.0), 0.0)
         drive(cp, env, ticks=3)
-        # Manufacture staleness: pretend the reply arrived 10s (two
-        # half-lives) ago, then recompute demands.
+        # Manufacture staleness: pretend the reply arrived two half-lives
+        # ago, then recompute demands.
         stats = {"s0": cp._sessions["s0"].stats}
         assert len(cp.vector_job_ids()) == 1
         cp._stats_age = {"s0": 0.0}
         fresh = cp._job_demand_vec(stats)[0]
-        cp._stats_age = {"s0": 10.0}
+        cp._stats_age = {"s0": 2 * STALE_HALFLIFE * self.INTERVAL}
         stale = cp._job_demand_vec(stats)[0]
         assert stale == pytest.approx(fresh * 0.25)
 
     def test_stale_beyond_ttl_excluded(self, env):
-        config = ControlPlaneConfig(async_collect=True, stale_ttl=2.0)
         cp, fabric, stages = make_world(
-            env, link=LinkProfile(latency=0.1), config=config, n_stages=1
+            env, link=LinkProfile(latency=0.1), config=ControlPlaneConfig(), n_stages=1
         )
         drive(cp, env, ticks=2)
         assert cp._sessions["s0"].stats is not None
         # Age the reply past the TTL: the next collect drops it.
-        self._age_stats(cp, "s0", age=50.0, now=2.0)
+        self._age_stats(cp, "s0", age=STALE_TTL * self.INTERVAL + 1.0, now=2.0)
         stats = cp._collect(2.0)
         assert "s0" not in stats
 
     def test_fresh_within_ttl_included_with_age(self, env):
-        config = ControlPlaneConfig(async_collect=True, stale_ttl=10.0)
         cp, fabric, stages = make_world(
-            env, link=LinkProfile(latency=0.1), config=config, n_stages=1
+            env, link=LinkProfile(latency=0.1), config=ControlPlaneConfig(), n_stages=1
         )
         drive(cp, env, ticks=2)
-        self._age_stats(cp, "s0", age=4.0, now=2.0)
+        age = STALE_TTL * self.INTERVAL - 1.0
+        self._age_stats(cp, "s0", age=age, now=2.0)
         stats = cp._collect(2.0)
         assert "s0" in stats
-        assert cp._stats_age["s0"] == pytest.approx(4.0)
+        assert cp._stats_age["s0"] == pytest.approx(age)
 
 
 class TestSessionUnit:
@@ -245,5 +259,4 @@ class TestSessionUnit:
         session.issue(fabric, object(), 0.0)
         env.run(until=2.0)
         assert session.failed
-        assert session.failures == 1
         assert session.pending is None

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.algorithms import ProportionalSharing
-from repro.core.controller import ControlPlane, ControlPlaneConfig
+from repro.core.controller import STALE_HALFLIFE, ControlPlane, ControlPlaneConfig
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
     AggregateStats,
@@ -30,7 +30,7 @@ from repro.core.rpc import Ping
 from repro.core.stage import StageIdentity
 
 from tests.core.test_controller import make_stage
-from tests.core.test_hierarchy import build_flat, metadata_load
+from tests.core.test_hierarchy import EXHAUST_TWICE, build_flat, metadata_load
 
 
 def build_split(n_jobs=3, stages_per_job=2, n_racks=2, capacity=120.0, config=None):
@@ -136,11 +136,8 @@ class TestDemandMerge:
         assert sorted(pushes) == [("rack0", "job0"), ("rack1", "job0")]
 
     def test_staleness_discount_is_per_local(self):
-        halflife = 2.0
-        cp = HierarchicalControlPlane(
-            config=ControlPlaneConfig(stale_halflife=halflife),
-            algorithm=ProportionalSharing(capacity=100.0),
-        )
+        cp = HierarchicalControlPlane(algorithm=ProportionalSharing(capacity=100.0))
+        halflife = STALE_HALFLIFE * cp.config.loop_interval
         for r in range(2):
             cp.attach_local(LocalController(f"rack{r}"))
         for s in range(2):
@@ -169,7 +166,7 @@ class TestSpanningJobEviction:
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
         cp = HierarchicalControlPlane(
             fabric=fabric,
-            config=ControlPlaneConfig(async_collect=True, max_missed_collects=2),
+            config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )
         for r in range(3):
@@ -182,7 +179,7 @@ class TestSpanningJobEviction:
         cp.register_stage(make_stage("b1", "jobB"), "rack2")
         fabric.set_link("rack0", LinkProfile(loss=1.0))
         fabric.set_link("rack1", LinkProfile(loss=1.0))
-        for t in range(12):
+        for t in range(EXHAUST_TWICE):
             env.run(until=float(t))
             cp.tick(float(t))
         assert set(cp.locals) == {"rack2"}
@@ -367,7 +364,7 @@ class TestRackEndpoint:
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
         cp = HierarchicalControlPlane(
             fabric=fabric,
-            config=ControlPlaneConfig(async_collect=True, max_missed_collects=2),
+            config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )
         cp.attach_local(
@@ -381,7 +378,7 @@ class TestRackEndpoint:
         )
         cp.register_remote(StageIdentity("s0", "job0"), "rack0")
         fabric.set_link("rack0", LinkProfile(loss=1.0))
-        for t in range(12):
+        for t in range(EXHAUST_TWICE):
             env.run(until=float(t))
             cp.tick(float(t))
         assert cp.locals == {}

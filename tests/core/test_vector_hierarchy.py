@@ -19,15 +19,14 @@ from repro.core.algorithms import (
     ProportionalSharing,
     StaticPartition,
 )
-from repro.core.controller import ControlPlaneConfig
+from repro.core.controller import STALE_HALFLIFE
 from repro.core.hierarchy import HierarchicalControlPlane, LocalController
 from repro.core.requests import OperationType, Request
 
 from tests.core.test_controller import make_stage
 
 
-def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3,
-                config=None):
+def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3):
     """Split placement: stage s of every job lives on rack s % n_racks,
     so each job spans several racks (the hierarchy's hard case).
 
@@ -44,7 +43,6 @@ def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3,
                 by_id[stage_id].set_channel_rate("metadata", rate, now, None)
 
     cp = HierarchicalControlPlane(
-        config=config,
         algorithm=algorithm,
         enforce_array_sink=sink if vectorized else None,
     )
@@ -148,17 +146,13 @@ class TestPlaneEquality:
         assert vec.placement_version == ref.placement_version
 
     def test_staleness_discount(self):
-        config = ControlPlaneConfig(stale_halflife=2.0)
-        ref_cp, ref_stages = build_plane(
-            ProportionalSharing(capacity=90.0), False, config=config
-        )
-        vec_cp, vec_stages = build_plane(
-            ProportionalSharing(capacity=90.0), True, config=config
-        )
-        # Ages normally come from the async-collect session machinery;
-        # inject them directly so the 0.5 ** (age / halflife) discount
-        # branch runs -- with different discounts per local.
-        ages = {"rack0": 1.5, "rack1": 3.0}
+        ref_cp, ref_stages = build_plane(ProportionalSharing(capacity=90.0), False)
+        vec_cp, vec_stages = build_plane(ProportionalSharing(capacity=90.0), True)
+        # Ages normally come from the session machinery; inject them
+        # directly so the 0.5 ** (age / halflife) discount branch runs --
+        # with different discounts per local, around one half-life.
+        halflife = STALE_HALFLIFE * ref_cp.config.loop_interval
+        ages = {"rack0": 0.75 * halflife, "rack1": 1.5 * halflife}
         ref_hist = drive(ref_cp, ref_stages, ages=ages)
         vec_hist = drive(vec_cp, vec_stages, ages=ages)
         assert ref_hist == vec_hist

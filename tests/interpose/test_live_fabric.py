@@ -47,8 +47,9 @@ def make_world(loss: float = 0.0, orphan: OrphanPolicy = None):
         StageIdentity("jobF/s0", "jobF"),
         clock=time.monotonic,
         telemetry=telemetry,
-        orphan_policy=orphan,
     )
+    if orphan is not None:
+        stage.set_orphan_policy(orphan, controller.config.loop_interval)
     stage.create_channel("metadata", rate=float("inf"))
     stage.add_classifier_rule(
         ClassifierRule(
@@ -80,7 +81,7 @@ def wait_until(predicate, timeout: float = 8.0, poll=None) -> bool:
 class TestLiveLoss:
     def test_total_loss_counts_failures_and_emits_drops(self):
         telemetry, fabric, controller, stage = make_world(loss=1.0)
-        with LiveControlLoop(controller, INTERVAL, on_tick=None) as loop:
+        with LiveControlLoop(controller, on_tick=None) as loop:
             assert wait_until(lambda: controller.collect_failures >= 3)
         assert fabric.lost >= 3
         drops = list(telemetry.events.of_kind("rpc.drop"))
@@ -90,7 +91,7 @@ class TestLiveLoss:
 
     def test_healthy_loop_enforces_live_stage(self):
         telemetry, fabric, controller, stage = make_world()
-        with LiveControlLoop(controller, INTERVAL):
+        with LiveControlLoop(controller):
             assert wait_until(
                 lambda: stage.channel_rate("metadata") != float("inf"),
                 poll=lambda: pump(stage, 2),
@@ -101,11 +102,9 @@ class TestLiveLoss:
 
 class TestOrphanDecayAndReadoption:
     def test_loss_orphans_decays_then_heals(self):
-        orphan = OrphanPolicy(
-            orphan_after=2, interval=INTERVAL, mode="decay", floor=2.0, half_life=0.05
-        )
+        orphan = OrphanPolicy(orphan_after=2, mode="decay", floor=2.0, half_life=0.05)
         telemetry, fabric, controller, stage = make_world(orphan=orphan)
-        loop = LiveControlLoop(controller, INTERVAL)
+        loop = LiveControlLoop(controller)
         loop.start()
         try:
             # Phase 1: healthy -- enforcement lands, stage is adopted.
@@ -148,7 +147,7 @@ class TestOrphanDecayAndReadoption:
 class TestLivePartition:
     def test_wall_clock_partition_window(self):
         telemetry, fabric, controller, stage = make_world()
-        loop = LiveControlLoop(controller, INTERVAL)
+        loop = LiveControlLoop(controller)
         loop.start()
         try:
             assert wait_until(

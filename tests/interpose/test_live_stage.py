@@ -118,12 +118,10 @@ class TestControlAgainstDataPath:
 
         from repro.core.stage import OrphanPolicy
 
-        stage = LiveStage(
-            StageIdentity("ls0", "jobL"),
-            orphan_policy=OrphanPolicy(
-                orphan_after=1, interval=0.001, mode="decay",
-                floor=1e8, half_life=0.001,
-            ),
+        stage = LiveStage(StageIdentity("ls0", "jobL"))
+        stage.set_orphan_policy(
+            OrphanPolicy(orphan_after=1, mode="decay", floor=1e8, half_life=0.001),
+            0.001,
         )
         stage.create_channel("metadata", rate=1e9)
         stage.add_classifier_rule(

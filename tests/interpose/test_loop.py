@@ -7,13 +7,18 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.controller import ControlPlane
+from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.requests import OperationClass
 from repro.core.stage import StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.interpose.loop import LiveControlLoop
+
+
+def plane(interval):
+    """A control plane whose loop period is ``interval`` seconds."""
+    return ControlPlane(config=ControlPlaneConfig(loop_interval=interval))
 
 
 def make_live_stage():
@@ -29,7 +34,7 @@ def make_live_stage():
 
 class TestLiveControlLoop:
     def test_policy_enforced_on_live_stage(self):
-        cp = ControlPlane()
+        cp = plane(0.02)
         stage = make_live_stage()
         cp.register(stage)
         cp.install_policy(
@@ -39,7 +44,8 @@ class TestLiveControlLoop:
                 schedule=ConstantRate(123.0),
             )
         )
-        with LiveControlLoop(cp, interval=0.02):
+        with LiveControlLoop(cp) as loop:
+            assert loop.interval == 0.02
             deadline = time.monotonic() + 2.0
             while stage.channel_rate("metadata") != 123.0:
                 if time.monotonic() > deadline:
@@ -48,7 +54,7 @@ class TestLiveControlLoop:
         assert cp.loop_iterations >= 1
 
     def test_double_start_rejected(self):
-        loop = LiveControlLoop(ControlPlane(), interval=0.05)
+        loop = LiveControlLoop(plane(0.05))
         loop.start()
         try:
             with pytest.raises(ConfigError):
@@ -57,11 +63,11 @@ class TestLiveControlLoop:
             loop.stop()
 
     def test_stop_is_idempotent_when_never_started(self):
-        loop = LiveControlLoop(ControlPlane(), interval=0.05)
+        loop = LiveControlLoop(plane(0.05))
         loop.stop()  # no-op
 
     def test_error_surfaces_on_stop(self):
-        cp = ControlPlane()
+        cp = plane(0.01)
 
         class Boom:
             def allocate_arrays(self, job_ids, demand, reservation):
@@ -70,20 +76,23 @@ class TestLiveControlLoop:
         cp.algorithm = Boom()
         stage = make_live_stage()
         cp.register(stage)
-        loop = LiveControlLoop(cp, interval=0.01)
+        loop = LiveControlLoop(cp)
         loop.start()
         time.sleep(0.1)
         with pytest.raises(RuntimeError, match="exploded"):
             loop.stop()
 
     def test_invalid_interval(self):
+        # The period is the controller's: validated once, where it is set.
         with pytest.raises(ConfigError):
-            LiveControlLoop(ControlPlane(), interval=0.0)
+            plane(0.0)
+        with pytest.raises(TypeError):
+            LiveControlLoop(ControlPlane(), interval=0.5)
 
     def test_loop_survives_tick_errors(self):
         """Regression: one failing tick must not silently kill the daemon
         thread -- enforcement continues and the error stays inspectable."""
-        cp = ControlPlane()
+        cp = plane(0.01)
         calls = {"n": 0}
 
         class FlakyOnce:
@@ -95,7 +104,7 @@ class TestLiveControlLoop:
 
         cp.algorithm = FlakyOnce()
         cp.register(make_live_stage())
-        loop = LiveControlLoop(cp, interval=0.01)
+        loop = LiveControlLoop(cp)
         loop.start()
         deadline = time.monotonic() + 2.0
         while calls["n"] < 5:
@@ -109,7 +118,7 @@ class TestLiveControlLoop:
             loop.stop()
 
     def test_last_error_none_when_clean(self):
-        loop = LiveControlLoop(ControlPlane(), interval=0.01)
+        loop = LiveControlLoop(plane(0.01))
         with loop:
             time.sleep(0.05)
         assert loop.last_error is None

@@ -109,6 +109,8 @@ class TestParse:
             ({"faults": {"los": 0.5}}, "'faults'"),
             ({"orphan": {"after": 7}}, "'orphan'"),
             ({"padll": {"channel": []}}, "top-level"),
+            # The period is the service's ``interval``, stated once.
+            ({"orphan": {"interval": 0.25}}, "'orphan'"),
         ],
     )
     def test_unknown_nested_keys_rejected(self, doc, level):
@@ -151,7 +153,7 @@ class TestParse:
             config = parse_service_config(doc)
             assert config.padll is None
             assert config.orphan == OrphanPolicy(
-                orphan_after=3, interval=0.25, mode="decay", floor=10.0, half_life=1.0
+                orphan_after=3, mode="decay", floor=10.0, half_life=1.0
             )
 
     def test_non_object_rejected(self):

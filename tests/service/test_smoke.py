@@ -154,12 +154,9 @@ class TestLiveFaultsOverHttp:
             trace=False,
             workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=150.0),
             capacity=100.0,
+            # Two of the service's 0.05 s loop intervals.
             orphan=OrphanPolicy(
-                orphan_after=2,
-                interval=0.05,
-                mode="decay",
-                floor=2.0,
-                half_life=0.05,
+                orphan_after=2, mode="decay", floor=2.0, half_life=0.05
             ),
         )
         runtime = ServiceRuntime(config)

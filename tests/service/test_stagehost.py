@@ -443,6 +443,57 @@ class TestOneLayout:
         assert "padll/layout" in result.stdout
 
 
+class _ManualClock:
+    def __init__(self, t=100.0):
+        self.t = t
+
+    def __call__(self):
+        return self.t
+
+
+class TestOrphanThresholdIsTheLoopInterval:
+    """A stage orphans after ``orphan_after`` of the service's own loop
+    intervals -- in process, and when built from the ``padll/layout``
+    reply -- so a healthy loop with a long period never orphans one."""
+
+    @pytest.mark.parametrize("stage_procs", [0, 1], ids=["in-process", "layout"])
+    def test_healthy_slow_loop_never_orphans(self, stage_procs):
+        clock = _ManualClock()
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=stage_procs,
+                interval=4.0,
+                trace=False,
+                workload=WorkloadSpec(jobs=1, stages_per_job=2, rate=0.0),
+                orphan=OrphanPolicy(orphan_after=3, mode="decay"),
+            ),
+            clock,
+        )
+        host = None
+        try:
+            if stage_procs:
+                host = _dial(runtime, clock=clock)
+                stages = host.stages
+            else:
+                stages = runtime.stages
+            assert len(stages) == 2
+            no_wait = threading.Event()
+            no_wait.set()  # admit never blocks on the manual clock
+            for _ in range(10):
+                clock.t += runtime.config.interval
+                for stage in stages:
+                    stage.admit(OperationType.OPEN, "/pfs/f", stop=no_wait)
+                runtime.controller.tick(clock.t)
+            assert runtime.controller.collect_failures == 0
+            for stage in stages:
+                assert stage.channel_rate("metadata") != float("inf")  # enforced
+                assert stage.orphan_transitions == 0
+        finally:
+            if host is not None:
+                host.stop()
+            runtime.stop()
+
+
 class TestSamplingReachesHosts:
     def test_admin_sampling_rate_is_pushed_to_every_host(self):
         runtime = ServiceRuntime(
