@@ -60,13 +60,13 @@ def run(protected: bool):
     if protected:
         from repro.core.differentiation import ClassifierRule
         from repro.core.requests import OperationClass
-        from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+        from repro.core.stage import DataPlaneStage, StageIdentity
 
         runtime_sink = world._jobs["sim-job"]  # noqa: SLF001 (example plumbing)
         stage = DataPlaneStage(
             StageIdentity("dl-stage", "dl-train"),
             sink=lambda req: world._client.submit(req),  # noqa: SLF001
-            config=StageConfig(pfs_mounts=("/pfs",)),
+            pfs_mounts=("/pfs",),
         )
         stage.create_channel("metadata", rate=MDS_OPS * 0.4)
         stage.add_classifier_rule(

@@ -19,7 +19,6 @@ from repro.core import (
     PolicyRule,
     Request,
     RuleScope,
-    StageConfig,
     StageIdentity,
 )
 from repro.core.policies import ConstantRate
@@ -34,7 +33,7 @@ def main() -> None:
     stage = DataPlaneStage(
         StageIdentity(stage_id="node0-stage", job_id="job42", hostname="node0"),
         sink=arrived.append,
-        config=StageConfig(pfs_mounts=("/pfs",)),
+        pfs_mounts=("/pfs",),
     )
     stage.create_channel("metadata")
     stage.add_classifier_rule(

@@ -26,7 +26,6 @@ from repro.core import (
     ProportionalSharing,
     Request,
     RuleScope,
-    StageConfig,
     StageIdentity,
     StaticPartition,
     SteppedRate,
@@ -50,7 +49,6 @@ __all__ = [
     "ProportionalSharing",
     "Request",
     "RuleScope",
-    "StageConfig",
     "StageIdentity",
     "StaticPartition",
     "SteppedRate",

@@ -11,10 +11,16 @@ Subcommands::
     padll-repro sweep fig4|fig5|ablations|harm|overhead|sharded|all [--jobs N]
     padll-repro sharded [--shards N] [--digest-only]
     padll-repro lint [paths ...] [--format text|json|sarif] [--verbose]
-    padll-repro serve [--port 9178] [--duration N] [--policy CONFIG.json]
+    padll-repro serve [--config SERVICE.json] [--duration N]
+    padll-repro stage-host --connect HOST:PORT --host-id ID --stages IDS [--seed N]
+    padll-repro policy check CONFIG.json
 
 Each experiment subcommand regenerates the corresponding paper artefact
-and prints it as text (the same rendering the benchmarks use).
+and prints it as text (the same rendering the benchmarks use).  ``serve``
+takes its whole world from one JSON document (docs/SERVICE.md); only the
+admin secret may come from the environment instead (``PADLL_ADMIN_TOKEN``,
+when the document sets no ``admin_token``).  A ``stage-host`` is spawned
+by ``serve`` and fetches everything but its identity from the controller.
 """
 
 from __future__ import annotations
@@ -192,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--duration", type=float, default=240.0)
     sharded.add_argument("--step-period", type=float, default=60.0)
     sharded.add_argument(
-        "--dt",
-        type=float,
-        default=1.0,
-        help="fluid tick length in seconds; the 1 s control epoch must "
-        "be a multiple of it",
-    )
-    sharded.add_argument(
         "--placement",
         choices=("split", "job"),
         default="split",
@@ -239,61 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the live operator service (control loop + HTTP endpoints)",
     )
-    serve.add_argument("--config", help="service config JSON file")
-    serve.add_argument("--host", help="listen address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, help="listen port (0 = ephemeral)")
-    serve.add_argument("--interval", type=float, help="control-loop period, seconds")
-    serve.add_argument("--seed", type=int, help="world seed (workload + fabric + tracer)")
     serve.add_argument(
-        "--sample-rate", type=float, help="span head-sampling rate in [0, 1]"
-    )
-    serve.add_argument(
-        "--capacity", type=float, help="algorithm channel capacity (ops/s)"
+        "--config",
+        help="service config JSON document: every world setting (listener, "
+        "loop, workload, faults, stage hosts, admin_token, audit_dir, policy "
+        "under \"padll\"); default: the built-in ServiceConfig",
     )
     serve.add_argument(
         "--duration",
         type=float,
         default=None,
         help="exit cleanly after this many seconds (default: run until signalled)",
-    )
-    serve.add_argument("--policy", help="PADLL policy config JSON to install")
-    serve.add_argument("--jobs", type=int, help="synthetic workload: number of jobs")
-    serve.add_argument(
-        "--stages-per-job", type=int, help="synthetic workload: stages per job"
-    )
-    serve.add_argument(
-        "--workload-rate",
-        type=float,
-        help="offered ops/s per stage (0 disables the workload)",
-    )
-    serve.add_argument(
-        "--loss", type=float, help="control-fabric per-message loss probability"
-    )
-    serve.add_argument(
-        "--latency", type=float, help="control-RPC latency injected per delivery, seconds"
-    )
-    serve.add_argument(
-        "--stage-procs",
-        type=int,
-        help="run stages in this many supervised stage-host child processes "
-        "(0 = in-process, the default)",
-    )
-    serve.add_argument(
-        "--control-host", help="socket-fabric listen address for stage hosts"
-    )
-    serve.add_argument(
-        "--control-port",
-        type=int,
-        help="socket-fabric listen port for stage hosts (0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--admin-token",
-        help="shared secret required on admin verbs "
-        "(default: PADLL_ADMIN_TOKEN env var; unset leaves admin open)",
-    )
-    serve.add_argument(
-        "--audit-dir",
-        help="directory for persistent JSONL audit/event sinks (rotating)",
     )
 
     # -- stage host (out-of-process worker) ---------------------------------------------
@@ -311,17 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated stage ids; the job id is each id's first '/' segment",
     )
     stage_host.add_argument("--seed", type=int, default=0)
-    stage_host.add_argument(
-        "--workload-rate",
-        type=float,
-        default=0.0,
-        help="offered ops/s per stage (0 disables the driver threads)",
-    )
-    stage_host.add_argument(
-        "--workload-ops", default="open,stat,mkdir,getxattr",
-        help="comma-separated op mix for the synthetic workload",
-    )
-    stage_host.add_argument("--path-prefix", default="/pfs/scratch")
 
     # -- policy configs ----------------------------------------------------------------
     policy = sub.add_parser("policy", help="validate a PADLL config file")
@@ -569,7 +513,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
             duration=args.duration,
             step_period=args.step_period,
             placement=args.placement,
-            dt=args.dt,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -648,68 +591,27 @@ def _cmd_policy_check(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
+    import os
     import signal
     import threading
     import time as _time
 
-    from repro.core.config import load_config
     from repro.errors import ConfigError
     from repro.service import (
         OperatorServer,
         ServiceConfig,
         ServiceRuntime,
         load_service_config,
-        with_overrides,
     )
-
-    config = (
-        load_service_config(args.config) if args.config else ServiceConfig()
-    )
-    import os as _os
-
-    admin_token = args.admin_token
-    if admin_token is None:
-        admin_token = _os.environ.get("PADLL_ADMIN_TOKEN") or None
-    config = with_overrides(
-        config,
-        host=args.host,
-        port=args.port,
-        interval=args.interval,
-        seed=args.seed,
-        sample_rate=args.sample_rate,
-        capacity=args.capacity,
-        stage_procs=args.stage_procs,
-        control_host=args.control_host,
-        control_port=args.control_port,
-        admin_token=admin_token,
-        audit_dir=args.audit_dir,
-    )
-    workload_changes = {
-        key: value
-        for key, value in (
-            ("jobs", args.jobs),
-            ("stages_per_job", args.stages_per_job),
-            ("rate", args.workload_rate),
-        )
-        if value is not None
-    }
-    if workload_changes:
-        config = dataclasses.replace(
-            config, workload=dataclasses.replace(config.workload, **workload_changes)
-        )
-    fault_changes = {
-        key: value
-        for key, value in (("loss", args.loss), ("latency", args.latency))
-        if value is not None
-    }
-    if fault_changes:
-        config = dataclasses.replace(
-            config, faults=dataclasses.replace(config.faults, **fault_changes)
-        )
-    if args.policy:
-        config = dataclasses.replace(config, padll=load_config(args.policy))
 
     try:
+        config = (
+            load_service_config(args.config) if args.config else ServiceConfig()
+        )
+        if config.admin_token is None:
+            # The secret stays off argv (``ps`` shows argv to every user).
+            admin_token = os.environ.get("PADLL_ADMIN_TOKEN") or None
+            config = dataclasses.replace(config, admin_token=admin_token)
         runtime = ServiceRuntime(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -772,7 +674,6 @@ def _cmd_stage_host(args: argparse.Namespace) -> int:
     import signal
 
     from repro.errors import ReproError
-    from repro.service.config import WorkloadSpec
     from repro.service.stagehost import StageHost
 
     host, _, port_text = args.connect.rpartition(":")
@@ -780,19 +681,8 @@ def _cmd_stage_host(args: argparse.Namespace) -> int:
         print(f"stage-host: --connect must be HOST:PORT, got {args.connect!r}")
         return 2
     stage_ids = [part.strip() for part in args.stages.split(",") if part.strip()]
-    workload = None
-    if args.workload_rate > 0:
-        workload = WorkloadSpec(
-            rate=args.workload_rate,
-            ops=tuple(
-                op.strip() for op in args.workload_ops.split(",") if op.strip()
-            ),
-            path_prefix=args.path_prefix,
-        )
     try:
-        stage_host = StageHost(
-            args.host_id, stage_ids, seed=args.seed, workload=workload
-        )
+        stage_host = StageHost(args.host_id, stage_ids, seed=args.seed)
     except ReproError as exc:
         print(f"stage-host: {exc}")
         return 2

@@ -38,7 +38,7 @@ from repro.core.requests import (
     POSIX_SURFACE,
 )
 from repro.core.rpc import RpcMessage
-from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity, StageStats
+from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 from repro.core.token_bucket import TokenBucket
 from repro.core.transport import InProcTransport, Transport
 
@@ -67,7 +67,6 @@ __all__ = [
     "Request",
     "RpcMessage",
     "RuleScope",
-    "StageConfig",
     "StageIdentity",
     "StageStats",
     "StaticPartition",

@@ -80,8 +80,6 @@ class ControlPlaneConfig:
     loop_interval: float = 1.0
     #: Channel the cluster-wide algorithm controls (e.g. "metadata").
     algorithm_channel: str = "metadata"
-    #: Smallest rate ever enforced (token buckets need a positive rate).
-    min_rate: float = MIN_RATE
     #: Consecutive failed stat collections after which a stage is presumed
     #: dead and deregistered (its job's share is redistributed).  None
     #: disables liveness eviction -- a dependability knob from the paper's
@@ -97,8 +95,6 @@ class ControlPlaneConfig:
             raise ConfigError(
                 f"loop interval must be positive, got {self.loop_interval}"
             )
-        if self.min_rate <= 0:
-            raise ConfigError(f"min rate must be positive, got {self.min_rate}")
         if self.max_missed_collects is not None and self.max_missed_collects < 1:
             raise ConfigError(
                 f"max_missed_collects must be >= 1, got {self.max_missed_collects}"
@@ -367,9 +363,9 @@ class ControlPlane:
             for job_id in self._jobs:
                 self._push_job_rate(
                     job_id, self.config.algorithm_channel,
-                    self.config.min_rate, now,
+                    MIN_RATE, now,
                 )
-                paused_rates[job_id] = self.config.min_rate
+                paused_rates[job_id] = MIN_RATE
             if telemetry is not None:
                 self._emit_cycle(
                     telemetry, now, stats, None, paused_rates, policy_rates,
@@ -531,7 +527,7 @@ class ControlPlane:
                     winners[key] = rule
         pushed: Dict[tuple[str, str], float] = {}
         for (job_id, channel_id), rule in winners.items():
-            rate = max(self.config.min_rate, rule.rate_at(now))
+            rate = max(MIN_RATE, rule.rate_at(now))
             pushed[(job_id, channel_id)] = rate
             self._push_job_rate(job_id, channel_id, rate, now, rule.burst)
         return pushed
@@ -555,7 +551,7 @@ class ControlPlane:
         rates = self.algorithm.allocate_arrays(
             job_ids, demand, self._reservation_vec()
         )
-        rates = np.maximum(self.config.min_rate, rates)
+        rates = np.maximum(MIN_RATE, rates)
         self.enforcement_log.extend_rows(now, job_ids, rates)
         self._deliver_rates(now, rates)
         if self._telemetry is None:
@@ -662,7 +658,7 @@ class ControlPlane:
         job = self._jobs.get(job_id)
         if job is None or not job.stage_ids:
             return
-        per_stage = max(self.config.min_rate, rate / job.n_stages)
+        per_stage = max(MIN_RATE, rate / job.n_stages)
         per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
         message = EnforceRate(
             channel_id=channel_id, rate=per_stage, now=now, burst=per_burst

@@ -22,7 +22,7 @@ the fabric is purely synchronous and draws only loss decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.transport import InProcTransport, Transport
@@ -46,7 +46,7 @@ class LinkProfile:
 
     def __post_init__(self) -> None:
         if self.latency < 0:
-            raise RPCError(f"latency must be >= 0, got {self.latency}")
+            raise ConfigError(f"latency must be >= 0, got {self.latency}")
         if self.jitter < 0:
             raise ConfigError(f"jitter must be >= 0, got {self.jitter}")
         if not 0.0 <= self.loss <= 1.0:
@@ -91,7 +91,6 @@ class FaultyFabric:
         self,
         env=None,
         link: Optional[LinkProfile] = None,
-        links: Optional[Mapping[str, LinkProfile]] = None,
         drop_fn: Optional[Callable[[str, Any], bool]] = None,
         seed: int = 0,
         telemetry=None,
@@ -110,7 +109,8 @@ class FaultyFabric:
         #: an engine nor a clock every timestamp is 0.0 (legacy).
         self._clock = clock
         self.link = link if link is not None else LinkProfile()
-        self._links: Dict[str, LinkProfile] = dict(links or {})
+        #: Per-address overrides of ``link`` (:meth:`set_link`).
+        self._links: Dict[str, LinkProfile] = {}
         self._drop_fn = drop_fn
         self._rng = make_rng(seed)
         self._telemetry = telemetry

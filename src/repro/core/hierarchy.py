@@ -33,7 +33,7 @@ plane computes *bit-identical* demand signals and pushes *identical*
 per-stage rates in the same order as the flat plane -- a local folds its
 stages with the flat plane's own
 :func:`~repro.core.controller.fold_stage_demand`, and the per-stage rate
-split ``max(min_rate, rate / n_stages)`` is computed once globally, so no
+split ``max(MIN_RATE, rate / n_stages)`` is computed once globally, so no
 float is ever re-associated.  ``tests/core/test_hierarchy.py`` asserts
 the enforcement logs match cycle for cycle.  (The flat plane is *not*
 the one-local case of this one: it folds every stage into one running
@@ -56,7 +56,7 @@ locals of partial * staleness_discount``, where the discount
 ``0.5 ** (age / halflife)`` (a half-life of ``STALE_HALFLIFE`` loop
 intervals) is per-*local* -- one slow rack dims only its own
 contribution to a spanning job, not its rack-mates'.
-Enforcement fans back out with the per-stage split ``max(min_rate, rate
+Enforcement fans back out with the per-stage split ``max(MIN_RATE, rate
 / job.n_stages)`` computed **once** at the global tier from the job's
 *total* stage count, then pushed to every hosting local exactly once.
 There is one enforcement verb toward a local,
@@ -82,6 +82,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
+from repro.core.algorithms import MIN_RATE
 from repro.core.controller import STALE_HALFLIFE, ControlPlane, fold_stage_demand
 from repro.core.rpc import (
     CollectStats,
@@ -615,7 +616,7 @@ class HierarchicalControlPlane(ControlPlane):
         if sink is None:
             super()._deliver_rates(now, rates)
         else:
-            sink(now, np.maximum(self.config.min_rate, rates / self._vec_n_stages))
+            sink(now, np.maximum(MIN_RATE, rates / self._vec_n_stages))
 
     def _push_job_rate(
         self,
@@ -643,13 +644,12 @@ class HierarchicalControlPlane(ControlPlane):
         not R messages; within each batch the entries keep ``rates``
         order (allocation order for the algorithm's cycle).
         """
-        min_rate = self.config.min_rate
         batches: Dict[str, List[Tuple[str, float, Optional[float]]]] = {}
         for job_id, rate in rates.items():
             job = self._jobs.get(job_id)
             if job is None or not job.stage_ids:
                 continue
-            per_stage = max(min_rate, rate / job.n_stages)
+            per_stage = max(MIN_RATE, rate / job.n_stages)
             per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
             entry = (job_id, per_stage, per_burst)
             for local_id in self._job_hosting_locals(job_id):

@@ -71,11 +71,7 @@ class RingLog:
 
     __slots__ = ("_blocks", "_tail", "_len", "_limit", "_capacity", "_cuts", "dropped")
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        initial: Iterable[Any] = (),
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ConfigError(f"RingLog capacity must be >= 1, got {capacity}")
         self._capacity = capacity
@@ -91,7 +87,6 @@ class RingLog:
         self._cuts = 0
         #: Entries evicted off the front to honour ``capacity``.
         self.dropped = 0
-        self.extend(initial)
 
     @property
     def capacity(self) -> Optional[int]:

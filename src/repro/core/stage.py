@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.core.channel import Channel
@@ -34,7 +34,6 @@ from repro.core.token_bucket import UNLIMITED
 
 __all__ = [
     "StageIdentity",
-    "StageConfig",
     "OrphanPolicy",
     "ChannelSnapshot",
     "StageStats",
@@ -110,19 +109,6 @@ class StageIdentity:
             raise ConfigError("stage needs an id")
         if not self.job_id:
             raise ConfigError(f"stage {self.stage_id!r} needs a job id")
-
-
-@dataclass(slots=True)
-class StageConfig:
-    """Static stage configuration.
-
-    ``pfs_mounts`` enables mount-point differentiation (non-PFS paths pass
-    through untouched).  ``integral`` selects whole-request grants for the
-    discrete path.
-    """
-
-    pfs_mounts: Optional[tuple[str, ...]] = None
-    integral: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,17 +394,20 @@ class StageCore:
 
 
 class DataPlaneStage(StageCore):
-    """One PADLL stage: the core + queueing channels + a downstream sink."""
+    """One PADLL stage: the core + queueing channels + a downstream sink.
+
+    ``pfs_mounts`` enables mount-point differentiation (non-PFS paths pass
+    through untouched).
+    """
 
     def __init__(
         self,
         identity: StageIdentity,
         sink: Callable[[Request], None],
-        config: Optional[StageConfig] = None,
+        pfs_mounts: Optional[Sequence[str]] = None,
         telemetry=None,
     ) -> None:
-        self.config = config or StageConfig()
-        super().__init__(identity, Classifier(pfs_mounts=self.config.pfs_mounts))
+        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts))
         self._sink = sink
         self._m_enforced = None
         self._m_passthrough = None
@@ -451,9 +440,7 @@ class DataPlaneStage(StageCore):
     def _make_channel(
         self, channel_id: str, rate: float, burst: Optional[float], now: float
     ) -> Channel:
-        channel = Channel(
-            channel_id, rate, burst, now=now, integral=self.config.integral
-        )
+        channel = Channel(channel_id, rate, burst, now=now)
         if self._telemetry is not None:
             channel.attach_telemetry(self._telemetry, self.identity.stage_id)
         return channel

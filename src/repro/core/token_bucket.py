@@ -37,8 +37,8 @@ class TokenBucket:
         Maximum token balance (burst size).  Defaults to one second's worth
         of tokens, which bounds burstiness to ~1 s of backlogged allowance --
         the configuration the paper's stages use for rate enforcement.
-    initial:
-        Starting balance; defaults to a full bucket.
+
+    A new bucket starts full.
     """
 
     __slots__ = ("_rate", "_capacity", "_tokens", "_timestamp", "_observer")
@@ -48,7 +48,6 @@ class TokenBucket:
         rate: float,
         capacity: Optional[float] = None,
         *,
-        initial: Optional[float] = None,
         now: float = 0.0,
     ) -> None:
         if rate <= 0:
@@ -59,13 +58,7 @@ class TokenBucket:
         if capacity <= 0:
             raise ConfigError(f"token bucket capacity must be positive, got {capacity}")
         self._capacity = float(capacity)
-        if initial is None:
-            initial = self._capacity if math.isfinite(self._capacity) else 0.0
-        if initial < 0 or (math.isfinite(self._capacity) and initial > self._capacity):
-            raise ConfigError(
-                f"initial tokens {initial} outside [0, {self._capacity}]"
-            )
-        self._tokens = float(initial)
+        self._tokens = self._capacity if math.isfinite(self._capacity) else 0.0
         self._timestamp = float(now)
         self._observer = None
 

@@ -105,7 +105,6 @@ def _build_world(
         # sessions: deadlines, retries and staleness in loop intervals.
         fabric_factory=fabric_factory,
         hierarchical=(mode != "flat"),
-        n_racks=2,
         placement="split" if mode == "hier-split" else "job",
         orphan_policy=ORPHAN_POLICY,
     )

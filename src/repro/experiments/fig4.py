@@ -29,7 +29,7 @@ from repro.analysis.plots import ascii_plot
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule, RuleScope, SteppedRate
 from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.monitoring.collector import Collector
@@ -227,7 +227,7 @@ class _DataWorld:
             self.stage = DataPlaneStage(
                 StageIdentity("ior-stage", "ior"),
                 sink=deliver,
-                config=StageConfig(pfs_mounts=("/pfs",)),
+                pfs_mounts=("/pfs",),
             )
             self.stage.create_channel(mode, rate=UNLIMITED)
             self.stage.add_classifier_rule(

@@ -40,6 +40,7 @@ from repro.simulation.sharded import (
     ShardedResult,
     ShardedSimulation,
 )
+from repro.simulation.sharded.fluid import DT
 
 __all__ = ["Fig4ShardedResult", "run_fig4_sharded", "main"]
 
@@ -85,7 +86,6 @@ def _make_config(
     clients_per_stage: int,
     loop_interval: float,
     placement: str,
-    dt: float,
 ) -> ShardedConfig:
     return ShardedConfig(
         n_racks=n_racks,
@@ -94,7 +94,7 @@ def _make_config(
         stages_per_job=stages_per_job,
         placement=placement,
         loop_interval=loop_interval,
-        fluid=FluidConfig(seed=seed, clients_per_stage=clients_per_stage, dt=dt),
+        fluid=FluidConfig(seed=seed, clients_per_stage=clients_per_stage),
     )
 
 
@@ -109,15 +109,13 @@ def run_fig4_sharded(
     step_period: float = 60.0,
     loop_interval: float = 1.0,
     placement: str = "split",
-    dt: float = 1.0,
 ) -> Fig4ShardedResult:
     """Run the two-phase sharded fig4 story; defaults hit 10^6 clients.
 
     ``n_shards`` partitions the rack set into that many in-process rack
     blocks; any value produces bit-identical results (asserted by tests
-    and CI).  ``dt`` sets the fluid tick length;
-    ``loop_interval`` must stay a multiple of it, so ``dt < 1`` advances
-    several fluid ticks per control epoch.
+    and CI).  ``loop_interval`` must be a whole number of fluid ticks
+    (:data:`~repro.simulation.sharded.fluid.DT`).
     """
     if duration < 2 * step_period:
         raise ConfigError(
@@ -126,12 +124,12 @@ def run_fig4_sharded(
         )
     config = _make_config(
         seed, n_jobs, stages_per_job, n_racks, n_shards,
-        clients_per_stage, loop_interval, placement, dt,
+        clients_per_stage, loop_interval, placement,
     )
 
     baseline_sim = ShardedSimulation(config, algorithm=None)
     baseline = baseline_sim.run(duration).finish()
-    baseline_rates = baseline.aggregate_served / config.fluid.dt
+    baseline_rates = baseline.aggregate_served / DT
 
     n_steps = max(1, int(np.ceil(duration / step_period)))
     limits = derive_step_limits(baseline_rates, n_steps)

@@ -51,7 +51,7 @@ from repro.core.requests import (
     batch_request,
 )
 from repro.core.hierarchy import HierarchicalControlPlane, LocalController
-from repro.core.stage import DataPlaneStage, OrphanPolicy, StageConfig, StageIdentity
+from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.monitoring.collector import Collector, Probe
 from repro.pfs.cluster import ClusterConfig, LustreCluster
@@ -66,6 +66,12 @@ __all__ = ["Setup", "JobSpec", "JobResult", "WorldResult", "ReplayWorld"]
 
 #: Mount point every simulated job reads/writes under.
 PFS_MOUNT = "/pfs"
+
+#: Simulated seconds per replay/drain/service tick.
+DT = 1.0
+
+#: Local controllers of a hierarchical world.
+N_RACKS = 2
 
 #: Plain-dict cost table for the fused delivery loops (one lookup per
 #: (tick, kind) instead of a MappingProxyType hit per slice).
@@ -91,7 +97,6 @@ class JobSpec:
     #: "per-op": one channel+rule per kind; "per-class": one metadata channel.
     channel_mode: str = "per-class"
     rate_scale: float = 0.5
-    acceleration: float = 60.0
     #: Number of data-plane stages (distributed job instances).
     n_stages: int = 1
     #: Initial rate of PADLL channels before the control plane's first
@@ -194,7 +199,6 @@ class ReplayWorld:
     def __init__(
         self,
         setup: Setup,
-        dt: float = 1.0,
         sample_period: float = 5.0,
         loop_interval: float = 1.0,
         mds_capacity: float = 10e6,
@@ -205,22 +209,16 @@ class ReplayWorld:
         health_aware: bool = False,
         telemetry=None,
         hierarchical: bool = False,
-        n_racks: int = 2,
         placement: str = "job",
         orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
         if sample_period <= 0:
             raise ConfigError(f"sample period must be positive, got {sample_period}")
-        if n_racks < 1:
-            raise ConfigError(f"n_racks must be >= 1, got {n_racks}")
         if placement not in ("job", "split"):
             raise ConfigError(
                 f"placement must be 'job' or 'split', got {placement!r}"
             )
         self.setup = setup
-        self.dt = float(dt)
         self.sample_period = float(sample_period)
         self.telemetry = telemetry
         self._tracer = telemetry.tracer if telemetry is not None else None
@@ -259,7 +257,7 @@ class ReplayWorld:
                 algorithm=algorithm,
                 telemetry=telemetry,
             )
-            self.racks = [LocalController(f"rack{r}") for r in range(n_racks)]
+            self.racks = [LocalController(f"rack{r}") for r in range(N_RACKS)]
             for rack in self.racks:
                 self.controller.attach_local(rack)
         else:
@@ -315,7 +313,7 @@ class ReplayWorld:
         """Rack hosting one stage of a job, per the placement policy.
 
         ``split`` places stage ``i`` of the ``k``-th started job on rack
-        ``(k + i) % n_racks``, so multi-stage jobs span racks; with one
+        ``(k + i) % N_RACKS``, so multi-stage jobs span racks; with one
         stage per job this reduces exactly to the whole-job round robin.
         """
         if self.placement == "job":
@@ -606,7 +604,7 @@ class ReplayWorld:
                         hostname=f"node-{spec.job_id}-{i}",
                     ),
                     sink=lambda req, rt=runtime: self._deliver_granted(rt, (req,)),
-                    config=StageConfig(pfs_mounts=(PFS_MOUNT,)),
+                    pfs_mounts=(PFS_MOUNT,),
                     telemetry=self.telemetry,
                 )
                 self._build_channels(stage, spec, unlimited)
@@ -629,7 +627,6 @@ class ReplayWorld:
         kinds = spec.kinds
         replayer = TraceReplayer(
             spec.trace,
-            acceleration=spec.acceleration,
             rate_scale=spec.rate_scale,
             kinds=kinds,
         )
@@ -639,7 +636,7 @@ class ReplayWorld:
             None,
             job_id=spec.job_id,
             mount=PFS_MOUNT,
-            dt=self.dt,
+            dt=DT,
             start=self.env.now,
             batch_submit=batch_submit,
         )
@@ -707,14 +704,14 @@ class ReplayWorld:
             for kind, count in self._undelivered.items():
                 self._client.note_failure(kind, count, now)
             self._undelivered.clear()
-        self.cluster.service(now, self.dt)
+        self.cluster.service(now, DT)
         self._check_completions(now)
 
     def _check_completions(self, now: float) -> None:
         # A job is only complete once the FS actually served its work: a
         # failed/recovering MDS, or one with a deep queue, blocks completion.
         mds = self.cluster.active_mds(now)
-        fs_healthy = mds is not None and mds.queue_delay <= self.dt
+        fs_healthy = mds is not None and mds.queue_delay <= DT
         for runtime in self._jobs.values():
             if runtime.completed_at is not None or runtime.driver is None:
                 continue
@@ -741,7 +738,7 @@ class ReplayWorld:
         # the replayers' submissions for that tick: jobs submit, stages
         # drain, the control loop runs, the collector samples.
         self._drain_ticker = Ticker(
-            self.env, self.dt, self._drain_tick, start=0.0, name="drain", defer=1
+            self.env, DT, self._drain_tick, start=0.0, name="drain", defer=1
         )
         control_ticker = Ticker(
             self.env,

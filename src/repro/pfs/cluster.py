@@ -17,6 +17,9 @@ from repro.pfs.oss import ObjectStoragePool
 
 __all__ = ["ClusterConfig", "LustreCluster"]
 
+#: Seconds for the standby to take over after the active MDS fails.
+FAILOVER_DELAY = 30.0
+
 
 @dataclass(slots=True)
 class ClusterConfig:
@@ -29,29 +32,18 @@ class ClusterConfig:
     total_capacity_bytes: int = 9_500 * 2**40  # 9.5 PiB
     oss_bandwidth: float = 10 * 2**30
     mds: MDSConfig = field(default_factory=MDSConfig)
-    #: Seconds for the standby to take over after the active MDS fails.
-    failover_delay: float = 30.0
     #: Metadata service layout (section II): "hot-standby" keeps one MDS
     #: active with the rest as replicas; "dne" (Distributed NamEspace)
     #: makes every MDS active, each managing the part of the namespace
     #: its hash bucket covers -- aggregate metadata capacity scales with
     #: n_mds, but a failed server takes its subtree offline (no standby).
     mds_mode: str = "hot-standby"
-    #: Lustre clients hold requests issued during an MDS outage and
-    #: *replay* them to the replacement server at takeover.  True models
-    #: that (the whole outage backlog arrives as one burst -- the recovery
-    #: storm); False drops outage requests outright.
-    replay_on_failover: bool = True
 
     def __post_init__(self) -> None:
         if self.n_mds < 1:
             raise ConfigError("need at least one MDS")
         if self.n_mdt < 1:
             raise ConfigError("need at least one MDT")
-        if self.failover_delay < 0:
-            raise ConfigError(
-                f"failover delay must be >= 0, got {self.failover_delay}"
-            )
         if self.mds_mode not in ("hot-standby", "dne"):
             raise ConfigError(f"unknown MDS mode {self.mds_mode!r}")
 
@@ -135,7 +127,7 @@ class LustreCluster:
         if standby_index is None:
             return None
         if self._failover_ready_at is None:
-            self._failover_ready_at = now + self.config.failover_delay
+            self._failover_ready_at = now + FAILOVER_DELAY
         if now >= self._failover_ready_at:
             self._active_index = standby_index
             self._failover_ready_at = None
@@ -145,8 +137,13 @@ class LustreCluster:
 
     # -- outage replay ------------------------------------------------------------
     def buffer_for_replay(self, kind: str, count: float) -> None:
-        """Hold an operation issued during an outage for later replay."""
-        if not self.config.replay_on_failover or count <= 0:
+        """Hold an operation issued during an outage for later replay.
+
+        Lustre clients hold requests issued during an MDS outage and
+        *replay* them to the replacement server at takeover, so the whole
+        outage backlog arrives as one burst -- the recovery storm.
+        """
+        if count <= 0:
             return
         self._replay_buffer[kind] = self._replay_buffer.get(kind, 0.0) + count
 

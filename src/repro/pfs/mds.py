@@ -26,6 +26,11 @@ from repro.pfs.costs import OP_COSTS, op_cost
 
 __all__ = ["MDSConfig", "MetadataServer"]
 
+#: Fraction of capacity a degraded server retains (lock thrashing).
+DEGRADE_FACTOR = 0.6
+#: Continuous seconds of degraded operation after which the MDS fails.
+FAIL_AFTER = 30.0
+
 #: Plain-dict copy of the cost table: the fluid path resolves a cost per
 #: offered batch, and a MappingProxyType lookup is measurably slower.
 _OP_COSTS: Dict[str, float] = dict(OP_COSTS)
@@ -37,7 +42,9 @@ class MDSConfig:
 
     Defaults are calibrated so that an all-getattr workload saturates at
     ``capacity`` ops/s, matching how we quote MDS capacity in KOps/s
-    throughout the experiments.
+    throughout the experiments.  A degraded server serves at
+    :data:`DEGRADE_FACTOR` of capacity and fails after :data:`FAIL_AFTER`
+    seconds of it.
     """
 
     #: Service capacity in cost units per second.
@@ -45,10 +52,6 @@ class MDSConfig:
     #: Queue depth (in seconds of work at full capacity) beyond which the
     #: server degrades: clients see growing latency and reduced throughput.
     degrade_after: float = 2.0
-    #: Fraction of capacity retained while degraded (lock thrashing).
-    degrade_factor: float = 0.6
-    #: Continuous seconds of degraded operation after which the MDS fails.
-    fail_after: float = 30.0
     #: Whether the server can fail at all (False = infinitely patient MDS).
     can_fail: bool = True
 
@@ -59,12 +62,6 @@ class MDSConfig:
             raise ConfigError(
                 f"degrade_after must be >= 0, got {self.degrade_after}"
             )
-        if not 0 < self.degrade_factor <= 1:
-            raise ConfigError(
-                f"degrade_factor must be in (0, 1], got {self.degrade_factor}"
-            )
-        if self.fail_after <= 0:
-            raise ConfigError(f"fail_after must be positive, got {self.fail_after}")
 
 
 # One offered batch awaiting service is a plain 4-slot list
@@ -225,7 +222,7 @@ class MetadataServer:
             return 0.0
         rate = self.config.capacity
         if self.degraded:
-            rate *= self.config.degrade_factor
+            rate *= DEGRADE_FACTOR
         budget = rate * dt
         served_ops = 0.0
         # The drain loop pops one batch per (tick, kind, slice) submitted
@@ -310,7 +307,7 @@ class MetadataServer:
                     )
             elif (
                 self.config.can_fail
-                and now - self._degraded_since >= self.config.fail_after
+                and now - self._degraded_since >= FAIL_AFTER
             ):
                 self.fail(now)
         else:

@@ -24,7 +24,6 @@ from repro.service.config import (
     WorkloadSpec,
     load_service_config,
     parse_service_config,
-    with_overrides,
 )
 from repro.service.runtime import ADMIN_ACTIONS, ServiceRuntime
 from repro.service.server import OperatorServer
@@ -45,5 +44,4 @@ __all__ = [
     "build_snapshot",
     "load_service_config",
     "parse_service_config",
-    "with_overrides",
 ]

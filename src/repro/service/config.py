@@ -5,6 +5,7 @@ listener, the control loop cadence, the telemetry knobs, the synthetic
 workload that keeps the loop fed in smoke environments, the fault
 profile of the control fabric, and -- optionally -- an embedded PADLL
 policy document (the same schema :mod:`repro.core.config` parses).
+It is ``serve``'s one source of world settings: no flag overrides a key.
 
 Example::
 
@@ -29,7 +30,7 @@ of its own (an ``orphan.interval`` key is refused).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
@@ -44,7 +45,6 @@ __all__ = [
     "WorkloadSpec",
     "load_service_config",
     "parse_service_config",
-    "with_overrides",
 ]
 
 
@@ -145,6 +145,7 @@ class ServiceConfig:
     control_port: int = 0
     #: Shared secret for admin verbs; None leaves the admin plane open
     #: (trusted-network mode).  Checked constant-time by the server.
+    #: ``padll-repro serve`` falls back to ``PADLL_ADMIN_TOKEN`` when unset.
     admin_token: Optional[str] = None
     #: Directory for persistent JSONL audit/event sinks; None keeps the
     #: in-memory ring logs only.
@@ -254,9 +255,3 @@ def load_service_config(path: Union[str, Path]) -> ServiceConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid service config JSON in {path}: {exc}") from exc
     return parse_service_config(doc)
-
-
-def with_overrides(config: ServiceConfig, **overrides: Any) -> ServiceConfig:
-    """CLI-flag overrides on top of a parsed config (None = keep)."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **changes) if changes else config

@@ -1,6 +1,6 @@
 """Stage-host supervisor: spawn, watch, and respawn worker processes.
 
-``padll-repro serve --stage-procs N`` moves the data plane out of the
+``padll-repro serve`` with ``"stage_procs": N`` moves the data plane out of the
 service process: the world's stages are partitioned round-robin across
 ``N`` ``padll-repro stage-host`` children, each dialing the service's
 socket fabric and registering its stages over the wire.  This module
@@ -16,10 +16,12 @@ the controller, so the window between eviction and re-registration is
 the paper's "control plane lost a stage" story with real processes.
 
 A child's argv (:meth:`HostSupervisor._argv`) carries what the process
-knows about *itself* -- where to dial, host id, stage ids, seed, workload.
-What its stages look like (channels, mounts, orphan policy, sampling,
-tracing) the host asks the controller for, over the connection it dials
-(:class:`~repro.service.stagehost.StageLayout`).
+knows about *itself* -- where to dial, host id, stage ids, seed: four
+flags.  What its stages look like (channels, mounts, orphan policy,
+sampling, tracing) and the workload that drives them, the host asks the
+controller for over the connection it dials
+(:class:`~repro.service.stagehost.StageLayout`); a respawned host asks
+again.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def partition_stages(
     """Round-robin the world's stage ids across ``stage_procs`` hosts.
 
     Stage ids follow the in-process world's naming (``job{j}/s{k}``), so
-    an operator can flip between ``--stage-procs 0`` and ``N`` without
+    an operator can flip between ``"stage_procs": 0`` and ``N`` without
     any query or policy changing its addressing.
     """
     if stage_procs < 1:
@@ -113,8 +115,6 @@ class HostSupervisor:
         self._started = False
 
     def _argv(self, host_id: str, stage_ids: Sequence[str], index: int) -> List[str]:
-        config = self._config
-        spec = config.workload
         return [
             sys.executable,
             "-m",
@@ -127,13 +127,7 @@ class HostSupervisor:
             "--stages",
             ",".join(stage_ids),
             "--seed",
-            str(config.seed ^ (index * 0x9E3779B1)),
-            "--workload-rate",
-            str(spec.rate),
-            "--workload-ops",
-            ",".join(spec.ops),
-            "--path-prefix",
-            spec.path_prefix,
+            str(self._config.seed ^ (index * 0x9E3779B1)),
         ]
 
     def control_address(self) -> str:

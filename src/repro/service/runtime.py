@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.errors import ConfigError, PolicyError, ReproError, RPCError
 from repro.core.controller import ControlPlane, ControlPlaneConfig
-from repro.core.algorithms import ProportionalSharing
+from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.rpc import StageEndpoint
@@ -573,7 +573,7 @@ class ServiceRuntime:
             job = str(_require(params, "job", action))
             if job not in controller.jobs:
                 raise PolicyError(f"admin {action}: no job {job!r}")
-            floor = _positive_rate(params.get("rate", controller.config.min_rate), action)
+            floor = _positive_rate(params.get("rate", MIN_RATE), action)
             channel = str(params.get("channel") or self.config.channel)
             rule = PolicyRule(
                 name=f"admin:drain:{job}",

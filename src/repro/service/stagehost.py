@@ -6,9 +6,10 @@ LiveStage` data planes (with their synthetic workload drivers), dialing
 the controller's socket fabric and *registering* its stages over the
 wire -- the paper's deployment shape, where enforcement lives inside
 application processes and only the control plane is centralised.  What
-those stages look like is the controller's to say: the host's first
-request over the connection it dialed asks for the :class:`StageLayout`,
-and :func:`build_stages` (the in-process world's builder too) makes them.
+those stages look like, and the workload that drives them, is the
+controller's to say: the host's first request over the connection it
+dialed asks for the :class:`StageLayout`, and :func:`build_stages` (the
+in-process world's builder too) makes the stages.
 
 The connection is the reverse tunnel of :mod:`repro.net`: the host
 dials out, binds its stage endpoints on its own
@@ -21,7 +22,8 @@ stages exactly like local ones.
 Losing the connection is fatal by design: the supervisor
 (:mod:`repro.service.hosts`) owns restarts, and a restarted host simply
 re-registers (the controller treats a duplicate registration from a new
-connection as a takeover).
+connection as a takeover) after fetching the layout, workload included,
+again.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class StageLayout:
     What a stage is built from, wherever it runs: the controller derives
     it once from its config (:meth:`from_config`), builds its in-process
     stages from it, and answers :data:`LAYOUT_ADDRESS` with it
-    (:meth:`to_wire`) so a stage host builds the same ones.
+    (:meth:`to_wire`) so a stage host builds the same ones -- and drives
+    them with the same ``workload`` (``rate=0`` starts no driver).
     """
 
     channels: Tuple[ChannelSpec, ...]
@@ -81,6 +84,7 @@ class StageLayout:
     loop_interval: float
     sample_rate: float
     trace: bool
+    workload: WorkloadSpec
 
     def __post_init__(self) -> None:
         rules = [spec.rule for spec in self.channels]
@@ -110,6 +114,7 @@ class StageLayout:
             loop_interval=config.interval,
             sample_rate=config.sample_rate,
             trace=config.trace,
+            workload=config.workload,
         )
 
     def to_wire(self) -> tuple:
@@ -124,13 +129,17 @@ class StageLayout:
             self.loop_interval,
             self.sample_rate,
             self.trace,
+            astuple(self.workload),
         )
 
     @classmethod
     def from_wire(cls, doc: Any) -> "StageLayout":
         """Inverse of :meth:`to_wire`; anything else is a ConfigError."""
         try:
-            channels, pfs_mounts, orphan, loop_interval, sample_rate, trace = doc
+            (
+                channels, pfs_mounts, orphan, loop_interval, sample_rate, trace,
+                workload,
+            ) = doc
             return cls(
                 channels=tuple(ChannelSpec(*spec) for spec in channels),
                 pfs_mounts=tuple(pfs_mounts),
@@ -138,6 +147,7 @@ class StageLayout:
                 loop_interval=float(loop_interval),
                 sample_rate=float(sample_rate),
                 trace=bool(trace),
+                workload=WorkloadSpec(*workload),
             )
         except (TypeError, ValueError, ReproError) as exc:
             raise ConfigError(f"malformed stage layout: {exc}") from exc
@@ -181,7 +191,6 @@ class StageHost:
         stage_ids: Sequence[str],
         *,
         seed: int = 0,
-        workload: Optional[WorkloadSpec] = None,
         push_interval: float = DEFAULT_PUSH_INTERVAL,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -197,7 +206,6 @@ class StageHost:
         self.clock = clock
         self._stage_ids = tuple(stage_ids)
         self._seed = seed
-        self._workload_spec = workload
         self._push_interval = push_interval
         self.transport = SocketTransport()
         # Both built in start(), from the layout the controller answers.
@@ -216,7 +224,7 @@ class StageHost:
     # -- lifecycle ---------------------------------------------------------
     def start(self, host: str, port: int, *, timeout: float = 5.0) -> None:
         """Dial the controller, fetch the layout, build and register every
-        stage, start driving."""
+        stage, start the layout's workload."""
         self.connection = self.transport.connect(
             host,
             port,
@@ -256,9 +264,8 @@ class StageHost:
                     "stage": stage.identity,
                 }
             )
-        spec = self._workload_spec
-        if spec is not None and spec.rate > 0:
-            self.workload = LiveWorkload(self.stages, spec, seed=self._seed)
+        if layout.workload.rate > 0:
+            self.workload = LiveWorkload(self.stages, layout.workload, seed=self._seed)
             self.workload.start()
         self._pump.start()
 

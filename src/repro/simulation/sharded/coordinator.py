@@ -7,7 +7,7 @@ racks; the control plane is a genuine
 :class:`~repro.core.hierarchy.RackEndpoint` proxies.  One *epoch* is one
 control loop interval:
 
-1. every shard's rack block advances ``loop_interval / dt`` fluid
+1. every shard's rack block advances ``loop_interval / DT`` fluid
    ticks, in shard order in this process, and reports per-job demand
    partials as one float64 slot vector in the pool's
    :class:`~repro.simulation.sharded.shm.ShardIndexMap` order (the
@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.core.controller import ControlPlaneConfig
 from repro.core.hierarchy import (
     ArrayStats,
     CollectAggregate,
@@ -52,7 +51,7 @@ from repro.core.hierarchy import (
     RackEndpoint,
 )
 from repro.core.stage import StageIdentity
-from repro.simulation.sharded.fluid import FluidConfig, RackSpec
+from repro.simulation.sharded.fluid import DT, FluidConfig, RackSpec
 from repro.simulation.sharded.pool import ShardPool
 from repro.simulation.sharded.shm import BURST_NONE
 
@@ -70,7 +69,7 @@ class ShardedConfig:
     #: "split" spreads each job's stages across racks; "job" pins whole
     #: jobs to one rack (the pre-existing placement).
     placement: str = "split"
-    #: Control epoch length (seconds); must be a multiple of fluid.dt.
+    #: Control epoch length (seconds); a whole number of fluid ticks.
     loop_interval: float = 1.0
     fluid: FluidConfig = field(default_factory=FluidConfig)
 
@@ -92,11 +91,11 @@ class ShardedConfig:
             raise ConfigError(
                 f"placement must be 'split' or 'job', got {self.placement!r}"
             )
-        ticks = self.loop_interval / self.fluid.dt
+        ticks = self.loop_interval / DT
         if self.loop_interval <= 0 or abs(ticks - round(ticks)) > 1e-9:
             raise ConfigError(
-                "loop_interval must be a positive multiple of fluid.dt, got "
-                f"{self.loop_interval} with dt={self.fluid.dt}"
+                "loop_interval must be a positive multiple of the fluid tick, "
+                f"got {self.loop_interval} with DT={DT}"
             )
 
     @property
@@ -176,7 +175,6 @@ class ShardedSimulation:
         config: ShardedConfig,
         algorithm=None,
         telemetry=None,
-        controller_config: Optional[ControlPlaneConfig] = None,
         epoch_hook: Optional[Callable[[HierarchicalControlPlane, float], None]] = None,
     ) -> None:
         self.config = config
@@ -233,7 +231,6 @@ class ShardedSimulation:
         self._sink_reps: Optional[np.ndarray] = None
 
         self.control_plane = HierarchicalControlPlane(
-            config=controller_config,
             algorithm=algorithm,
             telemetry=telemetry,
             enforce_array_sink=self._enforce_array_sink,
@@ -306,7 +303,7 @@ class ShardedSimulation:
         ``per_stage`` is aligned to the plane's vector job order; the
         cached scatter map fans each job's (already split) rate out to
         every hosting rack's slot.  Algorithm pushes carry no explicit
-        burst (the rack derives ``rate * burst_seconds``), hence the NaN
+        burst (the rack derives ``rate * BURST_SECONDS``), hence the NaN
         sentinel.
         """
         self._ensure_sink_layout()
@@ -329,7 +326,7 @@ class ShardedSimulation:
             )
         self._ran = True
         n_epochs = int(round(epochs))
-        ticks_per_epoch = int(round(config.loop_interval / config.fluid.dt))
+        ticks_per_epoch = int(round(config.loop_interval / DT))
         loop_interval = config.loop_interval
         control_plane = self.control_plane
         pool = self._pool

@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.simulation.rng import SeedSequence, make_rng
 
-__all__ = ["UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
+__all__ = ["DT", "UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,73 +58,46 @@ TWO_PI = 2.0 * math.pi
 UNLIMITED = float("inf")
 
 
+#: Fluid tick length (seconds); the control epoch is a whole number of them.
+DT = 1.0
+#: Relative swing of the sinusoidal demand modulation.
+DEMAND_AMPLITUDE = 0.35
+#: Period (seconds) of the demand modulation.
+DEMAND_PERIOD = 300.0
+#: Lognormal sigma of the per-stage base-rate draw.
+DEMAND_SIGMA = 0.3
+#: Rack MDS service capacity, per hosted stage (ops/s).
+MDS_CAPACITY_PER_STAGE = 600.0
+#: Token-bucket burst allowance, in seconds of the enforced rate.
+BURST_SECONDS = 2.0
+#: ``1 / DEMAND_PERIOD``, the factor the offered-load sine takes ``t`` by.
+INV_PERIOD = 1.0 / DEMAND_PERIOD
+
+
 @dataclass(frozen=True, slots=True)
 class FluidConfig:
-    """Workload + substrate knobs shared by every rack of one run.
+    """Workload knobs shared by every rack of one run.
 
     The offered load of stage ``s`` is a lognormal per-stage base rate
     (``clients_per_stage * ops_per_client`` scaled by a seeded draw)
     modulated by a deterministic sinusoid:
-    ``base * (1 + amplitude * sin(2*pi*(t/period + phase_s)))``.
+    ``base * (1 + DEMAND_AMPLITUDE * sin(2*pi*(t/DEMAND_PERIOD + phase_s)))``.
     Clients are modelled in aggregate -- each stage fronts
     ``clients_per_stage`` clients' metadata streams -- which is how a
-    run reaches 10^6 simulated clients at 10^4 stages.
+    run reaches 10^6 simulated clients at 10^4 stages.  Every stage
+    starts unthrottled (:data:`UNLIMITED`) until the first enforcement.
     """
 
-    seed: int = 0
-    #: Fluid tick length (seconds); must divide the control epoch.
-    dt: float = 1.0
-    clients_per_stage: int = 100
     #: Mean metadata ops/s contributed by one client.
-    ops_per_client: float = 8.0
-    #: Relative swing of the sinusoidal demand modulation.
-    demand_amplitude: float = 0.35
-    #: Period (seconds) of the demand modulation.
-    demand_period: float = 300.0
-    #: Lognormal sigma of the per-stage base-rate draw.
-    demand_sigma: float = 0.3
-    #: Rack MDS service capacity, per hosted stage (ops/s).
-    mds_capacity_per_stage: float = 600.0
-    #: Token-bucket burst allowance, in seconds of the enforced rate.
-    burst_seconds: float = 2.0
-    #: Per-stage channel rate before the first enforcement push.
-    initial_rate: float = UNLIMITED
+    ops_per_client: ClassVar[float] = 8.0
+
+    seed: int = 0
+    clients_per_stage: int = 100
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.clients_per_stage < 1:
             raise ConfigError(
                 f"clients_per_stage must be >= 1, got {self.clients_per_stage}"
-            )
-        if self.ops_per_client <= 0:
-            raise ConfigError(
-                f"ops_per_client must be positive, got {self.ops_per_client}"
-            )
-        if not 0.0 <= self.demand_amplitude < 1.0:
-            raise ConfigError(
-                f"demand_amplitude must be in [0, 1), got {self.demand_amplitude}"
-            )
-        if self.demand_period <= 0:
-            raise ConfigError(
-                f"demand_period must be positive, got {self.demand_period}"
-            )
-        if self.demand_sigma < 0:
-            raise ConfigError(
-                f"demand_sigma must be >= 0, got {self.demand_sigma}"
-            )
-        if self.mds_capacity_per_stage <= 0:
-            raise ConfigError(
-                "mds_capacity_per_stage must be positive, got "
-                f"{self.mds_capacity_per_stage}"
-            )
-        if self.burst_seconds <= 0:
-            raise ConfigError(
-                f"burst_seconds must be positive, got {self.burst_seconds}"
-            )
-        if self.initial_rate <= 0:
-            raise ConfigError(
-                f"initial_rate must be positive, got {self.initial_rate}"
             )
 
 
@@ -179,8 +152,6 @@ class FluidBlock:
     ) -> None:
         self.config = config
         self.vectorized = bool(vectorized)
-        self._dt = config.dt
-        self._inv_period = 1.0 / config.demand_period
         self.rack_ids = tuple(spec.rack_id for spec in specs)
         base_rate = float(config.clients_per_stage) * config.ops_per_client
         bases: List[np.ndarray] = []
@@ -199,9 +170,9 @@ class FluidBlock:
             # own generator, base rates first, then phases, regardless of
             # execution mode or of which racks share the block.
             rng = make_rng(SeedSequence([config.seed, spec.index]))
-            bases.append(rng.lognormal(mean=0.0, sigma=config.demand_sigma, size=n))
+            bases.append(rng.lognormal(mean=0.0, sigma=DEMAND_SIGMA, size=n))
             phases.append(rng.random(n))
-            self._tick_capacity.append(config.mds_capacity_per_stage * n * config.dt)
+            self._tick_capacity.append(MDS_CAPACITY_PER_STAGE * n * DT)
             slots: Dict[str, int] = {}
             for _stage_id, job_id in spec.stages:
                 slot = slots.get(job_id)
@@ -218,8 +189,8 @@ class FluidBlock:
         self.job_of = np.array(job_of, dtype=np.intp)
         self._job_of_list = job_of
         self._n_slots = n_slots
-        self._job_rate = np.full(n_slots, config.initial_rate)
-        self._job_burst = self._job_rate * config.burst_seconds
+        self._job_rate = np.full(n_slots, UNLIMITED)
+        self._job_burst = self._job_rate * BURST_SECONDS
         self.rate = self._job_rate[self.job_of]
         self.burst_limit = self._job_burst[self.job_of]
         self.tokens = self.burst_limit.copy()
@@ -241,7 +212,7 @@ class FluidBlock:
 
         ``mask``/``rates``/``bursts`` are aligned to this block's slots:
         slot ``k`` takes ``rates[k]`` where ``mask[k]``, and NaN in
-        ``bursts`` means "derive the burst as ``rate * burst_seconds``".
+        ``bursts`` means "derive the burst as ``rate * BURST_SECONDS``".
         The per-stage rebuild below only gathers through ``job_of`` --
         fancy indexing never re-associates a float, so both execution
         modes share it -- and the token clamp is the identity on a stage
@@ -251,7 +222,7 @@ class FluidBlock:
             return
         sel_rates = rates[mask]
         sel_bursts = bursts[mask]
-        derived = sel_rates * self.config.burst_seconds
+        derived = sel_rates * BURST_SECONDS
         self._job_rate[mask] = sel_rates
         self._job_burst[mask] = np.where(np.isnan(sel_bursts), derived, sel_bursts)
         job_of = self.job_of
@@ -268,13 +239,11 @@ class FluidBlock:
         execution modes share this one implementation.
         """
         return self.base * (
-            1.0
-            + self.config.demand_amplitude
-            * np.sin(TWO_PI * (t * self._inv_period + self.phase))
+            1.0 + DEMAND_AMPLITUDE * np.sin(TWO_PI * (t * INV_PERIOD + self.phase))
         )
 
     def tick(self, t: float) -> None:
-        """Advance one ``dt``: every stage at once, then each rack's MDS."""
+        """Advance one ``DT``: every stage at once, then each rack's MDS."""
         if self.vectorized:
             granted = self._tick_vectorized(t)
         else:
@@ -294,7 +263,7 @@ class FluidBlock:
             self._served[r].append(served)
 
     def _tick_vectorized(self, t: float) -> np.ndarray:
-        dt = self._dt
+        dt = DT
         arrive = self._offered(t) * dt
         np.minimum(self.burst_limit, self.tokens + self.rate * dt, out=self.tokens)
         want = self.backlog + arrive
@@ -309,7 +278,7 @@ class FluidBlock:
 
     def _tick_scalar(self, t: float) -> np.ndarray:
         """Per-stage Python loop: the single-engine reference arithmetic."""
-        dt = self._dt
+        dt = DT
         offered = self._offered(t)
         n = len(offered)
         granted = np.empty(n)
@@ -342,9 +311,8 @@ class FluidBlock:
 
     def run_epoch(self, t0: float, n_ticks: int) -> None:
         """Advance ``n_ticks`` fluid ticks starting at ``t0``."""
-        dt = self._dt
         for k in range(n_ticks):
-            self.tick(t0 + k * dt)
+            self.tick(t0 + k * DT)
 
     # -- epoch-boundary reporting -------------------------------------------
     def demand_partials_array(self, loop_interval: float) -> np.ndarray:
@@ -410,7 +378,7 @@ class FluidRack(FluidBlock):
         return self._delivered[0]
 
     def tick(self, t: float) -> float:
-        """Advance one ``dt``; returns ops served by the rack MDS."""
+        """Advance one ``DT``; returns ops served by the rack MDS."""
         super().tick(t)
         return self._served[0][-1]
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, PolicyError, StageNotRegistered
-from repro.core.algorithms import ProportionalSharing, StaticPartition
+from repro.core.algorithms import MIN_RATE, ProportionalSharing, StaticPartition
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope, SteppedRate
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.fabric import FaultyFabric
 from repro.core.rpc import Ping
-from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+from repro.core.stage import DataPlaneStage, StageIdentity
 
 
 def make_stage(stage_id="s0", job_id="job0", rate=None):
@@ -434,7 +434,7 @@ class TestHealthProbe:
         assert stage.channel_rate("metadata") == 50.0
         healthy["flag"] = False
         cp.tick(1.0)
-        assert stage.channel_rate("metadata") == cp.config.min_rate
+        assert stage.channel_rate("metadata") == MIN_RATE
         assert cp.pause_ticks == 1
         healthy["flag"] = True
         cp.tick(2.0)
@@ -454,7 +454,7 @@ class TestHealthProbe:
         )
         cp.tick(0.0)
         assert stage.channel_rate("data") == 7.0
-        assert stage.channel_rate("metadata") == cp.config.min_rate
+        assert stage.channel_rate("metadata") == MIN_RATE
 
 
 from hypothesis import given, settings

@@ -16,7 +16,8 @@ def echo(message):
 
 class TestLinkProfile:
     def test_validation(self):
-        with pytest.raises(RPCError):
+        # A bad profile is a configuration mistake, not a transport failure.
+        with pytest.raises(ConfigError):
             LinkProfile(latency=-1.0)
         with pytest.raises(ConfigError):
             LinkProfile(jitter=-0.1)

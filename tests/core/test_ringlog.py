@@ -51,8 +51,9 @@ class TestRingLog:
             RingLog(capacity=0)
 
     def test_equality_between_ringlogs(self):
-        a = RingLog(initial=[1, 2])
-        b = RingLog(capacity=10, initial=[1, 2])
+        a, b = RingLog(), RingLog(capacity=10)
+        a.extend([1, 2])
+        b.extend([1, 2])
         assert a == b
         b.append(3)
         assert a != b
@@ -75,7 +76,8 @@ class TestExtendIsAppendInALoop:
     def test_entries_order_len_and_dropped(self, capacity, n, shape):
         initial = [("old", i) for i in range(5)]
         items = [("new", i) for i in range(n)]
-        log = RingLog(capacity=capacity, initial=initial)
+        log = RingLog(capacity=capacity)
+        log.extend(initial)
         log.extend(shape(items))
         reference = appended(capacity, initial, items)
         assert list(log) == list(reference)
@@ -94,7 +96,8 @@ class TestExtendIsAppendInALoop:
             assert (list(log), log.dropped) == (list(reference), reference.dropped)
 
     def test_initial_longer_than_capacity_counts_as_dropped(self):
-        log = RingLog(capacity=3, initial=range(5))
+        log = RingLog(capacity=3)
+        log.extend(range(5))
         assert list(log) == [2, 3, 4] and log.dropped == 2
 
     @pytest.mark.parametrize("capacity", [None, 50_000])

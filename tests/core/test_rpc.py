@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import RPCError, StageNotRegistered
+from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.fabric import FaultyFabric, LinkProfile
@@ -147,7 +147,7 @@ class TestLatencyFabric:
         assert caught == ["internal"]
 
     def test_negative_latency_rejected(self, env):
-        with pytest.raises(RPCError):
+        with pytest.raises(ConfigError):
             lagged(env, -1.0)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
-from repro.core.algorithms import ProportionalSharing
+from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.controller import STALE_HALFLIFE, ControlPlane, ControlPlaneConfig
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.hierarchy import (
@@ -104,7 +104,7 @@ class TestDemandMerge:
         cp.tick(1.0)
         by_job = {job: rate for _, job, rate in cp.enforcement_log}
         for j, job_id in enumerate(("job0", "job1")):
-            per_stage = max(cp.config.min_rate, by_job[job_id] / 2)
+            per_stage = max(MIN_RATE, by_job[job_id] / 2)
             for s in range(2):
                 assert stages[j * 2 + s].channel_rate("metadata") == per_stage
 

@@ -9,16 +9,16 @@ import pytest
 from repro.errors import ConfigError
 from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.interpose.live_stage import LiveStage
 
 
-def make_stage(sink=None, **config_kw):
+def make_stage(sink=None, pfs_mounts=None):
     sunk = []
     stage = DataPlaneStage(
         StageIdentity("s0", "job0", hostname="n0", pid=7, user="alice"),
         sink or sunk.append,
-        StageConfig(**config_kw) if config_kw else None,
+        pfs_mounts,
     )
     stage._test_sunk = sunk  # type: ignore[attr-defined]
     return stage

@@ -12,6 +12,13 @@ from repro.errors import ConfigError
 from repro.core.token_bucket import UNLIMITED, TokenBucket
 
 
+def empty(rate, capacity):
+    """A bucket drained at ``now=0``: a new one starts full."""
+    tb = TokenBucket(rate=rate, capacity=capacity)
+    tb.consume_available(capacity, 0.0)
+    return tb
+
+
 class TestConstruction:
     def test_defaults_full_bucket(self):
         tb = TokenBucket(rate=10.0)
@@ -19,8 +26,8 @@ class TestConstruction:
         assert tb.capacity == 10.0
 
     def test_custom_capacity_and_initial(self):
-        tb = TokenBucket(rate=10.0, capacity=3.0, initial=1.0)
-        assert tb.tokens(0.0) == 1.0
+        tb = TokenBucket(rate=10.0, capacity=3.0)
+        assert tb.tokens(0.0) == 3.0  # starts full at its own capacity
         assert tb.capacity == 3.0
 
     @pytest.mark.parametrize("rate", [0.0, -1.0])
@@ -32,10 +39,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             TokenBucket(rate=1.0, capacity=0.0)
 
-    def test_initial_out_of_range(self):
-        with pytest.raises(ConfigError):
-            TokenBucket(rate=1.0, capacity=2.0, initial=3.0)
-
     def test_unlimited(self):
         tb = TokenBucket(rate=UNLIMITED)
         assert tb.unlimited
@@ -44,12 +47,12 @@ class TestConstruction:
 
 class TestRefill:
     def test_linear_refill(self):
-        tb = TokenBucket(rate=5.0, capacity=100.0, initial=0.0)
+        tb = empty(5.0, 100.0)
         assert tb.tokens(2.0) == 10.0
         assert tb.tokens(4.0) == 20.0
 
     def test_capped_at_capacity(self):
-        tb = TokenBucket(rate=5.0, capacity=10.0, initial=0.0)
+        tb = empty(5.0, 10.0)
         assert tb.tokens(100.0) == 10.0
 
     def test_clock_backwards_rejected(self):
@@ -61,13 +64,14 @@ class TestRefill:
 
 class TestConsume:
     def test_all_or_nothing(self):
-        tb = TokenBucket(rate=1.0, capacity=5.0, initial=5.0)
+        tb = TokenBucket(rate=1.0, capacity=5.0)
         assert tb.try_consume(5.0, 0.0)
         assert not tb.try_consume(0.5, 0.0)
         assert tb.try_consume(1.0, 1.0)
 
     def test_consume_available_partial(self):
-        tb = TokenBucket(rate=1.0, capacity=5.0, initial=2.0)
+        tb = TokenBucket(rate=1.0, capacity=5.0)
+        tb.try_consume(3.0, 0.0)
         assert tb.consume_available(10.0, 0.0) == 2.0
         assert tb.consume_available(10.0, 0.0) == 0.0
 
@@ -89,32 +93,32 @@ class TestConsume:
 
 class TestTimeUntil:
     def test_zero_when_available(self):
-        tb = TokenBucket(rate=1.0, capacity=5.0, initial=5.0)
+        tb = TokenBucket(rate=1.0, capacity=5.0)
         assert tb.time_until(3.0, 0.0) == 0.0
 
     def test_exact_wait(self):
-        tb = TokenBucket(rate=2.0, capacity=10.0, initial=0.0)
+        tb = empty(2.0, 10.0)
         assert tb.time_until(4.0, 0.0) == pytest.approx(2.0)
 
     def test_beyond_capacity_still_finite(self):
-        tb = TokenBucket(rate=2.0, capacity=4.0, initial=0.0)
+        tb = empty(2.0, 4.0)
         assert tb.time_until(8.0, 0.0) == pytest.approx(4.0)
 
     def test_wait_then_consume_succeeds(self):
-        tb = TokenBucket(rate=3.0, capacity=9.0, initial=0.0)
+        tb = empty(3.0, 9.0)
         wait = tb.time_until(6.0, 0.0)
         assert tb.try_consume(6.0, wait)
 
 
 class TestSetRate:
     def test_refills_at_old_rate_first(self):
-        tb = TokenBucket(rate=10.0, capacity=100.0, initial=0.0)
+        tb = empty(10.0, 100.0)
         tb.set_rate(1.0, now=5.0, capacity=100.0)
         # 5 s at the old 10/s rate accrued before the change.
         assert tb.tokens(5.0) == pytest.approx(50.0)
 
     def test_clamps_to_new_capacity(self):
-        tb = TokenBucket(rate=10.0, capacity=100.0, initial=100.0)
+        tb = TokenBucket(rate=10.0, capacity=100.0)
         tb.set_rate(1.0, now=0.0)  # default capacity = new rate = 1
         assert tb.tokens(0.0) == pytest.approx(1.0)
 
@@ -167,11 +171,11 @@ def test_grants_bounded_by_refill(rate, steps):
 @settings(max_examples=200, deadline=None)
 @given(rate=rates, want=st.floats(min_value=0.01, max_value=1e5))
 def test_time_until_is_exact(rate, want):
-    tb = TokenBucket(rate=rate, initial=0.0, capacity=max(rate, want))
+    tb = empty(rate, max(rate, want))
     wait = tb.time_until(want, 0.0)
     assert tb.try_consume(want, wait)
     # One epsilon earlier must fail (when the wait was positive).
-    tb2 = TokenBucket(rate=rate, initial=0.0, capacity=max(rate, want))
+    tb2 = empty(rate, max(rate, want))
     wait2 = tb2.time_until(want, 0.0)
     if wait2 > 1e-6:
         assert not tb2.try_consume(want, wait2 * 0.99)

@@ -1,22 +1,36 @@
-"""Whole-result pins of the experiments that run the control loop's
-session machine and its synchronous walk over a deferring fabric.
+"""Whole-result pins of experiments no figure digest covers.
 
 ``GOLDEN_DIGESTS`` pins fig4 / fig5 and the sweep runner pins cell
-*parameters*; neither would notice a changed dependability or
-control-lag number.  These literals hash every field of every result
-point -- floats by ``float.hex``, so a one-ulp change shows -- and were
-recorded before the loop's timings were restated in loop intervals.
+*parameters*; neither would notice a changed dependability, control-lag,
+harm, failover, cost-aware, fig4 data-panel or ablation number.  These
+literals hash every field of every result point -- floats by
+``float.hex`` and arrays by their bytes, so a one-ulp change shows.  The
+dependability and control-lag literals were recorded before the loop's
+timings were restated in loop intervals; the rest before the model
+settings they exercise (MDS degradation and failure, failover delay and
+outage replay, the stage's channel construction, the OSS path) became
+module constants.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from repro.experiments.ablations import sweep_control_lag
+from repro.experiments.ablations import (
+    sweep_burst_size,
+    sweep_control_lag,
+    sweep_loop_interval,
+)
+from repro.experiments.cost_aware import run_cost_aware
 from repro.experiments.dependability import FAULT_AXES, MODES, run_dependability
+from repro.experiments.failover import run_failover
+from repro.experiments.fig4 import run_fig4_data
+from repro.experiments.harm import run_harm
 
 #: (axis, mode) -> SHA-256 of ``run_dependability(axis, mode, seed=0,
 #: duration=80.0)``.
@@ -56,9 +70,56 @@ CONTROL_LAG_DIGEST = (
 )
 
 
+#: protected -> SHA-256 of ``run_harm(protected, seed=0, duration=180.0)``:
+#: the unprotected MDS degrades, serves at the degraded rate and fails.
+HARM_DIGESTS = {
+    False: "3225240887af341a03255effdce18ad83f14d56742f7c7d44cbc415ce3d01c12",
+    True: "c75273b37d4848d046600b4000b647cb1bf129a5a4ea45b6b687230628949d6f",
+}
+
+#: protected -> SHA-256 of ``run_failover(protected, seed=0,
+#: duration=1000.0)``: the kill, the standby's takeover delay and the
+#: outage replay all fall inside the run.
+FAILOVER_DIGESTS = {
+    False: "c93b50e4db6fb5f4d4760a0c44784602089f0dcc1ea6d5b31efd9310493a4793",
+    True: "6c1080bca3ad4703c2320ac822e978cc3d490f144d996bfc56d935d2b531bb70",
+}
+
+#: allocator -> SHA-256 of ``run_cost_aware(allocator, seed=0,
+#: duration=120.0)``.
+COST_AWARE_DIGESTS = {
+    "cost-aware": "3ed0174cf93cffa1341c99ef08b603135e7e6b16ee8cf8b70bf6e25fafd2c958",
+    "ops-fair": "15913ee708e55e7c6038b82d5d42db5260bbb2e01d7698178b892309f8777432",
+}
+
+#: SHA-256 of ``run_fig4_data("write", seed=0, duration=120.0)``.
+FIG4_WRITE_DIGEST = (
+    "419050e616be0fd4abc66a9161fcb50bddd2c99730f80a38c94161ccd7203240"
+)
+
+#: SHA-256 of ``sweep_burst_size(seed=0, duration=120.0)``.
+BURST_SIZE_DIGEST = (
+    "5185bb4bfb422bfc76a9ef93db7c4a25e0c880e60d2ca4da83e511409fa37d2c"
+)
+
+#: SHA-256 of ``sweep_loop_interval(seed=0, duration=120.0)``.
+LOOP_INTERVAL_DIGEST = (
+    "d5e5c6298984f5acc51e9345bd741b357f6023a73f387717584f9e7811ec1a00"
+)
+
+
 def _field_text(value) -> str:
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+        return f"{value.dtype.str}{value.shape}:{hashlib.sha256(data).hexdigest()}"
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(_field_text(item) for item in value) + ")"
+    if isinstance(value, Mapping):
+        return "{" + ",".join(
+            f"{key!r}:{_field_text(item)}" for key, item in value.items()
+        ) + "}"
     return repr(value)
 
 
@@ -86,3 +147,38 @@ def test_dependability_results_unchanged(axis, mode):
 
 def test_control_lag_results_unchanged():
     assert result_digest(sweep_control_lag(seed=0)) == CONTROL_LAG_DIGEST
+
+
+@pytest.mark.parametrize("protected", [False, True])
+def test_harm_results_unchanged(protected):
+    result = run_harm(protected, seed=0, duration=180.0)
+    assert result.mds_failed is not protected
+    assert result_digest([result]) == HARM_DIGESTS[protected]
+
+
+@pytest.mark.parametrize("protected", [False, True])
+def test_failover_results_unchanged(protected):
+    result = run_failover(protected, seed=0, duration=1000.0)
+    assert result.failovers == 1
+    assert result_digest([result]) == FAILOVER_DIGESTS[protected]
+
+
+@pytest.mark.parametrize("allocator", sorted(COST_AWARE_DIGESTS))
+def test_cost_aware_results_unchanged(allocator):
+    result = run_cost_aware(allocator, seed=0, duration=120.0)
+    assert result_digest([result]) == COST_AWARE_DIGESTS[allocator]
+
+
+def test_fig4_write_panel_unchanged():
+    result = run_fig4_data("write", seed=0, duration=120.0)
+    assert result_digest([result]) == FIG4_WRITE_DIGEST
+
+
+def test_burst_size_sweep_unchanged():
+    assert result_digest(sweep_burst_size(seed=0, duration=120.0)) == BURST_SIZE_DIGEST
+
+
+def test_loop_interval_sweep_unchanged():
+    swept = sweep_loop_interval(seed=0, duration=120.0)
+    digest = hashlib.sha256(_field_text(swept).encode()).hexdigest()
+    assert digest == LOOP_INTERVAL_DIGEST

@@ -11,11 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.algorithms import ProportionalSharing
+from repro.core.channel import Channel
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.requests import OperationClass, OperationType, Request
-from repro.core.stage import DataPlaneStage, StageConfig, StageIdentity
+from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.pfs.mds import MDSConfig, MetadataServer
 from repro.simulation.engine import Environment
 from repro.simulation.ticker import Ticker
@@ -29,6 +30,13 @@ def md_rule():
             {OperationClass.METADATA, OperationClass.DIRECTORY_MANAGEMENT}
         ),
     )
+
+
+class _IntegralStage(DataPlaneStage):
+    """A stage whose channels grant whole requests only."""
+
+    def _make_channel(self, channel_id, rate, burst, now):
+        return Channel(channel_id, rate, burst, now=now, integral=True)
 
 
 class TestThrottledNamespaceMutation:
@@ -45,11 +53,7 @@ class TestThrottledNamespaceMutation:
             assert request.count == 1.0
             released.append(request)
 
-        stage = DataPlaneStage(
-            StageIdentity("s0", "app"),
-            sink=apply,
-            config=StageConfig(integral=True),
-        )
+        stage = _IntegralStage(StageIdentity("s0", "app"), sink=apply)
         stage.create_channel("metadata", rate=rate)
         stage.add_classifier_rule(md_rule())
         Ticker(env, 1.0, lambda now: stage.drain(now), defer=1)

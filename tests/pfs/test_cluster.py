@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request
-from repro.pfs.cluster import ClusterConfig, LustreCluster
+from repro.pfs.cluster import FAILOVER_DELAY, ClusterConfig, LustreCluster
 from repro.pfs.mds import MDSConfig
 
 
@@ -18,7 +18,6 @@ def small_cluster(**kw) -> LustreCluster:
         n_ost=4,
         total_capacity_bytes=10**9,
         mds=MDSConfig(capacity=1000.0),
-        failover_delay=5.0,
     )
     defaults.update(kw)
     return LustreCluster(ClusterConfig(**defaults))
@@ -26,7 +25,7 @@ def small_cluster(**kw) -> LustreCluster:
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "kw", [{"n_mds": 0}, {"n_mdt": 0}, {"failover_delay": -1.0}]
+        "kw", [{"n_mds": 0}, {"n_mdt": 0}]
     )
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -70,8 +69,8 @@ class TestFailover:
         cluster = small_cluster()
         cluster.mds_servers[0].fail(10.0)
         assert cluster.active_mds(10.0) is None  # failover in progress
-        assert cluster.active_mds(14.0) is None
-        active = cluster.active_mds(15.0)
+        assert cluster.active_mds(9.0 + FAILOVER_DELAY) is None
+        active = cluster.active_mds(10.0 + FAILOVER_DELAY)
         assert active is cluster.mds_servers[1]
         assert cluster.failovers == 1
 
@@ -177,7 +176,7 @@ class TestDNE:
 
 class TestReplayBuffer:
     def test_outage_ops_replayed_at_takeover(self):
-        cluster = small_cluster(failover_delay=5.0)
+        cluster = small_cluster()
         client = cluster.new_client()
         cluster.mds_servers[0].fail(0.0)
         client.submit(Request(OperationType.STAT, path="/f", count=100.0))
@@ -186,26 +185,18 @@ class TestReplayBuffer:
         cluster.service(2.0, 1.0)
         assert cluster.pending_replay_ops == 100.0
         # After the failover delay the backlog reaches the standby.
-        served = cluster.service(6.0, 1.0)
+        served = cluster.service(FAILOVER_DELAY + 1.0, 1.0)
         assert cluster.pending_replay_ops == 0.0
         assert cluster.replayed_ops == 100.0
         assert served > 0
 
-    def test_replay_disabled_drops_ops(self):
-        cluster = small_cluster(replay_on_failover=False, failover_delay=5.0)
-        client = cluster.new_client()
-        cluster.mds_servers[0].fail(0.0)
-        client.submit(Request(OperationType.STAT, path="/f", count=50.0))
-        assert cluster.pending_replay_ops == 0.0
-        assert client.failed_ops == 50.0
-
     def test_replay_held_while_no_replica_alive(self):
-        cluster = small_cluster(failover_delay=5.0)
+        cluster = small_cluster()
         client = cluster.new_client()
         cluster.mds_servers[0].fail(0.0)
         client.submit(Request(OperationType.STAT, path="/f", count=10.0))
         assert cluster.pending_replay_ops == 10.0
         # The standby dies before its takeover completes.
         cluster.mds_servers[1].fail(1.0)
-        cluster.service(6.0, 1.0)  # nobody alive: buffer stays
+        cluster.service(FAILOVER_DELAY + 1.0, 1.0)  # nobody alive: buffer stays
         assert cluster.pending_replay_ops == 10.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.costs import op_cost
-from repro.pfs.mds import MDSConfig, MetadataServer
+from repro.pfs.mds import DEGRADE_FACTOR, FAIL_AFTER, MDSConfig, MetadataServer
 
 
 def mds(capacity=100.0, **kw) -> MetadataServer:
@@ -21,9 +21,6 @@ class TestConfig:
         [
             {"capacity": 0.0},
             {"degrade_after": -1.0},
-            {"degrade_factor": 0.0},
-            {"degrade_factor": 1.5},
-            {"fail_after": 0.0},
         ],
     )
     def test_invalid(self, kw):
@@ -78,16 +75,16 @@ class TestFluidService:
 
 class TestDegradationAndFailure:
     def test_degrades_when_queue_deep(self):
-        m = mds(capacity=100.0, degrade_after=1.0, degrade_factor=0.5)
+        m = mds(capacity=100.0, degrade_after=1.0)
         m.offer("getattr", 500.0, 0.0)
         m.service(0.0, 1.0)
         assert m.degraded
-        # Degraded service rate is halved.
+        # Degraded service runs at DEGRADE_FACTOR of capacity.
         served = m.service(1.0, 1.0)
-        assert served == pytest.approx(50.0)
+        assert served == pytest.approx(100.0 * DEGRADE_FACTOR)
 
     def test_recovers_when_queue_drains(self):
-        m = mds(capacity=100.0, degrade_after=1.0, fail_after=1000.0)
+        m = mds(capacity=100.0, degrade_after=1.0)
         m.offer("getattr", 300.0, 0.0)
         m.service(0.0, 1.0)
         assert m.degraded
@@ -96,8 +93,8 @@ class TestDegradationAndFailure:
         assert not m.degraded
 
     def test_fails_after_sustained_degradation(self):
-        m = mds(capacity=100.0, degrade_after=0.5, fail_after=3.0)
-        for t in range(10):
+        m = mds(capacity=100.0, degrade_after=0.5)
+        for t in range(int(FAIL_AFTER) + 10):
             if m.failed:
                 break
             m.offer("getattr", 500.0, float(t))
@@ -107,8 +104,8 @@ class TestDegradationAndFailure:
         assert m.queued_units == 0.0  # queue lost on crash
 
     def test_cannot_fail_when_disabled(self):
-        m = mds(capacity=100.0, degrade_after=0.5, fail_after=1.0, can_fail=False)
-        for t in range(20):
+        m = mds(capacity=100.0, degrade_after=0.5, can_fail=False)
+        for t in range(int(FAIL_AFTER) + 20):
             m.offer("getattr", 500.0, float(t))
             m.service(float(t), 1.0)
         assert not m.failed

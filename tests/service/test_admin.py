@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithms import MIN_RATE
 from repro.errors import ConfigError, PolicyError
 from repro.service import ServiceConfig, ServiceRuntime, WorkloadSpec
 
@@ -57,7 +58,7 @@ class TestSynchronousApply:
         runtime.admin("job.drain", {"job": "job1"})
         rule = runtime.controller.policies["admin:drain:job1"]
         assert rule.priority == 1000
-        assert rule.rate_at(0.0) == runtime.controller.config.min_rate
+        assert rule.rate_at(0.0) == MIN_RATE
 
     def test_job_evict(self):
         runtime = make_runtime()

@@ -18,7 +18,6 @@ from repro.service.config import (
     WorkloadSpec,
     load_service_config,
     parse_service_config,
-    with_overrides,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -172,17 +171,6 @@ class TestParse:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid service config JSON"):
             load_service_config(path)
-
-
-class TestOverrides:
-    def test_none_keeps_config(self):
-        base = ServiceConfig(port=1234)
-        assert with_overrides(base, port=None, seed=None) is base
-
-    def test_overrides_apply(self):
-        config = with_overrides(ServiceConfig(), port=0, seed=9)
-        assert config.port == 0
-        assert config.seed == 9
 
 
 class TestMultiProcessKeys:

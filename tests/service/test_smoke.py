@@ -39,41 +39,42 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
     return False
 
 
+def serve(tmp_path, doc, duration):
+    """``padll-repro serve`` on a config document; the completed process."""
+    config = tmp_path / "service.json"
+    config.write_text(json.dumps({"port": 0, "interval": 0.1, **doc}))
+    return subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--config", str(config), "--duration", str(duration),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestCliServe:
-    def test_serve_runs_and_shuts_down_clean(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--port", "0",
-                "--duration", "2",
-                "--interval", "0.1",
-                "--seed", "5",
-                "--sample-rate", "0.2",
-                "--workload-rate", "80",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
+    def test_serve_runs_and_shuts_down_clean(self, tmp_path):
+        result = serve(
+            tmp_path,
+            {"seed": 5, "sample_rate": 0.2, "workload": {"rate": 80}},
+            duration=2,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "padll-repro serve: listening on http://127.0.0.1:" in result.stdout
         assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
 
-    def test_serve_runs_the_shipped_example_policy(self):
+    def test_serve_runs_the_shipped_example_policy(self, tmp_path):
         # examples/padll.json reserves rates for jobs that register later
         # (or never); that used to die with StageNotRegistered at start-up.
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-                "--duration", "2", "--interval", "0.1", "--workload-rate", "80",
-                "--policy", str(EXAMPLE_POLICY),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
+        result = serve(
+            tmp_path,
+            {
+                "workload": {"rate": 80},
+                "padll": json.loads(EXAMPLE_POLICY.read_text()),
+            },
+            duration=2,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "clean shutdown: 0 worker thread(s) remaining" in result.stdout
@@ -99,17 +100,12 @@ class TestCliServe:
             finally:
                 runtime.stop()
 
-    def test_stage_procs_runs_and_shuts_down_clean(self):
+    def test_stage_procs_runs_and_shuts_down_clean(self, tmp_path):
         # The default layout: no orphan policy, no policy document.
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--duration", "5", "--interval", "0.1",
-                "--seed", "5", "--workload-rate", "80", "--stage-procs", "2",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
+        result = serve(
+            tmp_path,
+            {"seed": 5, "workload": {"rate": 80}, "stage_procs": 2},
+            duration=5,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.count("stage(s) registered with") == 2, result.stdout
@@ -118,26 +114,16 @@ class TestCliServe:
     def test_stage_procs_serves_a_two_channel_layout(self, tmp_path):
         # Was an exit-2 refusal (argv could not carry ``padll.channels``);
         # the hosts fetch the layout from the controller now.
-        policy = tmp_path / "policy.json"
-        policy.write_text(
-            json.dumps(
-                {
-                    "channels": [
-                        {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
-                        {"id": "opens", "ops": ["open"], "priority": 10},
-                    ]
-                }
-            )
-        )
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-                "--duration", "4", "--interval", "0.1", "--workload-rate", "80",
-                "--stage-procs", "2", "--policy", str(policy),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
+        policy = {
+            "channels": [
+                {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
+                {"id": "opens", "ops": ["open"], "priority": 10},
+            ]
+        }
+        result = serve(
+            tmp_path,
+            {"workload": {"rate": 80}, "stage_procs": 2, "padll": policy},
+            duration=4,
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert result.stdout.count("stage(s) registered with") == 2, result.stdout

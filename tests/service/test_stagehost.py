@@ -79,7 +79,10 @@ class TestStageHostValidation:
             StageHost("host0", ["job0/s0"], push_interval=0.0)
 
 
-_DEFAULT_LAYOUT = StageLayout.from_config(ServiceConfig()).to_wire()
+#: The default world's layout with no workload driver (``rate=0``).
+_DEFAULT_LAYOUT = StageLayout.from_config(
+    ServiceConfig(workload=WorkloadSpec(rate=0.0))
+).to_wire()
 
 
 class _Controller:
@@ -192,13 +195,14 @@ class TestStageHostLive:
         controller.wait_connected()
         assert host.run(duration=0.1) == 0
 
-    def test_workload_counters_travel(self, controller):
-        host = StageHost(
-            "hostE",
-            ["job0/s0"],
-            workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=200.0),
-            push_interval=0.05,
+    def test_workload_counters_travel(self):
+        # The workload rides the layout: the controller says what drives
+        # a host's stages, as it says what they look like.
+        workload = WorkloadSpec(jobs=1, stages_per_job=1, rate=200.0)
+        controller = _Controller(
+            layout=StageLayout.from_config(ServiceConfig(workload=workload)).to_wire()
         )
+        host = StageHost("hostE", ["job0/s0"], push_interval=0.05)
         try:
             host.start(controller.host, controller.port)
             controller.wait_connected()
@@ -208,8 +212,10 @@ class TestStageHostLive:
                     for d in controller.pushed
                 )
             )
+            assert host.workload.spec == workload
         finally:
             host.stop()
+            controller.close()
         doc = next(
             d
             for d in controller.pushed
@@ -250,10 +256,11 @@ class TestHostSupervisor:
             assert argv[argv.index("--connect") + 1] == "127.0.0.1:4321"
             assert argv[argv.index("--host-id") + 1] == host_id
             stages.extend(argv[argv.index("--stages") + 1].split(","))
-            # argv says what a process knows about itself; what its stages
-            # look like comes from the controller's layout, not from flags.
-            for flag in ("--channel", "--sample-rate", "--push-interval", "--duration"):
-                assert flag not in argv
+            # argv says what a process knows about itself -- four flags;
+            # what its stages look like and the workload that drives them
+            # come from the controller's layout.
+            flags = [arg for arg in argv if arg.startswith("--")]
+            assert flags == ["--connect", "--host-id", "--stages", "--seed"]
         # Every stage in the world is owned by exactly one host.
         assert sorted(stages) == sorted(
             s
@@ -359,6 +366,13 @@ class TestOneLayout:
                 "padll.channels",
             ),
             ({"padll": parse_config({"pfs_mounts": ["/lustre"]})}, "padll.pfs_mounts"),
+            (
+                {"workload": WorkloadSpec(
+                    jobs=1, stages_per_job=3, rate=7.5, ops=("stat",),
+                    path_prefix="/lustre/x",
+                )},
+                "workload",
+            ),
         ],
     )
     def test_setting_travels(self, kwargs, named):
@@ -373,6 +387,8 @@ class TestOneLayout:
         assert layout == StageLayout.from_config(_proc_config(**kwargs))
         if named == "orphan":
             assert layout.orphan == kwargs["orphan"]
+        elif named == "workload":
+            assert layout.workload == kwargs["workload"]
         elif named == "padll.channels":
             assert [spec.rule.name for spec in layout.channels] == ["metadata-rule"]
         else:
@@ -500,14 +516,12 @@ class TestSamplingReachesHosts:
             _proc_config(
                 stage_procs=1,
                 sample_rate=0.0,
-                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0),
+                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0),
             )
         )
         host = late = None
         try:
-            host = _dial(
-                runtime, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0)
-            )
+            host = _dial(runtime)
             assert host.telemetry.tracer.sample_rate == 0.0
             result = runtime.admin("telemetry.sampling", {"rate": 1.0})
             assert result["applied"] is True
@@ -575,14 +589,12 @@ class TestHostKeepsOnlyWhatItHasNotShipped:
             _proc_config(
                 stage_procs=1,
                 sample_rate=1.0,
-                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0),
+                workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0),
             )
         )
         host = None
         try:
-            host = _dial(
-                runtime, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=400.0)
-            )
+            host = _dial(runtime)
             for marker in range(20):  # host events, spread over several pushes
                 host.telemetry.events.emit("test.marker", float(marker), n=marker)
                 time.sleep(0.01)
@@ -634,7 +646,7 @@ class TestReservationOutlivesTheHost:
     def test_respawned_host_comes_back_at_its_jobs_reservation(self):
         runtime = ServiceRuntime(
             _proc_config(
-                stage_procs=1, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=0.0)
+                stage_procs=1, workload=WorkloadSpec(jobs=1, stages_per_job=1, rate=50.0)
             )
         )
         host = respawned = None
@@ -646,6 +658,8 @@ class TestReservationOutlivesTheHost:
             assert _wait(lambda: runtime.controller.jobs == {})
             respawned = _dial(runtime)
             assert runtime.controller.jobs["job0"].reservation == 25.0
+            # ... and drives its stages with the workload it fetched again.
+            assert respawned.workload.spec == runtime.config.workload
         finally:
             for h in (host, respawned):
                 if h is not None:

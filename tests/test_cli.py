@@ -311,11 +311,3 @@ class TestShardedCommand:
         assert rc == 2
         assert "n_shards" in capsys.readouterr().err
 
-    def test_dt_must_divide_the_control_epoch(self, capsys):
-        rc = main([*self._FAST, "--dt", "0.5", "--digest-only"])
-        assert rc == 0
-        capsys.readouterr()
-        rc = main([*self._FAST, "--dt", "0.3", "--digest-only"])
-        assert rc == 2
-        assert "loop_interval" in capsys.readouterr().err
-

@@ -73,6 +73,8 @@ KEPT_UNREACHED: Dict[str, str] = {
     "repro.core.ringlog:RingLog.__repr__": "reference: what a failed log comparison prints",
     "repro.core.ringlog:RingLog._drop": "boundary: a log past its capacity (the wrapped-log "
     "digest of tests/simulation/test_sharded.py and the sharded-smoke CI job)",
+    "repro.core.ringlog:RingLog.extend": "boundary: the log's list-like bulk write; "
+    "the control cycle writes its rows through extend_rows",
     "repro.core.transport:InProcTransport.call": "reference: direct delivery, the "
     "in-process side of tests/net (the fabric goes through handler())",
     "repro.core.wire:_emit_base": "fault path: a value whose exact type has no emitter",

@@ -38,12 +38,18 @@ _settrace(_call)
 '''
 PY = sys.executable
 CLI = f"{PY} -m repro.cli"
-#: ``serve --stage-procs`` config: two channels, decay orphan policy, jitter.
-PROCS = {"workload": {"path_prefix": "/lustre/scratch"}, "faults": {"jitter": 0.002},
-         "orphan": {"mode": "decay", "orphan_after": 3, "floor": 2.0, "half_life": 5.0},
-         "padll": {"pfs_mounts": ["/lustre"], "channels": [
-             {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
-             {"id": "opens", "ops": ["open"], "priority": 10, "initial_rate": 40.0}]}}
+#: What both ``serve`` documents set alike.
+WORLD = {"interval": 0.25, "seed": 7, "sample_rate": 0.1, "workload": {"rate": 120}}
+#: ``serve`` config documents (``{t}/<name>.json``): the shipped example policy
+#: in process; stage hosts with two channels, decay orphan policy, faults, sinks.
+DOCS = {"example": {**WORLD, "port": 9178, "padll": json.loads((REPO / "examples/padll.json").read_text())},
+        "procs": {**WORLD, "port": 9179, "stage_procs": 2, "audit_dir": "{t}/audit",
+                  "workload": {"rate": 120, "path_prefix": "/lustre/scratch"},
+                  "faults": {"loss": 0.05, "latency": 0.002, "jitter": 0.002},
+                  "orphan": {"mode": "decay", "orphan_after": 3, "floor": 2.0, "half_life": 5.0},
+                  "padll": {"pfs_mounts": ["/lustre"], "channels": [
+                      {"id": "metadata", "classes": ["metadata", "dir_mgmt"]},
+                      {"id": "opens", "ops": ["open"], "priority": 10, "initial_rate": 40.0}]}}}
 READS = ("metrics", "healthz", "api/v1/snapshot?tail=5", "api/v1/spans?limit=5&job=job0", "api/v1/audit?limit=5",
          "api/v1/events?kind=control.cycle&limit=2", "api/v1/events?job=job0&limit=2", "api/v1/admin")
 ADMIN = {"policy.set": {"name": "cap", "job": "job1", "rate": 50.0},
@@ -53,16 +59,17 @@ ADMIN = {"policy.set": {"name": "cap", "job": "job1", "rate": 50.0},
          "telemetry.sampling": {"rate": 0.5}, "service.shutdown": {"reason": "census"}}
 
 
-def serve(port: int, flags: str) -> str:
-    """``serve`` in the background, every read endpoint, a SIGKILLed stage host
-    (if any), every admin verb; the command's status is the service's own."""
-    base = f"http://127.0.0.1:{port}"
+def serve(name: str, env: str = "") -> str:
+    """``serve`` on ``DOCS[name]`` in the background, every read endpoint, a
+    SIGKILLed stage host (if any), every admin verb; the command's status is the
+    service's own."""
+    base = f"http://127.0.0.1:{DOCS[name]['port']}"
     reads = "".join(f" && curl -fsS '{base}/{path}'" for path in READS)
     posts = "".join(
         f" && curl -fsS -H 'Authorization: Bearer s3cret' -d '{json.dumps(body)}' "
         f"{base}/api/v1/admin/{verb} && sleep 0.5" for verb, body in ADMIN.items())
-    return (f"{CLI} serve --port {port} --interval 0.25 --seed 7 --sample-rate 0.1 --workload-rate 120 "
-            f"--duration 90 {flags} & until curl -fs {base}/readyz; do sleep 0.2; done; sleep 5; "
+    return (f"{env}{CLI} serve --config {{t}}/{name}.json "
+            f"--duration 90 & until curl -fs {base}/readyz; do sleep 0.2; done; sleep 5; "
             f"pkill -9 -f 'host-id host[0]'; sleep 5{reads}{posts} && wait $!")
 
 
@@ -81,8 +88,8 @@ ENTRY_POINTS = [
     *(f"{CLI} sharded --jobs 8 --stages-per-job 4 --racks 8 --clients-per-stage 20 "
       f"--duration 60 --step-period 15 --shards {shards}" for shards in (1, 2)),
     f"{PY} -m repro.experiments.latency", f"{PY} -m repro.experiments.failover",
-    serve(9178, "--policy examples/padll.json --admin-token s3cret"),
-    serve(9179, "--stage-procs 2 --config {t}/procs.json --loss 0.05 --latency 0.002 --audit-dir {t}/audit"),
+    serve("example", env="PADLL_ADMIN_TOKEN=s3cret "),
+    serve("procs"),
     f"{PY} bench/run.py --smoke --out {{t}}/bench",
     *(f"{PY} {path}" for path in sorted(REPO.glob("examples/*.py"))),
     f"{PY} -m pytest -q -p no:cacheprovider benchmarks",
@@ -104,7 +111,8 @@ def main() -> int:
     scratch = Path(sys.argv[1] if sys.argv[1:] else tempfile.mkdtemp(prefix="reach-")).resolve()
     scratch.mkdir(parents=True, exist_ok=True)
     (scratch / "sitecustomize.py").write_text(SITE)
-    (scratch / "procs.json").write_text(json.dumps(PROCS))
+    for name, doc in DOCS.items():
+        (scratch / f"{name}.json").write_text(json.dumps(doc).replace("{t}", str(scratch)))
     env = dict(os.environ, PYTHONPATH=f"{scratch}{os.pathsep}{SRC}", REACH_SRC=str(SRC), REACH_OUT=str(scratch))
     for command in ENTRY_POINTS:
         command = command.replace("{t}", str(scratch))
