@@ -199,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--step-period", type=float, default=60.0)
     sharded.add_argument(
         "--placement",
-        choices=("split", "job"),
         default="split",
-        help="split jobs across racks, or pin whole jobs to racks",
+        help="'split' spreads each job's stages across racks, 'job' pins "
+        "whole jobs to racks",
     )
     sharded.add_argument(
         "--digest-only",
@@ -328,6 +328,8 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         run_traced_fig4,
         write_text,
     )
+    from repro.telemetry.events import Event
+    from repro.telemetry.trace import Span
 
     out_dir = None
     if args.out is not None:
@@ -349,32 +351,18 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spans = [
-        line for line in traced.spans_jsonl.splitlines() if line
-    ]
     print(
         f"fig4 [{args.target}] seed {args.seed}: sampled "
         f"{traced.sampled_traces} trace(s), {traced.span_count} span(s), "
         f"{traced.event_count} event(s) at rate {args.sample_rate}"
     )
     print()
-    from repro.telemetry.trace import Span  # parsed back for rendering
-    import json as _json
-
-    parsed = [
-        Span(
-            trace_id=rec["trace_id"],
-            name=rec["name"],
-            start=rec["start"],
-            end=rec["end"],
-            attrs=rec.get("attrs", {}),
-        )
-        for rec in (_json.loads(line) for line in spans)
-    ]
-    print(render_waterfall(parsed, max_traces=args.traces))
+    print(render_waterfall(
+        _records_from_jsonl(Span, traced.spans_jsonl), max_traces=args.traces
+    ))
     print()
     print(render_controller_timeline(
-        _events_from_jsonl(traced.events_jsonl)
+        _records_from_jsonl(Event, traced.events_jsonl)
     ))
     if out_dir is not None:
         write_text(out_dir / "spans.jsonl", traced.spans_jsonl)
@@ -384,14 +372,12 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _events_from_jsonl(text: str):
+def _records_from_jsonl(record, text: str):
+    """Parse an exported JSONL text back into ``record`` objects."""
     import json as _json
 
-    from repro.telemetry.events import Event
-
     return [
-        Event(kind=rec["kind"], time=rec["time"], fields=rec.get("fields", {}))
-        for rec in (_json.loads(line) for line in text.splitlines() if line)
+        record.from_dict(_json.loads(line)) for line in text.splitlines() if line
     ]
 
 

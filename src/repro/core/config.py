@@ -48,7 +48,7 @@ from repro.core.policies import (
 )
 from repro.core.requests import OperationClass, OperationType
 
-__all__ = ["ChannelSpec", "PadllConfig", "load_config", "parse_config"]
+__all__ = ["ChannelSpec", "PadllConfig", "load_config", "parse_config", "parse_policy"]
 
 _CLASS_ALIASES: Mapping[str, OperationClass] = {
     "data": OperationClass.DATA,
@@ -58,8 +58,6 @@ _CLASS_ALIASES: Mapping[str, OperationClass] = {
     "dir_mgmt": OperationClass.DIRECTORY_MANAGEMENT,
     "directory": OperationClass.DIRECTORY_MANAGEMENT,
 }
-
-_OPS_BY_NAME: Mapping[str, OperationType] = {op.value: op for op in OperationType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,15 +85,16 @@ class PadllConfig:
     algorithm: Optional[AllocationAlgorithm]
     reservations: Dict[str, float] = field(default_factory=dict)
 
-    def apply_to_stage(self, stage, now: float = 0.0) -> None:
-        for spec in self.channels:
-            spec.apply(stage, now=now)
-
     def install_on(self, controller) -> None:
+        """Land the document's control side on ``controller``: policies,
+        algorithm and reservations.  Stages take the channels
+        (:meth:`ChannelSpec.apply`) wherever they are built."""
         for policy in self.policies:
             controller.install_policy(policy)
         if self.algorithm is not None:
             controller.algorithm = self.algorithm
+        for job_id, rate in self.reservations.items():
+            controller.set_reservation(job_id, rate)
 
 
 def _require(doc: Mapping[str, Any], key: str, context: str) -> Any:
@@ -118,16 +117,20 @@ def _parse_schedule(doc: Mapping[str, Any], context: str) -> RateSchedule:
     raise ConfigError(f"{context}: unknown schedule type {kind!r}")
 
 
+def _op(name: str, context: str) -> OperationType:
+    try:
+        return OperationType(name)
+    except ValueError:
+        raise ConfigError(f"{context}: unknown op {name!r}") from None
+
+
 def _parse_channel(doc: Mapping[str, Any], index: int) -> ChannelSpec:
     context = f"channels[{index}]"
     channel_id = str(_require(doc, "id", context))
     op_types = None
     op_classes = None
     if "ops" in doc:
-        try:
-            op_types = frozenset(_OPS_BY_NAME[name] for name in doc["ops"])
-        except KeyError as exc:
-            raise ConfigError(f"{context}: unknown op {exc.args[0]!r}") from None
+        op_types = frozenset(_op(name, context) for name in doc["ops"])
     if "classes" in doc:
         try:
             op_classes = frozenset(
@@ -156,8 +159,10 @@ def _parse_channel(doc: Mapping[str, Any], index: int) -> ChannelSpec:
     )
 
 
-def _parse_policy(doc: Mapping[str, Any], index: int) -> PolicyRule:
-    context = f"policies[{index}]"
+def parse_policy(doc: Mapping[str, Any], context: str = "policy") -> PolicyRule:
+    """One policy document -> :class:`PolicyRule`: a ``policies`` entry of
+    a PADLL document, or what an admin verb builds from its parameters.
+    ``context`` prefixes error messages."""
     return PolicyRule(
         name=str(_require(doc, "name", context)),
         scope=RuleScope(
@@ -232,7 +237,8 @@ def parse_config(doc: Mapping[str, Any]) -> PadllConfig:
             raise ConfigError(f"duplicate channel id {spec.channel_id!r}")
         seen.add(spec.channel_id)
     policies = [
-        _parse_policy(p, i) for i, p in enumerate(doc.get("policies", []))
+        parse_policy(p, f"policies[{i}]")
+        for i, p in enumerate(doc.get("policies", []))
     ]
     for policy in policies:
         if channels and policy.scope.channel_id not in seen:

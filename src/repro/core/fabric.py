@@ -182,7 +182,13 @@ class FaultyFabric:
         return False
 
     # -- delivery helpers --------------------------------------------------
-    def _emit_drop(self, address: str, message: Any, reason: str, leg: str) -> None:
+    def _drop(self, address: str, message: Any, reason: str, leg: str) -> None:
+        """Count one dropped leg and record it as an ``rpc.drop`` event."""
+        self.dropped += 1
+        if reason == "loss":
+            self.lost += 1
+        elif reason == "partition":
+            self.partitioned += 1
         if self._telemetry is not None:
             now = self._now()
             # Field is named ``message`` (not ``kind``): EventLog.emit's
@@ -219,12 +225,7 @@ class FaultyFabric:
         self.calls += 1
         reason = self._undeliverable(address, message)
         if reason is not None:
-            self.dropped += 1
-            if reason == "loss":
-                self.lost += 1
-            elif reason == "partition":
-                self.partitioned += 1
-            self._emit_drop(address, message, reason, leg="request")
+            self._drop(address, message, reason, leg="request")
             raise RPCError(f"message to {address!r} dropped")
         return handler(message)
 
@@ -257,12 +258,7 @@ class FaultyFabric:
         self.calls += 1
         reason = self._undeliverable(address, message)
         if reason is not None:
-            self.dropped += 1
-            if reason == "loss":
-                self.lost += 1
-            elif reason == "partition":
-                self.partitioned += 1
-            self._emit_drop(address, message, reason, leg="request")
+            self._drop(address, message, reason, leg="request")
             return True
         self.deferred += 1
         delay = self._delay(link)
@@ -301,12 +297,7 @@ class FaultyFabric:
         done = env.event()
         reason = self._undeliverable(address, message)
         if reason is not None:
-            self.dropped += 1
-            if reason == "loss":
-                self.lost += 1
-            elif reason == "partition":
-                self.partitioned += 1
-            self._emit_drop(address, message, reason, leg="request")
+            self._drop(address, message, reason, leg="request")
             return done  # never fires
         self.deferred += 1
         link = self.link_for(address)
@@ -324,12 +315,7 @@ class FaultyFabric:
             # Reply leg: second latency/loss draw on the same link.
             reply_reason = self._undeliverable_reply(address)
             if reply_reason is not None:
-                self.dropped += 1
-                if reply_reason == "loss":
-                    self.lost += 1
-                else:
-                    self.partitioned += 1
-                self._emit_drop(address, message, reply_reason, leg="reply")
+                self._drop(address, message, reply_reason, leg="reply")
                 return  # reply lost: event never fires
             env.call_at(env.now + self._delay(link), lambda: done.succeed(value))
 

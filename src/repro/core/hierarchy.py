@@ -102,7 +102,33 @@ __all__ = [
     "LocalController",
     "RackEndpoint",
     "HierarchicalControlPlane",
+    "PLACEMENTS",
+    "check_placement",
+    "rack_index",
 ]
+
+#: How a world spreads stages over racks: ``"job"`` pins each job to one
+#: rack, ``"split"`` spreads a job's stages across racks.
+PLACEMENTS = ("job", "split")
+
+
+def check_placement(placement: str) -> str:
+    """``placement`` if it names one of :data:`PLACEMENTS`; else ConfigError."""
+    if placement not in PLACEMENTS:
+        raise ConfigError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+    return placement
+
+
+def rack_index(placement: str, job: int, stage: int, n_racks: int) -> int:
+    """Rack hosting stage ``stage`` of the ``job``-th registered job.
+
+    ``"job"`` round-robins whole jobs in registration order; ``"split"``
+    puts stage ``i`` of job ``k`` on rack ``(k + i) % n_racks``, so a
+    multi-stage job spans racks, and with one stage per job the two agree.
+    """
+    if placement == "split":
+        return (job + stage) % n_racks
+    return job % n_racks
 
 
 @dataclass(frozen=True, slots=True)

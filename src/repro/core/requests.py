@@ -21,6 +21,7 @@ __all__ = [
     "POSIX_SURFACE",
     "MDS_OP_KINDS",
     "MDS_KIND_BY_OP",
+    "MDS_CLASSES",
     "OP_CLASS_BY_OP",
     "mds_kind",
     "op_class",
@@ -171,6 +172,13 @@ MDS_KIND_BY_OP: dict[OperationType, Optional[str]] = {
 #: op type -> operation class, same rationale as :data:`MDS_KIND_BY_OP`.
 OP_CLASS_BY_OP: dict[OperationType, OperationClass] = {
     op: pair[0] for op, pair in _SURFACE.items()
+}
+
+#: The classes whose every call is MDS work: what a ``metadata`` channel
+#: catches.  Data is the one class with calls the OSSs serve or the client
+#: answers alone.
+MDS_CLASSES: frozenset[OperationClass] = frozenset(OperationClass) - {
+    cls for cls, kind in _SURFACE.values() if kind in (None, "read", "write")
 }
 
 

@@ -56,6 +56,9 @@ STEP_QUANTILE_PATTERN: Tuple[float, ...] = (0.45, 1.25, 0.20, 0.95, 0.60)
 METADATA_TARGETS = ("open", "close", "getattr", "rename", "metadata")
 DATA_TARGETS = ("read", "write")
 
+#: The data panels' drain / service tick, seconds.
+DATA_DT = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class Fig4Result:
@@ -191,9 +194,8 @@ def run_fig4_metadata(
 class _DataWorld:
     """Fig. 4's data panels: an IOR-like job against the PFS data path."""
 
-    def __init__(self, setup: Setup, mode: str, seed: int, dt: float = 1.0) -> None:
+    def __init__(self, setup: Setup, mode: str, seed: int) -> None:
         self.setup = setup
-        self.dt = dt
         self.env = Environment()
         # Data workloads go to the production PFS (not the local FS), with
         # bandwidth sized so IOR's offered load keeps the OSSs busy but not
@@ -238,9 +240,9 @@ class _DataWorld:
                 )
             )
             submit = lambda req: self.stage.submit(req, self.env.now)  # noqa: E731
-        self.driver = IORDriver(self.env, self.workload, submit, dt=dt)
+        self.driver = IORDriver(self.env, self.workload, submit, dt=DATA_DT)
         self.schedule: Optional[SteppedRate] = None
-        Ticker(self.env, dt, self._tick, name="data-drain", defer=1)
+        Ticker(self.env, DATA_DT, self._tick, name="data-drain", defer=1)
         self.times: list[float] = []
         self.rates: list[float] = []
         Ticker(self.env, 5.0, self._sample, name="data-sample", defer=3)
@@ -252,7 +254,7 @@ class _DataWorld:
                     self.workload.config.mode, self.schedule.rate_at(now), now
                 )
             self.stage.drain(now)
-        self.cluster.service(now, self.dt)
+        self.cluster.service(now, DATA_DT)
 
     def _sample(self, now: float) -> None:
         self.times.append(now)

@@ -77,27 +77,6 @@ class Fig4ShardedResult:
         return digest.hexdigest()
 
 
-def _make_config(
-    seed: int,
-    n_jobs: int,
-    stages_per_job: int,
-    n_racks: int,
-    n_shards: int,
-    clients_per_stage: int,
-    loop_interval: float,
-    placement: str,
-) -> ShardedConfig:
-    return ShardedConfig(
-        n_racks=n_racks,
-        n_shards=n_shards,
-        n_jobs=n_jobs,
-        stages_per_job=stages_per_job,
-        placement=placement,
-        loop_interval=loop_interval,
-        fluid=FluidConfig(seed=seed, clients_per_stage=clients_per_stage),
-    )
-
-
 def run_fig4_sharded(
     seed: int = 0,
     n_jobs: int = 100,
@@ -107,24 +86,27 @@ def run_fig4_sharded(
     clients_per_stage: int = 100,
     duration: float = 240.0,
     step_period: float = 60.0,
-    loop_interval: float = 1.0,
     placement: str = "split",
 ) -> Fig4ShardedResult:
     """Run the two-phase sharded fig4 story; defaults hit 10^6 clients.
 
     ``n_shards`` partitions the rack set into that many in-process rack
     blocks; any value produces bit-identical results (asserted by tests
-    and CI).  ``loop_interval`` must be a whole number of fluid ticks
-    (:data:`~repro.simulation.sharded.fluid.DT`).
+    and CI).  The control epoch is :class:`ShardedConfig`'s default
+    ``loop_interval``.
     """
     if duration < 2 * step_period:
         raise ConfigError(
             f"duration {duration} too short for step_period {step_period}: "
             "need at least two administrator steps"
         )
-    config = _make_config(
-        seed, n_jobs, stages_per_job, n_racks, n_shards,
-        clients_per_stage, loop_interval, placement,
+    config = ShardedConfig(
+        n_racks=n_racks,
+        n_shards=n_shards,
+        n_jobs=n_jobs,
+        stages_per_job=stages_per_job,
+        placement=placement,
+        fluid=FluidConfig(seed=seed, clients_per_stage=clients_per_stage),
     )
 
     baseline_sim = ShardedSimulation(config, algorithm=None)

@@ -45,12 +45,17 @@ from repro.core.channel import Channel
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule
 from repro.core.requests import (
+    MDS_CLASSES,
     MDS_KIND_BY_OP,
-    OperationClass,
     Request,
     batch_request,
 )
-from repro.core.hierarchy import HierarchicalControlPlane, LocalController
+from repro.core.hierarchy import (
+    HierarchicalControlPlane,
+    LocalController,
+    check_placement,
+    rack_index,
+)
 from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.monitoring.collector import Collector, Probe
@@ -214,10 +219,7 @@ class ReplayWorld:
     ) -> None:
         if sample_period <= 0:
             raise ConfigError(f"sample period must be positive, got {sample_period}")
-        if placement not in ("job", "split"):
-            raise ConfigError(
-                f"placement must be 'job' or 'split', got {placement!r}"
-            )
+        self.placement = check_placement(placement)
         self.setup = setup
         self.sample_period = float(sample_period)
         self.telemetry = telemetry
@@ -243,14 +245,13 @@ class ReplayWorld:
             loop_interval=loop_interval, algorithm_channel=algorithm_channel
         )
         self.hierarchical = hierarchical
-        self.placement = placement
         self.orphan_policy = orphan_policy
         if hierarchical:
             # Per-rack local controllers.  placement="job" pins whole jobs
-            # to racks (add order, round robin) so the hierarchy is
-            # enforcement-equivalent to the flat plane on a fault-free
-            # fabric; placement="split" spreads each job's stages across
-            # racks so the global tier merges partial per-job demands.
+            # to racks so the hierarchy is enforcement-equivalent to the
+            # flat plane on a fault-free fabric; placement="split" spreads
+            # each job's stages across racks so the global tier merges
+            # partial per-job demands.
             self.controller = HierarchicalControlPlane(
                 fabric=fabric,
                 config=config,
@@ -268,8 +269,8 @@ class ReplayWorld:
                 telemetry=telemetry,
             )
             self.racks = []
-        self._job_rack: Dict[str, str] = {}
-        self._job_base: Dict[str, int] = {}
+        #: job id -> its position in job-start order (rack placement).
+        self._job_index: Dict[str, int] = {}
         if health_aware:
             # The control plane's global visibility includes PFS health:
             # during an MDS outage it pauses enforcement so backlog stays
@@ -301,28 +302,11 @@ class ReplayWorld:
         # included), exactly like a scheduler launching them.
         self.env.call_at(spec.start, lambda: self._start_job(runtime))
 
-    def _rack_for_job(self, job_id: str) -> str:
-        """Whole-job-per-rack placement, round robin in job-start order."""
-        rack = self._job_rack.get(job_id)
-        if rack is None:
-            rack = self.racks[len(self._job_rack) % len(self.racks)].local_id
-            self._job_rack[job_id] = rack
-        return rack
-
     def _rack_for_stage(self, job_id: str, stage_index: int) -> str:
-        """Rack hosting one stage of a job, per the placement policy.
-
-        ``split`` places stage ``i`` of the ``k``-th started job on rack
-        ``(k + i) % N_RACKS``, so multi-stage jobs span racks; with one
-        stage per job this reduces exactly to the whole-job round robin.
-        """
-        if self.placement == "job":
-            return self._rack_for_job(job_id)
-        base = self._job_base.get(job_id)
-        if base is None:
-            base = len(self._job_base)
-            self._job_base[job_id] = base
-        return self.racks[(base + stage_index) % len(self.racks)].local_id
+        """Rack hosting one stage of a job; jobs count in start order."""
+        job = self._job_index.setdefault(job_id, len(self._job_index))
+        rack = rack_index(self.placement, job, stage_index, len(self.racks))
+        return self.racks[rack].local_id
 
     # -- job wiring -----------------------------------------------------------------
     def _route(
@@ -673,13 +657,7 @@ class ReplayWorld:
                 ClassifierRule(
                     name="metadata-rule",
                     channel_id="metadata",
-                    op_classes=frozenset(
-                        {
-                            OperationClass.METADATA,
-                            OperationClass.DIRECTORY_MANAGEMENT,
-                            OperationClass.EXTENDED_ATTRIBUTES,
-                        }
-                    ),
+                    op_classes=MDS_CLASSES,
                 )
             )
         # Passthrough keeps channels unlimited forever by not installing

@@ -32,7 +32,7 @@ pragmas and in no other way.  The ``padll-repro lint`` subcommand (see
 archives the JSON and SARIF reports.
 """
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, load_config
+from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding
 from repro.lint.engine import LintResult, lint_paths, lint_source
 from repro.lint.report import render_json, render_text
@@ -40,7 +40,6 @@ from repro.lint.rules import RULES, Rule
 from repro.lint.sarif import render_sarif
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
     "LintConfig",
     "LintResult",

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.lint.config import LintConfig
+from repro.lint.config import PATHS, LintConfig, module_for
 from repro.lint.findings import Finding
 from repro.lint.pragmas import scan_pragmas
 from repro.lint.rules import RULES, LintContext
@@ -52,15 +52,13 @@ class LintResult:
         return not self.active and not self.parse_errors
 
 
-def lint_source(
-    source: str, path: str, config: LintConfig
-) -> Tuple[List[Finding], Optional[str]]:
+def lint_source(source: str, path: str) -> Tuple[List[Finding], Optional[str]]:
     """Lint one module's text; returns (findings, parse_error)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [], f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
-    ctx = LintContext(path, config.module_for(Path(path)), tree, source, config)
+    ctx = LintContext(path, module_for(Path(path)), tree, source)
     active_rules = [rule for rule in RULES if rule.applies(ctx)]
     if active_rules:
         for node in ast.walk(tree):
@@ -93,10 +91,11 @@ def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
 ) -> LintResult:
-    """Lint files/directories (default: the config's ``paths``)."""
+    """Lint files/directories (default: :data:`~repro.lint.config.PATHS`
+    under the config's root)."""
     config = config if config is not None else LintConfig()
     if paths is None:
-        paths = [config.resolve(entry) for entry in config.paths]
+        paths = [config.resolve(entry) for entry in PATHS]
     result = LintResult()
     for file in iter_python_files(paths):
         try:
@@ -104,7 +103,7 @@ def lint_paths(
         except (OSError, UnicodeDecodeError) as exc:
             result.parse_errors.append(f"{file}: unreadable: {exc}")
             continue
-        findings, error = lint_source(source, _display_path(file, config), config)
+        findings, error = lint_source(source, _display_path(file, config))
         result.files_scanned += 1
         result.findings.extend(findings)
         if error is not None:

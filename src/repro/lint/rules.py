@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import DETERMINISTIC_LAYERS, INTERPOSE_LAYERS, in_layer
 from repro.lint.findings import Finding
 from repro.lint.resolve import ImportResolver
 
@@ -29,12 +29,10 @@ class LintContext:
         module: str,
         tree: ast.AST,
         source: str,
-        config: LintConfig,
     ) -> None:
         self.path = path
         self.module = module
         self.tree = tree
-        self.config = config
         self.resolver = ImportResolver(
             tree, module=module, is_package=path.endswith("__init__.py")
         )
@@ -60,10 +58,10 @@ class LintContext:
         return ""
 
     def in_deterministic_layer(self) -> bool:
-        return self.config.in_layer(self.module, self.config.deterministic_layers)
+        return in_layer(self.module, DETERMINISTIC_LAYERS)
 
     def in_interpose_layer(self) -> bool:
-        return self.config.in_layer(self.module, self.config.interpose_layers)
+        return in_layer(self.module, INTERPOSE_LAYERS)
 
     def emit(self, rule_id: str, node: ast.AST, message: str) -> None:
         lineno = getattr(node, "lineno", 1)

@@ -1,13 +1,14 @@
 """Content-addressed result cache for sweep cells.
 
-A cell's cache key is the SHA-256 of its canonical JSON description --
+A cell's digest is the SHA-256 of its canonical JSON description --
 experiment name, sorted parameters, seed -- prefixed with the package
-version and a cache schema version.  Any change to the cell's config, to
-the package version, or to the cache layout therefore produces a
-different key (a cold miss) instead of silently replaying a stale
-result.  Values are pickled result objects; pickling round-trips numpy
-float64 arrays exactly, so a cache replay is bit-identical to the run
-that produced it.
+version and a cache schema version; an entry's key folds in a digest of
+the package's source bytes too.  Any change to the cell's config, to the
+package version, to the cache layout or to one byte of the source
+therefore produces a different key (a cold miss) instead of silently
+replaying a stale result.  Values are pickled result objects; pickling
+round-trips numpy float64 arrays exactly, so a cache replay is
+bit-identical to the run that produced it.
 
 Entries are written atomically (temp file + rename) so a sweep killed
 mid-write never leaves a truncated entry behind, and concurrent workers
@@ -21,6 +22,7 @@ import json
 import os
 import pickle
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
@@ -55,18 +57,32 @@ def cell_digest(cell: Cell) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the package (path and bytes),
+    computed once per process."""
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class ResultCache:
-    """On-disk pickle store keyed by :func:`cell_digest`."""
+    """On-disk pickle store keyed by :func:`cell_digest` under
+    :func:`source_digest`."""
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
     def path_for(self, cell: Cell) -> Path:
-        digest = cell_digest(cell)
+        key = f"{source_digest()}:{cell_digest(cell)}".encode("utf-8")
         # A readable prefix keeps the cache directory greppable; the
-        # digest alone carries the addressing.
+        # key alone carries the addressing.
         slug = cell.experiment.replace("/", "-")
-        return self.root / f"{slug}-{digest[:24]}.pkl"
+        return self.root / f"{slug}-{hashlib.sha256(key).hexdigest()[:24]}.pkl"
 
     def get(self, cell: Cell) -> Tuple[bool, Optional[Any]]:
         """Return ``(hit, result)``; corrupt entries read as misses."""

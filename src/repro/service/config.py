@@ -43,9 +43,22 @@ __all__ = [
     "FaultSpec",
     "ServiceConfig",
     "WorkloadSpec",
+    "job_of",
     "load_service_config",
     "parse_service_config",
+    "stage_id",
 ]
+
+
+def stage_id(job: int, stage: int) -> str:
+    """The service's name for stage ``stage`` of job ``job``: ``job{j}/s{k}``,
+    the same whether the stage runs in-process or in a stage host."""
+    return f"job{job}/s{stage}"
+
+
+def job_of(stage: str) -> str:
+    """The job a stage id names: everything before the first ``/``."""
+    return stage.split("/", 1)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.service.config import ServiceConfig
+from repro.service.config import ServiceConfig, stage_id
 
 __all__ = ["HostSupervisor", "partition_stages"]
 
@@ -47,9 +47,10 @@ def partition_stages(
 ) -> List[List[str]]:
     """Round-robin the world's stage ids across ``stage_procs`` hosts.
 
-    Stage ids follow the in-process world's naming (``job{j}/s{k}``), so
-    an operator can flip between ``"stage_procs": 0`` and ``N`` without
-    any query or policy changing its addressing.
+    Stage ids follow the in-process world's naming
+    (:func:`~repro.service.config.stage_id`), so an operator can flip
+    between ``"stage_procs": 0`` and ``N`` without any query or policy
+    changing its addressing.
     """
     if stage_procs < 1:
         raise ConfigError(f"need >= 1 stage proc, got {stage_procs}")
@@ -57,7 +58,7 @@ def partition_stages(
     index = 0
     for j in range(jobs):
         for s in range(stages_per_job):
-            buckets[index % stage_procs].append(f"job{j}/s{s}")
+            buckets[index % stage_procs].append(stage_id(j, s))
             index += 1
     return [bucket for bucket in buckets if bucket]
 

@@ -49,7 +49,8 @@ from repro.errors import ConfigError, PolicyError, ReproError, RPCError
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.fabric import FaultyFabric, LinkProfile
-from repro.core.policies import ConstantRate, PolicyRule, RuleScope
+from repro.core.config import parse_policy
+from repro.core.policies import PolicyRule
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
 from repro.interpose.live_stage import LiveStage
@@ -64,6 +65,7 @@ from repro.service.stagehost import LAYOUT_ADDRESS, StageLayout, build_stages
 from repro.service.workload import LiveWorkload
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
+from repro.telemetry.events import Event
 from repro.telemetry.trace import Span
 
 __all__ = ["ServiceRuntime", "ADMIN_ACTIONS"]
@@ -264,8 +266,6 @@ class ServiceRuntime:
         )
         if padll is not None:
             padll.install_on(self.controller)
-            for job_id, rate in padll.reservations.items():
-                self.controller.set_reservation(job_id, rate)
         spec = config.workload
         if config.stage_procs == 0:
             self.stages = build_stages(
@@ -430,49 +430,25 @@ class ServiceRuntime:
     def _merge_remote(self, connection: WireConnection, doc: Mapping) -> None:
         """Fold one host's telemetry push into this world's spine.
 
-        Counters ship as absolutes; the delta against what the same
-        *connection* last reported is applied here so ``/metrics``
-        aggregates across hosts, and a restarted host -- a new
-        connection -- counts from zero.  Gauges last-write-win (labels
-        carry the stage id, so hosts never collide), histograms merge
-        per-bucket deltas, and events/spans append verbatim.
+        Metrics ship as absolutes and merge as deltas against what the
+        same *connection* last reported
+        (:meth:`~repro.telemetry.registry.MetricsRegistry.merge_absolutes`),
+        so ``/metrics`` aggregates across hosts and a restarted host -- a
+        new connection -- counts from zero.  Events and spans arrive in
+        their ``to_dict`` form and append verbatim.
         """
         host = str(doc.get("host", self._remote_hosts.get(connection, "")))
         registry = self.telemetry.registry
-        last_seen = self._remote_last.setdefault(connection, {})
-        for entry in doc.get("metrics", ()):
-            name, label_pairs, kind, value = entry
-            labels = {str(k): v for k, v in label_pairs}
-            key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-            if kind == "counter":
-                delta = value - last_seen.get(key, 0.0)
-                if delta:
-                    registry.counter(name, **labels).inc(delta)
-                last_seen[key] = value
-            elif kind == "gauge":
-                registry.gauge(name, **labels).set(value)
-            elif kind == "histogram":
-                bounds = tuple(value["bounds"])
-                counts = list(value["counts"])
-                total = float(value["total"])
-                last_counts, last_total = last_seen.get(
-                    key, ([0.0] * len(counts), 0.0)
-                )
-                deltas = [c - lc for c, lc in zip(counts, last_counts)]
-                if any(deltas):
-                    registry.histogram(name, bounds=bounds, **labels).merge(
-                        deltas, total - last_total
-                    )
-                last_seen[key] = (counts, total)
+        registry.merge_absolutes(
+            doc.get("metrics", ()), self._remote_last.setdefault(connection, {})
+        )
         events = self.telemetry.events
-        for kind_, time_, fields in doc.get("events", ()):
-            events.emit(str(kind_), float(time_), **fields)
+        for row in doc.get("events", ()):
+            event = Event.from_dict(row)
+            events.emit(event.kind, event.time, **event.fields)
         tracer = self.telemetry.tracer
         if tracer is not None:
-            for trace_id, name, start, end, attrs in doc.get("spans", ()):
-                tracer.spans.append(
-                    Span(str(trace_id), str(name), float(start), float(end), dict(attrs))
-                )
+            tracer.spans.extend(Span.from_dict(row) for row in doc.get("spans", ()))
         workload = doc.get("workload")
         if workload:
             self._remote_workload[host] = dict(workload)
@@ -525,24 +501,27 @@ class ServiceRuntime:
         self._pending.append((seq, action, params, apply))
         return {"applied": False, "queued": True, "seq": seq, "action": action}
 
+    def _policy(
+        self, action: str, params: Mapping[str, Any], rate: Any, **doc: Any
+    ) -> PolicyRule:
+        """An admin verb's constant-rate rule on the verb's channel (the
+        service's unless ``params`` names one), through the parser a PADLL
+        document's ``policies`` go through."""
+        doc["channel"] = params.get("channel") or self.config.channel
+        doc["schedule"] = {"type": "constant", "rate": _positive_rate(rate, action)}
+        return parse_policy(doc, f"admin {action}")
+
     def _build_apply(
         self, action: str, params: Mapping[str, Any]
     ) -> Callable[[], None]:
         """Validate ``params`` eagerly; return the deferred mutation."""
         controller = self.controller
         if action == "policy.set":
-            name = str(_require(params, "name", action))
-            channel = str(params.get("channel") or self.config.channel)
-            rate = _positive_rate(_require(params, "rate", action), action)
-            job = params.get("job")
-            burst = params.get("burst")
-            priority = int(params.get("priority", 10))
-            rule = PolicyRule(
-                name=name,
-                scope=RuleScope(channel_id=channel, job_id=job),
-                schedule=ConstantRate(rate),
-                burst=None if burst is None else float(burst),
-                priority=priority,
+            name = _require(params, "name", action)
+            rule = self._policy(
+                action, params, _require(params, "rate", action), name=name,
+                job=params.get("job"), burst=params.get("burst"),
+                priority=params.get("priority", 10),
             )
             return lambda: controller.replace_policy(rule)
         if action == "policy.remove":
@@ -554,13 +533,9 @@ class ServiceRuntime:
             return lambda: controller.set_policy_enabled(name, enabled)
         if action == "job.rate":
             job = str(_require(params, "job", action))
-            rate = _positive_rate(_require(params, "rate", action), action)
-            channel = str(params.get("channel") or self.config.channel)
-            rule = PolicyRule(
-                name=f"admin:job:{job}",
-                scope=RuleScope(channel_id=channel, job_id=job),
-                schedule=ConstantRate(rate),
-                priority=100,
+            rule = self._policy(
+                action, params, _require(params, "rate", action),
+                name=f"admin:job:{job}", job=job, priority=100,
             )
             return lambda: controller.replace_policy(rule)
         if action == "job.reservation":
@@ -573,13 +548,9 @@ class ServiceRuntime:
             job = str(_require(params, "job", action))
             if job not in controller.jobs:
                 raise PolicyError(f"admin {action}: no job {job!r}")
-            floor = _positive_rate(params.get("rate", MIN_RATE), action)
-            channel = str(params.get("channel") or self.config.channel)
-            rule = PolicyRule(
-                name=f"admin:drain:{job}",
-                scope=RuleScope(channel_id=channel, job_id=job),
-                schedule=ConstantRate(floor),
-                priority=1000,
+            rule = self._policy(
+                action, params, params.get("rate", MIN_RATE),
+                name=f"admin:drain:{job}", job=job, priority=1000,
             )
             return lambda: controller.replace_policy(rule)
         if action == "job.evict":

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ConfigError
-from repro.telemetry.events import EventLog
+from repro.telemetry.events import Event, EventLog
 
 __all__ = ["JsonlSink", "SinkedEventLog", "load_jsonl"]
 
@@ -101,7 +101,7 @@ class SinkedEventLog(EventLog):
 
     def emit(self, kind: str, now: float, /, **fields: object) -> None:
         super().emit(kind, now, **fields)
-        self.sink.write({"kind": kind, "time": now, "fields": fields})
+        self.sink.write(Event(kind, now, fields).to_dict())
 
 
 def load_jsonl(

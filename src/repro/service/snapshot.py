@@ -13,16 +13,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
+from repro.service.config import job_of
+
 __all__ = [
     "SNAPSHOT_VERSION",
     "build_snapshot",
     "control_plane_view",
-    "event_to_dict",
     "fabric_view",
     "filter_events",
     "filter_spans",
     "loop_view",
-    "span_to_dict",
 ]
 
 #: Version stamp on ``/api/v1/snapshot`` payloads.  Bump on any
@@ -144,26 +144,10 @@ def build_snapshot(
     return snapshot
 
 
-def span_to_dict(span: Any) -> Dict[str, Any]:
-    return {
-        "trace_id": span.trace_id,
-        "name": span.name,
-        "start": span.start,
-        "end": span.end,
-        "attrs": dict(span.attrs),
-    }
-
-
-def event_to_dict(event: Any) -> Dict[str, Any]:
-    return {"kind": event.kind, "time": event.time, "fields": dict(event.fields)}
-
-
 def _matches_job(fields: Mapping[str, Any], job: str) -> bool:
     for key in ("job", "job_id", "endpoint", "stage", "address"):
         value = fields.get(key)
-        if value == job:
-            return True
-        if isinstance(value, str) and value.startswith(job + "/"):
+        if value == job or (isinstance(value, str) and job_of(value) == job):
             return True
     return False
 
@@ -192,7 +176,7 @@ def filter_events(
             continue
         if job is not None and not _matches_job(event.fields, job):
             continue
-        matched.append(event_to_dict(event))
+        matched.append(event.to_dict())
     if limit is not None and limit >= 0:
         matched = matched[len(matched) - min(limit, len(matched)):]
     return matched
@@ -220,7 +204,7 @@ def filter_spans(
             continue
         if stage is not None and span.attrs.get("stage") != stage:
             continue
-        matched.append(span_to_dict(span))
+        matched.append(span.to_dict())
     if limit is not None and limit >= 0:
         matched = matched[len(matched) - min(limit, len(matched)):]
     return matched

@@ -38,31 +38,22 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigError, ReproError, RPCError
 from repro.core.config import ChannelSpec
 from repro.core.differentiation import ClassifierRule
-from repro.core.requests import OperationClass
+from repro.core.requests import MDS_CLASSES
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.net import SocketTransport, WireConnection
-from repro.service.config import ServiceConfig, WorkloadSpec
+from repro.service.config import ServiceConfig, WorkloadSpec, job_of
 from repro.service.workload import LiveWorkload
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
 
-__all__ = ["LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages", "job_of"]
+__all__ = ["LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages"]
 
 #: Default period between telemetry pushes, seconds.
 DEFAULT_PUSH_INTERVAL = 0.5
 
 #: The address a stage host asks its controller for the stage layout.
 LAYOUT_ADDRESS = "padll/layout"
-
-_DEFAULT_CLASSES = frozenset(
-    {OperationClass.METADATA, OperationClass.DIRECTORY_MANAGEMENT}
-)
-
-
-def job_of(stage_id: str) -> str:
-    """Job id convention: everything before the first ``/``."""
-    return stage_id.split("/", 1)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,14 +87,14 @@ class StageLayout:
     @classmethod
     def from_config(cls, config: ServiceConfig) -> "StageLayout":
         """Resolve the defaults: with no policy document, one channel
-        named ``config.channel`` catching metadata + directory-management
-        ops under ``/pfs``."""
+        named ``config.channel`` catching every MDS-bound op
+        (:data:`~repro.core.requests.MDS_CLASSES`) under ``/pfs``."""
         padll = config.padll
         channels = () if padll is None else tuple(padll.channels)
         if not channels:
             name = config.channel
             rule = ClassifierRule(
-                name=f"service:{name}", channel_id=name, op_classes=_DEFAULT_CLASSES
+                name=f"service:{name}", channel_id=name, op_classes=MDS_CLASSES
             )
             channels = (ChannelSpec(channel_id=name, rule=rule),)
         mounts = None if padll is None else padll.pfs_mounts
@@ -328,49 +319,21 @@ class StageHost:
                 return
             self._push_telemetry()
 
-    def _metrics_doc(self) -> List[List[object]]:
-        doc: List[List[object]] = []
-        for name, labels, kind, metric in self.telemetry.registry.items():
-            if kind in ("counter", "gauge"):
-                doc.append([name, [list(pair) for pair in labels], kind, metric.value])
-            elif kind == "histogram":
-                doc.append(
-                    [
-                        name,
-                        [list(pair) for pair in labels],
-                        kind,
-                        {
-                            "bounds": list(metric.bounds),
-                            "counts": list(metric.bucket_counts()),
-                            "total": metric.total,
-                        },
-                    ]
-                )
-        return doc
-
     def _push_telemetry(self) -> None:
         connection = self.connection
         if connection is None or connection.closed:
             return
         events = self.telemetry.events.events
         event_end = len(events)
-        new_events = [
-            [event.kind, event.time, event.fields]
-            for event in events[:event_end]
-        ]
         tracer = self.telemetry.tracer
         spans = [] if tracer is None else tracer.spans
         span_end = len(spans)
-        new_spans = [
-            [span.trace_id, span.name, span.start, span.end, span.attrs]
-            for span in spans[:span_end]
-        ]
         doc = {
             "kind": "telemetry",
             "host": self.host_id,
-            "metrics": self._metrics_doc(),
-            "events": new_events,
-            "spans": new_spans,
+            "metrics": self.telemetry.registry.absolutes(),
+            "events": [event.to_dict() for event in events[:event_end]],
+            "spans": [span.to_dict() for span in spans[:span_end]],
             "workload": (
                 None if self.workload is None else self.workload.counters()
             ),

@@ -28,9 +28,6 @@ from repro.service.config import WorkloadSpec
 
 __all__ = ["LiveWorkload"]
 
-_OPS_BY_NAME = {op.value: op for op in OperationType}
-
-
 class _Driver(threading.Thread):
     """One application thread hammering one stage."""
 
@@ -77,10 +74,10 @@ class LiveWorkload:
     """Per-stage driver threads with a shared stop flag."""
 
     def __init__(self, stages: Sequence, spec: WorkloadSpec, seed: int = 0) -> None:
-        unknown = [name for name in spec.ops if name not in _OPS_BY_NAME]
-        if unknown:
-            raise ConfigError(f"unknown workload ops: {unknown}")
-        ops = [_OPS_BY_NAME[name] for name in spec.ops]
+        try:
+            ops = [OperationType(name) for name in spec.ops]
+        except ValueError as exc:
+            raise ConfigError(f"unknown workload op: {exc}") from None
         self.spec = spec
         self._stop = threading.Event()
         self._drivers: List[_Driver] = [

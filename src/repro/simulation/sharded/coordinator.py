@@ -26,11 +26,9 @@ control loop interval:
 The per-cycle path builds no per-job Python object (DRF's search runs
 over Python lists inside its ``allocate_arrays``).
 
-With *split-job* placement (``placement="split"``), stage ``s`` of job
-``j`` lives on rack ``(j + s) % n_racks`` -- every multi-stage job spans
-racks, so the global tier is always merging partial demands.  For
-``stages_per_job == 1`` this reduces exactly to the whole-job placement
-``j % n_racks`` the pre-existing experiments use.
+With *split-job* placement (``placement="split"``), every multi-stage
+job spans racks (:func:`~repro.core.hierarchy.rack_index`), so the
+global tier is always merging partial demands.
 """
 
 from __future__ import annotations
@@ -49,6 +47,8 @@ from repro.core.hierarchy import (
     EnforceJobRateBatch,
     HierarchicalControlPlane,
     RackEndpoint,
+    check_placement,
+    rack_index,
 )
 from repro.core.stage import StageIdentity
 from repro.simulation.sharded.fluid import DT, FluidConfig, RackSpec
@@ -87,10 +87,7 @@ class ShardedConfig:
             raise ConfigError(
                 f"stages_per_job must be >= 1, got {self.stages_per_job}"
             )
-        if self.placement not in ("split", "job"):
-            raise ConfigError(
-                f"placement must be 'split' or 'job', got {self.placement!r}"
-            )
+        check_placement(self.placement)
         ticks = self.loop_interval / DT
         if self.loop_interval <= 0 or abs(ticks - round(ticks)) > 1e-9:
             raise ConfigError(
@@ -105,12 +102,6 @@ class ShardedConfig:
     @property
     def n_clients(self) -> int:
         return self.n_stages * self.fluid.clients_per_stage
-
-    def rack_of(self, job: int, stage: int) -> int:
-        """Rack index hosting stage ``stage`` of job ``job``."""
-        if self.placement == "split":
-            return (job + stage) % self.n_racks
-        return job % self.n_racks
 
 
 @dataclass(frozen=True)
@@ -192,7 +183,7 @@ class ShardedSimulation:
         for j in range(config.n_jobs):
             job_id = f"job{j}"
             for s in range(config.stages_per_job):
-                rack = config.rack_of(j, s)
+                rack = rack_index(config.placement, j, s, config.n_racks)
                 rack_stages[rack].append((f"{job_id}-s{s}", job_id))
                 registrations.append(
                     (StageIdentity(f"{job_id}-s{s}", job_id), f"rack{rack}")

@@ -10,7 +10,7 @@ tracer, the log holds no clock -- emitters pass the sim time explicitly
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Mapping
 
 __all__ = ["Event", "EventLog"]
 
@@ -24,6 +24,16 @@ class Event:
         self.kind = kind
         self.time = time
         self.fields = fields
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The event as JSON-safe data: what the JSONL export, the event
+        queries, the audit sink and a stage host's telemetry push carry."""
+        return {"kind": self.kind, "time": self.time, "fields": dict(self.fields)}
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "Event":
+        """Inverse of :meth:`to_dict`."""
+        return cls(str(doc["kind"]), float(doc["time"]), dict(doc.get("fields", {})))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Event({self.kind!r}, t={self.time})"

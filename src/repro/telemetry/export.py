@@ -30,33 +30,16 @@ def spans_jsonl(spans: Union[Tracer, Iterable[Span]]) -> str:
     """Spans as one JSON object per line, in emission (simulation) order."""
     if isinstance(spans, Tracer):
         spans = spans.spans
-    lines = []
-    for span in spans:
-        lines.append(
-            json.dumps(
-                {
-                    "trace_id": span.trace_id,
-                    "name": span.name,
-                    "start": span.start,
-                    "end": span.end,
-                    "attrs": span.attrs,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl(span.to_dict() for span in spans)
 
 
 def events_jsonl(events: Iterable[Event]) -> str:
     """Events as one JSON object per line, in emission order."""
-    lines = []
-    for event in events:
-        lines.append(
-            json.dumps(
-                {"kind": event.kind, "time": event.time, "fields": event.fields},
-                sort_keys=True,
-            )
-        )
+    return _jsonl(event.to_dict() for event in events)
+
+
+def _jsonl(docs: Iterable[Dict[str, object]]) -> str:
+    lines = [json.dumps(doc, sort_keys=True) for doc in docs]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

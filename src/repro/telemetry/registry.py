@@ -14,7 +14,7 @@ counter/gauge/histogram metrics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.monitoring.metrics import TimeSeries
@@ -104,8 +104,8 @@ class Histogram:
     def bucket_counts(self) -> Tuple[float, ...]:
         """Raw per-bucket totals over all time (last entry is +Inf).
 
-        This is the shape a remote stage host ships over the telemetry
-        wire; :meth:`merge` is its receiving end.
+        :meth:`MetricsRegistry.absolutes` ships them; :meth:`merge` is
+        the receiving end.
         """
         return tuple(self._counts)
 
@@ -228,6 +228,63 @@ class MetricsRegistry:
         """
         for (name, labels), metric in list(self._metrics.items()):
             yield name, labels, self._kinds[name], metric
+
+    def absolutes(self) -> List[List[Any]]:
+        """Every counter, gauge and histogram as its all-time value.
+
+        One ``[name, label pairs, kind, value]`` row per metric, a
+        histogram's value being ``{"bounds", "counts", "total"}``: what a
+        stage host pushes each period.  :meth:`merge_absolutes` is the
+        receiving end.
+        """
+        rows: List[List[Any]] = []
+        for name, labels, kind, metric in self.items():
+            pairs = [list(pair) for pair in labels]
+            if kind in ("counter", "gauge"):
+                rows.append([name, pairs, kind, metric.value])
+            elif kind == "histogram":
+                value = {
+                    "bounds": list(metric.bounds),
+                    "counts": list(metric.bucket_counts()),
+                    "total": metric.total,
+                }
+                rows.append([name, pairs, kind, value])
+        return rows
+
+    def merge_absolutes(
+        self, rows: Iterable[Sequence[Any]], last_seen: Dict[Any, Any]
+    ) -> None:
+        """Fold one sender's :meth:`absolutes` into this registry.
+
+        ``last_seen`` holds what the same sender reported before and is
+        updated in place; a new sender starts from an empty one, so it
+        counts from zero.  Counters and histograms add their delta
+        against it, which lets many senders aggregate; gauges
+        last-write-win (labels carry the stage id, so senders never
+        collide).
+        """
+        for name, label_pairs, kind, value in rows:
+            labels = {str(k): v for k, v in label_pairs}
+            key = (name, _labels_key(labels))
+            if kind == "counter":
+                delta = value - last_seen.get(key, 0.0)
+                if delta:
+                    self.counter(name, **labels).inc(delta)
+                last_seen[key] = value
+            elif kind == "gauge":
+                self.gauge(name, **labels).set(value)
+            elif kind == "histogram":
+                counts = list(value["counts"])
+                total = float(value["total"])
+                last_counts, last_total = last_seen.get(
+                    key, ([0.0] * len(counts), 0.0)
+                )
+                deltas = [c - lc for c, lc in zip(counts, last_counts)]
+                if any(deltas):
+                    self.histogram(
+                        name, bounds=tuple(value["bounds"]), **labels
+                    ).merge(deltas, total - last_total)
+                last_seen[key] = (counts, total)
 
     def get(self, name: str, **labels: object) -> Optional[object]:
         return self._metrics.get((name, _labels_key(labels)))

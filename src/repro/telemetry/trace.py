@@ -11,7 +11,7 @@ rate alone -- identical across processes, platforms, and reruns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigError
 
@@ -63,6 +63,28 @@ class Span:
         self.start = start
         self.end = end
         self.attrs = attrs
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The span as JSON-safe data: what the JSONL export, the span
+        queries and a stage host's telemetry push carry."""
+        return {
+            "trace_id": self.trace_id,
+            "name": self.name,
+            "start": self.start,
+            "end": self.end,
+            "attrs": dict(self.attrs),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Mapping[str, Any]) -> "Span":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            str(doc["trace_id"]),
+            str(doc["name"]),
+            float(doc["start"]),
+            float(doc["end"]),
+            dict(doc.get("attrs", {})),
+        )
 
 
 class Tracer:

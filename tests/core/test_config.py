@@ -126,7 +126,8 @@ class TestApply:
     def test_apply_to_stage_and_controller(self):
         config = parse_config(FULL_DOC)
         stage = DataPlaneStage(StageIdentity("s0", "job7"), lambda r: None)
-        config.apply_to_stage(stage)
+        for spec in config.channels:
+            spec.apply(stage)
         assert set(stage.channels) == {"metadata", "opens"}
         assert stage.channel_rate("opens") == 500.0
         # Priority 10 rule wins: opens route to the "opens" channel.
@@ -138,11 +139,15 @@ class TestApply:
         config.install_on(controller)
         assert set(controller.policies) == {"cap-md", "steps"}
         assert controller.algorithm is config.algorithm
+        # Reservations land with the rest of the document.
+        controller.register(DataPlaneStage(StageIdentity("s1", "job1"), lambda r: 0))
+        assert controller.jobs["job1"].reservation == 40000.0
 
     def test_end_to_end_enforcement(self):
         config = parse_config(FULL_DOC)
         stage = DataPlaneStage(StageIdentity("s0", "job7"), lambda r: None)
-        config.apply_to_stage(stage)
+        for spec in config.channels:
+            spec.apply(stage)
         controller = ControlPlane()
         controller.register(stage)
         config.install_on(controller)
@@ -185,7 +190,8 @@ class TestShippedExample:
         assert sum(config.reservations.values()) == 300000.0
         # The whole document applies cleanly to a fresh stage.
         stage = DataPlaneStage(StageIdentity("s0", "job1337"), lambda r: None)
-        config.apply_to_stage(stage)
+        for spec in config.channels:
+            spec.apply(stage)
         assert set(stage.channels) == {"metadata", "opens", "scratch-foo"}
         # Priority 20 path rule beats the op rules for its subtree.
         decision = stage.classifier.classify(

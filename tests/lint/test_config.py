@@ -7,46 +7,38 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.lint import DEFAULT_CONFIG, LintConfig, load_config
+from repro.lint import LintConfig, load_config
+from repro.lint.config import DETERMINISTIC_LAYERS, in_layer, module_for
 
 
 class TestModuleMapping:
     def test_maps_under_src_root(self):
-        config = LintConfig()
         assert (
-            config.module_for(Path("src/repro/simulation/engine.py"))
+            module_for(Path("src/repro/simulation/engine.py"))
             == "repro.simulation.engine"
         )
 
     def test_maps_absolute_path(self):
-        config = LintConfig()
         path = Path("/checkout/src/repro/pfs/mds.py")
-        assert config.module_for(path) == "repro.pfs.mds"
+        assert module_for(path) == "repro.pfs.mds"
 
     def test_package_init_maps_to_package(self):
-        config = LintConfig()
-        assert config.module_for(Path("src/repro/core/__init__.py")) == "repro.core"
+        assert module_for(Path("src/repro/core/__init__.py")) == "repro.core"
 
     def test_layer_membership_is_prefix_based(self):
-        config = LintConfig()
-        assert config.in_layer("repro.core.stage", config.deterministic_layers)
-        assert config.in_layer("repro.core", config.deterministic_layers)
+        assert in_layer("repro.core.stage", DETERMINISTIC_LAYERS)
+        assert in_layer("repro.core", DETERMINISTIC_LAYERS)
         # 'repro.corex' must not match the 'repro.core' prefix.
-        assert not config.in_layer("repro.corex", config.deterministic_layers)
-        assert not config.in_layer("repro.analysis.plots", config.deterministic_layers)
+        assert not in_layer("repro.corex", DETERMINISTIC_LAYERS)
+        assert not in_layer("repro.analysis.plots", DETERMINISTIC_LAYERS)
 
     def test_sharded_engine_is_an_explicit_deterministic_layer(self):
         # The sharded engine must stay deterministic even if the parent
         # 'repro.simulation' prefix is ever narrowed: require the explicit
         # entry, not just prefix inheritance.
-        config = LintConfig()
-        assert "repro.simulation.sharded" in config.deterministic_layers
-        assert config.in_layer(
-            "repro.simulation.sharded.fluid", config.deterministic_layers
-        )
-        assert config.in_layer(
-            "repro.simulation.sharded.coordinator", config.deterministic_layers
-        )
+        assert "repro.simulation.sharded" in DETERMINISTIC_LAYERS
+        assert in_layer("repro.simulation.sharded.fluid", DETERMINISTIC_LAYERS)
+        assert in_layer("repro.simulation.sharded.coordinator", DETERMINISTIC_LAYERS)
 
 
 class TestLoadConfig:
@@ -54,8 +46,7 @@ class TestLoadConfig:
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text('[project]\nname = "x"\nversion = "0"\n')
         config = load_config(pyproject)
-        assert config.deterministic_layers == DEFAULT_CONFIG.deterministic_layers
-        assert config.root == str(tmp_path)
+        assert config == LintConfig(root=str(tmp_path))
 
     def test_root_is_the_nearest_pyproject_directory(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[tool.padll-lint]\npaths = []\n")

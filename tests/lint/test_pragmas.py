@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import lint_source
 from repro.lint.pragmas import scan_pragmas
 
-CONFIG = LintConfig()
 DET_PATH = "src/repro/simulation/mod.py"
 
 
 def run_lint(code: str):
-    findings, error = lint_source(textwrap.dedent(code), DET_PATH, CONFIG)
+    findings, error = lint_source(textwrap.dedent(code), DET_PATH)
     assert error is None, error
     return findings
 

@@ -7,7 +7,7 @@ miss a canonical name the module could plausibly be using.
 
 import ast
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import lint_source
 from repro.lint.resolve import ImportResolver
 
 
@@ -115,8 +115,6 @@ class TestStarImports:
             "def tick():\n"
             "    return perf_counter()\n"
         )
-        findings, parse_error = lint_source(
-            source, "src/repro/simulation/starred.py", LintConfig()
-        )
+        findings, parse_error = lint_source(source, "src/repro/simulation/starred.py")
         assert parse_error is None
         assert [f.rule for f in findings] == ["DET001"]

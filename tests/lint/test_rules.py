@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import LintConfig, lint_source
-
-CONFIG = LintConfig()
+from repro.lint import lint_source
 
 #: Paths mapping into each scope given the default src-roots.
 DET_PATH = "src/repro/simulation/mod.py"
@@ -15,7 +13,7 @@ INTERPOSE_PATH = "src/repro/interpose/mod.py"
 
 
 def run_lint(code: str, path: str = DET_PATH):
-    findings, error = lint_source(textwrap.dedent(code), path, CONFIG)
+    findings, error = lint_source(textwrap.dedent(code), path)
     assert error is None, error
     return findings
 
@@ -305,6 +303,6 @@ class TestFindingMetadata:
         assert "time.time" in finding.render()
 
     def test_syntax_error_reported_not_raised(self):
-        findings, error = lint_source("def broken(:\n", DET_PATH, CONFIG)
+        findings, error = lint_source("def broken(:\n", DET_PATH)
         assert findings == []
         assert error is not None and "syntax error" in error

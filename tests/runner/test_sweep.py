@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.errors import ConfigError
 from repro.runner import (
@@ -86,6 +94,40 @@ class TestCacheKeys:
         assert cell_digest(base) != cell_digest(
             Cell("fig5", {"setup_name": "static", "duration": 60.0}, seed=1)
         )
+
+    def test_a_source_byte_changes_the_entry_key(self, tmp_path):
+        # A cache entry must not outlive the code that computed it: the
+        # key a fresh process derives moves with one byte of one module.
+        package = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        probe = (
+            "import repro; from repro.runner import Cell, ResultCache; "
+            "print(repro.__file__); "
+            "print(ResultCache('c').path_for(Cell('harm', {'protected': True})).name)"
+        )
+
+        def entry_key():
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.split()
+            assert Path(out[0]).is_relative_to(package)
+            return out[1]
+
+        before = entry_key()
+        assert entry_key() == before
+        module = package / "experiments" / "harm.py"
+        data = module.read_bytes()
+        assert data.endswith(b"\n")
+        module.write_bytes(data[:-1] + b" ")
+        assert entry_key() != before
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -182,7 +224,9 @@ class TestSweepRunner:
 #: that commit's ``padll-repro sweep GRID [--quick]`` with ``SweepRunner``
 #: replaced by a recorder.  The digest covers ``repro.__version__`` and
 #: ``CACHE_VERSION``: a bump of either moves every literal on purpose --
-#: recapture them then, and only then.
+#: recapture them then, and only then.  (An entry's on-disk key also
+#: folds in the package source, so a cache does not outlive a code change;
+#: the cell digest is what names the cell.)
 PARENT_DIGESTS = {
     ("fig4", False): [
         ("fig4-metadata:open@seed0",

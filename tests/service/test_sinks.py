@@ -133,12 +133,9 @@ class TestRuntimeIntegration:
         runtime = ServiceRuntime(
             ServiceConfig(port=0, stage_procs=1, audit_dir=str(tmp_path))
         )
-        runtime._merge_remote(
-            object(),
-            {"host": "host0", "events": [["stage.adopted", 4.0, {"stage": "j/s0"}]]},
-        )
-        runtime.stop()
         merged = {"kind": "stage.adopted", "time": 4.0, "fields": {"stage": "j/s0"}}
+        runtime._merge_remote(object(), {"host": "host0", "events": [merged]})
+        runtime.stop()
         assert merged in load_jsonl(tmp_path / "events.jsonl")
         (event,) = runtime.telemetry.events.of_kind("stage.adopted")
         assert (event.time, event.fields) == (4.0, {"stage": "j/s0"})

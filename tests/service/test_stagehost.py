@@ -23,10 +23,10 @@ from repro.core.rpc import CollectStats
 from repro.core.stage import OrphanPolicy
 from repro.errors import ConfigError, RPCError
 from repro.net import SocketTransport
-from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec
+from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec, job_of
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.runtime import ServiceRuntime
-from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout, job_of
+from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout
 from repro.telemetry.trace import Tracer
 
 
@@ -467,6 +467,24 @@ class _ManualClock:
         return self.t
 
 
+class TestDefaultChannel:
+    def test_every_op_of_the_default_workload_is_enforced(self):
+        # With no policy document the service's one channel catches every
+        # MDS-bound class -- getxattr included, as in the replay harness.
+        config = ServiceConfig(workload=WorkloadSpec(rate=0.0))
+        runtime = ServiceRuntime(config)
+        try:
+            assert runtime.stages
+            for stage in runtime.stages:
+                job = stage.identity.job_id
+                path = f"{config.workload.path_prefix}/{job}/f1"
+                for name in config.workload.ops:
+                    decision = stage.classifier.decide(OperationType(name), job, path)
+                    assert decision.channel_id == config.channel, name
+        finally:
+            runtime.stop()
+
+
 class TestOrphanThresholdIsTheLoopInterval:
     """A stage orphans after ``orphan_after`` of the service's own loop
     intervals -- in process, and when built from the ``padll/layout``
@@ -636,7 +654,7 @@ class TestHostKeepsOnlyWhatItHasNotShipped:
             assert (host.pushes, len(host.telemetry.events)) == (1, 0)
             assert _wait(
                 lambda: [d["events"] for d in controller.pushed if d["kind"] == "telemetry"]
-                == [[["test.marker", 1.0, {"n": 0}]]]
+                == [[{"kind": "test.marker", "time": 1.0, "fields": {"n": 0}}]]
             )
         finally:
             host.stop()

@@ -27,6 +27,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.algorithms import DominantResourceFairness, ProportionalSharing
+from repro.core.hierarchy import rack_index
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.simulation.sharded import (
@@ -213,7 +214,8 @@ def layout_specs(placement, n_racks=4, n_jobs=7, stages_per_job=3, empty=1):
     stages = [[] for _ in range(n_racks)]
     for j in range(n_jobs):
         for s in range(stages_per_job):
-            stages[config.rack_of(j, s)].append((f"job{j}-s{s}", f"job{j}"))
+            rack = rack_index(config.placement, j, s, config.n_racks)
+            stages[rack].append((f"job{j}-s{s}", f"job{j}"))
     stages[empty] = []
     return [
         RackSpec(rack_id=f"rack{r}", index=r, stages=tuple(hosted))

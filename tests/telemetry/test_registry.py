@@ -78,3 +78,65 @@ class TestHistogram:
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ConfigError):
             MetricsRegistry().histogram("h", bounds=(2.0, 1.0))
+
+
+class TestAbsolutesMerge:
+    """A stage host ships :meth:`absolutes`; the service folds each
+    connection's rows in with :meth:`merge_absolutes` against what that
+    connection reported before."""
+
+    @staticmethod
+    def _host(ops: float, waits=()):
+        registry = MetricsRegistry()
+        registry.counter("ops_total", stage="job0/s0").inc(ops)
+        registry.gauge("rate", stage="job0/s0").set(ops / 10)
+        hist = registry.histogram("wait", bounds=(1.0, 10.0), stage="job0/s0")
+        for value in waits:
+            hist.observe(value)
+        return registry.absolutes()
+
+    def test_absolutes_rows(self):
+        rows = self._host(4.0, waits=(0.5, 20.0))
+        assert rows == [
+            ["ops_total", [["stage", "job0/s0"]], "counter", 4.0],
+            ["rate", [["stage", "job0/s0"]], "gauge", 0.4],
+            [
+                "wait",
+                [["stage", "job0/s0"]],
+                "histogram",
+                {"bounds": [1.0, 10.0], "counts": [1.0, 0.0, 1.0], "total": 20.5},
+            ],
+        ]
+
+    def test_two_connections_aggregate(self):
+        service = MetricsRegistry()
+        first, second = {}, {}
+        service.merge_absolutes(self._host(3.0), first)
+        service.merge_absolutes(self._host(5.0), second)
+        service.merge_absolutes(self._host(7.0), first)
+        assert service.counter("ops_total", stage="job0/s0").value == 12.0
+        # Gauges are last-write-wins.
+        assert service.gauge("rate", stage="job0/s0").value == 0.7
+
+    def test_a_restarted_connection_counts_from_zero(self):
+        service = MetricsRegistry()
+        service.merge_absolutes(self._host(30.0), {})
+        # The respawned process is a new connection: its absolutes are
+        # all new, even below what its predecessor had reported.
+        restarted = {}
+        service.merge_absolutes(self._host(2.0), restarted)
+        service.merge_absolutes(self._host(6.0), restarted)
+        assert service.counter("ops_total", stage="job0/s0").value == 36.0
+
+    def test_histograms_merge_their_deltas(self):
+        service = MetricsRegistry()
+        seen = {}
+        service.merge_absolutes(self._host(1.0, waits=(0.5,)), seen)
+        service.merge_absolutes(self._host(1.0, waits=(0.5, 5.0, 50.0)), seen)
+        hist = service.histogram("wait", bounds=(1.0, 10.0), stage="job0/s0")
+        assert hist.bucket_counts() == (1.0, 1.0, 1.0)
+        assert hist.count == 3.0
+        assert hist.total == 55.5
+        # An unchanged push adds nothing.
+        service.merge_absolutes(self._host(1.0, waits=(0.5, 5.0, 50.0)), seen)
+        assert hist.count == 3.0

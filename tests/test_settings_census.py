@@ -24,6 +24,7 @@ from repro.core.fabric import FaultyFabric
 from repro.core.ringlog import RingLog
 from repro.core.token_bucket import TokenBucket
 from repro.experiments.harness import JobSpec, ReplayWorld
+from repro.lint import LintConfig
 from repro.pfs.cluster import ClusterConfig
 from repro.pfs.mds import MDSConfig
 from repro.simulation.sharded import FluidConfig, ShardedSimulation
@@ -58,6 +59,7 @@ CENSUS = {
     "FaultyFabric": (lambda: parameters(FaultyFabric), 8),
     "ShardedSimulation": (lambda: parameters(ShardedSimulation), 4),
     "StageConfig": (lambda: int(hasattr(stage, "StageConfig")), 0),
+    "LintConfig": (lambda: len(fields(LintConfig)), 1),
 }
 
 
