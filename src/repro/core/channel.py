@@ -154,8 +154,9 @@ class Channel:
         (e.g. downstream file-system capacity).  ``sink`` receives each
         granted request record (batches may be split so that exactly the
         granted count flows downstream).  With ``telemetry`` every grant
-        is also observed (queue-wait histogram, ``queue.wait`` span) on
-        its way to ``sink``; the grant loop itself is the same one.
+        is also observed (queue-wait histogram, ``queue.wait`` span)
+        before it reaches ``sink`` (:meth:`_observers`); the grant loop
+        itself is the same one.
         """
         if limit < 0:
             raise ConfigError(f"drain limit must be >= 0, got {limit}")
@@ -163,8 +164,10 @@ class Channel:
         if not queue or limit == 0:
             self.bucket.refill(now)
             return 0.0
+        popleft = queue.popleft
+        observe = None
         if telemetry is not None:
-            sink = self._observed(sink, now, telemetry)
+            popleft, observe = self._observers(now, telemetry)
         # Same values as max(0.0, min(backlog, limit)) without the calls.
         want = self._backlog
         if limit < want:
@@ -178,7 +181,6 @@ class Channel:
         # a first-order cost in fluid experiments -- so statistics run on
         # locals (same adds, same order; written back below) and the two
         # ``max`` calls per grant become branches with identical results.
-        popleft = queue.popleft
         stats = self.stats
         wait_sum = stats.wait_sum
         wait_max = stats.wait_max
@@ -200,6 +202,8 @@ class Channel:
                 queue[0] = rest
                 count = head.count
                 remaining = 0.0
+                if observe is not None:
+                    observe(head)
             granted += count
             wait_sum += wait * count
             if wait > wait_max:
@@ -221,19 +225,21 @@ class Channel:
             self._m_granted.inc(granted)
         return granted
 
-    def _observed(
-        self, sink: Optional[Callable[[Request], None]], now: float, telemetry
-    ) -> Callable[[Request], None]:
-        """``sink`` preceded by this channel's per-grant telemetry.
+    def _observers(self, now: float, telemetry) -> tuple:
+        """``(popleft, observe)``: this channel's per-grant telemetry for
+        a drain at ``now``.
 
+        ``popleft`` is the queue's, observing the record it removes -- a
+        whole grant; ``observe`` takes the one head a drain splits off.
         A granted record keeps its ``submitted_at`` and trace context
         through a split, so everything the histogram and the span need
-        is on the record the sink receives -- the grant loop pays
-        nothing for telemetry it does not have.
+        is on the record, and the grant loop pays nothing for telemetry
+        it does not have.
         """
         tracer = telemetry.tracer
         h_wait = self._h_wait
         channel_id = self.channel_id
+        pop = self._queue.popleft
 
         def observe(granted: Request) -> None:
             if h_wait is not None:
@@ -244,10 +250,11 @@ class Channel:
                     granted.trace, "queue.wait", granted.submitted_at, now,
                     channel=channel_id, count=granted.count,
                 )
-            if sink is not None:
-                sink(granted)
 
-        return observe
+        def popleft() -> None:
+            observe(pop())
+
+        return popleft, observe
 
     def collect(self) -> tuple[float, float, float]:
         """Return and reset the rate window: (granted, enqueued, backlog)."""

@@ -223,10 +223,18 @@ class FaultyFabric:
         if handler is None:
             raise StageNotRegistered(f"address {address!r} not bound")
         self.calls += 1
-        reason = self._undeliverable(address, message)
-        if reason is not None:
-            self._drop(address, message, reason, leg="request")
-            raise RPCError(f"message to {address!r} dropped")
+        # A fabric with nothing that could drop a message draws nothing
+        # either: skip the checks (the RNG stream is the same).
+        if (
+            self._drop_fn is not None
+            or self._partitions
+            or self._links
+            or self.link.loss > 0.0
+        ):
+            reason = self._undeliverable(address, message)
+            if reason is not None:
+                self._drop(address, message, reason, leg="request")
+                raise RPCError(f"message to {address!r} dropped")
         return handler(message)
 
     # -- verbs -------------------------------------------------------------

@@ -110,16 +110,16 @@ class StageEndpoint:
         self.stage = stage
 
     def handle(self, message: RpcMessage) -> Any:
-        # CollectStats first: it is the once-per-loop-tick hot message.
+        # The once-per-loop-tick messages first: a collect and a rate.
         if isinstance(message, CollectStats):
             return self.stage.collect(message.now)
-        if isinstance(message, Ping):
-            return message.payload
         if isinstance(message, EnforceRate):
             self.stage.set_channel_rate(
                 message.channel_id, message.rate, message.now, message.burst
             )
             return True
+        if isinstance(message, Ping):
+            return message.payload
         if isinstance(message, CreateChannel):
             self.stage.create_channel(
                 message.channel_id, message.rate, message.burst, now=message.now

@@ -180,7 +180,9 @@ class StageCore:
     ``collect() -> (granted, enqueued, backlog)``.
     """
 
-    def __init__(self, identity: StageIdentity, classifier: Classifier) -> None:
+    def __init__(
+        self, identity: StageIdentity, classifier: Classifier, now: float
+    ) -> None:
         self.identity = identity
         self.classifier = classifier
         #: Controller-silence survival policy (None = hold rates forever,
@@ -200,7 +202,8 @@ class StageCore:
         self._channels_view: Mapping[str, Any] = MappingProxyType(self._channels)
         self._passthrough_window = 0.0
         self._passthrough_total = 0.0
-        self._last_collect = 0.0
+        #: The first collect window opens when the stage starts.
+        self._last_collect = now
         self._telemetry = None
 
     # -- channel management (control-plane driven) ---------------------------
@@ -397,7 +400,8 @@ class DataPlaneStage(StageCore):
     """One PADLL stage: the core + queueing channels + a downstream sink.
 
     ``pfs_mounts`` enables mount-point differentiation (non-PFS paths pass
-    through untouched).
+    through untouched).  ``now`` is when the stage starts: its first
+    collect window opens then.
     """
 
     def __init__(
@@ -406,8 +410,10 @@ class DataPlaneStage(StageCore):
         sink: Callable[[Request], None],
         pfs_mounts: Optional[Sequence[str]] = None,
         telemetry=None,
+        *,
+        now: float = 0.0,
     ) -> None:
-        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts))
+        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts), now)
         self._sink = sink
         self._m_enforced = None
         self._m_passthrough = None
@@ -500,8 +506,9 @@ class DataPlaneStage(StageCore):
         Releasing a grant has no effect on channel state, so a caller that
         delivers the collected records afterwards (in list order) observes
         exactly the per-grant sink semantics -- while paying one C-level
-        ``list.append`` per grant instead of a Python sink call chain.  The
-        experiment harness uses this to fuse the drain tick's delivery loop.
+        ``list.append`` per grant instead of a Python sink call chain.  (The
+        replay world's drain tick goes further and delivers each record in
+        the loop that grants it: ``ReplayWorld._drain_stages``.)
         """
         return self._drain_channels(now, limit, grants.append)
 

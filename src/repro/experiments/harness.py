@@ -21,12 +21,13 @@ or the telemetry mode.  A replay tick hands the job's rows -- one per
 kind, with the slice count of one round-robin round -- to
 :meth:`ReplayWorld._submit_stage_rows` (:meth:`ReplayWorld._deliver_rows`
 for BASELINE): one shared :class:`Request` record per (tick, kind) is
-queued once per slice in each stage's channel.  The drain tick collects
-what the channels grant and :meth:`ReplayWorld._deliver_granted` appends
-it to the MDS queue.  :meth:`ReplayWorld._route` is the one place that
-decides where a kind's ops go (job window slot; MDS, OSS, client-local
-or no MDS up).  Every float accumulator sees one add per slice, in
-submission order, so results do not depend on how records are shared.
+queued once per slice in each stage's channel.  The drain tick's
+:meth:`ReplayWorld._drain_stages` takes each record a channel grants
+straight to the MDS queue, in the same iteration that grants it.
+:meth:`ReplayWorld._route` is the one place that decides where a kind's
+ops go (job window slot; MDS, OSS, client-local or no MDS up).  Every
+float accumulator sees one add per slice, in submission order, so
+results do not depend on how records are shared.
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.channel import Channel
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule
-from repro.core.requests import (
-    MDS_CLASSES,
-    MDS_KIND_BY_OP,
-    Request,
-    batch_request,
-)
+from repro.core.requests import MDS_CLASSES, MDS_KIND_BY_OP, batch_request
 from repro.core.hierarchy import (
     HierarchicalControlPlane,
     LocalController,
@@ -522,57 +518,6 @@ class ReplayWorld:
                     op=shared.op.value, channel=channel.channel_id, count=shared.count,
                 )
 
-    def _deliver_granted(self, runtime: _JobRuntime, grants: Sequence[Request]) -> None:
-        """Deliver the records a stage's channels granted, in grant order.
-
-        The submit side queues one shared record per (tick, kind), so a
-        per-op channel grants the same object in runs and a per-class
-        channel cycles over a tick's kinds: the routing is looked up when
-        the record changes and resolved once per (kind, path).  It is
-        stable within a drain tick (``now`` is fixed, ``active_mds`` is
-        idempotent per tick, and an MDS cannot fail while draining).  The
-        adds still run once per grant.  A sampled record's trace context
-        rides into the MDS queue as the batch's 5th slot, exactly as
-        ``MetadataServer.offer`` appends it, so service closes the
-        ``mds.service`` span.
-        """
-        client = self._client
-        now = self.env.now
-        window_buf = runtime.window_buf
-        touch = runtime.window_touched.append
-        delivered_total = runtime.delivered_total
-        submitted_ops = client.submitted_ops
-        routes: Dict[Optional[str], tuple] = {}
-        last = None
-        for request in grants:
-            if request is not last:
-                last = request
-                kind = request.kind_hint
-                if kind is None:
-                    kind = MDS_KIND_BY_OP[request.op]
-                route = routes.get(kind)
-                if route is None:
-                    routes[kind] = route = self._route(runtime, kind, request.path, now)
-                slot, cost, mds, mds_slot, aside = route
-                count = request.count
-                ctx = request.trace
-            accumulated = window_buf[slot]
-            if accumulated == 0.0:
-                touch(slot)
-            window_buf[slot] = accumulated + count
-            delivered_total += count
-            submitted_ops += count
-            if mds is not None:
-                if ctx is None:
-                    mds._queue.append([mds_slot, count, cost, now])
-                else:
-                    mds._queue.append([mds_slot, count, cost, now, ctx])
-                mds._queued_units += cost * count
-            elif aside is not None:
-                aside(count)
-        runtime.delivered_total = delivered_total
-        client.submitted_ops = submitted_ops
-
     def _start_job(self, runtime: _JobRuntime) -> None:
         spec = runtime.spec
         runtime.started = True
@@ -587,9 +532,16 @@ class ReplayWorld:
                         job_id=spec.job_id,
                         hostname=f"node-{spec.job_id}-{i}",
                     ),
-                    sink=lambda req, rt=runtime: self._deliver_granted(rt, (req,)),
+                    # Nothing submits to or drains through a world stage
+                    # (the replay rows and the drain tick write its channels
+                    # directly); a record handed to the sink is delivered
+                    # like an unenforced row.
+                    sink=lambda req: self._deliver_rows(
+                        runtime, ((None, req.op, req.path, req.count),), 1
+                    ),
                     pfs_mounts=(PFS_MOUNT,),
                     telemetry=self.telemetry,
+                    now=self.env.now,
                 )
                 self._build_channels(stage, spec, unlimited)
                 if self.orphan_policy is not None:
@@ -666,16 +618,9 @@ class ReplayWorld:
 
     # -- per-tick housekeeping ----------------------------------------------------
     def _drain_tick(self, now: float) -> None:
-        grants: List[Request] = []
         for runtime in self._jobs.values():
-            for stage in runtime.stages:
-                # Collect grants, then deliver them in order: channel state
-                # never depends on the sink, so the flush is equivalent to
-                # per-grant sinking (and skips one call chain per grant).
-                stage.drain_collect(now, grants)
-                if grants:
-                    self._deliver_granted(runtime, grants)
-                    del grants[:]
+            if runtime.stages:
+                self._drain_stages(runtime, now)
         if self._undelivered:
             # Every delivery of this instant is done (replay ticks run
             # before this one): report what found no MDS, once per kind.
@@ -684,6 +629,115 @@ class ReplayWorld:
             self._undelivered.clear()
         self.cluster.service(now, DT)
         self._check_completions(now)
+
+    def _drain_stages(self, runtime: _JobRuntime, now: float) -> None:
+        """Grant and deliver what a job's channels release at ``now``, in
+        one pass.
+
+        Each queued record is popped (or split at the token boundary),
+        counted in its channel's statistics, routed and appended to its
+        MDS queue in one iteration: ``DataPlaneStage.drain`` with the
+        delivery in place of the sink call, written on the channels'
+        internals as :meth:`_submit_stage_rows` fills them.  Every
+        accumulator sees the adds, in the order, that draining each stage
+        and then delivering its grants gives it.  World channels are fluid
+        (never ``integral``) and drained without a ``limit``, so
+        ``Channel.drain``'s whole-request stop and limit clamps are not
+        carried.  The routing reads only the job, the kind, the path and
+        ``now`` and is stable within a tick (``active_mds`` is idempotent
+        per tick), so it is resolved once per kind for all of the job's
+        stages, and looked up only when the record changes.  With
+        telemetry a whole grant is observed by the ``popleft`` that
+        removes it, a split head where it is split off
+        (``Channel._observers``), and a sampled record's trace context
+        rides into the MDS queue as the batch's 5th slot, as
+        ``MetadataServer.offer`` appends it.
+        """
+        client = self._client
+        window_buf = runtime.window_buf
+        touch = runtime.window_touched.append
+        delivered_total = runtime.delivered_total
+        submitted_ops = client.submitted_ops
+        routes: Dict[Optional[str], tuple] = {}
+        last = None
+        for stage in runtime.stages:
+            if stage._orphan_policy is not None:
+                stage._orphan_check(now)
+            telemetry = stage._telemetry
+            for channel in stage._channel_list:
+                queue = channel._queue
+                bucket = channel.bucket
+                if not queue:
+                    bucket.refill(now)
+                    continue
+                popleft = queue.popleft
+                observe = None
+                if telemetry is not None:
+                    popleft, observe = channel._observers(now, telemetry)
+                want = channel._backlog
+                if want < 0.0:
+                    want = 0.0
+                remaining = bucket.consume_available(want, now)
+                granted = 0.0
+                stats = channel.stats
+                wait_sum = stats.wait_sum
+                wait_max = stats.wait_max
+                while remaining > 0 and queue:
+                    head = queue[0]
+                    wait = now - head.submitted_at
+                    if wait < 0.0:
+                        wait = 0.0
+                    count = head.count
+                    if count <= remaining:
+                        popleft()
+                        remaining -= count
+                    else:
+                        head, queue[0] = head.split(remaining)
+                        count = head.count
+                        remaining = 0.0
+                        if observe is not None:
+                            observe(head)
+                    granted += count
+                    wait_sum += wait * count
+                    if wait > wait_max:
+                        wait_max = wait
+                    if head is not last:
+                        last = head
+                        # A world record carries its kind (``kind_hint``,
+                        # set at submit and kept through a split).
+                        route = routes.get(head.kind_hint)
+                        if route is None:
+                            kind = head.kind_hint
+                            routes[kind] = route = self._route(runtime, kind, head.path, now)
+                        slot, cost, mds, mds_slot, aside = route
+                        ctx = head.trace
+                    accumulated = window_buf[slot]
+                    if accumulated == 0.0:
+                        touch(slot)
+                    window_buf[slot] = accumulated + count
+                    delivered_total += count
+                    submitted_ops += count
+                    if mds is not None:
+                        if ctx is None:
+                            mds._queue.append([mds_slot, count, cost, now])
+                        else:
+                            mds._queue.append([mds_slot, count, cost, now, ctx])
+                        mds._queued_units += cost * count
+                    elif aside is not None:
+                        aside(count)
+                stats.wait_sum = wait_sum
+                stats.wait_max = wait_max
+                if remaining > 0:
+                    bucket.refund(remaining)
+                channel._backlog -= granted
+                if not queue:
+                    channel._backlog = 0.0  # clamp accumulated float error
+                stats.granted_ops += granted
+                stats.window_granted += granted
+                if telemetry is not None and channel._m_granted is not None:
+                    channel._m_granted.inc(granted)
+        runtime.delivered_total = delivered_total
+        client.submitted_ops = submitted_ops
 
     def _check_completions(self, now: float) -> None:
         # A job is only complete once the FS actually served its work: a

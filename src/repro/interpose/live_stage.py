@@ -94,10 +94,9 @@ class LiveStage(StageCore):
         clock: Callable[[], float] = time.monotonic,
         telemetry=None,
     ) -> None:
-        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts))
+        super().__init__(identity, Classifier(pfs_mounts=pfs_mounts), clock())
         self._clock = clock
         self._lock = threading.Lock()
-        self._last_collect = clock()
         self._m_throttled = None
         if telemetry is not None:
             self.attach_telemetry(telemetry)

@@ -80,6 +80,53 @@ class TestSyncMode:
             FaultyFabric().partition(0.0, 5.0)
 
 
+class TestSyncDropChecks:
+    """A synchronous call runs the drop checks only when something could
+    drop it; every source of drops drops exactly as it did when every
+    call ran them (outcome strings recorded then, seed 3)."""
+
+    @staticmethod
+    def outcomes(fabric, n=12):
+        """'1' per delivered / '0' per dropped call, to "a" and "b" in
+        turn; then the call and drop counts."""
+        fabric.bind("a", echo)
+        fabric.bind("b", echo)
+        delivered = []
+        for _ in range(n):
+            for address in ("a", "b"):
+                try:
+                    fabric.call(address, Ping())
+                    delivered.append("1")
+                except RPCError:
+                    delivered.append("0")
+        return "".join(delivered), fabric.calls, fabric.dropped
+
+    def test_loss(self):
+        fabric = FaultyFabric(link=LinkProfile(loss=0.5), seed=3)
+        assert self.outcomes(fabric) == ("001100001001011101100100", 24, 14)
+
+    def test_per_address_link(self):
+        fabric = FaultyFabric(seed=3)
+        fabric.set_link("b", LinkProfile(loss=0.5))
+        assert self.outcomes(fabric) == ("101011111010101011101011", 24, 8)
+
+    def test_drop_fn(self):
+        fabric = FaultyFabric(drop_fn=lambda address, message: address == "b")
+        assert self.outcomes(fabric) == ("10" * 12, 24, 12)
+
+    def test_partition(self):
+        fabric = FaultyFabric(clock=lambda: 1.0)
+        fabric.partition(0.0, 5.0, addresses=["a"])
+        assert self.outcomes(fabric) == ("01" * 12, 24, 12)
+        assert fabric.partitioned == 12
+
+    def test_nothing_to_drop_draws_nothing(self):
+        fabric = FaultyFabric(seed=3)
+        state = fabric._rng.bit_generator.state
+        assert self.outcomes(fabric) == ("1" * 24, 24, 0)
+        assert fabric._rng.bit_generator.state == state
+
+
 class TestAsyncReplies:
     def test_reply_traverses_both_legs(self, env):
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=2.0))

@@ -185,6 +185,15 @@ class TestCollect:
         assert stats2.channels[0].enqueued_ops == 0.0
         assert stats2.passthrough_ops == 0.0
 
+    def test_first_window_opens_when_the_stage_starts(self):
+        stage = DataPlaneStage(StageIdentity("s0", "job0"), lambda r: None, now=90.0)
+        stage.create_channel("metadata", rate=4.0, now=90.0)
+        stage.add_classifier_rule(md_rule())
+        stage.submit(Request(OperationType.OPEN, path="/f", count=6.0), 90.0)
+        stats = stage.collect(92.0)
+        assert stats.window == 2.0
+        assert stats.demand_rate("metadata") == 3.0
+
     def test_rate_helpers(self):
         stage = make_stage()
         stage.create_channel("metadata", rate=4.0)

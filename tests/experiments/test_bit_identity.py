@@ -4,7 +4,7 @@ PR "batch the end-to-end replay pipeline" rewired the replay hot path --
 precomputed submission schedules, pooled request batches, fused
 submit/drain delivery, interned monitoring windows -- under the contract
 that fixed-seed experiment outputs stay *bit-identical*.  These tests pin
-that contract down three ways:
+that contract down four ways:
 
 1. ``TraceReplayer.schedule`` rows equal per-tick ``demand`` bit-for-bit;
 2. SHA-256 digests of multi-stage, per-op, hierarchical and
@@ -12,35 +12,46 @@ that contract down three ways:
    values recorded on the per-request pipeline ``ReplayWorld`` used to
    carry beside the batched one;
 3. SHA-256 digests of fixed-seed fig4/fig5 outputs match golden values
-   recorded from the pre-batching implementation.
+   recorded from the pre-batching implementation;
+4. the drain tick's one pass exports, in every telemetry mode, what
+   draining stage by stage and delivering grant by grant does, and
+   enters no more Python frames for more queued records.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.algorithms import ProportionalSharing
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
+from repro.core.requests import OperationType
 from repro.experiments.fig4 import run_fig4_metadata
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.telemetry.export import events_jsonl, spans_jsonl
+from repro.telemetry.export import events_jsonl, prometheus_text, spans_jsonl
 from repro.workloads.abci import generate_mdt_trace
 from repro.workloads.replayer import TraceReplayer
+from repro.workloads.trace import OpTrace
 
 # SHA-256 digests of fixed-seed experiment outputs, recorded from the
 # implementation *before* the batched replay pipeline landed.  Any change
 # to these values means the refactor is no longer output-preserving.
+# ``fig5:proportional`` was re-recorded once, when a stage's first collect
+# window began to open at the stage's start rather than at t = 0 (its
+# jobs arrive later than t = 0).
 GOLDEN_DIGESTS = {
     "fig4:open": "adce2b2749041e46df0f26096f40da931c192aebaa22224852a60f9e6c97fb62",
     "fig4:metadata": "6bd0d025551479a66c931cd6bbb3a3a298d67aeb61f46f0fd1c71822ee98bfa3",
     "fig5:baseline": "05a0cdfc7a75c6a46693e2be3da2ef5e10f1d75c43a298597a73886ca03e059d",
-    "fig5:proportional": "142252ef1e7c71900cc5e59eae4c99d051c02793033db171ad19ca236523490d",
+    "fig5:proportional": "6b76dc4d25c0aa249ae095e079e658285d843f683de012d0aca77896fd67d7c9",
 }
 
 
@@ -126,32 +137,35 @@ class TestScheduleMatchesDemand:
 # to its traced twin there).  Per world: (world digest, spans JSONL,
 # events JSONL); the last two from ``TelemetryConfig(seed=0,
 # sample_rate=0.05, trace=True)``.  The world digest must not depend on the
-# telemetry mode, and the events must not depend on tracing.
+# telemetry mode, and the events must not depend on tracing.  Every world
+# starts its jobs 10 s apart: all were re-recorded once, when a stage's
+# first collect window began to open at the stage's start rather than at
+# t = 0.
 ONE_PIPELINE_DIGESTS = {
     "4x4-per-class": (
-        "61aa3938c9ad38b65927820c7805c6854efe7140931a87edc389e0b4598378e3",
-        "32190cb6667bcffe3994ac828b3bac156a4d47633c6921c02316a5a9e87cfc7a",
-        "b55f808f690018791eaae5728cdf114de6020c26da748f7b6b65e62a29501281",
+        "757929600434aba0c74767035c9b56a63d219e05e7faceb2b12549d5e2f433e1",
+        "998b6e98e64ff74ff641600697e63758336bb02f6f30c68a3bfc1a216f448616",
+        "5682d6d7fea3f170fcceb98b7f527653f3dc0851a4f3aecf5c902faebcca8bb9",
     ),
     "3x2-per-op": (
-        "faffd8bb8eb9ecf3b5f16b9c4b1da8c1a8d1cb2773c0dc151d636ad5a0ab96c8",
-        "26125b8326c98667893785321b94d9dc677e6b4ba6f27dca70668c3a898364b8",
-        "a83e5ed9073f1ad1ad03764cddea1b25ff217c9c1abd46576712ffd63b2af92f",
+        "6c36edac92103ae6ec4868b2eaddf558048688fb80c973e3ee986b96c651c975",
+        "dda1e1f1457ee73db753edc0748113863ce25c6b5b1234b4adaac2acefb8c66d",
+        "87577ece4778078dbe9dcddd699a0ba54697c131b83748d05089453160c193d7",
     ),
     "3x3-hier-split": (
-        "4c97952dd159a1cf76730a8ce7648af98b7d2878472b5556d18aeded99da3d72",
-        "7ba1d36416ce101cdd5df31eae414c183f1e51152b127a5cf7c510554d320eb1",
-        "e012a8233fd215b67a4b0eda1e1160e9659b4f247a8af9fad50c73a23bb8e888",
+        "2ad542c535e9e9b6a6e4b6b0be9545c8bd93574f0cbe89c2f1d882ea3d890898",
+        "cdfee47d8db9fba1b5482d63c038450b8fa616abd33ae80509c65e473b467009",
+        "c53c2630788e10c84c9dd67ed15751c123b520c508b93541a01d94efab6ff14b",
     ),
     "rules-removed-1": (
-        "e69bef94865380ec520030c375a003fe45754c29a0ca652e051977ff50acd473",
+        "d461f3ba8777837ad8eaa83044b777d9041f01d13d9df7842dd2faa5670115c7",
         "a951165f33c146c68e55656f386bf83efaf0be5bd68926c273428178d52eaec4",
-        "af4701e9a7f1fcea57ffe42c535059555225ac9f2c964da3791ce32b78714a38",
+        "6e0ae0b93cc8f5977f9d082112236a0a74f2cd732d3a73d1731bf24a53dcb405",
     ),
     "rules-removed-3": (
-        "d17ac786e2e5458f16bacc218459a82c1a795b8344a1c546e1ec5fb16798a4d6",
-        "71e06da7486651b30a7aa98b197f640bcf336b7157f8bf8686b46b84e3ae305e",
-        "afb705d0cd331e3f6dc71fcaa716aebbe9c6e8a7b20fdc50d34cd6051f8a7a6c",
+        "016323f3a49f633f533e0581d5bfb0e4838971dcdb09e7acf4755a27dcaeb383",
+        "9144ee3ff4c83aa680c3155daa19ee0e4e711a3e7e8028fd176f19a5f22e1444",
+        "5dfe9830a0bbd2f93af9ab4d692cbaeda2555b169690cb1787b88eea2ce2189d",
     ),
 }
 
@@ -284,3 +298,170 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("setup", ["baseline", "proportional"])
     def test_fig5_matches_prebatch_output(self, setup):
         assert fig5_digest(setup) == GOLDEN_DIGESTS[f"fig5:{setup}"]
+
+
+# -- the fused drain pass -----------------------------------------------------
+# ``ReplayWorld._drain_stages`` grants and delivers each record in one
+# loop.  What it must equal: every stage drained through
+# ``DataPlaneStage.drain_collect`` (``Channel.drain`` into a list), then
+# each grant delivered by itself.  tests/experiments/test_fused_drain.py
+# checks that over generated queues; the classes below pin the telemetry
+# modes and the pass's call count.
+
+
+def started_world(n_stages, channel_mode="per-class", telemetry=None):
+    """A PADLL world whose one job has started (``n_stages`` stages,
+    unlimited channels) and that has not run: tests fill and drain its
+    channels by hand."""
+    trace = OpTrace(_PER_OP_KINDS, np.full((2, 4), 600.0), sample_period=60.0)
+    world = ReplayWorld(Setup.PADLL, telemetry=telemetry)
+    world.add_job(
+        JobSpec(
+            job_id="job0",
+            trace=trace,
+            setup=Setup.PADLL,
+            n_stages=n_stages,
+            channel_mode=channel_mode,
+        )
+    )
+    world._client = world.cluster.new_client()
+    runtime = world._jobs["job0"]
+    world._start_job(runtime)
+    return world, runtime
+
+
+def drain_each_stage(world, runtime, now):
+    """The reference: drain stage by stage, deliver grant by grant."""
+    client = world._client
+    for stage in runtime.stages:
+        grants = []
+        stage.drain_collect(now, grants)
+        for request in grants:
+            count = request.count
+            slot, cost, mds, mds_slot, aside = world._route(
+                runtime, request.kind_hint, request.path, now
+            )
+            accumulated = runtime.window_buf[slot]
+            if accumulated == 0.0:
+                runtime.window_touched.append(slot)
+            runtime.window_buf[slot] = accumulated + count
+            runtime.delivered_total += count
+            client.submitted_ops += count
+            if mds is not None:
+                batch = [mds_slot, count, cost, now]
+                if request.trace is not None:
+                    batch.append(request.trace)
+                mds._queue.append(batch)
+                mds._queued_units += cost * count
+            elif aside is not None:
+                aside(count)
+
+
+def drain_state(world, runtime) -> str:
+    """Everything a drain writes, as text (``repr`` keeps every float bit)."""
+    channels = [
+        (
+            channel.channel_id,
+            channel._backlog,
+            channel.bucket._tokens,
+            channel.bucket._timestamp,
+            channel.stats,
+            [(r.op, r.count, r.submitted_at, r.kind_hint, r.trace) for r in channel._queue],
+        )
+        for stage in runtime.stages
+        for channel in stage._channel_list
+    ]
+    cluster = world.cluster
+    client = world._client
+    return repr((
+        channels,
+        [(mds._queued_units, list(mds._queue)) for mds in cluster.mds_servers],
+        (cluster.oss_pool._queued_bytes, list(cluster.oss_pool._queue)),
+        (cluster._replay_buffer, world._undelivered, client.failed_ops),
+        (runtime.window_buf, runtime.window_touched, runtime.delivered_total),
+        client.submitted_ops,
+    ))
+
+
+#: (kind, op, path, count) rows of one replay tick, as the driver hands them.
+_DRAIN_ROWS = [
+    ("open", OperationType.OPEN, "/pfs/job0/f", 900.0),
+    ("getattr", OperationType.STAT, "/pfs/job0/f", 2700.5),
+    ("close", OperationType.CLOSE, "/pfs/job0/f", 901.25),
+]
+
+
+class TestFusedDrainObserved:
+    """With metrics or tracing on, the fused pass exports what draining
+    each stage exports: the same histogram, counters, spans and MDS
+    batches (a sampled record's context in the 5th slot)."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_fused_pass_equals_drain_collect(self, trace):
+        states = []
+        for drain in (ReplayWorld._drain_stages, drain_each_stage):
+            telemetry = Telemetry(TelemetryConfig(seed=0, sample_rate=0.25, trace=trace))
+            world, runtime = started_world(3, telemetry=telemetry)
+            for stage in runtime.stages:
+                stage._channel_list[0].set_rate(700.0, 0.0)
+            world._submit_stage_rows(runtime, runtime.stages, _DRAIN_ROWS, 4)
+            for now in (0.0, 1.0, 2.5):
+                drain(world, runtime, now)
+            states.append((
+                drain_state(world, runtime),
+                prometheus_text(telemetry.registry),
+                spans_jsonl(telemetry.tracer.spans) if trace else "",
+            ))
+        fused, reference = states
+        assert "padll_channel_queue_wait_seconds" in fused[1]
+        if trace:
+            assert '"queue.wait"' in fused[2]
+        assert fused == reference
+
+
+def _python_calls(function, *args) -> Counter:
+    """Qualified names of the Python frames ``function(*args)`` enters
+    (with the collector off: a gc callback is not the function's)."""
+    calls = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+class TestFusedDrainCalls:
+    """One drain tick enters the same Python frames whatever the number
+    of queued records; only a split (one per channel at most) adds any,
+    and the routing is resolved once per (job, kind), not per stage."""
+
+    def _drain_tick_calls(self, interleave, rate):
+        world, runtime = started_world(4)
+        for stage in runtime.stages:
+            stage._channel_list[0].set_rate(rate, 0.0)
+        world._submit_stage_rows(runtime, runtime.stages, _DRAIN_ROWS, interleave)
+        queued = sum(len(stage._channel_list[0]._queue) for stage in runtime.stages)
+        calls = _python_calls(world._drain_tick, 1.0)
+        return queued, calls
+
+    @pytest.mark.parametrize("rate", [float("inf"), 9_000.0])
+    def test_calls_do_not_grow_with_queued_records(self, rate):
+        small_queued, small = self._drain_tick_calls(8, rate)
+        large_queued, large = self._drain_tick_calls(16, rate)
+        assert large_queued == 2 * small_queued == 2 * 4 * 8 * len(_DRAIN_ROWS)
+        for calls in (small, large):
+            splits = calls.pop("Request.split", 0)
+            assert splits <= 4  # one channel per stage
+            assert calls.pop("batch_request", 0) == 2 * splits
+            if rate < float("inf"):
+                assert splits == 4
+        assert large == small
+        assert small["ReplayWorld._route"] == len(_DRAIN_ROWS)

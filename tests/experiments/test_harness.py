@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.core.algorithms import StaticPartition
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
+from repro.core.stage import DataPlaneStage
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 
 
@@ -125,6 +126,26 @@ class TestWorldMechanics:
         assert result.jobs["j2"].completed_at == pytest.approx(
             result.jobs["j1"].completed_at + 5.0, abs=2.0
         )
+
+    def test_late_stage_reports_windows_from_its_start(self, small_trace, monkeypatch):
+        # A job arriving at t = 5 is collected at 5 (an empty window: the
+        # loop falls back to its interval) and then once a second; its first
+        # window is not the 5 s since the world began.
+        windows = []
+        collect = DataPlaneStage.collect
+
+        def recording(stage, now):
+            stats = collect(stage, now)
+            windows.append((stats.job_id, now, stats.window))
+            return stats
+
+        monkeypatch.setattr(DataPlaneStage, "collect", recording)
+        world = ReplayWorld(Setup.PADLL, algorithm=StaticPartition(1e6))
+        world.add_job(JobSpec(job_id="j1", trace=small_trace, setup=Setup.PADLL))
+        world.add_job(JobSpec(job_id="j2", trace=small_trace, setup=Setup.PADLL, start=5.0))
+        world.run(8.0)
+        late = [(now, window) for job, now, window in windows if job == "j2"]
+        assert late == [(5.0, 0.0), (6.0, 1.0), (7.0, 1.0), (8.0, 1.0)]
 
     def test_duplicate_job_rejected(self, small_trace):
         world = ReplayWorld(Setup.BASELINE)

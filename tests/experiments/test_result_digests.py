@@ -64,9 +64,11 @@ DEPENDABILITY_DIGESTS = {
     ),
 }
 
-#: SHA-256 of ``sweep_control_lag(seed=0)``.
+#: SHA-256 of ``sweep_control_lag(seed=0)``.  Its jobs start 60 s apart:
+#: re-recorded when a stage's first collect window began to open at its
+#: start rather than at t = 0.
 CONTROL_LAG_DIGEST = (
-    "c5d47e87d23a606e76c77d37bc2c2aec3c4b80100d960ad6705353dec8eff5a4"
+    "134c08738f3baebed112a426ea52e395dc204ac03d1703634d8e23e8cb196689"
 )
 
 
@@ -102,9 +104,10 @@ BURST_SIZE_DIGEST = (
     "5185bb4bfb422bfc76a9ef93db7c4a25e0c880e60d2ca4da83e511409fa37d2c"
 )
 
-#: SHA-256 of ``sweep_loop_interval(seed=0, duration=120.0)``.
+#: SHA-256 of ``sweep_loop_interval(seed=0, duration=120.0)``.  Its jobs
+#: start 45 s apart: re-recorded with ``CONTROL_LAG_DIGEST``.
 LOOP_INTERVAL_DIGEST = (
-    "d5e5c6298984f5acc51e9345bd741b357f6023a73f387717584f9e7811ec1a00"
+    "08b72e79b0615343190b801fb900bd6176343e38898aa506b0ba1b0b790782a4"
 )
 
 

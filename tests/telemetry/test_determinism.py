@@ -161,7 +161,9 @@ def _sha(text: str) -> str:
 #: metrics-only Prometheus hashes were re-recorded once in that PR, when the
 #: fused submit started feeding ``padll_stage_enforced_ops_total``.  Since
 #: traced worlds submit on that same path (PR 17) their Prometheus text is
-#: the metrics-only text, byte for byte.
+#: the metrics-only text, byte for byte.  The fig5 rows were re-recorded
+#: when a stage's first collect window began to open at the stage's start
+#: (fig5's jobs arrive after t = 0; fig4's single job starts at 0).
 _NO_SPANS = _sha("")
 PINNED_EXPORTS = {
     "fig4:trace": (
@@ -175,14 +177,14 @@ PINNED_EXPORTS = {
         "1777edf4be39d4af0a592b77793ae0071ad8544ba4ded742071079c76b7ff123",
     ),
     "fig5:trace": (
-        "35440555c6df1a7950859808906c141aede4ca3d2c78a7a32755049f2fd97ce0",
-        "a892f59020e9a9a83108747011be52f8dec3e643d5606a92d9ac495d157e3775",
-        "ab323302a038964402f5e9992f0850dfbc9669c5798b5bb10b62f8dd829ffcb0",
+        "2e581aed56a292968f67999cb4f33eab63a9dd7e0661be9965d8c90783afcfb6",
+        "744253faadcde5ce3b471483eac72ac2b6ff4c6a567b35f4d83625a4b059a23d",
+        "bd105d4944110be36e3c4fd055a1b042787ebfc4b544f139beafc7c321b498fe",
     ),
     "fig5:metrics": (
         _NO_SPANS,
-        "a892f59020e9a9a83108747011be52f8dec3e643d5606a92d9ac495d157e3775",
-        "ab323302a038964402f5e9992f0850dfbc9669c5798b5bb10b62f8dd829ffcb0",
+        "744253faadcde5ce3b471483eac72ac2b6ff4c6a567b35f4d83625a4b059a23d",
+        "bd105d4944110be36e3c4fd055a1b042787ebfc4b544f139beafc7c321b498fe",
     ),
 }
 

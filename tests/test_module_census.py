@@ -62,6 +62,8 @@ KEPT_UNREACHED: Dict[str, str] = {
     "(wire golden corpus)",
     "repro.core.stage:StageCore.remove_channel": "paper verb: RemoveChannel "
     "(wire golden corpus)",
+    "repro.core.stage:DataPlaneStage.drain_collect": "pinned by PATCHED: the "
+    "benchmark's tracer wraps it by name (tests/test_bench_contract.py)",
     "repro.core.hierarchy:HierarchicalControlPlane._evict": "fault path: a stage that "
     "stopped answering collects",
     "repro.core.hierarchy:HierarchicalControlPlane._forget_stage": "fault path: eviction "
