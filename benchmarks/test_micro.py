@@ -131,7 +131,7 @@ def test_discrete_mds_throughput(benchmark):
     def run():
         env = Environment()
         mds = DiscreteMDS(env, DiscreteMDSConfig(capacity=5000.0, n_threads=8))
-        ClosedLoopClient(env, mds, depth=16)
+        ClosedLoopClient(env, mds)
         env.run(until=2.0)
         return mds.total_served()
 

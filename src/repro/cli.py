@@ -5,7 +5,6 @@ Subcommands::
     padll-repro trace generate --kind aggregate --seed 0 --out trace.csv
     padll-repro trace stats trace.csv
     padll-repro trace run --target open --sample-rate 0.05 [--out DIR]
-    padll-repro metrics [--format json]
     padll-repro experiment fig1|fig2|fig4|fig4-sharded|fig5|overhead|harm|...
     padll-repro ablation lag|burst|loop
     padll-repro sweep fig4|fig5|ablations|harm|overhead|sharded|all [--jobs N]
@@ -99,29 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         default=None,
-        help="also write spans.jsonl, events.jsonl, and metrics.prom to DIR",
-    )
-
-    # -- metrics --------------------------------------------------------------------
-    metrics = sub.add_parser(
-        "metrics",
-        help="run a short instrumented experiment and print the metrics "
-        "registry snapshot",
-    )
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument(
-        "--target",
-        choices=("open", "close", "getattr", "rename", "metadata"),
-        default="open",
-    )
-    metrics.add_argument("--duration", type=float, default=120.0)
-    metrics.add_argument("--step-period", type=float, default=60.0)
-    metrics.add_argument("--drain-tail", type=float, default=30.0)
-    metrics.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="Prometheus-style text or the JSON snapshot schema",
+        help="also write spans.jsonl, events.jsonl, and the PADLL world's "
+        "metrics snapshot (metrics.prom, Prometheus text; metrics.json, the "
+        "JSON schema) to DIR",
     )
 
     # -- experiments --------------------------------------------------------------
@@ -365,10 +344,16 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         _records_from_jsonl(Event, traced.events_jsonl)
     ))
     if out_dir is not None:
+        import json as _json
+
         write_text(out_dir / "spans.jsonl", traced.spans_jsonl)
         write_text(out_dir / "events.jsonl", traced.events_jsonl)
         write_text(out_dir / "metrics.prom", traced.metrics_text)
-        print(f"\nwrote {out_dir}/spans.jsonl, events.jsonl, metrics.prom")
+        write_text(
+            out_dir / "metrics.json",
+            _json.dumps(traced.metrics, sort_keys=True, indent=2) + "\n",
+        )
+        print(f"\nwrote {out_dir}/spans.jsonl, events.jsonl, metrics.prom, metrics.json")
     return 0
 
 
@@ -379,32 +364,6 @@ def _records_from_jsonl(record, text: str):
     return [
         record.from_dict(_json.loads(line)) for line in text.splitlines() if line
     ]
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-    from repro.telemetry import run_traced_fig4
-
-    try:
-        traced = run_traced_fig4(
-            args.target,
-            seed=args.seed,
-            duration=args.duration,
-            step_period=args.step_period,
-            drain_tail=args.drain_tail,
-            sample_rate=0.0,
-            trace=False,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        import json as _json
-
-        print(_json.dumps(traced.metrics, sort_keys=True, indent=2))
-    else:
-        print(traced.metrics_text, end="")
-    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -707,8 +666,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.trace_command == "run":
                 return _cmd_trace_run(args)
             return _cmd_trace_stats(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
         if args.command == "sweep":

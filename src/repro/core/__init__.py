@@ -40,7 +40,7 @@ from repro.core.requests import (
 from repro.core.rpc import RpcMessage
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
 from repro.core.token_bucket import TokenBucket
-from repro.core.transport import InProcTransport, Transport
+from repro.core.transport import InProcTransport
 
 __all__ = [
     "Channel",
@@ -72,7 +72,6 @@ __all__ = [
     "StaticPartition",
     "SteppedRate",
     "TokenBucket",
-    "Transport",
     "load_config",
     "parse_config",
 ]

@@ -36,6 +36,9 @@ __all__ = [
 #: Rates below this are clamped up so token buckets stay well-defined.
 MIN_RATE = 1e-9
 
+#: Width of the dominant-share interval at which DRF's search stops.
+DRF_TOLERANCE = 1e-9
+
 
 def _seq_sum(values: np.ndarray) -> float:
     """Sum in Python's left-to-right order, not ``np.sum``'s pairwise order.
@@ -272,7 +275,6 @@ class DominantResourceFairness(AllocationAlgorithm):
         self,
         capacities: Mapping[str, float],
         usages: Mapping[str, Mapping[str, float]],
-        tolerance: float = 1e-9,
     ) -> None:
         if not capacities:
             raise PolicyError("DRF needs at least one resource")
@@ -291,7 +293,6 @@ class DominantResourceFairness(AllocationAlgorithm):
                     raise PolicyError(f"negative usage {amount} for {job!r}/{res!r}")
             if all(a == 0 for a in usage.values()):
                 raise PolicyError(f"job {job!r} consumes nothing; cannot allocate")
-        self.tolerance = tolerance
 
     def _dominant(self, job_id: str) -> float:
         usage = self.usages[job_id]
@@ -337,7 +338,7 @@ class DominantResourceFairness(AllocationAlgorithm):
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo <= self.tolerance:
+                if hi - lo <= DRF_TOLERANCE:
                     break
             s = lo
         else:

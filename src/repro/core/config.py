@@ -97,14 +97,55 @@ class PadllConfig:
             controller.set_reservation(job_id, rate)
 
 
+#: The keys each entry of a document may carry; anything else is refused,
+#: so a typo (``"jbo"``, ``"path"``, ``"headrom"``) cannot silently drop a
+#: filter or fall back to a default.
+_CHANNEL_KEYS = frozenset(
+    {"id", "ops", "classes", "paths", "jobs", "rule_name", "priority", "initial_rate"}
+)
+_POLICY_KEYS = frozenset({"name", "channel", "job", "schedule", "burst", "priority", "enabled"})
+_SCHEDULE_KEYS: Mapping[str, frozenset] = {
+    "constant": frozenset({"type", "rate"}),
+    "stepped": frozenset({"type", "steps", "period", "rates"}),
+}
+_ALGORITHM_KEYS: Mapping[str, frozenset] = {
+    kind: frozenset({"type", "reservations"} | extra)
+    for kind, extra in {
+        "static": {"rate_per_job"},
+        "priority": {"rates", "default"},
+        "proportional": {"capacity", "headroom"},
+        "drf": {"capacities", "usages"},
+    }.items()
+}
+
+
 def _require(doc: Mapping[str, Any], key: str, context: str) -> Any:
     if key not in doc:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return doc[key]
 
 
-def _parse_schedule(doc: Mapping[str, Any], context: str) -> RateSchedule:
+def _known_keys(doc: Any, allowed: frozenset, context: str) -> None:
+    """Refuse an entry that is not an object or carries a key not in ``allowed``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{context} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _typed(doc: Any, allowed: Mapping[str, frozenset], context: str) -> str:
+    """The entry's ``type``, once its keys are known for that type."""
+    _known_keys(doc, frozenset().union(*allowed.values()), context)
     kind = _require(doc, "type", context)
+    if kind in allowed:
+        _known_keys(doc, allowed[kind], context)
+    return kind
+
+
+def _parse_schedule(doc: Mapping[str, Any], context: str) -> RateSchedule:
+    context = f"{context} schedule"
+    kind = _typed(doc, _SCHEDULE_KEYS, context)
     if kind == "constant":
         return ConstantRate(float(_require(doc, "rate", context)))
     if kind == "stepped":
@@ -126,6 +167,7 @@ def _op(name: str, context: str) -> OperationType:
 
 def _parse_channel(doc: Mapping[str, Any], index: int) -> ChannelSpec:
     context = f"channels[{index}]"
+    _known_keys(doc, _CHANNEL_KEYS, context)
     channel_id = str(_require(doc, "id", context))
     op_types = None
     op_classes = None
@@ -163,6 +205,7 @@ def parse_policy(doc: Mapping[str, Any], context: str = "policy") -> PolicyRule:
     """One policy document -> :class:`PolicyRule`: a ``policies`` entry of
     a PADLL document, or what an admin verb builds from its parameters.
     ``context`` prefixes error messages."""
+    _known_keys(doc, _POLICY_KEYS, context)
     return PolicyRule(
         name=str(_require(doc, "name", context)),
         scope=RuleScope(
@@ -179,7 +222,7 @@ def parse_policy(doc: Mapping[str, Any], context: str = "policy") -> PolicyRule:
 def _parse_algorithm(
     doc: Mapping[str, Any],
 ) -> tuple[AllocationAlgorithm, Dict[str, float]]:
-    kind = _require(doc, "type", "algorithm")
+    kind = _typed(doc, _ALGORITHM_KEYS, "algorithm")
     reservations = {
         str(job): float(rate)
         for job, rate in doc.get("reservations", {}).items()

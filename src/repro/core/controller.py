@@ -142,19 +142,18 @@ class ControlPlane:
         fabric: Optional[FaultyFabric] = None,
         config: Optional[ControlPlaneConfig] = None,
         algorithm: Optional[AllocationAlgorithm] = None,
-        health_probe: Optional[Callable[[], bool]] = None,
         telemetry=None,
     ) -> None:
         self.fabric = fabric if fabric is not None else FaultyFabric()
         self.config = config or ControlPlaneConfig()
         self.algorithm = algorithm
-        #: Optional PFS health check.  The control plane has global
-        #: visibility, which includes the storage system itself: while the
-        #: probe reports unhealthy (e.g. MDS failover in progress), the
-        #: loop *pauses* the algorithm channel -- stages hold their
-        #: backlog at the compute nodes instead of feeding a recovery
-        #: storm to the replacement server.
-        self.health_probe = health_probe
+        #: Optional PFS health check, assigned by whoever can see the PFS.
+        #: The control plane has global visibility, which includes the
+        #: storage system itself: while the probe reports unhealthy (e.g.
+        #: MDS failover in progress), the loop *pauses* the algorithm
+        #: channel -- stages hold their backlog at the compute nodes
+        #: instead of feeding a recovery storm to the replacement server.
+        self.health_probe: Optional[Callable[[], bool]] = None
         self.pause_ticks = 0
         self._stages: Dict[str, StageIdentity] = {}
         self._jobs: Dict[str, JobInfo] = {}

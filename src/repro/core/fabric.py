@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
-from repro.core.transport import InProcTransport, Transport
+from repro.core.transport import InProcTransport
 from repro.simulation.rng import make_rng
 
 __all__ = ["LinkProfile", "FaultyFabric"]
@@ -78,10 +78,10 @@ class FaultyFabric:
     into the past), and ``call_async`` replies traverse the link a second
     time.
 
-    The fabric is a *decorator* over a :class:`~repro.core.transport.
-    Transport`: the registry and the actual delivery live in the inner
-    transport (:class:`~repro.core.transport.InProcTransport` by
-    default, a socket transport in the out-of-process service mode),
+    The fabric is a *decorator* over a transport: the registry and the
+    actual delivery live in the inner transport
+    (:class:`~repro.core.transport.InProcTransport` by default, its
+    socket subclass in the out-of-process service mode),
     while every fault draw, counter, and partition check happens here --
     so loss/latency/partition injection behaves identically over
     in-process and socket links.
@@ -96,7 +96,7 @@ class FaultyFabric:
         telemetry=None,
         sync_messages: Tuple[type, ...] = (),
         clock: Optional[Callable[[], float]] = None,
-        transport: Optional[Transport] = None,
+        transport: Optional[InProcTransport] = None,
     ) -> None:
         self.env = env
         #: Delivery substrate this fabric decorates with faults.

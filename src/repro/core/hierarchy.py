@@ -236,11 +236,10 @@ class LocalController:
     :class:`Ping`.
     """
 
-    def __init__(self, local_id: str, telemetry=None) -> None:
+    def __init__(self, local_id: str) -> None:
         if not local_id:
             raise ConfigError("local controller needs an id")
         self.local_id = local_id
-        self._telemetry = telemetry
         #: stage_id -> RPC handler, in registration order.
         self._handlers: Dict[str, Callable[[RpcMessage], Any]] = {}
         self._identities: Dict[str, StageIdentity] = {}

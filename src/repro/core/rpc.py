@@ -13,9 +13,9 @@ layered:
   frame (20-byte binary header, ``WIRE_VERSION`` handshake) around a
   canonical-JSON payload in which every verb defined here travels as a
   tagged object and every float round-trips exactly;
-* :mod:`repro.core.transport` -- the delivery interface
-  (:class:`~repro.core.transport.Transport`) with the in-process
-  implementation; :mod:`repro.net` adds the socket implementation;
+* :mod:`repro.core.transport` -- in-process delivery
+  (:class:`~repro.core.transport.InProcTransport`); :mod:`repro.net`
+  extends it over sockets;
 * :mod:`repro.core.fabric` -- :class:`~repro.core.fabric.FaultyFabric`,
   a fault-injection decorator over any transport with per-link seeded
   latency/jitter/loss and scripted partitions.

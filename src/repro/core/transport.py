@@ -1,16 +1,16 @@
-"""The transport interface under the control-plane fabric.
+"""The transport under the control-plane fabric.
 
 :class:`~repro.core.fabric.FaultyFabric` used to *be* the address ->
-handler registry; it is now a fault-injection decorator over any
-:class:`Transport`.  Two implementations exist:
+handler registry; it is now a fault-injection decorator over a
+transport.  There is one transport type:
 
 * :class:`InProcTransport` (here): a dict of handlers, synchronous call
   -- byte-for-byte the behaviour every existing experiment and test
   depends on;
 * :class:`~repro.net.socket_transport.SocketTransport` (in
   :mod:`repro.net`, outside the deterministic layer because it owns
-  threads and sockets): local handlers plus remote endpoints reached
-  over framed TCP/Unix-domain connections.
+  threads and sockets) extends it: local handlers plus remote endpoints
+  reached over framed TCP/Unix-domain connections.
 
 The contract is deliberately tiny -- bind/unbind/bound/handler/call --
 because everything interesting (loss, latency, partitions, counters)
@@ -23,41 +23,17 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import RPCError, StageNotRegistered
 
-__all__ = ["Transport", "InProcTransport"]
+__all__ = ["InProcTransport"]
 
 
-class Transport:
-    """Address -> endpoint registry with a synchronous ``call`` verb.
+class InProcTransport:
+    """Address -> endpoint registry with a synchronous ``call`` verb:
+    in process, a dict lookup and a call.
 
     ``handler`` returns the callable bound at an address (or None): the
     fabric's deferred-delivery path uses it to model a message arriving
     *after* its stage deregistered (silent drop, like a real network).
     """
-
-    def bind(self, address: str, handler: Callable[[Any], Any]) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def unbind(self, address: str) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def bound(self, address: str) -> bool:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def handler(self, address: str) -> Optional[Callable[[Any], Any]]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def call(self, address: str, message: Any) -> Any:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def addresses(self) -> Tuple[str, ...]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def close(self) -> None:
-        """Release transport resources (no-op for in-process)."""
-
-
-class InProcTransport(Transport):
-    """Synchronous in-process delivery: a dict lookup and a call."""
 
     def __init__(self) -> None:
         self._handlers: Dict[str, Callable[[Any], Any]] = {}

@@ -33,10 +33,11 @@ from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.monitoring.collector import Collector
+from repro.pfs.client import PFS_MOUNT
 from repro.pfs.cluster import ClusterConfig, LustreCluster
 from repro.pfs.mds import MDSConfig
 from repro.simulation.engine import Environment
-from repro.simulation.ticker import Ticker
+from repro.simulation.ticker import DT, Ticker
 from repro.workloads.abci import generate_mdt_trace
 from repro.workloads.ior import IORConfig, IORDriver, IORWorkload
 
@@ -55,9 +56,6 @@ STEP_QUANTILE_PATTERN: Tuple[float, ...] = (0.45, 1.25, 0.20, 0.95, 0.60)
 
 METADATA_TARGETS = ("open", "close", "getattr", "rename", "metadata")
 DATA_TARGETS = ("read", "write")
-
-#: The data panels' drain / service tick, seconds.
-DATA_DT = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,15 +206,7 @@ class _DataWorld:
         self.window = 0.0
         self.delivered_total = 0.0
         self.stage: Optional[DataPlaneStage] = None
-        config = IORConfig(
-            mode=mode,
-            iops_per_proc=150.0,
-            n_procs=28,
-            block_size=1 << 62,  # effectively endless: runs for the window
-            transfer_size=1 << 20,
-            seed=seed,
-        )
-        self.workload = IORWorkload(config)
+        self.workload = IORWorkload(IORConfig(mode=mode, seed=seed))
 
         def deliver(request: Request) -> None:
             self.window += request.count
@@ -229,7 +219,7 @@ class _DataWorld:
             self.stage = DataPlaneStage(
                 StageIdentity("ior-stage", "ior"),
                 sink=deliver,
-                pfs_mounts=("/pfs",),
+                pfs_mounts=(PFS_MOUNT,),
             )
             self.stage.create_channel(mode, rate=UNLIMITED)
             self.stage.add_classifier_rule(
@@ -240,9 +230,9 @@ class _DataWorld:
                 )
             )
             submit = lambda req: self.stage.submit(req, self.env.now)  # noqa: E731
-        self.driver = IORDriver(self.env, self.workload, submit, dt=DATA_DT)
+        self.driver = IORDriver(self.env, self.workload, submit)
         self.schedule: Optional[SteppedRate] = None
-        Ticker(self.env, DATA_DT, self._tick, name="data-drain", defer=1)
+        Ticker(self.env, DT, self._tick, name="data-drain", defer=1)
         self.times: list[float] = []
         self.rates: list[float] = []
         Ticker(self.env, 5.0, self._sample, name="data-sample", defer=3)
@@ -254,7 +244,7 @@ class _DataWorld:
                     self.workload.config.mode, self.schedule.rate_at(now), now
                 )
             self.stage.drain(now)
-        self.cluster.service(now, DATA_DT)
+        self.cluster.service(now, DT)
 
     def _sample(self, now: float) -> None:
         self.times.append(now)

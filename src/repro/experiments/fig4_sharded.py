@@ -40,7 +40,7 @@ from repro.simulation.sharded import (
     ShardedResult,
     ShardedSimulation,
 )
-from repro.simulation.sharded.fluid import DT
+from repro.simulation.ticker import DT
 
 __all__ = ["Fig4ShardedResult", "run_fig4_sharded", "main"]
 

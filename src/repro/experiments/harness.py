@@ -55,21 +55,16 @@ from repro.core.hierarchy import (
 from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.monitoring.collector import Collector, Probe
+from repro.pfs.client import PFS_MOUNT
 from repro.pfs.cluster import ClusterConfig, LustreCluster
 from repro.pfs.costs import OP_COSTS
 from repro.pfs.mds import MDSConfig
 from repro.simulation.engine import Environment
-from repro.simulation.ticker import Ticker
+from repro.simulation.ticker import DT, Ticker
 from repro.workloads.replayer import ReplayDriver, TraceReplayer
 from repro.workloads.trace import OpTrace
 
 __all__ = ["Setup", "JobSpec", "JobResult", "WorldResult", "ReplayWorld"]
-
-#: Mount point every simulated job reads/writes under.
-PFS_MOUNT = "/pfs"
-
-#: Simulated seconds per replay/drain/service tick.
-DT = 1.0
 
 #: Local controllers of a hierarchical world.
 N_RACKS = 2
@@ -571,8 +566,6 @@ class ReplayWorld:
             replayer,
             None,
             job_id=spec.job_id,
-            mount=PFS_MOUNT,
-            dt=DT,
             start=self.env.now,
             batch_submit=batch_submit,
         )

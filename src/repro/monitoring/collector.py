@@ -41,7 +41,6 @@ class Collector:
         self,
         env: Environment,
         period: float = 1.0,
-        start: float = 0.0,
         defer: int = 0,
         registry=None,
     ) -> None:
@@ -62,9 +61,7 @@ class Collector:
         #: probe name -> suffix -> series, resolved once instead of a
         #: formatted-key dict lookup on every sample.
         self._probe_series: Dict[str, Dict[str, TimeSeries]] = {}
-        self._ticker = Ticker(
-            env, period, self._tick, start=start, name="collector", defer=defer
-        )
+        self._ticker = Ticker(env, period, self._tick, name="collector", defer=defer)
 
     def add_probe(self, probe: Probe) -> None:
         if probe.name in self._probes:

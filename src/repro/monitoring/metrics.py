@@ -16,18 +16,19 @@ from repro.errors import ConfigError
 
 __all__ = ["TimeSeries"]
 
+#: Samples a new series holds before its first growth.
+INITIAL_CAPACITY = 1024
+
 
 class TimeSeries:
     """Append-only sampled series with numpy-backed storage."""
 
     __slots__ = ("name", "_times", "_values", "_size")
 
-    def __init__(self, name: str = "", capacity: int = 1024) -> None:
-        if capacity <= 0:
-            raise ConfigError(f"capacity must be positive, got {capacity}")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
+        self._times = np.empty(INITIAL_CAPACITY, dtype=np.float64)
+        self._values = np.empty(INITIAL_CAPACITY, dtype=np.float64)
         self._size = 0
 
     def __len__(self) -> int:

@@ -49,7 +49,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RPCError, StageNotRegistered, WireError
-from repro.core.transport import InProcTransport, Transport
+from repro.core.transport import InProcTransport
 from repro.core.wire import (
     FRAME_ERROR,
     FRAME_HELLO,
@@ -66,7 +66,7 @@ from repro.core.wire import (
     raise_error,
 )
 
-__all__ = ["SocketListener", "SocketTransport", "WireConnection"]
+__all__ = ["RemoteEndpoint", "SocketListener", "SocketTransport", "WireConnection"]
 
 _RECV_CHUNK = 64 * 1024
 
@@ -369,7 +369,7 @@ class WireConnection:
         waiter.resolve()
 
 
-class _RemoteEndpoint:
+class RemoteEndpoint:
     """The handler bound for a remote address: a request over its link."""
 
     __slots__ = ("connection", "address", "deadline")
@@ -478,7 +478,7 @@ class SocketListener:
 
 
 class SocketTransport(InProcTransport):
-    """:class:`Transport` mixing local handlers with remote endpoints.
+    """A transport mixing local handlers with remote endpoints.
 
     Local binds behave exactly like :class:`InProcTransport`.
     :meth:`attach` binds a *remote* address: calls become deadline-aware
@@ -570,7 +570,7 @@ class SocketTransport(InProcTransport):
         deadline: Optional[float] = None,
     ) -> None:
         """Bind ``address`` to a remote endpoint reached over ``connection``."""
-        self.bind(address, _RemoteEndpoint(connection, address, deadline))
+        self.bind(address, RemoteEndpoint(connection, address, deadline))
 
     def close(self) -> None:
         if self._listener is not None:

@@ -8,7 +8,7 @@ object-storage bandwidth pool (:mod:`repro.pfs.oss`), and a cluster
 wrapper with hot-standby failover or DNE routing (:mod:`repro.pfs.cluster`).
 """
 
-from repro.pfs.client import PFSClient
+from repro.pfs.client import PFS_MOUNT, PFSClient
 from repro.pfs.cluster import ClusterConfig, LustreCluster
 from repro.pfs.costs import OP_COSTS, op_cost
 from repro.pfs.discrete import ClosedLoopClient, DiscreteMDS, DiscreteMDSConfig
@@ -30,5 +30,6 @@ __all__ = [
     "OSTarget",
     "ObjectStoragePool",
     "PFSClient",
+    "PFS_MOUNT",
     "op_cost",
 ]

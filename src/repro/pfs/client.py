@@ -14,7 +14,11 @@ from typing import Callable, Optional
 from repro.errors import ConfigError, MDSUnavailable
 from repro.core.requests import MDS_KIND_BY_OP, Request
 
-__all__ = ["PFSClient"]
+__all__ = ["PFS_MOUNT", "PFSClient"]
+
+#: Where a simulated compute node mounts the PFS: every simulated job,
+#: replayer and IOR run reads and writes under it.
+PFS_MOUNT = "/pfs"
 
 
 class PFSClient:

@@ -25,6 +25,9 @@ from repro.simulation.resources import Resource
 
 __all__ = ["DiscreteMDSConfig", "DiscreteMDS", "ClosedLoopClient"]
 
+#: Backoff before retrying a conflicting lock acquisition, seconds.
+LOCK_RETRY = 1e-3
+
 
 @dataclass(slots=True)
 class DiscreteMDSConfig:
@@ -35,16 +38,12 @@ class DiscreteMDSConfig:
     capacity: float = 10_000.0
     #: Number of concurrent service threads.
     n_threads: int = 16
-    #: Backoff before retrying a conflicting lock acquisition.
-    lock_retry: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ConfigError(f"capacity must be positive, got {self.capacity}")
         if self.n_threads < 1:
             raise ConfigError(f"need at least one thread, got {self.n_threads}")
-        if self.lock_retry <= 0:
-            raise ConfigError(f"lock retry must be positive, got {self.lock_retry}")
 
     @property
     def per_thread_rate(self) -> float:
@@ -107,7 +106,7 @@ class DiscreteMDS:
                     break
                 except ConfigError:
                     self.lock_retries += 1
-                    yield self.env.timeout(self.config.lock_retry)
+                    yield self.env.timeout(LOCK_RETRY)
             try:
                 yield self.env.timeout(self.service_time(kind))
             finally:
@@ -128,45 +127,30 @@ class DiscreteMDS:
         return sum(self.served.values())
 
 
-class ClosedLoopClient:
-    """A client that keeps ``depth`` requests outstanding (like a real
-    multi-threaded application blocked on syscalls)."""
+#: Requests a :class:`ClosedLoopClient` keeps outstanding.
+CLIENT_DEPTH = 16
 
-    def __init__(
-        self,
-        env: Environment,
-        mds: DiscreteMDS,
-        kind: str = "getattr",
-        depth: int = 8,
-        path_prefix: str = "/c",
-        think_time: float = 0.0,
-    ) -> None:
-        if depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {depth}")
-        if think_time < 0:
-            raise ConfigError(f"think time must be >= 0, got {think_time}")
-        self.env = env
+
+class ClosedLoopClient:
+    """A client that keeps :data:`CLIENT_DEPTH` ``getattr`` requests
+    outstanding (like a real multi-threaded application blocked on
+    syscalls)."""
+
+    def __init__(self, env: Environment, mds: DiscreteMDS) -> None:
         self.mds = mds
-        self.kind = kind
-        self.depth = depth
-        self.path_prefix = path_prefix
-        self.think_time = think_time
         self.completed = 0
         self._stopped = False
         self._workers = [
-            env.process(self._worker(i), name=f"client-{path_prefix}-{i}")
-            for i in range(depth)
+            env.process(self._worker(i), name=f"client-{i}")
+            for i in range(CLIENT_DEPTH)
         ]
 
     def stop(self) -> None:
         self._stopped = True
 
     def _worker(self, index: int):
-        # Distinct paths per worker avoid artificial write-lock convoys
-        # for namespace-mutating kinds.
-        path = f"{self.path_prefix}/w{index}"
+        # Distinct paths per worker avoid artificial write-lock convoys.
+        path = f"/c/w{index}"
         while not self._stopped:
-            yield self.mds.submit(self.kind, path)
+            yield self.mds.submit("getattr", path)
             self.completed += 1
-            if self.think_time > 0:
-                yield self.env.timeout(self.think_time)

@@ -38,6 +38,7 @@ from typing import get_args, get_origin, get_type_hints
 from repro.errors import ConfigError
 from repro.core.config import PadllConfig, parse_config
 from repro.core.stage import OrphanPolicy
+from repro.pfs.client import PFS_MOUNT
 
 __all__ = [
     "FaultSpec",
@@ -75,7 +76,7 @@ class WorkloadSpec:
     stages_per_job: int = 2
     rate: float = 150.0
     ops: Tuple[str, ...] = ("open", "stat", "mkdir", "getxattr")
-    path_prefix: str = "/pfs/scratch"
+    path_prefix: str = f"{PFS_MOUNT}/scratch"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:

@@ -87,7 +87,6 @@ class HostSupervisor:
         *,
         telemetry=None,
         clock=time.monotonic,
-        respawn: bool = True,
     ) -> None:
         if config.stage_procs < 1:
             raise ConfigError(
@@ -97,7 +96,6 @@ class HostSupervisor:
         self._control_host = control_host
         self._control_port = control_port
         self._clock = clock
-        self._respawn = respawn
         self._telemetry = telemetry
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -188,9 +186,6 @@ class HostSupervisor:
                             pid=process.pid,
                             code=code,
                         )
-                    if not self._respawn:
-                        child.process = None
-                        continue
                     child.respawn_at = now + _RESPAWN_BACKOFF
                 elif now >= child.respawn_at:
                     child.restarts += 1

@@ -55,7 +55,7 @@ from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.interpose.loop import LiveControlLoop
-from repro.net import SocketTransport, WireConnection
+from repro.net import RemoteEndpoint, SocketTransport, WireConnection
 from repro.service.audit import AuditLog
 from repro.service.config import ServiceConfig
 from repro.service.hosts import HostSupervisor, partition_stages
@@ -389,10 +389,7 @@ class ServiceRuntime:
             for stages in self._remote_stages.values():
                 stages.discard(stage_id)
 
-        def handler(message, _connection=connection, _address=stage_id):
-            return _connection.request(_address, message)
-
-        self._register(identity, handler)
+        self._register(identity, RemoteEndpoint(connection, stage_id, None))
         self._remote_stages.setdefault(connection, set()).add(stage_id)
         self._remote_hosts[connection] = host
         self.telemetry.registry.gauge("padll_remote_host_up", host=host).set(1)

@@ -43,14 +43,15 @@ from repro.core.rpc import StageEndpoint
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.net import SocketTransport, WireConnection
+from repro.pfs.client import PFS_MOUNT
 from repro.service.config import ServiceConfig, WorkloadSpec, job_of
 from repro.service.workload import LiveWorkload
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
 
 __all__ = ["LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages"]
 
-#: Default period between telemetry pushes, seconds.
-DEFAULT_PUSH_INTERVAL = 0.5
+#: Period between telemetry pushes, seconds.
+PUSH_INTERVAL = 0.5
 
 #: The address a stage host asks its controller for the stage layout.
 LAYOUT_ADDRESS = "padll/layout"
@@ -88,7 +89,8 @@ class StageLayout:
     def from_config(cls, config: ServiceConfig) -> "StageLayout":
         """Resolve the defaults: with no policy document, one channel
         named ``config.channel`` catching every MDS-bound op
-        (:data:`~repro.core.requests.MDS_CLASSES`) under ``/pfs``."""
+        (:data:`~repro.core.requests.MDS_CLASSES`) under
+        :data:`~repro.pfs.client.PFS_MOUNT`."""
         padll = config.padll
         channels = () if padll is None else tuple(padll.channels)
         if not channels:
@@ -100,7 +102,7 @@ class StageLayout:
         mounts = None if padll is None else padll.pfs_mounts
         return cls(
             channels=channels,
-            pfs_mounts=("/pfs",) if mounts is None else tuple(mounts),
+            pfs_mounts=(PFS_MOUNT,) if mounts is None else tuple(mounts),
             orphan=config.orphan,
             loop_interval=config.interval,
             sample_rate=config.sample_rate,
@@ -182,22 +184,16 @@ class StageHost:
         stage_ids: Sequence[str],
         *,
         seed: int = 0,
-        push_interval: float = DEFAULT_PUSH_INTERVAL,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not host_id:
             raise ConfigError("stage host needs a host id")
         if not stage_ids:
             raise ConfigError("stage host needs at least one stage id")
-        if push_interval <= 0:
-            raise ConfigError(
-                f"push interval must be positive, got {push_interval}"
-            )
         self.host_id = host_id
         self.clock = clock
         self._stage_ids = tuple(stage_ids)
         self._seed = seed
-        self._push_interval = push_interval
         self.transport = SocketTransport()
         # Both built in start(), from the layout the controller answers.
         self.telemetry: Optional[Telemetry] = None
@@ -314,7 +310,7 @@ class StageHost:
 
     # -- telemetry pump ----------------------------------------------------
     def _pump_loop(self) -> None:
-        while not self._stop.wait(self._push_interval):
+        while not self._stop.wait(PUSH_INTERVAL):
             if self._disconnected.is_set():
                 return
             self._push_telemetry()

@@ -249,8 +249,8 @@ class AllOf(Event):
 class Environment:
     """Owner of the simulated clock and the pending-event heap."""
 
-    def __init__(self, initial_time: float = 0.0, telemetry=None) -> None:
-        self._now = float(initial_time)
+    def __init__(self, telemetry=None) -> None:
+        self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         #: Telemetry spine (``repro.telemetry.runtime.Telemetry`` or None).

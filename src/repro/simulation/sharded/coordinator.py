@@ -51,9 +51,10 @@ from repro.core.hierarchy import (
     rack_index,
 )
 from repro.core.stage import StageIdentity
-from repro.simulation.sharded.fluid import DT, FluidConfig, RackSpec
+from repro.simulation.sharded.fluid import FluidConfig, RackSpec
 from repro.simulation.sharded.pool import ShardPool
 from repro.simulation.sharded.shm import BURST_NONE
+from repro.simulation.ticker import DT
 
 __all__ = ["ShardedConfig", "ShardedResult", "ShardedSimulation"]
 

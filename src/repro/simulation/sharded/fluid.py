@@ -49,8 +49,9 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.simulation.rng import SeedSequence, make_rng
+from repro.simulation.ticker import DT
 
-__all__ = ["DT", "UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
+__all__ = ["UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,8 +59,6 @@ TWO_PI = 2.0 * math.pi
 UNLIMITED = float("inf")
 
 
-#: Fluid tick length (seconds); the control epoch is a whole number of them.
-DT = 1.0
 #: Relative swing of the sinusoidal demand modulation.
 DEMAND_AMPLITUDE = 0.35
 #: Period (seconds) of the demand modulation.

@@ -25,7 +25,11 @@ from typing import Callable
 from repro.errors import SimulationError
 from repro.simulation.engine import NORMAL, URGENT, Environment
 
-__all__ = ["Ticker"]
+__all__ = ["DT", "Ticker"]
+
+#: The simulated tick, seconds: every replay, drain and service step of the
+#: simulated cluster, and every fluid step of the sharded one, is one ``DT``.
+DT = 1.0
 
 
 class Ticker:

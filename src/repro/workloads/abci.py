@@ -47,6 +47,11 @@ __all__ = [
     "REPLAYER_MIX",
 ]
 
+#: Seconds per trace sample: LustrePerfMon's 1-minute samples.
+SAMPLE_PERIOD = 60.0
+#: Dirichlet concentration of the per-sample mix jitter (higher = steadier).
+MIX_CONCENTRATION = 500.0
+
 #: Operation mix of the aggregate PFS_A load (Fig. 2).  The top four kinds
 #: carry 98 % of the load; the remaining 2 % is spread over the rest of the
 #: LustrePerfMon-monitored kinds.
@@ -117,15 +122,12 @@ class AbciTraceConfig:
     """Knobs of the synthetic trace generator."""
 
     duration: float = 30 * 24 * 3600.0  # the paper's 30-day window
-    sample_period: float = 60.0  # LustrePerfMon's 1-minute samples
     states: Tuple[RegimeState, ...] = AGGREGATE_STATES
     mix: Mapping[str, float] = field(default_factory=lambda: dict(AGGREGATE_MIX))
     #: Std-dev of the lognormal noise on the rate.
     noise_sigma: float = 0.20
     #: AR(1) coefficient of the noise (temporal correlation between samples).
     noise_ar: float = 0.85
-    #: Dirichlet concentration of the per-sample mix jitter (higher = steadier).
-    mix_concentration: float = 500.0
     #: Hard cap on the instantaneous rate (PFS_A bursts top out ≈1 MOps/s).
     rate_cap: float = 1.05e6
     seed: int = 0
@@ -133,10 +135,6 @@ class AbciTraceConfig:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
-        if self.sample_period <= 0:
-            raise ConfigError(
-                f"sample period must be positive, got {self.sample_period}"
-            )
         if not self.states:
             raise ConfigError("need at least one regime state")
         if not self.mix:
@@ -150,14 +148,12 @@ class AbciTraceConfig:
             raise ConfigError(f"noise_ar must be in [0, 1), got {self.noise_ar}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.mix_concentration <= 0:
-            raise ConfigError("mix_concentration must be positive")
         if self.rate_cap <= 0:
             raise ConfigError("rate_cap must be positive")
 
     @property
     def n_samples(self) -> int:
-        return max(1, int(round(self.duration / self.sample_period)))
+        return max(1, int(round(self.duration / SAMPLE_PERIOD)))
 
     def expected_mean_rate(self) -> float:
         """Time-share-weighted mean of the regime rates."""
@@ -186,7 +182,7 @@ def _state_sequence(config: AbciTraceConfig, rng: np.random.Generator) -> np.nda
         idx = int(rng.choice(len(states), p=weights))
         state = states[idx]
         dwell_samples = max(
-            1, int(round(rng.exponential(state.mean_dwell) / config.sample_period))
+            1, int(round(rng.exponential(state.mean_dwell) / SAMPLE_PERIOD))
         )
         end = min(n, filled + dwell_samples)
         means[filled:end] = state.mean_rate
@@ -217,9 +213,9 @@ def generate_trace(config: AbciTraceConfig) -> OpTrace:
     means = _state_sequence(config, rng)
     noise = _colored_noise(config.n_samples, config.noise_sigma, config.noise_ar, rng)
     rates = np.minimum(config.rate_cap, means * np.exp(noise))
-    totals = rates * config.sample_period
+    totals = rates * SAMPLE_PERIOD
     kinds = tuple(config.mix)
-    alphas = np.array([config.mix.get(k, 0.0) for k in kinds]) * config.mix_concentration
+    alphas = np.array([config.mix.get(k, 0.0) for k in kinds]) * MIX_CONCENTRATION
     # Vectorised Dirichlet: normalised per-row Gamma draws.
     gammas = rng.gamma(shape=alphas, scale=1.0, size=(config.n_samples, len(kinds)))
     row_sums = gammas.sum(axis=1, keepdims=True)
@@ -227,7 +223,7 @@ def generate_trace(config: AbciTraceConfig) -> OpTrace:
     row_sums[row_sums == 0] = 1.0
     shares = gammas / row_sums
     counts = shares * totals[:, None]
-    return OpTrace(kinds, counts, sample_period=config.sample_period)
+    return OpTrace(kinds, counts, sample_period=SAMPLE_PERIOD)
 
 
 def generate_aggregate_trace(

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request
+from repro.pfs.client import PFS_MOUNT
 from repro.simulation.engine import Environment
 from repro.simulation.rng import make_rng
 from repro.simulation.ticker import Ticker
@@ -44,7 +45,7 @@ class DLTrainingConfig:
     #: Rate at which the indexing pass can issue getattrs (pipeline-bound).
     index_rate: float = 50_000.0
     #: Dataset root inside the PFS mount.
-    dataset_dir: str = "/pfs/dataset"
+    dataset_dir: str = f"{PFS_MOUNT}/dataset"
     seed: int = 0
 
     def __post_init__(self) -> None:

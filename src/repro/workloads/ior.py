@@ -2,27 +2,41 @@
 
 IOR parameterises a data benchmark by transfer size, block size, segment
 count and process count; the paper uses it for the read/write panels of
-Fig. 4.  The fluid equivalent here emits a stream of read or write
-requests at the rate an IOR run would offer, with lognormal variability
-standing in for the PFS-induced noise the paper notes for data
-operations ("since these are being submitted to the PFS, we observe more
-variability").
+Fig. 4.  The fluid equivalent here emits an endless stream of read or
+write requests at the rate an IOR run would offer -- 28 processes at 150
+requests/s each, 1 MiB transfers -- with lognormal variability standing
+in for the PFS-induced noise the paper notes for data operations ("since
+these are being submitted to the PFS, we observe more variability").  A
+run lasts as long as the panel that drives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request
+from repro.pfs.client import PFS_MOUNT
 from repro.simulation.engine import Environment
 from repro.simulation.rng import make_rng
-from repro.simulation.ticker import Ticker
+from repro.simulation.ticker import DT, Ticker
 
 __all__ = ["IORConfig", "IORWorkload", "IORDriver"]
+
+#: -t: bytes per request.
+TRANSFER_SIZE = 1 << 20
+#: One process per core on a Frontera socket.
+N_PROCS = 28
+#: Offered request rate per process (requests/s); models client-side
+#: compute between transfers.
+IOPS_PER_PROC = 150.0
+#: Lognormal sigma of tick-to-tick rate noise.
+NOISE_SIGMA = 0.20
+#: The job id and file every IOR request carries.
+JOB_ID = "ior"
 
 
 @dataclass(slots=True)
@@ -30,48 +44,16 @@ class IORConfig:
     """IOR-style benchmark parameters."""
 
     mode: str = "write"  # "write" | "read"
-    transfer_size: int = 1 << 20  # -t: bytes per request
-    block_size: int = 1 << 30  # -b: bytes per segment per process
-    segments: int = 4  # -s
-    n_procs: int = 28  # one per core on a Frontera socket
-    #: Offered request rate per process (requests/s); models client-side
-    #: compute between transfers.
-    iops_per_proc: float = 150.0
-    #: Lognormal sigma of tick-to-tick rate noise.
-    noise_sigma: float = 0.20
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("read", "write"):
             raise ConfigError(f"mode must be 'read' or 'write', got {self.mode!r}")
-        if self.transfer_size <= 0:
-            raise ConfigError("transfer size must be positive")
-        if self.block_size < self.transfer_size:
-            raise ConfigError("block size must be >= transfer size")
-        if self.segments <= 0 or self.n_procs <= 0:
-            raise ConfigError("segments and n_procs must be positive")
-        if self.iops_per_proc <= 0:
-            raise ConfigError("iops_per_proc must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-
-    @property
-    def transfers_per_proc(self) -> int:
-        """Total requests each process issues."""
-        return (self.block_size // self.transfer_size) * self.segments
-
-    @property
-    def total_transfers(self) -> int:
-        return self.transfers_per_proc * self.n_procs
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_transfers * self.transfer_size
 
     @property
     def offered_iops(self) -> float:
         """Aggregate offered request rate."""
-        return self.iops_per_proc * self.n_procs
+        return IOPS_PER_PROC * N_PROCS
 
 
 class IORWorkload:
@@ -80,83 +62,39 @@ class IORWorkload:
     def __init__(self, config: IORConfig) -> None:
         self.config = config
         self._rng = make_rng(config.seed)
-        self.emitted = 0.0
-
-    @property
-    def finished(self) -> bool:
-        return self.emitted >= self.config.total_transfers
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self.config.total_transfers - self.emitted)
 
     def demand(self, dt: float) -> float:
         """Requests offered during the next ``dt`` seconds."""
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt}")
-        if self.finished:
-            return 0.0
-        noise = (
-            float(np.exp(self._rng.normal(0.0, self.config.noise_sigma)))
-            if self.config.noise_sigma > 0
-            else 1.0
-        )
-        want = self.config.offered_iops * dt * noise
-        take = min(want, self.remaining)
-        self.emitted += take
-        return take
+        noise = float(np.exp(self._rng.normal(0.0, NOISE_SIGMA)))
+        return self.config.offered_iops * dt * noise
 
 
 class IORDriver:
-    """Runs an IOR workload against a submit target inside a simulation."""
+    """Runs an IOR workload against a submit target inside a simulation,
+    one batch every ``DT`` from the instant it is built."""
 
     def __init__(
         self,
         env: Environment,
         workload: IORWorkload,
         submit: Callable[[Request], None],
-        job_id: str = "ior",
-        mount: str = "/pfs",
-        dt: float = 1.0,
-        start: float = 0.0,
     ) -> None:
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        self.env = env
         self.workload = workload
         self.submit = submit
-        self.job_id = job_id
-        self.mount = mount.rstrip("/") or "/pfs"
-        self.dt = float(dt)
-        self.finished_at: Optional[float] = None
         self._op = (
             OperationType.WRITE if workload.config.mode == "write" else OperationType.READ
         )
-        # ``start`` is an absolute simulated time; the ticker wants a delay.
-        self._ticker = Ticker(
-            env, dt, self._tick, start=max(0.0, float(start) - env.now),
-            name=f"ior-{job_id}",
-        )
-
-    @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
+        Ticker(env, DT, self._tick, name=f"ior-{JOB_ID}")
 
     def _tick(self, now: float) -> None:
-        if self.workload.finished:
-            if self.finished_at is None:
-                self.finished_at = now
-            self._ticker.stop()
-            return
-        count = self.workload.demand(self.dt)
-        if count <= 0:
-            return
         self.submit(
             Request(
                 op=self._op,
-                path=f"{self.mount}/{self.job_id}/testfile",
-                job_id=self.job_id,
-                count=count,
-                size=self.workload.config.transfer_size,
+                path=f"{PFS_MOUNT}/{JOB_ID}/testfile",
+                job_id=JOB_ID,
+                count=self.workload.demand(DT),
+                size=TRANSFER_SIZE,
             )
         )

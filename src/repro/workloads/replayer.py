@@ -26,11 +26,19 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request, batch_request
+from repro.pfs.client import PFS_MOUNT
 from repro.simulation.engine import Environment
-from repro.simulation.ticker import Ticker
+from repro.simulation.ticker import DT, Ticker
 from repro.workloads.trace import OpTrace
 
 __all__ = ["KIND_TO_OP", "TraceReplayer", "ReplayDriver"]
+
+#: Per-kind slices a driver submits round-robin within a tick.  The real
+#: replayer's threads interleave at request granularity; without slicing,
+#: one-batch-per-kind FIFO queues serialise kinds and the downstream MDS
+#: sees single-kind (worst: all-rename) seconds that misrepresent the
+#: offered cost mix.
+INTERLEAVE = 8
 
 #: MDS operation kind -> representative POSIX call the replayer issues.
 KIND_TO_OP: Mapping[str, OperationType] = {
@@ -172,10 +180,11 @@ class TraceReplayer:
 class ReplayDriver:
     """Runs a replayer against a submit target inside a simulation.
 
-    Every tick the driver hands ``batch_submit`` one row per replayed
+    Every ``DT`` the driver hands ``batch_submit`` one row per replayed
     kind, ``(kind, op, path, slice_count)``, plus the interleave factor:
-    the target performs the round-robin submission -- ``interleave``
-    rounds of one slice per kind -- itself.  Without a ``batch_submit``
+    the target performs the round-robin submission -- :data:`INTERLEAVE`
+    rounds of one slice per kind -- itself.  Paths lie under
+    :data:`~repro.pfs.client.PFS_MOUNT`.  Without a ``batch_submit``
     the rows are unrolled into one ``submit(Request)`` call per slice,
     exactly the stream a PADLL stage sees from the real replayer's
     threads.  The driver reports when submission has finished
@@ -189,18 +198,11 @@ class ReplayDriver:
         replayer: TraceReplayer,
         submit: Optional[Callable[[Request], None]],
         job_id: str = "job1",
-        mount: str = "/pfs",
-        dt: float = 1.0,
         start: float = 0.0,
-        interleave: int = 8,
         batch_submit: Optional[
             Callable[[List[Tuple[str, OperationType, str, float]], int], None]
         ] = None,
     ) -> None:
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        if interleave < 1:
-            raise ConfigError(f"interleave must be >= 1, got {interleave}")
         if submit is None and batch_submit is None:
             raise ConfigError("replay driver needs a submit or a batch_submit")
         self.env = env
@@ -208,21 +210,13 @@ class ReplayDriver:
         self.submit = submit
         self.batch_submit = batch_submit if batch_submit is not None else self._unroll
         self.job_id = job_id
-        self.mount = mount.rstrip("/") or "/pfs"
-        self.dt = float(dt)
         self.start = float(start)
-        #: Number of per-kind slices submitted round-robin within a tick.
-        #: The real replayer's threads interleave at request granularity;
-        #: without slicing, one-batch-per-kind FIFO queues serialise kinds
-        #: and the downstream MDS sees single-kind (worst: all-rename)
-        #: seconds that misrepresent the offered cost mix.
-        self.interleave = int(interleave)
         self.submitted: Dict[str, float] = {k: 0.0 for k in replayer.kinds}
         self.finished_at: Optional[float] = None
         #: (kind, op, path) per replayed thread, resolved once instead of
         #: per (tick, kind) -- the replay loop is the experiments' hot path.
         self._kinds_info = [
-            (kind, KIND_TO_OP[kind], f"{self.mount}/{self.job_id}/data-{kind}")
+            (kind, KIND_TO_OP[kind], f"{PFS_MOUNT}/{job_id}/data-{kind}")
             for kind in replayer.kinds
         ]
         #: Precomputed per-tick submission rows (built lazily on the first
@@ -233,7 +227,7 @@ class ReplayDriver:
         # ``start`` is an absolute simulated time; the ticker wants a delay
         # relative to now (drivers are often created at their start time).
         delay = max(0.0, self.start - env.now)
-        self._ticker = Ticker(env, dt, self._tick, start=delay, name=f"replay-{job_id}")
+        self._ticker = Ticker(env, DT, self._tick, start=delay, name=f"replay-{job_id}")
 
     @property
     def finished(self) -> bool:
@@ -246,7 +240,7 @@ class ReplayDriver:
     def _build_schedule(self, first_now: float) -> None:
         """Precompute every tick's submission row from the first tick time.
 
-        Tick times accumulate (``t += dt``) exactly like the ticker's heap
+        Tick times accumulate (``t += DT``) exactly like the ticker's heap
         entries do, so row ``k`` is evaluated at the very float the ticker
         will report -- which keeps the batched path bit-identical to the
         per-tick :meth:`TraceReplayer.demand` path it replaced.
@@ -256,8 +250,8 @@ class ReplayDriver:
         t = first_now
         while t - self.start < duration:
             replay_times.append(t - self.start)
-            t = t + self.dt
-        matrix = self.replayer.schedule(replay_times, self.dt)
+            t = t + DT
+        matrix = self.replayer.schedule(replay_times, DT)
         self._schedule_rows = matrix.tolist()
 
     def _tick(self, now: float) -> None:
@@ -274,9 +268,9 @@ class ReplayDriver:
         if index < len(self._schedule_rows):
             counts = self._schedule_rows[index]
         else:  # drifted off the precomputed grid: fall back to exact math
-            demand = self.replayer.demand(replay_time, self.dt)
+            demand = self.replayer.demand(replay_time, DT)
             counts = [demand[kind] for kind, _, _ in self._kinds_info]
-        interleave = self.interleave
+        interleave = INTERLEAVE
         submitted = self.submitted
         slices = [
             (kind, op, path, count / interleave)
@@ -284,7 +278,7 @@ class ReplayDriver:
         ]
         self.batch_submit(slices, interleave)
         # Per-kind submitted accumulators are independent, so grouping
-        # each kind's ``interleave`` adds together reproduces the
+        # each kind's ``INTERLEAVE`` adds together reproduces the
         # round-robin accumulation bit-for-bit.
         for kind, _op, _path, slice_count in slices:
             if slice_count <= 0:

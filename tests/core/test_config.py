@@ -122,6 +122,59 @@ class TestParse:
             parse_config({"algorithm": {"type": "roulette"}})
 
 
+_CAP = {"name": "cap", "channel": "metadata",
+        "schedule": {"type": "constant", "rate": 100}}
+
+
+class TestUnknownNestedKeys:
+    """A key no entry knows is refused, naming the entry: a typo must not
+    drop a filter or fall back to a default."""
+
+    @pytest.mark.parametrize(
+        "doc,where,key",
+        [
+            # "jbo" for "job": the cap would apply to every job.
+            ({"policies": [{**_CAP, "jbo": "job7"}]}, r"policies\[0\]", "jbo"),
+            # "path" for "paths": the channel would lose its path filter.
+            ({"channels": [{"id": "c", "ops": ["open"], "path": ["/x"]}]},
+             r"channels\[0\]", "path"),
+            ({"policies": [{**_CAP, "schedule": {"type": "constant", "rate": 1,
+                                                 "period": 60}}]},
+             r"policies\[0\] schedule", "period"),
+            ({"algorithm": {"type": "proportional", "capacity": 10,
+                            "headrom": 2.0}}, "algorithm", "headrom"),
+            ({"algorithm": {"type": "proportional", "capacity": 10,
+                            "reservation": {"j1": 1}}}, "algorithm", "reservation"),
+            # A key of another algorithm type is unknown to this one.
+            ({"algorithm": {"type": "static", "rate_per_job": 1,
+                            "capacity": 10}}, "algorithm", "capacity"),
+        ],
+        ids=["policy", "channel", "schedule", "algorithm-typo",
+             "algorithm-reservation", "algorithm-other-type"],
+    )
+    def test_refused_naming_the_entry(self, doc, where, key):
+        with pytest.raises(ConfigError, match=rf"{where}: unknown keys \['{key}'\]"):
+            parse_config(doc)
+
+    def test_every_documented_key_parses(self):
+        doc = {
+            "channels": [{"id": "metadata", "ops": ["open"], "classes": ["metadata"],
+                          "paths": ["/x"], "jobs": ["j1"], "rule_name": "r",
+                          "priority": 1, "initial_rate": 5.0}],
+            "policies": [{**_CAP, "job": "j1", "burst": 2.0, "priority": 3,
+                          "enabled": False}],
+            "algorithm": {"type": "priority", "rates": {"j1": 1.0}, "default": 2.0,
+                          "reservations": {"j1": 1.0}},
+        }
+        config = parse_config(doc)
+        assert config.policies[0].scope.job_id == "j1"
+        assert config.channels[0].rule.path_prefixes == ("/x",)
+
+    def test_an_entry_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"channels\[0\] must be an object"):
+            parse_config({"channels": ["metadata"]})
+
+
 class TestApply:
     def test_apply_to_stage_and_controller(self):
         config = parse_config(FULL_DOC)

@@ -424,10 +424,8 @@ class TestEvictionEdges:
 class TestHealthProbe:
     def test_unhealthy_pauses_algorithm_channel(self):
         healthy = {"flag": True}
-        cp = ControlPlane(
-            algorithm=StaticPartition(50.0),
-            health_probe=lambda: healthy["flag"],
-        )
+        cp = ControlPlane(algorithm=StaticPartition(50.0))
+        cp.health_probe = lambda: healthy["flag"]
         stage = make_stage("s0", "jobA")
         cp.register(stage)
         cp.tick(0.0)
@@ -441,10 +439,8 @@ class TestHealthProbe:
         assert stage.channel_rate("metadata") == 50.0
 
     def test_admin_policies_apply_even_while_paused(self):
-        cp = ControlPlane(
-            algorithm=StaticPartition(50.0),
-            health_probe=lambda: False,
-        )
+        cp = ControlPlane(algorithm=StaticPartition(50.0))
+        cp.health_probe = lambda: False
         stage = make_stage("s0", "jobA")
         stage.create_channel("data")
         cp.register(stage)

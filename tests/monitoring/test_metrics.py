@@ -21,11 +21,12 @@ class TestTimeSeries:
         assert np.array_equal(ts.values(), np.arange(5.0) * 10)
 
     def test_growth_beyond_capacity(self):
-        ts = TimeSeries("x", capacity=4)
-        for t in range(1000):
-            ts.append(float(t), 1.0)
-        assert len(ts) == 1000
-        assert ts.times()[-1] == 999.0
+        ts = TimeSeries("x")
+        for t in range(3000):  # past 1 024 and 2 048: two growths
+            ts.append(float(t), float(t))
+        assert len(ts) == 3000
+        assert np.array_equal(ts.times(), np.arange(3000.0))
+        assert np.array_equal(ts.values(), np.arange(3000.0))
 
     def test_non_decreasing_times_enforced(self):
         ts = TimeSeries("x")
@@ -41,15 +42,11 @@ class TestTimeSeries:
         ts.append(1.0, 2.0)
         assert ts.last() == (1.0, 2.0)
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigError):
-            TimeSeries("x", capacity=0)
-
 
 @settings(max_examples=50, deadline=None)
 @given(values=st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=200))
 def test_series_preserves_all_appends(values):
-    ts = TimeSeries("x", capacity=2)
+    ts = TimeSeries("x")
     for i, v in enumerate(values):
         ts.append(float(i), v)
     assert len(ts) == len(values)

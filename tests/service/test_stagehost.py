@@ -26,8 +26,15 @@ from repro.net import SocketTransport
 from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec, job_of
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.runtime import ServiceRuntime
+from repro.service import stagehost
 from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout
 from repro.telemetry.trace import Tracer
+
+
+@pytest.fixture(autouse=True)
+def _fast_pushes(monkeypatch):
+    """Hosts here push every 50 ms instead of every half second."""
+    monkeypatch.setattr(stagehost, "PUSH_INTERVAL", 0.05)
 
 
 def _wait(predicate, timeout=5.0):
@@ -73,10 +80,6 @@ class TestStageHostValidation:
     def test_needs_stages(self):
         with pytest.raises(ConfigError, match="at least one stage"):
             StageHost("host0", [])
-
-    def test_push_interval_positive(self):
-        with pytest.raises(ConfigError, match="push interval"):
-            StageHost("host0", ["job0/s0"], push_interval=0.0)
 
 
 #: The default world's layout with no workload driver (``rate=0``).
@@ -133,7 +136,6 @@ class TestStageHostLive:
             "hostA",
             ["job0/s0", "job1/s0"],
             seed=7,
-            push_interval=0.05,
         )
         try:
             host.start(controller.host, controller.port)
@@ -175,14 +177,14 @@ class TestStageHostLive:
             host.stop()
 
     def test_run_returns_zero_on_orderly_stop(self, controller):
-        host = StageHost("hostB", ["job0/s0"], push_interval=0.05)
+        host = StageHost("hostB", ["job0/s0"])
         host.start(controller.host, controller.port)
         controller.wait_connected()
         host.request_stop()
         assert host.run() == 0
 
     def test_run_returns_one_when_link_dies(self, controller):
-        host = StageHost("hostC", ["job0/s0"], push_interval=0.05)
+        host = StageHost("hostC", ["job0/s0"])
         host.start(controller.host, controller.port)
         connection = controller.wait_connected()
         connection.close(reason="controller going away")
@@ -190,7 +192,7 @@ class TestStageHostLive:
         assert host.run() == 1
 
     def test_duration_elapse_is_orderly(self, controller):
-        host = StageHost("hostD", ["job0/s0"], push_interval=0.05)
+        host = StageHost("hostD", ["job0/s0"])
         host.start(controller.host, controller.port)
         controller.wait_connected()
         assert host.run(duration=0.1) == 0
@@ -202,7 +204,7 @@ class TestStageHostLive:
         controller = _Controller(
             layout=StageLayout.from_config(ServiceConfig(workload=workload)).to_wire()
         )
-        host = StageHost("hostE", ["job0/s0"], push_interval=0.05)
+        host = StageHost("hostE", ["job0/s0"])
         try:
             host.start(controller.host, controller.port)
             controller.wait_connected()
@@ -242,7 +244,7 @@ class TestHostSupervisor:
 
     def test_argv_covers_partition(self):
         supervisor = HostSupervisor(
-            _proc_config(), "127.0.0.1", 4321, respawn=False
+            _proc_config(), "127.0.0.1", 4321
         )
         assert supervisor.control_address() == "127.0.0.1:4321"
         pids = supervisor.pids()
@@ -270,7 +272,7 @@ class TestHostSupervisor:
 
     def test_per_host_seeds_differ(self):
         supervisor = HostSupervisor(
-            _proc_config(), "127.0.0.1", 4321, respawn=False
+            _proc_config(), "127.0.0.1", 4321
         )
         seeds = set()
         for child in supervisor._children:
@@ -280,7 +282,7 @@ class TestHostSupervisor:
 
     def test_counters_before_start(self):
         supervisor = HostSupervisor(
-            _proc_config(), "127.0.0.1", 4321, respawn=False
+            _proc_config(), "127.0.0.1", 4321
         )
         assert supervisor.counters() == {
             "hosts": 2,
@@ -313,7 +315,7 @@ def _dial(runtime, host_id="host0", **kwargs):
     registrations apply inline)."""
     spec = runtime.config.workload
     stage_ids = partition_stages(spec.jobs, spec.stages_per_job, 1)[0]
-    host = StageHost(host_id, stage_ids, push_interval=0.05, **kwargs)
+    host = StageHost(host_id, stage_ids, **kwargs)
     host.start(*runtime.control_address)
     assert _wait(lambda: len(runtime.controller.stages) == len(stage_ids))
     return host
@@ -636,7 +638,8 @@ class TestHostKeepsOnlyWhatItHasNotShipped:
             runtime.stop()
 
     def test_a_failed_push_leaves_the_lists_whole(self, controller, monkeypatch):
-        host = StageHost("hostF", ["job0/s0"], push_interval=60.0)
+        monkeypatch.setattr(stagehost, "PUSH_INTERVAL", 60.0)
+        host = StageHost("hostF", ["job0/s0"])
         try:
             host.start(controller.host, controller.port)
             controller.wait_connected()

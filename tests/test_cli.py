@@ -221,31 +221,52 @@ class TestSweepCommand:
 
 
 class TestMetricsCommand:
+    """The metrics snapshot has one path: ``trace run --out DIR`` writes it
+    as ``metrics.prom`` (Prometheus text) and ``metrics.json``."""
+
     _FAST = ["--duration", "30", "--step-period", "15", "--drain-tail", "10"]
 
-    def test_text_snapshot(self, capsys):
-        rc = main(["metrics", *self._FAST])
-        assert rc == 0
-        out = capsys.readouterr().out
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("snapshot")
+        assert main(["trace", "run", *self._FAST, "--seed", "3",
+                     "--out", str(out_dir)]) == 0
+        return out_dir
+
+    def test_text_snapshot(self, out_dir):
+        out = (out_dir / "metrics.prom").read_text()
         assert "# TYPE padll_stage_enforced_ops_total counter" in out
         assert "padll_channel_queue_wait_seconds_bucket" in out
         assert "padll_engine_sim_time_seconds" in out
 
-    def test_json_snapshot(self, capsys):
+    def test_json_snapshot(self, out_dir):
         import json
 
-        rc = main(["metrics", *self._FAST, "--format", "json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = json.loads((out_dir / "metrics.json").read_text())
         assert doc["version"] == 1
         names = {metric["name"] for metric in doc["metrics"]}
         assert "padll_mds_served_ops_total" in names
         assert "padll_stage_enforced_ops_total" in names
 
+    def test_json_snapshot_equals_a_metrics_only_run(self, out_dir):
+        import json
+
+        from repro.telemetry import run_traced_fig4
+
+        untraced = run_traced_fig4(
+            "open", seed=3, duration=30.0, step_period=15.0, drain_tail=10.0,
+            sample_rate=0.0, trace=False,
+        )
+        assert json.loads((out_dir / "metrics.json").read_text()) == untraced.metrics
+
     def test_invalid_duration_is_config_error(self, capsys):
-        rc = main(["metrics", "--duration", "-5"])
+        rc = main(["trace", "run", "--duration", "-5"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_the_metrics_verb_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["metrics"])
 
 
 class TestTraceRunCommand:
@@ -273,6 +294,7 @@ class TestTraceRunCommand:
             json.loads(line)
         assert (out_dir / "events.jsonl").exists()
         assert "# TYPE" in (out_dir / "metrics.prom").read_text()
+        assert (out_dir / "metrics.json").exists()
 
     def test_out_collides_with_file(self, tmp_path, capsys):
         target = tmp_path / "occupied"

@@ -78,7 +78,7 @@ ENTRY_POINTS = [
     *(f"{CLI} {arguments}" for arguments in (
         "trace generate --kind aggregate --out {t}/agg.csv", "trace generate --kind mdt --out {t}/mdt.jsonl",
         "trace stats {t}/agg.csv", "trace stats {t}/mdt.jsonl", "trace run --out {t}/traced",
-        "metrics", "metrics --format json", "experiment fig1", "experiment fig2",
+        "experiment fig1", "experiment fig2",
         "experiment fig4 --export {t}/csv", "experiment fig4-sharded", "experiment fig5 --export {t}/csv",
         "experiment overhead", "experiment harm", "experiment cost-aware", "experiment dependability",
         "ablation lag", "ablation burst", "ablation loop", "sweep all --quick --jobs 2 --cache-dir {t}/cache",

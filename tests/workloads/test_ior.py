@@ -6,61 +6,30 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType
+from repro.pfs import PFS_MOUNT
+from repro.workloads import ior
 from repro.workloads.ior import IORConfig, IORDriver, IORWorkload
 
 
 class TestConfig:
     def test_derived_quantities(self):
-        config = IORConfig(
-            mode="write", transfer_size=1 << 20, block_size=4 << 20,
-            segments=2, n_procs=3,
-        )
-        assert config.transfers_per_proc == 8
-        assert config.total_transfers == 24
-        assert config.total_bytes == 24 << 20
-        assert config.offered_iops == 3 * config.iops_per_proc
+        assert IORConfig().offered_iops == ior.N_PROCS * ior.IOPS_PER_PROC
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"mode": "scan"},
-            {"transfer_size": 0},
-            {"block_size": 1, "transfer_size": 2},
-            {"segments": 0},
-            {"n_procs": 0},
-            {"iops_per_proc": 0.0},
-            {"noise_sigma": -1.0},
-        ],
-    )
+    @pytest.mark.parametrize("kw", [{"mode": "scan"}])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
             IORConfig(**kw)
 
 
 class TestWorkload:
-    def test_emits_until_total(self):
-        config = IORConfig(
-            transfer_size=1 << 20, block_size=2 << 20, segments=1, n_procs=2,
-            iops_per_proc=100.0, noise_sigma=0.0,
-        )
-        wl = IORWorkload(config)  # total 4 transfers
-        total = 0.0
-        for _ in range(100):
-            total += wl.demand(1.0)
-            if wl.finished:
-                break
-        assert total == pytest.approx(config.total_transfers)
-        assert wl.finished
-        assert wl.demand(1.0) == 0.0
-
-    def test_rate_matches_offered_iops(self):
-        config = IORConfig(noise_sigma=0.0, block_size=1 << 40)
-        wl = IORWorkload(config)
-        assert wl.demand(1.0) == pytest.approx(config.offered_iops)
+    def test_rate_matches_offered_iops(self, monkeypatch):
+        monkeypatch.setattr(ior, "NOISE_SIGMA", 0.0)
+        wl = IORWorkload(IORConfig())
+        assert wl.demand(1.0) == pytest.approx(IORConfig().offered_iops)
 
     def test_noise_determinism(self):
-        a = IORWorkload(IORConfig(seed=3, block_size=1 << 40))
-        b = IORWorkload(IORConfig(seed=3, block_size=1 << 40))
+        a = IORWorkload(IORConfig(seed=3))
+        b = IORWorkload(IORConfig(seed=3))
         assert [a.demand(1.0) for _ in range(5)] == [b.demand(1.0) for _ in range(5)]
 
     def test_invalid_dt(self):
@@ -69,24 +38,20 @@ class TestWorkload:
 
 
 class TestDriver:
-    def test_runs_to_completion(self, env):
-        config = IORConfig(
-            transfer_size=1 << 20, block_size=8 << 20, segments=1, n_procs=2,
-            iops_per_proc=4.0, noise_sigma=0.0,
-        )
+    def test_submits_every_tick(self, env):
         received = []
-        driver = IORDriver(env, IORWorkload(config), received.append, job_id="iorX")
-        env.run(until=10.0)
-        assert driver.finished
-        assert sum(r.count for r in received) == pytest.approx(config.total_transfers)
+        IORDriver(env, IORWorkload(IORConfig()), received.append)
+        env.run(until=9.5)
+        assert len(received) == 10  # t = 0 .. 9, no end
         for req in received:
             assert req.op is OperationType.WRITE
-            assert req.size == config.transfer_size
-            assert req.job_id == "iorX"
+            assert req.size == ior.TRANSFER_SIZE
+            assert req.job_id == ior.JOB_ID
+            assert req.path.startswith(f"{PFS_MOUNT}/{ior.JOB_ID}/")
 
     def test_read_mode(self, env):
-        config = IORConfig(mode="read", noise_sigma=0.0, block_size=1 << 40)
         received = []
-        IORDriver(env, IORWorkload(config), received.append)
+        IORDriver(env, IORWorkload(IORConfig(mode="read")), received.append)
         env.run(until=1.5)
+        assert received
         assert all(r.op is OperationType.READ for r in received)

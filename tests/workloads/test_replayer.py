@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType
-from repro.workloads.replayer import KIND_TO_OP, ReplayDriver, TraceReplayer
+from repro.pfs import PFS_MOUNT
+from repro.workloads.replayer import INTERLEAVE, KIND_TO_OP, ReplayDriver, TraceReplayer
 
 
 class TestTraceReplayer:
@@ -74,12 +75,12 @@ class TestReplayDriver:
     def test_requests_carry_job_and_mount(self, env, small_trace):
         rep = TraceReplayer(small_trace, kinds=("open",))
         received = []
-        ReplayDriver(env, rep, received.append, job_id="jX", mount="/lustre")
+        ReplayDriver(env, rep, received.append, job_id="jX")
         env.run(until=2.0)
         assert received
         for req in received:
             assert req.job_id == "jX"
-            assert req.path.startswith("/lustre/jX/")
+            assert req.path.startswith(f"{PFS_MOUNT}/jX/")
             assert req.op is OperationType.OPEN
 
     def test_delayed_start(self, env, small_trace):
@@ -95,16 +96,12 @@ class TestReplayDriver:
     def test_interleave_slices_within_tick(self, env, small_trace):
         rep = TraceReplayer(small_trace, acceleration=60.0)
         received = []
-        ReplayDriver(env, rep, received.append, interleave=4)
+        ReplayDriver(env, rep, received.append)
         env.run(until=0.5)  # one tick only
         kinds_seen = [r.op for r in received]
-        # 4 kinds x 4 slices, round-robin: the first 4 ops differ.
-        assert len(received) == 16
+        # 4 kinds x INTERLEAVE slices, round-robin: the first 4 ops differ.
+        assert len(received) == 4 * INTERLEAVE
         assert len(set(kinds_seen[:4])) == 4
-
-    def test_invalid_interleave(self, env, small_trace):
-        with pytest.raises(ConfigError):
-            ReplayDriver(env, TraceReplayer(small_trace), lambda r: None, interleave=0)
 
     def test_per_kind_accounting(self, env, small_trace):
         rep = TraceReplayer(small_trace, acceleration=60.0, rate_scale=1.0)
