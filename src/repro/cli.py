@@ -29,6 +29,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
+from repro.errors import ConfigError, ReproError
 from repro.runner import ARTEFACTS, GRIDS, SweepRunner, grid, resolve
 
 __all__ = ["main", "build_parser"]
@@ -252,6 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     check = policy_sub.add_parser("check", help="parse and summarise a config")
     check.add_argument("path", help="JSON configuration file")
 
+    for command, run in (
+        (gen, _cmd_trace_generate), (stats, _cmd_trace_stats),
+        (trun, _cmd_trace_run), (exp, _cmd_experiment), (abl, _cmd_ablation),
+        (sweep, _cmd_sweep), (sharded, _cmd_sharded), (lint, _cmd_lint),
+        (serve, _cmd_serve), (stage_host, _cmd_stage_host), (check, _cmd_policy_check),
+    ):
+        command.set_defaults(run=run)
     return parser
 
 
@@ -300,7 +308,6 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
 def _cmd_trace_run(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigError
     from repro.telemetry import (
         render_controller_timeline,
         render_waterfall,
@@ -314,22 +321,16 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         if out_dir.exists() and not out_dir.is_dir():
-            print(f"error: --out {args.out!r} exists and is not a directory",
-                  file=sys.stderr)
-            return 2
-    try:
-        traced = run_traced_fig4(
-            args.target,
-            seed=args.seed,
-            duration=args.duration,
-            step_period=args.step_period,
-            drain_tail=args.drain_tail,
-            sample_rate=args.sample_rate,
-            trace=True,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+    traced = run_traced_fig4(
+        args.target,
+        seed=args.seed,
+        duration=args.duration,
+        step_period=args.step_period,
+        drain_tail=args.drain_tail,
+        sample_rate=args.sample_rate,
+        trace=True,
+    )
     print(
         f"fig4 [{args.target}] seed {args.seed}: sampled "
         f"{traced.sampled_traces} trace(s), {traced.span_count} span(s), "
@@ -423,19 +424,13 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigError
-
     cells = grid(args.grid, seed=args.seed, quick=args.quick)
-    try:
-        runner = SweepRunner(
-            jobs=args.jobs,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            use_cache=not args.no_cache,
-        )
-        outcomes = runner.run(cells)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    runner = SweepRunner(
+        jobs=args.jobs,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        use_cache=not args.no_cache,
+    )
+    outcomes = runner.run(cells)
     width = max(len(o.cell.name) for o in outcomes)
     for outcome in outcomes:
         status = "cached" if outcome.cached else "computed"
@@ -444,24 +439,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sharded(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.experiments.fig4_sharded import run_fig4_sharded
 
-    try:
-        result = run_fig4_sharded(
-            seed=args.seed,
-            n_jobs=args.jobs,
-            stages_per_job=args.stages_per_job,
-            n_racks=args.racks,
-            n_shards=args.shards,
-            clients_per_stage=args.clients_per_stage,
-            duration=args.duration,
-            step_period=args.step_period,
-            placement=args.placement,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_fig4_sharded(
+        seed=args.seed,
+        n_jobs=args.jobs,
+        stages_per_job=args.stages_per_job,
+        n_racks=args.racks,
+        n_shards=args.shards,
+        clients_per_stage=args.clients_per_stage,
+        duration=args.duration,
+        step_period=args.step_period,
+        placement=args.placement,
+    )
     if args.digest_only:
         print(result.digest())
         return 0
@@ -486,7 +476,6 @@ def _cmd_sharded(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigError
     from repro.lint import (
         lint_paths,
         load_config,
@@ -495,11 +484,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_text,
     )
 
-    try:
-        result = lint_paths([Path(p) for p in args.paths] or None, load_config())
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = lint_paths([Path(p) for p in args.paths] or None, load_config())
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
@@ -510,7 +495,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_policy_check(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.core.config import load_config
 
     try:
@@ -541,7 +525,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import time as _time
 
-    from repro.errors import ConfigError
     from repro.service import (
         OperatorServer,
         ServiceConfig,
@@ -549,18 +532,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_service_config,
     )
 
-    try:
-        config = (
-            load_service_config(args.config) if args.config else ServiceConfig()
-        )
-        if config.admin_token is None:
-            # The secret stays off argv (``ps`` shows argv to every user).
-            admin_token = os.environ.get("PADLL_ADMIN_TOKEN") or None
-            config = dataclasses.replace(config, admin_token=admin_token)
-        runtime = ServiceRuntime(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_service_config(args.config) if args.config else ServiceConfig()
+    if config.admin_token is None:
+        # The secret stays off argv (``ps`` shows argv to every user).
+        admin_token = os.environ.get("PADLL_ADMIN_TOKEN") or None
+        config = dataclasses.replace(config, admin_token=admin_token)
+    runtime = ServiceRuntime(config)
     server = OperatorServer(runtime, config.host, config.port)
 
     def on_signal(signum, frame) -> None:
@@ -618,19 +595,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_stage_host(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.errors import ReproError
     from repro.service.stagehost import StageHost
 
     host, _, port_text = args.connect.rpartition(":")
     if not host or not port_text.isdigit():
-        print(f"stage-host: --connect must be HOST:PORT, got {args.connect!r}")
-        return 2
+        raise ConfigError(f"--connect must be HOST:PORT, got {args.connect!r}")
     stage_ids = [part.strip() for part in args.stages.split(",") if part.strip()]
-    try:
-        stage_host = StageHost(args.host_id, stage_ids, seed=args.seed)
-    except ReproError as exc:
-        print(f"stage-host: {exc}")
-        return 2
+    stage_host = StageHost(args.host_id, stage_ids, seed=args.seed)
 
     def on_signal(signum, frame) -> None:
         stage_host.request_stop()
@@ -660,27 +631,11 @@ def _cmd_stage_host(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "trace":
-            if args.trace_command == "generate":
-                return _cmd_trace_generate(args)
-            if args.trace_command == "run":
-                return _cmd_trace_run(args)
-            return _cmd_trace_stats(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "sharded":
-            return _cmd_sharded(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "stage-host":
-            return _cmd_stage_host(args)
-        if args.command == "policy":
-            return _cmd_policy_check(args)
-        return _cmd_ablation(args)
+        return args.run(args)
+    except ReproError as exc:
+        # A refused input -- a missing or malformed file, a bad setting.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager that quit early (e.g. `| head`).
         return 0

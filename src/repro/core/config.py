@@ -48,7 +48,10 @@ from repro.core.policies import (
 )
 from repro.core.requests import OperationClass, OperationType
 
-__all__ = ["ChannelSpec", "PadllConfig", "load_config", "parse_config", "parse_policy"]
+__all__ = [
+    "ChannelSpec", "PadllConfig", "load_config", "parse_config", "parse_policy",
+    "read_json",
+]
 
 _CLASS_ALIASES: Mapping[str, OperationClass] = {
     "data": OperationClass.DATA,
@@ -302,13 +305,18 @@ def parse_config(doc: Mapping[str, Any]) -> PadllConfig:
     )
 
 
-def load_config(path: Union[str, Path]) -> PadllConfig:
-    """Load and parse a JSON configuration file."""
+def read_json(path: Union[str, Path], what: str = "JSON") -> Any:
+    """The document in JSON file ``path``; a missing file or invalid JSON
+    is a :class:`ConfigError` naming ``what`` the file holds and its path."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(doc)
+        raise ConfigError(f"invalid {what} in {path}: {exc}") from None
+
+
+def load_config(path: Union[str, Path]) -> PadllConfig:
+    """Load and parse a JSON configuration file."""
+    return parse_config(read_json(path))

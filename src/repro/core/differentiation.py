@@ -64,10 +64,16 @@ def _normalise_prefix(prefix: str) -> str:
     return prefix or "/"
 
 
-def _path_matches(path: str, prefix: str) -> bool:
-    if prefix == "/":
-        return path.startswith("/")
-    return path == prefix or path.startswith(prefix + "/")
+def _under(path: str, pairs: tuple[tuple[str, str], ...]) -> bool:
+    """True when ``path`` lies under a prefix of ``pairs``, each a
+    normalised ``(prefix, prefix + "/")``."""
+    for prefix, slashed in pairs:
+        if prefix == "/":
+            if path.startswith("/"):
+                return True
+        elif path == prefix or path.startswith(slashed):
+            return True
+    return False
 
 
 def _dirname(path: str) -> str:
@@ -137,17 +143,7 @@ class ClassifierRule:
         if self.job_ids is not None and request.job_id not in self.job_ids:
             return False
         pairs = self._prefix_pairs
-        if pairs is not None:
-            path = request.path
-            for prefix, slashed in pairs:
-                if prefix == "/":
-                    if path.startswith("/"):
-                        break
-                elif path == prefix or path.startswith(slashed):
-                    break
-            else:
-                return False
-        return True
+        return pairs is None or _under(request.path, pairs)
 
 
 class Classifier:
@@ -270,15 +266,8 @@ class Classifier:
 
     def _classify_uncached(self, request: Request) -> Decision:
         path = request.path
-        if self._mount_pairs and path:
-            for mount, slashed in self._mount_pairs:
-                if mount == "/":
-                    if path.startswith("/"):
-                        break
-                elif path == mount or path.startswith(slashed):
-                    break
-            else:
-                return PASSTHROUGH
+        if self._mount_pairs and path and not _under(path, self._mount_pairs):
+            return PASSTHROUGH
         for rule in self._rules:
             if rule.matches(request):
                 return Decision(channel_id=rule.channel_id, rule_name=rule.name)

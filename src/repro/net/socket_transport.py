@@ -39,7 +39,8 @@ looks open.
 
 Handshake: both ends send a HELLO frame first and refuse the peer on a
 ``WIRE_VERSION`` mismatch (an ERROR frame is returned so the peer can
-log why, then the connection closes).
+log why, then the connection closes).  The peer's HELLO names it: an
+accepted connection keeps its dialer's name as :attr:`WireConnection.peer`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ class WireConnection:
         self._on_push = on_push
         self._on_close = on_close
         self.name = name
+        #: The name the peer's HELLO carried; None until it arrives.
+        self.peer: Optional[str] = None
         self.deadline = deadline
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -284,7 +287,7 @@ class WireConnection:
     def _handle_frame(self, frame) -> None:
         if not self._hello_seen.is_set():
             try:
-                check_hello(frame)
+                self.peer = str(check_hello(frame).get("peer", ""))
             except WireError as exc:
                 try:
                     self._send_frame(
@@ -535,15 +538,22 @@ class SocketTransport(InProcTransport):
 
         The new connection serves inbound requests from *this*
         transport's registry -- the reverse tunnel a stage host uses to
-        expose its stages to the controller it dialed.
+        expose its stages to the controller it dialed.  A failed dial is
+        an :class:`RPCError` naming the address, its socket closed.
         """
-        if path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(path)
-        else:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock = None
+        try:
+            if path is not None:
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(timeout)
+                sock.connect(path)
+            else:
+                sock = socket.create_connection((host, port), timeout=timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
+            raise RPCError(f"cannot dial {path or f'{host}:{port}'}: {exc}") from exc
         sock.settimeout(None)
         connection = WireConnection(
             sock,

@@ -19,7 +19,6 @@ Module map:
 
 from repro.service.audit import AuditLog, AuditRecord
 from repro.service.config import (
-    FaultSpec,
     ServiceConfig,
     WorkloadSpec,
     load_service_config,
@@ -34,7 +33,6 @@ __all__ = [
     "ADMIN_ACTIONS",
     "AuditLog",
     "AuditRecord",
-    "FaultSpec",
     "LiveWorkload",
     "OperatorServer",
     "SNAPSHOT_VERSION",

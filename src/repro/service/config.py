@@ -2,8 +2,9 @@
 
 One JSON document describes the whole long-running world: the HTTP
 listener, the control loop cadence, the telemetry knobs, the synthetic
-workload that keeps the loop fed in smoke environments, the fault
-profile of the control fabric, and -- optionally -- an embedded PADLL
+workload that keeps the loop fed in smoke environments, the control
+fabric's link profile (``faults``: a :class:`~repro.core.fabric.
+LinkProfile`), and -- optionally -- an embedded PADLL
 policy document (the same schema :mod:`repro.core.config` parses).
 It is ``serve``'s one source of world settings: no flag overrides a key.
 
@@ -29,19 +30,18 @@ of its own (an ``orphan.interval`` key is refused).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigError
-from repro.core.config import PadllConfig, parse_config
+from repro.core.config import PadllConfig, parse_config, read_json
+from repro.core.fabric import LinkProfile
 from repro.core.stage import OrphanPolicy
 from repro.pfs.client import PFS_MOUNT
 
 __all__ = [
-    "FaultSpec",
     "ServiceConfig",
     "WorkloadSpec",
     "job_of",
@@ -96,33 +96,6 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class FaultSpec:
-    """Control-fabric fault profile for the live loop.
-
-    ``loss`` drops collect/enforce RPCs (seeded, deterministic draw
-    order); ``latency``/``jitter`` stall the endpoint handler on the
-    loop thread -- controller lag, the paper's section VI concern.
-    Partitions are scripted at runtime through the fabric itself.
-    """
-
-    loss: float = 0.0
-    latency: float = 0.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss <= 1.0:
-            raise ConfigError(f"fault loss must be in [0, 1], got {self.loss}")
-        if self.latency < 0:
-            raise ConfigError(f"fault latency must be >= 0, got {self.latency}")
-        if self.jitter < 0:
-            raise ConfigError(f"fault jitter must be >= 0, got {self.jitter}")
-
-    @property
-    def active(self) -> bool:
-        return self.loss > 0 or self.latency > 0 or self.jitter > 0
-
-
-@dataclass(frozen=True, slots=True)
 class ServiceConfig:
     """Everything ``padll-repro serve`` needs to stand up a live world."""
 
@@ -141,7 +114,11 @@ class ServiceConfig:
     capacity: float = 400.0
     channel: str = "metadata"
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    faults: FaultSpec = field(default_factory=FaultSpec)
+    #: The control fabric's link: ``loss`` drops collect / enforce RPCs
+    #: (seeded draws); ``latency`` / ``jitter`` stall each stage's
+    #: endpoint on the loop thread -- live controller lag.  Partitions
+    #: are scripted at runtime through the fabric itself.
+    faults: LinkProfile = field(default_factory=LinkProfile)
     orphan: Optional[OrphanPolicy] = None
     padll: Optional[PadllConfig] = None
     #: Audit RingLog capacity.
@@ -263,9 +240,4 @@ def parse_service_config(doc: Mapping[str, Any]) -> ServiceConfig:
 
 def load_service_config(path: Union[str, Path]) -> ServiceConfig:
     """Load a service config JSON file."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid service config JSON in {path}: {exc}") from exc
-    return parse_service_config(doc)
+    return parse_service_config(read_json(path, "service config JSON"))

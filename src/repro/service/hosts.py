@@ -98,7 +98,6 @@ class HostSupervisor:
         self._clock = clock
         self._telemetry = telemetry
         self._stop = threading.Event()
-        self._lock = threading.Lock()
         spec = config.workload
         self._children: List[_Child] = []
         for index, stage_ids in enumerate(
@@ -115,18 +114,11 @@ class HostSupervisor:
 
     def _argv(self, host_id: str, stage_ids: Sequence[str], index: int) -> List[str]:
         return [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "stage-host",
-            "--connect",
-            f"{self.control_address()}",
-            "--host-id",
-            host_id,
-            "--stages",
-            ",".join(stage_ids),
-            "--seed",
-            str(self._config.seed ^ (index * 0x9E3779B1)),
+            sys.executable, "-m", "repro.cli", "stage-host",
+            "--connect", self.control_address(),
+            "--host-id", host_id,
+            "--stages", ",".join(stage_ids),
+            "--seed", str(self._config.seed ^ (index * 0x9E3779B1)),
         ]
 
     def control_address(self) -> str:
@@ -168,9 +160,7 @@ class HostSupervisor:
     def _monitor_loop(self) -> None:
         while not self._stop.wait(_POLL_INTERVAL):
             now = self._clock()
-            with self._lock:
-                children = list(self._children)
-            for child in children:
+            for child in self._children:
                 process = child.process
                 if process is None:
                     continue

@@ -14,11 +14,12 @@ Concurrency contract (pinned by ``tests/service/test_concurrent_scrape.py``):
 * the **loop thread is the single writer** of control-plane state;
 * server threads **read** through copies -- ``RingLog.snapshot``,
   ``list(events)``, ``list(spans)`` -- never through live iterators;
-* admin verbs that mutate the controller are **queued** and applied by
-  the loop thread after its next tick (the ``on_tick`` hook), so a POST
-  can never race ``tick()``.  Verbs that touch only thread-safe state
-  (sampling rate, shutdown flag) apply synchronously, as does the whole
-  queue when no loop is running (then there is no writer to race).
+* admin verbs that mutate the controller, and wire events from stage
+  hosts, go through **one queue** the loop thread drains after each
+  tick (the ``on_tick`` hook), so neither a POST nor a reader thread can
+  race ``tick()``.  Verbs that touch only thread-safe state (sampling
+  rate, shutdown flag) apply synchronously, as does all work when no
+  loop is running (then there is no writer to race).
 
 Wherever they run, stages are built by :func:`~repro.service.stagehost.
 build_stages` from the config's ``StageLayout`` and join the controller
@@ -27,11 +28,12 @@ through :meth:`ServiceRuntime._register`.  Out-of-process mode
 :class:`~repro.net.SocketTransport` and moves every stage into supervised
 ``padll-repro stage-host`` children (:mod:`repro.service.hosts`).  Hosts
 dial in, ask for the layout (answered on the reader thread), then PUSH
-registrations and telemetry; both land on reader threads and are
-*queued* onto ``_control_queue``, applied by the same loop thread as
-admin verbs -- one writer, regardless of where the stages live.  A
-closed connection queues the eviction of everything registered over it;
-a respawned host re-registers under the same ids (takeover).
+registrations and telemetry (documents :mod:`repro.service.stagehost`
+builds and reads); both land on reader threads and join the admin
+verbs' queue -- one writer, regardless of where the stages live.  A host
+is one entry per connection, named by its HELLO.  A closed connection
+queues the eviction of everything registered over it; a respawned host
+re-registers under the same ids (takeover).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from pathlib import Path
 
@@ -61,7 +63,9 @@ from repro.service.config import ServiceConfig
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.sinks import JsonlSink, SinkedEventLog
 from repro.service.snapshot import build_snapshot, filter_events, filter_spans
-from repro.service.stagehost import LAYOUT_ADDRESS, StageLayout, build_stages
+from repro.service.stagehost import (
+    LAYOUT_ADDRESS, StageLayout, build_stages, read_push, sampling_push,
+)
 from repro.service.workload import LiveWorkload
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
@@ -71,7 +75,7 @@ from repro.telemetry.trace import Span
 __all__ = ["ServiceRuntime", "ADMIN_ACTIONS"]
 
 #: Admin verbs the service accepts, with the parameters each expects.
-#: Controller-mutating verbs are queued to the loop thread; the rest
+#: Controller-mutating verbs are run by the loop thread; the rest
 #: apply synchronously (they touch only thread-safe state).
 ADMIN_ACTIONS: Dict[str, str] = {
     "policy.set": "install or replace a constant-rate policy",
@@ -104,27 +108,36 @@ def _positive_rate(value: Any, action: str) -> float:
     return rate
 
 
-class _LaggedHandler:
-    """Endpoint shim stalling each delivery by a (seeded-jitter) delay.
+def _lagged(handler: Callable, link: LinkProfile, rng: random.Random) -> Callable:
+    """``handler`` behind a sleep of the link's latency plus seeded jitter.
 
     Live controller lag: the loop thread sleeps inside the RPC, so
-    enforcement cycles stretch -- the fabric's deterministic latency
-    model mapped onto wall time without the fabric itself ever sleeping.
+    enforcement cycles stretch, while the fabric (with no engine to defer
+    on) never sleeps and draws nothing for latency.
     """
 
-    def __init__(self, handler, latency: float, jitter: float, rng) -> None:
-        self._handler = handler
-        self._latency = latency
-        self._jitter = jitter
-        self._rng = rng
-
-    def __call__(self, message):
-        delay = self._latency
-        if self._jitter > 0:
-            delay += self._jitter * self._rng.random()
+    def lagged(message):
+        delay = link.latency
+        if link.jitter > 0:
+            delay += link.jitter * rng.random()
         if delay > 0:
             time.sleep(delay)
-        return self._handler(message)
+        return handler(message)
+
+    return lagged
+
+
+@dataclass(slots=True)
+class _Host:
+    """One stage host, per connection: the name its HELLO carried, the
+    stages it registered, and the last metric absolutes (so a respawned
+    host, a new connection, counts from zero) and workload counters it
+    pushed."""
+
+    name: str
+    stages: Set[str]
+    last: Dict[tuple, Any]
+    workload: Optional[Mapping[str, float]]
 
 
 class ServiceRuntime:
@@ -143,26 +156,18 @@ class ServiceRuntime:
         self.clock = clock
         self._shutdown = threading.Event()
         self._shutdown_reason: Optional[str] = None
-        #: Controller mutations queued for the loop thread.
-        self._pending: deque = deque()
-        #: Wire-originated mutations (register/evict/telemetry merge)
-        #: queued for the loop thread; unlike ``_pending`` these carry no
-        #: audit sequence -- they are infrastructure, not operator verbs.
-        self._control_queue: deque = deque()
+        #: Controller mutations -- admin verbs and wire events -- waiting
+        #: for the loop thread (:meth:`_submit`).
+        self._queue: deque = deque()
         self.stages: List[LiveStage] = []
         self.workload: Optional[LiveWorkload] = None
         #: Out-of-process state (``stage_procs > 0``): the listening
-        #: socket transport, the host supervisor, and the per-connection
-        #: bookkeeping that drives eviction and telemetry merging.
+        #: socket transport, the host supervisor, and one entry per host
+        #: connection.
         self.transport: Optional[SocketTransport] = None
         self.hosts = None
         self.control_address: Optional[tuple] = None
-        self._remote_stages: Dict[WireConnection, set] = {}
-        self._remote_hosts: Dict[WireConnection, str] = {}
-        #: Last absolute each connection reported, per (metric, labels);
-        #: dropped with the connection, so a restarted host counts from 0.
-        self._remote_last: Dict[WireConnection, Dict[tuple, Any]] = {}
-        self._remote_workload: Dict[str, Dict[str, float]] = {}
+        self._hosts: Dict[WireConnection, _Host] = {}
         self._audit_sink: Optional[JsonlSink] = None
         self._event_sink: Optional[JsonlSink] = None
         if self.config.audit_dir is not None:
@@ -221,7 +226,6 @@ class ServiceRuntime:
 
     def _build_world(self) -> None:
         config = self.config
-        faults = config.faults
         #: What every stage is built from, here or in a stage host.
         self._layout = StageLayout.from_config(config)
         self._lag_rng = random.Random(config.seed)
@@ -236,7 +240,7 @@ class ServiceRuntime:
             )
             self.transport = transport
             # Read per request (reader thread): ``telemetry.sampling`` swaps it.
-            transport.bind(LAYOUT_ADDRESS, lambda host_id: self._layout.to_wire())
+            transport.bind(LAYOUT_ADDRESS, lambda _: self._layout.to_wire())
             self.control_address = transport.listen(
                 config.control_host,
                 config.control_port,
@@ -244,7 +248,7 @@ class ServiceRuntime:
                 on_close=self._on_wire_close,
             )
         self.fabric = FaultyFabric(
-            link=LinkProfile(loss=faults.loss),
+            link=config.faults,
             seed=config.seed,
             telemetry=self.telemetry,
             clock=self.clock,
@@ -279,7 +283,7 @@ class ServiceRuntime:
             if spec.rate > 0:
                 self.workload = LiveWorkload(self.stages, spec, seed=config.seed)
         self.loop = LiveControlLoop(
-            self.controller, clock=self.clock, on_tick=self._on_tick
+            self.controller, clock=self.clock, on_tick=lambda now: self._drain()
         )
 
     def _register(self, identity: StageIdentity, handler: Callable) -> None:
@@ -287,9 +291,7 @@ class ServiceRuntime:
         behind the lag shim when the fault profile asks for controller lag."""
         faults = self.config.faults
         if faults.latency > 0 or faults.jitter > 0:
-            handler = _LaggedHandler(
-                handler, faults.latency, faults.jitter, self._lag_rng
-            )
+            handler = _lagged(handler, faults, self._lag_rng)
         self.controller.register_endpoint(identity, handler, now=self.clock())
 
     # -- lifecycle -----------------------------------------------------------
@@ -314,10 +316,9 @@ class ServiceRuntime:
             self.workload.stop(timeout)
         if self.loop is not None:
             error = self.loop.drain(timeout)
-        # The loop thread is gone: applying the remaining queues here
-        # cannot race anything, and no admin action is silently lost.
-        self._apply_control_queue()
-        self._apply_pending()
+        # The loop thread is gone: draining the queue here cannot race
+        # anything, and no admin action is silently lost.
+        self._drain()
         if self.transport is not None:
             self.transport.close()
         for sink in (self._audit_sink, self._event_sink):
@@ -336,47 +337,70 @@ class ServiceRuntime:
     def wait_for_shutdown(self, timeout: Optional[float] = None) -> bool:
         return self._shutdown.wait(timeout)
 
-    # -- remote stages (out-of-process mode) ---------------------------------
-    def _on_wire_push(self, connection: WireConnection, doc: Any) -> None:
-        """PUSH frames from stage hosts (reader threads): queue, don't apply."""
-        if not isinstance(doc, Mapping):
-            return
-        kind = doc.get("kind")
-        if kind == "register":
-            self._queue_control(lambda: self._register_remote(connection, doc))
-        elif kind == "telemetry":
-            self._queue_control(lambda: self._merge_remote(connection, doc))
+    # -- the loop thread's queue ---------------------------------------------
+    def _submit(self, work: Callable[[], None]) -> bool:
+        """Run ``work`` as the controller's one writer: queued for the end
+        of the loop's next tick (False), or now, after what was queued
+        before it, when no loop runs (True).  ``work`` reports its own
+        failure: a verb in the audit trail, a wire event as a
+        ``control.remote_error`` event."""
+        if self.loop is not None and self.loop.running:
+            self._queue.append(work)
+            return False
+        self._drain()
+        work()
+        return True
 
-    def _on_wire_close(self, connection: WireConnection) -> None:
-        self._queue_control(lambda: self._evict_connection(connection))
-
-    def _queue_control(self, thunk: Callable[[], None]) -> None:
-        self._control_queue.append(thunk)
-        if self.loop is None or not self.loop.running:
-            # No loop thread to race (embedders, tests, post-drain).
-            self._apply_control_queue()
-
-    def _apply_control_queue(self) -> None:
+    def _drain(self) -> None:
         while True:
             try:
-                thunk = self._control_queue.popleft()
+                work = self._queue.popleft()
             except IndexError:
                 return
             try:
-                thunk()
+                work()
+            except ReproError:
+                pass  # audited by the verb itself; the queue goes on
+
+    # -- remote stages (out-of-process mode) ---------------------------------
+    def _on_wire_push(self, connection: WireConnection, doc: Any) -> None:
+        """PUSH frames from stage hosts (reader threads): queue, don't apply."""
+        read_push(
+            doc,
+            register=lambda identity: self._wire(
+                self._register_remote, connection, identity
+            ),
+            telemetry=lambda *push: self._wire(self._merge_remote, connection, *push),
+        )
+
+    def _on_wire_close(self, connection: WireConnection) -> None:
+        self._wire(self._evict_connection, connection)
+
+    def _wire(self, apply: Callable[..., None], *args: Any) -> None:
+        def work() -> None:
+            try:
+                apply(*args)
             except ReproError as exc:
                 self.telemetry.events.emit(
                     "control.remote_error", self.clock(), error=str(exc)
                 )
 
-    def _register_remote(self, connection: WireConnection, doc: Mapping) -> None:
-        identity = doc.get("stage")
-        host = str(doc.get("host", ""))
-        if not isinstance(identity, StageIdentity):
+        self._submit(work)
+
+    def _host(self, connection: WireConnection) -> _Host:
+        host = self._hosts.get(connection)
+        if host is None:
+            host = self._hosts[connection] = _Host(connection.peer, set(), {}, None)
+        return host
+
+    def _register_remote(
+        self, connection: WireConnection, identity: Optional[StageIdentity]
+    ) -> None:
+        if identity is None:
             self.telemetry.events.emit(
                 "host.register_refused",
                 self.clock(),
-                host=host,
+                host=connection.peer,
                 reason="missing stage identity",
             )
             return
@@ -386,15 +410,15 @@ class ServiceRuntime:
             # Takeover: a respawned host re-registers under the same id
             # before (or instead of) the old connection's eviction.
             self.controller.deregister(stage_id)
-            for stages in self._remote_stages.values():
-                stages.discard(stage_id)
+            for other in self._hosts.values():
+                other.stages.discard(stage_id)
 
         self._register(identity, RemoteEndpoint(connection, stage_id, None))
-        self._remote_stages.setdefault(connection, set()).add(stage_id)
-        self._remote_hosts[connection] = host
-        self.telemetry.registry.gauge("padll_remote_host_up", host=host).set(1)
+        host = self._host(connection)
+        host.stages.add(stage_id)
+        self.telemetry.registry.gauge("padll_remote_host_up", host=host.name).set(1)
         self.telemetry.events.emit(
-            "host.register", now, host=host, stage=stage_id
+            "host.register", now, host=host.name, stage=stage_id
         )
 
     def _evict_connection(self, connection: WireConnection) -> None:
@@ -403,13 +427,11 @@ class ServiceRuntime:
         Idempotent -- the monitor's respawn and the socket close can both
         land here, and a takeover may already have moved a stage.
         """
-        stages = self._remote_stages.pop(connection, set())
-        host = self._remote_hosts.pop(connection, "")
-        self._remote_last.pop(connection, None)
-        if not stages:
+        host = self._hosts.pop(connection, None)
+        if host is None or not host.stages:
             return
         now = self.clock()
-        for stage_id in sorted(stages):
+        for stage_id in sorted(host.stages):
             if stage_id in self.controller.stages:
                 try:
                     self.controller.deregister(stage_id)
@@ -418,57 +440,38 @@ class ServiceRuntime:
             self.telemetry.events.emit(
                 "host.evict",
                 now,
-                host=host,
+                host=host.name,
                 stage=stage_id,
                 reason="connection closed",
             )
-        self.telemetry.registry.gauge("padll_remote_host_up", host=host).set(0)
+        self.telemetry.registry.gauge("padll_remote_host_up", host=host.name).set(0)
 
-    def _merge_remote(self, connection: WireConnection, doc: Mapping) -> None:
+    def _merge_remote(
+        self, connection: WireConnection, metrics: Sequence[Any],
+        events: Sequence[Event], spans: Sequence[Span], workload: Optional[Mapping],
+    ) -> None:
         """Fold one host's telemetry push into this world's spine.
 
         Metrics ship as absolutes and merge as deltas against what the
         same *connection* last reported
         (:meth:`~repro.telemetry.registry.MetricsRegistry.merge_absolutes`),
         so ``/metrics`` aggregates across hosts and a restarted host -- a
-        new connection -- counts from zero.  Events and spans arrive in
-        their ``to_dict`` form and append verbatim.
+        new connection -- counts from zero.  Events and spans append
+        verbatim.
         """
-        host = str(doc.get("host", self._remote_hosts.get(connection, "")))
+        host = self._host(connection)
         registry = self.telemetry.registry
-        registry.merge_absolutes(
-            doc.get("metrics", ()), self._remote_last.setdefault(connection, {})
-        )
-        events = self.telemetry.events
-        for row in doc.get("events", ()):
-            event = Event.from_dict(row)
-            events.emit(event.kind, event.time, **event.fields)
+        registry.merge_absolutes(metrics, host.last)
+        for event in events:
+            self.telemetry.events.emit(event.kind, event.time, **event.fields)
         tracer = self.telemetry.tracer
         if tracer is not None:
-            tracer.spans.extend(Span.from_dict(row) for row in doc.get("spans", ()))
-        workload = doc.get("workload")
-        if workload:
-            self._remote_workload[host] = dict(workload)
-        registry.counter("padll_remote_pushes_total", host=host).inc()
+            tracer.spans.extend(spans)
+        if workload is not None:
+            host.workload = workload
+        registry.counter("padll_remote_pushes_total", host=host.name).inc()
 
     # -- admin plane ---------------------------------------------------------
-    def _on_tick(self, now: float) -> None:
-        self._apply_control_queue()
-        self._apply_pending()
-
-    def _apply_pending(self) -> None:
-        while True:
-            try:
-                seq, action, params, apply = self._pending.popleft()
-            except IndexError:
-                return
-            try:
-                apply()
-            except ReproError as exc:
-                self.audit.append(action, params, ok=False, error=str(exc), seq=seq)
-            else:
-                self.audit.append(action, params, ok=True, seq=seq)
-
     def admin(self, action: str, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Validate + route one admin verb; returns the HTTP-facing result.
 
@@ -484,19 +487,21 @@ class ServiceRuntime:
         except ReproError as exc:
             self.audit.append(action, params, ok=False, error=str(exc))
             raise
-        if action in _SYNC_ACTIONS or self.loop is None or not self.loop.running:
-            # No loop thread to race (or nothing loop-owned touched):
-            # apply inline so the caller sees the result immediately.
+        seq = self.audit.next_seq()
+
+        def audited() -> None:
             try:
                 apply()
             except ReproError as exc:
-                self.audit.append(action, params, ok=False, error=str(exc))
+                self.audit.append(action, params, ok=False, error=str(exc), seq=seq)
                 raise
-            record = self.audit.append(action, params, ok=True)
-            return {"applied": True, "seq": record.seq, "action": action}
-        seq = self.audit.next_seq()
-        self._pending.append((seq, action, params, apply))
-        return {"applied": False, "queued": True, "seq": seq, "action": action}
+            self.audit.append(action, params, ok=True, seq=seq)
+
+        if action in _SYNC_ACTIONS:
+            audited()  # nothing loop-owned touched: apply inline
+        elif not self._submit(audited):
+            return {"applied": False, "queued": True, "seq": seq, "action": action}
+        return {"applied": True, "seq": seq, "action": action}
 
     def _policy(
         self, action: str, params: Mapping[str, Any], rate: Any, **doc: Any
@@ -579,9 +584,9 @@ class ServiceRuntime:
                 # Remote stages are sampled by their host's tracer: tell the
                 # registered hosts, and answer later ones with the new rate.
                 self._layout = replace(self._layout, sample_rate=rate)
-                for connection in list(self._remote_hosts):
+                for connection in list(self._hosts):
                     try:
-                        connection.push({"kind": "sampling", "rate": rate})
+                        connection.push(sampling_push(rate))
                     except RPCError:
                         pass  # a dying link; its respawn asks for the layout
 
@@ -609,14 +614,14 @@ class ServiceRuntime:
             "metrics": len(list(self.telemetry.registry.items())),
         }
         if self.workload is not None:
-            workload: Optional[Dict[str, float]] = self.workload.counters()
-        elif self._remote_workload:
-            workload = {"threads": 0.0, "submitted": 0.0, "admitted": 0.0}
-            for counters in self._remote_workload.values():
-                for field_name in workload:
-                    workload[field_name] += float(counters.get(field_name, 0))
+            workload = self.workload.counters()
         else:
-            workload = None
+            # The connected hosts' counters; list() copies under the GIL.
+            workload = LiveWorkload.merge(
+                host.workload
+                for host in list(self._hosts.values())
+                if host.workload is not None
+            )
         return build_snapshot(
             self.clock(),
             controller=self.controller,

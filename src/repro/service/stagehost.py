@@ -17,7 +17,10 @@ dials out, binds its stage endpoints on its own
 enforce verbs arrive back over the same socket.  A telemetry pump
 thread periodically PUSHes this world's counters, events, and spans so
 the operator service's ``/metrics`` and span queries cover remote
-stages exactly like local ones.
+stages exactly like local ones.  This module owns both halves of the
+host protocol: the layout, and the push documents (:func:`read_push`
+and one builder per kind) that the host and the controller both go
+through.
 
 Losing the connection is fatal by design: the supervisor
 (:mod:`repro.service.hosts`) owns restarts, and a restarted host simply
@@ -33,7 +36,7 @@ import socket as socketlib
 import threading
 import time
 from dataclasses import astuple, dataclass
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError, RPCError
 from repro.core.config import ChannelSpec
@@ -46,9 +49,14 @@ from repro.net import SocketTransport, WireConnection
 from repro.pfs.client import PFS_MOUNT
 from repro.service.config import ServiceConfig, WorkloadSpec, job_of
 from repro.service.workload import LiveWorkload
+from repro.telemetry.events import Event
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
+from repro.telemetry.trace import Span
 
-__all__ = ["LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages"]
+__all__ = [
+    "LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages",
+    "read_push", "register_push", "sampling_push", "telemetry_push",
+]
 
 #: Period between telemetry pushes, seconds.
 PUSH_INTERVAL = 0.5
@@ -146,6 +154,65 @@ class StageLayout:
             raise ConfigError(f"malformed stage layout: {exc}") from exc
 
 
+# -- push documents ------------------------------------------------------------
+# The rest of the host protocol: the documents a host and its controller
+# PUSH to each other.  None names the host -- its connection's HELLO does
+# (``WireConnection.peer``).
+
+
+def register_push(identity: StageIdentity) -> Dict[str, Any]:
+    """Host -> controller: register one stage."""
+    return {"kind": "register", "stage": identity}
+
+
+def telemetry_push(
+    metrics: Sequence[Any], events: Sequence[Event], spans: Sequence[Span],
+    workload: Optional[Mapping[str, float]],
+) -> Dict[str, Any]:
+    """Host -> controller: the registry's absolutes, the events and spans
+    recorded since the last push, and the workload's counters (None when
+    no driver runs)."""
+    return {
+        "kind": "telemetry",
+        "metrics": metrics,
+        "events": [event.to_dict() for event in events],
+        "spans": [span.to_dict() for span in spans],
+        "workload": workload,
+    }
+
+
+def sampling_push(rate: float) -> Dict[str, Any]:
+    """Controller -> host: the admin plane's head-sampling rate."""
+    return {"kind": "sampling", "rate": rate}
+
+
+def read_push(doc: Any, **handlers: Callable[..., None]) -> None:
+    """Hand a push document's contents to the handler named by its kind.
+
+    ``register(identity)`` gets the :class:`StageIdentity`, or None when
+    the document carries none; ``telemetry(metrics, events, spans,
+    workload)`` gets :class:`Event` and :class:`Span` records;
+    ``sampling(rate)`` a float.  A document that is not a mapping, or
+    whose kind has no handler here, is ignored.
+    """
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    handler = handlers.get(kind) if isinstance(kind, str) else None
+    if handler is None:
+        return
+    if kind == "register":
+        identity = doc.get("stage")
+        handler(identity if isinstance(identity, StageIdentity) else None)
+    elif kind == "telemetry":
+        handler(
+            doc.get("metrics", ()),
+            [Event.from_dict(row) for row in doc.get("events", ())],
+            [Span.from_dict(row) for row in doc.get("spans", ())],
+            doc.get("workload") or None,
+        )
+    elif kind == "sampling":
+        handler(float(doc["rate"]))
+
+
 def build_stages(
     stage_ids: Sequence[str],
     layout: StageLayout,
@@ -222,7 +289,7 @@ class StageHost:
         )
         try:
             layout = StageLayout.from_wire(
-                self.connection.request(LAYOUT_ADDRESS, self.host_id)
+                self.connection.request(LAYOUT_ADDRESS, None)
             )
         except ReproError as exc:
             self.transport.close()
@@ -241,16 +308,8 @@ class StageHost:
             pid=os.getpid(),
         )
         for stage in self.stages:
-            stage_id = stage.identity.stage_id
-            self.transport.bind(stage_id, StageEndpoint(stage).handle)
-            self.connection.push(
-                {
-                    "kind": "register",
-                    "host": self.host_id,
-                    "address": stage_id,
-                    "stage": stage.identity,
-                }
-            )
+            self.transport.bind(stage.identity.stage_id, StageEndpoint(stage).handle)
+            self.connection.push(register_push(stage.identity))
         if layout.workload.rate > 0:
             self.workload = LiveWorkload(self.stages, layout.workload, seed=self._seed)
             self.workload.start()
@@ -258,10 +317,12 @@ class StageHost:
 
     def _on_push(self, connection: WireConnection, doc: Any) -> None:
         """PUSH frames from the controller: the admin plane's sampling rate."""
-        if isinstance(doc, Mapping) and doc.get("kind") == "sampling":
-            tracer = None if self.telemetry is None else self.telemetry.tracer
-            if tracer is not None:
-                tracer.sample_rate = float(doc["rate"])
+        read_push(doc, sampling=self._set_sampling)
+
+    def _set_sampling(self, rate: float) -> None:
+        tracer = None if self.telemetry is None else self.telemetry.tracer
+        if tracer is not None:
+            tracer.sample_rate = rate
 
     def _on_close(self, connection: WireConnection) -> None:
         self._disconnected.set()
@@ -324,16 +385,12 @@ class StageHost:
         tracer = self.telemetry.tracer
         spans = [] if tracer is None else tracer.spans
         span_end = len(spans)
-        doc = {
-            "kind": "telemetry",
-            "host": self.host_id,
-            "metrics": self.telemetry.registry.absolutes(),
-            "events": [event.to_dict() for event in events[:event_end]],
-            "spans": [span.to_dict() for span in spans[:span_end]],
-            "workload": (
-                None if self.workload is None else self.workload.counters()
-            ),
-        }
+        doc = telemetry_push(
+            self.telemetry.registry.absolutes(),
+            events[:event_end],
+            spans[:span_end],
+            None if self.workload is None else self.workload.counters(),
+        )
         try:
             connection.push(doc)
         except RPCError:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request
@@ -84,28 +84,17 @@ class LiveWorkload:
             _Driver(stage, spec, ops, seed ^ (index * 0x9E3779B1), self._stop)
             for index, stage in enumerate(stages)
         ]
-        self._started = False
-
-    @property
-    def running(self) -> bool:
-        return self._started and any(d.is_alive() for d in self._drivers)
 
     def start(self) -> None:
-        if self._started:
-            raise ConfigError("workload already started")
-        self._started = True
         for driver in self._drivers:
             driver.start()
 
-    def stop(self, timeout: float = 5.0) -> bool:
-        """Stop all drivers; True when every thread joined in time."""
+    def stop(self, timeout: float = 5.0) -> None:
+        """Stop all drivers, joining each within what is left of ``timeout``."""
         self._stop.set()
         deadline = time.monotonic() + timeout
-        clean = True
         for driver in self._drivers:
             driver.join(max(0.0, deadline - time.monotonic()))
-            clean = clean and not driver.is_alive()
-        return clean
 
     def counters(self) -> Dict[str, float]:
         return {
@@ -113,3 +102,15 @@ class LiveWorkload:
             "submitted": sum(d.submitted for d in self._drivers),
             "admitted": sum(d.admitted for d in self._drivers),
         }
+
+    @staticmethod
+    def merge(
+        reports: Iterable[Mapping[str, float]],
+    ) -> Optional[Dict[str, float]]:
+        """Sum several workloads' :meth:`counters` (a world's stage hosts);
+        None when there is no report."""
+        total: Dict[str, float] = {}
+        for counters in reports:
+            for name, value in counters.items():
+                total[name] = total.get(name, 0.0) + float(value)
+        return total or None

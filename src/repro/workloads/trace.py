@@ -22,6 +22,14 @@ from repro.errors import TraceFormatError
 __all__ = ["OpTrace"]
 
 
+def _open_trace(path: Path, **kwargs):
+    """Open a trace file for reading; a missing one is a TraceFormatError."""
+    try:
+        return path.open(**kwargs)
+    except FileNotFoundError:
+        raise TraceFormatError(f"trace file not found: {path}") from None
+
+
 class OpTrace:
     """Counts of each operation kind per sample period.
 
@@ -142,7 +150,7 @@ class OpTrace:
     @classmethod
     def load_csv(cls, path: Union[str, Path], sample_period: Optional[float] = None) -> "OpTrace":
         path = Path(path)
-        with path.open(newline="") as fh:
+        with _open_trace(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -191,7 +199,7 @@ class OpTrace:
     @classmethod
     def load_jsonl(cls, path: Union[str, Path]) -> "OpTrace":
         path = Path(path)
-        with path.open() as fh:
+        with _open_trace(path) as fh:
             try:
                 header = json.loads(fh.readline())
             except json.JSONDecodeError as exc:

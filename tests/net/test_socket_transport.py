@@ -10,6 +10,7 @@ mistaken for fresh replies).
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import threading
@@ -111,6 +112,14 @@ class TestRoundTrip:
         pair.transport.attach("ghost", accepted)
         with pytest.raises(StageNotRegistered, match="'ghost' not bound"):
             pair.transport.call("ghost", Ping())
+        worker.close()
+
+    def test_accepted_connection_keeps_the_dialers_hello_name(self, pair):
+        worker = SocketTransport()
+        dialed = worker.connect(pair.host, pair.port, name="host7")
+        accepted = pair.wait_accepted()
+        assert _wait(lambda: accepted.peer == "host7")
+        assert dialed.peer == accepted.name  # both ends learn the other's
         worker.close()
 
     def test_threads_join_on_close(self):
@@ -418,3 +427,31 @@ class TestReaderFailure:
         with pytest.raises(OSError):
             connection._sock.getpeername()  # the socket is closed, not leaked
         link.close()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestFailedDial:
+    """A dial that fails is an RPCError naming the address, socket closed."""
+
+    def test_refused_tcp_dial(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens there now
+        with pytest.raises(RPCError, match=f"cannot dial 127.0.0.1:{port}"):
+            SocketTransport().connect("127.0.0.1", port, timeout=2.0)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_missing_unix_path_closes_its_socket(self, tmp_path):
+        path = str(tmp_path / "nobody.sock")
+        transport = SocketTransport()
+        before = _open_fds()
+        for _ in range(3):
+            with pytest.raises(RPCError, match="cannot dial .*nobody.sock"):
+                transport.connect("", 0, path=path, timeout=2.0)
+        assert _open_fds() == before

@@ -11,9 +11,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.algorithms import ProportionalSharing
+from repro.core.fabric import LinkProfile
 from repro.core.stage import OrphanPolicy
 from repro.service.config import (
-    FaultSpec,
     ServiceConfig,
     WorkloadSpec,
     load_service_config,
@@ -29,7 +29,7 @@ class TestSpecs:
         assert config.host == "127.0.0.1"
         assert config.port == 9178
         assert config.workload.n_stages == 4
-        assert not config.faults.active
+        assert config.faults == LinkProfile()
         assert config.padll is None
 
     def test_staleness_threshold_derives_from_interval(self):
@@ -67,7 +67,16 @@ class TestSpecs:
     )
     def test_invalid_faults(self, kwargs):
         with pytest.raises(ConfigError):
-            FaultSpec(**kwargs)
+            parse_service_config({"faults": kwargs})
+
+    def test_faults_is_the_fabric_link_profile(self):
+        # The same three keys, parsed to the same values, handed whole to
+        # the fabric.
+        config = parse_service_config(
+            {"faults": {"loss": 0.05, "latency": 0.002, "jitter": 0.003}}
+        )
+        assert config.faults == LinkProfile(latency=0.002, jitter=0.003, loss=0.05)
+        assert parse_service_config({"faults": {"loss": 1}}).faults.loss == 1.0
 
 
 class TestParse:

@@ -16,6 +16,8 @@ from repro.errors import ConfigError
 from repro.service import ServiceConfig, ServiceRuntime, WorkloadSpec
 from repro.service.audit import AuditLog
 from repro.service.sinks import JsonlSink, SinkedEventLog, load_jsonl
+from repro.service.stagehost import telemetry_push
+from repro.telemetry.events import Event
 
 
 class TestJsonlSink:
@@ -134,7 +136,12 @@ class TestRuntimeIntegration:
             ServiceConfig(port=0, stage_procs=1, audit_dir=str(tmp_path))
         )
         merged = {"kind": "stage.adopted", "time": 4.0, "fields": {"stage": "j/s0"}}
-        runtime._merge_remote(object(), {"host": "host0", "events": [merged]})
+        class Link:  # an accepted connection: the name its HELLO carried
+            peer = "host0"
+
+        runtime._on_wire_push(
+            Link(), telemetry_push([], [Event.from_dict(merged)], [], None)
+        )
         runtime.stop()
         assert merged in load_jsonl(tmp_path / "events.jsonl")
         (event,) = runtime.telemetry.events.of_kind("stage.adopted")

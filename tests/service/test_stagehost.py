@@ -18,17 +18,28 @@ import time
 import pytest
 
 from repro.core.config import parse_config
+from repro.core.fabric import LinkProfile
 from repro.core.requests import OperationType
 from repro.core.rpc import CollectStats
-from repro.core.stage import OrphanPolicy
+from repro.core.stage import OrphanPolicy, StageIdentity
+from repro.core.wire import decode_payload, encode_payload
 from repro.errors import ConfigError, RPCError
 from repro.net import SocketTransport
-from repro.service.config import FaultSpec, ServiceConfig, WorkloadSpec, job_of
+from repro.service.config import ServiceConfig, WorkloadSpec, job_of
 from repro.service.hosts import HostSupervisor, partition_stages
 from repro.service.runtime import ServiceRuntime
 from repro.service import stagehost
-from repro.service.stagehost import LAYOUT_ADDRESS, StageHost, StageLayout
-from repro.telemetry.trace import Tracer
+from repro.service.stagehost import (
+    LAYOUT_ADDRESS,
+    StageHost,
+    StageLayout,
+    read_push,
+    register_push,
+    sampling_push,
+    telemetry_push,
+)
+from repro.telemetry.events import Event
+from repro.telemetry.trace import Span, Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -88,8 +99,20 @@ _DEFAULT_LAYOUT = StageLayout.from_config(
 ).to_wire()
 
 
+class _Telemetry:
+    """One telemetry push as :func:`read_push` hands it over."""
+
+    def __init__(self, peer, metrics, events, spans, workload):
+        self.peer = peer
+        self.metrics = metrics
+        self.events = events
+        self.spans = spans
+        self.workload = workload
+
+
 class _Controller:
-    """A listening controller-side transport capturing pushes.
+    """A listening controller-side transport reading pushes through
+    :func:`read_push`, each with the name its connection's HELLO carried.
 
     Answers the layout request with ``layout`` (``None`` binds nothing).
     """
@@ -97,9 +120,11 @@ class _Controller:
     def __init__(self, layout=_DEFAULT_LAYOUT):
         self.transport = SocketTransport()
         if layout is not None:
-            self.transport.bind(LAYOUT_ADDRESS, lambda host_id: layout)
+            self.transport.bind(LAYOUT_ADDRESS, lambda _: layout)
         self.accepted = []
-        self.pushed = []
+        #: ``(peer, identity)`` per register push.
+        self.registered = []
+        self.telemetry = []
         self._seen = threading.Event()
         self.host, self.port = self.transport.listen(
             "127.0.0.1",
@@ -113,7 +138,15 @@ class _Controller:
         self._seen.set()
 
     def _on_push(self, connection, doc):
-        self.pushed.append(doc)
+        read_push(
+            doc,
+            register=lambda identity: self.registered.append(
+                (connection.peer, identity)
+            ),
+            telemetry=lambda *push: self.telemetry.append(
+                _Telemetry(connection.peer, *push)
+            ),
+        )
 
     def wait_connected(self, timeout=5.0):
         assert self._seen.wait(timeout), "host never dialed in"
@@ -140,32 +173,21 @@ class TestStageHostLive:
         try:
             host.start(controller.host, controller.port)
             connection = controller.wait_connected()
-            assert _wait(
-                lambda: len(
-                    [d for d in controller.pushed if d["kind"] == "register"]
-                )
-                == 2
-            )
-            registers = [
-                d for d in controller.pushed if d["kind"] == "register"
-            ]
-            assert {d["address"] for d in registers} == {"job0/s0", "job1/s0"}
-            for doc in registers:
-                assert doc["host"] == "hostA"
-                assert doc["stage"].stage_id == doc["address"]
-                assert doc["stage"].job_id == job_of(doc["address"])
-                assert doc["stage"].pid > 0
+            # The host's name is its HELLO's; no push repeats it.
+            assert connection.peer == "hostA"
+            assert _wait(lambda: len(controller.registered) == 2)
+            assert {
+                identity.stage_id for _, identity in controller.registered
+            } == {"job0/s0", "job1/s0"}
+            for peer, identity in controller.registered:
+                assert peer == "hostA"
+                assert identity.job_id == job_of(identity.stage_id)
+                assert identity.pid > 0
             # The pump ships counters periodically without being asked.
-            assert _wait(
-                lambda: any(
-                    d["kind"] == "telemetry" for d in controller.pushed
-                )
-            )
-            push = next(
-                d for d in controller.pushed if d["kind"] == "telemetry"
-            )
-            assert push["host"] == "hostA"
-            assert push["workload"] is None  # no driver configured
+            assert _wait(lambda: controller.telemetry)
+            push = controller.telemetry[0]
+            assert push.peer == "hostA"
+            assert push.workload is None  # no driver configured
             # The controller can call back over the reverse tunnel.
             controller.transport.attach("job0/s0", connection)
             stats = controller.transport.call(
@@ -209,21 +231,15 @@ class TestStageHostLive:
             host.start(controller.host, controller.port)
             controller.wait_connected()
             assert _wait(
-                lambda: any(
-                    d["kind"] == "telemetry" and d["workload"]
-                    for d in controller.pushed
-                )
+                lambda: any(push.workload for push in controller.telemetry)
             )
             assert host.workload.spec == workload
         finally:
             host.stop()
             controller.close()
-        doc = next(
-            d
-            for d in controller.pushed
-            if d["kind"] == "telemetry" and d["workload"]
-        )
-        assert doc["workload"].get("submitted", 0) >= 0
+        push = next(push for push in controller.telemetry if push.workload)
+        assert push.workload["threads"] == 1
+        assert push.workload["submitted"] >= push.workload["admitted"] >= 0
 
 
 def _proc_config(**kwargs):
@@ -415,7 +431,7 @@ class TestOneLayout:
 
     def test_controller_lag_applies_to_remote_stages(self):
         runtime = ServiceRuntime(
-            _layout_config(stage_procs=1, faults=FaultSpec(latency=0.05))
+            _layout_config(stage_procs=1, faults=LinkProfile(latency=0.05))
         )
         host = None
         try:
@@ -559,37 +575,137 @@ class TestSamplingReachesHosts:
             runtime.stop()
 
 
+class _Link:
+    """Stands in for an accepted connection: the name its HELLO carried."""
+
+    def __init__(self, peer):
+        self.peer = peer
+
+
+def _telemetry(value, workload=None):
+    """One host's telemetry push: its stage's throttled-ops absolute."""
+    metrics = [
+        ["padll_live_throttled_ops_total", [["stage", "job0/s0"]], "counter", value]
+    ]
+    return telemetry_push(metrics, [], [], workload)
+
+
 class TestRestartedHostCounters:
     def test_new_connection_counts_from_zero_and_old_keys_go(self):
         runtime = ServiceRuntime(_proc_config(stage_procs=1))
         try:
-            first, second = object(), object()
-
-            def push(connection, value):
-                runtime._merge_remote(
-                    connection,
-                    {
-                        "host": "host0",
-                        "metrics": [
-                            ["padll_live_throttled_ops_total",
-                             [["stage", "job0/s0"]], "counter", value]
-                        ],
-                    },
-                )
-
-            push(first, 30.0)
-            runtime._evict_connection(first)
-            assert first not in runtime._remote_last
+            first, second = _Link("host0"), _Link("host0")
+            runtime._on_wire_push(first, _telemetry(30.0))
+            runtime._on_wire_close(first)
+            assert first not in runtime._hosts
             # The respawned process has already passed its predecessor's total.
-            push(second, 60.0)
+            runtime._on_wire_push(second, _telemetry(60.0))
             counter = runtime.telemetry.registry.counter(
                 "padll_live_throttled_ops_total", stage="job0/s0"
             )
             assert counter.value == 90.0
-            push(second, 75.0)
+            runtime._on_wire_push(second, _telemetry(75.0))
             assert counter.value == 105.0
-            assert list(runtime._remote_last) == [second]
+            assert list(runtime._hosts) == [second]
+            pushes = runtime.telemetry.registry.counter(
+                "padll_remote_pushes_total", host="host0"
+            )
+            assert pushes.value == 3
         finally:
+            runtime.stop()
+
+
+class TestPushDocuments:
+    """stagehost owns the push documents: one builder per kind, one reader."""
+
+    def _read(self, doc):
+        got = []
+        read_push(
+            decode_payload(encode_payload(doc)),  # as the wire hands it over
+            register=lambda *body: got.append(("register", body)),
+            telemetry=lambda *body: got.append(("telemetry", body)),
+            sampling=lambda *body: got.append(("sampling", body)),
+        )
+        return got
+
+    def test_round_trip(self):
+        identity = StageIdentity("job0/s0", "job0", hostname="n1", pid=42)
+        assert self._read(register_push(identity)) == [("register", (identity,))]
+        assert self._read(sampling_push(0.25)) == [("sampling", (0.25,))]
+        metrics = [["padll_x_total", [["stage", "job0/s0"]], "counter", 3.0]]
+        event = Event("stage.adopted", 4.0, {"stage": "job0/s0"})
+        span = Span("t1", "admit", 1.0, 1.5, {"stage": "job0/s0"})
+        workload = {"threads": 1, "submitted": 9, "admitted": 7}
+        [(kind, body)] = self._read(telemetry_push(metrics, [event], [span], workload))
+        assert kind == "telemetry"
+        got_metrics, (got_event,), (got_span,), got_workload = body
+        assert got_metrics == metrics
+        assert got_event.to_dict() == event.to_dict()
+        assert got_span.to_dict() == span.to_dict()
+        assert got_workload == workload
+
+    def test_no_document_names_its_host(self):
+        identity = StageIdentity("job0/s0", "job0")
+        for doc in (
+            register_push(identity),
+            telemetry_push([], [], [], None),
+            sampling_push(1.0),
+        ):
+            assert set(doc) & {"host", "address"} == set()
+
+    @pytest.mark.parametrize(
+        "doc", ["garbage", None, [1, 2], {"kind": "bogus"}, {"kind": ["register"]}]
+    )
+    def test_hostile_documents_are_ignored(self, doc):
+        runtime = ServiceRuntime(_proc_config(stage_procs=1))
+        try:
+            events = len(runtime.telemetry.events.events)
+            runtime._on_wire_push(_Link("host0"), doc)
+            assert len(runtime.telemetry.events.events) == events
+            assert runtime._hosts == {}
+        finally:
+            runtime.stop()
+
+    def test_missing_identity_is_refused_naming_the_hello(self):
+        runtime = ServiceRuntime(_proc_config(stage_procs=1))
+        try:
+            runtime._on_wire_push(_Link("host7"), {"kind": "register"})
+            (event,) = runtime.telemetry.events.of_kind("host.register_refused")
+            assert event.fields == {
+                "host": "host7", "reason": "missing stage identity"
+            }
+            assert runtime.controller.stages == {}
+        finally:
+            runtime.stop()
+
+
+class TestWorkloadCountsConnectedHosts:
+    def test_a_closed_hosts_counters_leave_the_snapshot(self):
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=2, workload=WorkloadSpec(jobs=2, stages_per_job=1, rate=50.0)
+            )
+        )
+        hosts = []
+        try:
+            for index in range(2):
+                host = StageHost(f"host{index}", [f"job{index}/s0"])
+                hosts.append(host)
+                host.start(*runtime.control_address)
+                assert _wait(lambda: len(runtime.controller.stages) == index + 1)
+
+            def threads():
+                return runtime.snapshot().get("workload", {}).get("threads")
+
+            assert _wait(lambda: threads() == 2)
+            hosts[0].stop()  # its final push lands, then its connection closes
+            assert _wait(lambda: "job0" not in runtime.controller.jobs)
+            assert _wait(lambda: threads() == 1)
+            hosts[1].stop()
+            assert _wait(lambda: threads() is None)
+        finally:
+            for host in hosts:
+                host.stop()
             runtime.stop()
 
 
@@ -656,7 +772,10 @@ class TestHostKeepsOnlyWhatItHasNotShipped:
             host._push_telemetry()
             assert (host.pushes, len(host.telemetry.events)) == (1, 0)
             assert _wait(
-                lambda: [d["events"] for d in controller.pushed if d["kind"] == "telemetry"]
+                lambda: [
+                    [event.to_dict() for event in push.events]
+                    for push in controller.telemetry
+                ]
                 == [[{"kind": "test.marker", "time": 1.0, "fields": {"n": 0}}]]
             )
         finally:

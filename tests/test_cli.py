@@ -38,6 +38,18 @@ class TestTraceCommands:
         assert "getattr" in stats_out
         assert "KOps/s" in stats_out
 
+    @pytest.mark.parametrize(
+        "name, text", [("ghost.csv", None), ("bad.csv", "x,y\n1,2\n")],
+        ids=["missing", "malformed"],
+    )
+    def test_stats_refuses_a_bad_file(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["trace", "stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_generate_jsonl(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         rc = main(
@@ -333,3 +345,39 @@ class TestShardedCommand:
         assert rc == 2
         assert "n_shards" in capsys.readouterr().err
 
+
+
+class TestRefusedInput:
+    """main() owns a refused input: one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("text", [None, "{nope"], ids=["missing", "invalid"])
+    def test_serve_with_a_bad_config_file(self, tmp_path, capsys, text):
+        path = tmp_path / "service.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["serve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_stage_host_with_nothing_to_dial_exits_one(self):
+        import socket
+        import subprocess
+        import sys
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "stage-host",
+                "--connect", f"127.0.0.1:{port}",
+                "--host-id", "host0", "--stages", "job0/s0",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert f"start failed: cannot dial 127.0.0.1:{port}" in result.stdout
+        assert "Traceback" not in result.stderr

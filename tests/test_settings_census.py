@@ -53,7 +53,8 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "Decision": (1, "record: one classification"),
     "ClassifierRule": (5, "setting: the policy document's channel filters"),
     "Classifier": (2, "setting: rules and PFS mounts per stage"),
-    "LinkProfile": (3, "setting: dependability, ablations and serve's faults differ"),
+    "LinkProfile": (3, "setting: the operator's document ('faults'); dependability "
+                    "and the ablations differ"),
     "FaultyFabric": (8, "collaborator, setting: env, drop_fn, telemetry, clock, "
                      "transport are handed in; link, seed and sync_messages differ "
                      "by experiment"),
@@ -124,7 +125,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "AuditLog": (4, "setting, collaborator: audit_capacity; clock, events and sink "
                  "are handed in"),
     "WorkloadSpec": (5, "setting: the operator's document"),
-    "FaultSpec": (3, "setting: the operator's document"),
     "ServiceConfig": (20, "setting: the operator's document"),
     "HostSupervisor": (2, "collaborator: telemetry and clock"),
     "ServiceRuntime": (5, "setting, collaborator: its ServiceConfig; clock, "
