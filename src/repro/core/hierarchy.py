@@ -69,9 +69,9 @@ flat-equivalence contract above survives split placement.
 
 Racks need not be in-process objects: :class:`RackEndpoint` is a proxy
 local whose collect/enforce verbs are plain callables, and
-``register_remote`` registers a stage that lives elsewhere (for example
-in a :class:`~repro.simulation.sharded.ShardedSimulation` rack block)
-with global bookkeeping identical to ``register_stage``.
+``register_remote`` registers a stage that lives elsewhere (a sharded
+rack block, a ``stage-host`` process whose own :class:`LocalController`
+answers over the wire) with bookkeeping identical to ``register_stage``.
 """
 
 from __future__ import annotations
@@ -251,10 +251,6 @@ class LocalController:
     def stage_ids(self) -> List[str]:
         return list(self._handlers)
 
-    @property
-    def identities(self) -> Dict[str, StageIdentity]:
-        return dict(self._identities)
-
     def register(self, stage: DataPlaneStage) -> None:
         self.register_endpoint(stage.identity, StageEndpoint(stage).handle)
 
@@ -348,7 +344,8 @@ class RackEndpoint:
 
     The sharded simulation uses this to drive the *real* global plane --
     demand merge, staleness discounting, liveness eviction, telemetry --
-    while the data planes advance as fluid rack blocks.
+    while the data planes advance as fluid rack blocks; the service, to
+    reach a stage host's local over its link.
     """
 
     def __init__(
@@ -368,10 +365,6 @@ class RackEndpoint:
     @property
     def stage_ids(self) -> List[str]:
         return list(self._identities)
-
-    @property
-    def identities(self) -> Dict[str, StageIdentity]:
-        return dict(self._identities)
 
     def adopt(self, identity: StageIdentity) -> None:
         """Record a remote stage as hosted by this rack."""
@@ -697,15 +690,18 @@ class HierarchicalControlPlane(ControlPlane):
                 pass
 
     # -- liveness ----------------------------------------------------------
-    def _evict(self, endpoint: str) -> None:
-        """Evict an unresponsive local controller and all of its stages."""
-        local = self._locals.pop(endpoint, None)
+    def detach_local(self, local_id: str) -> None:
+        """Detach a local and all of its stages (it stopped answering, or
+        its stage host's link closed)."""
+        local = self._locals.pop(local_id, None)
         if local is None:
-            raise StageNotRegistered(f"local {endpoint!r} not attached")
-        self._drop_endpoint(endpoint)
+            raise StageNotRegistered(f"local {local_id!r} not attached")
+        self._drop_endpoint(local_id)
         for stage_id in local.stage_ids:
             local.deregister(stage_id)
             self._forget_stage(stage_id)
+
+    _evict = detach_local
 
     # -- introspection -------------------------------------------------------
     def _cycle_view(self, stats: Dict[str, AggregateStats]) -> Dict[str, object]:

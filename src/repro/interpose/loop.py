@@ -100,12 +100,18 @@ class LiveControlLoop:
 
         ``reraise=False`` is the graceful-shutdown form the operator
         service uses: the latest tick error stays inspectable on
-        :attr:`error` instead of unwinding the server teardown path.
+        :attr:`error` instead of unwinding the server teardown path.  A
+        tick that outlives ``timeout`` is that error, and the thread is
+        kept: the loop stays :attr:`running` (its last tick ends it), so
+        :meth:`start` cannot add a second writer.
         """
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout)
-            self._thread = None
+            if self._thread.is_alive():
+                self.error = ConfigError(f"tick still running {timeout}s after stop")
+            else:
+                self._thread = None
         if reraise and self.error is not None:
             raise self.error
 

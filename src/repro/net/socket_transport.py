@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from threading import get_ident
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RPCError, StageNotRegistered, WireError
@@ -140,6 +141,7 @@ class WireConnection:
         self._reader = threading.Thread(
             target=self._read_loop, name=f"padll-net-reader-{name}", daemon=True
         )
+        self._reader_ident: Optional[int] = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "WireConnection":
@@ -219,9 +221,14 @@ class WireConnection:
     def request(
         self, address: str, message: Any, deadline: Optional[float] = None
     ) -> Any:
-        """Call ``address`` on the peer and wait for the correlated reply."""
+        """Call ``address`` on the peer and wait for the correlated reply.
+
+        Refused at once from this connection's reader thread (a handler
+        it is running): only that thread could read the reply."""
         if self._closed.is_set():
             raise RPCError(f"connection {self.name!r} is closed")
+        if get_ident() == self._reader_ident:
+            raise RPCError(f"request to {address!r} from {self.name!r}'s own reader")
         deadline = self.deadline if deadline is None else deadline
         waiter = _Waiter()
         with self._pending_lock:
@@ -252,6 +259,7 @@ class WireConnection:
 
     # -- receiving ---------------------------------------------------------
     def _read_loop(self) -> None:
+        self._reader_ident = get_ident()
         try:
             while not self._closed.is_set():
                 try:
@@ -483,9 +491,9 @@ class SocketListener:
 class SocketTransport(InProcTransport):
     """A transport mixing local handlers with remote endpoints.
 
-    Local binds behave exactly like :class:`InProcTransport`.
-    :meth:`attach` binds a *remote* address: calls become deadline-aware
-    framed requests over that address's :class:`WireConnection`.  The
+    Local binds behave exactly like :class:`InProcTransport`.  A
+    *remote* address is bound to a :class:`RemoteEndpoint`: calls become
+    deadline-aware framed requests over its :class:`WireConnection`.  The
     decorating :class:`~repro.core.fabric.FaultyFabric` cannot tell the
     two apart -- which is the point.
     """
@@ -571,16 +579,6 @@ class SocketTransport(InProcTransport):
             raise
         self._dialed.append(connection)
         return connection
-
-    # -- remote endpoints --------------------------------------------------
-    def attach(
-        self,
-        address: str,
-        connection: WireConnection,
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Bind ``address`` to a remote endpoint reached over ``connection``."""
-        self.bind(address, RemoteEndpoint(connection, address, deadline))
 
     def close(self) -> None:
         if self._listener is not None:

@@ -1,27 +1,27 @@
-"""Stage-host supervisor: spawn, watch, and respawn worker processes.
+"""Stage hosts: one record per host name, and the supervisor that runs them.
 
 ``padll-repro serve`` with ``"stage_procs": N`` moves the data plane out of the
 service process: the world's stages are partitioned round-robin across
 ``N`` ``padll-repro stage-host`` children, each dialing the service's
-socket fabric and registering its stages over the wire.  This module
-owns the process lifecycle only -- registration, eviction, and
-telemetry merging live in :class:`~repro.service.runtime.ServiceRuntime`,
-driven by the connection events the sockets already deliver.
+socket fabric and registering its stages over the wire.  A host is one
+:class:`HostRecord` under its name: the process this module spawns and
+respawns, and the connection (and local controller) that
+:class:`~repro.service.runtime.ServiceRuntime` keeps for it.
 
 Crash semantics: a monitor thread polls the children; an exited child
-is respawned (after a short backoff) with the *same* host id and stage
+is respawned (after a short backoff) under the *same* name and stage
 list, so its re-registration reads as a takeover upstream.  Meanwhile
-the broken connection has already evicted the dead host's stages from
-the controller, so the window between eviction and re-registration is
-the paper's "control plane lost a stage" story with real processes.
+the broken connection has already detached the dead host's local, and
+its stages, from the controller, so the window between detachment and
+re-registration is the paper's "control plane lost a stage" story with
+real processes.
 
-A child's argv (:meth:`HostSupervisor._argv`) carries what the process
-knows about *itself* -- where to dial, host id, stage ids, seed: four
-flags.  What its stages look like (channels, mounts, orphan policy,
-sampling, tracing) and the workload that drives them, the host asks the
-controller for over the connection it dials
-(:class:`~repro.service.stagehost.StageLayout`); a respawned host asks
-again.
+A child's argv carries what the process knows about *itself* -- where
+to dial, host id, stage ids, seed: four flags.  What its stages look
+like (channels, mounts, orphan policy, sampling, tracing) and the
+workload that drives them, the host asks the controller for over the
+connection it dials (:class:`~repro.service.stagehost.StageLayout`); a
+respawned host asks again.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.service.config import ServiceConfig, stage_id
 
-__all__ = ["HostSupervisor", "partition_stages"]
+__all__ = ["HostRecord", "HostSupervisor", "partition_stages"]
 
 _POLL_INTERVAL = 0.2
 _RESPAWN_BACKOFF = 0.5
@@ -63,21 +63,27 @@ def partition_stages(
     return [bucket for bucket in buckets if bucket]
 
 
-class _Child:
-    """One supervised stage-host process."""
+class HostRecord:
+    """One stage host, by name.  The monitor thread writes its process
+    (``argv`` None: not spawned here); the runtime's loop thread its link:
+    ``connection``, the ``local`` it carries, and the metric absolutes
+    (``last``) and workload counters it last pushed."""
 
-    __slots__ = ("host_id", "argv", "process", "restarts", "respawn_at")
-
-    def __init__(self, host_id: str, argv: List[str]) -> None:
-        self.host_id = host_id
+    def __init__(self, name: str, argv: Optional[List[str]]) -> None:
+        self.name = name
         self.argv = argv
         self.process: Optional[subprocess.Popen] = None
         self.restarts = 0
         self.respawn_at: Optional[float] = None
+        self.connection: Any = None
+        self.local: Any = None
+        self.last: Dict[tuple, Any] = {}
+        self.workload: Optional[Dict[str, float]] = None
 
 
 class HostSupervisor:
-    """Spawn stage hosts against a control address; respawn on exit."""
+    """The world's host records; spawns its hosts against a control
+    address and respawns one that exits."""
 
     def __init__(
         self,
@@ -92,48 +98,41 @@ class HostSupervisor:
             raise ConfigError(
                 f"supervisor needs stage_procs >= 1, got {config.stage_procs}"
             )
-        self._config = config
-        self._control_host = control_host
-        self._control_port = control_port
         self._clock = clock
         self._telemetry = telemetry
         self._stop = threading.Event()
         spec = config.workload
-        self._children: List[_Child] = []
+        #: name -> record; the supervised hosts first, in spawn order.
+        self.records: Dict[str, HostRecord] = {}
         for index, stage_ids in enumerate(
             partition_stages(spec.jobs, spec.stages_per_job, config.stage_procs)
         ):
             host_id = f"host{index}"
-            self._children.append(
-                _Child(host_id, self._argv(host_id, stage_ids, index))
-            )
+            self.records[host_id] = HostRecord(host_id, [
+                sys.executable, "-m", "repro.cli", "stage-host",
+                "--connect", f"{control_host}:{control_port}",
+                "--host-id", host_id,
+                "--stages", ",".join(stage_ids),
+                "--seed", str(config.seed ^ (index * 0x9E3779B1)),
+            ])
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="padll-host-monitor", daemon=True
         )
         self._started = False
 
-    def _argv(self, host_id: str, stage_ids: Sequence[str], index: int) -> List[str]:
-        return [
-            sys.executable, "-m", "repro.cli", "stage-host",
-            "--connect", self.control_address(),
-            "--host-id", host_id,
-            "--stages", ",".join(stage_ids),
-            "--seed", str(self._config.seed ^ (index * 0x9E3779B1)),
-        ]
-
-    def control_address(self) -> str:
-        return f"{self._control_host}:{self._control_port}"
+    def _supervised(self) -> List[HostRecord]:
+        return [record for record in list(self.records.values()) if record.argv]
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
         if self._started:
-            raise ConfigError("host supervisor already started")
+            return
         self._started = True
-        for child in self._children:
-            self._spawn(child)
+        for record in self._supervised():
+            self._spawn(record)
         self._monitor.start()
 
-    def _spawn(self, child: _Child) -> None:
+    def _spawn(self, child: HostRecord) -> None:
         env = dict(os.environ)
         # The children import repro with ``-m``; make sure the package's
         # parent directory is importable even when the service itself was
@@ -152,7 +151,7 @@ class HostSupervisor:
             self._telemetry.events.emit(
                 "host.spawn",
                 self._clock(),
-                host=child.host_id,
+                host=child.name,
                 pid=child.process.pid,
                 restarts=child.restarts,
             )
@@ -160,7 +159,7 @@ class HostSupervisor:
     def _monitor_loop(self) -> None:
         while not self._stop.wait(_POLL_INTERVAL):
             now = self._clock()
-            for child in self._children:
+            for child in self._supervised():
                 process = child.process
                 if process is None:
                     continue
@@ -172,7 +171,7 @@ class HostSupervisor:
                         self._telemetry.events.emit(
                             "host.exit",
                             now,
-                            host=child.host_id,
+                            host=child.name,
                             pid=process.pid,
                             code=code,
                         )
@@ -185,13 +184,14 @@ class HostSupervisor:
         self._stop.set()
         if self._monitor.is_alive():
             self._monitor.join(timeout)
-        for child in self._children:
+        children = self._supervised()
+        for child in children:
             process = child.process
             if process is None or process.poll() is not None:
                 continue
             process.terminate()
         deadline = time.monotonic() + timeout
-        for child in self._children:
+        for child in children:
             process = child.process
             if process is None:
                 continue
@@ -203,21 +203,12 @@ class HostSupervisor:
 
     # -- read surface ------------------------------------------------------
     def counters(self) -> Dict[str, float]:
-        alive = sum(
-            1
-            for child in self._children
-            if child.process is not None and child.process.poll() is None
-        )
+        children = self._supervised()
         return {
-            "hosts": len(self._children),
-            "alive": alive,
-            "restarts": sum(child.restarts for child in self._children),
-        }
-
-    def pids(self) -> Dict[str, Optional[int]]:
-        return {
-            child.host_id: (
-                None if child.process is None else child.process.pid
-            )
-            for child in self._children
+            "hosts": len(children),
+            "alive": sum(
+                child.process is not None and child.process.poll() is None
+                for child in children
+            ),
+            "restarts": sum(child.restarts for child in children),
         }

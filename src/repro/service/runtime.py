@@ -22,18 +22,20 @@ Concurrency contract (pinned by ``tests/service/test_concurrent_scrape.py``):
   loop is running (then there is no writer to race).
 
 Wherever they run, stages are built by :func:`~repro.service.stagehost.
-build_stages` from the config's ``StageLayout`` and join the controller
-through :meth:`ServiceRuntime._register`.  Out-of-process mode
+build_stages` from the config's ``StageLayout``; in process they join a
+flat :class:`~repro.core.controller.ControlPlane`.  Out-of-process mode
 (``stage_procs > 0``) swaps the fabric's inner transport for a listening
-:class:`~repro.net.SocketTransport` and moves every stage into supervised
-``padll-repro stage-host`` children (:mod:`repro.service.hosts`).  Hosts
+:class:`~repro.net.SocketTransport`, moves every stage into supervised
+``padll-repro stage-host`` children (:mod:`repro.service.hosts`) and
+makes each host a local of a :class:`~repro.core.hierarchy.
+HierarchicalControlPlane`: two requests per host per tick.  Hosts
 dial in, ask for the layout (answered on the reader thread), then PUSH
 registrations and telemetry (documents :mod:`repro.service.stagehost`
 builds and reads); both land on reader threads and join the admin
 verbs' queue -- one writer, regardless of where the stages live.  A host
-is one entry per connection, named by its HELLO.  A closed connection
-queues the eviction of everything registered over it; a respawned host
-re-registers under the same ids (takeover).
+is one :class:`~repro.service.hosts.HostRecord`, named by its HELLO; its
+link's close detaches its local and every stage with it; a respawned
+host's new link takes the name over.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from pathlib import Path
 
@@ -52,6 +54,7 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.config import parse_policy
+from repro.core.hierarchy import HierarchicalControlPlane, RackEndpoint
 from repro.core.policies import PolicyRule
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
@@ -60,11 +63,12 @@ from repro.interpose.loop import LiveControlLoop
 from repro.net import RemoteEndpoint, SocketTransport, WireConnection
 from repro.service.audit import AuditLog
 from repro.service.config import ServiceConfig
-from repro.service.hosts import HostSupervisor, partition_stages
+from repro.service.hosts import HostRecord, HostSupervisor, partition_stages
 from repro.service.sinks import JsonlSink, SinkedEventLog
 from repro.service.snapshot import build_snapshot, filter_events, filter_spans
 from repro.service.stagehost import (
-    LAYOUT_ADDRESS, StageLayout, build_stages, read_push, sampling_push,
+    LAYOUT_ADDRESS, StageLayout, build_stages, deregister_push, read_push,
+    sampling_push,
 )
 from repro.service.workload import LiveWorkload
 from repro.telemetry.export import prometheus_text
@@ -115,6 +119,8 @@ def _lagged(handler: Callable, link: LinkProfile, rng: random.Random) -> Callabl
     enforcement cycles stretch, while the fabric (with no engine to defer
     on) never sleeps and draws nothing for latency.
     """
+    if link.latency <= 0 and link.jitter <= 0:
+        return handler
 
     def lagged(message):
         delay = link.latency
@@ -125,19 +131,6 @@ def _lagged(handler: Callable, link: LinkProfile, rng: random.Random) -> Callabl
         return handler(message)
 
     return lagged
-
-
-@dataclass(slots=True)
-class _Host:
-    """One stage host, per connection: the name its HELLO carried, the
-    stages it registered, and the last metric absolutes (so a respawned
-    host, a new connection, counts from zero) and workload counters it
-    pushed."""
-
-    name: str
-    stages: Set[str]
-    last: Dict[tuple, Any]
-    workload: Optional[Mapping[str, float]]
 
 
 class ServiceRuntime:
@@ -162,12 +155,10 @@ class ServiceRuntime:
         self.stages: List[LiveStage] = []
         self.workload: Optional[LiveWorkload] = None
         #: Out-of-process state (``stage_procs > 0``): the listening
-        #: socket transport, the host supervisor, and one entry per host
-        #: connection.
+        #: socket transport and the host records with their supervisor.
         self.transport: Optional[SocketTransport] = None
-        self.hosts = None
+        self.hosts: Optional[HostSupervisor] = None
         self.control_address: Optional[tuple] = None
-        self._hosts: Dict[WireConnection, _Host] = {}
         self._audit_sink: Optional[JsonlSink] = None
         self._event_sink: Optional[JsonlSink] = None
         if self.config.audit_dir is not None:
@@ -247,6 +238,9 @@ class ServiceRuntime:
                 on_push=self._on_wire_push,
                 on_close=self._on_wire_close,
             )
+            self.hosts = HostSupervisor(
+                config, *self.control_address, telemetry=self.telemetry, clock=self.clock
+            )
         self.fabric = FaultyFabric(
             link=config.faults,
             seed=config.seed,
@@ -259,7 +253,8 @@ class ServiceRuntime:
             algorithm = padll.algorithm
         else:
             algorithm = ProportionalSharing(capacity=config.capacity)
-        self.controller = ControlPlane(
+        plane = HierarchicalControlPlane if config.stage_procs > 0 else ControlPlane
+        self.controller = plane(
             fabric=self.fabric,
             config=ControlPlaneConfig(
                 loop_interval=config.interval,
@@ -279,20 +274,13 @@ class ServiceRuntime:
                 self.telemetry,
             )
             for stage in self.stages:
-                self._register(stage.identity, StageEndpoint(stage).handle)
+                handler = _lagged(StageEndpoint(stage).handle, config.faults, self._lag_rng)
+                self.controller.register_endpoint(stage.identity, handler, now=self.clock())
             if spec.rate > 0:
                 self.workload = LiveWorkload(self.stages, spec, seed=config.seed)
         self.loop = LiveControlLoop(
             self.controller, clock=self.clock, on_tick=lambda now: self._drain()
         )
-
-    def _register(self, identity: StageIdentity, handler: Callable) -> None:
-        """The one way a stage joins the controller, wherever it runs:
-        behind the lag shim when the fault profile asks for controller lag."""
-        faults = self.config.faults
-        if faults.latency > 0 or faults.jitter > 0:
-            handler = _lagged(handler, faults, self._lag_rng)
-        self.controller.register_endpoint(identity, handler, now=self.clock())
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -300,11 +288,7 @@ class ServiceRuntime:
             self.loop.start()
         if self.workload is not None:
             self.workload.start()
-        if self.config.stage_procs > 0 and self.hosts is None:
-            host, port = self.control_address
-            self.hosts = HostSupervisor(
-                self.config, host, port, telemetry=self.telemetry, clock=self.clock
-            )
+        if self.hosts is not None:
             self.hosts.start()
 
     def stop(self, timeout: float = 5.0) -> Optional[BaseException]:
@@ -316,9 +300,10 @@ class ServiceRuntime:
             self.workload.stop(timeout)
         if self.loop is not None:
             error = self.loop.drain(timeout)
-        # The loop thread is gone: draining the queue here cannot race
-        # anything, and no admin action is silently lost.
-        self._drain()
+        if self.loop is None or not self.loop.running:
+            # No loop thread to race (a stuck one drains when its tick
+            # returns): no admin action is silently lost.
+            self._drain()
         if self.transport is not None:
             self.transport.close()
         for sink in (self._audit_sink, self._event_sink):
@@ -374,7 +359,7 @@ class ServiceRuntime:
         )
 
     def _on_wire_close(self, connection: WireConnection) -> None:
-        self._wire(self._evict_connection, connection)
+        self._wire(self._on_closed, connection)
 
     def _wire(self, apply: Callable[..., None], *args: Any) -> None:
         def work() -> None:
@@ -387,11 +372,44 @@ class ServiceRuntime:
 
         self._submit(work)
 
-    def _host(self, connection: WireConnection) -> _Host:
-        host = self._hosts.get(connection)
-        if host is None:
-            host = self._hosts[connection] = _Host(connection.peer, set(), {}, None)
-        return host
+    def _host(self, connection: WireConnection, takeover: bool) -> Optional[HostRecord]:
+        """The record ``connection``'s HELLO names, if ``connection`` is its
+        link: a record with none adopts it and attaches a local over it; a
+        ``takeover`` (a respawned host registering) replaces a live one.
+        Anything else from a replaced link is late: None."""
+        name = connection.peer
+        record = self.hosts.records.setdefault(name, HostRecord(name, None))
+        if record.connection is not connection:
+            if record.connection is not None:
+                if not takeover:
+                    return None
+                self._detach(record, "takeover")
+            forward = _lagged(
+                RemoteEndpoint(connection, name, None), self.config.faults, self._lag_rng
+            )
+            relay = lambda _, message: forward(message)  # noqa: E731
+            record.connection, record.last = connection, {}
+            record.local = RackEndpoint(name, relay, relay)
+            self.controller.attach_local(record.local)
+            self.telemetry.registry.gauge("padll_remote_host_up", host=name).set(1)
+        return record
+
+    def _detach(self, record: HostRecord, reason: str) -> None:
+        """Detach a host's local from the plane, every stage with it."""
+        now = self.clock()
+        for stage_id in record.local.stage_ids:
+            self.telemetry.events.emit(
+                "host.evict", now, host=record.name, stage=stage_id, reason=reason
+            )
+        self.controller.detach_local(record.name)
+        self.telemetry.registry.gauge("padll_remote_host_up", host=record.name).set(0)
+        record.connection = record.local = record.workload = None
+
+    def _on_closed(self, connection: WireConnection) -> None:
+        """A host's link died -- unless a respawned host's took it over."""
+        record = self.hosts.records.get(connection.peer)
+        if record is not None and record.connection is connection:
+            self._detach(record, "connection closed")
 
     def _register_remote(
         self, connection: WireConnection, identity: Optional[StageIdentity]
@@ -404,47 +422,37 @@ class ServiceRuntime:
                 reason="missing stage identity",
             )
             return
-        now = self.clock()
+        record = self._host(connection, takeover=True)
         stage_id = identity.stage_id
         if stage_id in self.controller.stages:
-            # Takeover: a respawned host re-registers under the same id
-            # before (or instead of) the old connection's eviction.
-            self.controller.deregister(stage_id)
-            for other in self._hosts.values():
-                other.stages.discard(stage_id)
-
-        self._register(identity, RemoteEndpoint(connection, stage_id, None))
-        host = self._host(connection)
-        host.stages.add(stage_id)
-        self.telemetry.registry.gauge("padll_remote_host_up", host=host.name).set(1)
+            # Another host holds this id: it stops, hearing so.
+            self._deregister(self.controller.deregister, stage_id)
+        self.controller.register_remote(identity, record.name, now=self.clock())
         self.telemetry.events.emit(
-            "host.register", now, host=host.name, stage=stage_id
+            "host.register", self.clock(), host=record.name, stage=stage_id
         )
 
-    def _evict_connection(self, connection: WireConnection) -> None:
-        """A host's link died: deregister everything it had registered.
+    def _deregister(self, deregister: Callable[[str], None], name: str) -> None:
+        """``deregister(name)`` on the plane; every remote stage it removes
+        is pushed to its host, whose local forgets it (the stage then
+        rides its orphan policy, as a stage the plane stopped reaching)."""
+        held = [
+            (stage_id, record.connection)
+            for record in self._records() if record.local is not None
+            for stage_id in record.local.stage_ids
+        ]
+        deregister(name)
+        stages = self.controller.stages
+        for stage_id, connection in held:
+            try:
+                if stage_id not in stages:
+                    connection.push(deregister_push(stage_id))
+            except RPCError:
+                pass  # a dying link: its local goes with it
 
-        Idempotent -- the monitor's respawn and the socket close can both
-        land here, and a takeover may already have moved a stage.
-        """
-        host = self._hosts.pop(connection, None)
-        if host is None or not host.stages:
-            return
-        now = self.clock()
-        for stage_id in sorted(host.stages):
-            if stage_id in self.controller.stages:
-                try:
-                    self.controller.deregister(stage_id)
-                except ReproError:
-                    pass
-            self.telemetry.events.emit(
-                "host.evict",
-                now,
-                host=host.name,
-                stage=stage_id,
-                reason="connection closed",
-            )
-        self.telemetry.registry.gauge("padll_remote_host_up", host=host.name).set(0)
+    def _records(self) -> List[HostRecord]:
+        """The host records, copied (any thread may read); none in process."""
+        return [] if self.hosts is None else list(self.hosts.records.values())
 
     def _merge_remote(
         self, connection: WireConnection, metrics: Sequence[Any],
@@ -453,13 +461,15 @@ class ServiceRuntime:
         """Fold one host's telemetry push into this world's spine.
 
         Metrics ship as absolutes and merge as deltas against what the
-        same *connection* last reported
+        host's current *connection* last reported
         (:meth:`~repro.telemetry.registry.MetricsRegistry.merge_absolutes`),
         so ``/metrics`` aggregates across hosts and a restarted host -- a
         new connection -- counts from zero.  Events and spans append
         verbatim.
         """
-        host = self._host(connection)
+        host = self._host(connection, takeover=False)
+        if host is None:
+            return
         registry = self.telemetry.registry
         registry.merge_absolutes(metrics, host.last)
         for event in events:
@@ -559,12 +569,12 @@ class ServiceRuntime:
             job = str(_require(params, "job", action))
             if job not in controller.jobs:
                 raise PolicyError(f"admin {action}: no job {job!r}")
-            return lambda: controller.deregister_job(job)
+            return lambda: self._deregister(controller.deregister_job, job)
         if action == "stage.evict":
             stage = str(_require(params, "stage", action))
             if stage not in controller.stages:
                 raise PolicyError(f"admin {action}: no stage {stage!r}")
-            return lambda: controller.deregister(stage)
+            return lambda: self._deregister(controller.deregister, stage)
         if action == "telemetry.sampling":
             rate = float(_require(params, "rate", action))
             if not 0.0 <= rate <= 1.0:
@@ -584,9 +594,10 @@ class ServiceRuntime:
                 # Remote stages are sampled by their host's tracer: tell the
                 # registered hosts, and answer later ones with the new rate.
                 self._layout = replace(self._layout, sample_rate=rate)
-                for connection in list(self._hosts):
+                for connection in [host.connection for host in self._records()]:
                     try:
-                        connection.push(sampling_push(rate))
+                        if connection is not None:
+                            connection.push(sampling_push(rate))
                     except RPCError:
                         pass  # a dying link; its respawn asks for the layout
 
@@ -617,11 +628,7 @@ class ServiceRuntime:
             workload = self.workload.counters()
         else:
             # The connected hosts' counters; list() copies under the GIL.
-            workload = LiveWorkload.merge(
-                host.workload
-                for host in list(self._hosts.values())
-                if host.workload is not None
-            )
+            workload = LiveWorkload.merge(host.workload for host in self._records())
         return build_snapshot(
             self.clock(),
             controller=self.controller,

@@ -12,10 +12,10 @@ dialed asks for the :class:`StageLayout`, and :func:`build_stages` (the
 in-process world's builder too) makes the stages.
 
 The connection is the reverse tunnel of :mod:`repro.net`: the host
-dials out, binds its stage endpoints on its own
-:class:`~repro.net.SocketTransport`, and the controller's collect and
-enforce verbs arrive back over the same socket.  A telemetry pump
-thread periodically PUSHes this world's counters, events, and spans so
+dials out, binds one :class:`~repro.core.hierarchy.LocalController` over
+its stages at one address -- its name, which its HELLO carries -- and
+the controller's two hierarchy verbs arrive back over the same socket.
+A telemetry pump thread periodically PUSHes this world's counters, events, and spans so
 the operator service's ``/metrics`` and span queries cover remote
 stages exactly like local ones.  This module owns both halves of the
 host protocol: the layout, and the push documents (:func:`read_push`
@@ -41,8 +41,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigError, ReproError, RPCError
 from repro.core.config import ChannelSpec
 from repro.core.differentiation import ClassifierRule
+from repro.core.hierarchy import LocalController
 from repro.core.requests import MDS_CLASSES
-from repro.core.rpc import StageEndpoint
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.interpose.live_stage import LiveStage
 from repro.net import SocketTransport, WireConnection
@@ -55,7 +55,8 @@ from repro.telemetry.trace import Span
 
 __all__ = [
     "LAYOUT_ADDRESS", "StageHost", "StageLayout", "build_stages",
-    "read_push", "register_push", "sampling_push", "telemetry_push",
+    "deregister_push", "read_push", "register_push", "sampling_push",
+    "telemetry_push",
 ]
 
 #: Period between telemetry pushes, seconds.
@@ -186,14 +187,21 @@ def sampling_push(rate: float) -> Dict[str, Any]:
     return {"kind": "sampling", "rate": rate}
 
 
+def deregister_push(stage_id: str) -> Dict[str, Any]:
+    """Controller -> host: the plane deregistered this stage (an admin
+    eviction); the host's local stops collecting and enforcing it."""
+    return {"kind": "deregister", "stage": stage_id}
+
+
 def read_push(doc: Any, **handlers: Callable[..., None]) -> None:
     """Hand a push document's contents to the handler named by its kind.
 
     ``register(identity)`` gets the :class:`StageIdentity`, or None when
     the document carries none; ``telemetry(metrics, events, spans,
     workload)`` gets :class:`Event` and :class:`Span` records;
-    ``sampling(rate)`` a float.  A document that is not a mapping, or
-    whose kind has no handler here, is ignored.
+    ``sampling(rate)`` a float; ``deregister(stage_id)`` a str.  A
+    document that is not a mapping, or whose kind has no handler here, is
+    ignored.
     """
     kind = doc.get("kind") if isinstance(doc, Mapping) else None
     handler = handlers.get(kind) if isinstance(kind, str) else None
@@ -211,6 +219,8 @@ def read_push(doc: Any, **handlers: Callable[..., None]) -> None:
         )
     elif kind == "sampling":
         handler(float(doc["rate"]))
+    elif kind == "deregister":
+        handler(str(doc["stage"]))
 
 
 def build_stages(
@@ -265,6 +275,8 @@ class StageHost:
         # Both built in start(), from the layout the controller answers.
         self.telemetry: Optional[Telemetry] = None
         self.stages: List[LiveStage] = []
+        self.local = LocalController(host_id)
+        self.transport.bind(host_id, self.local.handle)
         self.workload: Optional[LiveWorkload] = None
         self.connection: Optional[WireConnection] = None
         self._stop = threading.Event()
@@ -308,7 +320,8 @@ class StageHost:
             pid=os.getpid(),
         )
         for stage in self.stages:
-            self.transport.bind(stage.identity.stage_id, StageEndpoint(stage).handle)
+            self.local.register(stage)
+        for stage in self.stages:
             self.connection.push(register_push(stage.identity))
         if layout.workload.rate > 0:
             self.workload = LiveWorkload(self.stages, layout.workload, seed=self._seed)
@@ -316,8 +329,8 @@ class StageHost:
         self._pump.start()
 
     def _on_push(self, connection: WireConnection, doc: Any) -> None:
-        """PUSH frames from the controller: the admin plane's sampling rate."""
-        read_push(doc, sampling=self._set_sampling)
+        """Controller PUSH frames: the sampling rate, deregistered stages."""
+        read_push(doc, sampling=self._set_sampling, deregister=self.local.deregister)
 
     def _set_sampling(self, rate: float) -> None:
         tracer = None if self.telemetry is None else self.telemetry.tracer

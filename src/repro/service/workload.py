@@ -105,12 +105,12 @@ class LiveWorkload:
 
     @staticmethod
     def merge(
-        reports: Iterable[Mapping[str, float]],
+        reports: Iterable[Optional[Mapping[str, float]]],
     ) -> Optional[Dict[str, float]]:
-        """Sum several workloads' :meth:`counters` (a world's stage hosts);
-        None when there is no report."""
+        """Sum several workloads' :meth:`counters` (a world's stage hosts;
+        None for one with no report); None when there is no report."""
         total: Dict[str, float] = {}
-        for counters in reports:
+        for counters in filter(None, reports):
             for name, value in counters.items():
                 total[name] = total.get(name, 0.0) + float(value)
         return total or None

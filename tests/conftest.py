@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.simulation.engine import Environment
 from repro.workloads.trace import OpTrace
+
+
+@pytest.fixture(autouse=True)
+def _no_padll_thread_outlives_its_test():
+    """Fail a test that leaves a ``padll-*`` thread (control loop, socket
+    reader or acceptor, host pump or monitor, workload driver) it started
+    alive after a one-second grace."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    while True:
+        leaked = sorted(
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("padll-") and thread not in before
+        )
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.02)
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 @pytest.fixture

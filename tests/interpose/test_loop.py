@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -123,3 +124,35 @@ class TestLiveControlLoop:
             time.sleep(0.05)
         assert loop.last_error is None
         assert loop.tick_errors == 0
+
+    def test_a_stop_that_outlives_its_timeout_keeps_one_writer(self):
+        """A tick longer than ``stop(timeout)`` leaves the thread alive: the
+        loop still reads as running, a start refuses instead of adding a
+        second writer, and the stuck tick is the error stop reports."""
+        cp = plane(0.01)
+        entered, release = threading.Event(), threading.Event()
+
+        class Stuck:
+            def allocate_arrays(self, job_ids, demand, reservation):
+                entered.set()
+                release.wait(5.0)
+                return demand
+
+        cp.algorithm = Stuck()
+        cp.register(make_live_stage())
+        loop = LiveControlLoop(cp)
+        loop.start()
+        try:
+            assert entered.wait(2.0)
+            error = loop.drain(timeout=0.05)
+            assert isinstance(error, ConfigError) and "still running" in str(error)
+            assert loop.running
+            with pytest.raises(ConfigError, match="already running"):
+                loop.start()
+            names = [t.name for t in threading.enumerate()]
+            assert names.count("padll-control-loop") == 1
+        finally:
+            release.set()
+        loop.drain(timeout=2.0)
+        assert not loop.running
+

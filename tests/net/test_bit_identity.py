@@ -24,10 +24,11 @@ from repro.core.algorithms import ProportionalSharing
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.fabric import FaultyFabric, LinkProfile
+from repro.core.hierarchy import HierarchicalControlPlane, LocalController, RackEndpoint
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import DataPlaneStage, StageIdentity
-from repro.net import SocketTransport
+from repro.net import RemoteEndpoint, SocketTransport
 from repro.telemetry.runtime import Telemetry, TelemetryConfig
 
 N_TICKS = 60
@@ -156,3 +157,76 @@ class TestBitIdentity:
         first, _ = run_world(via_socket=True, link=LinkProfile(loss=0.2))
         second, _ = run_world(via_socket=True, link=LinkProfile(loss=0.2))
         assert second == first
+
+
+def run_hier_world(via_socket, link=None, fault_seed=3):
+    """The scripted run on a hierarchical plane with every stage on one
+    local: in process, or -- the stage-host shape -- a worker's
+    :class:`LocalController` bound at one address and reached through a
+    :class:`RackEndpoint` over a real localhost TCP reverse tunnel."""
+    telemetry = Telemetry(TelemetryConfig(seed=5, sample_rate=0.5, trace=True))
+    stages = _build_stages(telemetry)
+    cleanup = []
+    transport = None
+    local = LocalController("host0")
+    if via_socket:
+        for stage, _demand in stages:
+            local.register(stage)
+        transport = SocketTransport(deadline=30.0)
+        accepted = []
+        seen = threading.Event()
+
+        def on_connect(connection):
+            accepted.append(connection)
+            seen.set()
+
+        host, port = transport.listen("127.0.0.1", 0, on_connect=on_connect)
+        worker = SocketTransport(deadline=30.0)
+        worker.bind("host0", local.handle)
+        worker.connect(host, port, name="host0")
+        assert seen.wait(5.0), "worker never connected"
+        cleanup = [worker.close, transport.close]
+        forward = RemoteEndpoint(accepted[0], "host0", None)
+        local = RackEndpoint(
+            "host0", lambda _, message: forward(message), lambda _, message: forward(message)
+        )
+    fabric = FaultyFabric(
+        link=link, seed=fault_seed, telemetry=telemetry, transport=transport
+    )
+    controller = HierarchicalControlPlane(
+        fabric=fabric,
+        config=ControlPlaneConfig(loop_interval=1.0, algorithm_channel="metadata"),
+        algorithm=ProportionalSharing(capacity=CAPACITY),
+        telemetry=telemetry,
+    )
+    controller.attach_local(local)
+    try:
+        for stage, _demand in stages:
+            if via_socket:
+                controller.register_remote(stage.identity, "host0")
+            else:
+                controller.register_stage(stage, "host0")
+        _run_ticks(controller, stages)
+        return _observable(controller, telemetry), fabric
+    finally:
+        for fn in cleanup:
+            fn()
+
+
+class TestHierarchicalBitIdentity:
+    """A stage host's shape: InProc == TCP with the stages behind one local."""
+
+    @pytest.mark.parametrize("link", [None, LinkProfile(loss=0.3)], ids=["clean", "lossy"])
+    def test_one_local_over_tcp_is_the_in_process_local(self, link):
+        inproc, fabric_a = run_hier_world(via_socket=False, link=link, fault_seed=11)
+        socketed, fabric_b = run_hier_world(via_socket=True, link=link, fault_seed=11)
+        assert inproc["enforcement"], "scripted run produced no enforcement"
+        if link is not None:
+            assert inproc["collect_failures"] > 0, "loss never fired; test is vacuous"
+        assert (fabric_b.calls, fabric_b.lost) == (fabric_a.calls, fabric_a.lost)
+        assert socketed == inproc
+
+    def test_one_local_is_the_flat_plane_on_a_clean_fabric(self):
+        flat, _ = run_world(via_socket=True)
+        hier, _ = run_hier_world(via_socket=True)
+        assert hier["enforcement"] == flat["enforcement"]

@@ -34,7 +34,7 @@ from repro.core.wire import (
     hello_payload,
 )
 from repro.errors import RPCError, StageNotRegistered, WireError
-from repro.net import SocketTransport, WireConnection
+from repro.net import RemoteEndpoint, SocketTransport, WireConnection
 
 
 def _drain_frames(sock, decoder, want, timeout=5.0):
@@ -99,7 +99,7 @@ class TestRoundTrip:
         worker.bind("job0/s0", StageEndpoint(stage).handle)
         worker.connect(pair.host, pair.port, name="worker")
         accepted = pair.wait_accepted()
-        pair.transport.attach("job0/s0", accepted)
+        pair.transport.bind("job0/s0", RemoteEndpoint(accepted, "job0/s0", None))
         stats = pair.transport.call("job0/s0", CollectStats(now=1.0))
         assert stats.stage_id == "job0/s0"
         assert stats.channels[0].channel_id == "metadata"
@@ -109,7 +109,7 @@ class TestRoundTrip:
         worker = SocketTransport()
         worker.connect(pair.host, pair.port, name="worker")
         accepted = pair.wait_accepted()
-        pair.transport.attach("ghost", accepted)
+        pair.transport.bind("ghost", RemoteEndpoint(accepted, "ghost", None))
         with pytest.raises(StageNotRegistered, match="'ghost' not bound"):
             pair.transport.call("ghost", Ping())
         worker.close()
@@ -136,6 +136,26 @@ class TestRoundTrip:
                 if t.name.startswith("padll-net")
             ]
         ), [t.name for t in threading.enumerate()]
+
+
+class TestRequestFromTheReaderThread:
+    def test_a_handler_calling_back_over_its_own_link_fails_at_once(self, pair):
+        """The controller's reader thread serves a host's request; a handler
+        that requests back over that link would wait for a reply only that
+        thread can read.  It fails at once, not after the deadline."""
+        worker = SocketTransport()
+        dialed = worker.connect(pair.host, pair.port, name="host0")
+        accepted = pair.wait_accepted()
+        accepted.deadline = 3.0
+        pair.transport.bind("job0/s0", RemoteEndpoint(accepted, "job0/s0", None))
+        started = time.monotonic()
+        with pytest.raises(RPCError, match="own reader"):
+            dialed.request("job0/s0", CollectStats(now=1.0), 10.0)
+        assert time.monotonic() - started < 1.0
+        # The link survives, and the same request from any other thread works.
+        with pytest.raises(StageNotRegistered, match="'job0/s0' not bound"):
+            pair.transport.call("job0/s0", Ping())
+        worker.close()
 
 
 class TestMidFrameDisconnect:
@@ -253,8 +273,8 @@ class TestStaleReplies:
         worker.bind("fast", fast_handler)
         worker.connect(pair.host, pair.port, name="worker")
         accepted = pair.wait_accepted()
-        pair.transport.attach("slow", accepted, deadline=0.1)
-        pair.transport.attach("fast", accepted)
+        pair.transport.bind("slow", RemoteEndpoint(accepted, "slow", 0.1))
+        pair.transport.bind("fast", RemoteEndpoint(accepted, "fast", None))
         with pytest.raises(RPCError, match="missed its 0.1s deadline"):
             pair.transport.call("slow", Ping())
         gate.set()  # let the late reply sail in
@@ -287,8 +307,8 @@ class TestReplyWithoutCodec:
         worker.bind("good", lambda message: "fine")
         dialed = worker.connect(pair.host, pair.port, name="worker")
         accepted = pair.wait_accepted()
-        pair.transport.attach("bad", accepted)
-        pair.transport.attach("good", accepted)
+        pair.transport.bind("bad", RemoteEndpoint(accepted, "bad", None))
+        pair.transport.bind("good", RemoteEndpoint(accepted, "good", None))
         with pytest.raises(WireError, match="no wire codec for .*Mystery"):
             pair.transport.call("bad", Ping())
         assert pair.transport.call("good", Ping()) == "fine"

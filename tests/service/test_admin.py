@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.algorithms import MIN_RATE
+from repro.core.controller import ControlPlane, ControlPlaneConfig
+from repro.core.stage import StageIdentity
+from repro.interpose.live_stage import LiveStage
+from repro.interpose.loop import LiveControlLoop
 from repro.errors import ConfigError, PolicyError
 from repro.service import ServiceConfig, ServiceRuntime, WorkloadSpec
 
@@ -195,3 +201,36 @@ class TestQueuedApply:
             assert "no policy" in records[-1]["error"]
         finally:
             runtime.stop()
+
+
+class TestServiceStopWithAStuckTick:
+    def test_stop_leaves_the_queue_to_the_loop_thread(self):
+        """While the loop thread lives, ``stop`` must not run queued work
+        inline: the stuck thread drains it when its tick returns."""
+        cp = ControlPlane(config=ControlPlaneConfig(loop_interval=0.01))
+        entered, release = threading.Event(), threading.Event()
+        ran = []
+
+        class Stuck:
+            def allocate_arrays(self, job_ids, demand, reservation):
+                entered.set()
+                release.wait(5.0)
+                return demand
+
+        cp.algorithm = Stuck()
+        stage = LiveStage(StageIdentity("ls0", "jobL"))
+        stage.create_channel("metadata")
+        cp.register(stage)
+        loop = LiveControlLoop(cp)
+        runtime = ServiceRuntime(controller=cp, loop=loop)
+        loop.on_tick = lambda now: runtime._drain()
+        loop.start()
+        try:
+            assert entered.wait(2.0)
+            runtime._submit(lambda: ran.append(threading.current_thread().name))
+            runtime.stop(timeout=0.05)
+            assert ran == []
+        finally:
+            release.set()
+        loop.drain(timeout=2.0)
+        assert ran == ["padll-control-loop"]

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import urllib.request
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from repro.core.config import load_config
 from repro.core.fabric import LinkProfile
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.service import OperatorServer, ServiceConfig, ServiceRuntime, WorkloadSpec
+from repro.service.stagehost import register_push
 
 EXAMPLE_POLICY = Path(__file__).resolve().parents[2] / "examples" / "padll.json"
 
@@ -90,8 +92,11 @@ class TestCliServe:
             try:
                 if stage_procs:
                     assert runtime.controller.jobs == {}
-                    identity = StageIdentity("job1/s0", "job1")
-                    runtime._register(identity, lambda message: None)
+                    # A host's registration push, as its reader thread hands it over.
+                    runtime._on_wire_push(
+                        types.SimpleNamespace(peer="host0"),
+                        register_push(StageIdentity("job1/s0", "job1")),
+                    )
                 reservations = {
                     job: info.reservation for job, info in runtime.controller.jobs.items()
                 }

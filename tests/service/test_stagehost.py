@@ -14,19 +14,22 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.core.config import parse_config
 from repro.core.fabric import LinkProfile
 from repro.core.requests import OperationType
+from repro.core.hierarchy import CollectAggregate
 from repro.core.rpc import CollectStats
 from repro.core.stage import OrphanPolicy, StageIdentity
 from repro.core.wire import decode_payload, encode_payload
-from repro.errors import ConfigError, RPCError
-from repro.net import SocketTransport
+from repro.errors import ConfigError, RPCError, StageNotRegistered
+from repro.net import RemoteEndpoint, SocketTransport
 from repro.service.config import ServiceConfig, WorkloadSpec, job_of
 from repro.service.hosts import HostSupervisor, partition_stages
+from repro.service import runtime as runtime_module
 from repro.service.runtime import ServiceRuntime
 from repro.service import stagehost
 from repro.service.stagehost import (
@@ -188,13 +191,18 @@ class TestStageHostLive:
             push = controller.telemetry[0]
             assert push.peer == "hostA"
             assert push.workload is None  # no driver configured
-            # The controller can call back over the reverse tunnel.
-            controller.transport.attach("job0/s0", connection)
-            stats = controller.transport.call(
-                "job0/s0", CollectStats(now=host.clock())
+            # The controller can call back over the reverse tunnel: the
+            # host is one local controller at the address its name gives.
+            for address in ("hostA", "job0/s0"):
+                controller.transport.bind(address, RemoteEndpoint(connection, address, None))
+            aggregate = controller.transport.call(
+                "hostA", CollectAggregate(now=host.clock(), channel="metadata",
+                                          loop_interval=1.0),
             )
-            assert stats.stage_id == "job0/s0"
-            assert stats.job_id == "job0"
+            assert aggregate.local_id == "hostA"
+            assert [(job, n) for job, _, n in aggregate.jobs] == [("job0", 1), ("job1", 1)]
+            with pytest.raises(StageNotRegistered):  # no stage has an address
+                controller.transport.call("job0/s0", CollectStats(now=host.clock()))
         finally:
             host.stop()
 
@@ -262,13 +270,10 @@ class TestHostSupervisor:
         supervisor = HostSupervisor(
             _proc_config(), "127.0.0.1", 4321
         )
-        assert supervisor.control_address() == "127.0.0.1:4321"
-        pids = supervisor.pids()
-        assert sorted(pids) == ["host0", "host1"]
-        assert all(pid is None for pid in pids.values())
-        argvs = {
-            child.host_id: child.argv for child in supervisor._children
-        }
+        records = supervisor.records
+        assert sorted(records) == ["host0", "host1"]
+        assert all(record.process is None for record in records.values())
+        argvs = {name: record.argv for name, record in records.items()}
         stages = []
         for host_id, argv in argvs.items():
             assert argv[argv.index("--connect") + 1] == "127.0.0.1:4321"
@@ -291,8 +296,8 @@ class TestHostSupervisor:
             _proc_config(), "127.0.0.1", 4321
         )
         seeds = set()
-        for child in supervisor._children:
-            argv = child.argv
+        for record in supervisor.records.values():
+            argv = record.argv
             seeds.add(argv[argv.index("--seed") + 1])
         assert len(seeds) == 2
 
@@ -429,19 +434,26 @@ class TestOneLayout:
         finally:
             runtime.stop()
 
-    def test_controller_lag_applies_to_remote_stages(self):
-        runtime = ServiceRuntime(
-            _layout_config(stage_procs=1, faults=LinkProfile(latency=0.05))
+    def test_controller_lag_applies_to_remote_stages(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(
+            runtime_module, "time", types.SimpleNamespace(sleep=sleeps.append)
         )
-        host = None
+        runtime = ServiceRuntime(
+            _layout_config(stage_procs=2, faults=LinkProfile(latency=0.05))
+        )
+        hosts = []
         try:
-            host = _dial(runtime)
-            started = time.monotonic()
-            runtime.controller.tick(started)
-            # Two stages, one collect and at least one enforce each.
-            assert time.monotonic() - started >= 0.2
+            for index in range(2):
+                hosts.append(StageHost(f"host{index}", [f"job{index}/s0"]))
+                hosts[-1].start(*runtime.control_address)
+            assert _wait(lambda: len(runtime.controller.stages) == 2)
+            runtime.controller.tick(hosts[0].clock())
+            # Two hosts, one collect and one enforce batch each: the lag
+            # is drawn per host request, not per stage.
+            assert sleeps == [0.05] * 4
         finally:
-            if host is not None:
+            for host in hosts:
                 host.stop()
             runtime.stop()
 
@@ -594,10 +606,11 @@ class TestRestartedHostCounters:
     def test_new_connection_counts_from_zero_and_old_keys_go(self):
         runtime = ServiceRuntime(_proc_config(stage_procs=1))
         try:
+            record = runtime.hosts.records["host0"]
             first, second = _Link("host0"), _Link("host0")
             runtime._on_wire_push(first, _telemetry(30.0))
             runtime._on_wire_close(first)
-            assert first not in runtime._hosts
+            assert record.connection is None
             # The respawned process has already passed its predecessor's total.
             runtime._on_wire_push(second, _telemetry(60.0))
             counter = runtime.telemetry.registry.counter(
@@ -606,7 +619,7 @@ class TestRestartedHostCounters:
             assert counter.value == 90.0
             runtime._on_wire_push(second, _telemetry(75.0))
             assert counter.value == 105.0
-            assert list(runtime._hosts) == [second]
+            assert record.connection is second
             pushes = runtime.telemetry.registry.counter(
                 "padll_remote_pushes_total", host="host0"
             )
@@ -662,7 +675,7 @@ class TestPushDocuments:
             events = len(runtime.telemetry.events.events)
             runtime._on_wire_push(_Link("host0"), doc)
             assert len(runtime.telemetry.events.events) == events
-            assert runtime._hosts == {}
+            assert runtime.hosts.records["host0"].connection is None
         finally:
             runtime.stop()
 

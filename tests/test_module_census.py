@@ -64,12 +64,6 @@ KEPT_UNREACHED: Dict[str, str] = {
     "(wire golden corpus)",
     "repro.core.stage:DataPlaneStage.drain_collect": "pinned by PATCHED: the "
     "benchmark's tracer wraps it by name (tests/test_bench_contract.py)",
-    "repro.core.hierarchy:HierarchicalControlPlane._evict": "fault path: a stage that "
-    "stopped answering collects",
-    "repro.core.hierarchy:HierarchicalControlPlane._forget_stage": "fault path: eviction "
-    "and deregistration under a local controller",
-    "repro.core.hierarchy:LocalController.deregister": "fault path: the rack-local half "
-    "of an eviction",
     "repro.core.ringlog:RingLog.__eq__": "reference: flat == hier and InProc == TCP "
     "compare enforcement logs with it",
     "repro.core.ringlog:RingLog.__repr__": "reference: what a failed log comparison prints",
