@@ -19,6 +19,10 @@ AR(1)-correlated lognormal noise on top, so the series is volatile *and*
 temporally coherent like the real thing.  The per-sample operation mix is
 Dirichlet-jittered around the paper's shares.
 
+The AR(1) noise is its recurrence ``x[t] = ar * x[t-1] + e[t]`` from 0 in a
+Python loop: SciPy's ``lfilter([1], [1, -ar], e)`` rounds the same product,
+then the same sum, so this is its output bit for bit without importing SciPy.
+
 :func:`generate_mdt_trace` produces the single-MDT trace the paper's
 replayer experiments use.  MDT load at PFS_A is skewed, so the chosen
 ("hot") MDT is calibrated independently: ≈133 KOps/s mean with bursts to
@@ -193,18 +197,18 @@ def _state_sequence(config: AbciTraceConfig, rng: np.random.Generator) -> np.nda
 def _colored_noise(
     n: int, sigma: float, ar: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """AR(1) Gaussian noise with stationary std ``sigma`` (vectorised)."""
+    """AR(1) Gaussian noise with stationary std ``sigma`` (see module doc)."""
     if sigma == 0 or n == 0:
         return np.zeros(n)
     innovation_std = sigma * np.sqrt(1 - ar * ar)
     e = rng.normal(0.0, innovation_std, size=n)
     if ar == 0:
         return e
-    # lfilter computes x[t] = ar * x[t-1] + e[t] in C.
-    from scipy.signal import lfilter
-
-    x = lfilter([1.0], [1.0, -ar], e)
-    return np.asarray(x)
+    x, y = [], 0.0
+    for value in e.tolist():
+        y = ar * y + value
+        x.append(y)
+    return np.array(x)
 
 
 def generate_trace(config: AbciTraceConfig) -> OpTrace:

@@ -7,6 +7,8 @@ generator fails.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ from repro.workloads.abci import (
 
 # One day of trace is plenty for rate-band checks and fast to generate.
 DAY = 24 * 3600.0
+
+#: SHA-256 of each trace's kinds and count bytes (:func:`trace_digest`).
+#: The calibration bands above hold across seeds; these pin the exact
+#: floats, so a generator change that moves one ulp fails here.
+MDT_DIGESTS = {
+    0: "1f93995c43efab2a0ee4f266c15d0771af0671f48525fdcb365921fb2a1fcddb",
+    1: "ad15bb722b292edef763a5e121cf539675ecd9b5edc2aa675bdc9b8ea43e551c",
+    2: "602669882573b65bbc2a92b3643a3f14d958ce7fb53069f1229f4c53083f73d5",
+    3: "37610ba6afa3540d65d2347002a3b22e198b287ee9713f766bf3056650a77333",
+}
+AGGREGATE_DIGEST = "ff204e4085818256768bb39875d8774f2ffa83cfef2ab48a1aaee2059ea80950"
+
+
+def trace_digest(trace) -> str:
+    digest = hashlib.sha256(",".join(trace.kinds).encode())
+    digest.update(trace.counts.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +107,18 @@ class TestMdtCalibration:
 
 class TestDeterminism:
     def test_same_seed_identical(self):
+        # OpTrace.__eq__ is np.allclose (CSV keeps 6 digits): compare bytes.
         a = generate_mdt_trace(seed=5)
         b = generate_mdt_trace(seed=5)
-        assert a == b
+        assert a.kinds == b.kinds
+        assert a.counts.tobytes() == b.counts.tobytes()
+
+    @pytest.mark.parametrize("seed", sorted(MDT_DIGESTS))
+    def test_mdt_trace_bytes_pinned(self, seed):
+        assert trace_digest(generate_mdt_trace(seed=seed)) == MDT_DIGESTS[seed]
+
+    def test_aggregate_trace_bytes_pinned(self, aggregate):
+        assert trace_digest(aggregate) == AGGREGATE_DIGEST
 
     def test_different_seeds_differ(self):
         a = generate_mdt_trace(seed=5)
