@@ -173,8 +173,8 @@ class AggregateStats:
 class ArrayStats:
     """Array-backed :class:`AggregateStats` twin over a per-slot array.
 
-    ``job_ids``/``stage_counts`` are the local's static layout (the
-    :class:`~repro.simulation.sharded.shm.ShardIndexMap` rack slice) and
+    ``job_ids``/``stage_counts`` are the local's static layout (a
+    :class:`~repro.simulation.sharded.fluid.RackSlots` entry) and
     ``demand`` is the per-epoch float64 demand-partial vector aligned to
     them -- no per-job Python objects on the per-cycle path.  The
     :attr:`jobs` property materialises the classic ``(job_id, demand,

@@ -12,9 +12,8 @@ value changes every N minutes upon instruction of the system administrator".
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import PolicyError

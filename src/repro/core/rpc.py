@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from repro.errors import RPCError
 from repro.core.differentiation import ClassifierRule
-from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
+from repro.core.stage import DataPlaneStage
 
 __all__ = [
     "RpcMessage",

@@ -27,8 +27,8 @@ wall clock or draws a random number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 __all__ = ["CollectSession"]
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
 from repro.core.algorithms import (
     AllocationAlgorithm,
     DominantResourceFairness,

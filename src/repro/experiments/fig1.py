@@ -9,7 +9,6 @@ and volatility (dips at or below 50 KOps/s adjacent to spikes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -28,14 +28,12 @@ from repro.errors import ConfigError
 from repro.analysis.plots import ascii_plot
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule, RuleScope, SteppedRate
-from repro.core.requests import OperationClass, OperationType, Request
+from repro.core.requests import OperationClass, Request
 from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
-from repro.monitoring.collector import Collector
 from repro.pfs.client import PFS_MOUNT
 from repro.pfs.cluster import ClusterConfig, LustreCluster
-from repro.pfs.mds import MDSConfig
 from repro.simulation.engine import Environment
 from repro.simulation.ticker import DT, Ticker
 from repro.workloads.abci import generate_mdt_trace
@@ -46,6 +44,7 @@ __all__ = [
     "run_fig4_metadata",
     "run_fig4_data",
     "derive_step_limits",
+    "step_count",
     "main",
 ]
 
@@ -75,6 +74,13 @@ class Fig4Result:
 
     def limit_series(self, times: np.ndarray) -> np.ndarray:
         return np.array([self.limit_at(t) for t in times])
+
+
+def step_count(duration: float, step_period: float) -> int:
+    """How many administrator steps cover ``duration``: at least one."""
+    if step_period <= 0:
+        raise ConfigError(f"step_period must be > 0, got {step_period}")
+    return max(1, int(np.ceil(duration / step_period)))
 
 
 def derive_step_limits(
@@ -155,6 +161,9 @@ def run_fig4_metadata(
         raise ConfigError(
             f"target must be one of {METADATA_TARGETS}, got {target!r}"
         )
+    if drain_tail < 0:
+        raise ConfigError(f"drain_tail must be >= 0, got {drain_tail}")
+    n_steps = step_count(duration, step_period)
     total = duration + drain_tail
     tel = telemetry_factory if telemetry_factory is not None else lambda name: None
     # The three setups replay the identical fixed-seed trace; generate it
@@ -165,7 +174,6 @@ def run_fig4_metadata(
         telemetry=tel("baseline"),
     ).run(total)
     base_times, base_rates = baseline.job_rate_series("job1")
-    n_steps = max(1, int(np.ceil(duration / step_period)))
     limits = derive_step_limits(base_rates[base_times < duration], n_steps)
     passthrough = _build_world(
         Setup.PASSTHROUGH, target, seed, None, step_period, trace=trace,
@@ -265,9 +273,9 @@ def run_fig4_data(
     """One data panel of Fig. 4 (read or write, limits change each minute)."""
     if mode not in DATA_TARGETS:
         raise ConfigError(f"mode must be one of {DATA_TARGETS}, got {mode!r}")
+    n_steps = step_count(duration, step_period)
     baseline_world = _DataWorld(Setup.BASELINE, mode, seed)
     base = baseline_world.run(duration)
-    n_steps = max(1, int(np.ceil(duration / step_period)))
     limits = derive_step_limits(base[1], n_steps)
     passthrough = _DataWorld(Setup.PASSTHROUGH, mode, seed).run(duration)
     padll_world = _DataWorld(Setup.PADLL, mode, seed)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.analysis.plots import ascii_plot
 from repro.core.algorithms import ProportionalSharing
-from repro.experiments.fig4 import derive_step_limits
+from repro.experiments.fig4 import derive_step_limits, step_count
 from repro.simulation.sharded import (
     FluidConfig,
     ShardedConfig,
@@ -95,6 +95,7 @@ def run_fig4_sharded(
     and CI).  The control epoch is :class:`ShardedConfig`'s default
     ``loop_interval``.
     """
+    n_steps = step_count(duration, step_period)
     if duration < 2 * step_period:
         raise ConfigError(
             f"duration {duration} too short for step_period {step_period}: "
@@ -113,7 +114,6 @@ def run_fig4_sharded(
     baseline = baseline_sim.run(duration).finish()
     baseline_rates = baseline.aggregate_served / DT
 
-    n_steps = max(1, int(np.ceil(duration / step_period)))
     limits = derive_step_limits(baseline_rates, n_steps)
 
     def stepped_capacity(control_plane, now: float) -> None:

@@ -16,7 +16,7 @@ the fluid model can only infer from queue depth:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 import numpy as np
 

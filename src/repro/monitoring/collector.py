@@ -11,7 +11,7 @@ This mirrors how LustrePerfMon samples per-MDT operation statistics at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping
 
 from repro.errors import ConfigError
 from repro.monitoring.metrics import TimeSeries

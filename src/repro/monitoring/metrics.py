@@ -8,7 +8,7 @@ second across 30-day traces.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import ConfigError, MDSUnavailable
+from repro.errors import MDSUnavailable
 from repro.core.requests import MDS_KIND_BY_OP, Request
 
 __all__ = ["PFS_MOUNT", "PFSClient"]

@@ -14,7 +14,7 @@ backoff on conflicts -- used to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, MDSUnavailable

@@ -14,8 +14,8 @@ layer read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 from repro.errors import ConfigError
 

@@ -16,10 +16,9 @@ counterpart, with threads and a lock table, is
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional
 
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.costs import OP_COSTS, op_cost

@@ -7,10 +7,9 @@ offered-vs-served byte rate with saturation.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, List
 
 from repro.errors import ConfigError
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from repro.errors import ConfigError
 from repro.telemetry.events import Event, EventLog

@@ -16,13 +16,12 @@ from repro.simulation.sharded.coordinator import (
     ShardedResult,
     ShardedSimulation,
 )
-from repro.simulation.sharded.fluid import UNLIMITED, FluidConfig, FluidRack, RackSpec
+from repro.simulation.sharded.fluid import UNLIMITED, FluidConfig, RackSpec
 from repro.simulation.sharded.pool import RackFinal, ShardPool
 
 __all__ = [
     "UNLIMITED",
     "FluidConfig",
-    "FluidRack",
     "RackFinal",
     "RackSpec",
     "ShardPool",

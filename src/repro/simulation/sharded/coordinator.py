@@ -9,9 +9,8 @@ control loop interval:
 
 1. every shard's rack block advances ``loop_interval / DT`` fluid
    ticks, in shard order in this process, and reports per-job demand
-   partials as one float64 slot vector in the pool's
-   :class:`~repro.simulation.sharded.shm.ShardIndexMap` order (the
-   barrier);
+   partials as one float64 vector over the pool's slots, one slot per
+   ``(rack, job)`` (the barrier);
 2. the coordinator runs one ``cp.tick``: the rack endpoints answer the
    plane's collects with :class:`~repro.core.hierarchy.ArrayStats`
    slices over that vector, and the plane's own demand merge, staleness
@@ -51,9 +50,8 @@ from repro.core.hierarchy import (
     rack_index,
 )
 from repro.core.stage import StageIdentity
-from repro.simulation.sharded.fluid import FluidConfig, RackSpec
+from repro.simulation.sharded.fluid import BURST_NONE, FluidConfig, RackSpec
 from repro.simulation.sharded.pool import ShardPool
-from repro.simulation.sharded.shm import BURST_NONE
 from repro.simulation.ticker import DT
 
 __all__ = ["ShardedConfig", "ShardedResult", "ShardedSimulation"]
@@ -160,6 +158,10 @@ class ShardedSimulation:
     ``epoch_hook(control_plane, now)`` (optional) runs right before each
     ``cp.tick`` -- the fig4-style experiments use it to step the
     allocator's capacity on schedule.
+
+    :meth:`run` once, then :meth:`finish` (which closes it) once; a
+    second run, or a finish before the run or after :meth:`close`, is a
+    :class:`ConfigError`.
     """
 
     def __init__(
@@ -171,7 +173,8 @@ class ShardedSimulation:
     ) -> None:
         self.config = config
         self._epoch_hook = epoch_hook
-        self._ran = False
+        #: "new" -> "ran" -> "closed" (by finish or close).
+        self._state = "new"
         self._telemetry = telemetry
 
         # Global registration order: jobs outer, stages inner -- the same
@@ -189,10 +192,6 @@ class ShardedSimulation:
                 registrations.append(
                     (StageIdentity(f"{job_id}-s{s}", job_id), f"rack{rack}")
                 )
-        self._rack_ids = [f"rack{r}" for r in range(config.n_racks)]
-        self._rack_index = {
-            rack_id: r for r, rack_id in enumerate(self._rack_ids)
-        }
         specs = [
             RackSpec(rack_id=f"rack{r}", index=r, stages=tuple(stages))
             for r, stages in enumerate(rack_stages)
@@ -227,7 +226,7 @@ class ShardedSimulation:
             telemetry=telemetry,
             enforce_array_sink=self._enforce_array_sink,
         )
-        for rack_id in self._rack_ids:
+        for rack_id in self._pool.racks:
             self.control_plane.attach_local(
                 RackEndpoint(
                     rack_id,
@@ -242,21 +241,20 @@ class ShardedSimulation:
     def _collect_rack(
         self, rack_id: str, message: CollectAggregate
     ) -> ArrayStats:
-        index_map = self._pool.index_map
-        rack_index = self._rack_index[rack_id]
+        rack = self._pool.racks[rack_id]
         return ArrayStats(
             local_id=rack_id,
             timestamp=message.now,
-            job_ids=index_map.rack_job_ids[rack_index],
-            demand=self._demand[index_map.rack_slice(rack_id)],
-            stage_counts=index_map.rack_stage_counts[rack_index],
+            job_ids=rack.job_ids,
+            demand=self._demand[rack.slots],
+            stage_counts=rack.stage_counts,
         )
 
     def _enforce_rack(self, rack_id: str, message: EnforceJobRateBatch) -> bool:
-        slot_of = self._pool.index_map.slot_of
+        slot_of = self._pool.slot_of
         for job_id, rate, burst in message.entries:
-            slot = slot_of(rack_id, job_id)
-            if slot < 0:
+            slot = slot_of.get((rack_id, job_id))
+            if slot is None:
                 continue
             self._flags[slot] = 1.0
             self._rates_arr[slot] = rate
@@ -275,16 +273,14 @@ class ShardedSimulation:
         version = self.control_plane.placement_version
         if self._sink_version == version:
             return
-        index_map = self._pool.index_map
+        slot_of = self._pool.slot_of
         job_ids = self.control_plane.vector_job_ids()
         slots: List[int] = []
         reps: List[int] = []
         for position, job_id in enumerate(job_ids):
             for rack_id in self.control_plane.hosting_locals(job_id):
-                slot = index_map.slot_of(rack_id, job_id)
-                if slot >= 0:
-                    slots.append(slot)
-                    reps.append(position)
+                slots.append(slot_of[(rack_id, job_id)])
+                reps.append(position)
         self._sink_slots = np.array(slots, dtype=np.intp)
         self._sink_reps = np.array(reps, dtype=np.intp)
         self._sink_version = version
@@ -307,8 +303,10 @@ class ShardedSimulation:
     # -- run loop -----------------------------------------------------------
     def run(self, duration: float) -> "ShardedSimulation":
         """Advance ``duration`` seconds of simulated time; returns self."""
-        if self._ran:
-            raise ConfigError("sharded simulation can only run once")
+        if self._state != "new":
+            raise ConfigError(
+                f"sharded simulation can only run once (state: {self._state})"
+            )
         config = self.config
         epochs = duration / config.loop_interval
         if duration <= 0 or abs(epochs - round(epochs)) > 1e-9:
@@ -316,7 +314,7 @@ class ShardedSimulation:
                 "duration must be a positive multiple of loop_interval, got "
                 f"{duration} with loop_interval={config.loop_interval}"
             )
-        self._ran = True
+        self._state = "ran"
         n_epochs = int(round(epochs))
         ticks_per_epoch = int(round(config.loop_interval / DT))
         loop_interval = config.loop_interval
@@ -350,16 +348,18 @@ class ShardedSimulation:
         return self
 
     def finish(self) -> ShardedResult:
-        """Collect per-rack finals and assemble the run result."""
-        finals = self._pool.finish()
+        """Collect per-rack finals and assemble the result of the run."""
+        if self._state != "ran":
+            raise ConfigError(
+                f"finish() needs one completed run() (state: {self._state})"
+            )
+        finals = self._pool.finals()
+        self.close()
         rack_served = {final.rack_id: final.served for final in finals}
-        n_ticks = max((len(s) for s in rack_served.values()), default=0)
-        aggregate = np.zeros(n_ticks)
+        aggregate = np.zeros(len(finals[0].served))
         # Rack-order accumulation: independent of shard blocking.
-        for rack_id in self._rack_ids:
-            served = rack_served.get(rack_id)
-            if served is not None and len(served):
-                aggregate[: len(served)] += served
+        for final in finals:
+            aggregate += final.served
         job_granted: Dict[str, float] = {
             f"job{j}": 0.0 for j in range(self.config.n_jobs)
         }
@@ -377,8 +377,9 @@ class ShardedSimulation:
         )
 
     def close(self) -> None:
-        """Release the pool without collecting results."""
-        self._pool.close()
+        """Drop the rack blocks without collecting results; idempotent."""
+        self._state = "closed"
+        self._pool = None
 
     def __enter__(self) -> "ShardedSimulation":
         return self

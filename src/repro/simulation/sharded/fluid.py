@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +51,18 @@ from repro.errors import ConfigError
 from repro.simulation.rng import SeedSequence, make_rng
 from repro.simulation.ticker import DT
 
-__all__ = ["UNLIMITED", "FluidConfig", "RackSpec", "RackFinal", "FluidBlock", "FluidRack"]
+__all__ = [
+    "BURST_NONE", "UNLIMITED", "FluidConfig", "RackSpec", "RackSlots", "RackFinal",
+    "FluidBlock",
+]
 
 TWO_PI = 2.0 * math.pi
 
 #: Channel rate meaning "no enforcement installed yet".
 UNLIMITED = float("inf")
+#: Burst meaning ``burst=None``: derive it as ``rate * BURST_SECONDS``
+#: (:meth:`FluidBlock.apply_rate_arrays`).
+BURST_NONE = float("nan")
 
 
 #: Relative swing of the sinusoidal demand modulation.
@@ -102,7 +108,7 @@ class FluidConfig:
 
 @dataclass(frozen=True, slots=True)
 class RackSpec:
-    """One rack's identity and hosted stages (picklable shard payload)."""
+    """One rack's identity and hosted stages."""
 
     rack_id: str
     #: Global rack index; seeds the rack's independent RNG stream.
@@ -117,9 +123,19 @@ class RackSpec:
             raise ConfigError(f"rack index must be >= 0, got {self.index}")
 
 
+class RackSlots(NamedTuple):
+    """One rack's slots: one per job it hosts, in registration order."""
+
+    job_ids: Tuple[str, ...]
+    #: Half-open slot range, one slot per entry of ``job_ids``.
+    slots: slice
+    #: Stages each job has on the rack.
+    stage_counts: Tuple[int, ...]
+
+
 @dataclass(eq=False)
 class RackFinal:
-    """End-of-run snapshot of one rack, shipped back over the pipe."""
+    """End-of-run snapshot of one rack."""
 
     rack_id: str
     served: np.ndarray
@@ -140,10 +156,10 @@ class FluidBlock:
     re-association).
 
     The per-stage arrays are the racks' arrays concatenated in rack
-    order; ``job_of`` holds block slot numbers -- one slot per
-    ``(rack, job)``, the :class:`~repro.simulation.sharded.shm.
-    ShardIndexMap` numbering counted from the block's first slot -- so a
-    slot collects only its own rack's stages, in registration order.
+    order.  The block owns the slot layout: one slot per ``(rack, job)``,
+    numbered rack by rack and, within a rack, in the jobs' first-appearance
+    order (:attr:`layout`).  ``job_of`` holds each stage's slot, so a slot
+    collects only its own rack's stages, in registration order.
     """
 
     def __init__(
@@ -155,10 +171,9 @@ class FluidBlock:
         base_rate = float(config.clients_per_stage) * config.ops_per_client
         bases: List[np.ndarray] = []
         phases: List[np.ndarray] = []
-        #: Per rack, its job ids in first-appearance (registration) order.
-        self.rack_job_ids: List[Tuple[str, ...]] = []
-        #: Per rack, its half-open stage range and slot range in the block.
-        self._bounds: List[Tuple[int, int, int, int]] = []
+        #: Per rack, its half-open stage range in the block.
+        self._bounds: List[Tuple[int, int]] = []
+        rack_slots: List[Tuple[Tuple[str, ...], slice]] = []
         #: Per rack, what its MDS can serve in one tick.
         self._tick_capacity: List[float] = []
         job_of: List[int] = []
@@ -178,16 +193,20 @@ class FluidBlock:
                 if slot is None:
                     slot = slots[job_id] = n_slots + len(slots)
                 job_of.append(slot)
-            self.rack_job_ids.append(tuple(slots))
-            self._bounds.append(
-                (len(job_of) - n, len(job_of), n_slots, n_slots + len(slots))
-            )
+            self._bounds.append((len(job_of) - n, len(job_of)))
+            rack_slots.append((tuple(slots), slice(n_slots, n_slots + len(slots))))
             n_slots += len(slots)
         self.base = base_rate * np.concatenate(bases)
         self.phase = np.concatenate(phases)
         self.job_of = np.array(job_of, dtype=np.intp)
         self._job_of_list = job_of
-        self._n_slots = n_slots
+        self.n_slots = n_slots
+        stage_counts = np.bincount(self.job_of, minlength=n_slots).tolist()
+        #: Per rack, in rack order, its slots in this block.
+        self.layout: Tuple[RackSlots, ...] = tuple(
+            RackSlots(job_ids, slots, tuple(stage_counts[slots]))
+            for job_ids, slots in rack_slots
+        )
         self._job_rate = np.full(n_slots, UNLIMITED)
         self._job_burst = self._job_rate * BURST_SECONDS
         self.rate = self._job_rate[self.job_of]
@@ -249,7 +268,7 @@ class FluidBlock:
             granted = self._tick_scalar(t)
         mds_queue = self._mds_queue
         delivered = self._delivered
-        for r, (lo, hi, _, _) in enumerate(self._bounds):
+        for r, (lo, hi) in enumerate(self._bounds):
             # Rack-level reduction over a contiguous slice: the same pairwise
             # order in both modes and at every shard count, over a shape
             # fixed by the rack layout -- switching to _seq_sum would change
@@ -271,7 +290,7 @@ class FluidBlock:
         self.backlog = want - granted
         self.window_enqueued += arrive
         self.job_granted += np.bincount(
-            self.job_of, weights=granted, minlength=self._n_slots
+            self.job_of, weights=granted, minlength=self.n_slots
         )
         return granted
 
@@ -300,7 +319,7 @@ class FluidBlock:
             granted[i] = g
         # np.bincount adds weights sequentially in element order; this
         # loop replays that exact accumulation.
-        tick_granted = np.zeros(self._n_slots)
+        tick_granted = np.zeros(self.n_slots)
         job_of = self._job_of_list
         for i in range(n):
             idx = job_of[i]
@@ -323,15 +342,15 @@ class FluidBlock:
         == the scalar loop == ``LocalController._collect_aggregate``'s
         dict accumulation from 0.0).  The array is aligned to the
         block's slots; the pool places it verbatim in its slot slice and
-        the static index map supplies ids and stage counts.
+        :attr:`layout` supplies ids and stage counts.
         """
         contrib = self.window_enqueued / loop_interval + self.backlog / loop_interval
         if self.vectorized:
             per_slot = np.bincount(
-                self.job_of, weights=contrib, minlength=self._n_slots
+                self.job_of, weights=contrib, minlength=self.n_slots
             )
         else:
-            per_slot = np.zeros(self._n_slots)
+            per_slot = np.zeros(self.n_slots)
             job_of = self._job_of_list
             for i in range(len(contrib)):
                 idx = job_of[i]
@@ -342,7 +361,7 @@ class FluidBlock:
     def finals(self) -> List[RackFinal]:
         """Every rack's end-of-run snapshot, in rack order."""
         finals = []
-        for r, (lo, hi, first_slot, end_slot) in enumerate(self._bounds):
+        for r, ((lo, hi), rack) in enumerate(zip(self._bounds, self.layout)):
             # backlog's shape is fixed by the rack layout, so the pairwise
             # order is identical on every tick and across shard counts.
             backlog = float(self.backlog[lo:hi].sum())  # padll: allow(FLT001)
@@ -350,41 +369,10 @@ class FluidBlock:
                 RackFinal(
                     rack_id=self.rack_ids[r],
                     served=np.asarray(self._served[r], dtype=np.float64),
-                    job_ids=self.rack_job_ids[r],
-                    job_granted=self.job_granted[first_slot:end_slot].copy(),
+                    job_ids=rack.job_ids,
+                    job_granted=self.job_granted[rack.slots].copy(),
                     delivered_ops=self._delivered[r],
                     backlog=backlog + self._mds_queue[r],
                 )
             )
         return finals
-
-
-class FluidRack(FluidBlock):
-    """A block of one rack under that rack's own names: the handle the
-    bit-identity tests hold a single rack by (the engine runs blocks)."""
-
-    def __init__(
-        self, spec: RackSpec, config: FluidConfig, vectorized: bool = True
-    ) -> None:
-        super().__init__((spec,), config, vectorized)
-
-    @property
-    def job_ids(self) -> Tuple[str, ...]:
-        return self.rack_job_ids[0]
-
-    @property
-    def delivered_ops(self) -> float:
-        return self._delivered[0]
-
-    def tick(self, t: float) -> float:
-        """Advance one ``DT``; returns ops served by the rack MDS."""
-        super().tick(t)
-        return self._served[0][-1]
-
-    def served_series(self) -> np.ndarray:
-        """Ops served by the rack MDS, one entry per tick."""
-        return self.finals()[0].served
-
-    def total_backlog(self) -> float:
-        """Un-granted ops still queued at the rack's stages."""
-        return self.finals()[0].backlog

@@ -2,37 +2,30 @@
 
 A :class:`ShardPool` holds one
 :class:`~repro.simulation.sharded.fluid.FluidBlock` per shard (a
-contiguous block of racks as one array set); each reads and writes only
-its own slot slice of the one global
-:class:`~repro.simulation.sharded.shm.ShardIndexMap` layout.  Racks only
-exchange state at epoch boundaries, so 1 shard and N shards are
-bit-identical by construction (the invariance tests assert it).
+contiguous block of racks as one array set).  Each block numbers its own
+slots (one per ``(rack, job)``); the pool lays the blocks' slots end to
+end, so a block reads and writes one contiguous slice of every per-slot
+array.  Racks only exchange state at epoch boundaries, so 1 shard and N
+shards are bit-identical by construction (the invariance tests assert
+it).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.simulation.sharded.fluid import FluidBlock, FluidConfig, RackFinal, RackSpec
-from repro.simulation.sharded.shm import ShardIndexMap
+from repro.simulation.sharded.fluid import (
+    FluidBlock,
+    FluidConfig,
+    RackFinal,
+    RackSlots,
+    RackSpec,
+)
 
 __all__ = ["RackFinal", "ShardPool"]
-
-
-def _run_epoch(
-    block: FluidBlock, t0, n_ticks, loop_interval, flags, rates, bursts
-) -> np.ndarray:
-    """The one epoch body: install the pushed rates, advance, report.
-
-    ``flags``/``rates``/``bursts`` and the returned demand partials are
-    aligned to the block's slots.
-    """
-    block.apply_rate_arrays(flags != 0.0, rates, bursts)
-    block.run_epoch(t0, n_ticks)
-    return block.demand_partials_array(loop_interval)
 
 
 class ShardPool:
@@ -44,28 +37,28 @@ class ShardPool:
     def __init__(
         self, shards: Sequence[Sequence[RackSpec]], config: FluidConfig
     ) -> None:
-        blocks = [tuple(block) for block in shards]
-        if not blocks or not all(blocks):
+        if not shards or not all(shards):
             raise ConfigError("need at least one shard, each with a rack")
-        self.n_shards = len(blocks)
-        self.index_map = ShardIndexMap([spec for block in blocks for spec in block])
-        self.n_slots = self.index_map.n_slots
-        # A block's slots run from its first rack's slice start to its
-        # last rack's slice stop in the one global map.
-        rack_slice = self.index_map.rack_slice
-        self._blocks: Optional[List[Tuple[FluidBlock, slice]]] = [
-            (
-                FluidBlock(block, config),
-                slice(rack_slice(block[0].rack_id).start,
-                      rack_slice(block[-1].rack_id).stop),
-            )
-            for block in blocks
-        ]
-
-    def _live_blocks(self) -> List[Tuple[FluidBlock, slice]]:
-        if self._blocks is None:
-            raise ConfigError("pool is closed")
-        return self._blocks
+        #: rack id -> its job ids, global slot slice and stage counts.
+        self.racks: Dict[str, RackSlots] = {}
+        #: ``(rack id, job id)`` -> global slot, for every hosted pair.
+        self.slot_of: Dict[Tuple[str, str], int] = {}
+        self._blocks: List[Tuple[FluidBlock, slice]] = []
+        offset = 0
+        for specs in shards:
+            block = FluidBlock(specs, config)
+            for rack_id, rack in zip(block.rack_ids, block.layout):
+                if rack_id in self.racks:
+                    raise ConfigError(f"duplicate rack id {rack_id!r}")
+                first = offset + rack.slots.start
+                self.racks[rack_id] = rack._replace(
+                    slots=slice(first, offset + rack.slots.stop)
+                )
+                for k, job_id in enumerate(rack.job_ids):
+                    self.slot_of[(rack_id, job_id)] = first + k
+            self._blocks.append((block, slice(offset, offset + block.n_slots)))
+            offset += block.n_slots
+        self.n_slots = offset
 
     def run_epoch_arrays(
         self, t0: float, n_ticks: int, loop_interval: float,
@@ -74,27 +67,17 @@ class ShardPool:
         """Advance every block one epoch.
 
         ``flags``/``rates``/``bursts`` are per-slot float64 arrays in
-        :attr:`index_map` order (``flags[s] != 0`` means slot ``s`` has a
-        rate update; NaN burst means "derive from the rate").  Returns
-        the per-slot demand partials in the same order.
+        global slot order (``flags[s] != 0`` means slot ``s`` has a rate
+        update; NaN burst means "derive from the rate").  Returns the
+        per-slot demand partials in the same order.
         """
-        return np.concatenate([
-            _run_epoch(block, t0, n_ticks, loop_interval, flags[s], rates[s], bursts[s])
-            for block, s in self._live_blocks()
-        ])
+        partials = []
+        for block, s in self._blocks:
+            block.apply_rate_arrays(flags[s] != 0.0, rates[s], bursts[s])
+            block.run_epoch(t0, n_ticks)
+            partials.append(block.demand_partials_array(loop_interval))
+        return np.concatenate(partials)
 
-    def finish(self) -> List[RackFinal]:
-        """Collect per-rack finals (in rack order) and close the pool."""
-        finals = [final for block, _ in self._live_blocks() for final in block.finals()]
-        self.close()
-        return finals
-
-    def close(self) -> None:
-        """Drop the blocks; safe to call repeatedly."""
-        self._blocks = None
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def finals(self) -> List[RackFinal]:
+        """Every rack's end-of-run snapshot, in rack order."""
+        return [final for block, _ in self._blocks for final in block.finals()]

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
 from repro.telemetry.events import Event
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import Span, Tracer
 
 __all__ = [

@@ -33,7 +33,7 @@ replayer experiments use.  MDT load at PFS_A is skewed, so the chosen
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 

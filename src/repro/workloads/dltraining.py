@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.core.requests import OperationType, Request
 from repro.pfs.client import PFS_MOUNT

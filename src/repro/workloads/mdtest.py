@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.core.requests import OperationType
 from repro.pfs.discrete import DiscreteMDS
 from repro.simulation.engine import Environment
 

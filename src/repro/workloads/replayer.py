@@ -19,7 +19,6 @@ PFS client).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 

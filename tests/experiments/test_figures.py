@@ -17,6 +17,7 @@ from repro.experiments.fig4 import (
     derive_step_limits,
     run_fig4_data,
     run_fig4_metadata,
+    step_count,
 )
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.harm import run_harm
@@ -137,6 +138,24 @@ class TestDeriveStepLimits:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             derive_step_limits(np.array([]), 3)
+
+
+class TestStepCount:
+    def test_steps_cover_the_duration(self):
+        assert step_count(1800.0, 360.0) == 5
+        assert step_count(1801.0, 360.0) == 6
+        assert step_count(10.0, 360.0) == 1
+
+    @pytest.mark.parametrize("period", [0.0, -5.0])
+    def test_non_positive_period_rejected(self, period):
+        with pytest.raises(ConfigError, match="step_period must be > 0"):
+            step_count(60.0, period)
+        with pytest.raises(ConfigError, match="step_period must be > 0"):
+            run_fig4_data("write", duration=60.0, step_period=period)
+
+    def test_negative_drain_tail_rejected(self):
+        with pytest.raises(ConfigError, match="drain_tail must be >= 0"):
+            run_fig4_metadata("open", duration=60.0, step_period=30.0, drain_tail=-3.0)
 
 
 class TestFig5Short:

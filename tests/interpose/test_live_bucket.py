@@ -89,7 +89,8 @@ class TestLiveBucket:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
+            assert not t.is_alive(), "a worker is still acquiring after 10 s"
         total = sum(granted)
         elapsed = clock.t
         assert total == 400.0

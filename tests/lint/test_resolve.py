@@ -30,12 +30,12 @@ class TestRelativeImports:
 
     def test_one_dot_import_in_plain_module(self):
         resolver = _resolver(
-            "from .shm import ShardIndexMap",
+            "from .fluid import FluidBlock",
             module="repro.simulation.sharded.pool",
         )
         assert (
-            resolver.resolve(_expr("ShardIndexMap"))
-            == "repro.simulation.sharded.shm.ShardIndexMap"
+            resolver.resolve(_expr("FluidBlock"))
+            == "repro.simulation.sharded.fluid.FluidBlock"
         )
 
     def test_one_dot_import_in_package_init(self):

@@ -2,25 +2,27 @@
 
 The contracts under test (see ``repro.simulation.sharded.fluid``):
 
-* a rack on the scalar per-stage reference arithmetic
-  (``FluidRack(vectorized=False)``) and a vectorised rack hold
+* a rack on the scalar per-stage reference arithmetic (a one-rack
+  ``FluidBlock(vectorized=False)``) and a vectorised rack hold
   bit-identical state and outputs, and so does a multi-rack block;
 * a block of racks advanced as one array set holds exactly what its
   racks hold when each is advanced alone;
-* the frozen index map numbers slots exactly as the blocks do, and N
-  in-process blocks produce the demand partials and finals of one block;
+* the pool's slot index (``racks`` and ``slot_of``) is its blocks' slots
+  laid end to end and covers every (job, rack) pair the plane pushes to,
+  and N in-process blocks produce the demand partials and finals of one
+  block;
 * the full-run digest is identical for 1 shard and N shards, equals a
   literal frozen before the engine's alternative wire and control loop
-  were deleted, and a run at any shard count starts no process and no
-  shared-memory segment;
+  were deleted, and a run at any shard count starts no process;
 * demand partials follow the hierarchy's exact per-stage expression;
-* enforcement pushed by the global plane genuinely caps throughput.
+* enforcement pushed by the global plane genuinely caps throughput;
+* a simulation runs once, then finishes once.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from pathlib import Path
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,14 +35,12 @@ from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.simulation.sharded import (
     UNLIMITED,
     FluidConfig,
-    FluidRack,
     RackSpec,
     ShardPool,
     ShardedConfig,
     ShardedSimulation,
 )
-from repro.simulation.sharded.fluid import BURST_SECONDS, FluidBlock
-from repro.simulation.sharded.shm import BURST_NONE, ShardIndexMap
+from repro.simulation.sharded.fluid import BURST_NONE, BURST_SECONDS, FluidBlock
 
 
 def small_fluid(**kw):
@@ -91,11 +91,6 @@ WRAPPED_LOG_DIGEST = (
 )
 
 
-def psm_segments():
-    """Names of the shared-memory segments this engine's wire used to make."""
-    return {path.name for path in Path("/dev/shm").glob("psm_*")}
-
-
 def run_result(config, capacity=None, duration=30.0, algorithm=None, **kw):
     if algorithm is None and capacity is not None:
         algorithm = ProportionalSharing(capacity=capacity)
@@ -115,23 +110,31 @@ def make_spec(n_stages=6, n_jobs=2, index=0):
     )
 
 
+def one_rack(spec, config, vectorized=True):
+    """One rack as the engine holds it: a block of that rack alone."""
+    return FluidBlock((spec,), config, vectorized=vectorized)
+
+
 def install(rack, **job_rates):
     """Install per-stage job rates through the rack's one rate verb."""
-    mask = np.zeros(len(rack.job_ids), dtype=bool)
-    rates = np.zeros(len(rack.job_ids))
+    job_ids = rack.layout[0].job_ids
+    mask = np.zeros(len(job_ids), dtype=bool)
+    rates = np.zeros(len(job_ids))
     for job_id, rate in job_rates.items():
-        slot = rack.job_ids.index(job_id)
+        slot = job_ids.index(job_id)
         mask[slot] = True
         rates[slot] = rate
-    rack.apply_rate_arrays(mask, rates, np.full(len(rack.job_ids), BURST_NONE))
+    rack.apply_rate_arrays(mask, rates, np.full(len(job_ids), BURST_NONE))
 
 
 class TestFluidRack:
+    """One fluid rack, held as a one-rack ``FluidBlock``."""
+
     def test_scalar_matches_vectorized_bitwise(self):
         spec = make_spec()
         config = small_fluid()
-        vec = FluidRack(spec, config, vectorized=True)
-        ref = FluidRack(spec, config, vectorized=False)
+        vec = one_rack(spec, config, vectorized=True)
+        ref = one_rack(spec, config, vectorized=False)
         # Throttle one job mid-run so the rate/burst path is exercised too.
         for t in range(40):
             if t == 15:
@@ -142,9 +145,9 @@ class TestFluidRack:
         assert np.array_equal(vec.tokens, ref.tokens)
         assert np.array_equal(vec.backlog, ref.backlog)
         assert np.array_equal(vec.job_granted, ref.job_granted)
-        assert np.array_equal(vec.served_series(), ref.served_series())
-        assert vec.delivered_ops == ref.delivered_ops
-        assert vec.total_backlog() == ref.total_backlog()
+        assert [final_fields(f) for f in vec.finals()] == [
+            final_fields(f) for f in ref.finals()
+        ]
         assert np.array_equal(
             vec.demand_partials_array(1.0), ref.demand_partials_array(1.0)
         )
@@ -152,7 +155,7 @@ class TestFluidRack:
     def test_demand_partials_follow_hierarchy_expression(self):
         spec = make_spec(n_stages=6, n_jobs=2)
         config = small_fluid()
-        rack = FluidRack(spec, config)
+        rack = one_rack(spec, config)
         rack.run_epoch(0.0, 5)
         enqueued = rack.window_enqueued.copy()
         backlog = rack.backlog.copy()
@@ -164,12 +167,12 @@ class TestFluidRack:
             contrib = enqueued[i] / loop_interval + backlog[i] / loop_interval
             expected[job_id] = expected.get(job_id, 0.0) + contrib
         partials = rack.demand_partials_array(loop_interval)
-        assert dict(zip(rack.job_ids, partials.tolist())) == expected
+        assert dict(zip(rack.layout[0].job_ids, partials.tolist())) == expected
         # The enqueued window resets at the epoch boundary.
         assert np.all(rack.window_enqueued == 0.0)
 
     def test_rates_start_unlimited_and_clamp_tokens_on_cut(self):
-        rack = FluidRack(make_spec(), small_fluid())
+        rack = one_rack(make_spec(), small_fluid())
         assert np.all(rack.rate == UNLIMITED)
         install(rack, job0=10.0)
         job0 = rack.job_of == 0
@@ -179,7 +182,7 @@ class TestFluidRack:
         assert np.all(rack.tokens[job0] <= rack.burst_limit[job0])
 
     def test_explicit_burst_overrides_the_derived_one(self):
-        rack = FluidRack(make_spec(), small_fluid())
+        rack = one_rack(make_spec(), small_fluid())
         mask = np.array([False, True])
         rack.apply_rate_arrays(mask, np.array([0.0, 5.0]), np.array([np.nan, 40.0]))
         job1 = rack.job_of == 1
@@ -189,12 +192,12 @@ class TestFluidRack:
         assert np.all(rack.rate[~job1] == UNLIMITED)
 
     def test_empty_rack_ticks_and_reports_nothing(self):
-        rack = FluidRack(
-            RackSpec(rack_id="rack0", index=0, stages=()), small_fluid()
-        )
-        assert rack.tick(0.0) == 0.0
+        rack = one_rack(RackSpec(rack_id="rack0", index=0, stages=()), small_fluid())
+        rack.tick(0.0)
         assert rack.demand_partials_array(1.0).shape == (0,)
-        assert rack.total_backlog() == 0.0
+        (final,) = rack.finals()
+        assert final.served.tolist() == [0.0]
+        assert final.job_ids == () and final.backlog == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -237,16 +240,16 @@ def final_fields(final):
 def rate_cut(specs):
     """Per-slot scatter arrays over ``specs``: the first job of every rack
     cut, and the last rack's last job cut with the one explicit burst."""
-    index_map = ShardIndexMap(specs)
-    mask = np.zeros(index_map.n_slots, dtype=bool)
-    rates = np.zeros(index_map.n_slots)
-    bursts = np.full(index_map.n_slots, BURST_NONE)
-    for rack_id, job_ids in zip(index_map.rack_ids, index_map.rack_job_ids):
-        if job_ids:
-            slot = index_map.slot_of(rack_id, job_ids[0])
+    pool = ShardPool([specs], small_fluid())
+    mask = np.zeros(pool.n_slots, dtype=bool)
+    rates = np.zeros(pool.n_slots)
+    bursts = np.full(pool.n_slots, BURST_NONE)
+    for rack_id, rack in pool.racks.items():
+        if rack.job_ids:
+            slot = pool.slot_of[(rack_id, rack.job_ids[0])]
             mask[slot], rates[slot] = True, 12.5
     mask[-1], rates[-1], bursts[-1] = True, 5.0, 40.0
-    return index_map, mask, rates, bursts
+    return pool, mask, rates, bursts
 
 
 class TestFluidBlock:
@@ -258,8 +261,8 @@ class TestFluidBlock:
         assert not specs[1].stages and specs[0].stages and specs[2].stages
         config = small_fluid()
         block = FluidBlock(specs, config)
-        racks = [FluidRack(spec, config) for spec in specs]
-        index_map, mask, rates, bursts = rate_cut(specs)
+        racks = [one_rack(spec, config) for spec in specs]
+        pool, mask, rates, bursts = rate_cut(specs)
         assert 3 <= mask.sum() < len(mask) and np.isnan(bursts).sum() == len(bursts) - 1
 
         def joined(attr):
@@ -269,7 +272,7 @@ class TestFluidBlock:
             if t == 15:
                 block.apply_rate_arrays(mask, rates, bursts)
                 for rack in racks:
-                    sl = index_map.rack_slice(rack.rack_ids[0])
+                    sl = pool.racks[rack.rack_ids[0]].slots
                     rack.apply_rate_arrays(mask[sl], rates[sl], bursts[sl])
             if t == 25:  # an epoch boundary: partials out, window reset
                 assert np.array_equal(
@@ -277,8 +280,9 @@ class TestFluidBlock:
                     np.concatenate([r.demand_partials_array(2.0) for r in racks]),
                 )
             block.tick(float(t))
-            served = [rack.tick(float(t)) for rack in racks]
-            assert served == [series[-1] for series in block._served]
+            for rack in racks:
+                rack.tick(float(t))
+            assert [rack._served[0] for rack in racks] == block._served
         for attr in ("tokens", "backlog", "window_enqueued", "job_granted",
                      "rate", "burst_limit"):
             assert np.array_equal(getattr(block, attr), joined(attr)), attr
@@ -286,11 +290,7 @@ class TestFluidBlock:
         assert [final_fields(f) for f in finals] == [
             final_fields(rack.finals()[0]) for rack in racks
         ]
-        for final, rack in zip(finals, racks):
-            assert np.array_equal(final.served, rack.served_series())
-            assert len(final.served) == 40
-            assert final.delivered_ops == rack.delivered_ops
-            assert final.backlog == rack.total_backlog()
+        assert [len(final.served) for final in finals] == [40] * len(racks)
         assert float(np.sum(finals[1].served)) == 0.0  # the empty rack
         assert np.array_equal(
             block.demand_partials_array(1.0),
@@ -302,7 +302,7 @@ class TestFluidBlock:
         config = small_fluid()
         vec = FluidBlock(specs, config, vectorized=True)
         ref = FluidBlock(specs, config, vectorized=False)
-        _index_map, mask, rates, bursts = rate_cut(specs)
+        _pool, mask, rates, bursts = rate_cut(specs)
         for t in range(40):
             if t == 15:
                 vec.apply_rate_arrays(mask, rates, bursts)
@@ -319,46 +319,81 @@ class TestFluidBlock:
         )
 
     def test_block_slots_are_the_index_map_slots(self):
-        # The pool hands a block its slice of the global slot arrays
-        # verbatim, so block slot k must be index-map slot k.
-        specs = layout_specs("job")
-        block = FluidBlock(specs, small_fluid())
-        index_map = ShardIndexMap(specs)
-        assert tuple(block.rack_job_ids) == index_map.rack_job_ids
-        assert len(block.job_granted) == index_map.n_slots
-        stage_jobs = [job for spec in specs for _stage, job in spec.stages]
-        stage_racks = [spec.rack_id for spec in specs for _ in spec.stages]
-        assert block.job_of.tolist() == [
-            index_map.slot_of(rack_id, job_id)
-            for rack_id, job_id in zip(stage_racks, stage_jobs)
-        ]
+        # The pool hands each block its slice of the global slot arrays
+        # verbatim, so block slot k is pool slot (block offset + k).
+        specs = layout_specs("job", n_racks=5)
+        pool = ShardPool([specs[:2], specs[2:]], small_fluid())
+        offset = 0
+        for block, s in pool._blocks:
+            assert s == slice(offset, offset + block.n_slots)
+            stages = [(spec.rack_id, job) for spec in specs
+                      if spec.rack_id in block.rack_ids for _stage, job in spec.stages]
+            assert (block.job_of + offset).tolist() == [
+                pool.slot_of[pair] for pair in stages
+            ]
+            for rack_id, rack in zip(block.rack_ids, block.layout):
+                table = pool.racks[rack_id]
+                assert table.job_ids == rack.job_ids
+                assert table.stage_counts == rack.stage_counts
+                assert table.slots == slice(
+                    offset + rack.slots.start, offset + rack.slots.stop
+                )
+            offset += block.n_slots
+        assert pool.n_slots == offset == len(pool.slot_of)
 
 
 class TestIndexMap:
+    """The pool's slot index: its ``racks`` table and ``slot_of``."""
+
     def test_matches_fluid_rack_registry_order(self):
-        # The map is derived from the specs alone, so it must reproduce
-        # FluidRack's registry -- job ids in first-appearance order, with
-        # their stage counts.
+        # Job ids in first-appearance order, with their stage counts.
         spec = make_spec(n_stages=11, n_jobs=4)
-        index_map = ShardIndexMap([spec])
-        rack = FluidRack(spec, small_fluid())
-        assert index_map.rack_job_ids[0] == tuple(rack.job_ids)
-        counts = np.bincount(rack.job_of, minlength=len(rack.job_ids))
-        assert index_map.rack_stage_counts[0] == tuple(counts.tolist())
+        rack = ShardPool([[spec]], small_fluid()).racks["rack0"]
+        jobs = [job_id for _stage, job_id in spec.stages]
+        assert rack.job_ids == tuple(dict.fromkeys(jobs)) == (
+            "job0", "job1", "job2", "job3",
+        )
+        assert rack.stage_counts == tuple(Counter(jobs)[j] for j in rack.job_ids)
+        assert rack.stage_counts == (3, 3, 3, 2)
 
     def test_slots_are_contiguous_per_rack(self):
-        specs = [make_spec(index=0), make_spec(n_jobs=3, index=1)]
-        index_map = ShardIndexMap(specs)
-        assert index_map.n_slots == 2 + 3
-        assert index_map.rack_slice("rack0") == slice(0, 2)
-        assert index_map.rack_slice("rack1") == slice(2, 5)
-        assert index_map.slot_of("rack1", "job2") == 4
-        assert index_map.slot_of("rack0", "job2") == -1
-        assert index_map.slot_of("ghost", "job0") == -1
+        pool = ShardPool(
+            [[make_spec(index=0)], [make_spec(n_jobs=3, index=1)]], small_fluid()
+        )
+        assert pool.n_slots == 2 + 3
+        assert pool.racks["rack0"].slots == slice(0, 2)
+        assert pool.racks["rack1"].slots == slice(2, 5)
+        assert pool.slot_of[("rack1", "job2")] == 4
+        assert ("rack0", "job2") not in pool.slot_of
+        assert ("ghost", "job0") not in pool.slot_of
 
     def test_duplicate_rack_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            ShardIndexMap([make_spec(index=0), make_spec(index=0)])
+        with pytest.raises(ConfigError, match="duplicate rack id 'rack0'"):
+            ShardPool([[make_spec(index=0)], [make_spec(index=0)]], small_fluid())
+        with pytest.raises(ConfigError, match="duplicate rack id"):
+            ShardPool([[make_spec(index=0), make_spec(index=0)]], small_fluid())
+
+    @pytest.mark.parametrize("placement", ["split", "job"])
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_every_pair_the_plane_pushes_to_has_a_slot(self, placement, n_shards):
+        sim = ShardedSimulation(
+            small_config(n_jobs=7, placement=placement, n_shards=n_shards)
+        )
+        plane, pool = sim.control_plane, sim._pool
+        hosted = {
+            (rack_id, job_id)
+            for job_id in plane.vector_job_ids()
+            for rack_id in plane.hosting_locals(job_id)
+        }
+        assert hosted == set(pool.slot_of)
+        stages = Counter()
+        for rack_id, rack in pool.racks.items():
+            stages.update(dict(zip(rack.job_ids, rack.stage_counts)))
+        assert stages == {
+            job_id: job.n_stages for job_id, job in plane.jobs.items()
+        }
+        assert set(stages.values()) == {3}
+        sim.close()
 
 
 def shard_blocks(n_racks, n_shards):
@@ -379,23 +414,22 @@ class TestBlockEquality:
 
     def drive(self, n_shards):
         pool = ShardPool(shard_blocks(5, n_shards), small_fluid())
-        index_map = pool.index_map
         outs = []
         for epoch in range(6):
             flags, rates = np.zeros(pool.n_slots), np.zeros(pool.n_slots)
             bursts = np.full(pool.n_slots, BURST_NONE)
             if epoch == 2:  # cut job1 everywhere, explicit burst
-                for rack_id in index_map.rack_ids:
-                    slot = index_map.slot_of(rack_id, "job1")
+                for rack_id in pool.racks:
+                    slot = pool.slot_of[(rack_id, "job1")]
                     flags[slot], rates[slot], bursts[slot] = 1.0, 6.5, 20.0
             if epoch == 4:  # cut job0 on racks 1 and 4 only, derived burst
-                for k, rack_id in enumerate(index_map.rack_ids[1::3]):
-                    slot = index_map.slot_of(rack_id, "job0")
+                for k, rack_id in enumerate(list(pool.racks)[1::3]):
+                    slot = pool.slot_of[(rack_id, "job0")]
                     flags[slot], rates[slot] = 1.0, 3.25 * (k + 1)
             outs.append(
                 pool.run_epoch_arrays(float(2 * epoch), 2, 2.0, flags, rates, bursts)
             )
-        return np.stack(outs), [final_fields(f) for f in pool.finish()]
+        return np.stack(outs), [final_fields(f) for f in pool.finals()]
 
     @pytest.mark.parametrize("n_shards", [2, 3, 4])
     def test_blocks_match_one_block(self, n_shards):
@@ -427,20 +461,17 @@ class TestShardInvariance:
         assert sim.finish().digest() == SMALL_CONFIG_DIGEST
 
     def test_four_shards_run_in_process(self):
-        # Every epoch of a 4-shard run happens with no child process
-        # alive and no shared-memory segment beyond those present before.
-        before = psm_segments()
+        # Every epoch of a 4-shard run happens with no child process alive.
         seen = []
 
         def hook(_plane, _now):
-            seen.append((multiprocessing.active_children(), psm_segments() - before))
+            seen.append(multiprocessing.active_children())
 
         result = run_result(
             small_config(n_shards=4), capacity=150.0, epoch_hook=hook
         )
         assert result.digest() == SMALL_CONFIG_DIGEST
-        assert seen == [([], set())] * 30
-        assert psm_segments() - before == set()
+        assert seen == [[]] * 30
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_digest_of_a_wrapped_enforcement_log_is_the_literal(self, n_shards):
@@ -538,9 +569,8 @@ class TestEnforcement:
             return sim
 
         sim = policed(1)
-        index_map = sim._pool.index_map
         slots = [
-            index_map.slot_of(rack_id, "job0")
+            sim._pool.slot_of[(rack_id, "job0")]
             for rack_id in sim.control_plane.hosting_locals("job0")
         ]
         assert len(slots) == 3 and np.count_nonzero(sim._flags) == 3
@@ -548,30 +578,6 @@ class TestEnforcement:
         assert sim._rates_arr[slots].tolist() == [10.0] * 3
         assert sim._bursts_arr[slots].tolist() == [20.0] * 3
         assert sim.finish().digest() == policed(2).finish().digest()
-
-
-def no_updates(pool):
-    """Scatter arrays carrying no rate update for any slot."""
-    zeros = np.zeros(pool.n_slots)
-    return zeros, zeros, np.full(pool.n_slots, BURST_NONE)
-
-
-class TestSegmentHygiene:
-    def test_normal_finish_leaves_no_segments(self):
-        before = psm_segments()
-        pool = ShardPool(shard_blocks(4, 2), small_fluid())
-        pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
-        pool.finish()  # closes the pool
-        assert psm_segments() - before == set()
-
-    def test_double_stop_is_clean(self):
-        before = psm_segments()
-        pool = ShardPool(shard_blocks(2, 2), small_fluid())
-        pool.close()
-        pool.close()
-        assert psm_segments() - before == set()
-        with pytest.raises(ConfigError):
-            pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
 
 
 class TestLifecycle:
@@ -584,26 +590,47 @@ class TestLifecycle:
             sim.run(2.0)
         sim.close()
 
-    def test_pool_close_is_idempotent_and_final(self):
-        config = small_fluid()
-        pool = ShardPool([[make_spec(index=0)], [make_spec(index=1)]], config)
-        assert pool.n_shards == 2
-        pool.close()
-        pool.close()
-        with pytest.raises(ConfigError):
-            pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
-        with pytest.raises(ConfigError):
-            pool.finish()
+    def test_finish_is_single_shot_and_needs_a_run(self):
+        sim = ShardedSimulation(small_config())
+        with pytest.raises(ConfigError, match="needs one completed run"):
+            sim.finish()
+        sim.run(2.0)
+        assert len(sim.finish().aggregate_served) == 2
+        with pytest.raises(ConfigError, match="state: closed"):
+            sim.finish()
+        with pytest.raises(ConfigError, match="run once"):
+            sim.run(2.0)
 
-    def test_pool_context_manager_and_empty_shards_rejected(self):
+    def test_close_is_idempotent_and_final(self):
+        sim = ShardedSimulation(small_config(n_shards=2))
+        assert len(sim._pool._blocks) == 2
+        sim.close()
+        sim.close()
+        with pytest.raises(ConfigError, match="state: closed"):
+            sim.run(2.0)
+        with pytest.raises(ConfigError, match="state: closed"):
+            sim.finish()
+        ran = ShardedSimulation(small_config()).run(2.0)
+        ran.close()
+        with pytest.raises(ConfigError, match="state: closed"):
+            ran.finish()
+
+    def test_context_manager_and_empty_shards_rejected(self):
         with pytest.raises(ConfigError):
             ShardPool([], small_fluid())
         with pytest.raises(ConfigError):
             ShardPool([[make_spec(index=0)], []], small_fluid())
-        with ShardPool([[make_spec()]], small_fluid()) as pool:
-            demand = pool.run_epoch_arrays(0.0, 1, 1.0, *no_updates(pool))
-            assert pool.index_map.rack_ids == ("rack0",)
-            assert demand.shape == (pool.n_slots,) and np.all(demand > 0.0)
+        with ShardedSimulation(small_config()) as sim:
+            sim.run(2.0)
+        with pytest.raises(ConfigError, match="state: closed"):
+            sim.finish()
+        pool = ShardPool([[make_spec()]], small_fluid())
+        zeros = np.zeros(pool.n_slots)
+        demand = pool.run_epoch_arrays(
+            0.0, 1, 1.0, zeros, zeros, np.full(pool.n_slots, BURST_NONE)
+        )
+        assert list(pool.racks) == ["rack0"]
+        assert demand.shape == (pool.n_slots,) and np.all(demand > 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

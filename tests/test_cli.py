@@ -315,6 +315,16 @@ class TestTraceRunCommand:
         assert rc == 2
         assert "not a directory" in capsys.readouterr().err
 
+    def test_zero_step_period_is_config_error(self, capsys):
+        rc = main(["trace", "run", "--target", "open", "--step-period", "0"])
+        assert rc == 2
+        assert "error: step_period must be > 0, got 0.0" in capsys.readouterr().err
+
+    def test_negative_drain_tail_is_config_error(self, capsys):
+        rc = main(["trace", "run", *self._FAST, "--drain-tail", "-3"])
+        assert rc == 2
+        assert "error: drain_tail must be >= 0, got -3.0" in capsys.readouterr().err
+
 
 class TestShardedCommand:
     _FAST = [
@@ -344,6 +354,13 @@ class TestShardedCommand:
         rc = main([*self._FAST, "--shards", "9"])
         assert rc == 2
         assert "n_shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period", ["0", "-5"])
+    def test_non_positive_step_period_is_config_error(self, capsys, period):
+        rc = main([*self._FAST, "--step-period", period])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: step_period must be > 0, got {float(period)}" in err
 
 
 

@@ -142,7 +142,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "ShardedSimulation": (3, "collaborator: algorithm, telemetry and epoch_hook"),
     "FluidConfig": (2, "setting: the sharded verb's --seed and --clients-per-stage"),
     "FluidBlock": (1, "reference: the vector tick is checked against the scalar one"),
-    "FluidRack": (1, "reference: the vector tick is checked against the scalar one"),
     "Ticker": (3, "pinned by PATCHED: Ticker.__init__; start, name and defer are "
                "each ticker's phase"),
     # -- telemetry -------------------------------------------------------------
