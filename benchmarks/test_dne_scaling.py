@@ -41,10 +41,6 @@ def make_cluster(mode: str, n_mds: int) -> LustreCluster:
     return LustreCluster(
         ClusterConfig(
             n_mds=n_mds,
-            n_mdt=n_mds,
-            n_oss=2,
-            n_ost=8,
-            total_capacity_bytes=10**12,
             mds=MDSConfig(capacity=PER_MDS_CAPACITY, can_fail=False,
                           degrade_after=1e9),
             mds_mode=mode,

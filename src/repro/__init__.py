@@ -5,7 +5,7 @@ Public API highlights
 - :class:`repro.core.DataPlaneStage` -- per-node interception stage.
 - :class:`repro.core.ControlPlane` -- global coordinator / feedback loop.
 - :class:`repro.core.ProportionalSharing` -- the paper's control algorithm.
-- :mod:`repro.pfs` -- Lustre-like PFS simulator (MDS/MDT/OSS/OST).
+- :mod:`repro.pfs` -- Lustre-like metadata service simulator (MDS, DNE).
 - :mod:`repro.workloads` -- ABCI-calibrated trace generator, replayer, IOR.
 - :mod:`repro.interpose` -- live monkey-patch interposition for real I/O.
 - :mod:`repro.experiments` -- regenerates every figure in the paper.

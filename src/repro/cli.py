@@ -266,11 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_trace_generate(args: argparse.Namespace) -> int:
     from repro.workloads.abci import generate_aggregate_trace, generate_mdt_trace
 
+    minutes = args.minutes
+    if minutes is not None and not minutes > 0:
+        raise ConfigError(f"--minutes must be > 0, got {minutes}")
     if args.kind == "aggregate":
-        duration = (args.minutes or 30 * 24 * 60) * 60.0
+        duration = (30 * 24 * 60 if minutes is None else minutes) * 60.0
         trace = generate_aggregate_trace(seed=args.seed, duration=duration)
     else:
-        duration = (args.minutes or 1800) * 60.0
+        duration = (1800 if minutes is None else minutes) * 60.0
         trace = generate_mdt_trace(seed=args.seed, duration=duration)
     if args.out.endswith(".jsonl"):
         trace.save_jsonl(args.out)
@@ -532,6 +535,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_service_config,
     )
 
+    if args.duration is not None and not args.duration > 0:
+        raise ConfigError(f"--duration must be > 0, got {args.duration}")
     config = load_service_config(args.config) if args.config else ServiceConfig()
     if config.admin_token is None:
         # The secret stays off argv (``ps`` shows argv to every user).
@@ -556,7 +561,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "/api/v1/spans /api/v1/events /api/v1/audit /api/v1/admin/<verb>",
         flush=True,
     )
-    deadline = None if not args.duration else _time.monotonic() + args.duration
+    deadline = None if args.duration is None else _time.monotonic() + args.duration
     while not runtime.shutdown_requested:
         timeout = (
             0.2 if deadline is None else min(0.2, deadline - _time.monotonic())

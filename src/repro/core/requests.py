@@ -4,8 +4,9 @@ The PADLL prototype re-implements 42 POSIX calls spanning four operation
 classes (data, metadata, extended attributes, directory management).  We
 reproduce exactly that surface: :data:`POSIX_SURFACE` lists the 42 calls,
 each mapped to its class and to the *MDS operation kind* it induces at the
-metadata server (the 11 kinds LustrePerfMon reports in the paper's trace
-study, plus ``read``/``write`` for the data path).
+metadata server (the kinds LustrePerfMon reports in the paper's trace
+study), or to ``read``/``write`` for the data ops PADLL counts and
+throttles but no MDS serves.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class OperationType(enum.Enum):
     FREMOVEXATTR = "fremovexattr"
 
 
-#: op type -> (operation class, MDS operation kind or None for pure data ops
-#: serviced by OSSs).
+#: op type -> (operation class, MDS operation kind, ``read``/``write`` for a
+#: data op, or None for a client-local call).
 _SURFACE: dict[OperationType, tuple[OperationClass, Optional[str]]] = {
-    # data ops hit OSSs; lseek is client-local but still interceptable.
+    # data ops bypass the MDS; lseek is client-local but still interceptable.
     OperationType.READ: (OperationClass.DATA, "read"),
     OperationType.WRITE: (OperationClass.DATA, "write"),
     OperationType.PREAD: (OperationClass.DATA, "read"),
@@ -144,7 +145,8 @@ _SURFACE: dict[OperationType, tuple[OperationClass, Optional[str]]] = {
 POSIX_SURFACE = dict(_SURFACE)
 
 #: The MDS operation kinds LustrePerfMon reports (paper section II-A), in the
-#: paper's order, plus the data-path kinds.
+#: paper's order, plus the data kinds (counted and throttled; no MDS serves
+#: them).
 MDS_OP_KINDS: tuple[str, ...] = (
     "open",
     "close",
@@ -175,8 +177,7 @@ OP_CLASS_BY_OP: dict[OperationType, OperationClass] = {
 }
 
 #: The classes whose every call is MDS work: what a ``metadata`` channel
-#: catches.  Data is the one class with calls the OSSs serve or the client
-#: answers alone.
+#: catches.  Data is the one class with calls no MDS serves.
 MDS_CLASSES: frozenset[OperationClass] = frozenset(OperationClass) - {
     cls for cls, kind in _SURFACE.values() if kind in (None, "read", "write")
 }
@@ -206,9 +207,6 @@ class Request:
     path: str = ""
     job_id: str = ""
     count: float = 1.0
-    size: int = 0
-    pid: int = 0
-    tenant: str = ""
     submitted_at: float = field(default=0.0, compare=False)
     #: MDS kind pre-resolved by the creator (None = not resolved yet).
     #: Delivery sinks consult this before falling back to the per-op table;
@@ -221,8 +219,6 @@ class Request:
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise ValueError(f"request count must be positive, got {self.count}")
-        if self.size < 0:
-            raise ValueError(f"request size must be >= 0, got {self.size}")
 
     @property
     def op_class(self) -> OperationClass:
@@ -238,13 +234,11 @@ class Request:
             raise ValueError(f"cannot split count={self.count} at {first}")
         head = batch_request(
             self.op, self.path, self.job_id, first,
-            size=self.size, pid=self.pid, tenant=self.tenant,
             submitted_at=self.submitted_at, kind_hint=self.kind_hint,
             trace=self.trace,
         )
         tail = batch_request(
             self.op, self.path, self.job_id, self.count - first,
-            size=self.size, pid=self.pid, tenant=self.tenant,
             submitted_at=self.submitted_at, kind_hint=self.kind_hint,
             trace=self.trace,
         )
@@ -259,9 +253,6 @@ def batch_request(
     path: str,
     job_id: str,
     count: float,
-    size: int = 0,
-    pid: int = 0,
-    tenant: str = "",
     submitted_at: float = 0.0,
     kind_hint: Optional[str] = None,
     trace: Optional[object] = None,
@@ -270,17 +261,14 @@ def batch_request(
 
     The fluid experiment path creates one record per (tick, kind, slice) --
     millions per run -- so the ``__init__``/``__post_init__`` validation
-    cost is first-order there.  Callers guarantee ``count > 0`` and
-    ``size >= 0`` (batch sizes are derived from validated traces).
+    cost is first-order there.  Callers guarantee ``count > 0`` (batch
+    counts are derived from validated traces).
     """
     request = _new_request(Request)
     request.op = op
     request.path = path
     request.job_id = job_id
     request.count = count
-    request.size = size
-    request.pid = pid
-    request.tenant = tenant
     request.submitted_at = submitted_at
     request.kind_hint = kind_hint
     request.trace = trace

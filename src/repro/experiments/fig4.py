@@ -6,7 +6,7 @@ reported as similar) or to the whole metadata class (four replayer
 threads), under three setups (baseline / passthrough / padll).  PADLL
 throttles with a static rate whose value the administrator changes every
 6 minutes (every minute for the data-operation panels, which use an
-IOR-like workload against the PFS data path).
+IOR-like workload whose delivered data-op rate is the panel).
 
 Expected shapes (checked by the benchmarks):
 
@@ -33,7 +33,6 @@ from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.pfs.client import PFS_MOUNT
-from repro.pfs.cluster import ClusterConfig, LustreCluster
 from repro.simulation.engine import Environment
 from repro.simulation.ticker import DT, Ticker
 from repro.workloads.abci import generate_mdt_trace
@@ -198,28 +197,18 @@ def run_fig4_metadata(
 
 
 class _DataWorld:
-    """Fig. 4's data panels: an IOR-like job against the PFS data path."""
+    """Fig. 4's data panels: an IOR-like job's data ops, counted where they
+    are delivered (PADLL throttles them before the file system; the panel
+    is the delivered rate, so nothing downstream is modelled)."""
 
     def __init__(self, setup: Setup, mode: str, seed: int) -> None:
-        self.setup = setup
         self.env = Environment()
-        # Data workloads go to the production PFS (not the local FS), with
-        # bandwidth sized so IOR's offered load keeps the OSSs busy but not
-        # saturated -- the paper notes extra variability, not collapse.
-        self.cluster = LustreCluster(
-            ClusterConfig(oss_bandwidth=2 * 2**30, n_oss=4)
-        )
-        self.cluster.set_clock(lambda: self.env.now)
-        self.client = self.cluster.new_client()
         self.window = 0.0
-        self.delivered_total = 0.0
         self.stage: Optional[DataPlaneStage] = None
         self.workload = IORWorkload(IORConfig(mode=mode, seed=seed))
 
         def deliver(request: Request) -> None:
             self.window += request.count
-            self.delivered_total += request.count
-            self.client.submit(request)
 
         if setup is Setup.BASELINE:
             submit = deliver
@@ -239,20 +228,19 @@ class _DataWorld:
             )
             submit = lambda req: self.stage.submit(req, self.env.now)  # noqa: E731
         self.driver = IORDriver(self.env, self.workload, submit)
+        if self.stage is not None:
+            Ticker(self.env, DT, self._drain, name="data-drain", defer=1)
         self.schedule: Optional[SteppedRate] = None
-        Ticker(self.env, DT, self._tick, name="data-drain", defer=1)
         self.times: list[float] = []
         self.rates: list[float] = []
         Ticker(self.env, 5.0, self._sample, name="data-sample", defer=3)
 
-    def _tick(self, now: float) -> None:
-        if self.stage is not None:
-            if self.schedule is not None:
-                self.stage.set_channel_rate(
-                    self.workload.config.mode, self.schedule.rate_at(now), now
-                )
-            self.stage.drain(now)
-        self.cluster.service(now, DT)
+    def _drain(self, now: float) -> None:
+        if self.schedule is not None:
+            self.stage.set_channel_rate(
+                self.workload.config.mode, self.schedule.rate_at(now), now
+            )
+        self.stage.drain(now)
 
     def _sample(self, now: float) -> None:
         self.times.append(now)

@@ -25,9 +25,9 @@ queued once per slice in each stage's channel.  The drain tick's
 :meth:`ReplayWorld._drain_stages` takes each record a channel grants
 straight to the MDS queue, in the same iteration that grants it.
 :meth:`ReplayWorld._route` is the one place that decides where a kind's
-ops go (job window slot; MDS, OSS, client-local or no MDS up).  Every
-float accumulator sees one add per slice, in submission order, so
-results do not depend on how records are shared.
+ops go (job window slot; MDS, client-local -- data ops included -- or no
+MDS up).  Every float accumulator sees one add per slice, in submission
+order, so results do not depend on how records are shared.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ class JobSpec:
 @dataclass(slots=True)
 class _JobRuntime:
     spec: JobSpec
+    replayer: TraceReplayer
     driver: Optional[ReplayDriver] = None
     stages: List[DataPlaneStage] = field(default_factory=list)
     # Ops delivered to the FS since the last collector sample, per kind,
@@ -287,7 +288,10 @@ class ReplayWorld:
     def add_job(self, spec: JobSpec) -> None:
         if spec.job_id in self._jobs:
             raise ConfigError(f"duplicate job id {spec.job_id!r}")
-        runtime = _JobRuntime(spec=spec)
+        # The replayer checks the kinds and the rate scale: a bad job is
+        # refused here, not at its start time with its stages registered.
+        replayer = TraceReplayer(spec.trace, rate_scale=spec.rate_scale, kinds=spec.kinds)
+        runtime = _JobRuntime(spec=spec, replayer=replayer)
         self._jobs[spec.job_id] = runtime
         # Jobs enter the system at their start time (stage registration
         # included), exactly like a scheduler launching them.
@@ -307,19 +311,16 @@ class ReplayWorld:
 
         Returns ``(window slot, cost, mds, mds slot, aside)``.  Ops bound
         for a live MDS carry its queue coordinates (``mds`` is not None);
-        OSS-bound and undeliverable ops carry ``aside``, which sinks one
-        slice given its count; client-local ops carry neither.  Every
-        record in a world is a replay batch (``size == 0``), so a data op
-        moves one byte.
+        undeliverable ops carry ``aside``, which sinks one slice given its
+        count; client-local and data ops carry neither: they are counted
+        in the window and by the client, and go no further.
         """
         window_key = kind if kind is not None else "local"
         slot = runtime.window_index.get(window_key)
         if slot is None:
             slot = runtime.window_slot(window_key)
-        if kind is None:
+        if kind is None or kind == "read" or kind == "write":
             return slot, 0.0, None, 0, None
-        if kind == "read" or kind == "write":
-            return slot, 0.0, None, 0, partial(self.cluster.oss_pool.offer, kind, now=now)
         mds = self.cluster.mds_for_path(path, now)
         if mds is None:
             return slot, 0.0, None, 0, partial(self._mds_down, kind)
@@ -555,12 +556,7 @@ class ReplayWorld:
             batch_submit = lambda rows, il: self._submit_stage_rows(  # noqa: E731
                 runtime, runtime.stages, rows, il
             )
-        kinds = spec.kinds
-        replayer = TraceReplayer(
-            spec.trace,
-            rate_scale=spec.rate_scale,
-            kinds=kinds,
-        )
+        replayer = runtime.replayer
         runtime.driver = ReplayDriver(
             self.env,
             replayer,

@@ -3,9 +3,12 @@
 The substrate the experiments run against: a metadata server with a
 per-operation cost model, queueing, saturation and failure behaviour
 (:mod:`repro.pfs.mds`), its per-request counterpart with service threads
-and a lock table (:mod:`repro.pfs.discrete`, :mod:`repro.pfs.locks`), an
-object-storage bandwidth pool (:mod:`repro.pfs.oss`), and a cluster
-wrapper with hot-standby failover or DNE routing (:mod:`repro.pfs.cluster`).
+and a lock table (:mod:`repro.pfs.discrete`, :mod:`repro.pfs.locks`), and
+a cluster wrapper with hot-standby failover or DNE routing
+(:mod:`repro.pfs.cluster`).  There are no data servers: PADLL acts before
+the file system, so a data op ends where it is delivered -- what the
+storage servers then do with its bytes is outside the control loop, and
+no output reads it.
 """
 
 from repro.pfs.client import PFS_MOUNT, PFSClient
@@ -14,7 +17,6 @@ from repro.pfs.costs import OP_COSTS, op_cost
 from repro.pfs.discrete import ClosedLoopClient, DiscreteMDS, DiscreteMDSConfig
 from repro.pfs.locks import LockMode, LockTable
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.oss import OSTarget, ObjectStoragePool
 
 __all__ = [
     "ClosedLoopClient",
@@ -27,8 +29,6 @@ __all__ = [
     "MDSConfig",
     "MetadataServer",
     "OP_COSTS",
-    "OSTarget",
-    "ObjectStoragePool",
     "PFSClient",
     "PFS_MOUNT",
     "op_cost",

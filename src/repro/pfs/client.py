@@ -1,15 +1,15 @@
-"""PFS client: the compute-node component that issues RPCs to MDS/OSSs.
+"""PFS client: the compute-node component that issues RPCs to the MDSs.
 
 A client accepts :class:`~repro.core.requests.Request` records (what a
 data-plane stage releases downstream) and routes them: metadata-inducing
-requests to the active MDS of its cluster, data requests to the OSS pool.
-This is the ``sink`` a :class:`~repro.core.stage.DataPlaneStage` is wired
-to in every simulated experiment.
+requests to the MDS of its cluster that owns the path.  Data requests,
+like client-local calls, are counted and go no further -- PADLL acts
+before the file system, and nothing downstream of delivery models bytes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import MDSUnavailable
 from repro.core.requests import MDS_KIND_BY_OP, Request
@@ -51,25 +51,13 @@ class PFSClient:
 
     def submit(self, request: Request) -> None:
         """Deliver one request (or batch) to the file system."""
-        self.submit_kind(request, MDS_KIND_BY_OP[request.op])
-
-    def submit_kind(self, request: Request, kind: Optional[str]) -> None:
-        """Deliver ``request`` whose MDS kind the caller already resolved.
-
-        Hot-path variant of :meth:`submit`: delivery sinks look the kind up
-        once per request for their own window accounting and pass it along
-        instead of re-deriving it here.
-        """
-        now = self._clock()
         count = request.count
         self.submitted_ops += count
-        if kind is None:
-            # Client-local call (e.g. lseek): nothing leaves the node.
+        kind = MDS_KIND_BY_OP[request.op]
+        if kind is None or kind == "read" or kind == "write":
+            # Client-local (e.g. lseek) or data: no metadata RPC leaves the node.
             return
-        if kind == "read" or kind == "write":
-            nbytes = max(request.size, 1) * count
-            self.cluster.oss_pool.offer(kind, nbytes, now)
-            return
+        now = self._clock()
         mds = self.cluster.mds_for_path(request.path, now)
         if mds is None:
             self._undeliverable(kind, count, now)

@@ -1,8 +1,8 @@
-"""Cluster wiring: MDSs (hot standby), MDTs, OSS pool, clients, service loop.
+"""Cluster wiring: MDSs (hot standby or DNE), clients, service loop.
 
-Mirrors PFS_A's configuration from the paper's trace study: 2 MDSs in
-hot-standby (one active, one standby that takes over after a failover
-delay), 6 MDTs, and 36 OSTs behind OSSs.
+Mirrors PFS_A's metadata configuration from the paper's trace study: 2
+MDSs in hot-standby (one active, one standby that takes over after a
+failover delay).  Data ops end at the client (:mod:`repro.pfs.client`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Callable, List, Optional
 from repro.errors import ConfigError, MDSUnavailable
 from repro.pfs.client import PFSClient
 from repro.pfs.mds import MDSConfig, MetadataServer
-from repro.pfs.oss import ObjectStoragePool
 
 __all__ = ["ClusterConfig", "LustreCluster"]
 
@@ -23,14 +22,9 @@ FAILOVER_DELAY = 30.0
 
 @dataclass(slots=True)
 class ClusterConfig:
-    """Topology and capacity of a simulated Lustre-like deployment."""
+    """Metadata servers of a simulated Lustre-like deployment."""
 
     n_mds: int = 2  # active + hot standby, PFS_A's layout
-    n_mdt: int = 6
-    n_oss: int = 4
-    n_ost: int = 36
-    total_capacity_bytes: int = 9_500 * 2**40  # 9.5 PiB
-    oss_bandwidth: float = 10 * 2**30
     mds: MDSConfig = field(default_factory=MDSConfig)
     #: Metadata service layout (section II): "hot-standby" keeps one MDS
     #: active with the rest as replicas; "dne" (Distributed NamEspace)
@@ -42,8 +36,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n_mds < 1:
             raise ConfigError("need at least one MDS")
-        if self.n_mdt < 1:
-            raise ConfigError("need at least one MDT")
         if self.mds_mode not in ("hot-standby", "dne"):
             raise ConfigError(f"unknown MDS mode {self.mds_mode!r}")
 
@@ -54,12 +46,6 @@ class LustreCluster:
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
         self._clock: Callable[[], float] = lambda: 0.0
-        self.oss_pool = ObjectStoragePool(
-            n_oss=self.config.n_oss,
-            n_ost=self.config.n_ost,
-            ost_capacity_bytes=max(1, self.config.total_capacity_bytes // self.config.n_ost),
-            oss_bandwidth=self.config.oss_bandwidth,
-        )
         self.mds_servers: List[MetadataServer] = [
             MetadataServer(name=f"mds{i}", config=self.config.mds)
             for i in range(self.config.n_mds)
@@ -171,7 +157,7 @@ class LustreCluster:
 
     # -- service loop ------------------------------------------------------------
     def service(self, now: float, dt: float) -> float:
-        """Advance all servers by one tick; returns metadata ops served."""
+        """Advance the metadata servers by one tick; returns ops served."""
         served = 0.0
         if self.config.mds_mode == "dne":
             for mds in self.mds_servers:
@@ -182,5 +168,4 @@ class LustreCluster:
             if mds is not None:
                 self._flush_replay(mds, now)
                 served = mds.service(now, dt)
-        self.oss_pool.service(now, dt)
         return served

@@ -10,7 +10,8 @@ C/8 renames/s.
 
 The absolute values are calibration constants, not measurements; every
 experiment conclusion depends only on the ordering (getattr < setattr <
-close < open < unlink < mkdir < rename), which is the paper's.
+close < open < unlink < mkdir < rename), which is the paper's.  The data
+kinds (``read``, ``write``) have no entry: no MDS serves them.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ OP_COSTS = MappingProxyType(
         "mkdir": 5.0,
         "rmdir": 5.0,
         "rename": 8.0,
-        # Data kinds cost the MDS nothing; they are serviced by OSSs.
-        "read": 0.0,
-        "write": 0.0,
     }
 )
 

@@ -139,10 +139,6 @@ class MetadataServer:
         return self._degraded_since is not None
 
     @property
-    def available(self) -> bool:
-        return not self.failed
-
-    @property
     def served(self) -> Dict[str, float]:
         """Served operation counts per kind (cumulative)."""
         return {
@@ -177,7 +173,8 @@ class MetadataServer:
 
         ``ctx`` optionally carries a telemetry trace context; the batch
         then gets a 5th slot :meth:`service` closes an ``mds.service``
-        span from.  Queueing arithmetic is identical either way.
+        span from.  Queueing arithmetic is identical either way.  A kind
+        without a cost (a data kind included) is a ``ConfigError``.
         """
         if self.failed:
             raise MDSUnavailable(f"{self.name} has failed")
@@ -186,10 +183,6 @@ class MetadataServer:
         cost = _OP_COSTS.get(kind)
         if cost is None:
             cost = op_cost(kind)  # raises the canonical ConfigError
-        if cost == 0.0:
-            # Data kinds don't touch the MDS; serving them is free here.
-            self._record(kind, count)
-            return
         slot = self._window_index.get(kind)
         if slot is None:
             slot = self._window_slot(kind)
@@ -226,11 +219,10 @@ class MetadataServer:
         served_ops = 0.0
         # The drain loop pops one batch per (tick, kind, slice) submitted
         # upstream -- the single hottest loop of every fluid experiment --
-        # so per-batch accounting runs on locals with `_record` inlined
-        # (same adds in the same order; written back once below), and
-        # telemetry stays out of it: a batch served whole is observed by
-        # the ``popleft`` that removes it, the one batch a tick can serve
-        # in part is observed after the loop.
+        # so per-batch accounting runs on locals (written back once below),
+        # and telemetry stays out of it: a batch served whole is observed
+        # by the ``popleft`` that removes it, the one batch a tick can
+        # serve in part is observed after the loop.
         queue = self._queue
         h_latency = self._h_latency
         popleft = queue.popleft if h_latency is None else self._observed_popleft(now)
@@ -327,13 +319,3 @@ class MetadataServer:
         self._queue.clear()
         self._queued_units = 0.0
         self._degraded_since = None
-
-    def _record(self, kind: str, count: float) -> None:
-        slot = self._window_index.get(kind)
-        if slot is None:
-            slot = self._window_slot(kind)
-        self._served_buf[slot] += count
-        accumulated = self._window_buf[slot]
-        if accumulated == 0.0:
-            self._window_touched.append(slot)
-        self._window_buf[slot] = accumulated + count

@@ -36,7 +36,6 @@ class DLTrainingConfig:
     """Shape of one training job's I/O."""
 
     n_files: int = 100_000
-    file_size: int = 128 * 1024  # small files, as the paper stresses
     epochs: int = 3
     #: Samples (files) consumed per second by the training pipeline.
     samples_per_sec: float = 2_000.0
@@ -49,8 +48,6 @@ class DLTrainingConfig:
     def __post_init__(self) -> None:
         if self.n_files < 1:
             raise ConfigError(f"need at least one file, got {self.n_files}")
-        if self.file_size < 1:
-            raise ConfigError(f"file size must be positive, got {self.file_size}")
         if self.epochs < 1:
             raise ConfigError(f"need at least one epoch, got {self.epochs}")
         if self.samples_per_sec <= 0:
@@ -192,9 +189,6 @@ class DLTrainingDriver:
                     path=f"{self.workload.config.dataset_dir}/batch",
                     job_id=self.job_id,
                     count=count,
-                    size=(
-                        self.workload.config.file_size if kind == "read" else 0
-                    ),
                 )
             )
             self.submitted[kind] = self.submitted.get(kind, 0.0) + count

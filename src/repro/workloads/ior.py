@@ -4,10 +4,10 @@ IOR parameterises a data benchmark by transfer size, block size, segment
 count and process count; the paper uses it for the read/write panels of
 Fig. 4.  The fluid equivalent here emits an endless stream of read or
 write requests at the rate an IOR run would offer -- 28 processes at 150
-requests/s each, 1 MiB transfers -- with lognormal variability standing
-in for the PFS-induced noise the paper notes for data operations ("since
-these are being submitted to the PFS, we observe more variability").  A
-run lasts as long as the panel that drives it.
+requests/s each -- with lognormal variability standing in for the
+PFS-induced noise the paper notes for data operations ("since these are
+being submitted to the PFS, we observe more variability").  A run lasts
+as long as the panel that drives it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.simulation.ticker import DT, Ticker
 
 __all__ = ["IORConfig", "IORWorkload", "IORDriver"]
 
-#: -t: bytes per request.
-TRANSFER_SIZE = 1 << 20
 #: One process per core on a Frontera socket.
 N_PROCS = 28
 #: Offered request rate per process (requests/s); models client-side
@@ -95,6 +93,5 @@ class IORDriver:
                 path=f"{PFS_MOUNT}/{JOB_ID}/testfile",
                 job_id=JOB_ID,
                 count=self.workload.demand(DT),
-                size=TRANSFER_SIZE,
             )
         )

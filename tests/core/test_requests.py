@@ -81,13 +81,9 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(OperationType.OPEN, count=count)
 
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            Request(OperationType.WRITE, size=-1)
-
     def test_split_preserves_total_and_attrs(self):
         req = Request(
-            OperationType.STAT, path="/pfs/x", job_id="j", count=10.0, size=4,
+            OperationType.STAT, path="/pfs/x", job_id="j", count=10.0,
         )
         head, tail = req.split(3.5)
         assert head.count + tail.count == pytest.approx(10.0)
@@ -96,7 +92,6 @@ class TestRequest:
             assert part.op is OperationType.STAT
             assert part.path == "/pfs/x"
             assert part.job_id == "j"
-            assert part.size == 4
 
     @pytest.mark.parametrize("at", [0.0, 10.0, 11.0, -1.0])
     def test_split_bounds(self, at):

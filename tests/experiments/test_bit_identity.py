@@ -376,7 +376,6 @@ def drain_state(world, runtime) -> str:
     return repr((
         channels,
         [(mds._queued_units, list(mds._queue)) for mds in cluster.mds_servers],
-        (cluster.oss_pool._queued_bytes, list(cluster.oss_pool._queue)),
         (cluster._replay_buffer, world._undelivered, client.failed_ops),
         (runtime.window_buf, runtime.window_touched, runtime.delivered_total),
         client.submitted_ops,

@@ -4,7 +4,7 @@
 each record in one loop.  For any queue contents (mixed kinds, counts,
 submission times, records shared by stages and repeated within a
 queue), any rates and any drain instants, it must leave every channel,
-bucket, MDS queue, OSS queue, failure tally and delivery window exactly
+bucket, MDS queue, failure tally and delivery window exactly
 as ``Channel.drain`` into a list followed by per-record delivery does.
 """
 
@@ -17,7 +17,7 @@ from repro.core.requests import MDS_KIND_BY_OP, OperationType, batch_request
 from repro.experiments.harness import ReplayWorld
 from tests.experiments.test_bit_identity import drain_each_stage, drain_state, started_world
 
-#: MDS kinds, an OSS kind and a client-local op.
+#: MDS kinds, a data kind and a client-local op.
 OPS = (
     OperationType.OPEN,
     OperationType.STAT,

@@ -153,6 +153,22 @@ class TestWorldMechanics:
         with pytest.raises(ConfigError):
             world.add_job(JobSpec(job_id="j1", trace=small_trace))
 
+    @pytest.mark.parametrize(
+        "bad", [{"rate_scale": 0.0}, {"kinds": ("frobnicate",)}],
+        ids=["rate_scale", "kinds"],
+    )
+    def test_bad_job_refused_when_added(self, small_trace, bad):
+        # The replayer's checks run in add_job, not at the job's start
+        # time with its stages already on the control plane.
+        world = ReplayWorld(Setup.PADLL)
+        with pytest.raises(ConfigError):
+            world.add_job(
+                JobSpec(job_id="j1", trace=small_trace, setup=Setup.PADLL,
+                        start=30.0, **bad)
+            )
+        world.run(40.0)
+        assert world.controller.jobs == {}
+
     def test_completed_job_deregisters(self, small_trace):
         world = ReplayWorld(Setup.PADLL, algorithm=StaticPartition(1e6))
         world.add_job(JobSpec(job_id="j1", trace=small_trace, setup=Setup.PADLL))

@@ -2,7 +2,7 @@
 
 ``GOLDEN_DIGESTS`` pins fig4 / fig5 and the sweep runner pins cell
 *parameters*; neither would notice a changed dependability, control-lag,
-harm, failover, cost-aware, fig4 data-panel or ablation number.  These
+harm, failover, cost-aware, fig4 data-panel (read or write) or ablation number.  These
 literals hash every field of every result point -- floats by
 ``float.hex`` and arrays by their bytes, so a one-ulp change shows.  The
 dependability and control-lag literals were recorded before the loop's
@@ -99,6 +99,11 @@ FIG4_WRITE_DIGEST = (
     "419050e616be0fd4abc66a9161fcb50bddd2c99730f80a38c94161ccd7203240"
 )
 
+#: SHA-256 of ``run_fig4_data("read", seed=0, duration=120.0)``.
+FIG4_READ_DIGEST = (
+    "e389b704ca3c7b925bd2c6f6973f5d263fc8bc2a54e61fef563f2dd15907b1e2"
+)
+
 #: SHA-256 of ``sweep_burst_size(seed=0, duration=120.0)``.
 BURST_SIZE_DIGEST = (
     "5185bb4bfb422bfc76a9ef93db7c4a25e0c880e60d2ca4da83e511409fa37d2c"
@@ -175,6 +180,11 @@ def test_cost_aware_results_unchanged(allocator):
 def test_fig4_write_panel_unchanged():
     result = run_fig4_data("write", seed=0, duration=120.0)
     assert result_digest([result]) == FIG4_WRITE_DIGEST
+
+
+def test_fig4_read_panel_unchanged():
+    result = run_fig4_data("read", seed=0, duration=120.0)
+    assert result_digest([result]) == FIG4_READ_DIGEST
 
 
 def test_burst_size_sweep_unchanged():

@@ -13,10 +13,6 @@ from repro.pfs.mds import MDSConfig
 def small_cluster(**kw) -> LustreCluster:
     defaults = dict(
         n_mds=2,
-        n_mdt=2,
-        n_oss=2,
-        n_ost=4,
-        total_capacity_bytes=10**9,
         mds=MDSConfig(capacity=1000.0),
     )
     defaults.update(kw)
@@ -25,7 +21,7 @@ def small_cluster(**kw) -> LustreCluster:
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "kw", [{"n_mds": 0}, {"n_mdt": 0}]
+        "kw", [{"n_mds": 0}]
     )
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -39,29 +35,29 @@ class TestRouting:
         client.submit(Request(OperationType.OPEN, path="/f", count=10.0))
         assert cluster.mds_servers[0].queued_units > 0
 
-    def test_data_to_oss(self):
+    @pytest.mark.parametrize("op", [OperationType.READ, OperationType.WRITE])
+    def test_data_ops_stay_at_the_client(self, op):
         cluster = small_cluster()
         client = cluster.new_client()
-        client.submit(Request(OperationType.WRITE, path="/f", count=4.0, size=100))
-        assert cluster.oss_pool.queued_bytes == pytest.approx(400.0)
+        client.submit(Request(op, path="/f", count=4.0))
         assert cluster.mds_servers[0].queued_units == 0.0
+        assert client.submitted_ops == 4.0
 
     def test_client_local_ops_stay_local(self):
         cluster = small_cluster()
         client = cluster.new_client()
         client.submit(Request(OperationType.LSEEK, path="/f", count=5.0))
         assert cluster.mds_servers[0].queued_units == 0.0
-        assert cluster.oss_pool.queued_bytes == 0.0
         assert client.submitted_ops == 5.0
 
-    def test_service_advances_both_paths(self):
+    def test_service_counts_metadata_only(self):
         cluster = small_cluster()
         client = cluster.new_client()
         client.submit(Request(OperationType.STAT, path="/f", count=100.0))
-        client.submit(Request(OperationType.WRITE, path="/f", count=1.0, size=50))
+        client.submit(Request(OperationType.WRITE, path="/f", count=1.0))
         served = cluster.service(0.0, 1.0)
         assert served == pytest.approx(100.0)
-        assert cluster.oss_pool.served_bytes["write"] == pytest.approx(50.0)
+        assert cluster.mds_servers[0].served == {"getattr": pytest.approx(100.0)}
 
 
 class TestFailover:

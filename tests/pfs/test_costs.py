@@ -18,12 +18,13 @@ class TestCosts:
         assert op_cost("mkdir") < op_cost("rename")
 
     def test_rename_is_most_expensive_metadata_op(self):
-        metadata_kinds = [k for k, c in OP_COSTS.items() if c > 0]
-        assert max(metadata_kinds, key=op_cost) == "rename"
+        assert max(OP_COSTS, key=op_cost) == "rename"
 
-    def test_data_kinds_free_at_mds(self):
-        assert op_cost("read") == 0.0
-        assert op_cost("write") == 0.0
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_data_kinds_have_no_cost(self, kind):
+        assert kind not in OP_COSTS
+        with pytest.raises(ConfigError):
+            op_cost(kind)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -50,11 +50,14 @@ class TestFluidService:
         assert m.served.get("getattr", 0) == pytest.approx(10.0)
         assert m.served.get("rename", 0) == 0.0
 
-    def test_data_kinds_bypass(self):
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_data_kinds_refused(self, kind):
+        # Data ops end at the client; an MDS models metadata only.
         m = mds(capacity=1.0)
-        m.offer("read", 1e6, 0.0)
+        with pytest.raises(ConfigError, match=kind):
+            m.offer(kind, 1e6, 0.0)
         assert m.queued_units == 0.0
-        assert m.served["read"] == 1e6
+        assert m.served == {}
 
     def test_window_counters(self):
         m = mds(capacity=100.0)

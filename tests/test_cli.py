@@ -62,6 +62,19 @@ class TestTraceCommands:
         trace = OpTrace.load_jsonl(out)
         assert trace.n_samples == 60
 
+    @pytest.mark.parametrize("kind", ["aggregate", "mdt"])
+    @pytest.mark.parametrize("minutes", ["0", "-5"])
+    def test_generate_refuses_non_positive_minutes(self, tmp_path, capsys, kind, minutes):
+        out = tmp_path / "t.csv"
+        rc = main(
+            ["trace", "generate", "--kind", kind, "--minutes", minutes,
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --minutes must be > 0, got {float(minutes)}\n"
+
     def test_generate_deterministic(self, tmp_path):
         from repro.workloads.trace import OpTrace
 
@@ -375,6 +388,19 @@ class TestRefusedInput:
         assert main(["serve", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("duration", ["0", "-1"])
+    def test_serve_refuses_non_positive_duration(self, capsys, monkeypatch, duration):
+        import repro.service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve built a runtime for a refused --duration")
+
+        monkeypatch.setattr(repro.service, "ServiceRuntime", refuse)
+        monkeypatch.setattr(repro.service, "OperatorServer", refuse)
+        assert main(["serve", "--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --duration must be > 0, got {float(duration)}\n"
 
     def test_stage_host_with_nothing_to_dial_exits_one(self):
         import socket

@@ -81,8 +81,6 @@ KEPT_UNREACHED: Dict[str, str] = {
     "reached only by an unordered fs call",
     "repro.monitoring.metrics:TimeSeries._grow": "boundary: a series past its first "
     "1 024 samples",
-    "repro.pfs.mds:MetadataServer._record": "boundary: a data kind offered straight to "
-    "an MDS is free; PFSClient routes them to the OSS pool",
     "repro.runner.sweep:results_equal": "reference: serial == parallel == cached sweeps",
     "repro.service.sinks:JsonlSink._rotate_locked": "fault path: a sink past "
     "audit_rotate_bytes",

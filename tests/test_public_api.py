@@ -64,7 +64,6 @@ MODULES = [
     "repro.pfs.discrete",
     "repro.pfs.locks",
     "repro.pfs.mds",
-    "repro.pfs.oss",
     "repro.runner.cache",
     "repro.runner.cells",
     "repro.runner.sweep",

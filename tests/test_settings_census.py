@@ -61,7 +61,7 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "HierarchicalControlPlane": (1, "collaborator: the sharded plane's array sink"),
     "RuleScope": (1, "setting: a policy's 'job' in the policy document"),
     "PolicyRule": (3, "setting: a policy's burst, priority and enabled"),
-    "Request": (9, "record: one request"),
+    "Request": (6, "record: one request"),
     "RingLog": (1, "setting: history_limit, audit_capacity"),
     "Ping": (1, "record: a wire message"),
     "CollectStats": (1, "record: a wire message"),
@@ -107,15 +107,13 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "SocketTransport": (1, "setting: the bench wire workload and the service differ"),
     # -- pfs -------------------------------------------------------------------
     "PFSClient": (1, "record: the client's name"),
-    "ClusterConfig": (8, "setting: fig4's data world, dne scaling and harm differ"),
+    "ClusterConfig": (3, "setting: dne scaling and harm differ"),
     "LustreCluster": (1, "setting: its ClusterConfig"),
     "DiscreteMDSConfig": (2, "setting: experiments.latency and benchmarks differ"),
     "DiscreteMDS": (1, "setting: its DiscreteMDSConfig"),
     "_Entry": (2, "record: one lock table entry"),
     "MDSConfig": (3, "setting: each world's MDS"),
     "MetadataServer": (2, "setting, record: its MDSConfig and its name"),
-    "OSTarget": (1, "record: one target's fill"),
-    "ObjectStoragePool": (4, "setting: from its ClusterConfig"),
     # -- runner ----------------------------------------------------------------
     "Cell": (2, "record: one sweep cell"),
     "SweepRunner": (4, "setting, collaborator: the sweep verb's --jobs and "
@@ -151,7 +149,7 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     # -- workloads -------------------------------------------------------------
     "AbciTraceConfig": (7, "setting: the aggregate and the hot-MDT trace differ"),
     "AdmissionGate": (1, "roadmap: item 4(d) demand shapes"),
-    "DLTrainingConfig": (7, "roadmap: item 4(d) demand shapes"),
+    "DLTrainingConfig": (6, "roadmap: item 4(d) demand shapes"),
     "DLTrainingDriver": (3, "roadmap: item 4(d) demand shapes"),
     "IORConfig": (2, "setting: fig4's read and write panels, per seed"),
     "MDTestConfig": (4, "roadmap: item 4(d) demand shapes"),

@@ -45,7 +45,6 @@ class TestDriver:
         assert len(received) == 10  # t = 0 .. 9, no end
         for req in received:
             assert req.op is OperationType.WRITE
-            assert req.size == ior.TRANSFER_SIZE
             assert req.job_id == ior.JOB_ID
             assert req.path.startswith(f"{PFS_MOUNT}/{ior.JOB_ID}/")
 
