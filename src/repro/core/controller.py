@@ -120,8 +120,10 @@ def fold_stage_demand(
     that folds stage windows -- the flat plane, a local controller --
     calls this, so their partial sums agree bit for bit.
     """
-    snap = next((c for c in st.channels if c.channel_id == channel), None)
-    if snap is None:
+    for snap in st.channels:
+        if snap.channel_id == channel:
+            break
+    else:
         return
     window = st.window if st.window > 0 else loop_interval
     offered = snap.enqueued_ops / window
@@ -331,9 +333,16 @@ class ControlPlane:
 
         The operator service's ``set policy`` admin verb routes through
         here: "the newest instruction applies" without the caller having
-        to know whether the name was already installed.
+        to know whether the name was already installed.  The rule moves
+        to the end of the table, so it also wins a priority tie against
+        every rule installed before this call.  The new table is swapped
+        in whole, so a reader on another thread (a service scrape) sees
+        the old rule or the new one, never neither.
         """
-        self._policies[rule.name] = rule
+        table = dict(self._policies)
+        table.pop(rule.name, None)
+        table[rule.name] = rule
+        self._policies = table
 
     def set_policy_enabled(self, name: str, enabled: bool) -> None:
         """Flip one installed policy without losing its schedule."""
@@ -434,7 +443,7 @@ class ControlPlane:
 
     def _collect_message(self, now: float):
         """The request a collect sends each endpoint (hierarchy overrides)."""
-        return CollectStats(now=now)
+        return CollectStats(now)
 
     def _collect_async(self, now: float, message) -> Dict[str, StageStats]:
         """Session-driven collect: issue/retry/timeout per endpoint.
@@ -511,8 +520,9 @@ class ControlPlane:
 
     def _enforce_policies(self, now: float) -> Dict[tuple[str, str], float]:
         # Resolve conflicts: for each (job, channel) keep the highest-priority
-        # enabled policy (ties: later install wins, matching admin intent of
-        # "the newest instruction applies").
+        # enabled policy (ties: the one later in the table wins, matching
+        # admin intent of "the newest instruction applies"; replace_policy
+        # moves a re-set rule to the end).
         winners: Dict[tuple[str, str], PolicyRule] = {}
         for rule in self._policies.values():
             if not rule.enabled:
@@ -659,9 +669,7 @@ class ControlPlane:
             return
         per_stage = max(MIN_RATE, rate / job.n_stages)
         per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
-        message = EnforceRate(
-            channel_id=channel_id, rate=per_stage, now=now, burst=per_burst
-        )
+        message = EnforceRate(channel_id, per_stage, now, per_burst)
         for stage_id in job.stage_ids:
             try:
                 self.fabric.call(stage_id, message)

@@ -294,30 +294,25 @@ class LocalController:
 
     def _collect_aggregate(self, message: CollectAggregate) -> AggregateStats:
         per_job: Dict[str, float] = {}
-        collect = CollectStats(now=message.now)
+        collect = CollectStats(message.now)
         channel = message.channel
         loop_interval = message.loop_interval
         for handler in self._handlers.values():
             st = handler(collect)
             if st is not None:
                 fold_stage_demand(per_job, st, channel, loop_interval)
+        job_stages = self._job_stages
         jobs = tuple(
-            JobAggregate(
-                job_id=job_id,
-                demand=demand,
-                n_stages=len(self._job_stages.get(job_id, ())),
-            )
-            for job_id, demand in per_job.items()
+            [
+                JobAggregate(job_id, demand, len(job_stages.get(job_id, ())))
+                for job_id, demand in per_job.items()
+            ]
         )
-        return AggregateStats(
-            local_id=self.local_id, timestamp=message.now, jobs=jobs
-        )
+        return AggregateStats(self.local_id, message.now, jobs)
 
     def _enforce_batch(self, message: EnforceJobRateBatch) -> bool:
         for job_id, rate, burst in message.entries:
-            enforce = EnforceRate(
-                channel_id=message.channel_id, rate=rate, now=message.now, burst=burst
-            )
+            enforce = EnforceRate(message.channel_id, rate, message.now, burst)
             for stage_id in self._job_stages.get(job_id, ()):
                 try:
                     self._handlers[stage_id](enforce)
@@ -541,11 +536,8 @@ class HierarchicalControlPlane(ControlPlane):
         return list(self._locals)
 
     def _collect_message(self, now: float) -> CollectAggregate:
-        return CollectAggregate(
-            now=now,
-            channel=self.config.algorithm_channel,
-            loop_interval=self.config.loop_interval,
-        )
+        config = self.config
+        return CollectAggregate(now, config.algorithm_channel, config.loop_interval)
 
     # -- demand & enforcement ----------------------------------------------
     def _ensure_vector_layout(self) -> None:
@@ -679,10 +671,7 @@ class HierarchicalControlPlane(ControlPlane):
         for local_id, entries in batches.items():
             try:
                 self.fabric.call(
-                    local_id,
-                    EnforceJobRateBatch(
-                        channel_id=channel_id, now=now, entries=tuple(entries)
-                    ),
+                    local_id, EnforceJobRateBatch(channel_id, now, tuple(entries))
                 )
             except RPCError:
                 # A lost push: the fabric counts and names it (``dropped``,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.core.channel import Channel
@@ -111,9 +111,15 @@ class StageIdentity:
             raise ConfigError(f"stage {self.stage_id!r} needs a job id")
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelSnapshot:
-    """Per-channel statistics for one collection window."""
+class ChannelSnapshot(NamedTuple):
+    """Per-channel statistics for one collection window.
+
+    A :class:`~typing.NamedTuple`, like every record a control tick
+    builds per stage: a stage builds one per channel per collect, and a
+    positional named tuple costs a fraction of a frozen dataclass
+    ``__init__`` (``tests/core/test_control_cost.py`` pins that none is
+    left on the tick).
+    """
 
     channel_id: str
     granted_ops: float
@@ -126,9 +132,10 @@ class ChannelSnapshot:
     max_wait: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class StageStats:
-    """One stage's report to the control plane's feedback loop."""
+class StageStats(NamedTuple):
+    """One stage's report to the control plane's feedback loop (a
+    :class:`~typing.NamedTuple`, for the reason :class:`ChannelSnapshot`
+    gives)."""
 
     stage_id: str
     job_id: str
@@ -372,27 +379,20 @@ class StageCore:
         snapshots = []
         for channel in self._channel_list:
             granted, enqueued, backlog = channel.collect()
+            stats = channel.stats
             snapshots.append(
                 ChannelSnapshot(
-                    channel_id=channel.channel_id,
-                    granted_ops=granted,
-                    enqueued_ops=enqueued,
-                    backlog=backlog,
-                    rate_limit=channel.rate,
-                    mean_wait=channel.stats.mean_wait,
-                    max_wait=channel.stats.wait_max,
+                    channel.channel_id, granted, enqueued, backlog,
+                    channel.rate, stats.mean_wait, stats.wait_max,
                 )
             )
+        identity = self.identity
         passthrough = self._passthrough_window
         self._passthrough_window = 0.0
         self._last_collect = now
         return StageStats(
-            stage_id=self.identity.stage_id,
-            job_id=self.identity.job_id,
-            timestamp=now,
-            window=window,
-            channels=tuple(snapshots),
-            passthrough_ops=passthrough,
+            identity.stage_id, identity.job_id, now, window,
+            tuple(snapshots), passthrough,
         )
 
 

@@ -161,6 +161,25 @@ class TestPolicies:
         cp.tick(0.0)  # must not raise
         assert stage.channel_rate("data") == float("inf")
 
+    def test_re_set_rule_wins_a_priority_tie(self):
+        # "The newest instruction applies": A, then B at the same
+        # priority, then A again -- A's new rate is the one enforced.
+        cp = ControlPlane()
+        stage = make_stage(job_id="job1")
+        cp.register(stage)
+
+        def rule(name, rate):
+            scope = RuleScope("metadata", "job1")
+            return PolicyRule(name, scope, ConstantRate(rate), priority=10)
+
+        cp.replace_policy(rule("A", 100.0))
+        cp.replace_policy(rule("B", 200.0))
+        assert cp._enforce_policies(0.0) == {("job1", "metadata"): 200.0}
+        cp.replace_policy(rule("A", 50.0))
+        assert cp._enforce_policies(1.0) == {("job1", "metadata"): 50.0}
+        assert stage.channel_rate("metadata") == 50.0
+        assert list(cp.policies) == ["B", "A"]
+
 
 class TestAlgorithmLoop:
     def test_static_partition_enforced(self):
