@@ -536,7 +536,7 @@ class ControlPlane:
                     winners[key] = rule
         pushed: Dict[tuple[str, str], float] = {}
         for (job_id, channel_id), rule in winners.items():
-            rate = max(MIN_RATE, rule.rate_at(now))
+            rate = max(MIN_RATE, rule.schedule.rate_at(now))
             pushed[(job_id, channel_id)] = rate
             self._push_job_rate(job_id, channel_id, rate, now, rule.burst)
         return pushed
@@ -667,10 +667,12 @@ class ControlPlane:
         job = self._jobs.get(job_id)
         if job is None or not job.stage_ids:
             return
-        per_stage = max(MIN_RATE, rate / job.n_stages)
-        per_burst = None if burst is None else max(burst / job.n_stages, per_stage)
+        stage_ids = job.stage_ids
+        n_stages = len(stage_ids)  # ``job.n_stages``, without its frame
+        per_stage = max(MIN_RATE, rate / n_stages)
+        per_burst = None if burst is None else max(burst / n_stages, per_stage)
         message = EnforceRate(channel_id, per_stage, now, per_burst)
-        for stage_id in job.stage_ids:
+        for stage_id in stage_ids:
             try:
                 self.fabric.call(stage_id, message)
             except RPCError:

@@ -101,6 +101,9 @@ class FaultyFabric:
         self.env = env
         #: Delivery substrate this fabric decorates with faults.
         self.transport = transport if transport is not None else InProcTransport()
+        #: The transport's registry lookup, bound once: every dispatch
+        #: resolves its handler with one C-level ``dict.get``.
+        self._handler_of = self.transport._handlers.get
         #: Engine-less notion of time.  The live interposition layer has
         #: no simulation engine; it passes its own (wall) clock so
         #: scripted partition windows and telemetry drop events still
@@ -218,25 +221,6 @@ class FaultyFabric:
             return link.latency + link.jitter * self._rng.random()
         return link.latency
 
-    def _dispatch_sync(self, address: str, message: Any) -> Any:
-        handler = self.transport.handler(address)
-        if handler is None:
-            raise StageNotRegistered(f"address {address!r} not bound")
-        self.calls += 1
-        # A fabric with nothing that could drop a message draws nothing
-        # either: skip the checks (the RNG stream is the same).
-        if (
-            self._drop_fn is not None
-            or self._partitions
-            or self._links
-            or self.link.loss > 0.0
-        ):
-            reason = self._undeliverable(address, message)
-            if reason is not None:
-                self._drop(address, message, reason, leg="request")
-                raise RPCError(f"message to {address!r} dropped")
-        return handler(message)
-
     # -- verbs -------------------------------------------------------------
     def defers(self, message: Any) -> bool:
         """True when a reply to ``message`` comes back later, through the
@@ -252,16 +236,37 @@ class FaultyFabric:
         and returns True; undeliverable messages vanish silently and a
         stage that deregisters mid-flight swallows the message, like a
         real network.
+
+        A degenerate faultless link delivers synchronously even with an
+        engine attached, so the fabric composes with experiments that
+        expect zero-latency enforcement to take effect within the same
+        control tick.  Both synchronous cases run the dispatch below, in
+        this frame: it is every in-process control RPC's only fabric hop.
         """
-        if self.env is None or isinstance(message, self._sync_messages):
-            return self._dispatch_sync(address, message)
-        link = self.link_for(address)
-        if link.faultless and not self._partitions and self._drop_fn is None:
-            # Degenerate faultless link: deliver synchronously so the
-            # fabric composes with experiments that expect zero-latency
-            # enforcement to take effect within the same control tick.
-            return self._dispatch_sync(address, message)
-        if not self.transport.bound(address):
+        link = None
+        if self.env is not None and not isinstance(message, self._sync_messages):
+            link = self._links.get(address, self.link)
+            if link.faultless and not self._partitions and self._drop_fn is None:
+                link = None
+        if link is None:
+            handler = self._handler_of(address)
+            if handler is None:
+                raise StageNotRegistered(f"address {address!r} not bound")
+            self.calls += 1
+            # A fabric with nothing that could drop a message draws nothing
+            # either: skip the checks (the RNG stream is the same).
+            if (
+                self._drop_fn is not None
+                or self._partitions
+                or self._links
+                or self.link.loss > 0.0
+            ):
+                reason = self._undeliverable(address, message)
+                if reason is not None:
+                    self._drop(address, message, reason, leg="request")
+                    raise RPCError(f"message to {address!r} dropped")
+            return handler(message)
+        if self._handler_of(address) is None:
             raise StageNotRegistered(f"address {address!r} not bound")
         self.calls += 1
         reason = self._undeliverable(address, message)
@@ -273,7 +278,7 @@ class FaultyFabric:
         env = self.env
 
         def deliver() -> None:
-            handler = self.transport.handler(address)
+            handler = self._handler_of(address)
             if handler is None:
                 # Deregistered while in flight; drop silently.
                 return
@@ -298,7 +303,7 @@ class FaultyFabric:
         """
         if self.env is None:
             raise ConfigError("call_async needs an engine-attached fabric")
-        if self.transport.handler(address) is None:
+        if self._handler_of(address) is None:
             raise StageNotRegistered(f"address {address!r} not bound")
         self.calls += 1
         env = self.env
@@ -312,7 +317,7 @@ class FaultyFabric:
         delay = self._delay(link)
 
         def deliver() -> None:
-            live = self.transport.handler(address)
+            live = self._handler_of(address)
             if live is None:
                 return  # deregistered in flight: request vanishes
             try:

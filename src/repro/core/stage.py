@@ -285,7 +285,11 @@ class StageCore:
         self, channel_id: str, rate: float, now: float, burst: Optional[float]
     ) -> None:
         """Apply a control-plane rate rule; any such message (re-)adopts."""
-        self._channel(channel_id).set_rate(rate, now, burst)
+        try:
+            channel = self._channels[channel_id]
+        except KeyError:
+            channel = self._channel(channel_id)  # raises the ConfigError
+        channel.set_rate(rate, now, burst)
         if self._orphan_policy is not None:
             self._note_enforcement(now)
 

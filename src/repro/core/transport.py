@@ -30,9 +30,11 @@ class InProcTransport:
     """Address -> endpoint registry with a synchronous ``call`` verb:
     in process, a dict lookup and a call.
 
-    ``handler`` returns the callable bound at an address (or None): the
-    fabric's deferred-delivery path uses it to model a message arriving
-    *after* its stage deregistered (silent drop, like a real network).
+    ``handler`` returns the callable bound at an address (or None): a
+    socket connection serves inbound requests through it.  The fabric
+    binds ``_handlers.get`` itself, once, so a dispatch costs no Python
+    frame for the lookup; the registry dict is therefore never replaced,
+    only mutated.
     """
 
     def __init__(self) -> None:

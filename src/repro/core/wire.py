@@ -92,6 +92,7 @@ __all__ = [
     "FrameDecoder",
     "encode_frame",
     "encode_payload",
+    "encode_request",
     "decode_payload",
     "hello_payload",
     "check_hello",
@@ -303,6 +304,18 @@ def encode_payload(value: Any) -> bytes:
     the tagged document, produced in one walk over the value.
     """
     return _emit(value).encode("ascii")
+
+
+def encode_request(address: Any, message: Any) -> bytes:
+    """``encode_payload({"to": address, "msg": message})``, the request
+    envelope, written around the message's text without the dict walk:
+    with a ``str`` address the sorted keys are known in advance."""
+    if address.__class__ is not str:
+        return encode_payload({"to": address, "msg": message})
+    return (
+        '{"msg":' + _EMIT.get(type(message), _emit_base)(message)
+        + ',"to":' + _escape(address) + "}"
+    ).encode("ascii")
 
 
 def _revive(doc: Dict[str, Any]) -> Any:

@@ -349,16 +349,18 @@ class ReplayWorld:
         rounds adds every row's slice to the job's window, the client and
         the target's queue -- an MDS batch per slice, as
         ``MetadataServer.offer`` would append it -- with the routing
-        resolved once per row.
+        resolved once per row.  A row's kind is its op's MDS kind (None
+        for a client-local op): a replayer kind names the MDS kind of its
+        op (``KIND_TO_OP``), so a replay row carries it already.
         """
         client = self._client
-        now = self.env.now
+        now = self.env._now
         window_buf = runtime.window_buf
         touch = runtime.window_touched.append
         rows = []
-        for _kind, op, path, count in slices:
+        for kind, _op, path, count in slices:
             if count > 0:
-                rows.append((count, *self._route(runtime, MDS_KIND_BY_OP[op], path, now)))
+                rows.append((count, *self._route(runtime, kind, path, now)))
         delivered_total = runtime.delivered_total
         submitted_ops = client.submitted_ops
         if len(rows) == 1 and rows[0][3] is not None:
@@ -420,7 +422,7 @@ class ReplayWorld:
         filled one after another.  Rows no rule matches go to
         :meth:`_deliver_rows` in that same order, stages innermost.
         """
-        now = self.env.now
+        now = self.env._now
         tracer = self._tracer
         n_stages = len(stages)
         job_id = runtime.spec.job_id
@@ -435,12 +437,12 @@ class ReplayWorld:
                 continue
             share = count / n_stages
             request = batch_request(
-                op, path, job_id, share, submitted_at=now, kind_hint=MDS_KIND_BY_OP[op]
+                op, path, job_id, share, submitted_at=now, kind_hint=kind
             )
             for stage in stages:
-                decision = stage.classifier.classify(request)
-                if decision.enforced:
-                    channel = stage._channels[decision.channel_id]
+                channel_id = stage.classifier.classify(request).channel_id
+                if channel_id is not None:
+                    channel = stage._channels[channel_id]
                     group = groups.get(channel)
                     if group is None:
                         groups[channel] = group = ([request], [share])
@@ -518,7 +520,7 @@ class ReplayWorld:
         spec = runtime.spec
         runtime.started = True
         if spec.setup is Setup.BASELINE:
-            batch_submit = lambda rows, il: self._deliver_rows(runtime, rows, il)  # noqa: E731
+            batch_submit = partial(self._deliver_rows, runtime)
         else:
             unlimited = spec.setup is Setup.PASSTHROUGH
             for i in range(spec.n_stages):
@@ -533,7 +535,9 @@ class ReplayWorld:
                     # directly); a record handed to the sink is delivered
                     # like an unenforced row.
                     sink=lambda req: self._deliver_rows(
-                        runtime, ((None, req.op, req.path, req.count),), 1
+                        runtime,
+                        ((MDS_KIND_BY_OP[req.op], req.op, req.path, req.count),),
+                        1,
                     ),
                     pfs_mounts=(PFS_MOUNT,),
                     telemetry=self.telemetry,
@@ -553,9 +557,9 @@ class ReplayWorld:
                     )
                 else:
                     self.controller.register(stage, now=self.env.now)
-            batch_submit = lambda rows, il: self._submit_stage_rows(  # noqa: E731
-                runtime, runtime.stages, rows, il
-            )
+            # ``runtime.stages`` is emptied in place when the job completes,
+            # never replaced, so the sink may hold the list itself.
+            batch_submit = partial(self._submit_stage_rows, runtime, runtime.stages)
         replayer = runtime.replayer
         runtime.driver = ReplayDriver(
             self.env,
@@ -567,12 +571,9 @@ class ReplayWorld:
         )
         # Preallocate the delivery-window slots for every kind this job
         # will replay (the fused sinks then never take the interning path).
-        from repro.workloads.replayer import KIND_TO_OP
-
         for kind in replayer.kinds:
-            window_key = MDS_KIND_BY_OP[KIND_TO_OP[kind]] or "local"
-            if window_key not in runtime.window_index:
-                runtime.window_slot(window_key)
+            if kind not in runtime.window_index:
+                runtime.window_slot(kind)
 
     def _build_channels(self, stage: DataPlaneStage, spec: JobSpec, unlimited: bool) -> None:
         now = self.env.now

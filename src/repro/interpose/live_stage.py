@@ -33,6 +33,11 @@ from repro.interpose.live_bucket import LiveTokenBucket
 
 __all__ = ["LiveStage"]
 
+#: Longest a blocked call waits in its bucket before it looks up again:
+#: at the ``stop`` event it was handed, and at the controller's silence
+#: when an orphan policy is installed.
+ACQUIRE_NAP = 0.2
+
 
 class _LiveChannel:
     """A bucket and its grant counters; no queue (blocked threads hold
@@ -160,17 +165,21 @@ class LiveStage(StageCore):
 
     # -- data path ------------------------------------------------------------------
     def _acquire(self, channel: _LiveChannel, count: float, stop) -> bool:
-        """Block in the bucket; with ``stop`` set, give up between naps.
+        """Block in the bucket, in naps of :data:`ACQUIRE_NAP`.
 
-        The operator service's workload threads pass their shutdown
-        event so a clamped channel cannot pin a thread through teardown.
+        Between naps a call gives up once ``stop`` is set (the operator
+        service's workload threads pass their shutdown event, so a
+        clamped channel cannot pin a thread through teardown), and runs
+        the orphan check: a call blocked at a near-zero rate when the
+        controller falls silent is released by the policy's decay floor,
+        not by a token that may be 10^9 s away.
         """
-        if stop is None:
-            channel.bucket.acquire(count)
-            return True
-        while not stop.is_set():
-            if channel.bucket.acquire(count, timeout=0.2):
+        bucket = channel.bucket
+        while stop is None or not stop.is_set():
+            if bucket.acquire(count, timeout=ACQUIRE_NAP):
                 return True
+            if self._orphan_policy is not None:
+                self._check_silence()
         return False
 
     def admit(

@@ -8,6 +8,7 @@ second across 30-day traces.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -23,29 +24,33 @@ INITIAL_CAPACITY = 1024
 class TimeSeries:
     """Append-only sampled series with numpy-backed storage."""
 
-    __slots__ = ("name", "_times", "_values", "_size")
+    __slots__ = ("name", "_times", "_values", "_size", "_last")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._times = np.empty(INITIAL_CAPACITY, dtype=np.float64)
         self._values = np.empty(INITIAL_CAPACITY, dtype=np.float64)
         self._size = 0
+        #: The last appended time as a Python float: the monotonicity
+        #: check reads it instead of a numpy scalar out of ``_times``.
+        self._last = -math.inf
 
     def __len__(self) -> int:
         return self._size
 
     def append(self, t: float, value: float) -> None:
         """Record ``value`` at time ``t`` (times must be non-decreasing)."""
-        if self._size and t < self._times[self._size - 1]:
+        if t < self._last:
             raise ConfigError(
-                f"timestamps must be non-decreasing: {t} < "
-                f"{self._times[self._size - 1]}"
+                f"timestamps must be non-decreasing: {t} < {self._last}"
             )
-        if self._size == self._times.shape[0]:
+        size = self._size
+        if size == self._times.shape[0]:
             self._grow()
-        self._times[self._size] = t
-        self._values[self._size] = value
-        self._size += 1
+        self._times[size] = t
+        self._values[size] = value
+        self._size = size + 1
+        self._last = float(t)
 
     def _grow(self) -> None:
         new_cap = self._times.shape[0] * 2

@@ -63,6 +63,7 @@ from repro.core.wire import (
     decode_payload,
     encode_frame,
     encode_payload,
+    encode_request,
     error_payload,
     hello_payload,
     raise_error,
@@ -236,9 +237,7 @@ class WireConnection:
             self._next_corr += 1
             self._pending[corr_id] = waiter
         try:
-            self._send_frame(
-                FRAME_REQUEST, corr_id, encode_payload({"to": address, "msg": message})
-            )
+            self._send_frame(FRAME_REQUEST, corr_id, encode_request(address, message))
         except RPCError:
             with self._pending_lock:
                 self._pending.pop(corr_id, None)

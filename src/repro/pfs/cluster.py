@@ -144,8 +144,6 @@ class LustreCluster:
         allows, so the backlog arrives as one burst -- the recovery storm
         the failover experiment studies.
         """
-        if not self._replay_buffer:
-            return
         buffered = self._replay_buffer
         self._replay_buffer = {}
         for kind, count in buffered.items():
@@ -166,6 +164,7 @@ class LustreCluster:
         else:
             mds = self.active_mds(now)
             if mds is not None:
-                self._flush_replay(mds, now)
+                if self._replay_buffer:
+                    self._flush_replay(mds, now)
                 served = mds.service(now, dt)
         return served

@@ -209,12 +209,20 @@ class MetadataServer:
             raise ConfigError(f"service dt must be positive, got {dt}")
         if self.failed:
             return 0.0
-        self._update_degradation(now, dt)
-        if self.failed:
-            return 0.0
-        rate = self.config.capacity
-        if self.degraded:
-            rate *= DEGRADE_FACTOR
+        config = self.config
+        rate = config.capacity
+        # A healthy server below the threshold has no state to update:
+        # this is ``queue_delay > degrade_after``, the test that opens
+        # ``_update_degradation``, inlined.
+        if (
+            self._degraded_since is not None
+            or self._queued_units / rate > config.degrade_after
+        ):
+            self._update_degradation(now, dt)
+            if self.failed:
+                return 0.0
+            if self._degraded_since is not None:
+                rate *= DEGRADE_FACTOR
         budget = rate * dt
         served_ops = 0.0
         # The drain loop pops one batch per (tick, kind, slice) submitted

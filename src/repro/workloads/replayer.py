@@ -40,6 +40,8 @@ __all__ = ["KIND_TO_OP", "TraceReplayer", "ReplayDriver"]
 INTERLEAVE = 8
 
 #: MDS operation kind -> representative POSIX call the replayer issues.
+#: Each kind is the MDS kind of its call (``MDS_KIND_BY_OP``), so a replay
+#: row's kind routes it without a lookup on the op.
 KIND_TO_OP: Mapping[str, OperationType] = {
     "open": OperationType.OPEN,
     "close": OperationType.CLOSE,
@@ -210,6 +212,9 @@ class ReplayDriver:
         self.batch_submit = batch_submit if batch_submit is not None else self._unroll
         self.job_id = job_id
         self.start = float(start)
+        #: ``replayer.replay_duration``, read once: the trace never
+        #: changes, and every tick compares against it.
+        self._replay_duration = replayer.replay_duration
         self.submitted: Dict[str, float] = {k: 0.0 for k in replayer.kinds}
         self.finished_at: Optional[float] = None
         #: (kind, op, path) per replayed thread, resolved once instead of
@@ -244,7 +249,7 @@ class ReplayDriver:
         will report -- which keeps the batched path bit-identical to the
         per-tick :meth:`TraceReplayer.demand` path it replaced.
         """
-        duration = self.replayer.replay_duration
+        duration = self._replay_duration
         replay_times: List[float] = []
         t = first_now
         while t - self.start < duration:
@@ -255,7 +260,7 @@ class ReplayDriver:
 
     def _tick(self, now: float) -> None:
         replay_time = now - self.start
-        if replay_time >= self.replayer.replay_duration:
+        if replay_time >= self._replay_duration:
             if self.finished_at is None:
                 self.finished_at = now
             self._ticker.stop()

@@ -26,13 +26,13 @@ from repro.core.stage import DataPlaneStage, StageIdentity
 from repro.core.transport import InProcTransport
 
 #: Frames under one stage's ``FaultyFabric.call`` (the call included):
-#: fabric dispatch (3), the endpoint, ``collect`` / ``_collect_window``,
-#: the channel's counters and rate (4), one ``ChannelSnapshot`` and one
-#: ``StageStats`` constructor.
-COLLECT_FRAMES = 12
-#: Fabric dispatch (3), the endpoint, the stage's enforce path (3), the
-#: channel's bucket (3).
-PUSH_FRAMES = 10
+#: the fabric's dispatch (one frame: the call itself), the endpoint,
+#: ``collect`` / ``_collect_window``, the channel's counters and rate
+#: (4), one ``ChannelSnapshot`` and one ``StageStats`` constructor.
+COLLECT_FRAMES = 10
+#: The fabric's dispatch, the endpoint, the stage's enforce path (2),
+#: the channel's bucket (3).
+PUSH_FRAMES = 7
 
 
 def make_plane(n_stages: int) -> ControlPlane:

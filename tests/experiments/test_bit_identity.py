@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.algorithms import ProportionalSharing
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
-from repro.core.requests import OperationType
+from repro.core.requests import OperationType, Request, batch_request
 from repro.experiments.fig4 import run_fig4_metadata
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
@@ -419,13 +419,14 @@ class TestFusedDrainObserved:
 
 
 def _python_calls(function, *args) -> Counter:
-    """Qualified names of the Python frames ``function(*args)`` enters
-    (with the collector off: a gc callback is not the function's)."""
+    """Code objects of the Python frames ``function(*args)`` enters,
+    counted (identity, not ``co_qualname``, which is 3.11+; with the
+    collector off: a gc callback is not the function's)."""
     calls = Counter()
 
     def profiler(frame, event, arg):
         if event == "call":
-            calls[frame.f_code.co_qualname] += 1
+            calls[frame.f_code] += 1
 
     gc.disable()
     sys.setprofile(profiler)
@@ -457,10 +458,10 @@ class TestFusedDrainCalls:
         large_queued, large = self._drain_tick_calls(16, rate)
         assert large_queued == 2 * small_queued == 2 * 4 * 8 * len(_DRAIN_ROWS)
         for calls in (small, large):
-            splits = calls.pop("Request.split", 0)
+            splits = calls.pop(Request.split.__code__, 0)
             assert splits <= 4  # one channel per stage
-            assert calls.pop("batch_request", 0) == 2 * splits
+            assert calls.pop(batch_request.__code__, 0) == 2 * splits
             if rate < float("inf"):
                 assert splits == 4
         assert large == small
-        assert small["ReplayWorld._route"] == len(_DRAIN_ROWS)
+        assert small[ReplayWorld._route.__code__] == len(_DRAIN_ROWS)

@@ -20,6 +20,7 @@ from repro.core.differentiation import ClassifierRule
 from repro.core.requests import OperationClass
 from repro.core.stage import StageIdentity
 from repro.interpose import Interposer, LiveStage
+from repro.interpose.live_stage import _LiveChannel
 
 
 class CountingLock:
@@ -57,7 +58,8 @@ def world(tmp_path):
 
 
 def python_frames_before_real_call(real, path):
-    """Python frames ``os.stat(path)`` enters until the C function ``real``."""
+    """Code objects of the Python frames ``os.stat(path)`` enters until the
+    C function ``real`` (identity, not ``co_qualname``, which is 3.11+)."""
     frames = []
     state = {"counting": True}
 
@@ -65,7 +67,7 @@ def python_frames_before_real_call(real, path):
         if event == "c_call" and arg is real:
             state["counting"] = False
         elif event == "call" and state["counting"]:
-            frames.append(frame.f_code.co_qualname)
+            frames.append(frame.f_code)
 
     sys.setprofile(profiler)
     try:
@@ -80,7 +82,7 @@ def test_enforced_stat_enters_at_most_four_frames(world):
     _, interposer, on_mount, _ = world
     frames = python_frames_before_real_call(interposer._saved_os["stat"], on_mount)
     assert 1 <= len(frames) <= 4, frames  # the wrapper included
-    assert frames[-1] == "_LiveChannel.admit"
+    assert frames[-1] is _LiveChannel.admit.__code__
 
 
 def test_bypassed_stat_enters_at_most_three_frames(world):

@@ -347,3 +347,50 @@ class TestThrottleIsAdmit:
         assert stage.admit(OperationType.OPEN, "/f", job_id="jobX").channel_id == "other"
         request = Request(OperationType.OPEN, path="/f", job_id="jobX")
         assert stage.throttle(request).channel_id == "other"
+
+
+class TestBlockedCallSeesTheOrphanFloor:
+    def test_a_call_blocked_at_min_rate_is_released_by_the_decay_floor(self):
+        """A call that enters at ``MIN_RATE`` with no ``stop`` event must
+        still see the orphan policy's floor once the controller falls
+        silent: the silence is re-checked between naps, not only before
+        the call blocks (else it waits ~1e9 s for a token)."""
+        import threading
+
+        from repro.core.algorithms import MIN_RATE
+        from repro.core.stage import OrphanPolicy
+        from repro.core.token_bucket import UNLIMITED
+
+        stage = LiveStage(StageIdentity("ls0", "jobL"))
+        stage.create_channel("metadata")
+        stage.add_classifier_rule(
+            ClassifierRule(
+                "md", "metadata", op_classes=frozenset({OperationClass.METADATA})
+            )
+        )
+        # Orphaned after 2 x 0.05 s without enforcement; the floor admits
+        # a call within milliseconds.
+        stage.set_orphan_policy(
+            OrphanPolicy(orphan_after=2, mode="decay", floor=1000.0, half_life=1.0),
+            0.05,
+        )
+        stage.set_channel_rate("metadata", MIN_RATE)  # adopted, then silence
+        admitted = []
+        caller = threading.Thread(
+            target=lambda: admitted.append(stage.admit(OperationType.OPEN, "/f")),
+            name="padll-test-blocked-admit",
+            daemon=True,
+        )
+        caller.start()
+        try:
+            caller.join(timeout=5.0)
+            released = not caller.is_alive()
+        finally:
+            # Free a call still blocked (the enforcement also re-adopts).
+            stage.set_channel_rate("metadata", UNLIMITED)
+            caller.join(timeout=5.0)
+        assert released, "the blocked call never saw the orphan floor"
+        assert not caller.is_alive()
+        assert admitted and admitted[0].channel_id == "metadata"
+        assert stage.orphan_transitions == 1
+        assert stage.granted_total("metadata") == 1.0

@@ -37,12 +37,13 @@ REPLY = StageStats(
 
 
 def python_frames(function, argument):
-    """(qualname, filename) of every Python frame ``function(argument)`` enters."""
+    """(name, filename) of every Python frame ``function(argument)`` enters
+    (``co_name``: ``co_qualname`` is 3.11+)."""
     frames = []
 
     def profiler(frame, event, arg):
         if event == "call":
-            frames.append((frame.f_code.co_qualname, frame.f_code.co_filename))
+            frames.append((frame.f_code.co_name, frame.f_code.co_filename))
 
     sys.setprofile(profiler)
     try:

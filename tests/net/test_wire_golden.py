@@ -41,6 +41,7 @@ from repro.core.wire import (
     WIRE_VERSION,
     decode_payload,
     encode_payload,
+    encode_request,
     error_payload,
     hello_payload,
     registered_tags,
@@ -317,3 +318,15 @@ def test_encode_matches_golden(name, value, decoded):
 def test_golden_decodes_to_the_value(name, value, decoded):
     expected = value if decoded is SAME else decoded
     assert same(decode_payload(GOLDEN[name]), expected)
+
+
+ENVELOPES = [
+    (name, value) for name, value, _ in CORPUS if name.startswith("request_envelope")
+]
+
+
+@pytest.mark.parametrize("name, value", ENVELOPES, ids=[e[0] for e in ENVELOPES])
+def test_a_request_envelope_is_its_golden_bytes(name, value):
+    # WireConnection.request writes the envelope around the message's
+    # text; the bytes are the corpus entry's, not a lookalike.
+    assert encode_request(value["to"], value["msg"]) == GOLDEN[name]

@@ -43,6 +43,7 @@ from repro.core.wire import (
     decode_payload,
     encode_frame,
     encode_payload,
+    encode_request,
     registered_tags,
 )
 from repro.errors import WireError
@@ -133,6 +134,18 @@ def test_round_trip_restores_the_value(value):
     assert back == value
     # == cannot tell 1 from 1.0 or 0.0 from -0.0; the bytes can.
     assert encode_payload(back) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(max_size=20), st.characters(min_codepoint=128), scalars),
+    registered,
+)
+def test_a_request_envelope_is_the_encoded_dict(address, message):
+    # Non-ASCII addresses are escaped as the dict walk escapes them; a
+    # non-str address travels through the dict walk itself.
+    expected = encode_payload({"to": address, "msg": message})
+    assert encode_request(address, message) == expected
 
 
 @settings(max_examples=100, deadline=None)

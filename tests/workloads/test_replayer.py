@@ -61,6 +61,13 @@ class TestTraceReplayer:
 
         assert set(KIND_TO_OP) == set(MDS_OP_KINDS)
 
+    def test_each_kind_is_the_mds_kind_of_its_op(self):
+        # The world routes a replay row by its kind, not by its op.
+        from repro.core.requests import MDS_KIND_BY_OP
+
+        for kind, op in KIND_TO_OP.items():
+            assert MDS_KIND_BY_OP[op] == kind
+
 
 class TestReplayDriver:
     def test_submits_everything_then_finishes(self, env, small_trace):
