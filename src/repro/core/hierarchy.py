@@ -16,7 +16,8 @@ overrides exactly what the topology changes:
 * **endpoints** -- collects poll the attached locals, not stages;
 * **collect message** -- :class:`CollectAggregate` instead of
   ``CollectStats``; the reply is a per-job :class:`AggregateStats`;
-* **demand merge** -- ``_job_demand_vec`` sums per-local partials (below);
+* **demand merge** -- ``_job_demand_vec`` sums per-local partials in
+  one ``np.bincount`` (below);
 * **fan-out** -- ``_push_rates`` sends one :class:`EnforceJobRateBatch`
   per hosting local instead of one ``EnforceRate`` per stage
   (``_push_job_rate``, a single policy's push, is a batch of one), and
@@ -398,14 +399,16 @@ class HierarchicalControlPlane(ControlPlane):
     out through locals, and liveness eviction removes a silent local's
     entire stage population.
 
-    The demand merge reads :class:`ArrayStats` demand vectors without
-    building a per-job Python object.  Given an
-    ``enforce_array_sink(now, per_stage)`` -- ``per_stage`` aligned to
-    :meth:`vector_job_ids` -- the cycle's per-stage rates go to the sink
-    instead of the RPC fabric (the sharded coordinator points it straight
-    at its scatter staging arrays); without one -- every
-    :class:`LocalController` world -- they leave as batched fabric
-    pushes.  Both deliver the same per-stage floats
+    The demand merge is one ``np.bincount`` over every local's partials
+    (an :class:`ArrayStats` demand vector as it is, an
+    :class:`AggregateStats` as one array per reply), with the
+    concatenated plane-order index cached until placement or the locals'
+    job lists change.  Given an ``enforce_array_sink(now, per_stage)`` --
+    ``per_stage`` aligned to :meth:`vector_job_ids` -- the cycle's
+    per-stage rates go to the sink instead of the RPC fabric (the sharded
+    coordinator writes them straight into its rack blocks' slot arrays);
+    without one -- every :class:`LocalController` world -- they leave as
+    batched fabric pushes.  Both deliver the same per-stage floats
     (``tests/core/test_vector_hierarchy.py`` pins this cycle-for-cycle).
     """
 
@@ -430,8 +433,8 @@ class HierarchicalControlPlane(ControlPlane):
         # Rebuilt with the base class's frozen job order.
         self._vec_pos: Dict[str, int] = {}
         self._vec_n_stages: Optional[np.ndarray] = None
-        #: local_id -> (job_ids ref, plane index array, valid selector).
-        self._vec_local_idx: Dict[str, tuple] = {}
+        #: The demand fold's ``(key, idx, sel)`` (:meth:`_fold_index`).
+        self._fold: Optional[tuple] = None
 
     # -- topology ----------------------------------------------------------
     @property
@@ -549,77 +552,67 @@ class HierarchicalControlPlane(ControlPlane):
         self._vec_n_stages = np.array(
             [float(self._jobs[job_id].n_stages) for job_id in job_ids]
         )
-        self._vec_local_idx = {}
 
     def hosting_locals(self, job_id: str) -> List[str]:
         """Locals hosting ``job_id``, first-appearance order (public)."""
         return list(self._job_hosting_locals(job_id))
 
-    def _local_index(self, local_id: str, agg: ArrayStats):
-        """Plane-order index array for one local's job slots, cached.
-
-        Returns ``(idx, sel)``: ``demand[idx] += vals`` when every
-        reported job is registered (``sel is None``), else
-        ``demand[idx] += vals[sel]`` with unknown jobs (finished since
-        the aggregate was taken) masked out.  Within one local job ids
-        are unique, so the fancy-index add never has duplicate targets.
-        """
-        cached = self._vec_local_idx.get(local_id)
-        if cached is not None and (
-            cached[0] is agg.job_ids or cached[0] == agg.job_ids
-        ):
-            return cached[1], cached[2]
-        pos = self._vec_pos
-        raw = [pos.get(job_id, -1) for job_id in agg.job_ids]
-        idx = np.array(raw, dtype=np.intp)
-        if (idx >= 0).all():
-            entry = (agg.job_ids, idx, None)
-        else:
-            sel = np.flatnonzero(idx >= 0)
-            entry = (agg.job_ids, idx[sel], sel)
-        self._vec_local_idx[local_id] = entry
-        return entry[1], entry[2]
+    def _fold_index(self, job_id_lists: Tuple[Tuple[str, ...], ...]):
+        """``(idx, sel)``: the plane-order index of the concatenated
+        partials, or of ``partials[sel]`` when some reported jobs have
+        finished since (``sel`` masks them out); cached on the layout and
+        the locals' job id tuples (an :class:`ArrayStats` hands the same
+        tuple over every cycle)."""
+        key = (self._vec_version, job_id_lists)
+        fold = self._fold
+        if fold is None or fold[0] != key:
+            get = self._vec_pos.get
+            idx = np.array(
+                [get(job_id, -1) for job_ids in job_id_lists for job_id in job_ids],
+                dtype=np.intp,
+            )
+            known = idx >= 0
+            sel = None if known.all() else np.flatnonzero(known)
+            fold = self._fold = (key, idx if sel is None else idx[sel], sel)
+        return fold[1], fold[2]
 
     def _job_demand_vec(self, stats: Dict[str, AggregateStats]) -> np.ndarray:
         """Merged per-job demand vector: the per-local partials summed.
 
-        Locals in stats order, one ``+=`` per local (each local reports a
-        job at most once, so the fancy-index add performs a single
-        addition per job), each local's partial times its own staleness
-        discount, implicit 0.0 start.
+        One ``np.bincount`` over every local's partials, concatenated in
+        stats order, each local's partial times its own staleness
+        discount.  ``bincount`` adds each bin's weights one at a time in
+        element order from 0.0, and a local reports a job at most once,
+        so each job's sum is the locals' partials added in stats order.
         """
-        demand = np.zeros(len(self._vec_job_ids))
         halflife = STALE_HALFLIFE * self.config.loop_interval
         ages = self._stats_age
-        pos = self._vec_pos
+        job_id_lists: List[Tuple[str, ...]] = []
+        partials: List[np.ndarray] = []
         for local_id, agg in stats.items():
-            if not isinstance(agg, _AGGREGATE_TYPES):
+            if isinstance(agg, ArrayStats):
+                job_ids, partial = agg.job_ids, agg.demand
+            elif isinstance(agg, AggregateStats):
+                jobs = agg.jobs
+                job_ids = tuple([job[0] for job in jobs])
+                partial = np.array([job[1] for job in jobs], dtype=np.float64)
+            else:
                 continue
-            discount = 1.0
             if ages:
                 age = ages.get(local_id, 0.0)
                 if age > 0.0:
-                    discount = 0.5 ** (age / halflife)
-            if isinstance(agg, ArrayStats):
-                idx, sel = self._local_index(local_id, agg)
-                vals = agg.demand
-                if discount != 1.0:
-                    vals = vals * discount
-                if sel is None:
-                    demand[idx] += vals
-                else:
-                    demand[idx] += vals[sel]
-            else:
-                # A LocalController's AggregateStats: fold it entry by
-                # entry.
-                for job_id, job_demand, _n_stages in agg.jobs:
-                    i = pos.get(job_id)
-                    if i is None:
-                        continue
-                    if discount != 1.0:
-                        job_demand = job_demand * discount
-                    demand[i] += job_demand
-        return demand
+                    partial = partial * 0.5 ** (age / halflife)
+            job_id_lists.append(job_ids)
+            partials.append(partial)
+        n_jobs = len(self._vec_job_ids)
+        idx, sel = self._fold_index(tuple(job_id_lists))
+        if not idx.size:
+            # bincount of nothing is an integer array.
+            return np.zeros(n_jobs)
+        weights = np.concatenate(partials)
+        if sel is not None:
+            weights = weights[sel]
+        return np.bincount(idx, weights=weights, minlength=n_jobs)
 
     def _deliver_rates(self, now: float, rates: np.ndarray) -> None:
         sink = self._enforce_array_sink

@@ -732,12 +732,21 @@ class ReplayWorld:
     def _check_completions(self, now: float) -> None:
         # A job is only complete once the FS actually served its work: a
         # failed/recovering MDS, or one with a deep queue, blocks completion.
-        mds = self.cluster.active_mds(now)
-        fs_healthy = mds is not None and mds.queue_delay <= DT
+        # A failed server still goes through ``active_mds`` here, which
+        # starts the failover timer if this tick's service failed it.
+        mds = self.cluster.active
+        if mds.failed:
+            mds = self.cluster.active_mds(now)
+        # ``mds.queue_delay <= DT``, read without its property.
+        fs_healthy = mds is not None and mds._queued_units / mds.config.capacity <= DT
         for runtime in self._jobs.values():
             if runtime.completed_at is not None or runtime.driver is None:
                 continue
-            if fs_healthy and runtime.driver.finished and runtime.backlog() <= 1e-6:
+            if (
+                fs_healthy
+                and runtime.driver.finished_at is not None
+                and runtime.backlog() <= 1e-6
+            ):
                 runtime.completed_at = now
                 # The job leaves the system: its stages deregister, and
                 # algorithms redistribute its share (Fig. 5's exits).

@@ -50,7 +50,11 @@ class LustreCluster:
             MetadataServer(name=f"mds{i}", config=self.config.mds)
             for i in range(self.config.n_mds)
         ]
-        self._active_index = 0
+        #: The server in service (hot standby) or the one ``active_mds``
+        #: checks first (DNE).  While it is healthy, reading it here is
+        #: ``active_mds``; once it has failed only ``active_mds`` --
+        #: which starts and finishes the failover timer -- may replace it.
+        self.active: MetadataServer = self.mds_servers[0]
         self._failover_ready_at: Optional[float] = None
         self.clients: List[PFSClient] = []
         self.failovers = 0
@@ -82,7 +86,8 @@ class LustreCluster:
         radius).
         """
         if self.config.mds_mode == "hot-standby":
-            return self.active_mds(now)
+            active = self.active
+            return active if not active.failed else self.active_mds(now)
         shard = self._shard_index(path)
         mds = self.mds_servers[shard]
         return None if mds.failed else mds
@@ -103,22 +108,20 @@ class LustreCluster:
         Returns None while no replica is available (active failed and the
         standby is still replaying the MDT state).
         """
-        active = self.mds_servers[self._active_index]
+        active = self.active
         if not active.failed:
             return active
         # Active is down: find a healthy standby.
-        standby_index = next(
-            (i for i, m in enumerate(self.mds_servers) if not m.failed), None
-        )
-        if standby_index is None:
+        standby = next((m for m in self.mds_servers if not m.failed), None)
+        if standby is None:
             return None
         if self._failover_ready_at is None:
             self._failover_ready_at = now + FAILOVER_DELAY
         if now >= self._failover_ready_at:
-            self._active_index = standby_index
+            self.active = standby
             self._failover_ready_at = None
             self.failovers += 1
-            return self.mds_servers[self._active_index]
+            return standby
         return None
 
     # -- outage replay ------------------------------------------------------------
@@ -162,7 +165,9 @@ class LustreCluster:
                 if not mds.failed:
                     served += mds.service(now, dt)
         else:
-            mds = self.active_mds(now)
+            mds = self.active
+            if mds.failed:
+                mds = self.active_mds(now)
             if mds is not None:
                 if self._replay_buffer:
                     self._flush_replay(mds, now)

@@ -14,13 +14,15 @@ control loop interval:
 2. the coordinator runs one ``cp.tick``: the rack endpoints answer the
    plane's collects with :class:`~repro.core.hierarchy.ArrayStats`
    slices over that vector, and the plane's own demand merge, staleness
-   handling, policies and allocator write the new rates into per-slot
-   scatter staging arrays -- the algorithm's per-stage rates through
-   the plane's ``enforce_array_sink``, policy and pause pushes through
-   the batched enforce verb;
-3. the staged rates ride the *next* epoch back out to the shards
-   (enforcement latency of one epoch, matching a real deployment where
-   the push RPC lands after the current window).
+   handling, policies and allocator write the new per-stage rates
+   straight into the rack blocks' slot arrays
+   (:meth:`~repro.simulation.sharded.fluid.FluidBlock.set_rates`) --
+   the algorithm's through the plane's ``enforce_array_sink``, policy
+   and pause pushes through the batched enforce verb, the later write
+   to a slot winning;
+3. each block gathers the pushed rates per stage at the start of the
+   *next* epoch (enforcement latency of one epoch, matching a real
+   deployment where the push RPC lands after the current window).
 
 The per-cycle path builds no per-job Python object (DRF's search runs
 over Python lists inside its ``allocate_arrays``).
@@ -35,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from repro.core.hierarchy import (
     rack_index,
 )
 from repro.core.stage import StageIdentity
-from repro.simulation.sharded.fluid import BURST_NONE, FluidConfig, RackSpec
+from repro.simulation.sharded.fluid import FluidBlock, FluidConfig, RackSpec
 from repro.simulation.sharded.pool import ShardPool
 from repro.simulation.ticker import DT
 
@@ -207,19 +209,16 @@ class ShardedSimulation:
             blocks.append(specs[start : start + size])
             start += size
         self._pool = ShardPool(blocks, config.fluid)
-        # Scatter staging for the next epoch's enforcement: slot writes
-        # land here during cp.tick -- policy pushes first, then the
-        # algorithm's -- so for a slot written twice in one cycle the
-        # later push wins.
-        n_slots = self._pool.n_slots
         #: Per-slot demand partials of the latest barrier.
-        self._demand = np.zeros(n_slots)
-        self._flags = np.zeros(n_slots)
-        self._rates_arr = np.zeros(n_slots)
-        self._bursts_arr = np.full(n_slots, BURST_NONE)
+        self._demand = np.zeros(self._pool.n_slots)
+        # The array sink's scatter map, rebuilt when placement changes:
+        # per block, its slots and their jobs' positions in the plane's
+        # vector job order.
         self._sink_version = -1
-        self._sink_slots: Optional[np.ndarray] = None
-        self._sink_reps: Optional[np.ndarray] = None
+        self._sink: List[Tuple[FluidBlock, np.ndarray, np.ndarray]] = []
+        # What this cycle's pushes wrote, for the ``shard.epoch`` event.
+        self._sink_ran = False
+        self._batch_slots: Set[int] = set()
 
         self.control_plane = HierarchicalControlPlane(
             algorithm=algorithm,
@@ -251,54 +250,56 @@ class ShardedSimulation:
         )
 
     def _enforce_rack(self, rack_id: str, message: EnforceJobRateBatch) -> bool:
+        block, offset = self._pool.block_of[rack_id]
         slot_of = self._pool.slot_of
+        written = self._batch_slots
         for job_id, rate, burst in message.entries:
             slot = slot_of.get((rack_id, job_id))
             if slot is None:
                 continue
-            self._flags[slot] = 1.0
-            self._rates_arr[slot] = rate
-            self._bursts_arr[slot] = BURST_NONE if burst is None else burst
+            written.add(slot)
+            block.set_rates(slot - offset, rate, burst)
         return True
 
     def _ensure_sink_layout(self) -> None:
-        """(job, hosting rack) -> global slot scatter map, placement-keyed.
+        """(job, hosting rack) -> block slot scatter map, placement-keyed.
 
-        ``_sink_slots[k]`` is the scatter slot of the k-th (job, rack)
-        hosting pair and ``_sink_reps[k]`` the job's index in the plane's
-        vector job order; each pair appears exactly once, so the fancy
+        Per block, ``slots[k]`` is the block slot of its k-th (job, rack)
+        hosting pair and ``reps[k]`` the job's index in the plane's vector
+        job order; each pair appears exactly once, so the fancy
         assignments in :meth:`_enforce_array_sink` have no duplicate
         targets and write order cannot matter.
         """
         version = self.control_plane.placement_version
         if self._sink_version == version:
             return
-        slot_of = self._pool.slot_of
-        job_ids = self.control_plane.vector_job_ids()
-        slots: List[int] = []
-        reps: List[int] = []
-        for position, job_id in enumerate(job_ids):
+        pool = self._pool
+        slot_of, block_of = pool.slot_of, pool.block_of
+        groups: Dict[FluidBlock, Tuple[List[int], List[int]]] = {}
+        for position, job_id in enumerate(self.control_plane.vector_job_ids()):
             for rack_id in self.control_plane.hosting_locals(job_id):
-                slots.append(slot_of[(rack_id, job_id)])
+                block, offset = block_of[rack_id]
+                slots, reps = groups.setdefault(block, ([], []))
+                slots.append(slot_of[(rack_id, job_id)] - offset)
                 reps.append(position)
-        self._sink_slots = np.array(slots, dtype=np.intp)
-        self._sink_reps = np.array(reps, dtype=np.intp)
+        self._sink = [
+            (block, np.array(slots, dtype=np.intp), np.array(reps, dtype=np.intp))
+            for block, (slots, reps) in groups.items()
+        ]
         self._sink_version = version
 
     def _enforce_array_sink(self, now: float, per_stage: np.ndarray) -> None:
-        """The plane's array enforcement lands in the scatter staging.
+        """The plane's array enforcement lands in the blocks' slot arrays.
 
         ``per_stage`` is aligned to the plane's vector job order; the
         cached scatter map fans each job's (already split) rate out to
         every hosting rack's slot.  Algorithm pushes carry no explicit
-        burst (the rack derives ``rate * BURST_SECONDS``), hence the NaN
-        sentinel.
+        burst: the block derives ``rate * BURST_SECONDS``.
         """
         self._ensure_sink_layout()
-        slots = self._sink_slots
-        self._flags[slots] = 1.0
-        self._rates_arr[slots] = per_stage[self._sink_reps]
-        self._bursts_arr[slots] = BURST_NONE
+        for block, slots, reps in self._sink:
+            block.set_rates(slots, per_stage[reps])
+        self._sink_ran = True
 
     # -- run loop -----------------------------------------------------------
     def run(self, duration: float) -> "ShardedSimulation":
@@ -320,30 +321,27 @@ class ShardedSimulation:
         loop_interval = config.loop_interval
         control_plane = self.control_plane
         pool = self._pool
-        flags = self._flags
         telemetry = self._telemetry
+        batch_slots = self._batch_slots
         for epoch in range(n_epochs):
             t0 = epoch * loop_interval
-            self._demand = pool.run_epoch_arrays(
-                t0,
-                ticks_per_epoch,
-                loop_interval,
-                flags,
-                self._rates_arr,
-                self._bursts_arr,
-            )
+            self._demand = pool.run_epoch_arrays(t0, ticks_per_epoch, loop_interval)
             now = t0 + loop_interval
             if self._epoch_hook is not None:
                 self._epoch_hook(control_plane, now)
-            flags[:] = 0.0
+            self._sink_ran = False
+            batch_slots.clear()
             control_plane.tick(now)
             if telemetry is not None:
+                # A cycle's policy and pause pushes go to slots of
+                # registered jobs, all of which the sink writes when it
+                # runs: the distinct slots written are the sink's then.
+                if self._sink_ran:
+                    pushes = sum(len(slots) for _block, slots, _reps in self._sink)
+                else:
+                    pushes = len(batch_slots)
                 telemetry.events.emit(
-                    "shard.epoch",
-                    now,
-                    epoch=epoch,
-                    racks=config.n_racks,
-                    pushes=int(np.count_nonzero(flags)),
+                    "shard.epoch", now, epoch=epoch, racks=config.n_racks, pushes=pushes
                 )
         return self
 

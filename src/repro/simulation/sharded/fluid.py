@@ -52,17 +52,13 @@ from repro.simulation.rng import SeedSequence, make_rng
 from repro.simulation.ticker import DT
 
 __all__ = [
-    "BURST_NONE", "UNLIMITED", "FluidConfig", "RackSpec", "RackSlots", "RackFinal",
-    "FluidBlock",
+    "UNLIMITED", "FluidConfig", "RackSpec", "RackSlots", "RackFinal", "FluidBlock",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 #: Channel rate meaning "no enforcement installed yet".
 UNLIMITED = float("inf")
-#: Burst meaning ``burst=None``: derive it as ``rate * BURST_SECONDS``
-#: (:meth:`FluidBlock.apply_rate_arrays`).
-BURST_NONE = float("nan")
 
 
 #: Relative swing of the sinusoidal demand modulation.
@@ -151,9 +147,11 @@ class FluidBlock:
     Per tick: each stage's offered load arrives into its backlog, the
     stage's token bucket grants ``min(backlog + arrivals, tokens)``, and
     the granted ops feed the stage's rack-local MDS queue, served at a
-    fixed capacity.  Enforcement arrives between epochs as final
-    per-stage job rates (already split by the global plane -- no
-    re-association).
+    fixed capacity.  Enforcement arrives as final per-stage job rates
+    (already split by the global plane -- no re-association), written
+    into the slot arrays by :meth:`set_rates` and gathered per stage at
+    the start of the next epoch.  A tick writes into buffers allocated
+    once per block.
 
     The per-stage arrays are the racks' arrays concatenated in rack
     order.  The block owns the slot layout: one slot per ``(rack, job)``,
@@ -207,13 +205,22 @@ class FluidBlock:
             RackSlots(job_ids, slots, tuple(stage_counts[slots]))
             for job_ids, slots in rack_slots
         )
+        #: Per-slot enforced rate and burst, written by :meth:`set_rates`.
         self._job_rate = np.full(n_slots, UNLIMITED)
         self._job_burst = self._job_rate * BURST_SECONDS
+        #: Whether a rate landed in the slot arrays since the last epoch.
+        self._pushed = False
         self.rate = self._job_rate[self.job_of]
         self.burst_limit = self._job_burst[self.job_of]
         self.tokens = self.burst_limit.copy()
         self.backlog = np.zeros(len(job_of))
         self.window_enqueued = np.zeros(len(job_of))
+        # Per-tick buffers: the offered load (then the arrivals), the
+        # wanted ops, and the token refill (then the granted ops).
+        n = len(job_of)
+        self._offered_buf = np.empty(n)
+        self._want = np.empty(n)
+        self._scratch = np.empty(n)
         #: Ops granted so far, per slot.
         self.job_granted = np.zeros(n_slots)
         # The rest of the genuinely per-rack state: each MDS queue, what
@@ -223,42 +230,37 @@ class FluidBlock:
         self._served: List[List[float]] = [[] for _ in specs]
 
     # -- enforcement --------------------------------------------------------
-    def apply_rate_arrays(
-        self, mask: np.ndarray, rates: np.ndarray, bursts: np.ndarray
-    ) -> None:
-        """Install per-stage job rates pushed by the global plane.
+    def set_rates(self, slots, rates, bursts=None) -> None:
+        """Write per-stage job rates pushed by the global plane.
 
-        ``mask``/``rates``/``bursts`` are aligned to this block's slots:
-        slot ``k`` takes ``rates[k]`` where ``mask[k]``, and NaN in
-        ``bursts`` means "derive the burst as ``rate * BURST_SECONDS``".
-        The per-stage rebuild below only gathers through ``job_of`` --
-        fancy indexing never re-associates a float, so both execution
-        modes share it -- and the token clamp is the identity on a stage
-        whose slot took no update (its tokens never exceed its burst).
+        ``slots`` (one slot or an index array of this block's slots)
+        take ``rates`` and ``bursts``, or bursts derived as ``rate *
+        BURST_SECONDS`` now, so the later of two pushes to a slot wins,
+        burst and all.  The stages see them from the next
+        :meth:`run_epoch`.
         """
-        if not mask.any():
-            return
-        sel_rates = rates[mask]
-        sel_bursts = bursts[mask]
-        derived = sel_rates * BURST_SECONDS
-        self._job_rate[mask] = sel_rates
-        self._job_burst[mask] = np.where(np.isnan(sel_bursts), derived, sel_bursts)
-        job_of = self.job_of
-        self.rate = self._job_rate[job_of]
-        self.burst_limit = self._job_burst[job_of]
-        np.minimum(self.tokens, self.burst_limit, out=self.tokens)
+        self._job_rate[slots] = rates
+        self._job_burst[slots] = rates * BURST_SECONDS if bursts is None else bursts
+        self._pushed = True
 
     # -- per-tick advance ---------------------------------------------------
     def _offered(self, t: float) -> np.ndarray:
-        """Offered load (ops/s) per stage at time ``t``.
+        """Offered load (ops/s) per stage at time ``t``, in a block buffer.
 
-        Always the full-array ``np.sin`` evaluation: NumPy's vectorised
-        sine is not guaranteed ulp-identical to ``math.sin``, so both
-        execution modes share this one implementation.
+        ``base * (1 + DEMAND_AMPLITUDE * sin(TWO_PI * (t * INV_PERIOD +
+        phase)))``, one ufunc per operation in that order.  Always the
+        full-array ``np.sin`` evaluation: NumPy's vectorised sine is not
+        guaranteed ulp-identical to ``math.sin``, so both execution modes
+        share this one implementation.
         """
-        return self.base * (
-            1.0 + DEMAND_AMPLITUDE * np.sin(TWO_PI * (t * INV_PERIOD + self.phase))
-        )
+        out = self._offered_buf
+        np.add(self.phase, t * INV_PERIOD, out=out)
+        np.multiply(out, TWO_PI, out=out)
+        np.sin(out, out=out)
+        np.multiply(out, DEMAND_AMPLITUDE, out=out)
+        np.add(out, 1.0, out=out)
+        np.multiply(self.base, out, out=out)
+        return out
 
     def tick(self, t: float) -> None:
         """Advance one ``DT``: every stage at once, then each rack's MDS."""
@@ -282,13 +284,17 @@ class FluidBlock:
 
     def _tick_vectorized(self, t: float) -> np.ndarray:
         dt = DT
-        arrive = self._offered(t) * dt
-        np.minimum(self.burst_limit, self.tokens + self.rate * dt, out=self.tokens)
-        want = self.backlog + arrive
-        granted = np.minimum(want, self.tokens)
-        self.tokens -= granted
-        self.backlog = want - granted
-        self.window_enqueued += arrive
+        tokens = self.tokens
+        arrive = self._offered(t)
+        np.multiply(arrive, dt, out=arrive)
+        refill = np.multiply(self.rate, dt, out=self._scratch)
+        np.add(tokens, refill, out=refill)
+        np.minimum(self.burst_limit, refill, out=tokens)
+        want = np.add(self.backlog, arrive, out=self._want)
+        granted = np.minimum(want, tokens, out=self._scratch)
+        np.subtract(tokens, granted, out=tokens)
+        np.subtract(want, granted, out=self.backlog)
+        np.add(self.window_enqueued, arrive, out=self.window_enqueued)
         self.job_granted += np.bincount(
             self.job_of, weights=granted, minlength=self.n_slots
         )
@@ -328,7 +334,19 @@ class FluidBlock:
         return granted
 
     def run_epoch(self, t0: float, n_ticks: int) -> None:
-        """Advance ``n_ticks`` fluid ticks starting at ``t0``."""
+        """Land the rates pushed since the last epoch, then advance
+        ``n_ticks`` fluid ticks starting at ``t0``.
+
+        Landing gathers the slot rates per stage through ``job_of`` --
+        fancy indexing never re-associates a float, so both execution
+        modes share it -- and clamps the tokens to the new bursts, the
+        identity on a stage whose slot kept its burst.
+        """
+        if self._pushed:
+            self._job_rate.take(self.job_of, out=self.rate)
+            self._job_burst.take(self.job_of, out=self.burst_limit)
+            np.minimum(self.tokens, self.burst_limit, out=self.tokens)
+            self._pushed = False
         for k in range(n_ticks):
             self.tick(t0 + k * DT)
 

@@ -4,9 +4,10 @@ A :class:`ShardPool` holds one
 :class:`~repro.simulation.sharded.fluid.FluidBlock` per shard (a
 contiguous block of racks as one array set).  Each block numbers its own
 slots (one per ``(rack, job)``); the pool lays the blocks' slots end to
-end, so a block reads and writes one contiguous slice of every per-slot
-array.  Racks only exchange state at epoch boundaries, so 1 shard and N
-shards are bit-identical by construction (the invariance tests assert
+end, so a block's demand partials are one contiguous slice of the
+pool's, and ``block_of`` turns a rack's global slots back into its
+block's.  Racks only exchange state at epoch boundaries, so 1 shard and
+N shards are bit-identical by construction (the invariance tests assert
 it).
 """
 
@@ -43,6 +44,8 @@ class ShardPool:
         self.racks: Dict[str, RackSlots] = {}
         #: ``(rack id, job id)`` -> global slot, for every hosted pair.
         self.slot_of: Dict[Tuple[str, str], int] = {}
+        #: rack id -> its block and the block's first global slot.
+        self.block_of: Dict[str, Tuple[FluidBlock, int]] = {}
         self._blocks: List[Tuple[FluidBlock, slice]] = []
         offset = 0
         for specs in shards:
@@ -50,6 +53,7 @@ class ShardPool:
             for rack_id, rack in zip(block.rack_ids, block.layout):
                 if rack_id in self.racks:
                     raise ConfigError(f"duplicate rack id {rack_id!r}")
+                self.block_of[rack_id] = (block, offset)
                 first = offset + rack.slots.start
                 self.racks[rack_id] = rack._replace(
                     slots=slice(first, offset + rack.slots.stop)
@@ -61,19 +65,13 @@ class ShardPool:
         self.n_slots = offset
 
     def run_epoch_arrays(
-        self, t0: float, n_ticks: int, loop_interval: float,
-        flags: np.ndarray, rates: np.ndarray, bursts: np.ndarray,
+        self, t0: float, n_ticks: int, loop_interval: float
     ) -> np.ndarray:
-        """Advance every block one epoch.
-
-        ``flags``/``rates``/``bursts`` are per-slot float64 arrays in
-        global slot order (``flags[s] != 0`` means slot ``s`` has a rate
-        update; NaN burst means "derive from the rate").  Returns the
-        per-slot demand partials in the same order.
-        """
+        """Advance every block one epoch (each lands the rates pushed
+        into it since the last one first); returns the per-slot demand
+        partials in global slot order."""
         partials = []
-        for block, s in self._blocks:
-            block.apply_rate_arrays(flags[s] != 0.0, rates[s], bursts[s])
+        for block, _slots in self._blocks:
             block.run_epoch(t0, n_ticks)
             partials.append(block.demand_partials_array(loop_interval))
         return np.concatenate(partials)

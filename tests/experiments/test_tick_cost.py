@@ -30,13 +30,15 @@ TICK = 100.0
 LIMITS = (1000.0, 2000.0)
 
 #: Frames per setup: replay tick and row delivery, the drain tick
-#: (routing, MDS service, completion check), the control tick (collect
-#: request, policy walk); the staged setups add the stage's classify and
-#: drain, one collect (10 frames) and, under PADLL, one push (7).
+#: (routing, MDS service, completion check -- a healthy active server is
+#: read where it is needed, not resolved through ``active_mds``), the
+#: control tick (collect request, policy walk); the staged setups add the
+#: stage's classify and drain, one collect (10 frames) and, under PADLL,
+#: one push (7).
 FRAMES = {
-    Setup.BASELINE: 25,
-    Setup.PASSTHROUGH: 44,
-    Setup.PADLL: 55,
+    Setup.BASELINE: 20,
+    Setup.PASSTHROUGH: 39,
+    Setup.PADLL: 50,
 }
 
 

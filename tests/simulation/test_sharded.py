@@ -28,10 +28,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.algorithms import DominantResourceFairness, ProportionalSharing
+from repro.core.algorithms import MIN_RATE, DominantResourceFairness, ProportionalSharing
 from repro.core.hierarchy import rack_index
-from repro.core.policies import ConstantRate, PolicyRule, RuleScope
+from repro.core.policies import ConstantRate, PolicyRule, RuleScope, SteppedRate
 from repro.experiments.fig4_sharded import run_fig4_sharded
+from repro.telemetry.runtime import Telemetry
 from repro.simulation.sharded import (
     UNLIMITED,
     FluidConfig,
@@ -40,7 +41,7 @@ from repro.simulation.sharded import (
     ShardedConfig,
     ShardedSimulation,
 )
-from repro.simulation.sharded.fluid import BURST_NONE, BURST_SECONDS, FluidBlock
+from repro.simulation.sharded.fluid import BURST_SECONDS, FluidBlock
 
 
 def small_fluid(**kw):
@@ -91,6 +92,45 @@ WRAPPED_LOG_DIGEST = (
 )
 
 
+#: ``policed_job_placement(n)`` (below) over 30 s: whole jobs per rack,
+#: so rack0's slots gather job0's and job4's three stages each and
+#: ``job_of`` is not the identity; job0's policy carries an explicit
+#: burst and cuts its rate at t = 10, job4's derives its burst.  Frozen
+#: while enforcement still went through per-slot staging arrays.
+JOB_PLACEMENT_DIGEST = (
+    "d4c019bfa451c80b8f5c7d37d13f99269d01fe55e3ba62429cf61ee26ecb3b25"
+)
+
+
+#: ``padll-repro sharded --jobs 8 --stages-per-job 4 --racks 8
+#: --clients-per-stage 20 --duration 60 --step-period 15 --placement job
+#: --digest-only``, frozen with :data:`JOB_PLACEMENT_DIGEST`.  The
+#: ``sharded-smoke`` CI job pins the same literal.
+JOB_PLACEMENT_CLI_DIGEST = (
+    "a5c56ffb8a05b5aa42c8785a7c08163c97a17c202a23b2d017e92a3d5fad6696"
+)
+
+
+def policed_job_placement(n_shards):
+    """A job-placement run with no allocator: two policies, one with an
+    explicit burst and a mid-run cut."""
+    sim = ShardedSimulation(small_config(placement="job", n_shards=n_shards))
+    plane = sim.control_plane
+    plane.install_policy(
+        PolicyRule(
+            "cut",
+            RuleScope("metadata", job_id="job0"),
+            SteppedRate([(0.0, 30.0), (10.0, 6.0)]),
+            burst=90.0,
+        )
+    )
+    plane.install_policy(
+        PolicyRule("cap", RuleScope("metadata", job_id="job4"), ConstantRate(12.0))
+    )
+    sim.run(30.0)
+    return sim.finish()
+
+
 def run_result(config, capacity=None, duration=30.0, algorithm=None, **kw):
     if algorithm is None and capacity is not None:
         algorithm = ProportionalSharing(capacity=capacity)
@@ -116,15 +156,10 @@ def one_rack(spec, config, vectorized=True):
 
 
 def install(rack, **job_rates):
-    """Install per-stage job rates through the rack's one rate verb."""
+    """Push per-stage job rates through the rack's one rate verb."""
     job_ids = rack.layout[0].job_ids
-    mask = np.zeros(len(job_ids), dtype=bool)
-    rates = np.zeros(len(job_ids))
     for job_id, rate in job_rates.items():
-        slot = job_ids.index(job_id)
-        mask[slot] = True
-        rates[slot] = rate
-    rack.apply_rate_arrays(mask, rates, np.full(len(job_ids), BURST_NONE))
+        rack.set_rates(job_ids.index(job_id), rate)
 
 
 class TestFluidRack:
@@ -140,8 +175,8 @@ class TestFluidRack:
             if t == 15:
                 for rack in (vec, ref):
                     install(rack, job0=12.5)
-            vec.tick(float(t))
-            ref.tick(float(t))
+            vec.run_epoch(float(t), 1)
+            ref.run_epoch(float(t), 1)
         assert np.array_equal(vec.tokens, ref.tokens)
         assert np.array_equal(vec.backlog, ref.backlog)
         assert np.array_equal(vec.job_granted, ref.job_granted)
@@ -174,22 +209,36 @@ class TestFluidRack:
     def test_rates_start_unlimited_and_clamp_tokens_on_cut(self):
         rack = one_rack(make_spec(), small_fluid())
         assert np.all(rack.rate == UNLIMITED)
+        assert np.all(rack.tokens == UNLIMITED)
         install(rack, job0=10.0)
+        # A push lands at the start of the next epoch, not before.
+        assert np.all(rack.rate == UNLIMITED)
+        rack.run_epoch(0.0, 0)
         job0 = rack.job_of == 0
         assert np.all(rack.rate[job0] == 10.0)
         assert np.all(rack.burst_limit[job0] == 10.0 * BURST_SECONDS)
         # Accumulated tokens must not survive above the new burst cap.
         assert np.all(rack.tokens[job0] <= rack.burst_limit[job0])
+        assert np.all(rack.tokens[job0] == 10.0 * BURST_SECONDS)
+        assert np.all(rack.tokens[~job0] == UNLIMITED)
 
     def test_explicit_burst_overrides_the_derived_one(self):
         rack = one_rack(make_spec(), small_fluid())
-        mask = np.array([False, True])
-        rack.apply_rate_arrays(mask, np.array([0.0, 5.0]), np.array([np.nan, 40.0]))
+        rack.set_rates(1, 5.0, 40.0)
+        rack.run_epoch(0.0, 0)
         job1 = rack.job_of == 1
         assert np.all(rack.rate[job1] == 5.0)
         assert np.all(rack.burst_limit[job1] == 40.0)
-        # The unflagged slot's zero rate is never installed.
+        # The slot no push wrote keeps its rate.
         assert np.all(rack.rate[~job1] == UNLIMITED)
+
+    def test_the_later_push_to_a_slot_wins_burst_and_all(self):
+        rack = one_rack(make_spec(), small_fluid())
+        rack.set_rates(1, 5.0, 40.0)
+        rack.set_rates(np.array([0, 1], dtype=np.intp), np.array([3.0, 7.0]))
+        rack.run_epoch(0.0, 0)
+        assert rack.rate.tolist() == [3.0, 7.0] * 3
+        assert rack.burst_limit.tolist() == [3.0 * BURST_SECONDS, 7.0 * BURST_SECONDS] * 3
 
     def test_empty_rack_ticks_and_reports_nothing(self):
         rack = one_rack(RackSpec(rack_id="rack0", index=0, stages=()), small_fluid())
@@ -238,18 +287,24 @@ def final_fields(final):
 
 
 def rate_cut(specs):
-    """Per-slot scatter arrays over ``specs``: the first job of every rack
-    cut, and the last rack's last job cut with the one explicit burst."""
+    """Pushes over ``specs`` as ``(slot, rate, burst)`` in global slot
+    order: the first job of every rack cut, and the last rack's last job
+    cut with the one explicit burst."""
     pool = ShardPool([specs], small_fluid())
-    mask = np.zeros(pool.n_slots, dtype=bool)
-    rates = np.zeros(pool.n_slots)
-    bursts = np.full(pool.n_slots, BURST_NONE)
+    cuts = {}
     for rack_id, rack in pool.racks.items():
         if rack.job_ids:
-            slot = pool.slot_of[(rack_id, rack.job_ids[0])]
-            mask[slot], rates[slot] = True, 12.5
-    mask[-1], rates[-1], bursts[-1] = True, 5.0, 40.0
-    return pool, mask, rates, bursts
+            cuts[pool.slot_of[(rack_id, rack.job_ids[0])]] = (12.5, None)
+    cuts[pool.n_slots - 1] = (5.0, 40.0)
+    return pool, [(slot, rate, burst) for slot, (rate, burst) in sorted(cuts.items())]
+
+
+def push(block, cuts, first=0):
+    """Push the ``cuts`` that fall in ``block``, whose slots start at
+    global slot ``first``, through the block's rate verb."""
+    for slot, rate, burst in cuts:
+        if first <= slot < first + block.n_slots:
+            block.set_rates(slot - first, rate, burst)
 
 
 class TestFluidBlock:
@@ -262,26 +317,26 @@ class TestFluidBlock:
         config = small_fluid()
         block = FluidBlock(specs, config)
         racks = [one_rack(spec, config) for spec in specs]
-        pool, mask, rates, bursts = rate_cut(specs)
-        assert 3 <= mask.sum() < len(mask) and np.isnan(bursts).sum() == len(bursts) - 1
+        pool, cuts = rate_cut(specs)
+        assert 3 <= len(cuts) < pool.n_slots
+        assert [burst for _slot, _rate, burst in cuts].count(None) == len(cuts) - 1
 
         def joined(attr):
             return np.concatenate([getattr(rack, attr) for rack in racks])
 
         for t in range(40):
             if t == 15:
-                block.apply_rate_arrays(mask, rates, bursts)
+                push(block, cuts)
                 for rack in racks:
-                    sl = pool.racks[rack.rack_ids[0]].slots
-                    rack.apply_rate_arrays(mask[sl], rates[sl], bursts[sl])
+                    push(rack, cuts, pool.racks[rack.rack_ids[0]].slots.start)
             if t == 25:  # an epoch boundary: partials out, window reset
                 assert np.array_equal(
                     block.demand_partials_array(2.0),
                     np.concatenate([r.demand_partials_array(2.0) for r in racks]),
                 )
-            block.tick(float(t))
+            block.run_epoch(float(t), 1)
             for rack in racks:
-                rack.tick(float(t))
+                rack.run_epoch(float(t), 1)
             assert [rack._served[0] for rack in racks] == block._served
         for attr in ("tokens", "backlog", "window_enqueued", "job_granted",
                      "rate", "burst_limit"):
@@ -302,13 +357,13 @@ class TestFluidBlock:
         config = small_fluid()
         vec = FluidBlock(specs, config, vectorized=True)
         ref = FluidBlock(specs, config, vectorized=False)
-        _pool, mask, rates, bursts = rate_cut(specs)
+        _pool, cuts = rate_cut(specs)
         for t in range(40):
             if t == 15:
-                vec.apply_rate_arrays(mask, rates, bursts)
-                ref.apply_rate_arrays(mask, rates, bursts)
-            vec.tick(float(t))
-            ref.tick(float(t))
+                push(vec, cuts)
+                push(ref, cuts)
+            vec.run_epoch(float(t), 1)
+            ref.run_epoch(float(t), 1)
         for attr in ("tokens", "backlog", "window_enqueued", "job_granted"):
             assert np.array_equal(getattr(vec, attr), getattr(ref, attr)), attr
         assert [final_fields(f) for f in vec.finals()] == [
@@ -416,19 +471,15 @@ class TestBlockEquality:
         pool = ShardPool(shard_blocks(5, n_shards), small_fluid())
         outs = []
         for epoch in range(6):
-            flags, rates = np.zeros(pool.n_slots), np.zeros(pool.n_slots)
-            bursts = np.full(pool.n_slots, BURST_NONE)
             if epoch == 2:  # cut job1 everywhere, explicit burst
                 for rack_id in pool.racks:
-                    slot = pool.slot_of[(rack_id, "job1")]
-                    flags[slot], rates[slot], bursts[slot] = 1.0, 6.5, 20.0
+                    block, first = pool.block_of[rack_id]
+                    block.set_rates(pool.slot_of[(rack_id, "job1")] - first, 6.5, 20.0)
             if epoch == 4:  # cut job0 on racks 1 and 4 only, derived burst
                 for k, rack_id in enumerate(list(pool.racks)[1::3]):
-                    slot = pool.slot_of[(rack_id, "job0")]
-                    flags[slot], rates[slot] = 1.0, 3.25 * (k + 1)
-            outs.append(
-                pool.run_epoch_arrays(float(2 * epoch), 2, 2.0, flags, rates, bursts)
-            )
+                    block, first = pool.block_of[rack_id]
+                    block.set_rates(pool.slot_of[(rack_id, "job0")] - first, 3.25 * (k + 1))
+            outs.append(pool.run_epoch_arrays(float(2 * epoch), 2, 2.0))
         return np.stack(outs), [final_fields(f) for f in pool.finals()]
 
     @pytest.mark.parametrize("n_shards", [2, 3, 4])
@@ -488,6 +539,24 @@ class TestShardInvariance:
         assert len(log) == 65_536  # the default history_limit, wrapped
         assert result.digest() == WRAPPED_LOG_DIGEST
 
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_job_placement_with_an_explicit_burst_is_the_literal(self, n_shards):
+        assert policed_job_placement(n_shards).digest() == JOB_PLACEMENT_DIGEST
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_job_placement_fig4_cell_is_the_ci_literal(self, n_shards):
+        result = run_fig4_sharded(
+            n_jobs=8,
+            stages_per_job=4,
+            n_racks=8,
+            n_shards=n_shards,
+            clients_per_stage=20,
+            duration=60.0,
+            step_period=15.0,
+            placement="job",
+        )
+        assert result.digest() == JOB_PLACEMENT_CLI_DIGEST
+
     def test_list_based_allocator_is_shard_invariant(self):
         # DRF searches over Python lists behind allocate_arrays; its rates
         # reach the slot arrays through the array sink like every other
@@ -541,20 +610,35 @@ class TestEnforcement:
         assert capped.final_backlog > free.final_backlog
 
     def test_enforcement_flags_every_hosting_slot(self):
+        # The last cycle's pushes wait in the blocks' slot arrays for the
+        # next epoch: every hosted (rack, job) slot holds the plane's
+        # per-stage rate for its job, with the derived burst -- the
+        # algorithm pushes after the policy, so its write wins.
         config = small_config()
         sim = ShardedSimulation(
             config, algorithm=ProportionalSharing(capacity=120.0)
         )
+        sim.control_plane.install_policy(
+            PolicyRule(
+                "cap", RuleScope("metadata", job_id="job0"), ConstantRate(30.0),
+                burst=90.0,
+            )
+        )
         sim.run(3.0)
-        # Pushes are staged as scatter slot flags for the next epoch:
-        # after the last tick every hosted (rack, job) slot is flagged.
-        assert np.count_nonzero(sim._flags) == sim._pool.n_slots
+        plane, pool = sim.control_plane, sim._pool
+        last = {job_id: rate for _now, job_id, rate in list(plane.enforcement_log)[-6:]}
+        assert len(pool.slot_of) == pool.n_slots == 18
+        for (rack_id, job_id), slot in pool.slot_of.items():
+            block, first = pool.block_of[rack_id]
+            per_stage = max(MIN_RATE, last[job_id] / plane.jobs[job_id].n_stages)
+            assert block._job_rate[slot - first] == per_stage
+            assert block._job_burst[slot - first] == per_stage * BURST_SECONDS
         sim.close()
 
     def test_a_policy_push_reaches_the_slots_through_the_batch_verb(self):
         # Policy and pause pushes are EnforceJobRateBatch entries, each
-        # (job, rate, burst) unpacked into the scatter staging; with no
-        # algorithm nothing else writes a slot.
+        # (job, rate, burst) written into its rack block's slot arrays;
+        # with no algorithm nothing else writes a slot.
         def policed(n_shards):
             sim = ShardedSimulation(small_config(n_shards=n_shards))
             sim.control_plane.install_policy(
@@ -569,15 +653,63 @@ class TestEnforcement:
             return sim
 
         sim = policed(1)
+        pool = sim._pool
         slots = [
-            sim._pool.slot_of[(rack_id, "job0")]
+            pool.slot_of[(rack_id, "job0")]
             for rack_id in sim.control_plane.hosting_locals("job0")
         ]
-        assert len(slots) == 3 and np.count_nonzero(sim._flags) == 3
+        rates = np.concatenate([block._job_rate for block, _ in pool._blocks])
+        bursts = np.concatenate([block._job_burst for block, _ in pool._blocks])
+        assert len(slots) == 3 and np.count_nonzero(rates != UNLIMITED) == 3
         # 30 ops/s and a 60-op burst split over job0's 3 stages.
-        assert sim._rates_arr[slots].tolist() == [10.0] * 3
-        assert sim._bursts_arr[slots].tolist() == [20.0] * 3
+        assert rates[slots].tolist() == [10.0] * 3
+        assert bursts[slots].tolist() == [20.0] * 3
         assert sim.finish().digest() == policed(2).finish().digest()
+
+    @pytest.mark.parametrize(
+        "placement, expected",
+        [
+            ("split", ([0] * 4, [3] * 4, [18] * 4, [3, 18, 3, 3])),
+            ("job", ([0] * 4, [1] * 4, [6] * 4, [1, 6, 1, 1])),
+        ],
+    )
+    def test_epoch_event_counts_the_distinct_slots_a_cycle_wrote(
+        self, placement, expected
+    ):
+        # No push; a policy on job0 (its hosting slots); policy and
+        # algorithm (every slot, overlapping the policy's); policy with a
+        # paused second cycle (every job's slots at MIN_RATE).
+        def pushes(algorithm, policy, pause):
+            telemetry = Telemetry()
+            sim = ShardedSimulation(
+                small_config(placement=placement, n_shards=2),
+                algorithm=algorithm,
+                telemetry=telemetry,
+            )
+            plane = sim.control_plane
+            if policy:
+                plane.install_policy(
+                    PolicyRule(
+                        "cap", RuleScope("metadata", job_id="job0"),
+                        ConstantRate(30.0), burst=90.0,
+                    )
+                )
+            if pause:
+                health = iter([True, False, True, True])
+                plane.health_probe = lambda: next(health)
+            sim.run(4.0)
+            sim.close()
+            return [
+                event.fields["pushes"]
+                for event in telemetry.events.of_kind("shard.epoch")
+            ]
+
+        assert (
+            pushes(None, False, False),
+            pushes(None, True, False),
+            pushes(ProportionalSharing(capacity=120.0), True, True),
+            pushes(None, True, True),
+        ) == expected
 
 
 class TestLifecycle:
@@ -625,10 +757,7 @@ class TestLifecycle:
         with pytest.raises(ConfigError, match="state: closed"):
             sim.finish()
         pool = ShardPool([[make_spec()]], small_fluid())
-        zeros = np.zeros(pool.n_slots)
-        demand = pool.run_epoch_arrays(
-            0.0, 1, 1.0, zeros, zeros, np.full(pool.n_slots, BURST_NONE)
-        )
+        demand = pool.run_epoch_arrays(0.0, 1, 1.0)
         assert list(pool.racks) == ["rack0"]
         assert demand.shape == (pool.n_slots,) and np.all(demand > 0.0)
 
