@@ -15,7 +15,7 @@ from repro.core.algorithms import (
     ProportionalSharing,
     StaticPartition,
 )
-from repro.core.channel import Channel, ChannelStats
+from repro.core.channel import Channel
 from repro.core.config import PadllConfig, load_config, parse_config
 from repro.core.controller import ControlPlane, ControlPlaneConfig, JobInfo
 from repro.core.differentiation import (
@@ -44,7 +44,6 @@ from repro.core.transport import InProcTransport
 
 __all__ = [
     "Channel",
-    "ChannelStats",
     "Classifier",
     "ClassifierRule",
     "ControlPlane",

@@ -1,53 +1,23 @@
-"""Enforcement channel: FIFO queue + token bucket + statistics.
+"""Enforcement channel: FIFO queue + token bucket + rate window.
 
 This is the PAIO subset PADLL is built on.  Each channel serves one set of
 requests (e.g. "all metadata ops", "open calls", "requests under
 /scratch/foo") at the rate its token bucket allows.  Requests enter via
 :meth:`enqueue`; the stage drains channels once per tick via :meth:`drain`,
-which grants as many queued operations as the bucket (and any downstream
-capacity bound) permits, preserving FIFO order and splitting batches
-exactly at the token boundary.
+which grants as many queued operations as the bucket permits, preserving
+FIFO order and splitting batches exactly at the token boundary.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.errors import ConfigError
 from repro.core.requests import Request
 from repro.core.token_bucket import TokenBucket, UNLIMITED
 
-__all__ = ["Channel", "ChannelStats"]
-
-
-@dataclass(slots=True)
-class ChannelStats:
-    """Cumulative counters plus a rate window, exported to the control plane."""
-
-    enqueued_ops: float = 0.0
-    granted_ops: float = 0.0
-    #: ops granted since the last collect() -- the control loop's rate signal.
-    window_granted: float = 0.0
-    #: ops enqueued since the last collect() -- the demand signal.
-    window_enqueued: float = 0.0
-    #: Sum of (queue wait * ops) over all grants, for mean-wait reporting.
-    wait_sum: float = 0.0
-    #: Largest queue wait observed by any granted request.
-    wait_max: float = 0.0
-
-    @property
-    def backlog(self) -> float:
-        return self.enqueued_ops - self.granted_ops
-
-    @property
-    def mean_wait(self) -> float:
-        """Mean queueing delay per granted operation (seconds)."""
-        if self.granted_ops == 0:
-            return 0.0
-        return self.wait_sum / self.granted_ops
+__all__ = ["Channel"]
 
 
 class Channel:
@@ -72,7 +42,10 @@ class Channel:
         self.bucket = TokenBucket(rate, burst, now=now)
         self._queue: Deque[Request] = deque()
         self._backlog = 0.0
-        self.stats = ChannelStats()
+        #: Ops granted / enqueued since the last :meth:`collect` -- the
+        #: control loop's rate and demand signals.
+        self.window_granted = 0.0
+        self.window_enqueued = 0.0
         # Telemetry handles (None = telemetry off; see attach_telemetry).
         self._h_wait = None
         self._m_granted = None
@@ -138,57 +111,38 @@ class Channel:
         request.submitted_at = now
         self._queue.append(request)
         self._backlog += request.count
-        self.stats.enqueued_ops += request.count
-        self.stats.window_enqueued += request.count
+        self.window_enqueued += request.count
 
     def drain(
         self,
         now: float,
-        limit: float = math.inf,
         sink: Optional[Callable[[Request], None]] = None,
         telemetry=None,
     ) -> float:
         """Release queued work the bucket allows; return ops granted.
 
-        ``limit`` optionally bounds the grant below the bucket allowance
-        (e.g. downstream file-system capacity).  ``sink`` receives each
-        granted request record (batches may be split so that exactly the
-        granted count flows downstream).  With ``telemetry`` every grant
-        is also observed (queue-wait histogram, ``queue.wait`` span)
-        before it reaches ``sink`` (:meth:`_observers`); the grant loop
-        itself is the same one.
+        ``sink`` receives each granted request record (batches may be
+        split so that exactly the granted count flows downstream).  With
+        ``telemetry`` every grant is also observed (queue-wait histogram,
+        ``queue.wait`` span) before it reaches ``sink``
+        (:meth:`_observers`); the grant loop itself is the same one.
         """
-        if limit < 0:
-            raise ConfigError(f"drain limit must be >= 0, got {limit}")
         queue = self._queue
-        if not queue or limit == 0:
+        if not queue:
             self.bucket.refill(now)
             return 0.0
         popleft = queue.popleft
         observe = None
         if telemetry is not None:
             popleft, observe = self._observers(now, telemetry)
-        # Same values as max(0.0, min(backlog, limit)) without the calls.
         want = self._backlog
-        if limit < want:
-            want = limit
         if want < 0.0:
             want = 0.0
         allowance = self.bucket.consume_available(want, now)
         granted = 0.0
         remaining = allowance
-        # The grant loop runs once per queued (tick, kind, slice) record --
-        # a first-order cost in fluid experiments -- so statistics run on
-        # locals (same adds, same order; written back below) and the two
-        # ``max`` calls per grant become branches with identical results.
-        stats = self.stats
-        wait_sum = stats.wait_sum
-        wait_max = stats.wait_max
         while remaining > 0 and queue:
             head = queue[0]
-            wait = now - head.submitted_at
-            if wait < 0.0:
-                wait = 0.0
             count = head.count
             if count <= remaining:
                 popleft()
@@ -205,13 +159,8 @@ class Channel:
                 if observe is not None:
                     observe(head)
             granted += count
-            wait_sum += wait * count
-            if wait > wait_max:
-                wait_max = wait
             if sink is not None:
                 sink(head)
-        stats.wait_sum = wait_sum
-        stats.wait_max = wait_max
         # Return unused allowance (from batch-boundary rounding) to the
         # bucket: the discrete path consumes whole requests only.
         if remaining > 0:
@@ -219,8 +168,7 @@ class Channel:
         self._backlog -= granted
         if not queue:
             self._backlog = 0.0  # clamp accumulated float error
-        stats.granted_ops += granted
-        stats.window_granted += granted
+        self.window_granted += granted
         if telemetry is not None and self._m_granted is not None:
             self._m_granted.inc(granted)
         return granted
@@ -258,8 +206,8 @@ class Channel:
 
     def collect(self) -> tuple[float, float, float]:
         """Return and reset the rate window: (granted, enqueued, backlog)."""
-        granted = self.stats.window_granted
-        enqueued = self.stats.window_enqueued
-        self.stats.window_granted = 0.0
-        self.stats.window_enqueued = 0.0
+        granted = self.window_granted
+        enqueued = self.window_enqueued
+        self.window_granted = 0.0
+        self.window_enqueued = 0.0
         return granted, enqueued, self._backlog

@@ -164,7 +164,6 @@ class ControlPlane:
         #: a reservation (like a policy) can be set before the job's first
         #: stage registers and survives its last stage's eviction.
         self._reservations: Dict[str, float] = {}
-        self._last_stats: Dict[str, StageStats] = {}
         #: (now, job_id, rate) tuples of every algorithm enforcement -- the
         #: audit trail experiments assert against.  Bounded (ring buffer)
         #: so long-running live loops cannot leak; ``history_limit=None``
@@ -240,7 +239,6 @@ class ControlPlane:
         identity = self._stages.pop(stage_id, None)
         if identity is None:
             raise StageNotRegistered(f"stage {stage_id!r} not registered")
-        self._last_stats.pop(stage_id, None)
         job = self._jobs[identity.job_id]
         job.stage_ids.remove(stage_id)
         if not job.stage_ids:
@@ -249,9 +247,8 @@ class ControlPlane:
         return identity
 
     def _drop_endpoint(self, endpoint: str) -> None:
-        """Unbind a collect endpoint; drop its stats, misses and session."""
+        """Unbind a collect endpoint; drop its misses and session."""
         self.fabric.unbind(endpoint)
-        self._last_stats.pop(endpoint, None)
         self._missed_collects.pop(endpoint, None)
         session = self._sessions.pop(endpoint, None)
         if session is not None:
@@ -411,7 +408,6 @@ class ControlPlane:
             self._missed_collects.pop(endpoint, None)
             if result is not None:
                 stats[endpoint] = result
-                self._last_stats[endpoint] = result
         return stats
 
     def _record_miss(self, endpoint: str, now: float) -> bool:
@@ -492,7 +488,6 @@ class ControlPlane:
                 fresh = age <= interval
                 if fresh:
                     self._missed_collects.pop(endpoint, None)
-                    self._last_stats[endpoint] = session.stats
                 if fresh or age <= stale_ttl:
                     stats[endpoint] = session.stats
                     ages[endpoint] = age
@@ -698,7 +693,3 @@ class ControlPlane:
             self.config.algorithm_channel,
             now,
         )
-
-    # -- convenience -------------------------------------------------------------
-    def last_stats(self, stage_id: str) -> Optional[StageStats]:
-        return self._last_stats.get(stage_id)

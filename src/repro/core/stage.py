@@ -112,7 +112,10 @@ class StageIdentity:
 
 
 class ChannelSnapshot(NamedTuple):
-    """Per-channel statistics for one collection window.
+    """One channel's collection window: what it granted and was offered,
+    what is still queued, and the rate it ran at -- every field the
+    control loop reads (:func:`~repro.core.controller.fold_stage_demand`,
+    ``ControlPlane._cycle_view``) and nothing else.
 
     A :class:`~typing.NamedTuple`, like every record a control tick
     builds per stage: a stage builds one per channel per collect, and a
@@ -126,10 +129,6 @@ class ChannelSnapshot(NamedTuple):
     enqueued_ops: float
     backlog: float
     rate_limit: float
-    #: Mean queueing delay of every grant so far (cumulative; seconds).
-    mean_wait: float = 0.0
-    #: Worst queueing delay any grant has seen so far (seconds).
-    max_wait: float = 0.0
 
 
 class StageStats(NamedTuple):
@@ -142,7 +141,6 @@ class StageStats(NamedTuple):
     timestamp: float
     window: float
     channels: tuple[ChannelSnapshot, ...]
-    passthrough_ops: float
 
     def demand_rate(self, channel_id: Optional[str] = None) -> float:
         """Enqueued ops/s over the window (the job's offered load)."""
@@ -164,12 +162,6 @@ class StageStats(NamedTuple):
         )
         return total / self.window
 
-    def backlog(self, channel_id: Optional[str] = None) -> float:
-        return sum(
-            c.backlog for c in self.channels
-            if channel_id is None or c.channel_id == channel_id
-        )
-
 
 class StageCore:
     """Everything the control plane touches on a stage, written once.
@@ -182,7 +174,6 @@ class StageCore:
     other threads serialises its calls into the core itself.
 
     A channel kind provides ``channel_id``, ``rate``, ``backlog``,
-    ``stats`` (read for ``mean_wait`` / ``wait_max``),
     ``set_rate(rate, now, burst)`` and
     ``collect() -> (granted, enqueued, backlog)``.
     """
@@ -207,7 +198,6 @@ class StageCore:
         self._channel_list: List[Any] = []
         #: Zero-copy read view handed out by the ``channels`` property.
         self._channels_view: Mapping[str, Any] = MappingProxyType(self._channels)
-        self._passthrough_window = 0.0
         self._passthrough_total = 0.0
         #: The first collect window opens when the stage starts.
         self._last_collect = now
@@ -383,20 +373,15 @@ class StageCore:
         snapshots = []
         for channel in self._channel_list:
             granted, enqueued, backlog = channel.collect()
-            stats = channel.stats
             snapshots.append(
                 ChannelSnapshot(
-                    channel.channel_id, granted, enqueued, backlog,
-                    channel.rate, stats.mean_wait, stats.wait_max,
+                    channel.channel_id, granted, enqueued, backlog, channel.rate
                 )
             )
         identity = self.identity
-        passthrough = self._passthrough_window
-        self._passthrough_window = 0.0
         self._last_collect = now
         return StageStats(
-            identity.stage_id, identity.job_id, now, window,
-            tuple(snapshots), passthrough,
+            identity.stage_id, identity.job_id, now, window, tuple(snapshots)
         )
 
 
@@ -486,24 +471,20 @@ class DataPlaneStage(StageCore):
         else:
             if telemetry is not None:
                 self._m_passthrough.inc(request.count)
-            self._passthrough_window += request.count
             self._passthrough_total += request.count
             self._sink(request)
         return decision
 
-    def drain(self, now: float, limit: float = math.inf) -> float:
+    def drain(self, now: float) -> float:
         """Release throttled work downstream; return total ops granted.
 
-        ``limit`` caps the aggregate grant across channels this call
-        (downstream capacity).  Channels are drained in creation order;
-        a round-robin refinement is unnecessary because per-channel buckets
-        already bound each channel's share.
+        Channels are drained in creation order; a round-robin refinement
+        is unnecessary because per-channel buckets already bound each
+        channel's share.
         """
-        return self._drain_channels(now, limit, self._sink)
+        return self._drain_channels(now, self._sink)
 
-    def drain_collect(
-        self, now: float, grants: List[Request], limit: float = math.inf
-    ) -> float:
+    def drain_collect(self, now: float, grants: List[Request]) -> float:
         """:meth:`drain`, but append granted records to ``grants`` instead
         of invoking the sink per grant.
 
@@ -514,24 +495,15 @@ class DataPlaneStage(StageCore):
         replay world's drain tick goes further and delivers each record in
         the loop that grants it: ``ReplayWorld._drain_stages``.)
         """
-        return self._drain_channels(now, limit, grants.append)
+        return self._drain_channels(now, grants.append)
 
-    def _drain_channels(
-        self, now: float, limit: float, sink: Callable[[Request], None]
-    ) -> float:
+    def _drain_channels(self, now: float, sink: Callable[[Request], None]) -> float:
         if self._orphan_policy is not None:
             self._orphan_check(now)
         total = 0.0
-        remaining = limit
         telemetry = self._telemetry
         for channel in self._channel_list:
-            if remaining <= 0:
-                # Still refill the bucket so allowance accrues correctly.
-                channel.bucket.refill(now)
-                continue
-            granted = channel.drain(now, remaining, sink, telemetry)
-            total += granted
-            remaining -= granted
+            total += channel.drain(now, sink, telemetry)
         return total
 
     def collect(self, now: float) -> StageStats:

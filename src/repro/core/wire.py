@@ -106,7 +106,7 @@ __all__ = [
 #: Protocol version carried in every frame header and the HELLO payload.
 #: Bump on any incompatible codec or framing change; peers refuse a
 #: mismatched HELLO before exchanging any verb.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 MAGIC = b"PDLL"
 
@@ -519,12 +519,12 @@ register_codec(
 register_codec(
     ChannelSnapshot,
     "ChannelSnapshot",
-    ("channel_id", "granted_ops", "enqueued_ops", "backlog", "rate_limit", "mean_wait", "max_wait"),
+    ("channel_id", "granted_ops", "enqueued_ops", "backlog", "rate_limit"),
 )
 register_codec(
     StageStats,
     "StageStats",
-    ("stage_id", "job_id", "timestamp", "window", "channels", "passthrough_ops"),
+    ("stage_id", "job_id", "timestamp", "window", "channels"),
 )
 register_codec(JobAggregate, "JobAggregate", ("job_id", "demand", "n_stages"))
 register_codec(AggregateStats, "AggregateStats", ("local_id", "timestamp", "jobs"))

@@ -271,7 +271,6 @@ class ReplayWorld:
                 lambda: self.cluster.active_mds(self.env.now) is not None
             )
         self._jobs: Dict[str, _JobRuntime] = {}
-        self._pending_policies: List[PolicyRule] = []
         # Tick order: jobs submit (tickers created at add_job time, before
         # these), then stages drain, the cluster services, the control loop
         # runs, and the collector samples last.
@@ -461,32 +460,26 @@ class ReplayWorld:
                     counter.inc(share * interleave)
         for channel, (requests, counts) in groups.items():
             channel._queue.extend(requests * interleave)
-            stats = channel.stats
             backlog = channel._backlog
-            enqueued_ops = stats.enqueued_ops
-            window_enqueued = stats.window_enqueued
+            window_enqueued = channel.window_enqueued
             if len(counts) == 1:
                 # One kind on this channel (the per-op fig4 panels).
                 count = counts[0]
                 for _ in range(interleave):
                     backlog += count
-                    enqueued_ops += count
                     window_enqueued += count
             else:
                 for _ in range(interleave):
                     for count in counts:
                         backlog += count
-                        enqueued_ops += count
                         window_enqueued += count
             channel._backlog = backlog
-            stats.enqueued_ops = enqueued_ops
-            stats.window_enqueued = window_enqueued
+            channel.window_enqueued = window_enqueued
         if tracer is not None:
             self._sample_slices(enforced, interleave, now)
         if passed:
             for _ in range(interleave):
                 for stage, (_kind, _op, _path, share) in passed:
-                    stage._passthrough_window += share
                     stage._passthrough_total += share
             self._deliver_rows(runtime, [row for _stage, row in passed], interleave)
 
@@ -625,15 +618,14 @@ class ReplayWorld:
         one pass.
 
         Each queued record is popped (or split at the token boundary),
-        counted in its channel's statistics, routed and appended to its
+        counted in its channel's rate window, routed and appended to its
         MDS queue in one iteration: ``DataPlaneStage.drain`` with the
         delivery in place of the sink call, written on the channels'
         internals as :meth:`_submit_stage_rows` fills them.  Every
         accumulator sees the adds, in the order, that draining each stage
         and then delivering its grants gives it.  World channels are fluid
-        (never ``integral``) and drained without a ``limit``, so
-        ``Channel.drain``'s whole-request stop and limit clamps are not
-        carried.  The routing reads only the job, the kind, the path and
+        (never ``integral``), so ``Channel.drain``'s whole-request stop is
+        not carried.  The routing reads only the job, the kind, the path and
         ``now`` and is stable within a tick (``active_mds`` is idempotent
         per tick), so it is resolved once per kind for all of the job's
         stages, and looked up only when the record changes.  With
@@ -669,14 +661,8 @@ class ReplayWorld:
                     want = 0.0
                 remaining = bucket.consume_available(want, now)
                 granted = 0.0
-                stats = channel.stats
-                wait_sum = stats.wait_sum
-                wait_max = stats.wait_max
                 while remaining > 0 and queue:
                     head = queue[0]
-                    wait = now - head.submitted_at
-                    if wait < 0.0:
-                        wait = 0.0
                     count = head.count
                     if count <= remaining:
                         popleft()
@@ -688,9 +674,6 @@ class ReplayWorld:
                         if observe is not None:
                             observe(head)
                     granted += count
-                    wait_sum += wait * count
-                    if wait > wait_max:
-                        wait_max = wait
                     if head is not last:
                         last = head
                         # A world record carries its kind (``kind_hint``,
@@ -715,15 +698,12 @@ class ReplayWorld:
                         mds._queued_units += cost * count
                     elif aside is not None:
                         aside(count)
-                stats.wait_sum = wait_sum
-                stats.wait_max = wait_max
                 if remaining > 0:
                     bucket.refund(remaining)
                 channel._backlog -= granted
                 if not queue:
                     channel._backlog = 0.0  # clamp accumulated float error
-                stats.granted_ops += granted
-                stats.window_granted += granted
+                channel.window_granted += granted
                 if telemetry is not None and channel._m_granted is not None:
                     channel._m_granted.inc(granted)
         runtime.delivered_total = delivered_total

@@ -24,7 +24,6 @@ import threading
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.core.channel import ChannelStats
 from repro.core.differentiation import Classifier, Decision
 from repro.core.requests import OperationType, Request
 from repro.core.stage import OrphanPolicy, StageCore, StageIdentity, StageStats
@@ -41,14 +40,11 @@ ACQUIRE_NAP = 0.2
 
 class _LiveChannel:
     """A bucket and its grant counters; no queue (blocked threads hold
-    their own requests), so backlog and queue waits are always zero."""
+    their own requests), so backlog is always zero."""
 
     __slots__ = ("channel_id", "bucket", "granted_total", "window_granted", "lock")
 
     backlog = 0.0
-    #: Where the core's collect reads queue waits: nothing ever waits
-    #: here, so every live channel shares the one all-zero record.
-    stats = ChannelStats()
 
     def __init__(self, channel_id: str, bucket: LiveTokenBucket) -> None:
         self.channel_id = channel_id
@@ -203,7 +199,6 @@ class LiveStage(StageCore):
         if channel_id is None:
             with self._lock:
                 self._passthrough_total += count
-                self._passthrough_window += count
             return decision
         if self._orphan_policy is not None:
             self._check_silence()

@@ -16,8 +16,8 @@ DET004   no ``id()``/``hash()`` in cache-key or digest construction
 DET005   no mutable default arguments in public APIs
 DET006   no telemetry emit with a missing or computed timestamp
 INT001   interpose layer never calls a patchable entry point directly
-FLT001   full ``np.sum``/``.sum()`` reductions in deterministic
-         layers route through ``_seq_sum`` or carry a pragma
+FLT001   full ``np.sum``/``np.add.reduce``/``.sum()`` reductions in
+         deterministic layers route through ``_seq_sum`` or carry a pragma
 =======  ========================================================
 
 The control plane's registry contracts -- every RPC verb has a codec

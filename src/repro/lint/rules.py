@@ -552,7 +552,7 @@ class InterposeReentryRule(Rule):
 
 class FullReductionRule(Rule):
     id = "FLT001"
-    summary = "full np.sum/.sum() reduction in a deterministic layer"
+    summary = "full np.sum/np.add.reduce/.sum() reduction in a deterministic layer"
 
     def applies(self, ctx: LintContext) -> bool:
         return ctx.in_deterministic_layer()
@@ -564,8 +564,11 @@ class FullReductionRule(Rule):
             return
         if any(keyword.arg == "axis" for keyword in node.keywords):
             return
-        if ctx.resolver.resolve_call(node) == "numpy.sum":
+        name = ctx.resolver.resolve_call(node)
+        if name == "numpy.sum":
             kind = "np.sum()"
+        elif name == "numpy.add.reduce":
+            kind = "np.add.reduce()"
         elif isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
             kind = ".sum()"
         else:

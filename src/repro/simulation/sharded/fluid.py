@@ -274,8 +274,9 @@ class FluidBlock:
             # Rack-level reduction over a contiguous slice: the same pairwise
             # order in both modes and at every shard count, over a shape
             # fixed by the rack layout -- switching to _seq_sum would change
-            # the committed golden digests for no safety gain.
-            queue = mds_queue[r] + float(granted[lo:hi].sum())  # padll: allow(FLT001)
+            # the committed golden digests for no safety gain.  ``.sum()``
+            # without the Python frame of numpy's wrapper (same bits).
+            queue = mds_queue[r] + float(np.add.reduce(granted[lo:hi]))  # padll: allow(FLT001)
             capacity = self._tick_capacity[r]
             served = queue if queue < capacity else capacity
             mds_queue[r] = queue - served

@@ -1,8 +1,6 @@
-"""Tests for enforcement channels (queue + bucket + stats)."""
+"""Tests for enforcement channels (queue + bucket + rate window)."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.core.channel import Channel
 from repro.core.requests import OperationType, Request
+from repro.telemetry import Telemetry, TelemetryConfig
 
 
 def req(count=1.0, op=OperationType.OPEN):
@@ -44,22 +43,6 @@ class TestBasics:
         assert [r.op for r in out] == [OperationType.OPEN, OperationType.CLOSE]
         assert out[0].count == 3.0
         assert out[1].count == 2.0  # split at the token boundary
-
-    def test_drain_limit_bounds_grant(self):
-        ch = Channel("c", rate=100.0)
-        ch.enqueue(req(50.0), 0.0)
-        assert ch.drain(0.0, limit=7.0) == pytest.approx(7.0)
-        assert ch.backlog == pytest.approx(43.0)
-
-    def test_drain_limit_zero(self):
-        ch = Channel("c", rate=100.0)
-        ch.enqueue(req(5.0), 0.0)
-        assert ch.drain(0.0, limit=0.0) == 0.0
-
-    def test_negative_limit_rejected(self):
-        ch = Channel("c")
-        with pytest.raises(ConfigError):
-            ch.drain(0.0, limit=-1.0)
 
     def test_unused_allowance_returned_in_integral_mode(self):
         ch = Channel("c", rate=10.0, integral=True)
@@ -99,13 +82,16 @@ class TestStats:
         assert enqueued2 == 0.0
 
     def test_cumulative_stats_persist(self):
+        # The backlog is the one counter a collect does not reset.
         ch = Channel("c", rate=10.0)
         ch.enqueue(req(30.0), 0.0)
         ch.drain(0.0)
         ch.collect()
-        assert ch.stats.enqueued_ops == 30.0
-        assert ch.stats.granted_ops == 10.0
-        assert ch.stats.backlog == 20.0
+        assert ch.backlog == 20.0
+        assert ch.collect() == (0.0, 0.0, 20.0)
+        ch.drain(1.0)
+        assert ch.collect() == (pytest.approx(10.0), 0.0, pytest.approx(10.0))
+        assert ch.backlog == pytest.approx(10.0)
 
     def test_queue_depth(self):
         ch = Channel("c", rate=1.0)
@@ -153,25 +139,46 @@ def test_integral_mode_grants_whole_batches(counts):
 
 
 class TestWaitAccounting:
+    """Queue waits are observed once, by the telemetry histogram (and the
+    ``queue.wait`` span); the channel keeps no wait statistics of its own."""
+
+    @staticmethod
+    def _observed(ch: Channel):
+        telemetry = Telemetry(TelemetryConfig(seed=0, trace=False))
+        ch.attach_telemetry(telemetry, "s0")
+        histogram = telemetry.registry.get(
+            "padll_channel_queue_wait_seconds", stage="s0", channel=ch.channel_id
+        )
+        return telemetry, histogram
+
     def test_mean_and_max_wait(self):
         ch = Channel("c", rate=10.0, burst=10.0)
+        telemetry, histogram = self._observed(ch)
         ch.enqueue(req(10.0), 0.0)  # drains instantly (burst)
         ch.enqueue(req(10.0), 0.0)  # waits one second
-        ch.drain(0.0)
-        assert ch.stats.wait_max == 0.0
-        ch.drain(1.0)
-        # First batch waited 0 s, second waited 1 s.
-        assert ch.stats.wait_max == pytest.approx(1.0)
-        assert ch.stats.mean_wait == pytest.approx(0.5)
+        ch.drain(0.0, telemetry=telemetry)
+        assert (histogram.count, histogram.total) == (10.0, 0.0)
+        ch.drain(1.0, telemetry=telemetry)
+        # First batch waited 0 s, second waited 1 s: mean 0.5, worst in
+        # the (0.5, 1.0] bucket.
+        assert histogram.total / histogram.count == pytest.approx(0.5)
+        buckets = histogram.bucket_counts()
+        assert buckets[histogram.bounds.index(1.0)] == 10.0
+        assert sum(buckets[histogram.bounds.index(1.0) + 1:]) == 0.0
 
     def test_split_batches_keep_arrival_time(self):
         ch = Channel("c", rate=4.0, burst=4.0)
+        telemetry, histogram = self._observed(ch)
         ch.enqueue(req(8.0), 0.0)
-        ch.drain(0.0)  # 4 granted at wait 0
-        ch.drain(2.0)  # remaining 4 granted at wait 2
-        assert ch.stats.wait_max == pytest.approx(2.0)
-        assert ch.stats.mean_wait == pytest.approx(1.0)
+        ch.drain(0.0, telemetry=telemetry)  # 4 granted at wait 0
+        ch.drain(2.0, telemetry=telemetry)  # the split rest, 4 at wait 2
+        assert (histogram.count, histogram.total) == (8.0, 8.0)
+        buckets = histogram.bucket_counts()
+        assert buckets[0] == 4.0
+        assert buckets[histogram.bounds.index(2.0)] == 4.0
 
     def test_empty_channel_zero_wait(self):
         ch = Channel("c", rate=1.0)
-        assert ch.stats.mean_wait == 0.0
+        telemetry, histogram = self._observed(ch)
+        assert ch.drain(1.0, telemetry=telemetry) == 0.0
+        assert (histogram.count, histogram.total) == (0.0, 0.0)

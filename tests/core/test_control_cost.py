@@ -27,9 +27,9 @@ from repro.core.transport import InProcTransport
 
 #: Frames under one stage's ``FaultyFabric.call`` (the call included):
 #: the fabric's dispatch (one frame: the call itself), the endpoint,
-#: ``collect`` / ``_collect_window``, the channel's counters and rate
-#: (4), one ``ChannelSnapshot`` and one ``StageStats`` constructor.
-COLLECT_FRAMES = 10
+#: ``collect`` / ``_collect_window``, the channel's window and rate
+#: (3), one ``ChannelSnapshot`` and one ``StageStats`` constructor.
+COLLECT_FRAMES = 9
 #: The fabric's dispatch, the endpoint, the stage's enforce path (2),
 #: the channel's bucket (3).
 PUSH_FRAMES = 7

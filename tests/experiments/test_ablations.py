@@ -75,16 +75,24 @@ class TestLatencyQoS:
         channels = []
 
         class Recorded(Channel):
+            """Sums what every ``drain`` grants."""
+
             def __init__(self, *args, **kw):
                 super().__init__(*args, **kw)
+                self.granted_ops = 0.0
                 channels.append(self)
+
+            def drain(self, *args, **kw):
+                granted = super().drain(*args, **kw)
+                self.granted_ops += granted
+                return granted
 
         monkeypatch.setattr(latency, "Channel", Recorded)
         result = latency.run_latency_qos(True, duration=20.0)
         assert [c.channel_id for c in channels] == ["aggr0", "aggr1"]
         for channel in channels:
             completed = result.latencies[channel.channel_id].size
-            assert 0 < completed <= channel.stats.granted_ops
+            assert 0 < completed <= channel.granted_ops
 
     def test_cap_fraction_validation(self):
         from repro.errors import ConfigError

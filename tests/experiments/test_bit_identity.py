@@ -365,7 +365,7 @@ def drain_state(world, runtime) -> str:
             channel._backlog,
             channel.bucket._tokens,
             channel.bucket._timestamp,
-            channel.stats,
+            (channel.window_granted, channel.window_enqueued),
             [(r.op, r.count, r.submitted_at, r.kind_hint, r.trace) for r in channel._queue],
         )
         for stage in runtime.stages

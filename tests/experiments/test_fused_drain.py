@@ -62,8 +62,7 @@ def _enqueue(channel, records) -> None:
     for record in records:
         channel._queue.append(record)
         channel._backlog += record.count
-        channel.stats.enqueued_ops += record.count
-        channel.stats.window_enqueued += record.count
+        channel.window_enqueued += record.count
 
 
 def _run(drain, case) -> str:

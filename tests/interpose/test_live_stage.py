@@ -90,7 +90,7 @@ class TestLiveStage:
         assert snap.granted_ops == 4.0
         assert snap.enqueued_ops == 4.0  # live stage has no queue
         assert snap.backlog == 0.0
-        assert stats.passthrough_ops == 1.0
+        assert stage.passthrough_total == 1.0
         # Window resets.
         clock.t = 3.0
         assert stage.collect().channels[0].granted_ops == 0.0

@@ -278,9 +278,19 @@ class TestFLT001FullReduction:
         code = "import numpy as np\ndef f(x):\n    return np.sum(x) + x.sum()\n"
         assert active_rules(code) == ["FLT001", "FLT001"]
 
+    def test_flags_full_add_reduce(self):
+        # ``np.add.reduce(x)`` is ``.sum()`` without numpy's Python
+        # wrapper: the same order-sensitive fold to one scalar.
+        code = self.DIGEST.replace("np.sum(arr)", "np.add.reduce(arr)")
+        findings = run_lint(code)
+        assert [f.rule for f in findings] == ["FLT001"]
+        assert "np.add.reduce()" in findings[0].message
+
     def test_axis_reduction_is_exempt(self):
         code = self.DIGEST.replace("np.sum(arr)", "np.sum(arr, axis=0)[0]")
         assert active_rules(code) == []
+        for axis_wise in ("np.add.reduce(arr, 0)[0]", "np.add.reduce(arr, axis=1)[0]"):
+            assert active_rules(self.DIGEST.replace("np.sum(arr)", axis_wise)) == []
 
     def test_ignores_outside_deterministic_layers(self):
         assert active_rules(self.DIGEST, FREE_PATH) == []

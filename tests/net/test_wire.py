@@ -112,11 +112,8 @@ class TestValueRoundTrips:
                     enqueued_ops=120.0,
                     backlog=20.0,
                     rate_limit=128.0,
-                    mean_wait=0.125,
-                    max_wait=0.5,
                 ),
             ),
-            passthrough_ops=3.0,
         )
         assert round_trip(stats) == stats
 

@@ -31,8 +31,7 @@ REPLY = StageStats(
     job_id="job0",
     timestamp=1001.0,
     window=1.0,
-    channels=(ChannelSnapshot("metadata", 100.0, 120.5, 20.0, 128.0, 0.125, 0.5),),
-    passthrough_ops=3.0,
+    channels=(ChannelSnapshot("metadata", 100.0, 120.5, 20.0, 128.0),),
 )
 
 

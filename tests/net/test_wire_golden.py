@@ -70,8 +70,6 @@ def _snapshot(channel_id: str, scale: float) -> ChannelSnapshot:
         enqueued_ops=120.5 * scale,
         backlog=20.0,
         rate_limit=math.inf if scale > 2 else 128.0 * scale,
-        mean_wait=0.125 / scale,
-        max_wait=1 / 3,
     )
 
 
@@ -85,7 +83,6 @@ def _stats(n_channels: int) -> StageStats:
             _snapshot(name, index + 1.0)
             for index, name in enumerate(("metadata", "data", "dir")[:n_channels])
         ),
-        passthrough_ops=3.0,
     )
 
 
@@ -209,24 +206,20 @@ GOLDEN = {
     'stage_identity': b'{"!t":"StageIdentity","f":["job0/s1","job0","n1",42,""]}',
     'stage_identity_user': b'{"!t":"StageIdentity","f":["s","j","h\\u00f4st",1,"\\u00fcser"]}',
     'stage_stats_0': (
-        b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[]},3.'
-        b'0]}'
+        b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[]}]}'
     ),
     'stage_stats_1': (
         b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[{"!t"'
-        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0,0.125,0.3333333333'
-        b'333333]}]},3.0]}'
+        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]}]}]}'
     ),
     'stage_stats_3': (
         b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[{"!t"'
-        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0,0.125,0.3333333333'
-        b'333333]},{"!t":"ChannelSnapshot","f":["data",200.0,241.0,20.0,256.0,0.0625,0'
-        b'.3333333333333333]},{"!t":"ChannelSnapshot","f":["dir",300.0,361.5,20.0,Infi'
-        b'nity,0.041666666666666664,0.3333333333333333]}]},3.0]}'
+        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]},{"!t":"ChannelSn'
+        b'apshot","f":["data",200.0,241.0,20.0,256.0]},{"!t":"ChannelSnapshot","f":["d'
+        b'ir",300.0,361.5,20.0,Infinity]}]}]}'
     ),
     'channel_snapshot': (
-        b'{"!t":"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0,0.125,0.33333'
-        b'33333333333]}'
+        b'{"!t":"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]}'
     ),
     'job_aggregate': b'{"!t":"JobAggregate","f":["job0",180.0,4]}',
     'aggregate_stats': (
@@ -241,7 +234,7 @@ GOLDEN = {
         b'{"msg":{"!t":"EnforceRate","f":["metadata",1234.5678,1001.0,null]},"to":"job'
         b'7/s3"}'
     ),
-    'hello': b'{"peer":"bench-worker","version":1}',
+    'hello': b'{"peer":"bench-worker","version":2}',
     'error': b'{"detail":"address \'ghost\' not bound","error":"StageNotRegistered"}',
     'nested_tuples': (
         b'{"!t":"tuple","f":[1,"a",{"!t":"tuple","f":[2.5,null,{"!t":"tuple","f":[{"!t'
@@ -297,8 +290,8 @@ def test_corpus_and_golden_name_the_same_entries():
     assert [name for name, _, _ in CORPUS] == list(GOLDEN)
 
 
-def test_wire_version_is_one():
-    assert WIRE_VERSION == 1
+def test_wire_version_is_two():
+    assert WIRE_VERSION == 2
 
 
 def test_every_registered_tag_is_in_the_corpus():

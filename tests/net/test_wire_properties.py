@@ -69,9 +69,7 @@ rules = st.builds(
     job_ids=st.one_of(st.none(), st.frozensets(names, min_size=1, max_size=4)),
     priority=st.integers(-5, 5),
 )
-snapshots = st.builds(
-    ChannelSnapshot, names, floats, floats, floats, floats, floats, floats
-)
+snapshots = st.builds(ChannelSnapshot, names, floats, floats, floats, floats)
 job_aggregates = st.builds(JobAggregate, names, floats, st.integers(0, 64))
 registered = st.one_of(
     enums,
@@ -107,7 +105,6 @@ registered = st.one_of(
         floats,
         floats,
         st.lists(snapshots, max_size=3).map(tuple),
-        floats,
     ),
     st.builds(
         AggregateStats, names, floats, st.lists(job_aggregates, max_size=3).map(tuple)

@@ -40,7 +40,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "JobDemand": (1, "record: one job's demand in an allocator call"),
     "PriorityPartition": (1, "setting: the policy document's 'default'"),
     "ProportionalSharing": (1, "setting: the policy document's 'headroom'"),
-    "ChannelStats": (6, "record: a channel's counters"),
     "Channel": (4, "setting, record: rate and burst per channel, integral by "
                 "experiments.latency; now is the creation instant"),
     "ChannelSpec": (1, "setting: a channel's 'initial_rate' in the policy document"),
@@ -70,7 +69,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "CollectSession": (8, "record: one endpoint's collect state"),
     "OrphanPolicy": (4, "setting: the operator's document and experiments.dependability"),
     "StageIdentity": (3, "record: a stage's identity"),
-    "ChannelSnapshot": (2, "record: a channel's stats in a collect reply"),
     "DataPlaneStage": (3, "setting, collaborator: pfs_mounts per world; telemetry and "
                        "now are handed in"),
     "TokenBucket": (2, "setting, record: capacity is a channel's burst; now is "
