@@ -68,11 +68,14 @@ of one.  With a single-rack job this reduces term-for-term to the
 whole-job-per-rack behaviour (one partial, one entry), which is why the
 flat-equivalence contract above survives split placement.
 
-Racks need not be in-process objects: :class:`RackEndpoint` is a proxy
-local whose collect/enforce verbs are plain callables, and
-``register_remote`` registers a stage that lives elsewhere (a sharded
-rack block, a ``stage-host`` process whose own :class:`LocalController`
-answers over the wire) with bookkeeping identical to ``register_stage``.
+A local is an address: :meth:`HierarchicalControlPlane.attach_local`
+binds ``(local_id, handle)`` on the fabric, and ``register_stage`` only
+records which local hosts a stage.  Whoever owns a
+:class:`LocalController` registers the stage on it first (a replay
+world's racks, a ``stage-host`` process whose local answers over the
+wire); a handle need not be a ``LocalController`` at all -- the sharded
+coordinator binds one function per rack that answers from the demand
+vector it already holds.
 """
 
 from __future__ import annotations
@@ -96,12 +99,9 @@ from repro.core.stage import DataPlaneStage, StageIdentity
 
 __all__ = [
     "CollectAggregate",
-    "JobAggregate",
     "AggregateStats",
-    "ArrayStats",
     "EnforceJobRateBatch",
     "LocalController",
-    "RackEndpoint",
     "HierarchicalControlPlane",
     "PLACEMENTS",
     "check_placement",
@@ -141,72 +141,20 @@ class CollectAggregate(RpcMessage):
     loop_interval: float
 
 
-class JobAggregate(NamedTuple):
-    """One job's demand partial as seen by one local controller.
+class AggregateStats(NamedTuple):
+    """A local's reply to :class:`CollectAggregate`: per hosted job, its
+    demand partial and its stage count on this local, as three aligned
+    sequences.
 
-    A :class:`~typing.NamedTuple` (field order ``job_id, demand,
-    n_stages``) rather than a dataclass: a local builds one per hosted
-    job per cycle, and a named tuple is a single C call where a
-    dataclass ``__init__`` costs three ``object.__setattr__`` round
-    trips.
+    A :class:`LocalController` fills them with tuples; the sharded
+    coordinator hands ``demand`` over as a float64 slice of the vector it
+    already holds.  The plane keys replies by endpoint, so the record
+    names no local and no time.
     """
 
-    job_id: str
-    demand: float
-    n_stages: int
-
-
-@dataclass(frozen=True, slots=True)
-class AggregateStats:
-    """A local controller's reply to :class:`CollectAggregate`.
-
-    ``jobs`` entries are :class:`JobAggregate` named tuples or any raw
-    ``(job_id, demand, n_stages)`` triple with the same layout -- every
-    plane-side consumer unpacks positionally, which is what lets
-    :attr:`ArrayStats.jobs` hand out plain triples.
-    """
-
-    local_id: str
-    timestamp: float
-    jobs: Tuple[JobAggregate, ...]
-
-
-class ArrayStats:
-    """Array-backed :class:`AggregateStats` twin over a per-slot array.
-
-    ``job_ids``/``stage_counts`` are the local's static layout (a
-    :class:`~repro.simulation.sharded.fluid.RackSlots` entry) and
-    ``demand`` is the per-epoch float64 demand-partial vector aligned to
-    them -- no per-job Python objects on the per-cycle path.  The
-    :attr:`jobs` property materialises the classic ``(job_id, demand,
-    n_stages)`` triples, so telemetry's ``control.cycle`` view and tests
-    read an ``ArrayStats`` exactly like an :class:`AggregateStats`; the
-    plane's demand merge reads the arrays directly instead.
-    """
-
-    __slots__ = ("local_id", "timestamp", "job_ids", "demand", "stage_counts")
-
-    def __init__(
-        self,
-        local_id: str,
-        timestamp: float,
-        job_ids: Tuple[str, ...],
-        demand: np.ndarray,
-        stage_counts: Tuple[int, ...],
-    ) -> None:
-        self.local_id = local_id
-        self.timestamp = timestamp
-        self.job_ids = job_ids
-        self.demand = demand
-        self.stage_counts = stage_counts
-
-    @property
-    def jobs(self) -> Tuple[Tuple[str, float, int], ...]:
-        return tuple(zip(self.job_ids, self.demand.tolist(), self.stage_counts))
-
-
-#: What a collect reply must be to count as an aggregate.
-_AGGREGATE_TYPES = (AggregateStats, ArrayStats)
+    job_ids: Tuple[str, ...]
+    demand: Any
+    stage_counts: Tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,13 +251,11 @@ class LocalController:
             if st is not None:
                 fold_stage_demand(per_job, st, channel, loop_interval)
         job_stages = self._job_stages
-        jobs = tuple(
-            [
-                JobAggregate(job_id, demand, len(job_stages.get(job_id, ())))
-                for job_id, demand in per_job.items()
-            ]
+        return AggregateStats(
+            tuple(per_job),
+            tuple(per_job.values()),
+            tuple([len(job_stages.get(job_id, ())) for job_id in per_job]),
         )
-        return AggregateStats(self.local_id, message.now, jobs)
 
     def _enforce_batch(self, message: EnforceJobRateBatch) -> bool:
         for job_id, rate, burst in message.entries:
@@ -323,73 +269,6 @@ class LocalController:
         return True
 
 
-class RackEndpoint:
-    """A proxy local controller whose stages live out of process.
-
-    Duck-type compatible with :class:`LocalController` everywhere the
-    :class:`HierarchicalControlPlane` touches a local (``local_id``,
-    ``handle``, ``stage_ids``, ``deregister``), but the two control
-    verbs are delegated to caller-supplied functions:
-
-    * ``collect(local_id, message)`` answers :class:`CollectAggregate`
-      with an :class:`AggregateStats` (partial per-job demands for the
-      rack's remote stages);
-    * ``enforce(local_id, message)`` delivers an
-      :class:`EnforceJobRateBatch` to wherever the rack's stages
-      actually run.
-
-    The sharded simulation uses this to drive the *real* global plane --
-    demand merge, staleness discounting, liveness eviction, telemetry --
-    while the data planes advance as fluid rack blocks; the service, to
-    reach a stage host's local over its link.
-    """
-
-    def __init__(
-        self,
-        local_id: str,
-        collect: Callable[[str, CollectAggregate], AggregateStats],
-        enforce: Callable[[str, EnforceJobRateBatch], Any],
-    ) -> None:
-        if not local_id:
-            raise ConfigError("rack endpoint needs an id")
-        self.local_id = local_id
-        self._collect = collect
-        self._enforce = enforce
-        #: stage_id -> StageIdentity, in adoption (registration) order.
-        self._identities: Dict[str, StageIdentity] = {}
-
-    @property
-    def stage_ids(self) -> List[str]:
-        return list(self._identities)
-
-    def adopt(self, identity: StageIdentity) -> None:
-        """Record a remote stage as hosted by this rack."""
-        if identity.stage_id in self._identities:
-            raise ConfigError(
-                f"stage {identity.stage_id!r} already adopted by rack "
-                f"{self.local_id!r}"
-            )
-        self._identities[identity.stage_id] = identity
-
-    def deregister(self, stage_id: str) -> None:
-        if self._identities.pop(stage_id, None) is None:
-            raise StageNotRegistered(
-                f"stage {stage_id!r} not adopted by rack {self.local_id!r}"
-            )
-
-    def handle(self, message: RpcMessage) -> Any:
-        if isinstance(message, CollectAggregate):
-            return self._collect(self.local_id, message)
-        if isinstance(message, EnforceJobRateBatch):
-            return self._enforce(self.local_id, message)
-        if isinstance(message, Ping):
-            return message.payload
-        raise RPCError(
-            f"rack {self.local_id!r}: unhandled message type "
-            f"{type(message).__name__}"
-        )
-
-
 class HierarchicalControlPlane(ControlPlane):
     """A :class:`ControlPlane` that talks to local controllers.
 
@@ -400,8 +279,7 @@ class HierarchicalControlPlane(ControlPlane):
     entire stage population.
 
     The demand merge is one ``np.bincount`` over every local's partials
-    (an :class:`ArrayStats` demand vector as it is, an
-    :class:`AggregateStats` as one array per reply), with the
+    (every reply's ``demand`` concatenated as it is), with the
     concatenated plane-order index cached until placement or the locals'
     job lists change.  Given an ``enforce_array_sink(now, per_stage)`` --
     ``per_stage`` aligned to :meth:`vector_job_ids` -- the cycle's
@@ -419,8 +297,8 @@ class HierarchicalControlPlane(ControlPlane):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        #: local_id -> LocalController or RackEndpoint, in attach order.
-        self._locals: Dict[str, Any] = {}
+        #: local_id -> its bound handler, in attach order.
+        self._locals: Dict[str, Callable[[RpcMessage], Any]] = {}
         #: stage_id -> hosting local_id.
         self._stage_local: Dict[str, str] = {}
         # job_id -> hosting locals (first-appearance order over the
@@ -438,15 +316,21 @@ class HierarchicalControlPlane(ControlPlane):
 
     # -- topology ----------------------------------------------------------
     @property
-    def locals(self) -> Dict[str, Any]:
+    def locals(self) -> Dict[str, Callable[[RpcMessage], Any]]:
+        """local_id -> the handler bound at that address, attach order."""
         return dict(self._locals)
 
-    def attach_local(self, local) -> None:
-        """Attach a :class:`LocalController` or :class:`RackEndpoint`."""
-        if local.local_id in self._locals:
-            raise ConfigError(f"local {local.local_id!r} already attached")
-        self.fabric.bind(local.local_id, local.handle)
-        self._locals[local.local_id] = local
+    def attach_local(
+        self, local_id: str, handle: Callable[[RpcMessage], Any]
+    ) -> None:
+        """Bind a local's handler (a :class:`LocalController`'s ``handle``,
+        a wire relay, a rack function) at ``local_id``."""
+        if not local_id:
+            raise ConfigError("a local needs an id")
+        if local_id in self._locals:
+            raise ConfigError(f"local {local_id!r} already attached")
+        self.fabric.bind(local_id, handle)
+        self._locals[local_id] = handle
 
     def register(self, stage: DataPlaneStage, now: float = 0.0) -> None:
         raise ConfigError(
@@ -459,46 +343,28 @@ class HierarchicalControlPlane(ControlPlane):
         )
 
     def register_stage(
-        self, stage: DataPlaneStage, local_id: str, now: float = 0.0
-    ) -> None:
-        """Register a stage with its hosting local controller."""
-        self._hosting_local(stage.identity, local_id).register(stage)
-        self._record_stage(stage.identity, now, local_id)
-
-    def register_remote(
         self, identity: StageIdentity, local_id: str, now: float = 0.0
     ) -> None:
-        """Register a stage that lives outside this process.
+        """Record that the local at ``local_id`` hosts a stage.
 
-        The hosting local must be a :class:`RackEndpoint` (or expose the
-        same ``adopt`` verb): the stage's data plane runs elsewhere, so
-        only its identity is recorded here.  Global bookkeeping -- job
-        membership, stage->local mapping, n_stages for the enforcement
-        split -- is identical to :meth:`register_stage`.
+        The stage joins that local first (``LocalController.register``, or
+        wherever the handler finds it): the plane keeps only job
+        membership and the stage -> local map.
         """
-        adopt = getattr(self._hosting_local(identity, local_id), "adopt", None)
-        if adopt is None:
-            raise ConfigError(
-                f"local {local_id!r} cannot adopt remote stages; "
-                "use register_stage"
-            )
-        adopt(identity)
-        self._record_stage(identity, now, local_id)
-
-    def _hosting_local(self, identity: StageIdentity, local_id: str):
-        """The attached local a not-yet-registered stage is to join."""
-        local = self._locals.get(local_id)
-        if local is None:
+        if local_id not in self._locals:
             raise ConfigError(f"no local controller {local_id!r} attached")
         if identity.stage_id in self._stages:
             raise ConfigError(f"stage {identity.stage_id!r} already registered")
-        return local
-
-    def _record_stage(
-        self, identity: StageIdentity, now: float, local_id: str
-    ) -> None:
-        super()._record_stage(identity, now)
+        self._record_stage(identity, now)
         self._stage_local[identity.stage_id] = local_id
+
+    def local_stages(self, local_id: str) -> List[str]:
+        """The stages ``local_id`` hosts, in registration order."""
+        return [
+            stage_id
+            for stage_id, host in self._stage_local.items()
+            if host == local_id
+        ]
 
     def _forget_stage(self, stage_id: str) -> StageIdentity:
         identity = super()._forget_stage(stage_id)
@@ -506,9 +372,8 @@ class HierarchicalControlPlane(ControlPlane):
         return identity
 
     def deregister(self, stage_id: str) -> None:
-        local_id = self._stage_local.get(stage_id)
+        """Forget a stage (its local's owner deregisters it there)."""
         self._forget_stage(stage_id)
-        self._locals[local_id].deregister(stage_id)
 
     def _job_hosting_locals(self, job_id: str) -> List[str]:
         """Locals hosting ``job_id``'s stages, in first-appearance order.
@@ -561,8 +426,8 @@ class HierarchicalControlPlane(ControlPlane):
         """``(idx, sel)``: the plane-order index of the concatenated
         partials, or of ``partials[sel]`` when some reported jobs have
         finished since (``sel`` masks them out); cached on the layout and
-        the locals' job id tuples (an :class:`ArrayStats` hands the same
-        tuple over every cycle)."""
+        the locals' job id tuples (a sharded rack hands the same tuple
+        over every cycle)."""
         key = (self._vec_version, job_id_lists)
         fold = self._fold
         if fold is None or fold[0] != key:
@@ -588,28 +453,24 @@ class HierarchicalControlPlane(ControlPlane):
         halflife = STALE_HALFLIFE * self.config.loop_interval
         ages = self._stats_age
         job_id_lists: List[Tuple[str, ...]] = []
-        partials: List[np.ndarray] = []
+        partials: list = []
         for local_id, agg in stats.items():
-            if isinstance(agg, ArrayStats):
-                job_ids, partial = agg.job_ids, agg.demand
-            elif isinstance(agg, AggregateStats):
-                jobs = agg.jobs
-                job_ids = tuple([job[0] for job in jobs])
-                partial = np.array([job[1] for job in jobs], dtype=np.float64)
-            else:
+            if not isinstance(agg, AggregateStats):
                 continue
+            partial = agg.demand
             if ages:
                 age = ages.get(local_id, 0.0)
                 if age > 0.0:
-                    partial = partial * 0.5 ** (age / halflife)
-            job_id_lists.append(job_ids)
+                    partial = np.multiply(partial, 0.5 ** (age / halflife))
+            job_id_lists.append(agg.job_ids)
             partials.append(partial)
         n_jobs = len(self._vec_job_ids)
         idx, sel = self._fold_index(tuple(job_id_lists))
         if not idx.size:
             # bincount of nothing is an integer array.
             return np.zeros(n_jobs)
-        weights = np.concatenate(partials)
+        # A tuple of floats and a float64 array concatenate alike.
+        weights = np.concatenate(partials, dtype=np.float64)
         if sel is not None:
             weights = weights[sel]
         return np.bincount(idx, weights=weights, minlength=n_jobs)
@@ -675,12 +536,10 @@ class HierarchicalControlPlane(ControlPlane):
     def detach_local(self, local_id: str) -> None:
         """Detach a local and all of its stages (it stopped answering, or
         its stage host's link closed)."""
-        local = self._locals.pop(local_id, None)
-        if local is None:
+        if self._locals.pop(local_id, None) is None:
             raise StageNotRegistered(f"local {local_id!r} not attached")
         self._drop_endpoint(local_id)
-        for stage_id in local.stage_ids:
-            local.deregister(stage_id)
+        for stage_id in self.local_stages(local_id):
             self._forget_stage(stage_id)
 
     _evict = detach_local
@@ -692,9 +551,13 @@ class HierarchicalControlPlane(ControlPlane):
         observed = {
             local_id: {
                 job_id: {"demand": demand, "n_stages": n_stages}
-                for job_id, demand, n_stages in agg.jobs
+                for job_id, demand, n_stages in zip(
+                    agg.job_ids,
+                    np.asarray(agg.demand, dtype=np.float64).tolist(),
+                    agg.stage_counts,
+                )
             }
             for local_id, agg in stats.items()
-            if isinstance(agg, _AGGREGATE_TYPES)
+            if isinstance(agg, AggregateStats)
         }
         return {"hierarchical": True, "observed": observed}

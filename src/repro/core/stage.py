@@ -134,11 +134,10 @@ class ChannelSnapshot(NamedTuple):
 class StageStats(NamedTuple):
     """One stage's report to the control plane's feedback loop (a
     :class:`~typing.NamedTuple`, for the reason :class:`ChannelSnapshot`
-    gives)."""
+    gives).  The plane keys replies by endpoint, so the record names
+    only the job its window counts toward."""
 
-    stage_id: str
     job_id: str
-    timestamp: float
     window: float
     channels: tuple[ChannelSnapshot, ...]
 
@@ -378,11 +377,8 @@ class StageCore:
                     channel.channel_id, granted, enqueued, backlog, channel.rate
                 )
             )
-        identity = self.identity
         self._last_collect = now
-        return StageStats(
-            identity.stage_id, identity.job_id, now, window, tuple(snapshots)
-        )
+        return StageStats(self.identity.job_id, window, tuple(snapshots))
 
 
 class DataPlaneStage(StageCore):

@@ -55,7 +55,8 @@ from __future__ import annotations
 import json
 import operator
 import struct
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from math import isnan
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import repro.errors as _errors
 from repro.errors import RPCError, WireError
@@ -71,12 +72,7 @@ from repro.core.rpc import (
     RemoveRule,
 )
 from repro.core.stage import ChannelSnapshot, StageIdentity, StageStats
-from repro.core.hierarchy import (
-    AggregateStats,
-    CollectAggregate,
-    EnforceJobRateBatch,
-    JobAggregate,
-)
+from repro.core.hierarchy import AggregateStats, CollectAggregate, EnforceJobRateBatch
 
 __all__ = [
     "WIRE_VERSION",
@@ -106,7 +102,7 @@ __all__ = [
 #: Protocol version carried in every frame header and the HELLO payload.
 #: Bump on any incompatible codec or framing change; peers refuse a
 #: mismatched HELLO before exchanging any verb.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 MAGIC = b"PDLL"
 
@@ -233,11 +229,20 @@ def _claim(cls: type, tag: str) -> None:
         raise WireError(f"class {cls.__name__} already has a wire codec")
 
 
-def register_codec(cls: type, tag: str, fields: Tuple[str, ...]) -> None:
+def register_codec(
+    cls: type,
+    tag: str,
+    fields: Tuple[str, ...],
+    check: Optional[Callable[[Any], bool]] = None,
+) -> None:
     """Register a positional-field codec for ``cls`` under ``tag``.
 
     ``fields`` is the exact constructor-argument order; encode reads the
-    attributes in that order and decode calls ``cls(*decoded)``.  The
+    attributes in that order and decode calls ``cls(*decoded)``.  A
+    ``check`` vets each decoded value's contents (a reply record the
+    control loop computes with): a value it refuses is a
+    :class:`~repro.errors.WireError` where the bytes are decoded, so one
+    peer's hostile reply fails its own call and nothing else.  The
     field tuple is validated against the class's actual attributes at
     registration time, that is, when this module is imported.  Both
     directions are compiled here, once: the emitter closes over the
@@ -278,7 +283,10 @@ def register_codec(cls: type, tag: str, fields: Tuple[str, ...]) -> None:
     def revive(body: Any) -> Any:
         if type(body) is not list or len(body) != arity:
             raise WireError(f"tag {tag!r} expects {arity} fields, got {body!r}")
-        return cls(*body)
+        value = cls(*body)
+        if check is not None and not check(value):
+            raise WireError(f"tag {tag!r} refuses the contents {body!r}")
+        return value
 
     _EMIT[cls] = emit
     _REVIVE[tag] = revive
@@ -516,15 +524,62 @@ register_codec(
 register_codec(
     StageIdentity, "StageIdentity", ("stage_id", "job_id", "hostname", "pid", "user")
 )
+
+
+# A reply's numbers must be doubles the control loop can add: ``float`` or
+# ``int`` (not ``bool``), not NaN, and an ``int`` within a double's range
+# (``isnan`` raises on one that is not); a demand partial, a ``float`` (a
+# local's fold is one, and the plane concatenates them as they are).  The
+# checks run in C -- ``set(map(type, ...))``, ``map(isnan, ...)`` -- so a
+# vetted reply costs its codec one Python frame per record and none per
+# field.
+_REAL = frozenset({float, int})
+_FLOAT = frozenset({float})
+_STR = frozenset({str})
+_INT = frozenset({int})
+_SNAPSHOT = frozenset({ChannelSnapshot})
+
+
+def _snapshot_ok(snap: ChannelSnapshot) -> bool:
+    numbers = snap[1:]
+    return (
+        type(snap[0]) is str
+        and set(map(type, numbers)) <= _REAL
+        and not any(map(isnan, numbers))
+    )
+
+
+def _stats_ok(st: StageStats) -> bool:
+    return (
+        type(st.job_id) is str
+        and type(st.window) in _REAL
+        and not isnan(st.window)
+        and type(st.channels) is tuple
+        and set(map(type, st.channels)) <= _SNAPSHOT
+    )
+
+
+def _aggregate_ok(agg: AggregateStats) -> bool:
+    job_ids, demand, counts = agg
+    return (
+        type(job_ids) is tuple
+        and type(demand) is tuple
+        and type(counts) is tuple
+        and len(job_ids) == len(demand) == len(counts)
+        and set(map(type, job_ids)) <= _STR
+        and set(map(type, demand)) <= _FLOAT
+        and not any(map(isnan, demand))
+        and set(map(type, counts)) <= _INT
+    )
+
+
 register_codec(
     ChannelSnapshot,
     "ChannelSnapshot",
     ("channel_id", "granted_ops", "enqueued_ops", "backlog", "rate_limit"),
+    _snapshot_ok,
 )
+register_codec(StageStats, "StageStats", ("job_id", "window", "channels"), _stats_ok)
 register_codec(
-    StageStats,
-    "StageStats",
-    ("stage_id", "job_id", "timestamp", "window", "channels"),
+    AggregateStats, "AggregateStats", ("job_ids", "demand", "stage_counts"), _aggregate_ok
 )
-register_codec(JobAggregate, "JobAggregate", ("job_id", "demand", "n_stages"))
-register_codec(AggregateStats, "AggregateStats", ("local_id", "timestamp", "jobs"))

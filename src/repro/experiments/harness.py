@@ -252,7 +252,7 @@ class ReplayWorld:
             )
             self.racks = [LocalController(f"rack{r}") for r in range(N_RACKS)]
             for rack in self.racks:
-                self.controller.attach_local(rack)
+                self.controller.attach_local(rack.local_id, rack.handle)
         else:
             self.controller = ControlPlane(
                 fabric=fabric,
@@ -296,11 +296,11 @@ class ReplayWorld:
         # included), exactly like a scheduler launching them.
         self.env.call_at(spec.start, lambda: self._start_job(runtime))
 
-    def _rack_for_stage(self, job_id: str, stage_index: int) -> str:
+    def _rack_for_stage(self, job_id: str, stage_index: int) -> LocalController:
         """Rack hosting one stage of a job; jobs count in start order."""
         job = self._job_index.setdefault(job_id, len(self._job_index))
         rack = rack_index(self.placement, job, stage_index, len(self.racks))
-        return self.racks[rack].local_id
+        return self.racks[rack]
 
     # -- job wiring -----------------------------------------------------------------
     def _route(
@@ -543,10 +543,10 @@ class ReplayWorld:
                     )
                 runtime.stages.append(stage)
                 if self.hierarchical:
+                    rack = self._rack_for_stage(spec.job_id, i)
+                    rack.register(stage)
                     self.controller.register_stage(
-                        stage,
-                        self._rack_for_stage(spec.job_id, i),
-                        now=self.env.now,
+                        stage.identity, rack.local_id, now=self.env.now
                     )
                 else:
                     self.controller.register(stage, now=self.env.now)
@@ -730,8 +730,12 @@ class ReplayWorld:
                 runtime.completed_at = now
                 # The job leaves the system: its stages deregister, and
                 # algorithms redistribute its share (Fig. 5's exits).
-                for stage in runtime.stages:
+                for i, stage in enumerate(runtime.stages):
                     self.controller.deregister(stage.identity.stage_id)
+                    if self.hierarchical:
+                        self._rack_for_stage(runtime.spec.job_id, i).deregister(
+                            stage.identity.stage_id
+                        )
                 runtime.stages.clear()
 
     # -- running ----------------------------------------------------------------------

@@ -66,8 +66,9 @@ def partition_stages(
 class HostRecord:
     """One stage host, by name.  The monitor thread writes its process
     (``argv`` None: not spawned here); the runtime's loop thread its link:
-    ``connection``, the ``local`` it carries, and the metric absolutes
-    (``last``) and workload counters it last pushed."""
+    ``connection`` (the plane's local of the same name is attached while
+    it is set), and the metric absolutes (``last``) and workload counters
+    it last pushed."""
 
     def __init__(self, name: str, argv: Optional[List[str]]) -> None:
         self.name = name
@@ -76,7 +77,6 @@ class HostRecord:
         self.restarts = 0
         self.respawn_at: Optional[float] = None
         self.connection: Any = None
-        self.local: Any = None
         self.last: Dict[tuple, Any] = {}
         self.workload: Optional[Dict[str, float]] = None
 

@@ -54,7 +54,7 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.config import parse_policy
-from repro.core.hierarchy import HierarchicalControlPlane, RackEndpoint
+from repro.core.hierarchy import HierarchicalControlPlane
 from repro.core.policies import PolicyRule
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
@@ -353,7 +353,7 @@ class ServiceRuntime:
         read_push(
             doc,
             register=lambda identity: self._wire(
-                self._register_remote, connection, identity
+                self._register_host_stage, connection, identity
             ),
             telemetry=lambda *push: self._wire(self._merge_remote, connection, *push),
         )
@@ -384,26 +384,28 @@ class ServiceRuntime:
                 if not takeover:
                     return None
                 self._detach(record, "takeover")
-            forward = _lagged(
-                RemoteEndpoint(connection, name, None), self.config.faults, self._lag_rng
-            )
-            relay = lambda _, message: forward(message)  # noqa: E731
             record.connection, record.last = connection, {}
-            record.local = RackEndpoint(name, relay, relay)
-            self.controller.attach_local(record.local)
+            self.controller.attach_local(
+                name,
+                _lagged(
+                    RemoteEndpoint(connection, name, None),
+                    self.config.faults,
+                    self._lag_rng,
+                ),
+            )
             self.telemetry.registry.gauge("padll_remote_host_up", host=name).set(1)
         return record
 
     def _detach(self, record: HostRecord, reason: str) -> None:
         """Detach a host's local from the plane, every stage with it."""
         now = self.clock()
-        for stage_id in record.local.stage_ids:
+        for stage_id in self.controller.local_stages(record.name):
             self.telemetry.events.emit(
                 "host.evict", now, host=record.name, stage=stage_id, reason=reason
             )
         self.controller.detach_local(record.name)
         self.telemetry.registry.gauge("padll_remote_host_up", host=record.name).set(0)
-        record.connection = record.local = record.workload = None
+        record.connection = record.workload = None
 
     def _on_closed(self, connection: WireConnection) -> None:
         """A host's link died -- unless a respawned host's took it over."""
@@ -411,7 +413,7 @@ class ServiceRuntime:
         if record is not None and record.connection is connection:
             self._detach(record, "connection closed")
 
-    def _register_remote(
+    def _register_host_stage(
         self, connection: WireConnection, identity: Optional[StageIdentity]
     ) -> None:
         if identity is None:
@@ -427,7 +429,7 @@ class ServiceRuntime:
         if stage_id in self.controller.stages:
             # Another host holds this id: it stops, hearing so.
             self._deregister(self.controller.deregister, stage_id)
-        self.controller.register_remote(identity, record.name, now=self.clock())
+        self.controller.register_stage(identity, record.name, now=self.clock())
         self.telemetry.events.emit(
             "host.register", self.clock(), host=record.name, stage=stage_id
         )
@@ -438,8 +440,8 @@ class ServiceRuntime:
         rides its orphan policy, as a stage the plane stopped reaching)."""
         held = [
             (stage_id, record.connection)
-            for record in self._records() if record.local is not None
-            for stage_id in record.local.stage_ids
+            for record in self._records() if record.connection is not None
+            for stage_id in self.controller.local_stages(record.name)
         ]
         deregister(name)
         stages = self.controller.stages

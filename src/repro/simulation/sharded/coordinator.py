@@ -3,19 +3,19 @@
 :class:`ShardedSimulation` stitches the two halves together.  The data
 plane is a :class:`~repro.simulation.sharded.pool.ShardPool` of fluid
 racks; the control plane is a genuine
-:class:`~repro.core.hierarchy.HierarchicalControlPlane` whose locals are
-:class:`~repro.core.hierarchy.RackEndpoint` proxies.  One *epoch* is one
-control loop interval:
+:class:`~repro.core.hierarchy.HierarchicalControlPlane` with one local
+per rack, each an address bound to the coordinator's rack handler.  One
+*epoch* is one control loop interval:
 
 1. every shard's rack block advances ``loop_interval / DT`` fluid
    ticks, in shard order in this process, and reports per-job demand
    partials as one float64 vector over the pool's slots, one slot per
    ``(rack, job)`` (the barrier);
-2. the coordinator runs one ``cp.tick``: the rack endpoints answer the
-   plane's collects with :class:`~repro.core.hierarchy.ArrayStats`
-   slices over that vector, and the plane's own demand merge, staleness
-   handling, policies and allocator write the new per-stage rates
-   straight into the rack blocks' slot arrays
+2. the coordinator runs one ``cp.tick``: the rack handler answers the
+   plane's collects with an :class:`~repro.core.hierarchy.AggregateStats`
+   whose demand is the rack's slice of that vector, and the plane's own
+   demand merge, staleness handling, policies and allocator write the
+   new per-stage rates straight into the rack blocks' slot arrays
    (:meth:`~repro.simulation.sharded.fluid.FluidBlock.set_rates`) --
    the algorithm's through the plane's ``enforce_array_sink``, policy
    and pause pushes through the batched enforce verb, the later write
@@ -37,20 +37,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RPCError
 from repro.core.hierarchy import (
-    ArrayStats,
+    AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
     HierarchicalControlPlane,
-    RackEndpoint,
     check_placement,
     rack_index,
 )
+from repro.core.rpc import RpcMessage
 from repro.core.stage import StageIdentity
 from repro.simulation.sharded.fluid import FluidBlock, FluidConfig, RackSpec
 from repro.simulation.sharded.pool import ShardPool
@@ -226,30 +227,22 @@ class ShardedSimulation:
             enforce_array_sink=self._enforce_array_sink,
         )
         for rack_id in self._pool.racks:
-            self.control_plane.attach_local(
-                RackEndpoint(
-                    rack_id,
-                    collect=self._collect_rack,
-                    enforce=self._enforce_rack,
-                )
-            )
+            self.control_plane.attach_local(rack_id, partial(self._rack, rack_id))
         for identity, rack_id in registrations:
-            self.control_plane.register_remote(identity, rack_id)
+            self.control_plane.register_stage(identity, rack_id)
 
-    # -- RackEndpoint verbs -------------------------------------------------
-    def _collect_rack(
-        self, rack_id: str, message: CollectAggregate
-    ) -> ArrayStats:
-        rack = self._pool.racks[rack_id]
-        return ArrayStats(
-            local_id=rack_id,
-            timestamp=message.now,
-            job_ids=rack.job_ids,
-            demand=self._demand[rack.slots],
-            stage_counts=rack.stage_counts,
-        )
-
-    def _enforce_rack(self, rack_id: str, message: EnforceJobRateBatch) -> bool:
+    def _rack(self, rack_id: str, message: RpcMessage):
+        """One rack's handler: a collect is its slice of the barrier's
+        demand vector, a batch lands in its block's slot arrays."""
+        if isinstance(message, CollectAggregate):
+            rack = self._pool.racks[rack_id]
+            return AggregateStats(
+                rack.job_ids, self._demand[rack.slots], rack.stage_counts
+            )
+        if not isinstance(message, EnforceJobRateBatch):
+            raise RPCError(
+                f"rack {rack_id!r}: unhandled message type {type(message).__name__}"
+            )
         block, offset = self._pool.block_of[rack_id]
         slot_of = self._pool.slot_of
         written = self._batch_slots

@@ -262,8 +262,11 @@ class TestAlgorithmLoop:
                 fabric=fabric, algorithm=StaticPartition(10.0)
             )
             for i in range(2):
-                cp.attach_local(LocalController(f"rack{i}"))
-                cp.register_stage(make_stage(f"s{i}", f"job{i}"), f"rack{i}")
+                rack = LocalController(f"rack{i}")
+                cp.attach_local(rack.local_id, rack.handle)
+                stage = make_stage(f"s{i}", f"job{i}")
+                rack.register(stage)
+                cp.register_stage(stage.identity, rack.local_id)
         for t in range(3):
             cp.tick(float(t))
         assert cp.collect_failures == 0

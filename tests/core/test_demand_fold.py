@@ -3,8 +3,8 @@
 ``HierarchicalControlPlane._job_demand_vec`` folds every local's demand
 partials with one ``np.bincount`` over their concatenation.  The
 reference below is the per-local fold it replaced: a zero vector, then
-one ``demand[idx] += partial`` per local in stats order (an
-:class:`AggregateStats` entry by entry), each partial times its local's
+one ``demand[i] += partial`` per reply entry in stats order (a reply's
+``demand`` a tuple or an ndarray alike), each partial times its local's
 staleness discount, jobs the plane no longer knows skipped.  The two
 must agree to the last bit for any mix and order of locals.
 """
@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import STALE_HALFLIFE
-from repro.core.hierarchy import (
-    AggregateStats,
-    ArrayStats,
-    HierarchicalControlPlane,
-    JobAggregate,
-    RackEndpoint,
-)
+from repro.core.hierarchy import AggregateStats, HierarchicalControlPlane
 from repro.core.stage import StageIdentity
 
 N_JOBS = 6
@@ -31,46 +25,36 @@ UNKNOWN = ("ghost0", "ghost1")
 
 
 def reference_fold(plane, stats):
-    """The per-local fold, one fancy-index add per local."""
+    """The per-local fold, one add per reply entry."""
     demand = np.zeros(len(plane.vector_job_ids()))
     halflife = STALE_HALFLIFE * plane.config.loop_interval
     ages = plane._stats_age
     pos = {job_id: i for i, job_id in enumerate(plane.vector_job_ids())}
     for local_id, agg in stats.items():
-        if not isinstance(agg, (AggregateStats, ArrayStats)):
+        if not isinstance(agg, AggregateStats):
             continue
         discount = 1.0
         if ages:
             age = ages.get(local_id, 0.0)
             if age > 0.0:
                 discount = 0.5 ** (age / halflife)
-        if isinstance(agg, ArrayStats):
-            raw = np.array([pos.get(job_id, -1) for job_id in agg.job_ids], dtype=np.intp)
-            sel = np.flatnonzero(raw >= 0)
-            vals = agg.demand
+        for job_id, job_demand in zip(agg.job_ids, agg.demand):
+            i = pos.get(job_id)
+            if i is None:
+                continue
             if discount != 1.0:
-                vals = vals * discount
-            demand[raw[sel]] += vals[sel]
-        else:
-            for job_id, job_demand, _n_stages in agg.jobs:
-                i = pos.get(job_id)
-                if i is None:
-                    continue
-                if discount != 1.0:
-                    job_demand = job_demand * discount
-                demand[i] += job_demand
+                job_demand = job_demand * discount
+            demand[i] += job_demand
     return demand
 
 
 def make_plane():
     plane = HierarchicalControlPlane()
     for r in range(3):
-        plane.attach_local(
-            RackEndpoint(f"rack{r}", collect=lambda *_: None, enforce=lambda *_: True)
-        )
+        plane.attach_local(f"rack{r}", lambda message: None)
     for j, job_id in enumerate(KNOWN):
         for s in range(1 + j % 3):
-            plane.register_remote(StageIdentity(f"{job_id}-s{s}", job_id), f"rack{(j + s) % 3}")
+            plane.register_stage(StageIdentity(f"{job_id}-s{s}", job_id), f"rack{(j + s) % 3}")
     return plane
 
 
@@ -87,9 +71,9 @@ ages = st.one_of(
 
 @st.composite
 def local_reports(draw):
-    """One local: its kind, the jobs it reports (each once, any order,
-    unknown ones included), their partials and the stats' age."""
-    kind = draw(st.sampled_from(["array", "aggregate", "other"]))
+    """One local: its reply's demand kind, the jobs it reports (each once,
+    any order, unknown ones included), their partials and the stats' age."""
+    kind = draw(st.sampled_from(["array", "tuple", "other"]))
     job_ids = tuple(draw(st.permutations(KNOWN + UNKNOWN))[: draw(st.integers(0, 8))])
     partials = [draw(demands) for _ in job_ids]
     return kind, job_ids, partials, draw(ages)
@@ -99,18 +83,13 @@ def build_stats(reports):
     stats, stats_age = {}, {}
     for k, (kind, job_ids, partials, age) in enumerate(reports):
         local_id = f"local{k}"
-        if kind == "array":
-            stats[local_id] = ArrayStats(
-                local_id, 1.0, job_ids, np.array(partials, dtype=np.float64),
-                tuple(1 for _ in job_ids),
-            )
-        elif kind == "aggregate":
-            stats[local_id] = AggregateStats(
-                local_id, 1.0,
-                tuple(JobAggregate(j, d, 1) for j, d in zip(job_ids, partials)),
-            )
-        else:
+        if kind == "other":
             stats[local_id] = object()  # not an aggregate: skipped
+        else:
+            demand = tuple(partials)
+            if kind == "array":
+                demand = np.array(partials, dtype=np.float64)
+            stats[local_id] = AggregateStats(job_ids, demand, tuple(1 for _ in job_ids))
         if age is not None:
             stats_age[local_id] = age
     return stats, stats_age
@@ -145,10 +124,10 @@ def test_the_cached_index_follows_placement():
     plane.vector_job_ids()
     layout = ("job0", "late")
     stats = {
-        "rack0": ArrayStats("rack0", 1.0, layout, np.array([2.0, 3.0]), (1, 1))
+        "rack0": AggregateStats(layout, np.array([2.0, 3.0]), (1, 1))
     }
     assert plane._job_demand_vec(stats).tolist() == [2.0] + [0.0] * (N_JOBS - 1)
-    plane.register_remote(StageIdentity("late-s0", "late"), "rack1")
+    plane.register_stage(StageIdentity("late-s0", "late"), "rack1")
     plane.vector_job_ids()
     assert plane._job_demand_vec(stats).tolist() == [2.0] + [0.0] * (N_JOBS - 1) + [3.0]
     assert plane._job_demand_vec(stats).tobytes() == reference_fold(plane, stats).tobytes()

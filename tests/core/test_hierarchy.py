@@ -25,6 +25,7 @@ from repro.core.hierarchy import (
 )
 from repro.core.requests import OperationType, Request
 from repro.core.rpc import Ping
+from repro.core.stage import StageIdentity
 
 from tests.core.test_controller import make_stage
 
@@ -49,19 +50,31 @@ def build_flat(n_jobs=3, stages_per_job=2, capacity=120.0):
     return cp, stages
 
 
+def attach_racks(cp, n_racks):
+    """``n_racks`` in-process locals, each attached at its id."""
+    racks = [LocalController(f"rack{r}") for r in range(n_racks)]
+    for rack in racks:
+        cp.attach_local(rack.local_id, rack.handle)
+    return racks
+
+
+def host(cp, rack, stage):
+    """Register ``stage`` on its rack's local, then on the plane."""
+    rack.register(stage)
+    cp.register_stage(stage.identity, rack.local_id)
+
+
 def build_hier(n_jobs=3, stages_per_job=2, n_racks=2, capacity=120.0, config=None):
     """Whole-job-per-rack placement: job j lives on rack j % n_racks."""
     cp = HierarchicalControlPlane(
         config=config, algorithm=ProportionalSharing(capacity=capacity)
     )
-    racks = [LocalController(f"rack{r}") for r in range(n_racks)]
-    for rack in racks:
-        cp.attach_local(rack)
+    racks = attach_racks(cp, n_racks)
     stages = []
     for j in range(n_jobs):
         for s in range(stages_per_job):
             stage = make_stage(f"j{j}s{s}", f"job{j}")
-            cp.register_stage(stage, f"rack{j % n_racks}")
+            host(cp, racks[j % n_racks], stage)
             stages.append(stage)
     return cp, stages, racks
 
@@ -88,10 +101,9 @@ class TestLocalController:
             CollectAggregate(now=1.0, channel="metadata", loop_interval=1.0)
         )
         assert isinstance(agg, AggregateStats)
-        by_job = {ja.job_id: ja for ja in agg.jobs}
-        assert by_job["jobA"].n_stages == 2
-        assert by_job["jobB"].n_stages == 1
-        assert by_job["jobA"].demand > by_job["jobB"].demand > 0.0
+        assert agg.job_ids == ("jobA", "jobB")
+        assert agg.stage_counts == (2, 1)
+        assert agg.demand[0] > agg.demand[1] > 0.0
 
     def test_enforce_fans_out_to_job_stages_only(self):
         local = LocalController("rack0")
@@ -137,13 +149,28 @@ class TestHierarchicalRegistration:
     def test_register_stage_requires_attached_local(self):
         cp = HierarchicalControlPlane()
         with pytest.raises(ConfigError):
-            cp.register_stage(make_stage("s0", "jobA"), "ghost-rack")
+            cp.register_stage(StageIdentity("s0", "jobA"), "ghost-rack")
+
+    def test_duplicate_stage_rejected(self):
+        cp = HierarchicalControlPlane()
+        attach_racks(cp, 2)
+        cp.register_stage(StageIdentity("s0", "jobA"), "rack0")
+        with pytest.raises(ConfigError, match="already registered"):
+            cp.register_stage(StageIdentity("s0", "jobA"), "rack1")
+        assert cp.local_stages("rack0") == ["s0"]
+        assert cp.local_stages("rack1") == []
 
     def test_duplicate_local_rejected(self):
         cp = HierarchicalControlPlane()
-        cp.attach_local(LocalController("rack0"))
+        attach_racks(cp, 1)
         with pytest.raises(ConfigError):
-            cp.attach_local(LocalController("rack0"))
+            cp.attach_local("rack0", LocalController("rack0").handle)
+
+    def test_empty_local_id_rejected(self):
+        cp = HierarchicalControlPlane()
+        with pytest.raises(ConfigError):
+            cp.attach_local("", lambda message: None)
+        assert cp.locals == {}
 
     def test_job_bookkeeping_matches_flat(self):
         cp, _, _ = build_hier(n_jobs=3, stages_per_job=2)
@@ -156,7 +183,10 @@ class TestHierarchicalRegistration:
         cp.deregister("j0s1")
         assert cp.jobs == {}
         assert cp.stages == {}
-        assert racks[0].stage_ids == []
+        assert cp.local_stages("rack0") == []
+        # The plane only records placement: the rack's owner deregisters
+        # the stage there.
+        assert racks[0].stage_ids == ["j0s0", "j0s1"]
         with pytest.raises(StageNotRegistered):
             cp.deregister("j0s0")
 
@@ -205,10 +235,9 @@ class TestFaultTolerance:
             config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )
-        for r in range(2):
-            cp.attach_local(LocalController(f"rack{r}"))
+        racks = attach_racks(cp, 2)
         for j in range(4):
-            cp.register_stage(make_stage(f"j{j}s0", f"job{j}"), f"rack{j % 2}")
+            host(cp, racks[j % 2], make_stage(f"j{j}s0", f"job{j}"))
         # rack1 goes dark for good.
         fabric.set_link("rack1", LinkProfile(loss=1.0))
         for t in range(EXHAUST_TWICE):
@@ -225,10 +254,10 @@ class TestFaultTolerance:
         cp = HierarchicalControlPlane(
             fabric=fabric, algorithm=ProportionalSharing(capacity=100.0)
         )
-        cp.attach_local(LocalController("rack0"))
+        (rack,) = attach_racks(cp, 1)
         stages = [make_stage(f"s{i}", f"job{i}") for i in range(2)]
         for stage in stages:
-            cp.register_stage(stage, "rack0")
+            host(cp, rack, stage)
         for t in range(5):
             now = float(t)
             env.run(until=now)

@@ -156,8 +156,11 @@ class TestSyncCollectOverDeferringFabric:
             cp.register(make_stage("s0", "job0"))
         else:
             cp = HierarchicalControlPlane(fabric=fabric, algorithm=algorithm)
-            cp.attach_local(LocalController("rack0"))
-            cp.register_stage(make_stage("s0", "job0"), "rack0")
+            rack = LocalController("rack0")
+            cp.attach_local("rack0", rack.handle)
+            stage = make_stage("s0", "job0")
+            rack.register(stage)
+            cp.register_stage(stage.identity, "rack0")
         return cp
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Split-job placement: demand merge, staleness, eviction, RackEndpoint.
+"""Split-job placement: demand merge, staleness, eviction, bound locals.
 
 Jobs whose stages span racks exercise the global tier's demand-merge
 protocol (``repro.core.hierarchy`` module docstring): per-local partial
@@ -20,17 +20,20 @@ from repro.core.hierarchy import (
     CollectAggregate,
     EnforceJobRateBatch,
     HierarchicalControlPlane,
-    JobAggregate,
     LocalController,
-    RackEndpoint,
 )
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.requests import OperationType, Request
-from repro.core.rpc import Ping
 from repro.core.stage import StageIdentity
 
 from tests.core.test_controller import make_stage
-from tests.core.test_hierarchy import EXHAUST_TWICE, build_flat, metadata_load
+from tests.core.test_hierarchy import (
+    EXHAUST_TWICE,
+    attach_racks,
+    build_flat,
+    host,
+    metadata_load,
+)
 
 
 def build_split(n_jobs=3, stages_per_job=2, n_racks=2, capacity=120.0, config=None):
@@ -38,16 +41,27 @@ def build_split(n_jobs=3, stages_per_job=2, n_racks=2, capacity=120.0, config=No
     cp = HierarchicalControlPlane(
         config=config, algorithm=ProportionalSharing(capacity=capacity)
     )
-    racks = [LocalController(f"rack{r}") for r in range(n_racks)]
-    for rack in racks:
-        cp.attach_local(rack)
+    racks = attach_racks(cp, n_racks)
     stages = []
     for j in range(n_jobs):
         for s in range(stages_per_job):
             stage = make_stage(f"j{j}s{s}", f"job{j}")
-            cp.register_stage(stage, f"rack{(j + s) % n_racks}")
+            host(cp, racks[(j + s) % n_racks], stage)
             stages.append(stage)
     return cp, stages, racks
+
+
+def verbs(collect, enforce):
+    """A local's handler from its two control verbs."""
+
+    def handle(message):
+        if isinstance(message, CollectAggregate):
+            return collect(message)
+        if isinstance(message, EnforceJobRateBatch):
+            return enforce(message)
+        raise RPCError(f"unhandled message type {type(message).__name__}")
+
+    return handle
 
 
 class TestSingleRackReduction:
@@ -81,9 +95,9 @@ class TestDemandMerge:
             agg = rack.handle(
                 CollectAggregate(now=1.0, channel="metadata", loop_interval=1.0)
             )
-            assert {ja.job_id for ja in agg.jobs} == {"job0", "job1"}
-            assert all(ja.n_stages == 1 for ja in agg.jobs)
-            assert all(ja.demand > 0.0 for ja in agg.jobs)
+            assert set(agg.job_ids) == {"job0", "job1"}
+            assert agg.stage_counts == (1, 1)
+            assert all(demand > 0.0 for demand in agg.demand)
 
     def test_partials_merge_to_flat_plane_demand(self):
         cp, stages, _ = build_split(n_jobs=2, stages_per_job=2, n_racks=2)
@@ -115,40 +129,30 @@ class TestDemandMerge:
             pushes.extend((local_id, job_id) for job_id, _, _ in message.entries)
             return True
 
-        def collect(local_id, message):
-            return AggregateStats(
-                local_id=local_id,
-                timestamp=message.now,
-                jobs=(JobAggregate(job_id="job0", demand=50.0, n_stages=2),),
-            )
+        def collect(message):
+            return AggregateStats(("job0",), (50.0,), (2,))
 
         cp = HierarchicalControlPlane(
             algorithm=ProportionalSharing(capacity=10.0)
         )
         for r in range(2):
-            cp.attach_local(RackEndpoint(f"rack{r}", collect=collect, enforce=enforce))
+            cp.attach_local(
+                f"rack{r}", verbs(collect, lambda m, r=r: enforce(f"rack{r}", m))
+            )
         # 4 stages of one job spread over 2 racks: 2 stages per rack.
         for s in range(4):
-            cp.register_remote(
-                StageIdentity(f"s{s}", "job0"), f"rack{s % 2}"
-            )
+            cp.register_stage(StageIdentity(f"s{s}", "job0"), f"rack{s % 2}")
         cp.tick(1.0)
         assert sorted(pushes) == [("rack0", "job0"), ("rack1", "job0")]
 
     def test_staleness_discount_is_per_local(self):
         cp = HierarchicalControlPlane(algorithm=ProportionalSharing(capacity=100.0))
         halflife = STALE_HALFLIFE * cp.config.loop_interval
-        for r in range(2):
-            cp.attach_local(LocalController(f"rack{r}"))
+        racks = attach_racks(cp, 2)
         for s in range(2):
-            cp.register_stage(make_stage(f"s{s}", "job0"), f"rack{s}")
+            host(cp, racks[s], make_stage(f"s{s}", "job0"))
         stats = {
-            f"rack{r}": AggregateStats(
-                local_id=f"rack{r}",
-                timestamp=0.0,
-                jobs=(JobAggregate(job_id="job0", demand=40.0, n_stages=1),),
-            )
-            for r in range(2)
+            f"rack{r}": AggregateStats(("job0",), (40.0,), (1,)) for r in range(2)
         }
         # rack0's aggregate is one halflife old; rack1's is fresh.  Only
         # rack0's partial dims -- its rack-mate contributes at full weight.
@@ -169,14 +173,13 @@ class TestSpanningJobEviction:
             config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
         )
-        for r in range(3):
-            cp.attach_local(LocalController(f"rack{r}"))
+        racks = attach_racks(cp, 3)
         # jobA spans rack0+rack1 (both doomed); jobB spans rack1+rack2,
         # so it loses one stage but survives on rack2.
-        cp.register_stage(make_stage("a0", "jobA"), "rack0")
-        cp.register_stage(make_stage("a1", "jobA"), "rack1")
-        cp.register_stage(make_stage("b0", "jobB"), "rack1")
-        cp.register_stage(make_stage("b1", "jobB"), "rack2")
+        host(cp, racks[0], make_stage("a0", "jobA"))
+        host(cp, racks[1], make_stage("a1", "jobA"))
+        host(cp, racks[1], make_stage("b0", "jobB"))
+        host(cp, racks[2], make_stage("b1", "jobB"))
         fabric.set_link("rack0", LinkProfile(loss=1.0))
         fabric.set_link("rack1", LinkProfile(loss=1.0))
         for t in range(EXHAUST_TWICE):
@@ -221,29 +224,23 @@ class TestBatchedEnforcement:
     def test_cycle_sends_one_batch_per_hosting_local(self):
         # Two spanning jobs on two racks: each rack must receive exactly
         # one batch per cycle carrying both jobs' split rates in
-        # allocation order.  The collect replies use raw partial triples,
-        # which the plane must accept interchangeably with JobAggregate.
+        # allocation order.
         batches: dict = {}
 
         def make(rack_id):
-            return RackEndpoint(
-                rack_id,
-                collect=lambda lid, m: AggregateStats(
-                    local_id=lid,
-                    timestamp=m.now,
-                    jobs=(("job0", 40.0, 1), ("job1", 20.0, 1)),
-                ),
-                enforce=lambda lid, m: batches.setdefault(lid, []).append(m),
+            return verbs(
+                lambda m: AggregateStats(("job0", "job1"), (40.0, 20.0), (1, 1)),
+                lambda m: batches.setdefault(rack_id, []).append(m),
             )
 
         cp = HierarchicalControlPlane(
             algorithm=ProportionalSharing(capacity=100.0)
         )
         for r in range(2):
-            cp.attach_local(make(f"rack{r}"))
+            cp.attach_local(f"rack{r}", make(f"rack{r}"))
         for j in range(2):
             for r in range(2):
-                cp.register_remote(StageIdentity(f"j{j}r{r}", f"job{j}"), f"rack{r}")
+                cp.register_stage(StageIdentity(f"j{j}r{r}", f"job{j}"), f"rack{r}")
         cp.tick(1.0)
         logged = {job: rate for _, job, rate in cp.enforcement_log}
         assert set(logged) == {"job0", "job1"}
@@ -257,25 +254,18 @@ class TestBatchedEnforcement:
 
     def test_policy_push_is_a_batch_of_one_per_hosting_local(self):
         # A 4-stage job: one stage on each of two LocalControllers, two
-        # on a RackEndpoint.  The policy's rate and burst are split once
-        # over all four stages and reach every hosting local as one
+        # behind a plain handler.  The policy's rate and burst are split
+        # once over all four stages and reach every hosting local as one
         # single-entry batch.
         rack_batches = []
         cp = HierarchicalControlPlane()
-        for r in range(2):
-            cp.attach_local(LocalController(f"rack{r}"))
-        cp.attach_local(
-            RackEndpoint(
-                "rack2",
-                collect=lambda lid, m: None,
-                enforce=lambda lid, m: rack_batches.append(m),
-            )
-        )
+        racks = attach_racks(cp, 2)
+        cp.attach_local("rack2", verbs(lambda m: None, rack_batches.append))
         stages = [make_stage(f"s{r}", "job0") for r in range(2)]
-        for r, stage in enumerate(stages):
-            cp.register_stage(stage, f"rack{r}")
+        for rack, stage in zip(racks, stages):
+            host(cp, rack, stage)
         for s in (2, 3):
-            cp.register_remote(StageIdentity(f"s{s}", "job0"), "rack2")
+            cp.register_stage(StageIdentity(f"s{s}", "job0"), "rack2")
         cp.install_policy(
             PolicyRule(
                 name="cap",
@@ -294,72 +284,27 @@ class TestBatchedEnforcement:
         )
 
 
-class TestRackEndpoint:
-    def test_dispatches_verbs_to_callables(self):
-        seen = {}
+class TestBoundLocal:
+    """A local is an address and a handler; the plane keeps its stages."""
 
-        def collect(local_id, message):
-            seen["collect"] = (local_id, message.now)
-            return AggregateStats(local_id=local_id, timestamp=message.now, jobs=())
-
-        def enforce(local_id, message):
-            ((job_id, rate, _burst),) = message.entries
-            seen["enforce"] = (local_id, job_id, rate)
-            return True
-
-        rack = RackEndpoint("rack0", collect=collect, enforce=enforce)
-        rack.handle(CollectAggregate(now=2.0, channel="metadata", loop_interval=1.0))
-        rack.handle(
-            EnforceJobRateBatch(
-                channel_id="metadata", now=2.0, entries=(("j", 5.0, None),)
-            )
-        )
-        assert seen == {
-            "collect": ("rack0", 2.0),
-            "enforce": ("rack0", "j", 5.0),
-        }
-        assert rack.handle(Ping(payload="hi")) == "hi"
-        with pytest.raises(RPCError):
-            rack.handle(object())
-
-    def test_adoption_registry(self):
-        rack = RackEndpoint(
-            "rack0", collect=lambda *a: None, enforce=lambda *a: None
-        )
-        identity = StageIdentity("s0", "job0")
-        rack.adopt(identity)
-        assert rack.stage_ids == ["s0"]
-        with pytest.raises(ConfigError):
-            rack.adopt(identity)
-        rack.deregister("s0")
-        with pytest.raises(StageNotRegistered):
-            rack.deregister("s0")
-        with pytest.raises(ConfigError):
-            RackEndpoint("", collect=lambda *a: None, enforce=lambda *a: None)
-
-    def test_register_remote_bookkeeping_and_errors(self):
+    def test_register_stage_bookkeeping_and_errors(self):
         cp = HierarchicalControlPlane()
-        rack = RackEndpoint(
-            "rack0", collect=lambda *a: None, enforce=lambda *a: None
-        )
-        cp.attach_local(rack)
-        cp.register_remote(StageIdentity("s0", "job0"), "rack0")
+        cp.attach_local("rack0", verbs(lambda m: None, lambda m: True))
+        cp.register_stage(StageIdentity("s0", "job0"), "rack0")
         assert set(cp.stages) == {"s0"}
         assert cp.jobs["job0"].n_stages == 1
+        assert cp.local_stages("rack0") == ["s0"]
         with pytest.raises(ConfigError):
-            cp.register_remote(StageIdentity("s0", "job0"), "rack0")
+            cp.register_stage(StageIdentity("s0", "job0"), "rack0")
         with pytest.raises(ConfigError):
-            cp.register_remote(StageIdentity("s1", "job0"), "ghost-rack")
-        # A plain LocalController cannot adopt out-of-process stages.
-        cp.attach_local(LocalController("rack1"))
-        with pytest.raises(ConfigError, match="adopt"):
-            cp.register_remote(StageIdentity("s1", "job0"), "rack1")
-        # Deregistration flows back through the endpoint.
+            cp.register_stage(StageIdentity("s1", "job0"), "ghost-rack")
         cp.deregister("s0")
         assert cp.jobs == {}
-        assert rack.stage_ids == []
+        assert cp.local_stages("rack0") == []
+        with pytest.raises(StageNotRegistered):
+            cp.detach_local("ghost-rack")
 
-    def test_evicting_endpoint_removes_adopted_stages(self, env):
+    def test_evicting_a_local_removes_its_stages(self, env):
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
         cp = HierarchicalControlPlane(
             fabric=fabric,
@@ -367,15 +312,9 @@ class TestRackEndpoint:
             algorithm=ProportionalSharing(capacity=100.0),
         )
         cp.attach_local(
-            RackEndpoint(
-                "rack0",
-                collect=lambda lid, m: AggregateStats(
-                    local_id=lid, timestamp=m.now, jobs=()
-                ),
-                enforce=lambda lid, m: True,
-            )
+            "rack0", verbs(lambda m: AggregateStats((), (), ()), lambda m: True)
         )
-        cp.register_remote(StageIdentity("s0", "job0"), "rack0")
+        cp.register_stage(StageIdentity("s0", "job0"), "rack0")
         fabric.set_link("rack0", LinkProfile(loss=1.0))
         for t in range(EXHAUST_TWICE):
             env.run(until=float(t))

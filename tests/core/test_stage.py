@@ -172,7 +172,6 @@ class TestCollect:
         stage.submit(Request(OperationType.READ, path="/f", count=3.0), 0.0)
         stage.drain(0.0)
         stats = stage.collect(2.0)
-        assert stats.stage_id == "s0"
         assert stats.job_id == "job0"
         assert stats.window == 2.0
         assert stage.passthrough_total == 3.0

@@ -46,13 +46,15 @@ def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3):
         algorithm=algorithm,
         enforce_array_sink=sink if vectorized else None,
     )
-    for r in range(n_racks):
-        cp.attach_local(LocalController(f"rack{r}"))
+    racks = [LocalController(f"rack{r}") for r in range(n_racks)]
+    for rack in racks:
+        cp.attach_local(rack.local_id, rack.handle)
     stages = []
     for j in range(n_jobs):
         for s in range(stages_per_job):
             stage = make_stage(f"j{j}s{s}", f"job{j}")
-            cp.register_stage(stage, f"rack{s % n_racks}")
+            racks[s % n_racks].register(stage)
+            cp.register_stage(stage.identity, f"rack{s % n_racks}")
             by_id[stage.identity.stage_id] = stage
             stages.append(stage)
     return cp, stages

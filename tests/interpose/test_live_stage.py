@@ -84,7 +84,7 @@ class TestLiveStage:
         stage.throttle(Request(OperationType.READ, path="/f"))
         clock.t = 2.0
         stats = stage.collect()
-        assert stats.stage_id == "ls0"
+        assert stats.job_id == "jobL"
         assert stats.window == pytest.approx(2.0)
         snap = stats.channels[0]
         assert snap.granted_ops == 4.0

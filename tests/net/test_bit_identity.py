@@ -24,7 +24,7 @@ from repro.core.algorithms import ProportionalSharing
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.fabric import FaultyFabric, LinkProfile
-from repro.core.hierarchy import HierarchicalControlPlane, LocalController, RackEndpoint
+from repro.core.hierarchy import HierarchicalControlPlane, LocalController
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import DataPlaneStage, StageIdentity
@@ -162,16 +162,18 @@ class TestBitIdentity:
 def run_hier_world(via_socket, link=None, fault_seed=3):
     """The scripted run on a hierarchical plane with every stage on one
     local: in process, or -- the stage-host shape -- a worker's
-    :class:`LocalController` bound at one address and reached through a
-    :class:`RackEndpoint` over a real localhost TCP reverse tunnel."""
+    :class:`LocalController` bound at one address and reached over a real
+    localhost TCP reverse tunnel.  Either way the plane attaches one
+    handler at ``host0`` and records the stages the local holds."""
     telemetry = Telemetry(TelemetryConfig(seed=5, sample_rate=0.5, trace=True))
     stages = _build_stages(telemetry)
     cleanup = []
     transport = None
     local = LocalController("host0")
+    for stage, _demand in stages:
+        local.register(stage)
+    handle = local.handle
     if via_socket:
-        for stage, _demand in stages:
-            local.register(stage)
         transport = SocketTransport(deadline=30.0)
         accepted = []
         seen = threading.Event()
@@ -186,10 +188,7 @@ def run_hier_world(via_socket, link=None, fault_seed=3):
         worker.connect(host, port, name="host0")
         assert seen.wait(5.0), "worker never connected"
         cleanup = [worker.close, transport.close]
-        forward = RemoteEndpoint(accepted[0], "host0", None)
-        local = RackEndpoint(
-            "host0", lambda _, message: forward(message), lambda _, message: forward(message)
-        )
+        handle = RemoteEndpoint(accepted[0], "host0", None)
     fabric = FaultyFabric(
         link=link, seed=fault_seed, telemetry=telemetry, transport=transport
     )
@@ -199,13 +198,10 @@ def run_hier_world(via_socket, link=None, fault_seed=3):
         algorithm=ProportionalSharing(capacity=CAPACITY),
         telemetry=telemetry,
     )
-    controller.attach_local(local)
+    controller.attach_local("host0", handle)
     try:
         for stage, _demand in stages:
-            if via_socket:
-                controller.register_remote(stage.identity, "host0")
-            else:
-                controller.register_stage(stage, "host0")
+            controller.register_stage(stage.identity, "host0")
         _run_ticks(controller, stages)
         return _observable(controller, telemetry), fabric
     finally:

@@ -101,7 +101,7 @@ class TestRoundTrip:
         accepted = pair.wait_accepted()
         pair.transport.bind("job0/s0", RemoteEndpoint(accepted, "job0/s0", None))
         stats = pair.transport.call("job0/s0", CollectStats(now=1.0))
-        assert stats.stage_id == "job0/s0"
+        assert stats.job_id == "job0"
         assert stats.channels[0].channel_id == "metadata"
         worker.close()
 

@@ -27,9 +27,7 @@ from repro.net import WireConnection
 
 REQUEST = {"to": "job0/s0", "msg": CollectStats(now=1001.0)}
 REPLY = StageStats(
-    stage_id="job0/s0",
     job_id="job0",
-    timestamp=1001.0,
     window=1.0,
     channels=(ChannelSnapshot("metadata", 100.0, 120.5, 20.0, 128.0),),
 )

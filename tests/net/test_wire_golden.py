@@ -20,12 +20,7 @@ import math
 import pytest
 
 from repro.core.differentiation import ClassifierRule
-from repro.core.hierarchy import (
-    AggregateStats,
-    CollectAggregate,
-    EnforceJobRateBatch,
-    JobAggregate,
-)
+from repro.core.hierarchy import AggregateStats, CollectAggregate, EnforceJobRateBatch
 from repro.core.requests import OperationClass, OperationType
 from repro.core.rpc import (
     CollectStats,
@@ -75,9 +70,7 @@ def _snapshot(channel_id: str, scale: float) -> ChannelSnapshot:
 
 def _stats(n_channels: int) -> StageStats:
     return StageStats(
-        stage_id="job0/s0",
         job_id="job0",
-        timestamp=1041.5,
         window=1.0,
         channels=tuple(
             _snapshot(name, index + 1.0)
@@ -117,15 +110,8 @@ CORPUS = [
     ("stage_stats_1", _stats(1), SAME),
     ("stage_stats_3", _stats(3), SAME),
     ("channel_snapshot", _snapshot("metadata", 1.0), SAME),
-    ("job_aggregate", JobAggregate("job0", 180.0, 4), SAME),
-    (
-        "aggregate_stats",
-        AggregateStats(
-            "rack0", 7.0, (JobAggregate("job0", 180.0, 4), JobAggregate("job1", 60.5, 2))
-        ),
-        SAME,
-    ),
-    ("aggregate_stats_empty", AggregateStats("rack1", 0.0, ()), SAME),
+    ("aggregate_stats", AggregateStats(("job0", "job1"), (180.0, 60.5), (4, 2)), SAME),
+    ("aggregate_stats_empty", AggregateStats((), (), ()), SAME),
     ("enum_type", OperationType.OPEN, SAME),
     ("enum_class", OperationClass.METADATA, SAME),
     # -- envelopes -------------------------------------------------------------
@@ -205,28 +191,28 @@ GOLDEN = {
     ),
     'stage_identity': b'{"!t":"StageIdentity","f":["job0/s1","job0","n1",42,""]}',
     'stage_identity_user': b'{"!t":"StageIdentity","f":["s","j","h\\u00f4st",1,"\\u00fcser"]}',
-    'stage_stats_0': (
-        b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[]}]}'
-    ),
+    'stage_stats_0': b'{"!t":"StageStats","f":["job0",1.0,{"!t":"tuple","f":[]}]}',
     'stage_stats_1': (
-        b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[{"!t"'
-        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]}]}]}'
+        b'{"!t":"StageStats","f":["job0",1.0,{"!t":"tuple","f":[{"!t":"ChannelSnapshot",'
+        b'"f":["metadata",100.0,120.5,20.0,128.0]}]}]}'
     ),
     'stage_stats_3': (
-        b'{"!t":"StageStats","f":["job0/s0","job0",1041.5,1.0,{"!t":"tuple","f":[{"!t"'
-        b':"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]},{"!t":"ChannelSn'
-        b'apshot","f":["data",200.0,241.0,20.0,256.0]},{"!t":"ChannelSnapshot","f":["d'
-        b'ir",300.0,361.5,20.0,Infinity]}]}]}'
+        b'{"!t":"StageStats","f":["job0",1.0,{"!t":"tuple","f":[{"!t":"ChannelSnapshot",'
+        b'"f":["metadata",100.0,120.5,20.0,128.0]},{"!t":"ChannelSnapshot","f":["data",2'
+        b'00.0,241.0,20.0,256.0]},{"!t":"ChannelSnapshot","f":["dir",300.0,361.5,20.0,In'
+        b'finity]}]}]}'
     ),
     'channel_snapshot': (
         b'{"!t":"ChannelSnapshot","f":["metadata",100.0,120.5,20.0,128.0]}'
     ),
-    'job_aggregate': b'{"!t":"JobAggregate","f":["job0",180.0,4]}',
     'aggregate_stats': (
-        b'{"!t":"AggregateStats","f":["rack0",7.0,{"!t":"tuple","f":[{"!t":"JobAggrega'
-        b'te","f":["job0",180.0,4]},{"!t":"JobAggregate","f":["job1",60.5,2]}]}]}'
+        b'{"!t":"AggregateStats","f":[{"!t":"tuple","f":["job0","job1"]},{"!t":"tuple","'
+        b'f":[180.0,60.5]},{"!t":"tuple","f":[4,2]}]}'
     ),
-    'aggregate_stats_empty': b'{"!t":"AggregateStats","f":["rack1",0.0,{"!t":"tuple","f":[]}]}',
+    'aggregate_stats_empty': (
+        b'{"!t":"AggregateStats","f":[{"!t":"tuple","f":[]},{"!t":"tuple","f":[]},{"!t":'
+        b'"tuple","f":[]}]}'
+    ),
     'enum_type': b'{"!t":"OperationType","f":"open"}',
     'enum_class': b'{"!t":"OperationClass","f":"metadata"}',
     'request_envelope': b'{"msg":{"!t":"CollectStats","f":[1001.0]},"to":"job0/s0"}',
@@ -234,7 +220,7 @@ GOLDEN = {
         b'{"msg":{"!t":"EnforceRate","f":["metadata",1234.5678,1001.0,null]},"to":"job'
         b'7/s3"}'
     ),
-    'hello': b'{"peer":"bench-worker","version":2}',
+    'hello': b'{"peer":"bench-worker","version":3}',
     'error': b'{"detail":"address \'ghost\' not bound","error":"StageNotRegistered"}',
     'nested_tuples': (
         b'{"!t":"tuple","f":[1,"a",{"!t":"tuple","f":[2.5,null,{"!t":"tuple","f":[{"!t'
@@ -290,8 +276,8 @@ def test_corpus_and_golden_name_the_same_entries():
     assert [name for name, _, _ in CORPUS] == list(GOLDEN)
 
 
-def test_wire_version_is_two():
-    assert WIRE_VERSION == 2
+def test_wire_version_is_three():
+    assert WIRE_VERSION == 3
 
 
 def test_every_registered_tag_is_in_the_corpus():

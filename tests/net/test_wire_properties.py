@@ -5,22 +5,25 @@ of; these state what it must do for all of them: every registered value
 and container survives a round trip, the stdlib's own canonical JSON is
 what a plain document encodes to, a frame stream parses the same however
 it is chunked, and nothing a peer can send -- truncated, bit-flipped, or
-simply invented -- raises anything but ``WireError``.
+simply invented -- raises anything but ``WireError``, and a reply record
+that decodes is one the control loop can compute with.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.differentiation import ClassifierRule
+from repro.core.controller import ControlPlane, fold_stage_demand
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
-    JobAggregate,
+    HierarchicalControlPlane,
 )
 from repro.core.requests import OperationClass, OperationType
 from repro.core.rpc import (
@@ -70,12 +73,14 @@ rules = st.builds(
     priority=st.integers(-5, 5),
 )
 snapshots = st.builds(ChannelSnapshot, names, floats, floats, floats, floats)
-job_aggregates = st.builds(JobAggregate, names, floats, st.integers(0, 64))
+aggregates = st.lists(st.tuples(names, floats, st.integers(0, 64)), max_size=3).map(
+    lambda rows: AggregateStats(*(tuple(row[i] for row in rows) for i in range(3)))
+)
 registered = st.one_of(
     enums,
     rules,
     snapshots,
-    job_aggregates,
+    aggregates,
     st.builds(Ping, scalars),
     st.builds(CollectStats, floats),
     st.builds(EnforceRate, names, floats, floats, optional_floats),
@@ -98,17 +103,8 @@ registered = st.one_of(
         st.integers(0, 2**22),
         st.text(max_size=8),
     ),
-    st.builds(
-        StageStats,
-        names,
-        names,
-        floats,
-        floats,
-        st.lists(snapshots, max_size=3).map(tuple),
-    ),
-    st.builds(
-        AggregateStats, names, floats, st.lists(job_aggregates, max_size=3).map(tuple)
-    ),
+    st.builds(StageStats, names, floats, st.lists(snapshots, max_size=3).map(tuple)),
+    aggregates,
 )
 keys = st.one_of(st.text(max_size=6), st.sampled_from(["!t", "f", "to", "msg"]))
 values = st.recursive(
@@ -214,6 +210,61 @@ invented = st.recursive(
 @given(invented)
 def test_invented_tagged_documents_raise_only_wire_error(document):
     decodes_or_refuses(json.dumps(document).encode("utf-8"))
+
+
+@st.composite
+def hostile_records(draw):
+    """A reply record of the right arity whose fields are anything: invented
+    values, tuples of them, or well-typed pieces in the wrong places."""
+    tag, arity = draw(
+        st.sampled_from([("AggregateStats", 3), ("StageStats", 3), ("ChannelSnapshot", 5)])
+    )
+    field = st.one_of(
+        invented,
+        st.lists(invented, max_size=3).map(lambda items: {"!t": "tuple", "f": items}),
+        st.lists(
+            st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans()),
+            max_size=3,
+        ).map(lambda items: {"!t": "tuple", "f": items}),
+        st.builds(
+            lambda body: {"!t": "ChannelSnapshot", "f": body},
+            st.lists(
+                st.one_of(st.text(max_size=4), st.floats(), st.booleans()),
+                min_size=5,
+                max_size=5,
+            ),
+        ),
+    )
+    return {"!t": tag, "f": [draw(field) for _ in range(arity)]}
+
+
+def plane_reads(value) -> None:
+    """What the control loop does with a reply: fold it and view it."""
+    if isinstance(value, AggregateStats):
+        plane = HierarchicalControlPlane()
+        plane.attach_local("rack0", lambda message: None)
+        plane.vector_job_ids()
+        plane._job_demand_vec({"rack0": value})
+        plane._cycle_view({"rack0": value})
+        demand = np.asarray(value.demand, dtype=np.float64)
+        assert len(value.job_ids) == demand.size
+        assert not np.isnan(demand).any()
+    elif isinstance(value, StageStats):
+        for snap in value.channels:
+            fold_stage_demand({}, value, snap.channel_id, 1.0)
+        ControlPlane()._cycle_view({"s0": value})
+    elif isinstance(value, ChannelSnapshot):
+        fold_stage_demand({}, StageStats("job0", 1.0, (value,)), value.channel_id, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_records())
+def test_a_hostile_reply_record_is_refused_where_it_is_decoded(document):
+    try:
+        value = decode_payload(json.dumps(document).encode("utf-8"))
+    except WireError:
+        return
+    plane_reads(value)
 
 
 # -- framing --------------------------------------------------------------------------

@@ -5,9 +5,10 @@
 its stage hosts.  Pinned here, over real sockets and a manual clock: with
 whole jobs on one host the enforcement log is the in-process (flat)
 service's, bit for bit; a respawned host takes its name over and the old
-link's late close changes nothing; and a remote stage an admin verb
+link's late close changes nothing; a remote stage an admin verb
 evicts stops being collected and enforced -- its host's local forgets it
-and it keeps its last rate, as a deregistered stage always has.
+and it keeps its last rate, as a deregistered stage always has; and a
+host whose collect reply is malformed misses its own cycle, nobody else's.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import pytest
 
 from repro.core.algorithms import MIN_RATE
 from repro.core.controller import ControlPlane
-from repro.core.hierarchy import HierarchicalControlPlane
+from repro.core.hierarchy import AggregateStats, CollectAggregate, HierarchicalControlPlane
 from repro.core.requests import OperationType
+from repro.core.stage import StageIdentity
+from repro.net import SocketTransport
 from repro.service.config import WorkloadSpec
 from repro.service.runtime import ServiceRuntime
-from repro.service.stagehost import StageHost
+from repro.service.stagehost import StageHost, register_push
 from tests.service.test_stagehost import _ManualClock, _dial, _proc_config, _wait
 
 #: ``admit`` never blocks on the manual clock.
@@ -101,16 +104,16 @@ class TestTakeover:
         try:
             old = _dial(runtime)
             record = runtime.hosts.records["host0"]
-            old_link, old_local = record.connection, record.local
+            old_link = record.connection
+            old_handle = runtime.controller.locals["host0"]
             new = StageHost("host0", ["job0/s0", "job0/s1"])
             new.start(*runtime.control_address)
             assert _wait(
                 lambda: record.connection is not old_link
-                and record.local is not None
-                and record.local.stage_ids == ["job0/s0", "job0/s1"]
+                and runtime.controller.local_stages("host0") == ["job0/s0", "job0/s1"]
             )
-            assert record.local is not old_local
-            assert runtime.controller.locals == {"host0": record.local}
+            assert list(runtime.controller.locals) == ["host0"]
+            assert runtime.controller.locals["host0"] is not old_handle
             assert [
                 (e.fields["stage"], e.fields["reason"])
                 for e in runtime.telemetry.events.of_kind("host.evict")
@@ -169,4 +172,47 @@ class TestEvictionReachesTheHost:
                     assert after[stage_id] == max(MIN_RATE, last[job_id] / job.n_stages)
         finally:
             host.stop()
+            runtime.stop()
+
+
+def _hostile(message):
+    """A host's handler whose collect reply has the record's arity and
+    nonsense fields (a name, a time and one job-less entry)."""
+    if isinstance(message, CollectAggregate):
+        return AggregateStats("rack1", 1.0, ("x",))
+    return True
+
+
+class TestHostileHost:
+    def test_a_malformed_reply_misses_only_its_own_host(self):
+        clock = _ManualClock()
+        runtime = ServiceRuntime(
+            _proc_config(
+                stage_procs=2, trace=False,
+                workload=WorkloadSpec(jobs=2, stages_per_job=1, rate=0.0),
+            ),
+            clock,
+        )
+        healthy = hostile = None
+        try:
+            healthy = StageHost("host0", ["job0/s0"], clock=clock)
+            healthy.start(*runtime.control_address)
+            hostile = SocketTransport()
+            hostile.bind("host1", _hostile)
+            link = hostile.connect(*runtime.control_address, name="host1")
+            link.push(register_push(StageIdentity("job1/s0", "job1")))
+            assert _wait(lambda: len(runtime.controller.stages) == 2)
+            clock.t += runtime.config.interval
+            # The reply is refused where its bytes are decoded: one miss,
+            # host1's, and the tick goes on to push host0's batch.
+            runtime.controller.tick(clock.t)
+            assert runtime.controller.collect_failures == 1
+            assert runtime.controller._missed_collects == {"host1": 1}
+            (stage,) = healthy.stages
+            assert stage.channel_rate("metadata") != float("inf")
+        finally:
+            if healthy is not None:
+                healthy.stop()
+            if hostile is not None:
+                hostile.close()
             runtime.stop()

@@ -199,8 +199,8 @@ class TestStageHostLive:
                 "hostA", CollectAggregate(now=host.clock(), channel="metadata",
                                           loop_interval=1.0),
             )
-            assert aggregate.local_id == "hostA"
-            assert [(job, n) for job, _, n in aggregate.jobs] == [("job0", 1), ("job1", 1)]
+            assert aggregate.job_ids == ("job0", "job1")
+            assert aggregate.stage_counts == (1, 1)
             with pytest.raises(StageNotRegistered):  # no stage has an address
                 controller.transport.call("job0/s0", CollectStats(now=host.clock()))
         finally:

@@ -16,6 +16,8 @@ The contracts under test (see ``repro.simulation.sharded.fluid``):
   were deleted, and a run at any shard count starts no process;
 * demand partials follow the hierarchy's exact per-stage expression;
 * enforcement pushed by the global plane genuinely caps throughput;
+* a rack is an address whose handler answers the two hierarchy verbs
+  from the coordinator's state and refuses any other;
 * a simulation runs once, then finishes once.
 """
 
@@ -27,10 +29,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RPCError
 from repro.core.algorithms import MIN_RATE, DominantResourceFairness, ProportionalSharing
-from repro.core.hierarchy import rack_index
+from repro.core.hierarchy import (
+    AggregateStats,
+    CollectAggregate,
+    EnforceJobRateBatch,
+    rack_index,
+)
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope, SteppedRate
+from repro.core.rpc import CollectStats, Ping
 from repro.experiments.fig4_sharded import run_fig4_sharded
 from repro.telemetry.runtime import Telemetry
 from repro.simulation.sharded import (
@@ -710,6 +718,33 @@ class TestEnforcement:
             pushes(ProportionalSharing(capacity=120.0), True, True),
             pushes(None, True, True),
         ) == expected
+
+
+class TestRackHandler:
+    def test_answers_collect_and_batch_and_refuses_other_verbs(self):
+        # A collect is the rack's slice of the barrier's demand vector; a
+        # batch entry lands in its block's slot arrays (a job the rack
+        # does not host is skipped); any other verb is an RPCError.
+        sim = ShardedSimulation(small_config())
+        plane, pool = sim.control_plane, sim._pool
+        sim.run(1.0)
+        rack = pool.racks["rack1"]
+        reply = plane.fabric.call("rack1", CollectAggregate(1.0, "metadata", 1.0))
+        assert type(reply) is AggregateStats
+        assert (reply.job_ids, reply.stage_counts) == (rack.job_ids, rack.stage_counts)
+        assert reply.demand.tobytes() == sim._demand[rack.slots].tobytes()
+        job_id = rack.job_ids[0]
+        batch = EnforceJobRateBatch(
+            "metadata", 1.0, ((job_id, 7.0, 21.0), ("ghost", 1.0, None))
+        )
+        assert plane.fabric.call("rack1", batch) is True
+        block, first = pool.block_of["rack1"]
+        slot = pool.slot_of[("rack1", job_id)] - first
+        assert (block._job_rate[slot], block._job_burst[slot]) == (7.0, 21.0)
+        for message in (Ping("hi"), CollectStats(1.0)):
+            with pytest.raises(RPCError, match="rack1"):
+                plane.fabric.call("rack1", message)
+        sim.close()
 
 
 class TestLifecycle:

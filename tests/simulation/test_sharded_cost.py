@@ -24,13 +24,12 @@ from repro.simulation.sharded import FluidConfig, ShardedConfig, ShardedSimulati
 
 PACKAGE = str(Path(repro.__file__).parent)
 
-#: The frames one rack's collect enters: the fabric's dispatch, the
-#: endpoint's verb switch, the coordinator's collect and its reply.
+#: The package frames one rack's collect enters: the fabric's dispatch
+#: and the coordinator's rack handler (the reply's named-tuple
+#: constructor is ``collections``' code, not the package's).
 COLLECT_HOP = (
     ("fabric.py", "call"),
-    ("hierarchy.py", "handle"),
-    ("coordinator.py", "_collect_rack"),
-    ("hierarchy.py", "__init__"),
+    ("coordinator.py", "_rack"),
 )
 
 

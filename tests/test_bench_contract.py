@@ -79,13 +79,14 @@ def test_patched_attribute_is_defined_on_its_owner(owner, attr):
 
 def test_live_stage_control_calls_keep_the_benchmark_signatures():
     # live_control_wire sets rates without ``now`` and collects with and
-    # without a timestamp.
-    live = live_stage.LiveStage(stage.StageIdentity("s0", "job0"))
+    # without a timestamp; each collect is checked through a field the
+    # control loop reads.
+    live = live_stage.LiveStage(stage.StageIdentity("s0", "job0"), clock=lambda: 0.0)
     live.create_channel("metadata")
     live.set_channel_rate("metadata", 25.0)
     assert live.channel_rate("metadata") == 25.0
-    assert live.collect().stage_id == "s0"
-    assert live.collect(7.0).timestamp == 7.0
+    assert live.collect(7.0).window == 7.0
+    assert live.collect().job_id == "job0"
 
 
 def test_live_stage_throttle_takes_a_request_positionally():

@@ -89,9 +89,6 @@ KEPT_UNREACHED: Dict[str, str] = {
     "'already triggered'",
     "repro.simulation.engine:Event.fail": "fault path: a failed event thrown into its "
     "waiters",
-    "repro.simulation.sharded.coordinator:ShardedSimulation._enforce_rack": "boundary: "
-    "policy and pause pushes, which no sharded entry point sends (every allocator's "
-    "rates arrive through the array sink)",
     "repro.simulation.sharded.fluid:FluidBlock._tick_scalar": "reference: the rack "
     "and block bit-identity tests compare the vector tick against it",
     "repro.telemetry.registry:Histogram.merge": "roadmap: item 5 ships "
