@@ -122,18 +122,3 @@ def test_replayer_demand_lookup(benchmark):
 
     benchmark(lookup)
 
-
-def test_discrete_mds_throughput(benchmark):
-    """End-to-end per-request service rate of the discrete MDS."""
-    from repro.pfs.discrete import ClosedLoopClient, DiscreteMDS, DiscreteMDSConfig
-    from repro.simulation.engine import Environment
-
-    def run():
-        env = Environment()
-        mds = DiscreteMDS(env, DiscreteMDSConfig(capacity=5000.0, n_threads=8))
-        ClosedLoopClient(env, mds)
-        env.run(until=2.0)
-        return mds.total_served()
-
-    served = benchmark(run)
-    assert served > 0

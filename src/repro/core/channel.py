@@ -30,15 +30,10 @@ class Channel:
         burst: Optional[float] = None,
         *,
         now: float = 0.0,
-        integral: bool = False,
     ) -> None:
         if not channel_id:
             raise ConfigError("channel needs an id")
         self.channel_id = channel_id
-        #: When True, requests are granted whole (never split) -- the
-        #: discrete per-request mode.  Fluid experiment channels leave this
-        #: False and split batches exactly at the token boundary.
-        self.integral = integral
         self.bucket = TokenBucket(rate, burst, now=now)
         self._queue: Deque[Request] = deque()
         self._backlog = 0.0
@@ -147,9 +142,6 @@ class Channel:
             if count <= remaining:
                 popleft()
                 remaining -= count
-            elif self.integral:
-                # Whole-request mode: the head does not fit, stop here.
-                break
             else:
                 # The granted part stands in for the head from here on.
                 head, rest = head.split(remaining)
@@ -161,8 +153,8 @@ class Channel:
             granted += count
             if sink is not None:
                 sink(head)
-        # Return unused allowance (from batch-boundary rounding) to the
-        # bucket: the discrete path consumes whole requests only.
+        # Return unused allowance to the bucket: the queue emptied first
+        # (the backlog and the queued counts differ by float error).
         if remaining > 0:
             self.bucket.refund(remaining)
         self._backlog -= granted

@@ -24,6 +24,10 @@ overrides exactly what the topology changes:
   ``_deliver_rates`` hands the cycle's per-stage rates to an
   ``enforce_array_sink`` instead when the plane has one;
 * **eviction scope** -- evicting a silent local removes all its stages;
+* **trust** -- a local may report only jobs it hosts, each once, with a
+  finite demand >= 0; any other reply is refused as that local's collect
+  miss (``_vet_replies``, a ``control.reply_refused`` event), so one
+  local cannot move the rates of jobs it does not run;
 
 plus the bookkeeping of which local hosts which stage.
 
@@ -313,6 +317,12 @@ class HierarchicalControlPlane(ControlPlane):
         self._vec_n_stages: Optional[np.ndarray] = None
         #: The demand fold's ``(key, idx, sel)`` (:meth:`_fold_index`).
         self._fold: Optional[tuple] = None
+        #: ``(placement version, job id tuples)`` whose ids last passed
+        #: :meth:`_vet_replies`.
+        self._vetted_ids: Optional[tuple] = None
+        #: ``(stats, fold input)`` of the last vetted collect, taken by the
+        #: next :meth:`_job_demand_vec` of those same stats.
+        self._gathered: Optional[tuple] = None
 
     # -- topology ----------------------------------------------------------
     @property
@@ -400,6 +410,82 @@ class HierarchicalControlPlane(ControlPlane):
         return self._hosting_locals.get(job_id, [])
 
     # -- collect -----------------------------------------------------------
+    def _collect(self, now: float) -> Dict[str, AggregateStats]:
+        """Collect every local's aggregate; with an algorithm to feed,
+        refuse what a local may not report (:meth:`_vet_replies`) before
+        the cycle freezes its job order, as a failed collect would be."""
+        missed = self._missed_collects
+        # An answer clears its local's misses; a refused one is a miss on
+        # top of those it had.
+        prior = dict(missed) if missed else None
+        stats = super()._collect(now)
+        if stats and self.algorithm is not None:
+            self._vet_replies(stats, now, prior)
+        return stats
+
+    def _vet_replies(
+        self,
+        stats: Dict[str, AggregateStats],
+        now: float,
+        prior: Optional[Dict[str, int]],
+    ) -> None:
+        """Refuse each reply that reports a job its local does not host,
+        reports a job twice, or reports a demand that is not finite and
+        >= 0: one local sets the rates of its own jobs only.
+
+        Ids are checked only when the layout or the reported id tuples
+        change (a steady world hands over the same tuples every cycle);
+        the demands are checked on the fold's own concatenation, once per
+        tick, and only a failure looks for the local at fault.  A job the
+        plane no longer knows (finished since the reply was taken) folds
+        to nothing and is not refused.
+        """
+        gathered = self._gather(stats)
+        local_ids, job_id_lists, weights = gathered
+        if weights is None:
+            return
+        refused: Dict[str, str] = {}
+        key = (self._placement_version, job_id_lists)
+        if key != self._vetted_ids:
+            for local_id, job_ids in zip(local_ids, job_id_lists):
+                reason = self._foreign_ids(local_id, job_ids)
+                if reason is not None:
+                    refused[local_id] = reason
+            if not refused:
+                self._vetted_ids = key
+        if weights.size and not (weights.min() >= 0.0 and weights.max() < np.inf):
+            for local_id in local_ids:
+                demand = np.asarray(stats[local_id].demand, dtype=np.float64)
+                if demand.size and not (demand.min() >= 0.0 and demand.max() < np.inf):
+                    refused.setdefault(local_id, "a demand not finite and >= 0")
+        if not refused:
+            self._gathered = (stats, gathered)
+            return
+        for local_id, reason in refused.items():
+            del stats[local_id]
+            session = self._sessions.get(local_id)
+            if session is not None:
+                session.stats = None  # refused once, not harvested again
+            if prior is not None and local_id in prior:
+                self._missed_collects.setdefault(local_id, prior[local_id])
+            if self._telemetry is not None:
+                self._telemetry.events.emit(
+                    "control.reply_refused", now, local=local_id, reason=reason
+                )
+            self._record_miss(local_id, now)
+
+    def _foreign_ids(self, local_id: str, job_ids: Tuple[str, ...]) -> Optional[str]:
+        """Why ``local_id`` may not report ``job_ids``, or None."""
+        jobs = self._jobs
+        seen: set = set()
+        for job_id in job_ids:
+            if job_id in seen:
+                return f"job {job_id!r} reported twice"
+            seen.add(job_id)
+            if job_id in jobs and local_id not in self._job_hosting_locals(job_id):
+                return f"job {job_id!r} is not hosted here"
+        return None
+
     def _collect_endpoints(self) -> List[str]:
         return list(self._locals)
 
@@ -441,17 +527,16 @@ class HierarchicalControlPlane(ControlPlane):
             fold = self._fold = (key, idx if sel is None else idx[sel], sel)
         return fold[1], fold[2]
 
-    def _job_demand_vec(self, stats: Dict[str, AggregateStats]) -> np.ndarray:
-        """Merged per-job demand vector: the per-local partials summed.
-
-        One ``np.bincount`` over every local's partials, concatenated in
-        stats order, each local's partial times its own staleness
-        discount.  ``bincount`` adds each bin's weights one at a time in
-        element order from 0.0, and a local reports a job at most once,
-        so each job's sum is the locals' partials added in stats order.
-        """
+    def _gather(
+        self, stats: Dict[str, AggregateStats]
+    ) -> Tuple[List[str], Tuple[Tuple[str, ...], ...], Optional[np.ndarray]]:
+        """``(local ids, job id tuples, weights)`` of the aggregates in
+        ``stats``: the fold's input, each local's partial times its own
+        staleness discount, concatenated in stats order (``None`` when
+        there is no aggregate)."""
         halflife = STALE_HALFLIFE * self.config.loop_interval
         ages = self._stats_age
+        local_ids: List[str] = []
         job_id_lists: List[Tuple[str, ...]] = []
         partials: list = []
         for local_id, agg in stats.items():
@@ -462,15 +547,35 @@ class HierarchicalControlPlane(ControlPlane):
                 age = ages.get(local_id, 0.0)
                 if age > 0.0:
                     partial = np.multiply(partial, 0.5 ** (age / halflife))
+            local_ids.append(local_id)
             job_id_lists.append(agg.job_ids)
             partials.append(partial)
+        # A tuple of floats and a float64 array concatenate alike.
+        weights = np.concatenate(partials, dtype=np.float64) if partials else None
+        return local_ids, tuple(job_id_lists), weights
+
+    def _job_demand_vec(self, stats: Dict[str, AggregateStats]) -> np.ndarray:
+        """Merged per-job demand vector: the per-local partials summed.
+
+        One ``np.bincount`` over every local's partials, concatenated in
+        stats order, each local's partial times its own staleness
+        discount (:meth:`_gather`, done once per tick: the collect's
+        vetting hands its concatenation over).  ``bincount`` adds each
+        bin's weights one at a time in element order from 0.0, and a
+        local reports a job at most once (:meth:`_vet_replies`), so each
+        job's sum is the locals' partials added in stats order.
+        """
+        gathered = self._gathered
+        self._gathered = None
+        if gathered is not None and gathered[0] is stats:
+            _, job_id_lists, weights = gathered[1]
+        else:
+            _, job_id_lists, weights = self._gather(stats)
         n_jobs = len(self._vec_job_ids)
-        idx, sel = self._fold_index(tuple(job_id_lists))
+        idx, sel = self._fold_index(job_id_lists)
         if not idx.size:
             # bincount of nothing is an integer array.
             return np.zeros(n_jobs)
-        # A tuple of floats and a float64 array concatenate alike.
-        weights = np.concatenate(partials, dtype=np.float64)
         if sel is not None:
             weights = weights[sel]
         return np.bincount(idx, weights=weights, minlength=n_jobs)

@@ -198,7 +198,7 @@ class Request:
     """One intercepted POSIX request (or a fluid batch of identical ones).
 
     ``count`` is the number of operations this record represents.  The
-    discrete path always uses ``count=1``; the fluid experiment path submits
+    live path always uses ``count=1``; the fluid experiment path submits
     per-tick batches with large (possibly fractional) counts -- token-bucket
     arithmetic is linear in the count, so batching is exact.
     """

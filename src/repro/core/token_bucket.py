@@ -3,7 +3,7 @@
 The bucket refills continuously at ``rate`` tokens/second up to ``capacity``
 tokens (the burst allowance).  Two consumption styles are provided:
 
-* :meth:`try_consume` -- all-or-nothing, for the discrete per-request path;
+* :meth:`try_consume` -- all-or-nothing, for the live per-call path;
 * :meth:`consume_available` -- partial grants, for the fluid per-tick path
   (grant as many of ``n`` requested tokens as are available);
 * :meth:`time_until` -- closed-form wait time for ``n`` tokens, used by the
@@ -159,9 +159,8 @@ class TokenBucket:
     def refund(self, n: float) -> None:
         """Return ``n`` unused tokens to the balance, clamped to capacity.
 
-        Drain paths that reserve allowance up front (e.g. a channel that
-        could not place whole requests at a batch boundary) hand the
-        surplus back here.  Refunding an unlimited bucket is a no-op: the
+        Drain paths that reserve allowance up front (a channel whose queue
+        emptied before the allowance did) hand the surplus back here.  Refunding an unlimited bucket is a no-op: the
         balance is already infinite, so no arithmetic is needed.
         """
         if n < 0:

@@ -623,12 +623,11 @@ class ReplayWorld:
         delivery in place of the sink call, written on the channels'
         internals as :meth:`_submit_stage_rows` fills them.  Every
         accumulator sees the adds, in the order, that draining each stage
-        and then delivering its grants gives it.  World channels are fluid
-        (never ``integral``), so ``Channel.drain``'s whole-request stop is
-        not carried.  The routing reads only the job, the kind, the path and
-        ``now`` and is stable within a tick (``active_mds`` is idempotent
-        per tick), so it is resolved once per kind for all of the job's
-        stages, and looked up only when the record changes.  With
+        and then delivering its grants gives it.  The routing reads only
+        the job, the kind, the path and ``now`` and is stable within a
+        tick (``active_mds`` is idempotent per tick), so it is resolved
+        once per kind for all of the job's stages, and looked up only
+        when the record changes.  With
         telemetry a whole grant is observed by the ``popleft`` that
         removes it, a split head where it is split off
         (``Channel._observers``), and a sampled record's trace context

@@ -7,12 +7,20 @@ keyed by ``(time, priority, sequence)``; the sequence number makes ordering
 deterministic for events scheduled at the same instant, which in turn makes
 every experiment in this repository bit-reproducible for a fixed seed.
 
+Every simulated world in this repository is tick-driven: a
+:class:`~repro.simulation.ticker.Ticker` or :meth:`Environment.call_at`
+schedules a callback, and the callback moves a whole tick's work in
+closed form.  The only per-request events are the control fabric's
+deferred replies (:meth:`repro.core.fabric.FaultyFabric.call_async`
+returns an :class:`Event` that succeeds or fails when the reply lands).
+
 Processes are plain generators.  ``yield timeout`` suspends the process;
 ``yield event`` suspends until someone calls :meth:`Event.succeed` (or
-``fail``); ``yield other_process`` joins on that process' termination.
-This is the same contract as SimPy's, which keeps simulation code legible
-(the "make it work in a simple legible way" rule from the optimisation
-workflow we follow).
+``fail``); ``yield other_process`` joins on that process' termination --
+SimPy's contract.  No world runs a process; :class:`Process` stays
+because the repository benchmark's engine measurement drives the
+timeout / event / process mix through it, so its cost stays comparable
+across changes.
 
 Fast path
 ---------
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
@@ -48,7 +56,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
 ]
 
 #: Default priority for scheduled events.  Lower fires first at equal time.
@@ -213,39 +220,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class AllOf(Event):
-    """Fires when all of its events have fired."""
-
-    __slots__ = ("_events", "_done")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._done = 0
-        if not self._events:
-            self.succeed({})
-            return
-        for evt in self._events:
-            if evt.processed:
-                self._check(evt)
-            else:
-                assert evt.callbacks is not None
-                evt.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e.value for e in self._events if e.processed or e.triggered}
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._done += 1
-        if self._done == len(self._events):
-            self.succeed(self._collect())
-
-
 class Environment:
     """Owner of the simulated clock and the pending-event heap."""
 
@@ -275,9 +249,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Register ``generator`` as a running process."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn`` at absolute simulated time ``when`` (>= now)."""

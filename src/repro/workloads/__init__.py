@@ -10,29 +10,17 @@
 """
 
 from repro.workloads.abci import AbciTraceConfig, generate_aggregate_trace, generate_mdt_trace
-from repro.workloads.arrivals import AdmissionGate, open_loop_arrivals
-from repro.workloads.dltraining import DLTrainingConfig, DLTrainingDriver, DLTrainingWorkload
 from repro.workloads.ior import IORConfig, IORWorkload
-from repro.workloads.mdtest import MDTestConfig, MDTestResult, MDTestWorkload, run_mdtest
 from repro.workloads.replayer import ReplayDriver, TraceReplayer
 from repro.workloads.trace import OpTrace
 
 __all__ = [
     "AbciTraceConfig",
-    "AdmissionGate",
-    "DLTrainingConfig",
-    "DLTrainingDriver",
-    "DLTrainingWorkload",
     "IORConfig",
     "IORWorkload",
-    "MDTestConfig",
-    "MDTestResult",
-    "MDTestWorkload",
     "OpTrace",
     "ReplayDriver",
     "TraceReplayer",
     "generate_aggregate_trace",
     "generate_mdt_trace",
-    "open_loop_arrivals",
-    "run_mdtest",
 ]

@@ -44,22 +44,6 @@ class TestBasics:
         assert out[0].count == 3.0
         assert out[1].count == 2.0  # split at the token boundary
 
-    def test_unused_allowance_returned_in_integral_mode(self):
-        ch = Channel("c", rate=10.0, integral=True)
-        ch.enqueue(req(7.0), 0.0)
-        ch.enqueue(req(7.0), 0.0)
-        # Burst 10 admits the first whole batch only; 3 tokens return.
-        assert ch.drain(0.0) == pytest.approx(7.0)
-        assert ch.bucket.tokens(0.0) == pytest.approx(3.0)
-
-    def test_integral_mode_never_splits(self):
-        ch = Channel("c", rate=1.0, burst=5.0, integral=True)
-        ch.enqueue(req(5.0), 0.0)
-        assert ch.drain(0.0) == pytest.approx(5.0)  # initial burst, bucket empty
-        ch.enqueue(req(5.0), 0.0)
-        assert ch.drain(2.0) == 0.0  # 2 tokens < 5 ops: waits whole
-        assert ch.drain(5.0) == pytest.approx(5.0)
-
     def test_set_rate_applies(self):
         ch = Channel("c", rate=1.0)
         ch.enqueue(req(100.0), 0.0)
@@ -123,19 +107,6 @@ def test_ops_conserved(rate, counts):
     assert sum(r.count for r in sunk) == pytest.approx(total_out)
     # Long-run rate bound: initial burst (capacity=rate) + rate * elapsed.
     assert total_out <= rate + rate * now + 1e-6 * max(1.0, total_out)
-
-
-@settings(max_examples=100, deadline=None)
-@given(counts=batches)
-def test_integral_mode_grants_whole_batches(counts):
-    ch = Channel("c", rate=50.0, integral=True)
-    sizes = []
-    now = 0.0
-    for count in counts:
-        ch.enqueue(req(count), now)
-        now += 1.0
-        ch.drain(now, sink=lambda r: sizes.append(r.count))
-    assert all(any(abs(s - c) < 1e-9 for c in counts) for s in sizes)
 
 
 class TestWaitAccounting:

@@ -54,56 +54,6 @@ class TestCostAware:
             run_cost_aware("mystery")
 
 
-class TestLatencyQoS:
-    def test_isolation_short(self):
-        from repro.experiments.latency import run_latency_qos
-
-        uncontrolled = run_latency_qos(False, duration=20.0)
-        controlled = run_latency_qos(True, duration=20.0)
-        assert controlled.percentile("light", 99) < uncontrolled.percentile(
-            "light", 99
-        )
-        assert controlled.percentile("light", 99) < 0.5
-
-    def test_no_aggressor_completes_more_than_its_channel_granted(self, monkeypatch):
-        # Every release issues one whole getattr, so completions can
-        # never outrun grants (a request split at the token boundary
-        # would be issued once per part).
-        from repro.core.channel import Channel
-        from repro.experiments import latency
-
-        channels = []
-
-        class Recorded(Channel):
-            """Sums what every ``drain`` grants."""
-
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                self.granted_ops = 0.0
-                channels.append(self)
-
-            def drain(self, *args, **kw):
-                granted = super().drain(*args, **kw)
-                self.granted_ops += granted
-                return granted
-
-        monkeypatch.setattr(latency, "Channel", Recorded)
-        result = latency.run_latency_qos(True, duration=20.0)
-        assert [c.channel_id for c in channels] == ["aggr0", "aggr1"]
-        for channel in channels:
-            completed = result.latencies[channel.channel_id].size
-            assert 0 < completed <= channel.granted_ops
-
-    def test_cap_fraction_validation(self):
-        from repro.errors import ConfigError
-        from repro.experiments.latency import run_latency_qos
-
-        import pytest as _pytest
-
-        with _pytest.raises(ConfigError):
-            run_latency_qos(True, duration=1.0, cap_fraction=0.0)
-
-
 class TestFailover:
     def test_protected_standby_survives_short(self):
         from repro.experiments.failover import run_failover

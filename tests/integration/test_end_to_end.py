@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.algorithms import ProportionalSharing
-from repro.core.channel import Channel
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
@@ -32,28 +31,22 @@ def md_rule():
     )
 
 
-class _IntegralStage(DataPlaneStage):
-    """A stage whose channels grant whole requests only."""
-
-    def _make_channel(self, channel_id, rate, burst, now):
-        return Channel(channel_id, rate, burst, now=now, integral=True)
-
-
 class TestThrottledNamespaceMutation:
-    """Requests released by an integral stage arrive at the sink whole,
-    once each, at the channel's rate -- what an application mutating a
-    file system one call at a time needs from throttling."""
+    """One-op requests released by a stage whose rate is a whole number
+    per tick arrive at the sink whole, once each, at the channel's rate --
+    what an application mutating a file system one call at a time needs
+    from throttling."""
 
     def _build(self, rate):
         env = Environment()
         released = []
 
         def apply(request: Request) -> None:
-            # Integral release: one whole op per request record.
+            # Whole tokens per tick: no record is split.
             assert request.count == 1.0
             released.append(request)
 
-        stage = _IntegralStage(StageIdentity("s0", "app"), sink=apply)
+        stage = DataPlaneStage(StageIdentity("s0", "app"), sink=apply)
         stage.create_channel("metadata", rate=rate)
         stage.add_classifier_rule(md_rule())
         Ticker(env, 1.0, lambda now: stage.drain(now), defer=1)

@@ -174,32 +174,6 @@ class TestProcess:
         assert not p.is_alive
 
 
-class TestConditions:
-
-    def test_all_of_waits_for_all(self, env):
-        a, b = env.timeout(5.0, "a"), env.timeout(2.0, "b")
-        results = []
-
-        def waiter():
-            done = yield env.all_of([a, b])
-            results.append((env.now, len(done)))
-
-        env.process(waiter())
-        env.run()
-        assert results == [(5.0, 2)]
-
-    def test_empty_all_of_fires_immediately(self, env):
-        done = []
-
-        def waiter():
-            yield env.all_of([])
-            done.append(env.now)
-
-        env.process(waiter())
-        env.run()
-        assert done == [0.0]
-
-
 class TestEnvironment:
     def test_run_until_advances_exactly(self, env):
         env.timeout(3.0)

@@ -79,35 +79,3 @@ class TestDeferPhaseOrdering:
             ("control", 10.0),
         ]
 
-
-class TestConditionsWithProcessedMembers:
-    def test_allof_with_one_preprocessed_member(self, env):
-        done = env.event()
-        done.succeed(1)
-        env.run()
-        later = env.timeout(5.0, value=2)
-        got = []
-
-        def proc():
-            result = yield env.all_of([done, later])
-            got.append((env.now, result[done], result[later]))
-
-        env.process(proc())
-        env.run()
-        assert got == [(5.0, 1, 2)]
-
-    def test_allof_with_all_members_preprocessed(self, env):
-        first = env.event()
-        first.succeed("a")
-        second = env.event()
-        second.succeed("b")
-        env.run()
-        got = []
-
-        def proc():
-            result = yield env.all_of([first, second])
-            got.append((env.now, result[first], result[second]))
-
-        env.process(proc())
-        env.run()
-        assert got == [(0.0, "a", "b")]

@@ -30,16 +30,10 @@ ROOT = "repro.cli"
 
 #: Modules with no user under ``src/repro``, and what each is kept for.
 KEPT = {
-    "repro.experiments.latency": "EXPERIMENTS.md 'Latency isolation' "
-    "(benchmarks/test_latency_qos.py); the one user of pfs/discrete.py",
     "repro.experiments.failover": "EXPERIMENTS.md 'Failover recovery storms' "
     "(benchmarks/test_failover.py)",
     "repro.analysis.fairness": "EXPERIMENTS.md 'Fig. 5' (Jain's index in "
     "benchmarks/test_fig5_per_job.py, examples/multi_job_fairness.py)",
-    "repro.workloads.arrivals": "ROADMAP item 4(d): generated demand shapes",
-    "repro.workloads.mdtest": "ROADMAP item 4(d); examples/mdtest_benchmark.py",
-    "repro.workloads.dltraining": "ROADMAP item 4(d); "
-    "examples/dl_training_protection.py",
 }
 
 #: Why a function of >= 5 lines that no entry point enters may stay.
@@ -93,11 +87,6 @@ KEPT_UNREACHED: Dict[str, str] = {
     "and block bit-identity tests compare the vector tick against it",
     "repro.telemetry.registry:Histogram.merge": "roadmap: item 5 ships "
     "padll_enforce_propagation_seconds from stage hosts; no live stage has a histogram yet",
-    "repro.workloads.arrivals:open_loop_arrivals": "roadmap: item 4(d) demand shapes",
-    "repro.workloads.arrivals:open_loop_arrivals.<locals>.run": "roadmap: item 4(d) "
-    "demand shapes",
-    "repro.workloads.dltraining:DLTrainingWorkload.epoch_ops": "roadmap: item 4(d) "
-    "demand shapes",
     "repro.workloads.replayer:ReplayDriver._unroll": "reference: the per-request "
     "schedule the fused replay is checked against",
     "repro.workloads.trace:OpTrace.__eq__": "reference: save/load round trips compare "
@@ -199,7 +188,7 @@ def test_the_rule_sees_the_three_kinds_of_use(users):
     # through the experiment table
     assert users["repro.experiments.cost_aware"] == {"repro.runner.cells"}
     # an __init__ that re-exports a module is not its user
-    assert "repro.analysis" not in users["repro.analysis.fairness"]
+    assert "repro.workloads" not in users["repro.workloads.ior"]
 
 
 def _qualnames(path: Path) -> Set[str]:

@@ -50,7 +50,6 @@ MODULES = [
     "repro.experiments.fig5",
     "repro.experiments.harm",
     "repro.experiments.harness",
-    "repro.experiments.latency",
     "repro.experiments.overhead",
     "repro.interpose.live_bucket",
     "repro.interpose.live_stage",
@@ -61,21 +60,15 @@ MODULES = [
     "repro.pfs.client",
     "repro.pfs.cluster",
     "repro.pfs.costs",
-    "repro.pfs.discrete",
-    "repro.pfs.locks",
     "repro.pfs.mds",
     "repro.runner.cache",
     "repro.runner.cells",
     "repro.runner.sweep",
     "repro.simulation.engine",
-    "repro.simulation.resources",
     "repro.simulation.rng",
     "repro.simulation.ticker",
     "repro.workloads.abci",
-    "repro.workloads.arrivals",
-    "repro.workloads.dltraining",
     "repro.workloads.ior",
-    "repro.workloads.mdtest",
     "repro.workloads.replayer",
     "repro.workloads.trace",
 ]

@@ -4,16 +4,22 @@
 interpreter with SciPy blocked generates both kinds of trace, runs one
 short Fig. 4 cell, and imports what every benchmark workload and the CLI
 import; every non-stdlib package that adds must be numpy or repro.
+
+The same import set compiles no module ``tests/test_module_census.py``
+keeps without a program user: such a module is paid for on every cold
+start and read by none of them.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import repro
+from tests.test_module_census import KEPT
 
 #: The benchmark workloads' ``imports`` (bench/padllbench/workloads) and the CLI.
 ENTRY_MODULES = (
@@ -72,3 +78,25 @@ def test_declared_dependencies_are_the_whole_runtime_closure():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "['numpy', 'repro']"
+
+
+def test_the_entry_imports_load_no_module_kept_without_a_user():
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    script = (
+        "import importlib, sys\n"
+        f"for name in {ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('repro')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+    assert sorted(loaded & set(KEPT)) == []

@@ -40,8 +40,8 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "JobDemand": (1, "record: one job's demand in an allocator call"),
     "PriorityPartition": (1, "setting: the policy document's 'default'"),
     "ProportionalSharing": (1, "setting: the policy document's 'headroom'"),
-    "Channel": (4, "setting, record: rate and burst per channel, integral by "
-                "experiments.latency; now is the creation instant"),
+    "Channel": (3, "setting, record: rate and burst per channel; now is the "
+                "creation instant"),
     "ChannelSpec": (1, "setting: a channel's 'initial_rate' in the policy document"),
     "PadllConfig": (1, "record: the parsed policy document"),
     "JobInfo": (3, "record: the controller's job table entry"),
@@ -107,9 +107,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "PFSClient": (1, "record: the client's name"),
     "ClusterConfig": (3, "setting: dne scaling and harm differ"),
     "LustreCluster": (1, "setting: its ClusterConfig"),
-    "DiscreteMDSConfig": (2, "setting: experiments.latency and benchmarks differ"),
-    "DiscreteMDS": (1, "setting: its DiscreteMDSConfig"),
-    "_Entry": (2, "record: one lock table entry"),
     "MDSConfig": (3, "setting: each world's MDS"),
     "MetadataServer": (2, "setting, record: its MDSConfig and its name"),
     # -- runner ----------------------------------------------------------------
@@ -133,7 +130,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "Timeout": (1, "record: the value a timeout yields"),
     "Process": (1, "record: the process's name"),
     "Environment": (1, "collaborator: telemetry"),
-    "Resource": (1, "setting: a discrete MDS's n_threads"),
     "ShardedConfig": (7, "setting: the sharded verb's flags and fig4-sharded"),
     "ShardedSimulation": (3, "collaborator: algorithm, telemetry and epoch_hook"),
     "FluidConfig": (2, "setting: the sharded verb's --seed and --clients-per-stage"),
@@ -146,11 +142,7 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "Tracer": (2, "setting: its TelemetryConfig's seed and sample_rate"),
     # -- workloads -------------------------------------------------------------
     "AbciTraceConfig": (7, "setting: the aggregate and the hot-MDT trace differ"),
-    "AdmissionGate": (1, "roadmap: item 4(d) demand shapes"),
-    "DLTrainingConfig": (6, "roadmap: item 4(d) demand shapes"),
-    "DLTrainingDriver": (3, "roadmap: item 4(d) demand shapes"),
     "IORConfig": (2, "setting: fig4's read and write panels, per seed"),
-    "MDTestConfig": (4, "roadmap: item 4(d) demand shapes"),
     "TraceReplayer": (3, "pinned by PATCHED: TraceReplayer.__init__, to which the "
                       "benchmark passes acceleration and rate_scale; kinds per panel"),
     "ReplayDriver": (3, "pinned by PATCHED, reference: ReplayDriver.__init__; job_id "

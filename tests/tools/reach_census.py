@@ -87,7 +87,7 @@ ENTRY_POINTS = [
         "policy check examples/padll.json")),
     *(f"{CLI} sharded --jobs 8 --stages-per-job 4 --racks 8 --clients-per-stage 20 "
       f"--duration 60 --step-period 15 --shards {shards}" for shards in (1, 2)),
-    f"{PY} -m repro.experiments.latency", f"{PY} -m repro.experiments.failover",
+    f"{PY} -m repro.experiments.failover",
     serve("example", env="PADLL_ADMIN_TOKEN=s3cret "),
     serve("procs"),
     f"{PY} bench/run.py --smoke --out {{t}}/bench",
