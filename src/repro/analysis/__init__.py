@@ -8,13 +8,14 @@ Jain's index lives in :mod:`repro.analysis.fairness`, imported from there:
 no program module uses it, so the package does not load it for them.
 """
 
-from repro.analysis.burstiness import coefficient_of_variation
-from repro.analysis.export import export_wide
-from repro.analysis.plots import ascii_plot, sparkline
+from repro import lazy_exports
 
-__all__ = [
-    "ascii_plot",
-    "coefficient_of_variation",
-    "export_wide",
-    "sparkline",
-]
+_EXPORTS = {
+    "ascii_plot": "repro.analysis.plots",
+    "coefficient_of_variation": "repro.analysis.burstiness",
+    "export_wide": "repro.analysis.export",
+    "sparkline": "repro.analysis.plots",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from repro import __version__
 from repro.errors import ConfigError, ReproError
-from repro.runner import ARTEFACTS, GRIDS, SweepRunner, grid, resolve
+from repro.runner.cells import ARTEFACTS, GRIDS, grid, resolve
 
 __all__ = ["main", "build_parser"]
 
@@ -426,6 +426,8 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
+
+    from repro.runner.sweep import SweepRunner
 
     cells = grid(args.grid, seed=args.seed, quick=args.quick)
     runner = SweepRunner(

@@ -9,68 +9,40 @@ policies (:mod:`repro.core.policies`) or control algorithms
 (:mod:`repro.core.algorithms`) over an RPC fabric (:mod:`repro.core.rpc`).
 """
 
-from repro.core.algorithms import (
-    DominantResourceFairness,
-    JobDemand,
-    ProportionalSharing,
-    StaticPartition,
-)
-from repro.core.channel import Channel
-from repro.core.config import PadllConfig, load_config, parse_config
-from repro.core.controller import ControlPlane, ControlPlaneConfig, JobInfo
-from repro.core.differentiation import (
-    Classifier,
-    ClassifierRule,
-    Decision,
-    PASSTHROUGH,
-)
-from repro.core.policies import (
-    PolicyRule,
-    RateSchedule,
-    RuleScope,
-    SteppedRate,
-)
-from repro.core.requests import (
-    OperationClass,
-    OperationType,
-    Request,
-    MDS_OP_KINDS,
-    POSIX_SURFACE,
-)
-from repro.core.rpc import RpcMessage
-from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
-from repro.core.token_bucket import TokenBucket
-from repro.core.transport import InProcTransport
+from repro import lazy_exports
 
-__all__ = [
-    "Channel",
-    "Classifier",
-    "ClassifierRule",
-    "ControlPlane",
-    "ControlPlaneConfig",
-    "DataPlaneStage",
-    "Decision",
-    "DominantResourceFairness",
-    "InProcTransport",
-    "JobDemand",
-    "JobInfo",
-    "MDS_OP_KINDS",
-    "OperationClass",
-    "OperationType",
-    "PASSTHROUGH",
-    "POSIX_SURFACE",
-    "PadllConfig",
-    "PolicyRule",
-    "ProportionalSharing",
-    "RateSchedule",
-    "Request",
-    "RpcMessage",
-    "RuleScope",
-    "StageIdentity",
-    "StageStats",
-    "StaticPartition",
-    "SteppedRate",
-    "TokenBucket",
-    "load_config",
-    "parse_config",
-]
+_EXPORTS = {
+    "Channel": "repro.core.channel",
+    "Classifier": "repro.core.differentiation",
+    "ClassifierRule": "repro.core.differentiation",
+    "ControlPlane": "repro.core.controller",
+    "ControlPlaneConfig": "repro.core.controller",
+    "DataPlaneStage": "repro.core.stage",
+    "Decision": "repro.core.differentiation",
+    "DominantResourceFairness": "repro.core.algorithms",
+    "InProcTransport": "repro.core.transport",
+    "JobDemand": "repro.core.algorithms",
+    "JobInfo": "repro.core.controller",
+    "MDS_OP_KINDS": "repro.core.requests",
+    "OperationClass": "repro.core.requests",
+    "OperationType": "repro.core.requests",
+    "PASSTHROUGH": "repro.core.differentiation",
+    "POSIX_SURFACE": "repro.core.requests",
+    "PadllConfig": "repro.core.config",
+    "PolicyRule": "repro.core.policies",
+    "ProportionalSharing": "repro.core.algorithms",
+    "RateSchedule": "repro.core.policies",
+    "Request": "repro.core.requests",
+    "RpcMessage": "repro.core.rpc",
+    "RuleScope": "repro.core.policies",
+    "StageIdentity": "repro.core.stage",
+    "StageStats": "repro.core.stage",
+    "StaticPartition": "repro.core.algorithms",
+    "SteppedRate": "repro.core.policies",
+    "TokenBucket": "repro.core.token_bucket",
+    "load_config": "repro.core.config",
+    "parse_config": "repro.core.config",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

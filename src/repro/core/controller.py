@@ -119,14 +119,25 @@ def fold_stage_demand(
     least enough rate to clear it within one loop period.  Every tier
     that folds stage windows -- the flat plane, a local controller --
     calls this, so their partial sums agree bit for bit.
+
+    A window of 0 (a stage collected at the instant it started) counts
+    its ops over one loop period.  Ops over a negative or NaN window are
+    no rate at all and fold to NaN; like a negative or infinite count,
+    that leaves the sum not finite and >= 0, which the plane refuses
+    (``ControlPlane._vet_replies``, ``HierarchicalControlPlane._vet_replies``).
     """
     for snap in st.channels:
         if snap.channel_id == channel:
             break
     else:
         return
-    window = st.window if st.window > 0 else loop_interval
-    offered = snap.enqueued_ops / window
+    window = st.window
+    if window > 0:
+        offered = snap.enqueued_ops / window
+    elif window == 0 or not snap.enqueued_ops:
+        offered = snap.enqueued_ops / loop_interval
+    else:
+        offered = np.nan
     drain = snap.backlog / loop_interval
     acc = per_job.get(st.job_id, 0.0)
     if discount is not None:
@@ -195,6 +206,9 @@ class ControlPlane:
         self._vec_job_ids: Tuple[str, ...] = ()
         self._vec_res: Optional[np.ndarray] = None
         self._vec_res_dirty = True
+        #: ``(stats, demand)`` of the last vetted collect, taken by the
+        #: next :meth:`_job_demand_vec` of those same stats.
+        self._folded: Optional[tuple] = None
 
     # -- registration -------------------------------------------------------
     def register(
@@ -393,22 +407,94 @@ class ControlPlane:
 
         A fabric that defers the collect message answers it later, so
         the per-endpoint sessions run; one that answers in line gets the
-        synchronous walk, which skips the session bookkeeping.
+        synchronous walk, which skips the session bookkeeping.  With an
+        algorithm to feed, what an endpoint may not report is refused
+        (:meth:`_vet_replies`) before the cycle freezes its job order, as
+        a failed collect would be.
         """
+        missed = self._missed_collects
+        # An answer clears its endpoint's misses; a refused one is a miss
+        # on top of those it had.
+        prior = dict(missed) if missed else None
         message = self._collect_message(now)
         if self.fabric.defers(message):
-            return self._collect_async(now, message)
-        stats: Dict[str, StageStats] = {}
-        for endpoint in self._collect_endpoints():
-            try:
-                result = self.fabric.call(endpoint, message)
-            except RPCError:
-                self._record_miss(endpoint, now)
-                continue
-            self._missed_collects.pop(endpoint, None)
-            if result is not None:
-                stats[endpoint] = result
+            stats = self._collect_async(now, message)
+        else:
+            stats = {}
+            for endpoint in self._collect_endpoints():
+                try:
+                    result = self.fabric.call(endpoint, message)
+                except RPCError:
+                    self._record_miss(endpoint, now)
+                    continue
+                missed.pop(endpoint, None)
+                if result is not None:
+                    stats[endpoint] = result
+        if stats and self.algorithm is not None:
+            self._vet_replies(stats, now, prior)
         return stats
+
+    def _vet_replies(
+        self,
+        stats: Dict[str, StageStats],
+        now: float,
+        prior: Optional[Dict[str, int]],
+    ) -> None:
+        """Refuse each stage window that folds to a demand not finite and
+        >= 0 (a negative or infinite count or backlog, ops over a negative
+        window: :func:`fold_stage_demand`), so one stage cannot move the
+        rates of jobs it does not run.
+
+        The folded demand vector is tested once per tick and handed to
+        the cycle; only a failure folds the windows one by one to find
+        the stages at fault.  A window whose value is wrong but finite and
+        >= 0 moves only its own job, as any report of its own load can.
+        """
+        self._ensure_vector_layout()
+        demand = self._job_demand_vec(stats)
+        if not demand.size or (demand.min() >= 0.0 and demand.max() < np.inf):
+            self._folded = (stats, demand)
+            return
+        channel = self.config.algorithm_channel
+        loop_interval = self.config.loop_interval
+        refused: Dict[str, str] = {}
+        for stage_id, st in stats.items():
+            alone: Dict[str, float] = {}
+            fold_stage_demand(alone, st, channel, loop_interval)
+            if not 0.0 <= alone.get(st.job_id, 0.0) < np.inf:
+                refused[stage_id] = "a window not finite and >= 0"
+        self._refuse(stats, refused, now, prior)
+
+    #: The ``control.reply_refused`` field that names the endpoint.
+    _endpoint_field = "stage"
+
+    def _refuse(
+        self,
+        stats: Dict[str, object],
+        refused: Dict[str, str],
+        now: float,
+        prior: Optional[Dict[str, int]],
+    ) -> None:
+        """Turn each refused reply (endpoint -> reason) into that
+        endpoint's collect miss, with one ``control.reply_refused`` event:
+        the reply leaves ``stats``, its session's copy is cleared, and
+        the misses its answer had cleared are restored first, so a
+        refusal counts toward ``max_missed_collects`` like a failed RPC."""
+        for endpoint, reason in refused.items():
+            del stats[endpoint]
+            session = self._sessions.get(endpoint)
+            if session is not None:
+                session.stats = None  # refused once, not harvested again
+            if prior is not None and endpoint in prior:
+                self._missed_collects.setdefault(endpoint, prior[endpoint])
+            if self._telemetry is not None:
+                self._telemetry.events.emit(
+                    "control.reply_refused",
+                    now,
+                    reason=reason,
+                    **{self._endpoint_field: endpoint},
+                )
+            self._record_miss(endpoint, now)
 
     def _record_miss(self, endpoint: str, now: float) -> bool:
         """Account one definitive collect miss; True if ``endpoint`` was
@@ -632,8 +718,14 @@ class ControlPlane:
         demand is discounted by ``0.5 ** (age / halflife)`` (the half-life
         is ``STALE_HALFLIFE`` loop intervals) so decisions lean on old
         observations progressively less.  Fresh (age-zero) entries take
-        the exact undiscounted accumulation path, bit for bit.
+        the exact undiscounted accumulation path, bit for bit.  The
+        collect's vetting folds first and hands its vector over.
         """
+        folded = self._folded
+        if folded is not None:
+            self._folded = None
+            if folded[0] is stats:
+                return folded[1]
         channel = self.config.algorithm_channel
         loop_interval = self.config.loop_interval
         halflife = STALE_HALFLIFE * loop_interval

@@ -410,18 +410,7 @@ class HierarchicalControlPlane(ControlPlane):
         return self._hosting_locals.get(job_id, [])
 
     # -- collect -----------------------------------------------------------
-    def _collect(self, now: float) -> Dict[str, AggregateStats]:
-        """Collect every local's aggregate; with an algorithm to feed,
-        refuse what a local may not report (:meth:`_vet_replies`) before
-        the cycle freezes its job order, as a failed collect would be."""
-        missed = self._missed_collects
-        # An answer clears its local's misses; a refused one is a miss on
-        # top of those it had.
-        prior = dict(missed) if missed else None
-        stats = super()._collect(now)
-        if stats and self.algorithm is not None:
-            self._vet_replies(stats, now, prior)
-        return stats
+    _endpoint_field = "local"
 
     def _vet_replies(
         self,
@@ -461,18 +450,7 @@ class HierarchicalControlPlane(ControlPlane):
         if not refused:
             self._gathered = (stats, gathered)
             return
-        for local_id, reason in refused.items():
-            del stats[local_id]
-            session = self._sessions.get(local_id)
-            if session is not None:
-                session.stats = None  # refused once, not harvested again
-            if prior is not None and local_id in prior:
-                self._missed_collects.setdefault(local_id, prior[local_id])
-            if self._telemetry is not None:
-                self._telemetry.events.emit(
-                    "control.reply_refused", now, local=local_id, reason=reason
-                )
-            self._record_miss(local_id, now)
+        self._refuse(stats, refused, now, prior)
 
     def _foreign_ids(self, local_id: str, job_ids: Tuple[str, ...]) -> Optional[str]:
         """Why ``local_id`` may not report ``job_ids``, or None."""

@@ -11,12 +11,15 @@ Each module exposes a ``run_*`` function returning a typed result and a
 ``main()`` that prints the regenerated figure as text.
 """
 
-from repro.experiments.harness import (
-    JobResult,
-    JobSpec,
-    ReplayWorld,
-    Setup,
-    WorldResult,
-)
+from repro import lazy_exports
 
-__all__ = ["JobResult", "JobSpec", "ReplayWorld", "Setup", "WorldResult"]
+_EXPORTS = {
+    "JobResult": "repro.experiments.harness",
+    "JobSpec": "repro.experiments.harness",
+    "ReplayWorld": "repro.experiments.harness",
+    "Setup": "repro.experiments.harness",
+    "WorldResult": "repro.experiments.harness",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,11 +18,23 @@ Usage::
     with Interposer(stage):
         open("/mnt/pfs/file", "w").close()   # throttled
         open("/tmp/other", "w").close()      # passthrough (non-PFS mount)
+
+Import cost: like every package, this one re-exports lazily, and
+``LiveStage`` / ``Interposer`` import only the stage core, the classifier,
+the request model and the token bucket -- 12 ``repro`` modules and no
+numpy, which the preload shim's host process does not need.  Only
+``LiveControlLoop`` brings in the control plane (and with it numpy).
+``tests/test_runtime_closure.py`` pins the closure.
 """
 
-from repro.interpose.live_bucket import LiveTokenBucket
-from repro.interpose.live_stage import LiveStage
-from repro.interpose.loop import LiveControlLoop
-from repro.interpose.monkeypatch import Interposer
+from repro import lazy_exports
 
-__all__ = ["Interposer", "LiveControlLoop", "LiveStage", "LiveTokenBucket"]
+_EXPORTS = {
+    "Interposer": "repro.interpose.monkeypatch",
+    "LiveControlLoop": "repro.interpose.loop",
+    "LiveStage": "repro.interpose.live_stage",
+    "LiveTokenBucket": "repro.interpose.live_bucket",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

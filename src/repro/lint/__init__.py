@@ -32,23 +32,21 @@ pragmas and in no other way.  The ``padll-repro lint`` subcommand (see
 archives the JSON and SARIF reports.
 """
 
-from repro.lint.config import LintConfig, load_config
-from repro.lint.findings import Finding
-from repro.lint.engine import LintResult, lint_paths, lint_source
-from repro.lint.report import render_json, render_text
-from repro.lint.rules import RULES, Rule
-from repro.lint.sarif import render_sarif
+from repro import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "RULES",
-    "Rule",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "render_json",
-    "render_sarif",
-    "render_text",
-]
+_EXPORTS = {
+    "Finding": "repro.lint.findings",
+    "LintConfig": "repro.lint.config",
+    "LintResult": "repro.lint.engine",
+    "RULES": "repro.lint.rules",
+    "Rule": "repro.lint.rules",
+    "lint_paths": "repro.lint.engine",
+    "lint_source": "repro.lint.engine",
+    "load_config": "repro.lint.config",
+    "render_json": "repro.lint.report",
+    "render_sarif": "repro.lint.sarif",
+    "render_text": "repro.lint.report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,7 +7,13 @@ delivery counters) and assembles the per-operation rate series every
 figure is drawn from.
 """
 
-from repro.monitoring.collector import Collector, Probe
-from repro.monitoring.metrics import TimeSeries
+from repro import lazy_exports
 
-__all__ = ["Collector", "Probe", "TimeSeries"]
+_EXPORTS = {
+    "Collector": "repro.monitoring.collector",
+    "Probe": "repro.monitoring.collector",
+    "TimeSeries": "repro.monitoring.metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,11 +8,14 @@ stays in :class:`repro.core.fabric.FaultyFabric`, which decorates this
 transport exactly as it decorates the in-process one.
 """
 
-from repro.net.socket_transport import (
-    RemoteEndpoint,
-    SocketListener,
-    SocketTransport,
-    WireConnection,
-)
+from repro import lazy_exports
 
-__all__ = ["RemoteEndpoint", "SocketListener", "SocketTransport", "WireConnection"]
+_EXPORTS = {
+    "RemoteEndpoint": "repro.net.socket_transport",
+    "SocketListener": "repro.net.socket_transport",
+    "SocketTransport": "repro.net.socket_transport",
+    "WireConnection": "repro.net.socket_transport",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

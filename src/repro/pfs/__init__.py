@@ -11,18 +11,18 @@ delivered -- what the storage servers then do with its bytes is outside
 the control loop, and no output reads it.
 """
 
-from repro.pfs.client import PFS_MOUNT, PFSClient
-from repro.pfs.cluster import ClusterConfig, LustreCluster
-from repro.pfs.costs import OP_COSTS, op_cost
-from repro.pfs.mds import MDSConfig, MetadataServer
+from repro import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "LustreCluster",
-    "MDSConfig",
-    "MetadataServer",
-    "OP_COSTS",
-    "PFSClient",
-    "PFS_MOUNT",
-    "op_cost",
-]
+_EXPORTS = {
+    "ClusterConfig": "repro.pfs.cluster",
+    "LustreCluster": "repro.pfs.cluster",
+    "MDSConfig": "repro.pfs.mds",
+    "MetadataServer": "repro.pfs.mds",
+    "OP_COSTS": "repro.pfs.costs",
+    "PFSClient": "repro.pfs.client",
+    "PFS_MOUNT": "repro.pfs.client",
+    "op_cost": "repro.pfs.costs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

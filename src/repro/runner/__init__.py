@@ -18,51 +18,31 @@ so on.  This package runs such grids through a shared engine
 ``padll-repro sweep`` is the CLI front-end.
 """
 
-from repro.runner.cache import ResultCache, cell_digest
-from repro.runner.cells import (
-    ARTEFACTS,
-    EXPERIMENTS,
-    GRIDS,
-    Cell,
-    ablation_grid,
-    dependability_grid,
-    fig4_grid,
-    fig5_grid,
-    full_grid,
-    grid,
-    harm_grid,
-    overhead_grid,
-    resolve,
-    run_cell,
-    sharded_grid,
-)
-from repro.runner.sweep import (
-    SweepOutcome,
-    SweepRunner,
-    pool_start_method,
-    results_equal,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ARTEFACTS",
-    "Cell",
-    "EXPERIMENTS",
-    "GRIDS",
-    "ResultCache",
-    "SweepOutcome",
-    "SweepRunner",
-    "ablation_grid",
-    "dependability_grid",
-    "cell_digest",
-    "fig4_grid",
-    "fig5_grid",
-    "full_grid",
-    "grid",
-    "harm_grid",
-    "overhead_grid",
-    "pool_start_method",
-    "resolve",
-    "results_equal",
-    "run_cell",
-    "sharded_grid",
-]
+_EXPORTS = {
+    "ARTEFACTS": "repro.runner.cells",
+    "Cell": "repro.runner.cells",
+    "EXPERIMENTS": "repro.runner.cells",
+    "GRIDS": "repro.runner.cells",
+    "ResultCache": "repro.runner.cache",
+    "SweepOutcome": "repro.runner.sweep",
+    "SweepRunner": "repro.runner.sweep",
+    "ablation_grid": "repro.runner.cells",
+    "dependability_grid": "repro.runner.cells",
+    "cell_digest": "repro.runner.cache",
+    "fig4_grid": "repro.runner.cells",
+    "fig5_grid": "repro.runner.cells",
+    "full_grid": "repro.runner.cells",
+    "grid": "repro.runner.cells",
+    "harm_grid": "repro.runner.cells",
+    "overhead_grid": "repro.runner.cells",
+    "pool_start_method": "repro.runner.sweep",
+    "resolve": "repro.runner.cells",
+    "results_equal": "repro.runner.sweep",
+    "run_cell": "repro.runner.cells",
+    "sharded_grid": "repro.runner.cells",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,29 +17,22 @@ Module map:
 * :mod:`repro.service.workload` -- seeded live workload driver threads
 """
 
-from repro.service.audit import AuditLog, AuditRecord
-from repro.service.config import (
-    ServiceConfig,
-    WorkloadSpec,
-    load_service_config,
-    parse_service_config,
-)
-from repro.service.runtime import ADMIN_ACTIONS, ServiceRuntime
-from repro.service.server import OperatorServer
-from repro.service.snapshot import SNAPSHOT_VERSION, build_snapshot
-from repro.service.workload import LiveWorkload
+from repro import lazy_exports
 
-__all__ = [
-    "ADMIN_ACTIONS",
-    "AuditLog",
-    "AuditRecord",
-    "LiveWorkload",
-    "OperatorServer",
-    "SNAPSHOT_VERSION",
-    "ServiceConfig",
-    "ServiceRuntime",
-    "WorkloadSpec",
-    "build_snapshot",
-    "load_service_config",
-    "parse_service_config",
-]
+_EXPORTS = {
+    "ADMIN_ACTIONS": "repro.service.runtime",
+    "AuditLog": "repro.service.audit",
+    "AuditRecord": "repro.service.audit",
+    "LiveWorkload": "repro.service.workload",
+    "OperatorServer": "repro.service.server",
+    "SNAPSHOT_VERSION": "repro.service.snapshot",
+    "ServiceConfig": "repro.service.config",
+    "ServiceRuntime": "repro.service.runtime",
+    "WorkloadSpec": "repro.service.config",
+    "build_snapshot": "repro.service.snapshot",
+    "load_service_config": "repro.service.config",
+    "parse_service_config": "repro.service.config",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

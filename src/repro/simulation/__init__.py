@@ -16,16 +16,17 @@ deterministic epoch barrier -- the path to 10^4 stages / 10^6 simulated
 clients with bit-identical fixed-seed results at any shard count.
 """
 
-from repro.simulation.engine import Environment, Event, Process, Timeout
-from repro.simulation.rng import SeedSequence, make_rng
-from repro.simulation.ticker import Ticker
+from repro import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Process",
-    "SeedSequence",
-    "Ticker",
-    "Timeout",
-    "make_rng",
-]
+_EXPORTS = {
+    "Environment": "repro.simulation.engine",
+    "Event": "repro.simulation.engine",
+    "Process": "repro.simulation.engine",
+    "SeedSequence": "repro.simulation.rng",
+    "Ticker": "repro.simulation.ticker",
+    "Timeout": "repro.simulation.engine",
+    "make_rng": "repro.simulation.rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,21 +11,18 @@ racks taken one by one and to the scalar per-stage reference -- see
 ``tests/simulation/test_sharded.py`` for the assertions.
 """
 
-from repro.simulation.sharded.coordinator import (
-    ShardedConfig,
-    ShardedResult,
-    ShardedSimulation,
-)
-from repro.simulation.sharded.fluid import UNLIMITED, FluidConfig, RackSpec
-from repro.simulation.sharded.pool import RackFinal, ShardPool
+from repro import lazy_exports
 
-__all__ = [
-    "UNLIMITED",
-    "FluidConfig",
-    "RackFinal",
-    "RackSpec",
-    "ShardPool",
-    "ShardedConfig",
-    "ShardedResult",
-    "ShardedSimulation",
-]
+_EXPORTS = {
+    "UNLIMITED": "repro.simulation.sharded.fluid",
+    "FluidConfig": "repro.simulation.sharded.fluid",
+    "RackFinal": "repro.simulation.sharded.pool",
+    "RackSpec": "repro.simulation.sharded.fluid",
+    "ShardPool": "repro.simulation.sharded.pool",
+    "ShardedConfig": "repro.simulation.sharded.coordinator",
+    "ShardedResult": "repro.simulation.sharded.coordinator",
+    "ShardedSimulation": "repro.simulation.sharded.coordinator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

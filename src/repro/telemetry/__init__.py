@@ -8,45 +8,31 @@ clock by the *caller* (lint rule DET006 enforces it), off by default,
 and free when off.  See docs/OBSERVABILITY.md.
 """
 
-from repro.telemetry.events import Event, EventLog
-from repro.telemetry.experiment import TracedFig4, run_traced_fig4
-from repro.telemetry.export import (
-    events_jsonl,
-    metrics_json,
-    prometheus_text,
-    spans_jsonl,
-    write_text,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.runtime import Telemetry, TelemetryConfig
-from repro.telemetry.trace import Span, TraceContext, Tracer, sample_uniform
-from repro.telemetry.waterfall import render_controller_timeline, render_waterfall
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Event",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Telemetry",
-    "TelemetryConfig",
-    "TraceContext",
-    "TracedFig4",
-    "Tracer",
-    "run_traced_fig4",
-    "events_jsonl",
-    "metrics_json",
-    "prometheus_text",
-    "render_controller_timeline",
-    "render_waterfall",
-    "sample_uniform",
-    "spans_jsonl",
-    "write_text",
-]
+_EXPORTS = {
+    "Counter": "repro.telemetry.registry",
+    "Event": "repro.telemetry.events",
+    "EventLog": "repro.telemetry.events",
+    "Gauge": "repro.telemetry.registry",
+    "Histogram": "repro.telemetry.registry",
+    "MetricsRegistry": "repro.telemetry.registry",
+    "Span": "repro.telemetry.trace",
+    "Telemetry": "repro.telemetry.runtime",
+    "TelemetryConfig": "repro.telemetry.runtime",
+    "TraceContext": "repro.telemetry.trace",
+    "TracedFig4": "repro.telemetry.experiment",
+    "Tracer": "repro.telemetry.trace",
+    "run_traced_fig4": "repro.telemetry.experiment",
+    "events_jsonl": "repro.telemetry.export",
+    "metrics_json": "repro.telemetry.export",
+    "prometheus_text": "repro.telemetry.export",
+    "render_controller_timeline": "repro.telemetry.waterfall",
+    "render_waterfall": "repro.telemetry.waterfall",
+    "sample_uniform": "repro.telemetry.trace",
+    "spans_jsonl": "repro.telemetry.export",
+    "write_text": "repro.telemetry.export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -9,18 +9,18 @@
 * :mod:`repro.workloads.ior` -- IOR-like synthetic data workload.
 """
 
-from repro.workloads.abci import AbciTraceConfig, generate_aggregate_trace, generate_mdt_trace
-from repro.workloads.ior import IORConfig, IORWorkload
-from repro.workloads.replayer import ReplayDriver, TraceReplayer
-from repro.workloads.trace import OpTrace
+from repro import lazy_exports
 
-__all__ = [
-    "AbciTraceConfig",
-    "IORConfig",
-    "IORWorkload",
-    "OpTrace",
-    "ReplayDriver",
-    "TraceReplayer",
-    "generate_aggregate_trace",
-    "generate_mdt_trace",
-]
+_EXPORTS = {
+    "AbciTraceConfig": "repro.workloads.abci",
+    "IORConfig": "repro.workloads.ior",
+    "IORWorkload": "repro.workloads.ior",
+    "OpTrace": "repro.workloads.trace",
+    "ReplayDriver": "repro.workloads.replayer",
+    "TraceReplayer": "repro.workloads.replayer",
+    "generate_aggregate_trace": "repro.workloads.abci",
+    "generate_mdt_trace": "repro.workloads.abci",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

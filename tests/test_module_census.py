@@ -6,7 +6,9 @@ A module is *used* when another ``src/repro`` module
 * imports it (``import a.b``, ``from a import b``, ``from a.b import x``;
   function-level imports count),
 * imports from its package a name the package ``__init__`` re-exports
-  from it (how ``cli.py`` reaches ``telemetry/waterfall.py``), or
+  from it -- a key of the package's ``_EXPORTS`` table, which maps each
+  lazily re-exported name to its defining module (how ``cli.py`` reaches
+  ``telemetry/waterfall.py``), or
 * names it as ``"module:function"`` in the experiment table of
   ``repro/runner/cells.py``.
 
@@ -108,10 +110,17 @@ PACKAGES: Set[str] = {
 
 
 def _imports(name: str) -> Iterator[Tuple[str, Optional[str]]]:
-    """``(module, imported name or None)`` per import statement in ``name``."""
+    """``(module, imported name or None)`` per import statement in ``name``,
+    and ``(defining module, name)`` per entry of its ``_EXPORTS`` table."""
     package = name if name in PACKAGES else name.rpartition(".")[0]
     for node in ast.walk(ast.parse(MODULES[name].read_text())):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in node.targets
+        ):
+            for exported, module in ast.literal_eval(node.value).items():
+                yield module, exported
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
         elif isinstance(node, ast.ImportFrom):
@@ -126,7 +135,8 @@ def _imports(name: str) -> Iterator[Tuple[str, Optional[str]]]:
 
 def _origin(module: str, name: Optional[str]) -> str:
     """The module a ``from module import name`` lands in, following
-    package ``__init__`` re-exports down to the defining module."""
+    package ``__init__`` re-exports (their ``_EXPORTS`` tables) down to
+    the defining module."""
     seen = set()
     while name is not None and (module, name) not in seen:
         seen.add((module, name))

@@ -1,7 +1,9 @@
 """Public API surface checks.
 
 These catch export regressions: every name in a package's ``__all__``
-must resolve, every documented subpackage must import, and the top-level
+must resolve and be listed by ``dir()`` (packages re-export lazily, on
+first use), an unknown name must still fail as it would without the
+lazy hook, every documented subpackage must import, and the top-level
 ``repro`` namespace must expose the objects README's quickstart uses.
 """
 
@@ -17,10 +19,15 @@ PACKAGES = [
     "repro.core",
     "repro.experiments",
     "repro.interpose",
+    "repro.lint",
     "repro.monitoring",
+    "repro.net",
     "repro.pfs",
     "repro.runner",
+    "repro.service",
     "repro.simulation",
+    "repro.simulation.sharded",
+    "repro.telemetry",
     "repro.workloads",
 ]
 
@@ -80,6 +87,21 @@ def test_package_all_resolves(name):
     assert hasattr(module, "__all__"), f"{name} has no __all__"
     for symbol in module.__all__:
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_package_dir_lists_all(name):
+    module = importlib.import_module(name)
+    assert set(module.__all__) <= set(dir(module))
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_package_unknown_name_is_an_attribute_error(name):
+    module = importlib.import_module(name)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        module.no_such_export
+    with pytest.raises(ImportError):
+        exec(f"from {name} import no_such_export", {})
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,6 +8,10 @@ import; every non-stdlib package that adds must be numpy or repro.
 The same import set compiles no module ``tests/test_module_census.py``
 keeps without a program user: such a module is paid for on every cold
 start and read by none of them.
+
+Every package re-exports lazily, so a process loads what it uses: an
+interposed call loads neither numpy nor the control plane, importing a
+package loads none of its modules, and the CLI starts without numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 from pathlib import Path
 
 import repro
-from tests.test_module_census import KEPT
+from tests.test_module_census import KEPT, PACKAGES
 
 #: The benchmark workloads' ``imports`` (bench/padllbench/workloads) and the CLI.
 ENTRY_MODULES = (
@@ -100,3 +104,71 @@ def test_the_entry_imports_load_no_module_kept_without_a_user():
     assert done.returncode == 0, done.stderr
     loaded = set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
     assert sorted(loaded & set(KEPT)) == []
+
+
+def _fresh(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter on this tree."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+#: What the data plane's process must not load: the control plane, the
+#: simulator, and numpy, which only they need.
+NOT_IN_THE_DATA_PLANE = (
+    "numpy",
+    "repro.core.controller",
+    "repro.core.algorithms",
+    "repro.core.fabric",
+    "repro.core.wire",
+)
+
+INTERPOSED_STAT = """
+import os, sys, tempfile
+
+from repro.core.differentiation import ClassifierRule
+from repro.core.requests import OperationClass
+from repro.core.stage import StageIdentity
+from repro.interpose import Interposer, LiveStage
+
+with tempfile.TemporaryDirectory() as pfs:
+    stage = LiveStage(StageIdentity("s0", "job0"), pfs_mounts=(pfs,))
+    stage.create_channel("metadata")
+    stage.add_classifier_rule(ClassifierRule(
+        "md", "metadata", op_classes=frozenset({OperationClass.METADATA})))
+    with Interposer(stage, wrap_file_io=False):
+        os.stat(pfs)
+    assert stage.granted_total("metadata") == 1.0
+print(sorted(sys.modules))
+"""
+
+
+def test_the_interposer_loads_neither_numpy_nor_the_control_plane():
+    loaded = set(ast.literal_eval(_fresh(INTERPOSED_STAT)))
+    assert sorted(loaded & set(NOT_IN_THE_DATA_PLANE)) == []
+    assert sorted(name for name in loaded if name.startswith("repro.simulation")) == []
+
+
+def test_importing_a_package_loads_none_of_its_modules():
+    packages = sorted(PACKAGES)  # parents before their subpackages
+    script = (
+        "import importlib, sys\n"
+        f"for name in {packages!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('repro')))\n"
+    )
+    assert ast.literal_eval(_fresh(script)) == packages
+
+
+def test_the_cli_starts_without_numpy():
+    script = "import sys\nimport repro.cli\nprint('numpy' in sys.modules)\n"
+    assert _fresh(script) == "False"
