@@ -167,14 +167,15 @@ class Channel:
 
     def _observers(self, now: float, telemetry) -> tuple:
         """``(popleft, observe)``: this channel's per-grant telemetry for
-        a drain at ``now``.
+        a :meth:`drain` at ``now``.
 
         ``popleft`` is the queue's, observing the record it removes -- a
         whole grant; ``observe`` takes the one head a drain splits off.
         A granted record keeps its ``submitted_at`` and trace context
         through a split, so everything the histogram and the span need
-        is on the record, and the grant loop pays nothing for telemetry
-        it does not have.
+        is on the record, and :meth:`drain` -- every stage's grant loop,
+        the replay world's included -- pays nothing for telemetry it does
+        not have.
         """
         tracer = telemetry.tracer
         h_wait = self._h_wait

@@ -487,9 +487,9 @@ class DataPlaneStage(StageCore):
         Releasing a grant has no effect on channel state, so a caller that
         delivers the collected records afterwards (in list order) observes
         exactly the per-grant sink semantics -- while paying one C-level
-        ``list.append`` per grant instead of a Python sink call chain.  (The
-        replay world's drain tick goes further and delivers each record in
-        the loop that grants it: ``ReplayWorld._drain_stages``.)
+        ``list.append`` per grant instead of a Python sink call chain.  The
+        replay world's drain tick drains every stage this way
+        (``ReplayWorld._drain_stages``).
         """
         return self._drain_channels(now, grants.append)
 

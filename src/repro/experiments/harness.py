@@ -22,8 +22,9 @@ kind, with the slice count of one round-robin round -- to
 :meth:`ReplayWorld._submit_stage_rows` (:meth:`ReplayWorld._deliver_rows`
 for BASELINE): one shared :class:`Request` record per (tick, kind) is
 queued once per slice in each stage's channel.  The drain tick's
-:meth:`ReplayWorld._drain_stages` takes each record a channel grants
-straight to the MDS queue, in the same iteration that grants it.
+:meth:`ReplayWorld._drain_stages` drains each stage through
+:meth:`DataPlaneStage.drain_collect` -- ``Channel.drain`` is the one
+grant loop -- and takes the granted records to the MDS queue in order.
 :meth:`ReplayWorld._route` is the one place that decides where a kind's
 ops go (job window slot; MDS, client-local -- data ops included -- or no
 MDS up).  Every float accumulator sees one add per slice, in submission
@@ -45,7 +46,7 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.channel import Channel
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule
-from repro.core.requests import MDS_CLASSES, MDS_KIND_BY_OP, batch_request
+from repro.core.requests import MDS_CLASSES, MDS_KIND_BY_OP, Request, batch_request
 from repro.core.hierarchy import (
     HierarchicalControlPlane,
     LocalController,
@@ -69,7 +70,7 @@ __all__ = ["Setup", "JobSpec", "JobResult", "WorldResult", "ReplayWorld"]
 #: Local controllers of a hierarchical world.
 N_RACKS = 2
 
-#: Plain-dict cost table for the fused delivery loops (one lookup per
+#: Plain-dict cost table for the delivery loops (one lookup per
 #: (tick, kind) instead of a MappingProxyType hit per slice).
 _COSTS: Dict[str, float] = dict(OP_COSTS)
 
@@ -418,8 +419,11 @@ class ReplayWorld:
         place (batch splits replace the queue head), so sharing is safe.
         A channel's accumulators see its rows' slices in submission order
         (round-robin round, then kind); channels are disjoint, so they are
-        filled one after another.  Rows no rule matches go to
-        :meth:`_deliver_rows` in that same order, stages innermost.
+        filled one after another.  The queue and its counters are written
+        here in bulk, not through ``Channel.enqueue``: that would cost one
+        Python frame per slice, ``interleave`` times per row and stage.
+        Rows no rule matches go to :meth:`_deliver_rows` in that same
+        order, stages innermost.
         """
         now = self.env._now
         tracer = self._tracer
@@ -523,10 +527,10 @@ class ReplayWorld:
                         job_id=spec.job_id,
                         hostname=f"node-{spec.job_id}-{i}",
                     ),
-                    # Nothing submits to or drains through a world stage
-                    # (the replay rows and the drain tick write its channels
-                    # directly); a record handed to the sink is delivered
-                    # like an unenforced row.
+                    # Nothing reaches the sink of a world stage (the replay
+                    # rows fill its channels directly, and the drain tick
+                    # collects its grants); a record handed to it would be
+                    # delivered like an unenforced row.
                     sink=lambda req: self._deliver_rows(
                         runtime,
                         ((MDS_KIND_BY_OP[req.op], req.op, req.path, req.count),),
@@ -563,7 +567,7 @@ class ReplayWorld:
             batch_submit=batch_submit,
         )
         # Preallocate the delivery-window slots for every kind this job
-        # will replay (the fused sinks then never take the interning path).
+        # will replay (the delivery loops then never take the interning path).
         for kind in replayer.kinds:
             if kind not in runtime.window_index:
                 runtime.window_slot(kind)
@@ -614,26 +618,22 @@ class ReplayWorld:
         self._check_completions(now)
 
     def _drain_stages(self, runtime: _JobRuntime, now: float) -> None:
-        """Grant and deliver what a job's channels release at ``now``, in
-        one pass.
+        """Drain a job's stages at ``now``, then deliver what they granted.
 
-        Each queued record is popped (or split at the token boundary),
-        counted in its channel's rate window, routed and appended to its
-        MDS queue in one iteration: ``DataPlaneStage.drain`` with the
-        delivery in place of the sink call, written on the channels'
-        internals as :meth:`_submit_stage_rows` fills them.  Every
-        accumulator sees the adds, in the order, that draining each stage
-        and then delivering its grants gives it.  The routing reads only
-        the job, the kind, the path and ``now`` and is stable within a
-        tick (``active_mds`` is idempotent per tick), so it is resolved
-        once per kind for all of the job's stages, and looked up only
-        when the record changes.  With
-        telemetry a whole grant is observed by the ``popleft`` that
-        removes it, a split head where it is split off
-        (``Channel._observers``), and a sampled record's trace context
-        rides into the MDS queue as the batch's 5th slot, as
+        Each stage drains through :meth:`DataPlaneStage.drain_collect`
+        (orphan check, ``Channel.drain`` and its telemetry) into one list;
+        releasing a grant changes no channel state, so delivering the list
+        afterwards, in order, is what a per-grant sink would have done.
+        The routing reads only the job, the kind, the path and ``now`` and
+        is stable within a tick (``active_mds`` is idempotent per tick),
+        so it is resolved once per kind for all of the job's stages, and
+        looked up only when the record changes.  A sampled record's trace
+        context rides into the MDS queue as the batch's 5th slot, as
         ``MetadataServer.offer`` appends it.
         """
+        grants: List[Request] = []
+        for stage in runtime.stages:
+            stage.drain_collect(now, grants)
         client = self._client
         window_buf = runtime.window_buf
         touch = runtime.window_touched.append
@@ -641,70 +641,32 @@ class ReplayWorld:
         submitted_ops = client.submitted_ops
         routes: Dict[Optional[str], tuple] = {}
         last = None
-        for stage in runtime.stages:
-            if stage._orphan_policy is not None:
-                stage._orphan_check(now)
-            telemetry = stage._telemetry
-            for channel in stage._channel_list:
-                queue = channel._queue
-                bucket = channel.bucket
-                if not queue:
-                    bucket.refill(now)
-                    continue
-                popleft = queue.popleft
-                observe = None
-                if telemetry is not None:
-                    popleft, observe = channel._observers(now, telemetry)
-                want = channel._backlog
-                if want < 0.0:
-                    want = 0.0
-                remaining = bucket.consume_available(want, now)
-                granted = 0.0
-                while remaining > 0 and queue:
-                    head = queue[0]
-                    count = head.count
-                    if count <= remaining:
-                        popleft()
-                        remaining -= count
-                    else:
-                        head, queue[0] = head.split(remaining)
-                        count = head.count
-                        remaining = 0.0
-                        if observe is not None:
-                            observe(head)
-                    granted += count
-                    if head is not last:
-                        last = head
-                        # A world record carries its kind (``kind_hint``,
-                        # set at submit and kept through a split).
-                        route = routes.get(head.kind_hint)
-                        if route is None:
-                            kind = head.kind_hint
-                            routes[kind] = route = self._route(runtime, kind, head.path, now)
-                        slot, cost, mds, mds_slot, aside = route
-                        ctx = head.trace
-                    accumulated = window_buf[slot]
-                    if accumulated == 0.0:
-                        touch(slot)
-                    window_buf[slot] = accumulated + count
-                    delivered_total += count
-                    submitted_ops += count
-                    if mds is not None:
-                        if ctx is None:
-                            mds._queue.append([mds_slot, count, cost, now])
-                        else:
-                            mds._queue.append([mds_slot, count, cost, now, ctx])
-                        mds._queued_units += cost * count
-                    elif aside is not None:
-                        aside(count)
-                if remaining > 0:
-                    bucket.refund(remaining)
-                channel._backlog -= granted
-                if not queue:
-                    channel._backlog = 0.0  # clamp accumulated float error
-                channel.window_granted += granted
-                if telemetry is not None and channel._m_granted is not None:
-                    channel._m_granted.inc(granted)
+        for head in grants:
+            count = head.count
+            if head is not last:
+                last = head
+                # A world record carries its kind (``kind_hint``, set at
+                # submit and kept through a split).
+                kind = head.kind_hint
+                route = routes.get(kind)
+                if route is None:
+                    routes[kind] = route = self._route(runtime, kind, head.path, now)
+                slot, cost, mds, mds_slot, aside = route
+                ctx = head.trace
+            accumulated = window_buf[slot]
+            if accumulated == 0.0:
+                touch(slot)
+            window_buf[slot] = accumulated + count
+            delivered_total += count
+            submitted_ops += count
+            if mds is not None:
+                if ctx is None:
+                    mds._queue.append([mds_slot, count, cost, now])
+                else:
+                    mds._queue.append([mds_slot, count, cost, now, ctx])
+                mds._queued_units += cost * count
+            elif aside is not None:
+                aside(count)
         runtime.delivered_total = delivered_total
         client.submitted_ops = submitted_ops
 

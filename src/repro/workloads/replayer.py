@@ -267,13 +267,11 @@ class ReplayDriver:
             return
         if self._schedule_rows is None:
             self._build_schedule(now)
+        # Rows follow the ticker's own ``t + DT`` times from this first
+        # tick up to the stop test above, so every tick has its row.
         index = self._tick_index
         self._tick_index = index + 1
-        if index < len(self._schedule_rows):
-            counts = self._schedule_rows[index]
-        else:  # drifted off the precomputed grid: fall back to exact math
-            demand = self.replayer.demand(replay_time, DT)
-            counts = [demand[kind] for kind, _, _ in self._kinds_info]
+        counts = self._schedule_rows[index]
         interleave = INTERLEAVE
         submitted = self.submitted
         slices = [

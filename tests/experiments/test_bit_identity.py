@@ -13,9 +13,12 @@ that contract down four ways:
    carry beside the batched one;
 3. SHA-256 digests of fixed-seed fig4/fig5 outputs match golden values
    recorded from the pre-batching implementation;
-4. the drain tick's one pass exports, in every telemetry mode, what
-   draining stage by stage and delivering grant by grant does, and
-   enters no more Python frames for more queued records.
+4. the drain tick -- every stage drained through
+   ``DataPlaneStage.drain_collect``, then the grants delivered with the
+   routing memoised per kind -- exports, in every telemetry mode, what
+   draining stage by stage and routing grant by grant does, enters each
+   stage's ``drain_collect`` and each channel's ``Channel.drain`` once,
+   and enters no more Python frames for more queued records.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import numpy as np
 import pytest
 
 from repro.core.algorithms import ProportionalSharing
+from repro.core.channel import Channel
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.requests import OperationType, Request, batch_request
+from repro.core.stage import DataPlaneStage
 from repro.experiments.fig4 import run_fig4_metadata
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
@@ -300,13 +305,14 @@ class TestGoldenDigests:
         assert fig5_digest(setup) == GOLDEN_DIGESTS[f"fig5:{setup}"]
 
 
-# -- the fused drain pass -----------------------------------------------------
-# ``ReplayWorld._drain_stages`` grants and delivers each record in one
-# loop.  What it must equal: every stage drained through
-# ``DataPlaneStage.drain_collect`` (``Channel.drain`` into a list), then
-# each grant delivered by itself.  tests/experiments/test_fused_drain.py
-# checks that over generated queues; the classes below pin the telemetry
-# modes and the pass's call count.
+# -- the drain tick's delivery -----------------------------------------------
+# ``ReplayWorld._drain_stages`` drains every stage of a job into one list
+# (``DataPlaneStage.drain_collect``), then delivers it, resolving the
+# routing once per kind.  What it must equal: each stage drained and its
+# grants delivered before the next stage drains, every grant routed by
+# itself.  tests/experiments/test_fused_drain.py checks that over
+# generated queues; the classes below pin the telemetry modes and the
+# tick's calls.
 
 
 def started_world(n_stages, channel_mode="per-class", telemetry=None):
@@ -390,13 +396,13 @@ _DRAIN_ROWS = [
 ]
 
 
-class TestFusedDrainObserved:
-    """With metrics or tracing on, the fused pass exports what draining
-    each stage exports: the same histogram, counters, spans and MDS
-    batches (a sampled record's context in the 5th slot)."""
+class TestDrainDeliveryObserved:
+    """With metrics or tracing on, the memoised delivery exports what
+    routing each grant by itself exports: the same histogram, counters,
+    spans and MDS batches (a sampled record's context in the 5th slot)."""
 
     @pytest.mark.parametrize("trace", [False, True])
-    def test_fused_pass_equals_drain_collect(self, trace):
+    def test_equals_per_grant_routing(self, trace):
         states = []
         for drain in (ReplayWorld._drain_stages, drain_each_stage):
             telemetry = Telemetry(TelemetryConfig(seed=0, sample_rate=0.25, trace=trace))
@@ -411,11 +417,11 @@ class TestFusedDrainObserved:
                 prometheus_text(telemetry.registry),
                 spans_jsonl(telemetry.tracer.spans) if trace else "",
             ))
-        fused, reference = states
-        assert "padll_channel_queue_wait_seconds" in fused[1]
+        memoised, reference = states
+        assert "padll_channel_queue_wait_seconds" in memoised[1]
         if trace:
-            assert '"queue.wait"' in fused[2]
-        assert fused == reference
+            assert '"queue.wait"' in memoised[2]
+        assert memoised == reference
 
 
 def _python_calls(function, *args) -> Counter:
@@ -438,19 +444,36 @@ def _python_calls(function, *args) -> Counter:
     return calls
 
 
-class TestFusedDrainCalls:
-    """One drain tick enters the same Python frames whatever the number
-    of queued records; only a split (one per channel at most) adds any,
-    and the routing is resolved once per (job, kind), not per stage."""
+class TestDrainTickCalls:
+    """One drain tick drains each stage through its public verb and each
+    channel through ``Channel.drain`` (the one grant loop), once; it
+    enters the same Python frames whatever the number of queued records;
+    only a split (one per channel at most) adds any, and the routing is
+    resolved once per (job, kind), not per stage."""
 
-    def _drain_tick_calls(self, interleave, rate):
-        world, runtime = started_world(4)
+    def _drain_tick_calls(self, interleave, rate, n_stages=4, channel_mode="per-class"):
+        world, runtime = started_world(n_stages, channel_mode)
         for stage in runtime.stages:
-            stage._channel_list[0].set_rate(rate, 0.0)
+            for channel in stage._channel_list:
+                channel.set_rate(rate, 0.0)
         world._submit_stage_rows(runtime, runtime.stages, _DRAIN_ROWS, interleave)
-        queued = sum(len(stage._channel_list[0]._queue) for stage in runtime.stages)
+        queued = sum(
+            len(channel._queue)
+            for stage in runtime.stages
+            for channel in stage._channel_list
+        )
         calls = _python_calls(world._drain_tick, 1.0)
         return queued, calls
+
+    @pytest.mark.parametrize("channel_mode", ["per-class", "per-op"])
+    @pytest.mark.parametrize("n_stages", [1, 3])
+    def test_one_drain_per_channel(self, n_stages, channel_mode):
+        # A per-op stage has a channel per trace kind, rows or not.
+        n_channels = n_stages * (1 if channel_mode == "per-class" else len(_PER_OP_KINDS))
+        _queued, calls = self._drain_tick_calls(4, 9_000.0, n_stages, channel_mode)
+        assert calls[DataPlaneStage.drain_collect.__code__] == n_stages
+        assert calls[Channel.drain.__code__] == n_channels
+        assert calls[DataPlaneStage.drain.__code__] == 0
 
     @pytest.mark.parametrize("rate", [float("inf"), 9_000.0])
     def test_calls_do_not_grow_with_queued_records(self, rate):

@@ -1,11 +1,15 @@
-"""The fused drain pass against draining each stage, over generated queues.
+"""The drain tick's memoised delivery against per-grant routing, over
+generated queues.
 
-``ReplayWorld._drain_stages`` pops, splits, counts, routes and delivers
-each record in one loop.  For any queue contents (mixed kinds, counts,
-submission times, records shared by stages and repeated within a
-queue), any rates and any drain instants, it must leave every channel,
-bucket, MDS queue, failure tally and delivery window exactly
-as ``Channel.drain`` into a list followed by per-record delivery does.
+``ReplayWorld._drain_stages`` drains every stage of a job through
+``DataPlaneStage.drain_collect`` into one list, then delivers it with
+the routing resolved once per kind and reused while the record does not
+change.  For any queue contents (mixed kinds, counts, submission times,
+records shared by stages and repeated within a queue), any rates, any
+drain instants and with the MDS up or down, it must leave every
+channel, bucket, MDS queue, failure tally and delivery window exactly
+as draining each stage and routing its grants one by one, before the
+next stage drains, does.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ def _run(drain, case) -> str:
     return drain_state(world, runtime)
 
 
-class TestFusedDrainMatchesChannelDrain:
+class TestMemoisedDelivery:
     @settings(max_examples=200, deadline=None)
     @given(drains())
-    def test_fused_pass_equals_drain_then_deliver(self, case):
+    def test_equals_per_grant_routing(self, case):
         assert _run(ReplayWorld._drain_stages, case) == _run(drain_each_stage, case)

@@ -33,12 +33,14 @@ LIMITS = (1000.0, 2000.0)
 #: (routing, MDS service, completion check -- a healthy active server is
 #: read where it is needed, not resolved through ``active_mds``), the
 #: control tick (collect request, policy walk); the staged setups add the
-#: stage's classify and drain, one collect (10 frames) and, under PADLL,
-#: one push (7).
+#: stage's classify, its drain (``_drain_stages`` ->
+#: ``DataPlaneStage.drain_collect`` -> ``_drain_channels`` ->
+#: ``Channel.drain`` -> the bucket's consume and refill, one head split),
+#: one collect (10 frames) and, under PADLL, one push (7).
 FRAMES = {
     Setup.BASELINE: 20,
-    Setup.PASSTHROUGH: 39,
-    Setup.PADLL: 50,
+    Setup.PASSTHROUGH: 41,
+    Setup.PADLL: 52,
 }
 
 

@@ -100,6 +100,17 @@ class TestReplayDriver:
         assert driver.finished
         assert driver.finished_at == pytest.approx(15.0)
 
+    def test_a_first_tick_off_the_integer_grid_plays_every_row(self, env, small_trace):
+        """The rows are built from the first tick's own time, so a driver
+        whose ticks fall at 0.1, 1.1, ... still finds a row on each."""
+        rep = TraceReplayer(small_trace, acceleration=60.0, rate_scale=0.5)
+        env.run(until=0.05)
+        driver = ReplayDriver(env, rep, lambda r: None, start=0.1)
+        env.run(until=15.0)
+        assert driver.finished
+        assert driver._tick_index == len(driver._schedule_rows)
+        assert driver.total_submitted == rep.total_ops()
+
     def test_interleave_slices_within_tick(self, env, small_trace):
         rep = TraceReplayer(small_trace, acceleration=60.0)
         received = []
