@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, PolicyError, RPCError, StageNotRegistered
-from repro.core.algorithms import AllocationAlgorithm, JobDemand, MIN_RATE
+from repro.core.algorithms import AllocationAlgorithm, MIN_RATE
 from repro.core.fabric import FaultyFabric
 from repro.core.policies import PolicyRule
 from repro.core.ringlog import RingLog
@@ -34,8 +34,11 @@ from repro.core.rpc import (
 )
 from repro.core.session import CollectSession
 from repro.core.stage import DataPlaneStage, StageIdentity, StageStats
+from repro.telemetry.events import RowEvent
 
-__all__ = ["JobInfo", "ControlPlaneConfig", "fold_stage_demand", "ControlPlane"]
+__all__ = [
+    "JobInfo", "ControlPlaneConfig", "fold_stage_demand", "CycleEvent", "ControlPlane",
+]
 
 # The session machine's timings, in loop intervals: the loop's period is
 # stated once (``ControlPlaneConfig.loop_interval``) and each is a multiple.
@@ -147,6 +150,115 @@ def fold_stage_demand(
         per_job[st.job_id] = acc + offered + drain
 
 
+def _policy_targets(policy: Optional[tuple]) -> Dict[str, float]:
+    """A row's flat ``(job, channel, rate, ...)`` policy pushes, keyed
+    ``"job:channel"``."""
+    if policy is None:
+        return {}
+    it = iter(policy)
+    return {f"{job_id}:{channel_id}": rate for job_id, channel_id, rate in zip(it, it, it)}
+
+
+def _job_rates(cycle: Optional[tuple]) -> Dict[str, float]:
+    """A row's algorithm rates, keyed by job."""
+    if cycle is None:
+        return {}
+    return dict(zip(cycle[0], cycle[3].tolist()))
+
+
+class CycleEvent(RowEvent):
+    """One ``control.cycle`` record (:meth:`ControlPlane._emit_cycle`),
+    kept as the cycle's inputs and rendered to ``fields`` on read.
+
+    ``observed`` is the plane's :meth:`~ControlPlane._cycle_view` of its
+    collect.  ``cycle`` is the algorithm's ``(job_ids, demand,
+    reservations, rates)``, with ``demand`` and ``reservations`` None on a
+    health-paused cycle (every job at ``MIN_RATE``), and None when the
+    algorithm did not run.  ``policy`` is the policy pushes as flat
+    ``(job, channel, rate, ...)`` triples, None when there were none.
+    ``prev_cycle`` / ``prev_policy`` are the previous row's, which the
+    deltas are rendered against.
+    """
+
+    __slots__ = (
+        "iteration", "paused", "observed", "algorithm", "cycle", "policy",
+        "prev_cycle", "prev_policy",
+    )
+
+    names = frozenset({
+        "iteration", "paused", "observed", "demand", "reservations",
+        "algorithm", "rates", "policy_rates", "deltas",
+    })
+
+    def __init__(
+        self,
+        time: float,
+        iteration: int,
+        paused: bool,
+        observed: Optional[tuple],
+        algorithm: Optional[str],
+        cycle: Optional[tuple],
+        policy: Optional[tuple],
+        prev_cycle: Optional[tuple],
+        prev_policy: Optional[tuple],
+    ) -> None:
+        self.kind = "control.cycle"
+        self.time = time
+        self.iteration = iteration
+        self.paused = paused
+        self.observed = observed
+        self.algorithm = algorithm
+        self.cycle = cycle
+        self.policy = policy
+        self.prev_cycle = prev_cycle
+        self.prev_policy = prev_policy
+
+    @staticmethod
+    def observed_fields(observed: Optional[tuple]) -> Dict[str, object]:
+        """Per stage and channel, demand/throughput/backlog/limit."""
+        view: Dict[str, Dict[str, Dict[str, float]]] = {}
+        if observed is not None:
+            it = iter(observed)
+            for stage_id, st in zip(it, it):
+                view[stage_id] = {
+                    snap.channel_id: {
+                        "enqueued_rate": st.demand_rate(snap.channel_id),
+                        "granted_rate": st.granted_rate(snap.channel_id),
+                        "backlog": snap.backlog,
+                        "rate_limit": snap.rate_limit,
+                    }
+                    for snap in st.channels
+                }
+        return {"observed": view}
+
+    def render(self) -> Dict[str, object]:
+        cycle = self.cycle
+        demand: Dict[str, float] = {}
+        reservations: Dict[str, float] = {}
+        if cycle is not None and cycle[1] is not None:
+            job_ids, demand_vec, reserved, _ = cycle
+            demand = dict(zip(job_ids, demand_vec.tolist()))
+            reservations = dict(zip(job_ids, reserved))
+        rates = _job_rates(cycle)
+        policy_rates = _policy_targets(self.policy)
+        prev = {**_job_rates(self.prev_cycle), **_policy_targets(self.prev_policy)}
+        deltas = {
+            target: rate - prev.get(target, 0.0)
+            for target, rate in {**rates, **policy_rates}.items()
+        }
+        return {
+            "iteration": self.iteration,
+            "paused": self.paused,
+            **self.observed_fields(self.observed),
+            "demand": demand,
+            "reservations": reservations,
+            "algorithm": self.algorithm,
+            "rates": rates,
+            "policy_rates": policy_rates,
+            "deltas": deltas,
+        }
+
+
 class ControlPlane:
     """Global coordinator of all data-plane stages."""
 
@@ -197,7 +309,9 @@ class ControlPlane:
         #: loop iteration appends one ``control.cycle`` event recording what
         #: the loop saw and what it pushed.
         self._telemetry = telemetry
-        self._prev_rates: Dict[str, float] = {}
+        #: The last ``control.cycle`` row's ``(cycle, policy)``: what the
+        #: next row renders its deltas against.
+        self._prev_rates: tuple = (None, None)
         # The cycle's frozen job order, rebuilt lazily when placement
         # changes; reservations have their own dirty flag since
         # set_reservation moves no stage.
@@ -205,6 +319,7 @@ class ControlPlane:
         self._vec_version = -1
         self._vec_job_ids: Tuple[str, ...] = ()
         self._vec_res: Optional[np.ndarray] = None
+        self._vec_res_values: Tuple[float, ...] = ()
         self._vec_res_dirty = True
         #: ``(stats, demand)`` of the last vetted collect, taken by the
         #: next :meth:`_job_demand_vec` of those same stats.
@@ -322,9 +437,9 @@ class ControlPlane:
     def _reservation_vec(self) -> np.ndarray:
         if self._vec_res_dirty:
             jobs = self._jobs
-            self._vec_res = np.array(
-                [jobs[job_id].reservation for job_id in self._vec_job_ids]
-            )
+            values = tuple([jobs[job_id].reservation for job_id in self._vec_job_ids])
+            self._vec_res = np.array(values)
+            self._vec_res_values = values
             self._vec_res_dirty = False
         return self._vec_res
 
@@ -378,29 +493,22 @@ class ControlPlane:
             # server.  Explicit admin policies still apply.
             self.pause_ticks += 1
             policy_rates = self._enforce_policies(now)
-            paused_rates = {}
             for job_id in self._jobs:
                 self._push_job_rate(
                     job_id, self.config.algorithm_channel,
                     MIN_RATE, now,
                 )
-                paused_rates[job_id] = MIN_RATE
             if telemetry is not None:
-                self._emit_cycle(
-                    telemetry, now, stats, None, paused_rates, policy_rates,
-                    paused=True,
-                )
+                job_ids = tuple(self._jobs)
+                cycle = (job_ids, None, None, np.full(len(job_ids), MIN_RATE))
+                self._emit_cycle(telemetry, now, stats, cycle, policy_rates, True)
             return
         policy_rates = self._enforce_policies(now)
-        demands = None
-        enforced = None
+        cycle = None
         if self.algorithm is not None:
-            demands, enforced = self._enforce_algorithm(now, stats)
+            cycle = self._enforce_algorithm(now, stats)
         if telemetry is not None:
-            self._emit_cycle(
-                telemetry, now, stats, demands, enforced, policy_rates,
-                paused=False,
-            )
+            self._emit_cycle(telemetry, now, stats, cycle, policy_rates, False)
 
     def _collect(self, now: float) -> Dict[str, StageStats]:
         """Collect every endpoint's window; the fabric picks the loop.
@@ -624,19 +732,20 @@ class ControlPlane:
 
     def _enforce_algorithm(
         self, now: float, stats: Dict[str, StageStats]
-    ) -> tuple[Optional[List[JobDemand]], Optional[Dict[str, float]]]:
+    ) -> Optional[tuple]:
         """The control cycle: demand -> allocate -> clamp -> log -> deliver.
 
         Runs over arrays aligned to the frozen job order; the enforcement
         log receives each cycle's ``(now, job_id, rate)`` rows as one
-        column block, built into rows when it is read.  The per-job
-        ``JobDemand`` / rate views exist only for telemetry's
-        ``control.cycle`` event, so they are built only with telemetry.
+        column block, built into rows when it is read.  Returns the
+        cycle's ``(job_ids, demand, reservations, rates)`` -- fresh arrays
+        nothing writes again, which a ``control.cycle`` row may hold --
+        or None when no job is registered.
         """
         self._ensure_vector_layout()
         job_ids = self._vec_job_ids
         if not job_ids:
-            return None, None
+            return None
         demand = self._job_demand_vec(stats)
         rates = self.algorithm.allocate_arrays(
             job_ids, demand, self._reservation_vec()
@@ -644,22 +753,17 @@ class ControlPlane:
         rates = np.maximum(MIN_RATE, rates)
         self.enforcement_log.extend_rows(now, job_ids, rates)
         self._deliver_rates(now, rates)
-        if self._telemetry is None:
-            return None, None
-        jobs = self._jobs
-        demands = [
-            JobDemand(job_id, job_demand, jobs[job_id].reservation)
-            for job_id, job_demand in zip(job_ids, demand.tolist())
-        ]
-        return demands, dict(zip(job_ids, rates.tolist()))
+        return job_ids, demand, self._vec_res_values, rates
+
+    #: The ``control.cycle`` record this plane appends.
+    _cycle_event = CycleEvent
 
     def _emit_cycle(
         self,
         telemetry,
         now: float,
         stats: Dict[str, StageStats],
-        demands: Optional[List[JobDemand]],
-        enforced: Optional[Dict[str, float]],
+        cycle: Optional[tuple],
         policy_rates: Dict[tuple[str, str], float],
         paused: bool,
     ) -> None:
@@ -668,47 +772,38 @@ class ControlPlane:
         Records the loop's whole decision surface: observed per-channel
         demand/throughput/backlog, the algorithm's inputs, the computed
         (clamped) rates, and each rate's delta against the previous cycle.
-        Runs only with telemetry attached; the tel-only ``_prev_rates``
-        state never feeds back into enforcement arithmetic.
+        The record is a :class:`CycleEvent` row of those inputs, rendered
+        when read; the row holds the previous cycle's rates to render the
+        deltas.  Runs only with telemetry attached; the tel-only
+        ``_prev_rates`` state never feeds back into enforcement arithmetic.
         """
-        rates: Dict[str, float] = dict(enforced or {})
-        for (job_id, channel_id), rate in policy_rates.items():
-            rates[f"{job_id}:{channel_id}"] = rate
-        prev = self._prev_rates
-        deltas = {target: rate - prev.get(target, 0.0) for target, rate in rates.items()}
-        self._prev_rates = rates
-        telemetry.events.emit(
-            "control.cycle",
-            now,
-            iteration=self.loop_iterations,
-            paused=paused,
-            **self._cycle_view(stats),
-            demand={d.job_id: d.demand for d in demands} if demands else {},
-            reservations={d.job_id: d.reservation for d in demands} if demands else {},
-            algorithm=type(self.algorithm).__name__ if self.algorithm else None,
-            rates=dict(enforced or {}),
-            policy_rates={
-                f"{job_id}:{channel_id}": rate
-                for (job_id, channel_id), rate in policy_rates.items()
-            },
-            deltas=deltas,
+        policy = None
+        if policy_rates:
+            policy = []
+            for (job_id, channel_id), rate in policy_rates.items():
+                policy += (job_id, channel_id, rate)
+            policy = tuple(policy)
+        algorithm = self.algorithm
+        prev_cycle, prev_policy = self._prev_rates
+        telemetry.events.append(
+            self._cycle_event(
+                now, self.loop_iterations, paused, self._cycle_view(stats),
+                type(algorithm).__name__ if algorithm else None,
+                cycle, policy, prev_cycle, prev_policy,
+            )
         )
+        self._prev_rates = (cycle, policy)
 
-    def _cycle_view(self, stats: Dict[str, StageStats]) -> Dict[str, object]:
-        """What this plane's collect saw, as ``control.cycle`` fields:
-        per stage and channel, demand/throughput/backlog/limit."""
-        observed: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for stage_id, st in stats.items():
-            observed[stage_id] = {
-                snap.channel_id: {
-                    "enqueued_rate": st.demand_rate(snap.channel_id),
-                    "granted_rate": st.granted_rate(snap.channel_id),
-                    "backlog": snap.backlog,
-                    "rate_limit": snap.rate_limit,
-                }
-                for snap in st.channels
-            }
-        return {"observed": observed}
+    def _cycle_view(self, stats: Dict[str, StageStats]) -> Optional[tuple]:
+        """What this plane's collect saw, as a row's ``observed`` value:
+        ``(stage_id, StageStats, ...)`` flat, or None when empty (the
+        records are immutable, so the row holds the replies themselves)."""
+        if not stats:
+            return None
+        view = []
+        for pair in stats.items():
+            view += pair
+        return tuple(view)
 
     def _job_demand_vec(self, stats: Dict[str, StageStats]) -> np.ndarray:
         """Per-job demand in the frozen job order: every stage window

@@ -12,7 +12,8 @@ inject faults deterministically:
   ``start`` and ``end`` simulated seconds, then healed).
 
 Determinism contract: every random draw comes from one
-:func:`repro.simulation.rng.make_rng` generator seeded at construction;
+:func:`repro.simulation.rng.make_rng` generator of the construction seed,
+built on the first draw;
 draw order is send order plus engine callback order, both of which are
 deterministic for a fixed seed.  The fabric never reads wall clocks --
 ``env.now`` is the only notion of time, and without an engine attached
@@ -26,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.transport import InProcTransport
-from repro.simulation.rng import make_rng
 
 __all__ = ["LinkProfile", "FaultyFabric"]
 
@@ -115,7 +115,9 @@ class FaultyFabric:
         #: Per-address overrides of ``link`` (:meth:`set_link`).
         self._links: Dict[str, LinkProfile] = {}
         self._drop_fn = drop_fn
-        self._rng = make_rng(seed)
+        self._seed = seed
+        #: Built on the first draw (:meth:`_draw`).
+        self._rng = None
         self._telemetry = telemetry
         self._sync_messages = sync_messages
         #: Scripted partition windows: (start, end, addresses-or-None).
@@ -212,13 +214,24 @@ class FaultyFabric:
         if self._partitioned_now(address):
             return "partition"
         link = self.link_for(address)
-        if link.loss > 0.0 and self._rng.random() < link.loss:
+        if link.loss > 0.0 and self._draw() < link.loss:
             return "loss"
         return None
 
+    def _draw(self) -> float:
+        """One uniform draw from the fabric's generator, seeded at
+        construction and built on the first draw, so a fabric that never
+        draws (no loss, no jitter) never loads ``numpy.random``."""
+        rng = self._rng
+        if rng is None:
+            from repro.simulation.rng import make_rng
+
+            rng = self._rng = make_rng(self._seed)
+        return rng.random()
+
     def _delay(self, link: LinkProfile) -> float:
         if link.jitter > 0.0:
-            return link.latency + link.jitter * self._rng.random()
+            return link.latency + link.jitter * self._draw()
         return link.latency
 
     # -- verbs -------------------------------------------------------------
@@ -339,6 +352,6 @@ class FaultyFabric:
         if self._partitioned_now(address):
             return "partition"
         link = self.link_for(address)
-        if link.loss > 0.0 and self._rng.random() < link.loss:
+        if link.loss > 0.0 and self._draw() < link.loss:
             return "loss"
         return None

@@ -91,7 +91,12 @@ import numpy as np
 
 from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.algorithms import MIN_RATE
-from repro.core.controller import STALE_HALFLIFE, ControlPlane, fold_stage_demand
+from repro.core.controller import (
+    STALE_HALFLIFE,
+    ControlPlane,
+    CycleEvent,
+    fold_stage_demand,
+)
 from repro.core.rpc import (
     CollectStats,
     EnforceRate,
@@ -271,6 +276,32 @@ class LocalController:
                     # The stage has no such channel: the rule does not apply.
                     continue
         return True
+
+
+class AggregateCycleEvent(CycleEvent):
+    """The hierarchical plane's ``control.cycle`` row: locals report
+    aggregates, so ``observed`` is job-level per local and the fields
+    carry ``hierarchical=True``."""
+
+    __slots__ = ()
+
+    names = CycleEvent.names | {"hierarchical"}
+
+    @staticmethod
+    def observed_fields(observed: Optional[tuple]) -> Dict[str, object]:
+        view: Dict[str, Dict[str, Dict[str, float]]] = {}
+        if observed is not None:
+            it = iter(observed)
+            for local_id, agg in zip(it, it):
+                view[local_id] = {
+                    job_id: {"demand": demand, "n_stages": n_stages}
+                    for job_id, demand, n_stages in zip(
+                        agg.job_ids,
+                        np.asarray(agg.demand, dtype=np.float64).tolist(),
+                        agg.stage_counts,
+                    )
+                }
+        return {"hierarchical": True, "observed": view}
 
 
 class HierarchicalControlPlane(ControlPlane):
@@ -628,19 +659,19 @@ class HierarchicalControlPlane(ControlPlane):
     _evict = detach_local
 
     # -- introspection -------------------------------------------------------
-    def _cycle_view(self, stats: Dict[str, AggregateStats]) -> Dict[str, object]:
-        """Job-level ``control.cycle`` view: locals report aggregates, not
-        per-channel stage snapshots."""
-        observed = {
-            local_id: {
-                job_id: {"demand": demand, "n_stages": n_stages}
-                for job_id, demand, n_stages in zip(
-                    agg.job_ids,
-                    np.asarray(agg.demand, dtype=np.float64).tolist(),
-                    agg.stage_counts,
-                )
-            }
-            for local_id, agg in stats.items()
-            if isinstance(agg, AggregateStats)
-        }
-        return {"hierarchical": True, "observed": observed}
+    _cycle_event = AggregateCycleEvent
+
+    def _cycle_view(self, stats: Dict[str, AggregateStats]) -> Optional[tuple]:
+        """The row's ``observed``: ``(local_id, AggregateStats, ...)`` flat,
+        or None when no aggregate came in.  A ``demand`` that is an array
+        is copied: the sharded coordinator's is a slice view of the
+        epoch's demand vector, and a row holds its own values, not the
+        whole vector behind a view its owner is free to reuse."""
+        view = []
+        for local_id, agg in stats.items():
+            if not isinstance(agg, AggregateStats):
+                continue
+            if isinstance(agg.demand, np.ndarray):
+                agg = agg._replace(demand=agg.demand.copy())
+            view += (local_id, agg)
+        return tuple(view) if view else None

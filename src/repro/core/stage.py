@@ -115,7 +115,7 @@ class ChannelSnapshot(NamedTuple):
     """One channel's collection window: what it granted and was offered,
     what is still queued, and the rate it ran at -- every field the
     control loop reads (:func:`~repro.core.controller.fold_stage_demand`,
-    ``ControlPlane._cycle_view``) and nothing else.
+    ``CycleEvent.observed_fields``) and nothing else.
 
     A :class:`~typing.NamedTuple`, like every record a control tick
     builds per stage: a stage builds one per channel per collect, and a

@@ -100,8 +100,11 @@ class SinkedEventLog(EventLog):
         self.sink = sink
 
     def emit(self, kind: str, now: float, /, **fields: object) -> None:
-        super().emit(kind, now, **fields)
-        self.sink.write(Event(kind, now, fields).to_dict())
+        self.append(Event(kind, now, fields))
+
+    def append(self, event: Event) -> None:
+        super().append(event)
+        self.sink.write(event.to_dict())
 
 
 def load_jsonl(

@@ -11,7 +11,7 @@ it may ever read ``time.monotonic`` directly: the caller passes ``now``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.service.config import job_of
 
@@ -144,16 +144,16 @@ def build_snapshot(
     return snapshot
 
 
-def _matches_job(fields: Mapping[str, Any], job: str) -> bool:
+def _matches_job(event: Any, job: str) -> bool:
     for key in ("job", "job_id", "endpoint", "stage", "address"):
-        value = fields.get(key)
+        value = event.field(key)
         if value == job or (isinstance(value, str) and job_of(value) == job):
             return True
     return False
 
 
 def filter_events(
-    events: Iterable[Any],
+    events: Sequence[Any],
     kind: Optional[str] = None,
     job: Optional[str] = None,
     since: Optional[float] = None,
@@ -165,21 +165,26 @@ def filter_events(
     Emission order is preserved (the JSONL stream stays chronological);
     ``job`` matches the conventional field names events stamp
     (``job``/``job_id``) plus stage-style addresses like ``job/stage``.
+    The walk runs newest-first and stops at ``limit`` matches, so only
+    the events returned are rendered (``to_dict``) -- a query's cost is
+    its answer plus the events newer than it, not the whole history.
     """
+    if limit is not None and limit < 0:
+        limit = None
     matched = []
-    for event in events:
+    for event in reversed(events):
+        if limit is not None and len(matched) >= limit:
+            break
         if kind is not None and event.kind != kind:
             continue
         if since is not None and event.time < since:
             continue
         if until is not None and event.time > until:
             continue
-        if job is not None and not _matches_job(event.fields, job):
+        if job is not None and not _matches_job(event, job):
             continue
-        matched.append(event.to_dict())
-    if limit is not None and limit >= 0:
-        matched = matched[len(matched) - min(limit, len(matched)):]
-    return matched
+        matched.append(event)
+    return [event.to_dict() for event in reversed(matched)]
 
 
 def filter_spans(

@@ -239,20 +239,22 @@ def hostile_records(draw):
 
 
 def plane_reads(value) -> None:
-    """What the control loop does with a reply: fold it and view it."""
+    """What the control loop does with a reply: fold it, and render the
+    ``control.cycle`` view of it that a row would hold."""
     if isinstance(value, AggregateStats):
         plane = HierarchicalControlPlane()
         plane.attach_local("rack0", lambda message: None)
         plane.vector_job_ids()
         plane._job_demand_vec({"rack0": value})
-        plane._cycle_view({"rack0": value})
+        plane._cycle_event.observed_fields(plane._cycle_view({"rack0": value}))
         demand = np.asarray(value.demand, dtype=np.float64)
         assert len(value.job_ids) == demand.size
         assert not np.isnan(demand).any()
     elif isinstance(value, StageStats):
         for snap in value.channels:
             fold_stage_demand({}, value, snap.channel_id, 1.0)
-        ControlPlane()._cycle_view({"s0": value})
+        plane = ControlPlane()
+        plane._cycle_event.observed_fields(plane._cycle_view({"s0": value}))
     elif isinstance(value, ChannelSnapshot):
         fold_stage_demand({}, StageStats("job0", 1.0, (value,)), value.channel_id, 1.0)
 

@@ -172,3 +172,15 @@ def test_importing_a_package_loads_none_of_its_modules():
 def test_the_cli_starts_without_numpy():
     script = "import sys\nimport repro.cli\nprint('numpy' in sys.modules)\n"
     assert _fresh(script) == "False"
+
+
+def test_a_fault_free_control_plane_loads_no_numpy_random():
+    # The fabric builds its seeded generator on its first loss or jitter
+    # draw; a plane over a fault-free fabric never makes one.
+    script = (
+        "import sys\n"
+        "from repro.core.controller import ControlPlane\n"
+        "ControlPlane().tick(1.0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh(script) == "False"

@@ -11,12 +11,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.simulation.rng import make_rng
 from repro.workloads.abci import (
     AGGREGATE_MIX,
+    MDT_STATES,
+    SAMPLE_PERIOD,
     AbciTraceConfig,
     RegimeState,
+    _state_sequence,
     generate_aggregate_trace,
     generate_mdt_trace,
     generate_trace,
@@ -124,6 +130,55 @@ class TestDeterminism:
         a = generate_mdt_trace(seed=5)
         b = generate_mdt_trace(seed=6)
         assert a != b
+
+
+def choice_state_sequence(config, rng):
+    """The regime sequence drawn with ``Generator.choice(p=)``, the draw
+    ``_state_sequence`` spells out without its per-call validation."""
+    states = config.states
+    weights = np.array([s.time_share / s.mean_dwell for s in states])
+    weights = weights / weights.sum()  # padll: allow(FLT001)
+    n = config.n_samples
+    means = np.empty(n)
+    filled = 0
+    while filled < n:
+        state = states[int(rng.choice(len(states), p=weights))]
+        dwell = max(1, int(round(rng.exponential(state.mean_dwell) / SAMPLE_PERIOD)))
+        end = min(n, filled + dwell)
+        means[filled:end] = state.mean_rate
+        filled = end
+    return means
+
+
+_regimes = st.lists(
+    st.builds(
+        lambda rate, dwell, share: RegimeState("s", rate, dwell, share),
+        st.floats(1.0, 1e6),
+        st.floats(1.0, 4 * 3600.0),
+        st.floats(1e-4, 1.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRegimeDraw:
+    """A NumPy whose ``choice(p=)`` draws differently fails here, naming
+    the draw, instead of moving every trace digest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_regimes, st.integers(0, 2**32 - 1))
+    def test_explicit_draw_is_generator_choice(self, states, seed):
+        config = AbciTraceConfig(duration=6 * 3600.0, states=tuple(states), seed=seed)
+        explicit = _state_sequence(config, make_rng(seed))
+        reference = choice_state_sequence(config, make_rng(seed))
+        assert explicit.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mdt_regimes_are_generator_choice(self, seed):
+        config = AbciTraceConfig(duration=1800 * 60.0, states=MDT_STATES, seed=seed)
+        explicit = _state_sequence(config, make_rng(seed))
+        assert explicit.tobytes() == choice_state_sequence(config, make_rng(seed)).tobytes()
 
 
 class TestConfigValidation:
