@@ -110,8 +110,9 @@ def run_fig4_sharded(
         fluid=FluidConfig(seed=seed, clients_per_stage=clients_per_stage),
     )
 
-    baseline_sim = ShardedSimulation(config, algorithm=None)
-    baseline = baseline_sim.run(duration).finish()
+    # No name keeps a simulation: finish() closes it, so reference
+    # counting frees the baseline world before the padll one is built.
+    baseline = ShardedSimulation(config, algorithm=None).run(duration).finish()
     baseline_rates = baseline.aggregate_served / DT
 
     limits = derive_step_limits(baseline_rates, n_steps)
@@ -122,12 +123,11 @@ def run_fig4_sharded(
         idx = min(int(now // step_period), len(limits) - 1)
         control_plane.algorithm = ProportionalSharing(capacity=limits[idx])
 
-    padll_sim = ShardedSimulation(
+    padll = ShardedSimulation(
         config,
         algorithm=ProportionalSharing(capacity=limits[0]),
         epoch_hook=stepped_capacity,
-    )
-    padll = padll_sim.run(duration).finish()
+    ).run(duration).finish()
 
     return Fig4ShardedResult(
         config=config,

@@ -38,6 +38,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -58,6 +59,9 @@ from repro.simulation.sharded.pool import ShardPool
 from repro.simulation.ticker import DT
 
 __all__ = ["ShardedConfig", "ShardedResult", "ShardedSimulation"]
+
+#: Enforcement-log rows the digest encodes at a time.
+_LOG_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +112,14 @@ class ShardedConfig:
 
 @dataclass(frozen=True)
 class ShardedResult:
-    """Per-rack and aggregate outputs of one sharded run."""
+    """Per-rack and aggregate outputs of one sharded run.
+
+    It holds no reference to the simulation that made it.
+    ``enforcement_log`` is the plane's ring log as :meth:`finish` found
+    it: only the newest ``history_limit`` rows
+    (:class:`~repro.core.controller.ControlPlaneConfig`, 65 536 by
+    default) of a longer run, and :meth:`digest` covers those rows only.
+    """
 
     config: ShardedConfig
     #: rack_id -> ops served per tick by the rack MDS.
@@ -126,7 +137,8 @@ class ShardedResult:
         """SHA-256 over every output float, bit-for-bit.
 
         The invariance tests assert this digest is identical across
-        shard counts.
+        shard counts.  The enforcement log is hashed as the bytes of its
+        ``json.dumps``, encoded a chunk of rows at a time.
         """
         digest = hashlib.sha256()
         for rack_id in self.rack_served:
@@ -145,11 +157,18 @@ class ShardedResult:
                 sort_keys=True,
             ).encode()
         )
-        digest.update(
-            json.dumps(
-                [[now.hex(), job, rate.hex()] for now, job, rate in self.enforcement_log]
-            ).encode()
-        )
+        # The bytes of ``json.dumps`` of the log's ``[now.hex(), job,
+        # rate.hex()]`` rows, fed a chunk of rows at a time: a full copy
+        # costs ~17 MiB at 50 000 rows.
+        log = self.enforcement_log
+        digest.update(b"[")
+        for first in range(0, len(log), _LOG_CHUNK):
+            rows = ", ".join([
+                f'["{now.hex()}", {encode_basestring_ascii(job)}, "{rate.hex()}"]'
+                for now, job, rate in log[first : first + _LOG_CHUNK]
+            ])
+            digest.update((", " + rows if first else rows).encode())
+        digest.update(b"]")
         digest.update(self.delivered_ops.hex().encode())
         digest.update(self.final_backlog.hex().encode())
         return digest.hexdigest()
@@ -164,7 +183,8 @@ class ShardedSimulation:
 
     :meth:`run` once, then :meth:`finish` (which closes it) once; a
     second run, or a finish before the run or after :meth:`close`, is a
-    :class:`ConfigError`.
+    :class:`ConfigError`.  Closing (by :meth:`close`, :meth:`finish` or
+    the ``with`` block) releases the plane and the rack blocks.
     """
 
     def __init__(
@@ -182,7 +202,9 @@ class ShardedSimulation:
 
         # Global registration order: jobs outer, stages inner -- the same
         # order a single engine would register them in, independent of
-        # rack placement and sharding.
+        # rack placement and sharding.  One id string per rack and per
+        # stage, shared by the rack specs and the plane's registry.
+        rack_ids = [f"rack{r}" for r in range(config.n_racks)]
         rack_stages: List[List[Tuple[str, str]]] = [
             [] for _ in range(config.n_racks)
         ]
@@ -191,12 +213,13 @@ class ShardedSimulation:
             job_id = f"job{j}"
             for s in range(config.stages_per_job):
                 rack = rack_index(config.placement, j, s, config.n_racks)
-                rack_stages[rack].append((f"{job_id}-s{s}", job_id))
+                stage_id = f"{job_id}-s{s}"
+                rack_stages[rack].append((stage_id, job_id))
                 registrations.append(
-                    (StageIdentity(f"{job_id}-s{s}", job_id), f"rack{rack}")
+                    (StageIdentity(stage_id, job_id), rack_ids[rack])
                 )
         specs = [
-            RackSpec(rack_id=f"rack{r}", index=r, stages=tuple(stages))
+            RackSpec(rack_id=rack_ids[r], index=r, stages=tuple(stages))
             for r, stages in enumerate(rack_stages)
         ]
         # Contiguous block partition of racks into shards: shard s gets
@@ -345,6 +368,7 @@ class ShardedSimulation:
                 f"finish() needs one completed run() (state: {self._state})"
             )
         finals = self._pool.finals()
+        enforcement_log = tuple(self.control_plane.enforcement_log)
         self.close()
         rack_served = {final.rack_id: final.served for final in finals}
         aggregate = np.zeros(len(finals[0].served))
@@ -362,15 +386,29 @@ class ShardedSimulation:
             rack_served=rack_served,
             aggregate_served=aggregate,
             job_granted=job_granted,
-            enforcement_log=tuple(self.control_plane.enforcement_log),
+            enforcement_log=enforcement_log,
             delivered_ops=float(sum(final.delivered_ops for final in finals)),
             final_backlog=float(sum(final.backlog for final in finals)),
         )
 
     def close(self) -> None:
-        """Drop the rack blocks without collecting results; idempotent."""
+        """Release everything the run built, without collecting results;
+        idempotent.
+
+        The plane holds the rack handlers and the array sink, bound to
+        this simulation, so the simulation and its plane are a reference
+        cycle until this drops the plane (``control_plane`` reads
+        ``None`` after it), with the rack blocks, the sink's scatter map,
+        the demand vector and the epoch hook: a closed simulation frees
+        itself by reference counting, and one still referenced keeps
+        none of its arrays.
+        """
         self._state = "closed"
         self._pool = None
+        self._sink = []
+        self._demand = None
+        self._epoch_hook = None
+        self.control_plane = None
 
     def __enter__(self) -> "ShardedSimulation":
         return self
