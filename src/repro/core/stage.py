@@ -111,11 +111,17 @@ class StageIdentity:
             raise ConfigError(f"stage {self.stage_id!r} needs a job id")
 
 
+#: ``tuple.__new__``: builds a named tuple from its fields in C, without
+#: the Python-level constructor frame a collect would pay per record.
+_new_record = tuple.__new__
+
+
 class ChannelSnapshot(NamedTuple):
     """One channel's collection window: what it granted and was offered,
-    what is still queued, and the rate it ran at -- every field the
-    control loop reads (:func:`~repro.core.controller.fold_stage_demand`,
-    ``CycleEvent.observed_fields``) and nothing else.
+    what is still queued, and the rate it ran at.  A stage's local folds
+    the channel id, the offered ops and the backlog into its job's demand
+    (:class:`~repro.core.hierarchy.LocalController`); the granted ops and
+    the rate stay for the wire record's readers outside the loop.
 
     A :class:`~typing.NamedTuple`, like every record a control tick
     builds per stage: a stage builds one per channel per collect, and a
@@ -140,26 +146,6 @@ class StageStats(NamedTuple):
     job_id: str
     window: float
     channels: tuple[ChannelSnapshot, ...]
-
-    def demand_rate(self, channel_id: Optional[str] = None) -> float:
-        """Enqueued ops/s over the window (the job's offered load)."""
-        if self.window <= 0:
-            return 0.0
-        total = sum(
-            c.enqueued_ops for c in self.channels
-            if channel_id is None or c.channel_id == channel_id
-        )
-        return total / self.window
-
-    def granted_rate(self, channel_id: Optional[str] = None) -> float:
-        """Granted ops/s over the window (the job's achieved throughput)."""
-        if self.window <= 0:
-            return 0.0
-        total = sum(
-            c.granted_ops for c in self.channels
-            if channel_id is None or c.channel_id == channel_id
-        )
-        return total / self.window
 
 
 class StageCore:
@@ -373,12 +359,15 @@ class StageCore:
         for channel in self._channel_list:
             granted, enqueued, backlog = channel.collect()
             snapshots.append(
-                ChannelSnapshot(
-                    channel.channel_id, granted, enqueued, backlog, channel.rate
+                _new_record(
+                    ChannelSnapshot,
+                    (channel.channel_id, granted, enqueued, backlog, channel.rate),
                 )
             )
         self._last_collect = now
-        return StageStats(self.identity.job_id, window, tuple(snapshots))
+        return _new_record(
+            StageStats, (self.identity.job_id, window, tuple(snapshots))
+        )
 
 
 class DataPlaneStage(StageCore):
@@ -476,30 +465,35 @@ class DataPlaneStage(StageCore):
 
         Channels are drained in creation order; a round-robin refinement
         is unnecessary because per-channel buckets already bound each
-        channel's share.
+        channel's share.  The grants reach the sink in grant order once
+        every channel has drained (:meth:`drain_collect`): releasing a
+        grant has no effect on channel state, so this equals per-grant
+        delivery.
         """
-        return self._drain_channels(now, self._sink)
+        grants: List[Request] = []
+        total = self.drain_collect(now, grants)
+        sink = self._sink
+        for request in grants:
+            sink(request)
+        return total
 
     def drain_collect(self, now: float, grants: List[Request]) -> float:
         """:meth:`drain`, but append granted records to ``grants`` instead
         of invoking the sink per grant.
 
-        Releasing a grant has no effect on channel state, so a caller that
-        delivers the collected records afterwards (in list order) observes
-        exactly the per-grant sink semantics -- while paying one C-level
-        ``list.append`` per grant instead of a Python sink call chain.  The
-        replay world's drain tick drains every stage this way
-        (``ReplayWorld._drain_stages``).
+        A caller that delivers the collected records afterwards (in list
+        order) observes exactly the per-grant sink semantics -- while
+        paying one C-level ``list.append`` per grant instead of a Python
+        sink call chain.  The replay world's drain tick drains every
+        stage this way (``ReplayWorld._drain_stages``).
         """
-        return self._drain_channels(now, grants.append)
-
-    def _drain_channels(self, now: float, sink: Callable[[Request], None]) -> float:
         if self._orphan_policy is not None:
             self._orphan_check(now)
         total = 0.0
         telemetry = self._telemetry
+        append = grants.append
         for channel in self._channel_list:
-            total += channel.drain(now, sink, telemetry)
+            total += channel.drain(now, append, telemetry)
         return total
 
     def collect(self, now: float) -> StageStats:

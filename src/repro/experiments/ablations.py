@@ -27,7 +27,8 @@ import numpy as np
 from repro.core.algorithms import ProportionalSharing
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
 from repro.core.fabric import FaultyFabric, LinkProfile
-from repro.core.rpc import CollectStats, Ping
+from repro.core.hierarchy import CollectAggregate
+from repro.core.rpc import Ping
 from repro.experiments.harness import JobSpec, ReplayWorld, Setup
 from repro.workloads.abci import generate_mdt_trace
 
@@ -62,16 +63,17 @@ def sweep_control_lag(
     """Staggered job arrivals under delayed enforcement.
 
     Jobs enter every 60 s with *unthrottled* channels (the realistic
-    arrival state); the control loop reins each one in, but its
-    EnforceRate messages land ``latency`` seconds late, so each arrival
-    leaks unthrottled work proportional to the lag.
+    arrival state); the control loop reins each one in, but its rate
+    pushes (``EnforceJobRateBatch`` to each job's local) land ``latency``
+    seconds late, so each arrival leaks unthrottled work proportional to
+    the lag.  Collects stay synchronous.
     """
     points = []
     for latency in latencies:
         factory = (
             (
                 lambda env, l=latency: FaultyFabric(
-                    env, link=LinkProfile(latency=l), sync_messages=(CollectStats, Ping)
+                    env, link=LinkProfile(latency=l), sync_messages=(CollectAggregate, Ping)
                 )
             )
             if latency > 0

@@ -5,8 +5,9 @@ future work: what happens to enforcement when the feedback loop's RPCs
 are lost, delayed, or partitioned away?  This experiment quantifies it.
 One fault *axis* at a time (message loss probability, link latency, or a
 scripted full partition window), one control-plane *mode* at a time
-(``flat`` talks to every stage; ``hier`` talks to per-rack local
-controllers hosting whole jobs; ``hier-split`` gives every job two
+(``flat`` gives each job the in-process local the plane keeps for it, so
+the faults sit on the plane -> job-local link; ``hier`` talks to per-rack
+local controllers hosting whole jobs; ``hier-split`` gives every job two
 stages placed on *different* racks, so the global tier merges partial
 per-job demands while links fail), each faulty run is compared against
 the same mode's fault-free reference run:
@@ -50,6 +51,9 @@ __all__ = [
 
 N_JOBS = 4
 MODES = ("flat", "hier", "hier-split")
+#: mode -> the world's placement: ``flat`` is one in-process local per
+#: job (the plane's own), the other two put the stages on racks.
+PLACEMENT = {"flat": None, "hier": "job", "hier-split": "split"}
 #: axis -> default fault levels (level 0 doubles as the reference run).
 FAULT_AXES: Dict[str, Tuple[float, ...]] = {
     "loss": (0.0, 0.1, 0.3, 0.6),
@@ -104,8 +108,7 @@ def _build_world(
         # An engine-attached fabric defers collects, so the plane runs its
         # sessions: deadlines, retries and staleness in loop intervals.
         fabric_factory=fabric_factory,
-        hierarchical=(mode != "flat"),
-        placement="split" if mode == "hier-split" else "job",
+        placement=PLACEMENT[mode],
         orphan_policy=ORPHAN_POLICY,
     )
     trace = generate_mdt_trace(seed=seed, duration=duration * 60.0)

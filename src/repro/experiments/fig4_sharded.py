@@ -13,7 +13,7 @@ throttling and headroom regimes) on the
 2. *padll phase*: a fresh, identically-seeded cluster runs under a
    :class:`~repro.core.algorithms.ProportionalSharing` allocator whose
    capacity steps through :func:`~repro.experiments.fig4.derive_step_limits`
-   on the fig4 schedule -- each epoch the real hierarchical plane merges
+   on the fig4 schedule -- each epoch the real control plane merges
    split-job demand partials and fans per-stage rates back out.
 
 Expected shapes mirror fig4: the padll aggregate hugs the stepped

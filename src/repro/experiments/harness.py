@@ -47,12 +47,7 @@ from repro.core.channel import Channel
 from repro.core.differentiation import ClassifierRule
 from repro.core.policies import PolicyRule
 from repro.core.requests import MDS_CLASSES, MDS_KIND_BY_OP, Request, batch_request
-from repro.core.hierarchy import (
-    HierarchicalControlPlane,
-    LocalController,
-    check_placement,
-    rack_index,
-)
+from repro.core.hierarchy import LocalController, check_placement, rack_index
 from repro.core.stage import DataPlaneStage, OrphanPolicy, StageIdentity
 from repro.core.token_bucket import UNLIMITED
 from repro.monitoring.collector import Collector, Probe
@@ -67,7 +62,7 @@ from repro.workloads.trace import OpTrace
 
 __all__ = ["Setup", "JobSpec", "JobResult", "WorldResult", "ReplayWorld"]
 
-#: Local controllers of a hierarchical world.
+#: Local controllers of a world with rack placement.
 N_RACKS = 2
 
 #: Plain-dict cost table for the delivery loops (one lookup per
@@ -206,13 +201,12 @@ class ReplayWorld:
         fabric_factory=None,
         health_aware: bool = False,
         telemetry=None,
-        hierarchical: bool = False,
-        placement: str = "job",
+        placement: Optional[str] = None,
         orphan_policy: Optional[OrphanPolicy] = None,
     ) -> None:
         if sample_period <= 0:
             raise ConfigError(f"sample period must be positive, got {sample_period}")
-        self.placement = check_placement(placement)
+        self.placement = None if placement is None else check_placement(placement)
         self.setup = setup
         self.sample_period = float(sample_period)
         self.telemetry = telemetry
@@ -237,31 +231,23 @@ class ReplayWorld:
         config = ControlPlaneConfig(
             loop_interval=loop_interval, algorithm_channel=algorithm_channel
         )
-        self.hierarchical = hierarchical
         self.orphan_policy = orphan_policy
-        if hierarchical:
-            # Per-rack local controllers.  placement="job" pins whole jobs
-            # to racks so the hierarchy is enforcement-equivalent to the
-            # flat plane on a fault-free fabric; placement="split" spreads
-            # each job's stages across racks so the global tier merges
-            # partial per-job demands.
-            self.controller = HierarchicalControlPlane(
-                fabric=fabric,
-                config=config,
-                algorithm=algorithm,
-                telemetry=telemetry,
-            )
+        self.controller = ControlPlane(
+            fabric=fabric,
+            config=config,
+            algorithm=algorithm,
+            telemetry=telemetry,
+        )
+        #: The world's racks: none with ``placement=None``, where each
+        #: job's stages join the local the plane keeps for that job.  With
+        #: ``"job"`` whole jobs are round-robined over ``N_RACKS`` racks;
+        #: ``"split"`` spreads each job's stages across them, so the plane
+        #: merges partial per-job demands.
+        self.racks: List[LocalController] = []
+        if placement is not None:
             self.racks = [LocalController(f"rack{r}") for r in range(N_RACKS)]
             for rack in self.racks:
                 self.controller.attach_local(rack.local_id, rack.handle)
-        else:
-            self.controller = ControlPlane(
-                fabric=fabric,
-                config=config,
-                algorithm=algorithm,
-                telemetry=telemetry,
-            )
-            self.racks = []
         #: job id -> its position in job-start order (rack placement).
         self._job_index: Dict[str, int] = {}
         if health_aware:
@@ -546,7 +532,7 @@ class ReplayWorld:
                         self.orphan_policy, self.controller.config.loop_interval
                     )
                 runtime.stages.append(stage)
-                if self.hierarchical:
+                if self.racks:
                     rack = self._rack_for_stage(spec.job_id, i)
                     rack.register(stage)
                     self.controller.register_stage(
@@ -693,7 +679,7 @@ class ReplayWorld:
                 # algorithms redistribute its share (Fig. 5's exits).
                 for i, stage in enumerate(runtime.stages):
                     self.controller.deregister(stage.identity.stage_id)
-                    if self.hierarchical:
+                    if self.racks:
                         self._rack_for_stage(runtime.spec.job_id, i).deregister(
                             stage.identity.stage_id
                         )

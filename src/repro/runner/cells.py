@@ -15,7 +15,9 @@ paper's artefact grids cell-by-cell:
 * ``harm_grid`` -- the protected and unprotected MDS-overload runs;
 * ``overhead_grid`` -- the simulated interception-overhead check;
 * ``dependability_grid`` -- control-plane fault sweeps (RPC loss,
-  latency, partitions), flat vs hierarchical vs split-job hierarchical;
+  latency, partitions) per mode: ``flat`` (one in-process local per
+  job, the plane's own), ``hier`` (whole jobs on racks) and
+  ``hier-split`` (each job's stages across racks);
 * ``sharded_grid`` -- fig4-style runs on the sharded fluid engine at
   several shard counts (digest-equal by construction; the sweep cache
   sees one result per configuration regardless of shards).

@@ -22,13 +22,15 @@ Concurrency contract (pinned by ``tests/service/test_concurrent_scrape.py``):
   loop is running (then there is no writer to race).
 
 Wherever they run, stages are built by :func:`~repro.service.stagehost.
-build_stages` from the config's ``StageLayout``; in process they join a
-flat :class:`~repro.core.controller.ControlPlane`.  Out-of-process mode
-(``stage_procs > 0``) swaps the fabric's inner transport for a listening
+build_stages` from the config's ``StageLayout`` and reach the one
+:class:`~repro.core.controller.ControlPlane` through a local controller:
+in process each job's stages join the local the plane keeps for that job
+(the fabric's faults sit on that plane -> local hop, the link latency on
+each stage's handler).  Out-of-process mode (``stage_procs > 0``) swaps
+the fabric's inner transport for a listening
 :class:`~repro.net.SocketTransport`, moves every stage into supervised
 ``padll-repro stage-host`` children (:mod:`repro.service.hosts`) and
-makes each host a local of a :class:`~repro.core.hierarchy.
-HierarchicalControlPlane`: two requests per host per tick.  Hosts
+makes each host a local of the plane: two requests per host per tick.  Hosts
 dial in, ask for the layout (answered on the reader thread), then PUSH
 registrations and telemetry (documents :mod:`repro.service.stagehost`
 builds and reads); both land on reader threads and join the admin
@@ -54,7 +56,6 @@ from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.fabric import FaultyFabric, LinkProfile
 from repro.core.config import parse_policy
-from repro.core.hierarchy import HierarchicalControlPlane
 from repro.core.policies import PolicyRule
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import StageIdentity
@@ -253,8 +254,7 @@ class ServiceRuntime:
             algorithm = padll.algorithm
         else:
             algorithm = ProportionalSharing(capacity=config.capacity)
-        plane = HierarchicalControlPlane if config.stage_procs > 0 else ControlPlane
-        self.controller = plane(
+        self.controller = ControlPlane(
             fabric=self.fabric,
             config=ControlPlaneConfig(
                 loop_interval=config.interval,

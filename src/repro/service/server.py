@@ -200,17 +200,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         start = self.runtime.clock()
         try:
-            result = self.runtime.admin(action, params)
+            status, payload = 200, self.runtime.admin(action, params)
         except (ConfigError, PolicyError, StageNotRegistered) as exc:
-            self._send_json(400, {"error": str(exc), "action": action})
+            status, payload = 400, {"error": str(exc), "action": action}
         except ReproError as exc:
-            self._send_json(500, {"error": str(exc), "action": action})
-        else:
-            self._send_json(200, result)
-        finally:
-            self.server.admin_latency[action].observe(
-                self.runtime.clock() - start
-            )
+            status, payload = 500, {"error": str(exc), "action": action}
+        # Observed before the reply goes out, so a scrape the caller sends
+        # after reading it already counts this dispatch.
+        self.server.admin_latency[action].observe(self.runtime.clock() - start)
+        self._send_json(status, payload)
 
     def _authorized(self) -> bool:
         """Constant-time shared-secret check; open when no token is set."""

@@ -2,8 +2,8 @@
 
 :class:`ShardedSimulation` stitches the two halves together.  The data
 plane is a :class:`~repro.simulation.sharded.pool.ShardPool` of fluid
-racks; the control plane is a genuine
-:class:`~repro.core.hierarchy.HierarchicalControlPlane` with one local
+racks; the control plane is the genuine
+:class:`~repro.core.controller.ControlPlane` with one local
 per rack, each an address bound to the coordinator's rack handler.  One
 *epoch* is one control loop interval:
 
@@ -48,10 +48,10 @@ from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
-    HierarchicalControlPlane,
     check_placement,
     rack_index,
 )
+from repro.core.controller import ControlPlane
 from repro.core.rpc import RpcMessage
 from repro.core.stage import StageIdentity
 from repro.simulation.sharded.fluid import FluidBlock, FluidConfig, RackSpec
@@ -175,7 +175,7 @@ class ShardedResult:
 
 
 class ShardedSimulation:
-    """Drive a sharded fluid cluster under the hierarchical plane.
+    """Drive a sharded fluid cluster under the control plane, one local per rack.
 
     ``epoch_hook(control_plane, now)`` (optional) runs right before each
     ``cp.tick`` -- the fig4-style experiments use it to step the
@@ -192,7 +192,7 @@ class ShardedSimulation:
         config: ShardedConfig,
         algorithm=None,
         telemetry=None,
-        epoch_hook: Optional[Callable[[HierarchicalControlPlane, float], None]] = None,
+        epoch_hook: Optional[Callable[[ControlPlane, float], None]] = None,
     ) -> None:
         self.config = config
         self._epoch_hook = epoch_hook
@@ -244,7 +244,7 @@ class ShardedSimulation:
         self._sink_ran = False
         self._batch_slots: Set[int] = set()
 
-        self.control_plane = HierarchicalControlPlane(
+        self.control_plane = ControlPlane(
             algorithm=algorithm,
             telemetry=telemetry,
             enforce_array_sink=self._enforce_array_sink,

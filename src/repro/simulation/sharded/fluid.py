@@ -34,7 +34,7 @@ Bit-identity contract (asserted by ``tests/simulation/test_sharded.py``):
 Demand partials follow the hierarchy's exact per-stage expression
 (``offered = enqueued/window``, ``drain = backlog/loop_interval``,
 accumulated per job in stage-registration order), so the merged global
-demand the :class:`~repro.core.hierarchy.HierarchicalControlPlane` sees
+demand the :class:`~repro.core.controller.ControlPlane` sees
 is the same signal a
 :class:`~repro.core.hierarchy.LocalController` would have reported.
 """

@@ -222,9 +222,9 @@ class TestAlgorithmLoop:
         dropped = {"n": 0}
 
         def drop(addr, msg):
-            from repro.core.rpc import CollectStats
+            from repro.core.hierarchy import CollectAggregate
 
-            if isinstance(msg, CollectStats):
+            if isinstance(msg, CollectAggregate):
                 dropped["n"] += 1
                 return True
             return False
@@ -244,23 +244,16 @@ class TestAlgorithmLoop:
     def test_lost_push_is_not_a_collect_failure(self, kind):
         """Every collect is answered; only the pushes are lost.  The
         fabric counts them (``dropped``), the collect tally does not."""
-        from repro.core.hierarchy import (
-            EnforceJobRateBatch,
-            HierarchicalControlPlane,
-            LocalController,
-        )
-        from repro.core.rpc import EnforceRate
+        from repro.core.hierarchy import EnforceJobRateBatch, LocalController
 
-        push = (EnforceRate, EnforceJobRateBatch)
-        fabric = FaultyFabric(drop_fn=lambda addr, msg: isinstance(msg, push))
-        if kind == "flat":
-            cp = ControlPlane(fabric=fabric, algorithm=StaticPartition(10.0))
+        fabric = FaultyFabric(
+            drop_fn=lambda addr, msg: isinstance(msg, EnforceJobRateBatch)
+        )
+        cp = ControlPlane(fabric=fabric, algorithm=StaticPartition(10.0))
+        if kind == "flat":  # every stage on its job's own local
             for i in range(2):
                 cp.register(make_stage(f"s{i}", f"job{i}"))
         else:
-            cp = HierarchicalControlPlane(
-                fabric=fabric, algorithm=StaticPartition(10.0)
-            )
             for i in range(2):
                 rack = LocalController(f"rack{i}")
                 cp.attach_local(rack.local_id, rack.handle)
@@ -281,15 +274,17 @@ class TestAlgorithmLoop:
 
 
 class TestLiveness:
-    """max_missed_collects evicts presumed-dead stages (section VI knob)."""
+    """max_missed_collects evicts presumed-dead locals (section VI knob):
+    a stage registered in process answers through its job's local, whose
+    address is the job id, so a silent job's local goes with its stages."""
 
     def _dropping_cp(self, limit, telemetry=None):
         dead = {"flag": False}
 
         def drop(addr, msg):
-            from repro.core.rpc import CollectStats
+            from repro.core.hierarchy import CollectAggregate
 
-            return dead["flag"] and isinstance(msg, CollectStats)
+            return dead["flag"] and isinstance(msg, CollectAggregate)
 
         cp = ControlPlane(
             fabric=FaultyFabric(drop_fn=drop),
@@ -307,10 +302,10 @@ class TestLiveness:
         dead["flag"] = True
         for t in (1.0, 2.0, 3.0):
             cp.tick(t)
-        assert cp.evictions == [(2.0, "s0")]
+        assert cp.evictions == [(2.0, "jobA")]
         evicts = list(telemetry.events.of_kind("control.evict"))
         assert [(e.time, e.fields) for e in evicts] == [
-            (2.0, {"endpoint": "s0", "misses": 2})
+            (2.0, {"endpoint": "jobA", "misses": 2})
         ]
 
     def test_eviction_after_limit(self):
@@ -325,7 +320,7 @@ class TestLiveness:
             assert "jobA" in cp.jobs  # below the limit
         cp.tick(3.0)
         assert cp.jobs == {}
-        assert cp.evictions == [(3.0, "s0")]
+        assert cp.evictions == [(3.0, "jobA")]
 
     def test_recovery_resets_counter(self):
         cp, dead = self._dropping_cp(limit=2)
@@ -342,9 +337,9 @@ class TestLiveness:
 
     def test_disabled_by_default(self):
         def drop(addr, msg):
-            from repro.core.rpc import CollectStats
+            from repro.core.hierarchy import CollectAggregate
 
-            return isinstance(msg, CollectStats)
+            return isinstance(msg, CollectAggregate)
 
         cp = ControlPlane(fabric=FaultyFabric(drop_fn=drop))
         cp.register(make_stage("s0", "jobA"))
@@ -362,9 +357,9 @@ class TestEvictionEdges:
         dead = {"flag": False}
 
         def drop(addr, msg):
-            from repro.core.rpc import CollectStats
+            from repro.core.hierarchy import CollectAggregate
 
-            return dead["flag"] and isinstance(msg, CollectStats)
+            return dead["flag"] and isinstance(msg, CollectAggregate)
 
         cp = ControlPlane(
             fabric=FaultyFabric(drop_fn=drop),
@@ -397,7 +392,7 @@ class TestEvictionEdges:
         assert rate > 1.0
         # A fresh silence starts the miss count from zero, not from the
         # evicted predecessor's tally.
-        assert cp._missed_collects.get("s0", 0) == 0
+        assert cp._missed_collects.get("jobA", 0) == 0
 
     def test_final_stage_eviction_redistributes_share(self):
         """Evicting a job's last stage removes the job; the survivors'
@@ -405,10 +400,10 @@ class TestEvictionEdges:
         dead = {"flag": False}
 
         def drop(addr, msg):
-            from repro.core.rpc import CollectStats
+            from repro.core.hierarchy import CollectAggregate
 
             return (
-                dead["flag"] and addr == "b0" and isinstance(msg, CollectStats)
+                dead["flag"] and addr == "jobB" and isinstance(msg, CollectAggregate)
             )
 
         cp = ControlPlane(
@@ -431,7 +426,7 @@ class TestEvictionEdges:
             load(t)
             cp.tick(t)
         assert "jobB" not in cp.jobs
-        assert cp.evictions == [(2.0, "b0")]
+        assert cp.evictions == [(2.0, "jobB")]
         load(3.0)
         cp.tick(3.0)
         # After redistribution jobA is the sole claimant of the capacity.

@@ -1,6 +1,6 @@
 """The hierarchical plane's one-pass demand fold, bit for bit.
 
-``HierarchicalControlPlane._job_demand_vec`` folds every local's demand
+``ControlPlane._job_demand_vec`` folds every local's demand
 partials with one ``np.bincount`` over their concatenation.  The
 reference below is the per-local fold it replaced: a zero vector, then
 one ``demand[i] += partial`` per reply entry in stats order (a reply's
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import STALE_HALFLIFE
-from repro.core.hierarchy import AggregateStats, HierarchicalControlPlane
+from repro.core.controller import ControlPlane
+from repro.core.hierarchy import AggregateStats
 from repro.core.stage import StageIdentity
 
 N_JOBS = 6
@@ -49,7 +50,7 @@ def reference_fold(plane, stats):
 
 
 def make_plane():
-    plane = HierarchicalControlPlane()
+    plane = ControlPlane()
     for r in range(3):
         plane.attach_local(f"rack{r}", lambda message: None)
     for j, job_id in enumerate(KNOWN):

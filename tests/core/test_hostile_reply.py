@@ -17,11 +17,11 @@ import pytest
 
 from repro.core.algorithms import ProportionalSharing
 from repro.core.controller import ControlPlaneConfig
+from repro.core.controller import ControlPlane
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
-    HierarchicalControlPlane,
 )
 from repro.core.stage import StageIdentity
 from repro.errors import RPCError
@@ -57,7 +57,7 @@ def local(reply):
 
 def run(b_reply, max_missed_collects=None):
     telemetry = Telemetry(TelemetryConfig(trace=False))
-    plane = HierarchicalControlPlane(
+    plane = ControlPlane(
         algorithm=ProportionalSharing(capacity=1000.0),
         config=ControlPlaneConfig(max_missed_collects=max_missed_collects),
         telemetry=telemetry,

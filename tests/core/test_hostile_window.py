@@ -1,11 +1,14 @@
 """One stage's well-typed but wrong window moves only its own job.
 
-A flat plane polls three stages: ``a0`` and ``a1`` report honest
-windows, ``b0`` answers with an infinite, negative or NaN count or
-backlog, or with ops over a negative window.  Each such window is
-refused as ``b0``'s collect miss, so every job gets exactly the rates of
-the same run in which ``b0``'s collect raises ``RPCError`` -- and the
-allocator never sees a value it would warn about.
+The plane polls three stages, each registered in process and so reached
+through its job's own local: ``a0`` and ``a1`` report honest windows,
+``b0`` answers with an infinite, negative or NaN count or backlog, or
+with ops over a negative window.  The local folds such a window into a
+demand not finite and >= 0, which the plane refuses as the collect miss
+of ``b0``'s local, so every job gets exactly the rates of the same run in
+which ``b0``'s collect raises ``RPCError`` (which makes the whole local's
+collect a miss) -- and the allocator never sees a value it would warn
+about.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ def test_a_hostile_window_is_that_stages_collect_miss(case):
     assert hostile.collect_failures == dropped.collect_failures == TICKS
     refused = list(telemetry.events.of_kind("control.reply_refused"))
     assert len(refused) == TICKS
-    assert {e.fields["stage"] for e in refused} == {"b0-s0"}
+    assert {e.fields["local"] for e in refused} == {"b0"}
 
 
 def test_refusals_count_towards_eviction_like_misses():
     dropped, _ = run(RPCError("collect lost"), max_missed_collects=3)
     hostile, _ = run(HOSTILE["+inf ops"], max_missed_collects=3)
-    assert [(now, endpoint) for now, endpoint in hostile.evictions] == [(2.0, "b0-s0")]
+    assert [(now, endpoint) for now, endpoint in hostile.evictions] == [(2.0, "b0")]
     assert list(hostile.evictions) == list(dropped.evictions)
     assert list(hostile.enforcement_log) == list(dropped.enforcement_log)
     assert "b0-s0" not in hostile.stages

@@ -16,12 +16,7 @@ from repro.core.controller import (
     ControlPlaneConfig,
 )
 from repro.core.fabric import FaultyFabric, LinkProfile
-from repro.core.hierarchy import (
-    CollectAggregate,
-    HierarchicalControlPlane,
-    LocalController,
-)
-from repro.core.rpc import CollectStats
+from repro.core.hierarchy import CollectAggregate, LocalController
 from repro.core.requests import OperationType, Request
 from repro.core.session import CollectSession
 from repro.simulation.engine import Environment
@@ -70,7 +65,7 @@ class TestAsyncCollect:
         drive(cp, env, ticks=5, load=load)
         # Replies arrive 0.2s after issue -- fresh by the next tick -- so
         # the allocator runs and enforces from tick 1 onward.
-        assert set(cp._sessions) == {"s0", "s1"}
+        assert set(cp._sessions) == {"job0", "job1"}  # one per job's local
         assert cp.collect_failures == 0
         assert len(cp.enforcement_log) > 0
         assert cp.collect_timeouts == 0
@@ -96,8 +91,9 @@ class TestAsyncCollect:
         )
         drive(cp, env, ticks=25)
         assert len(cp.stages) == 0
-        evicted = {stage_id for _, stage_id in cp.evictions}
-        assert evicted == {"s0", "s1"}
+        evicted = {local_id for _, local_id in cp.evictions}
+        assert evicted == {"job0", "job1"}  # each stage's job local
+        assert cp.locals == {}
 
     def test_retries_defer_misses(self, env):
         cp, fabric, _ = make_world(
@@ -151,11 +147,10 @@ class TestSyncCollectOverDeferringFabric:
             env, link=LinkProfile(latency=0.5), sync_messages=sync_messages
         )
         algorithm = ProportionalSharing(capacity=100.0)
-        if kind == "flat":
-            cp = ControlPlane(fabric=fabric, algorithm=algorithm)
+        cp = ControlPlane(fabric=fabric, algorithm=algorithm)
+        if kind == "flat":  # the stage's job gets its own local
             cp.register(make_stage("s0", "job0"))
         else:
-            cp = HierarchicalControlPlane(fabric=fabric, algorithm=algorithm)
             rack = LocalController("rack0")
             cp.attach_local("rack0", rack.handle)
             stage = make_stage("s0", "job0")
@@ -164,21 +159,21 @@ class TestSyncCollectOverDeferringFabric:
         return cp
 
     @pytest.mark.parametrize(
-        "kind, endpoint", [("flat", "s0"), ("hierarchical", "rack0")]
+        "kind, endpoint", [("flat", "job0"), ("hierarchical", "rack0")]
     )
     def test_engine_fabric_runs_sessions(self, env, kind, endpoint):
         cp = self.plane(env, kind)
-        assert cp.fabric.defers(cp._collect_message(0.0))
+        assert cp.fabric.defers(CollectAggregate(0.0, "metadata", 1.0))
         cp.tick(0.0)
         assert set(cp._sessions) == {endpoint}
         assert cp._sessions[endpoint].pending is not None
 
     @pytest.mark.parametrize(
-        "kind, verb", [("flat", CollectStats), ("hierarchical", CollectAggregate)]
+        "kind, verb", [("flat", CollectAggregate), ("hierarchical", CollectAggregate)]
     )
     def test_synchronous_collect_messages_still_work(self, env, kind, verb):
         cp = self.plane(env, kind, sync_messages=(verb,))
-        assert not cp.fabric.defers(cp._collect_message(0.0))
+        assert not cp.fabric.defers(CollectAggregate(0.0, "metadata", 1.0))
         cp.tick(0.0)
         assert len(cp.enforcement_log) == 1
         assert cp._sessions == {}
@@ -199,11 +194,11 @@ class TestStaleness:
         drive(cp, env, ticks=3)
         # Manufacture staleness: pretend the reply arrived two half-lives
         # ago, then recompute demands.
-        stats = {"s0": cp._sessions["s0"].stats}
+        stats = {"job0": cp._sessions["job0"].stats}
         assert len(cp.vector_job_ids()) == 1
-        cp._stats_age = {"s0": 0.0}
+        cp._stats_age = {"job0": 0.0}
         fresh = cp._job_demand_vec(stats)[0]
-        cp._stats_age = {"s0": 2 * STALE_HALFLIFE * self.INTERVAL}
+        cp._stats_age = {"job0": 2 * STALE_HALFLIFE * self.INTERVAL}
         stale = cp._job_demand_vec(stats)[0]
         assert stale == pytest.approx(fresh * 0.25)
 
@@ -212,11 +207,11 @@ class TestStaleness:
             env, link=LinkProfile(latency=0.1), config=ControlPlaneConfig(), n_stages=1
         )
         drive(cp, env, ticks=2)
-        assert cp._sessions["s0"].stats is not None
+        assert cp._sessions["job0"].stats is not None
         # Age the reply past the TTL: the next collect drops it.
-        self._age_stats(cp, "s0", age=STALE_TTL * self.INTERVAL + 1.0, now=2.0)
+        self._age_stats(cp, "job0", age=STALE_TTL * self.INTERVAL + 1.0, now=2.0)
         stats = cp._collect(2.0)
-        assert "s0" not in stats
+        assert "job0" not in stats
 
     def test_fresh_within_ttl_included_with_age(self, env):
         cp, fabric, stages = make_world(
@@ -224,10 +219,10 @@ class TestStaleness:
         )
         drive(cp, env, ticks=2)
         age = STALE_TTL * self.INTERVAL - 1.0
-        self._age_stats(cp, "s0", age=age, now=2.0)
+        self._age_stats(cp, "job0", age=age, now=2.0)
         stats = cp._collect(2.0)
-        assert "s0" in stats
-        assert cp._stats_age["s0"] == pytest.approx(age)
+        assert "job0" in stats
+        assert cp._stats_age["job0"] == pytest.approx(age)
 
 
 class TestSessionUnit:

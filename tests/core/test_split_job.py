@@ -15,11 +15,11 @@ from repro.errors import ConfigError, RPCError, StageNotRegistered
 from repro.core.algorithms import MIN_RATE, ProportionalSharing
 from repro.core.controller import STALE_HALFLIFE, ControlPlane, ControlPlaneConfig
 from repro.core.fabric import FaultyFabric, LinkProfile
+from repro.core.controller import ControlPlane
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
-    HierarchicalControlPlane,
     LocalController,
 )
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope
@@ -30,7 +30,7 @@ from tests.core.test_controller import make_stage
 from tests.core.test_hierarchy import (
     EXHAUST_TWICE,
     attach_racks,
-    build_flat,
+    build_job_locals,
     host,
     metadata_load,
 )
@@ -38,7 +38,7 @@ from tests.core.test_hierarchy import (
 
 def build_split(n_jobs=3, stages_per_job=2, n_racks=2, capacity=120.0, config=None):
     """Split placement: stage s of job j lives on rack (j + s) % n_racks."""
-    cp = HierarchicalControlPlane(
+    cp = ControlPlane(
         config=config, algorithm=ProportionalSharing(capacity=capacity)
     )
     racks = attach_racks(cp, n_racks)
@@ -65,11 +65,11 @@ def verbs(collect, enforce):
 
 
 class TestSingleRackReduction:
-    """Satellite acceptance: a job whose stages share one rack behaves
-    exactly like today's whole-job placement -- and the flat plane."""
+    """A job whose stages share one rack behaves exactly like whole-job
+    placement -- and like the plane's own per-job locals."""
 
     def test_single_rack_split_matches_flat_bit_for_bit(self):
-        flat, flat_stages = build_flat(n_jobs=4, stages_per_job=3)
+        flat, flat_stages = build_job_locals(n_jobs=4, stages_per_job=3)
         split, split_stages, _ = build_split(
             n_jobs=4, stages_per_job=3, n_racks=1
         )
@@ -104,9 +104,9 @@ class TestDemandMerge:
         metadata_load(stages, 0.0)
         cp.tick(1.0)
         # Merging partials adds each rack's fold in stage-registration
-        # order from 0.0 -- the flat plane's exact accumulation -- so the
+        # order from 0.0 -- a per-job local's exact accumulation -- so the
         # enforcement decisions match bit for bit.
-        flat, flat_stages = build_flat(n_jobs=2, stages_per_job=2)
+        flat, flat_stages = build_job_locals(n_jobs=2, stages_per_job=2)
         metadata_load(flat_stages, 0.0)
         flat.tick(1.0)
         assert list(cp.enforcement_log) == list(flat.enforcement_log)
@@ -132,7 +132,7 @@ class TestDemandMerge:
         def collect(message):
             return AggregateStats(("job0",), (50.0,), (2,))
 
-        cp = HierarchicalControlPlane(
+        cp = ControlPlane(
             algorithm=ProportionalSharing(capacity=10.0)
         )
         for r in range(2):
@@ -146,7 +146,7 @@ class TestDemandMerge:
         assert sorted(pushes) == [("rack0", "job0"), ("rack1", "job0")]
 
     def test_staleness_discount_is_per_local(self):
-        cp = HierarchicalControlPlane(algorithm=ProportionalSharing(capacity=100.0))
+        cp = ControlPlane(algorithm=ProportionalSharing(capacity=100.0))
         halflife = STALE_HALFLIFE * cp.config.loop_interval
         racks = attach_racks(cp, 2)
         for s in range(2):
@@ -168,7 +168,7 @@ class TestSpanningJobEviction:
 
     def test_job_vanishes_when_every_hosting_rack_evicts(self, env):
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
-        cp = HierarchicalControlPlane(
+        cp = ControlPlane(
             fabric=fabric,
             config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),
@@ -233,7 +233,7 @@ class TestBatchedEnforcement:
                 lambda m: batches.setdefault(rack_id, []).append(m),
             )
 
-        cp = HierarchicalControlPlane(
+        cp = ControlPlane(
             algorithm=ProportionalSharing(capacity=100.0)
         )
         for r in range(2):
@@ -258,7 +258,7 @@ class TestBatchedEnforcement:
         # once over all four stages and reach every hosting local as one
         # single-entry batch.
         rack_batches = []
-        cp = HierarchicalControlPlane()
+        cp = ControlPlane()
         racks = attach_racks(cp, 2)
         cp.attach_local("rack2", verbs(lambda m: None, rack_batches.append))
         stages = [make_stage(f"s{r}", "job0") for r in range(2)]
@@ -288,7 +288,7 @@ class TestBoundLocal:
     """A local is an address and a handler; the plane keeps its stages."""
 
     def test_register_stage_bookkeeping_and_errors(self):
-        cp = HierarchicalControlPlane()
+        cp = ControlPlane()
         cp.attach_local("rack0", verbs(lambda m: None, lambda m: True))
         cp.register_stage(StageIdentity("s0", "job0"), "rack0")
         assert set(cp.stages) == {"s0"}
@@ -306,7 +306,7 @@ class TestBoundLocal:
 
     def test_evicting_a_local_removes_its_stages(self, env):
         fabric = FaultyFabric(env=env, link=LinkProfile(latency=0.1))
-        cp = HierarchicalControlPlane(
+        cp = ControlPlane(
             fabric=fabric,
             config=ControlPlaneConfig(max_missed_collects=2),
             algorithm=ProportionalSharing(capacity=100.0),

@@ -1,6 +1,6 @@
 """Sink delivery equals batched delivery on the hierarchical plane.
 
-A ``HierarchicalControlPlane`` given an ``enforce_array_sink`` hands each
+A ``ControlPlane`` given an ``enforce_array_sink`` hands each
 cycle's per-stage rates to the sink as one array; without one, the same
 cycle sends one ``EnforceJobRateBatch`` per hosting local.  These tests
 pin that the two deliveries land the same floats on every stage, cycle
@@ -20,7 +20,8 @@ from repro.core.algorithms import (
     StaticPartition,
 )
 from repro.core.controller import STALE_HALFLIFE
-from repro.core.hierarchy import HierarchicalControlPlane, LocalController
+from repro.core.controller import ControlPlane
+from repro.core.hierarchy import LocalController
 from repro.core.requests import OperationType, Request
 
 from tests.core.test_controller import make_stage
@@ -42,7 +43,7 @@ def build_plane(algorithm, vectorized, n_jobs=5, stages_per_job=3, n_racks=3):
             for stage_id in cp.jobs[job_id].stage_ids:
                 by_id[stage_id].set_channel_rate("metadata", rate, now, None)
 
-    cp = HierarchicalControlPlane(
+    cp = ControlPlane(
         algorithm=algorithm,
         enforce_array_sink=sink if vectorized else None,
     )
@@ -70,7 +71,7 @@ def drive(cp, stages, n_cycles=6, evict=None, reserve=None, ages=None):
             for job_id, rate in reserve:
                 cp.set_reservation(job_id, rate)
         if evict is not None and cycle == 3:
-            cp._evict(evict)
+            cp.detach_local(evict)
         for i, stage in enumerate(stages):
             stage.submit(
                 Request(

@@ -32,15 +32,29 @@ LIMITS = (1000.0, 2000.0)
 #: Frames per setup: replay tick and row delivery, the drain tick
 #: (routing, MDS service, completion check -- a healthy active server is
 #: read where it is needed, not resolved through ``active_mds``), the
-#: control tick (collect request, policy walk); the staged setups add the
-#: stage's classify, its drain (``_drain_stages`` ->
-#: ``DataPlaneStage.drain_collect`` -> ``_drain_channels`` ->
+#: control tick (with no local attached the plane builds no collect
+#: request: 20 frames before the plane was one, its ``_collect_message``
+#: with the request's ``__init__``, ``_collect_endpoints`` and the
+#: fabric's ``defers`` went); the staged setups add the stage's classify,
+#: its drain (``_drain_stages`` -> ``DataPlaneStage.drain_collect`` ->
 #: ``Channel.drain`` -> the bucket's consume and refill, one head split),
-#: one collect (10 frames) and, under PADLL, one push (7).
+#: one collect through the job's own local (``CollectAggregate``, the
+#: fabric's ``defers`` and call, the local's ``handle``, then the stage's
+#: ``collect`` and its 4 frames, called directly) and,
+#: under PADLL, one policy push through it (``_push_job``,
+#: ``EnforceJobRateBatch``, the call, the local's ``handle``, then the
+#: stage's ``set_channel_rate`` and its 4).  Against the per-stage plane
+#: the one plane replaced (41 / 52) one frame is added per hop -- the
+#: local's ``handle`` under the collect and under the push -- and seven
+#: go: the plane's ``_collect_message`` and ``_collect_endpoints``, the
+#: stage endpoint's ``handle`` under both calls (the local calls an
+#: in-process stage itself), the stage's ``_drain_channels``, and the
+#: ``ChannelSnapshot`` / ``StageStats`` constructor frames (the stage's
+#: records and the local's reply are built with ``tuple.__new__``).
 FRAMES = {
-    Setup.BASELINE: 20,
-    Setup.PASSTHROUGH: 41,
-    Setup.PADLL: 52,
+    Setup.BASELINE: 16,
+    Setup.PASSTHROUGH: 36,
+    Setup.PADLL: 47,
 }
 
 

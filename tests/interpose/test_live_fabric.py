@@ -116,7 +116,7 @@ class TestOrphanDecayAndReadoption:
 
             # Phase 2: sever the link -- the stage orphans and decays to
             # the floor (the throttle path drives the decay arithmetic).
-            fabric.set_link("jobF/s0", LinkProfile(loss=1.0))
+            fabric.set_link("jobF", LinkProfile(loss=1.0))  # the job's local
             assert wait_until(
                 lambda: stage.orphaned and stage.channel_rate("metadata") == 2.0,
                 poll=lambda: pump(stage, 2),
@@ -131,7 +131,7 @@ class TestOrphanDecayAndReadoption:
             }
 
             # Phase 3: heal -- the next enforcement re-adopts the stage.
-            fabric.set_link("jobF/s0", LinkProfile())
+            fabric.set_link("jobF", LinkProfile())
             assert wait_until(
                 lambda: not stage.orphaned,
                 poll=lambda: pump(stage, 2),
@@ -156,7 +156,7 @@ class TestLivePartition:
             )
             failures_before = controller.collect_failures
             now = time.monotonic()
-            fabric.partition(now, now + 0.5, ["jobF/s0"])
+            fabric.partition(now, now + 0.5, ["jobF"])  # the job's local
             assert wait_until(
                 lambda: controller.collect_failures > failures_before
             )
@@ -168,7 +168,7 @@ class TestLivePartition:
                 lambda: fabric.partitioned > 0
                 and controller.loop_iterations > iterations + 12
             )
-            assert not fabric._partitioned_now("jobF/s0")
+            assert not fabric._partitioned_now("jobF")
         finally:
             loop.stop()
 

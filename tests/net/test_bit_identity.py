@@ -24,7 +24,8 @@ from repro.core.algorithms import ProportionalSharing
 from repro.core.controller import ControlPlane, ControlPlaneConfig
 from repro.core.differentiation import ClassifierRule
 from repro.core.fabric import FaultyFabric, LinkProfile
-from repro.core.hierarchy import HierarchicalControlPlane, LocalController
+from repro.core.controller import ControlPlane
+from repro.core.hierarchy import LocalController
 from repro.core.requests import OperationClass, OperationType, Request
 from repro.core.rpc import StageEndpoint
 from repro.core.stage import DataPlaneStage, StageIdentity
@@ -192,7 +193,7 @@ def run_hier_world(via_socket, link=None, fault_seed=3):
     fabric = FaultyFabric(
         link=link, seed=fault_seed, telemetry=telemetry, transport=transport
     )
-    controller = HierarchicalControlPlane(
+    controller = ControlPlane(
         fabric=fabric,
         config=ControlPlaneConfig(loop_interval=1.0, algorithm_channel="metadata"),
         algorithm=ProportionalSharing(capacity=CAPACITY),

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.differentiation import ClassifierRule
-from repro.core.controller import ControlPlane, fold_stage_demand
+from repro.core.controller import ControlPlane
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
     EnforceJobRateBatch,
-    HierarchicalControlPlane,
+    LocalController,
 )
 from repro.core.requests import OperationClass, OperationType
 from repro.core.rpc import (
@@ -36,6 +36,7 @@ from repro.core.rpc import (
     RemoveRule,
 )
 from repro.core.stage import ChannelSnapshot, StageIdentity, StageStats
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.core.wire import (
     FRAME_ERROR,
     FRAME_HELLO,
@@ -238,25 +239,32 @@ def hostile_records(draw):
     return {"!t": tag, "f": [draw(field) for _ in range(arity)]}
 
 
-def plane_reads(value) -> None:
+def plane_reads(value, decoded: bool = True) -> None:
     """What the control loop does with a reply: fold it, and render the
-    ``control.cycle`` view of it that a row would hold."""
-    if isinstance(value, AggregateStats):
-        plane = HierarchicalControlPlane()
+    ``control.cycle`` view of it that a row would hold.  A stage's window
+    is folded by its local, whose aggregate the plane then reads (a local
+    may fold a window to NaN, which the plane's vetting refuses; a decoded
+    aggregate never carries one)."""
+    if isinstance(value, ChannelSnapshot):
+        value = StageStats("job0", 1.0, (value,))
+    if isinstance(value, StageStats):
+        local = LocalController("job0")
+        local.register_endpoint(StageIdentity("s0", "job0"), lambda message: value)
+        for snap in value.channels:
+            reply = local.handle(CollectAggregate(1.0, snap.channel_id, 1.0))
+            plane_reads(reply, decoded=False)
+    elif isinstance(value, AggregateStats):
+        plane = ControlPlane()
         plane.attach_local("rack0", lambda message: None)
         plane.vector_job_ids()
         plane._job_demand_vec({"rack0": value})
-        plane._cycle_event.observed_fields(plane._cycle_view({"rack0": value}))
+        telemetry = Telemetry(TelemetryConfig(trace=False))
+        plane._emit_cycle(telemetry, 0.0, {"rack0": value}, None, {}, False)
+        telemetry.events.events[-1].to_dict()
         demand = np.asarray(value.demand, dtype=np.float64)
         assert len(value.job_ids) == demand.size
-        assert not np.isnan(demand).any()
-    elif isinstance(value, StageStats):
-        for snap in value.channels:
-            fold_stage_demand({}, value, snap.channel_id, 1.0)
-        plane = ControlPlane()
-        plane._cycle_event.observed_fields(plane._cycle_view({"s0": value}))
-    elif isinstance(value, ChannelSnapshot):
-        fold_stage_demand({}, StageStats("job0", 1.0, (value,)), value.channel_id, 1.0)
+        if decoded:
+            assert not np.isnan(demand).any()
 
 
 @settings(max_examples=500, deadline=None)

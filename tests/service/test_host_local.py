@@ -1,7 +1,7 @@
 """Stage hosts as the locals of a hierarchical plane, through the service.
 
 ``serve`` with ``stage_procs > 0`` builds a
-:class:`~repro.core.hierarchy.HierarchicalControlPlane` whose locals are
+:class:`~repro.core.hierarchy.ControlPlane` whose locals are
 its stage hosts.  Pinned here, over real sockets and a manual clock: with
 whole jobs on one host the enforcement log is the in-process (flat)
 service's, bit for bit; a respawned host takes its name over and the old
@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.algorithms import MIN_RATE
 from repro.core.controller import ControlPlane
-from repro.core.hierarchy import AggregateStats, CollectAggregate, HierarchicalControlPlane
+from repro.core.controller import ControlPlane
+from repro.core.hierarchy import AggregateStats, CollectAggregate
 from repro.core.requests import OperationType
 from repro.core.stage import StageIdentity
 from repro.net import SocketTransport
@@ -76,7 +77,7 @@ class TestOneHostIsTheFlatPlane:
             try:
                 # The plane follows where the stages live.
                 assert type(runtime.controller) is (
-                    HierarchicalControlPlane if stage_procs else ControlPlane
+                    ControlPlane if stage_procs else ControlPlane
                 )
                 _tick(runtime, clock, stages, n=30)
                 runs.append(

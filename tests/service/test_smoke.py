@@ -156,17 +156,20 @@ class TestLiveFaultsOverHttp:
             with OperatorServer(runtime, "127.0.0.1", 0) as server:
                 stage = runtime.stages[0]
                 stage_id = stage.identity.stage_id
+                # An in-process stage reaches the plane through its job's
+                # local, whose address is the job id.
+                job_id = stage.identity.job_id
                 assert wait_until(
                     lambda: stage.channel_rate(config.channel) != float("inf")
                 )
 
                 # Sever the control link; the workload keeps the throttle
                 # path hot, so the stage orphans and decays on its own.
-                runtime.fabric.set_link(stage_id, LinkProfile(loss=1.0))
+                runtime.fabric.set_link(job_id, LinkProfile(loss=1.0))
 
                 def events(kind):
                     _, body = get(
-                        server.url + f"/api/v1/events?kind={kind}&job={stage_id}"
+                        server.url + f"/api/v1/events?kind={kind}&job={job_id}"
                     )
                     return [json.loads(line) for line in body.strip().splitlines()]
 
@@ -177,7 +180,7 @@ class TestLiveFaultsOverHttp:
                 )
 
                 # Heal; re-adoption arrives with the next enforcement.
-                runtime.fabric.set_link(stage_id, LinkProfile())
+                runtime.fabric.set_link(job_id, LinkProfile())
                 assert wait_until(lambda: events("stage.adopted"))
                 adopted = events("stage.adopted")[0]
                 assert adopted["fields"] == {"stage": stage_id, "job": "job0"}

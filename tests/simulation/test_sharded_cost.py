@@ -94,7 +94,7 @@ def cycles():
 @pytest.mark.parametrize("n_racks", [4, 8])
 def test_the_demand_fold_is_one_bincount(cycles, n_racks):
     frames, fold_bincounts = cycles[n_racks]
-    assert frames[("hierarchy.py", "_job_demand_vec")] == 1
+    assert frames[("controller.py", "_job_demand_vec")] == 1
     assert len(fold_bincounts) == 1
 
 

@@ -6,9 +6,9 @@ when something reads it.  Here every world runs with the eager emitter
 below -- the dict tree the plane used to build at each cycle, kept only
 as the reference -- hooked beside the plane's own, and every row's
 ``fields``, read after the run has ended, must equal what that emitter
-built at its cycle, down to the JSON bytes: flat and hierarchical
-(``job`` and ``split`` placement) worlds with refused replies and
-health-paused ticks, the sharded world, whose rack replies are slice
+built at its cycle, down to the JSON bytes: worlds of stages registered in
+process (each on its job's own local) and of racks (``job`` and
+``split`` placement), with refused replies and health-paused ticks, the sharded world, whose rack replies are slice
 views of the epoch's demand vector, and a threaded ``LiveControlLoop``.
 
 The memory pin holds what a row costs: a return of the eager tree, or a
@@ -35,7 +35,6 @@ from repro.core.differentiation import ClassifierRule
 from repro.core.hierarchy import (
     AggregateStats,
     CollectAggregate,
-    HierarchicalControlPlane,
     LocalController,
 )
 from repro.core.policies import ConstantRate, PolicyRule, RuleScope, SteppedRate
@@ -53,34 +52,20 @@ from tests.simulation.test_sharded import small_fluid
 
 
 # -- the eager emitter (reference) ------------------------------------------------
-def _eager_view(plane, stats):
+def _eager_view(stats):
     """``_cycle_view`` as it was: the dict tree, built at the cycle."""
-    if isinstance(plane, HierarchicalControlPlane):
-        observed = {
-            local_id: {
-                job_id: {"demand": demand, "n_stages": n_stages}
-                for job_id, demand, n_stages in zip(
-                    agg.job_ids,
-                    np.asarray(agg.demand, dtype=np.float64).tolist(),
-                    agg.stage_counts,
-                )
-            }
-            for local_id, agg in stats.items()
-            if isinstance(agg, AggregateStats)
+    return {
+        local_id: {
+            job_id: {"demand": demand, "n_stages": n_stages}
+            for job_id, demand, n_stages in zip(
+                agg.job_ids,
+                np.asarray(agg.demand, dtype=np.float64).tolist(),
+                agg.stage_counts,
+            )
         }
-        return {"hierarchical": True, "observed": observed}
-    observed = {}
-    for stage_id, st_ in stats.items():
-        observed[stage_id] = {
-            snap.channel_id: {
-                "enqueued_rate": st_.demand_rate(snap.channel_id),
-                "granted_rate": st_.granted_rate(snap.channel_id),
-                "backlog": snap.backlog,
-                "rate_limit": snap.rate_limit,
-            }
-            for snap in st_.channels
-        }
-    return {"observed": observed}
+        for local_id, agg in stats.items()
+        if isinstance(agg, AggregateStats)
+    }
 
 
 def _eager_fields(plane, stats, cycle, policy_rates, paused, prev_rates):
@@ -106,7 +91,7 @@ def _eager_fields(plane, stats, cycle, policy_rates, paused, prev_rates):
     fields = dict(
         iteration=plane.loop_iterations,
         paused=paused,
-        **_eager_view(plane, stats),
+        observed=_eager_view(stats),
         demand={job_id: d for job_id, d, _ in demands} if demands else {},
         reservations={job_id: r for job_id, _, r in demands} if demands else {},
         algorithm=type(plane.algorithm).__name__ if plane.algorithm else None,
@@ -221,8 +206,9 @@ def assert_refusals(telemetry, script):
 @settings(max_examples=60, deadline=None)
 @given(_scripts)
 def test_flat_rows_render_what_the_eager_emitter_built(script):
-    """Scripted stage windows; a hostile stage's non-finite window is
-    refused on the ticks the script names, and its reply is then a miss."""
+    """Scripted stage windows, each stage on its job's own local; a
+    hostile stage's non-finite window folds into its local's reply, which
+    is refused on the ticks the script names, and is then a miss."""
     telemetry = Telemetry(TelemetryConfig(trace=False))
     plane = ControlPlane(algorithm=_algorithm(script["algorithm"]), telemetry=telemetry)
     clock = [0]
@@ -255,7 +241,7 @@ def test_flat_rows_render_what_the_eager_emitter_built(script):
 
 
 def _hierarchical_world(script, placement, telemetry):
-    plane = HierarchicalControlPlane(
+    plane = ControlPlane(
         algorithm=_algorithm(script["algorithm"]), telemetry=telemetry
     )
     racks = [LocalController(f"rack{r}") for r in range(3)]

@@ -163,27 +163,31 @@ def _sha(text: str) -> str:
 #: traced worlds submit on that same path (PR 17) their Prometheus text is
 #: the metrics-only text, byte for byte.  The fig5 rows were re-recorded
 #: when a stage's first collect window began to open at the stage's start
-#: (fig5's jobs arrive after t = 0; fig4's single job starts at 0).
+#: (fig5's jobs arrive after t = 0; fig4's single job starts at 0).  The
+#: events hashes were re-recorded when the per-stage plane folded into the
+#: one plane of locals (a ``control.cycle`` event's ``observed`` is per
+#: local and job since; tests/telemetry/test_stripped_events.py pins the
+#: rest of every line).
 _NO_SPANS = _sha("")
 PINNED_EXPORTS = {
     "fig4:trace": (
         "dd22ca734b4663fee9a8720a9299664ef3cdf2b46e62d857edac384c11120c29",
-        "3bfc9c543d9487497134a723b9a4e6001808fbc0e545b68de6e3c24e67c05344",
+        "6d9b338418454edf6fef735c0d4d49dec3ab37d33abbffae3a2ac4617e860516",
         "1777edf4be39d4af0a592b77793ae0071ad8544ba4ded742071079c76b7ff123",
     ),
     "fig4:metrics": (
         _NO_SPANS,
-        "3bfc9c543d9487497134a723b9a4e6001808fbc0e545b68de6e3c24e67c05344",
+        "6d9b338418454edf6fef735c0d4d49dec3ab37d33abbffae3a2ac4617e860516",
         "1777edf4be39d4af0a592b77793ae0071ad8544ba4ded742071079c76b7ff123",
     ),
     "fig5:trace": (
         "2e581aed56a292968f67999cb4f33eab63a9dd7e0661be9965d8c90783afcfb6",
-        "744253faadcde5ce3b471483eac72ac2b6ff4c6a567b35f4d83625a4b059a23d",
+        "1d5f7590fa3f39926832e1f2079019d6108048e80075be7baad539c11e946318",
         "bd105d4944110be36e3c4fd055a1b042787ebfc4b544f139beafc7c321b498fe",
     ),
     "fig5:metrics": (
         _NO_SPANS,
-        "744253faadcde5ce3b471483eac72ac2b6ff4c6a567b35f4d83625a4b059a23d",
+        "1d5f7590fa3f39926832e1f2079019d6108048e80075be7baad539c11e946318",
         "bd105d4944110be36e3c4fd055a1b042787ebfc4b544f139beafc7c321b498fe",
     ),
 }

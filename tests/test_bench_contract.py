@@ -4,7 +4,7 @@
 ``owner.__dict__[attr]``, so a method that moves to a base class still
 passes every behavioural test and then kills the traced benchmark run
 with ``KeyError``.  ``bench/`` is outside tier-1; this file pins, inside
-tier-1, each (owner, attribute) pair the workloads patch and the two
+tier-1, each (owner, attribute) pair the workloads patch and the
 message names the layer metrics look up.
 """
 
@@ -110,9 +110,16 @@ def test_live_stage_throttle_takes_a_request_positionally():
 
 
 def test_flat_plane_message_names():
-    # The layer metrics read ``core.fabric.call[CollectStats]`` and
-    # ``core.fabric.call[EnforceRate]`` -- keyed on the class name.
-    sent = []
+    # The layer metrics key on message class names.  A stage registered in
+    # process joins its job's own local, so its handler still sees
+    # ``CollectStats`` and ``EnforceRate`` -- what live_control_wire's
+    # stages answer over the socket -- while the fabric now carries the
+    # local's ``CollectAggregate`` and ``EnforceJobRateBatch``.  The
+    # per-layer metrics keyed on ``core.fabric.call[CollectStats]`` /
+    # ``[EnforceRate]`` -- ``core.controller.collect_s``, ``enforce_s`` and
+    # ``enforce_apply_ms_p50`` -- read 0 until the benchmark re-keys them
+    # (ROADMAP 1(b)).
+    sent, carried = [], []
     plane = controller.ControlPlane(
         algorithm=algorithms.ProportionalSharing(capacity=10.0)
     )
@@ -124,6 +131,14 @@ def test_flat_plane_message_names():
         sent.append(type(message).__name__)
         return endpoint.handle(message)
 
+    call = plane.fabric.call
+
+    def fabric_call(address, message):
+        carried.append(type(message).__name__)
+        return call(address, message)
+
+    plane.fabric.call = fabric_call
     plane.register_endpoint(data_stage.identity, handler)
     plane.tick(1.0)
     assert sent == ["CollectStats", "EnforceRate"]
+    assert carried == ["CollectAggregate", "EnforceJobRateBatch"]

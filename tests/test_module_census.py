@@ -54,14 +54,12 @@ REASONS = (
 #: a function it names is deleted with its tests, or earns a line with one
 #: of ``REASONS`` -- not a caller added to quiet it.
 KEPT_UNREACHED: Dict[str, str] = {
-    "repro.core.controller:ControlPlane._refuse": "fault path: a collect reply "
-    "refused as hostile (tests/core/test_hostile_reply.py, test_hostile_window.py)",
     "repro.core.differentiation:Classifier.remove_rule": "paper verb: RemoveRule "
     "(wire golden corpus)",
     "repro.core.stage:StageCore.remove_channel": "paper verb: RemoveChannel "
     "(wire golden corpus)",
-    "repro.core.ringlog:RingLog.__eq__": "reference: flat == hier and InProc == TCP "
-    "compare enforcement logs with it",
+    "repro.core.ringlog:RingLog.__eq__": "reference: job locals == racks and InProc == "
+    "TCP compare enforcement logs with it",
     "repro.core.ringlog:RingLog.__repr__": "reference: what a failed log comparison prints",
     "repro.core.ringlog:RingLog._drop": "boundary: a log past its capacity (the wrapped-log "
     "digest of tests/simulation/test_sharded.py and the sharded-smoke CI job)",

@@ -48,7 +48,8 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "ControlPlaneConfig": (4, "setting, fault path: loop_interval, algorithm_channel and "
                            "history_limit differ by program; max_missed_collects "
                            "enables liveness eviction, set only by tests/core"),
-    "ControlPlane": (4, "collaborator: fabric, config, algorithm, telemetry"),
+    "ControlPlane": (5, "collaborator: fabric, config, algorithm, telemetry and "
+                     "the sharded plane's array sink"),
     "Decision": (1, "record: one classification"),
     "ClassifierRule": (5, "setting: the policy document's channel filters"),
     "Classifier": (2, "setting: rules and PFS mounts per stage"),
@@ -57,7 +58,6 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     "FaultyFabric": (8, "collaborator, setting: env, drop_fn, telemetry, clock, "
                      "transport are handed in; link, seed and sync_messages differ "
                      "by experiment"),
-    "HierarchicalControlPlane": (1, "collaborator: the sharded plane's array sink"),
     "RuleScope": (1, "setting: a policy's 'job' in the policy document"),
     "PolicyRule": (3, "setting: a policy's burst, priority and enabled"),
     "Request": (6, "record: one request"),
@@ -77,9 +77,10 @@ CENSUS: Dict[str, Tuple[int, str]] = {
     # -- experiments -----------------------------------------------------------
     "JobSpec": (7, "setting: each experiment's jobs"),
     "_JobRuntime": (9, "record: a running job's state in a replay world"),
-    "ReplayWorld": (12, "setting, collaborator: each experiment's world (algorithm_"
-                    "channel is 'getattr' in ONE_PIPELINE_DIGESTS' per-op world); "
-                    "fabric_factory and telemetry are handed in"),
+    "ReplayWorld": (11, "setting, collaborator: each experiment's world (algorithm_"
+                    "channel is 'getattr' in ONE_PIPELINE_DIGESTS' per-op world; "
+                    "placement None, 'job' or 'split'); fabric_factory and "
+                    "telemetry are handed in"),
     # -- interpose -------------------------------------------------------------
     "LiveTokenBucket": (3, "setting, collaborator: capacity is a channel's burst; "
                         "clock and sleep are handed in"),
@@ -233,4 +234,4 @@ def test_settable_values_are_pinned(name):
 def test_discovery_sees_each_kind_of_default():
     assert DISCOVERED["Frame"] == ("repro.core.wire", 1)  # a NamedTuple field
     assert DISCOVERED["ServiceConfig"] == ("repro.service.config", 20)  # dataclass fields
-    assert DISCOVERED["ReplayWorld"] == ("repro.experiments.harness", 12)  # __init__
+    assert DISCOVERED["ReplayWorld"] == ("repro.experiments.harness", 11)  # __init__
